@@ -133,25 +133,9 @@ class InterpolatingServiceModel(ServiceTimeModel):
         self._grids = LRUCache(max_entries=max_grids)
         self._exact_calls = 0
         self._interpolated_calls = 0
+        self._extrapolated_batches = 0
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _query_shape(batch):
-        """Observed per-request poolings and per-pooling lookups."""
-        # Batch classes carry a cached request count; duck-typed batches
-        # without one fall back to the object walk.
-        num_requests = getattr(batch, "num_requests", None)
-        if num_requests is None:
-            num_requests = sum(len(query.requests)
-                               for query in batch.queries)
-        if num_requests == 0:
-            raise ValueError(
-                "batch carries no SLS requests; cannot derive a "
-                "calibration shape for the interpolating service model")
-        poolings = max(int(round(batch.total_poolings / num_requests)), 1)
-        pooling_factor = max(int(round(batch.mean_pooling_factor)), 1)
-        return poolings, pooling_factor
-
     def _calibration_row(self, cluster, poolings, pooling_factor):
         """Simulated service times over the batch-size grid at one shape."""
         from repro.serving.arrival import queries_from_traces
@@ -201,22 +185,12 @@ class InterpolatingServiceModel(ServiceTimeModel):
         return grid[key]
 
     @staticmethod
-    def _interp_row(row, total_poolings):
-        """Row lookup with linear extrapolation past the last grid point."""
-        xs, values = row
-        if total_poolings > xs[-1]:
-            slope = (values[-1] - values[-2]) / (xs[-1] - xs[-2])
-            return float(values[-1] + slope * (total_poolings - xs[-1]))
-        return float(np.interp(total_poolings, xs, values))
-
-    @staticmethod
     def _interp_row_vector(row, total_poolings):
-        """Vectorised :meth:`_interp_row` over a total-poolings array.
+        """Row lookup over a total-poolings array, with linear
+        extrapolation past the last grid point.
 
-        ``np.interp`` evaluates each element with the same operations as
-        the scalar call, and the extrapolation branch applies the same
-        slope expression, so every element matches the scalar path
-        bitwise.
+        Returns ``(values, beyond)``; ``beyond`` masks the extrapolated
+        elements.
         """
         xs, values = row
         result = np.interp(total_poolings, xs, values)
@@ -225,7 +199,7 @@ class InterpolatingServiceModel(ServiceTimeModel):
             slope = (values[-1] - values[-2]) / (xs[-1] - xs[-2])
             result[beyond] = values[-1] \
                 + slope * (total_poolings[beyond] - xs[-1])
-        return result
+        return result, beyond
 
     def _pf_rows_for(self, observed_pf):
         """The pooling-factor row(s) answering an observed factor."""
@@ -243,72 +217,74 @@ class InterpolatingServiceModel(ServiceTimeModel):
         return tuple(sorted({below[-1], above[0]}))
 
     def service_time_us(self, cluster, batch):
-        grid = self._grid_for(cluster)
-        poolings, observed_pf = self._query_shape(batch)
-        total_poolings = float(batch.total_poolings)
-        pf_rows = self._pf_rows_for(observed_pf)
-        self._interpolated_calls += 1
-        if len(pf_rows) == 1:
-            return self._interp_row(
-                self._row(grid, cluster, poolings, pf_rows[0]),
-                total_poolings)
-        low, high = pf_rows
-        value_low = self._interp_row(
-            self._row(grid, cluster, poolings, low), total_poolings)
-        value_high = self._interp_row(
-            self._row(grid, cluster, poolings, high), total_poolings)
-        weight = (observed_pf - low) / (high - low)
-        return value_low + weight * (value_high - value_low)
+        return self.service_times_us(cluster, [batch])[0]
 
     def service_times_us(self, cluster, batches):
-        """Grouped-and-vectorised batch answering (the engine-facing
-        call).
+        """Whole-chunk batch answering (the engine-facing call).
 
-        One pass over the batches reads their (cached) shape aggregates
-        and calibrates any missing grid rows in first-encounter order --
-        exactly the calibration sequence of the one-batch-at-a-time
-        loop -- then batches sharing a shape are answered with one
-        vectorised row interpolation each.  Values are bit-identical to
-        the scalar path (:meth:`_interp_row_vector`).
+        Per-batch request, pooling and lookup totals come from
+        :meth:`BatchColumns.totals` (one comprehension for a batch
+        list).  Each batch's shape is its per-request poolings and mean
+        pooling factor, rounded half-to-even like ``round``.  Shape
+        groups calibrate their missing grid rows in first-encounter
+        order -- the calibration sequence of a one-batch-at-a-time loop
+        -- and are answered with one vectorised row interpolation each.
         """
-        batches = list(batches)
-        if not batches:
+        if getattr(batches, "is_columns", False):
+            num_requests, total_poolings, total_lookups = batches.totals()
+        else:
+            num_requests, total_poolings, total_lookups = np.array(
+                [(batch.num_requests, batch.total_poolings,
+                  batch.total_lookups) for batch in batches],
+                dtype=np.int64).reshape(-1, 3).T
+        count = num_requests.shape[0]
+        if not count:
             return []
+        if not num_requests.all():
+            raise ValueError(
+                "batch carries no SLS requests; cannot derive a "
+                "calibration shape for the interpolating service model")
+        mean_pf = np.divide(total_lookups, total_poolings,
+                            out=np.zeros(count), where=total_poolings > 0)
+        shapes = np.maximum(np.rint(np.stack(
+            [total_poolings / num_requests, mean_pf], axis=1)), 1)
+        shapes, first, inverse = np.unique(
+            shapes.astype(np.int64), axis=0, return_index=True,
+            return_inverse=True)
+        inverse = inverse.reshape(-1)
+        points = total_poolings.astype(np.float64)
         grid = self._grid_for(cluster)
-        shapes = []
-        total_poolings = np.empty(len(batches), dtype=np.float64)
-        for index, batch in enumerate(batches):
-            poolings, observed_pf = self._query_shape(batch)
+        out = np.empty(count, dtype=np.float64)
+        for group in np.argsort(first):
+            poolings, observed_pf = shapes[group].tolist()
+            members = np.flatnonzero(inverse == group)
             pf_rows = self._pf_rows_for(observed_pf)
-            for pf_row in pf_rows:
-                self._row(grid, cluster, poolings, pf_row)
-            self._interpolated_calls += 1
-            shapes.append((poolings, pf_rows, observed_pf))
-            total_poolings[index] = float(batch.total_poolings)
-        groups = {}
-        for index, shape in enumerate(shapes):
-            groups.setdefault(shape, []).append(index)
-        out = np.empty(len(batches), dtype=np.float64)
-        for (poolings, pf_rows, observed_pf), indices in groups.items():
-            points = total_poolings[indices]
-            if len(pf_rows) == 1:
-                values = self._interp_row_vector(
-                    grid[(poolings, pf_rows[0])], points)
-            else:
+            values, beyond = self._interp_row_vector(
+                self._row(grid, cluster, poolings, pf_rows[0]),
+                points[members])
+            if len(pf_rows) == 2:
                 low, high = pf_rows
-                value_low = self._interp_row_vector(
-                    grid[(poolings, low)], points)
-                value_high = self._interp_row_vector(
-                    grid[(poolings, high)], points)
+                value_high, beyond_high = self._interp_row_vector(
+                    self._row(grid, cluster, poolings, high),
+                    points[members])
                 weight = (observed_pf - low) / (high - low)
-                values = value_low + weight * (value_high - value_low)
-            out[indices] = values
+                values = values + weight * (value_high - values)
+                beyond |= beyond_high
+            out[members] = values
+            self._extrapolated_batches += int(np.count_nonzero(beyond))
+        self._interpolated_calls += count
         return out.tolist()
 
     def stats(self):
-        """Calibration-vs-interpolation call accounting."""
+        """Calibration-vs-interpolation call accounting.
+
+        ``extrapolated_batches`` counts answered batches whose total
+        poolings lie past the last calibrated grid point (linear
+        extrapolation rather than interpolation).
+        """
         return {"exact_calls": self._exact_calls,
                 "interpolated_calls": self._interpolated_calls,
+                "extrapolated_batches": self._extrapolated_batches,
                 "grids": len(self._grids)}
 
     def __getstate__(self):

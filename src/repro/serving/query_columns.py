@@ -16,14 +16,14 @@ only where a caller actually needs one:
   consumers (custom SLO policies, admission controllers, the exact
   service path) keep working unchanged.
 * :func:`form_batch_columns` -- the two-trigger batcher
-  (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as a
-  per-*batch* ``searchsorted`` scan instead of a per-query loop, with a
-  carry-out open batch so chunked streaming reproduces the one-shot
-  batching byte for byte.
+  (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as one
+  whole-chunk ``searchsorted`` plus a walk over per-position batch
+  lengths instead of a per-query loop, with a carry-out open batch so
+  chunked streaming reproduces the one-shot batching byte for byte.
 * :class:`BatchColumns` / :class:`ColumnBatch` -- the formed batches as
-  arrays (formation times, sizes, triggers, per-batch deadline minima)
-  plus per-batch views compatible with
-  :class:`~repro.serving.batcher.QueryBatch`.
+  arrays (formation times, sizes, triggers, per-batch deadline minima
+  and request/pooling/lookup totals) plus per-batch views compatible
+  with :class:`~repro.serving.batcher.QueryBatch`.
 * :class:`QueryStream` -- a resumable generator of ``QueryColumns``
   chunks from traces plus an arrival process, the O(chunk)-memory
   source behind ``ShardedServingCluster.simulate(stream_chunk=N)``.
@@ -583,6 +583,14 @@ class BatchColumns:
         """Per-batch deadline minima (NaN = no deadline in the batch)."""
         return np.fmin.reduceat(self.columns.deadline_us, self.starts)
 
+    def totals(self):
+        """Per-batch ``(num_requests, total_poolings, total_lookups)``
+        sums (int64 arrays) over the batches' queries."""
+        columns = self.columns
+        return tuple(np.add.reduceat(column, self.starts)
+                     for column in (columns.num_requests, columns.poolings,
+                                    columns.lookups))
+
     def trigger_counts(self):
         """``{"size": n, "deadline": m}`` over the batch arrays."""
         deadline = int(np.count_nonzero(self.triggers))
@@ -634,8 +642,10 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     """Two-trigger batch formation over sorted query columns.
 
     Reproduces :meth:`BatchingFrontend.form_batches` exactly -- same
-    batch boundaries, formation times and trigger labels -- with one
-    ``searchsorted`` per *batch* instead of per-query object work.
+    batch boundaries, formation times and trigger labels -- from whole-
+    chunk array passes: one ``searchsorted`` gives every position's
+    deadline window, hence the batch length a batch opened there would
+    have, and a walk over those lengths picks the batch starts.
     ``columns`` must already be in ``(arrival_us, query_id)`` order.
 
     Returns ``(batch_columns, carry)``: with ``final=False`` a trailing
@@ -647,41 +657,31 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     """
     arrivals = columns.arrival_us
     size = arrivals.shape[0]
-    starts, formed, opens, triggers = [], [], [], []
+    cutoffs = arrivals + max_delay_us
+    limits = np.searchsorted(arrivals, cutoffs, side="left")
+    # The opening query always belongs to its own batch even when
+    # max_delay_us is 0 (it is appended before any deadline check).
+    counts = np.maximum(limits - np.arange(size), 1)
+    full = counts >= max_queries
+    steps = np.where(full, max_queries, counts).tolist()
+    starts = []
     position = 0
     while position < size:
-        open_us = float(arrivals[position])
-        cutoff = open_us + max_delay_us
-        limit = int(np.searchsorted(arrivals, cutoff, side="left"))
-        # The opening query always belongs to its own batch even when
-        # max_delay_us is 0 (it is appended before any deadline check).
-        count = max(limit - position, 1)
-        if count >= max_queries:
-            starts.append(position)
-            opens.append(open_us)
-            formed.append(float(arrivals[position + max_queries - 1]))
-            triggers.append(0)
-            position += max_queries
-            continue
-        if limit >= size and not final:
-            # Every remaining arrival is inside the open batch's window
-            # and the batch is not full: its fate depends on queries
-            # beyond this chunk, so it carries over.
-            carry = columns.slice(position, size)
-            return _finish_batches(columns, starts, formed, opens,
-                                   triggers, position), carry
         starts.append(position)
-        opens.append(open_us)
-        formed.append(cutoff)
-        triggers.append(1)
-        position += count
-    return _finish_batches(columns, starts, formed, opens, triggers,
-                           size), None
-
-
-def _finish_batches(columns, starts, formed, opens, triggers, stop):
-    return BatchColumns(columns.slice(0, stop),
-                        np.asarray(starts, dtype=np.int64),
-                        np.asarray(formed, dtype=np.float64),
-                        np.asarray(opens, dtype=np.float64),
-                        np.asarray(triggers, dtype=np.uint8))
+        position += steps[position]
+    starts = np.asarray(starts, dtype=np.int64)
+    stop = size
+    carry = None
+    if not final and len(starts) and not full[starts[-1]] \
+            and limits[starts[-1]] >= size:
+        # Every remaining arrival is inside the open batch's window and
+        # the batch is not full: its fate depends on queries beyond
+        # this chunk, so it carries over.
+        stop = int(starts[-1])
+        carry = columns.slice(stop, size)
+        starts = starts[:-1]
+    is_full = full[starts]
+    formed = cutoffs[starts]
+    formed[is_full] = arrivals[starts[is_full] + max_queries - 1]
+    return BatchColumns(columns.slice(0, stop), starts, formed,
+                        arrivals[starts], ~is_full), carry

@@ -174,9 +174,12 @@ class TestInterpolatingModel:
         approx = model.service_time_us(cluster, batches[0])
         exact = cluster.service_time_us(batches[0])
         assert approx == pytest.approx(exact, rel=0.35)
+        assert model.stats()["extrapolated_batches"] == 1
         assert approx > model.service_time_us(
             cluster, BatchingFrontend(max_queries=2).form_batches(
                 queries[:2])[0])
+        # The 2-query batch lies inside the grid: not counted.
+        assert model.stats()["extrapolated_batches"] == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

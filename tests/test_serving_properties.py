@@ -1,0 +1,248 @@
+"""Property tests of the array serving hot path against loop references.
+
+The column batcher (:func:`form_batch_columns`) and the grouped
+interpolating service model answer whole chunks with array passes.  The
+references here share no code with them: the object frontend's per-query
+loop (:meth:`BatchingFrontend.form_batches`) and a per-batch
+interpolation loop written out below.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.perf.service_model import InterpolatingServiceModel
+from repro.serving import (
+    BatchingFrontend,
+    QueryColumns,
+    ServingQuery,
+    form_batch_columns,
+)
+from repro.serving.query_columns import BatchColumns
+from repro.traces import make_production_table_traces
+
+BATCH_SIZES = (1, 2, 4)
+NUM_TABLES = 2
+TRACES = make_production_table_traces(
+    num_lookups_per_table=400, num_rows=512, num_tables=NUM_TABLES, seed=0)
+
+
+def _columns(arrivals, lookups=None, poolings=None, num_requests=None):
+    size = len(arrivals)
+    ones = np.ones(size, dtype=np.int64)
+    return QueryColumns(
+        np.arange(size), np.asarray(arrivals, dtype=np.float64),
+        np.full(size, np.nan), ones if lookups is None else lookups,
+        ones if poolings is None else poolings,
+        ones if num_requests is None else num_requests,
+        np.arange(size), provider=None)
+
+
+# --------------------------------------------------------------------- #
+# Batch forming                                                         #
+# --------------------------------------------------------------------- #
+# Arrivals on a 12.5 us lattice tie with each other and land exactly on
+# batch deadlines (open + max_delay) for the lattice-multiple delays.
+arrival_lists = st.lists(st.integers(0, 80), min_size=1, max_size=80).map(
+    lambda ticks: [12.5 * tick for tick in sorted(ticks)])
+max_delays = st.one_of(st.sampled_from([0.0, 12.5, 37.5, 100.0, 1e9]),
+                       st.floats(0.0, 300.0))
+max_queries = st.integers(1, 9)
+
+
+def _object_batches(arrivals, max_queries, max_delay_us):
+    """(starts, formed_us, triggers) from the per-query object loop."""
+    queries = [ServingQuery(query_id=index, arrival_us=arrival)
+               for index, arrival in enumerate(arrivals)]
+    batches = BatchingFrontend(max_queries, max_delay_us).form_batches(
+        queries)
+    starts = [batch.queries[0].query_id for batch in batches]
+    return (starts, [batch.formed_us for batch in batches],
+            [int(batch.trigger == "deadline") for batch in batches])
+
+
+def _column_batches(batch_columns, offset=0):
+    return ((batch_columns.starts + offset).tolist(),
+            batch_columns.formed_us.tolist(),
+            batch_columns.triggers.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrival_lists, max_queries, max_delays)
+def test_form_batch_columns_matches_object_frontend(arrivals, max_queries,
+                                                    max_delay_us):
+    formed, carry = form_batch_columns(_columns(arrivals), max_queries,
+                                       max_delay_us)
+    assert carry is None
+    assert _column_batches(formed) == _object_batches(
+        arrivals, max_queries, max_delay_us)
+
+
+@st.composite
+def chunked_arrivals(draw):
+    arrivals = draw(arrival_lists)
+    cuts = draw(st.lists(st.integers(1, max(len(arrivals) - 1, 1)),
+                         max_size=6))
+    cuts = sorted(set(cut for cut in cuts if cut < len(arrivals)))
+    return arrivals, [0] + cuts + [len(arrivals)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunked_arrivals(), max_queries, max_delays)
+def test_chunked_batching_with_carry_matches_oneshot(chunks, max_queries,
+                                                     max_delay_us):
+    arrivals, bounds = chunks
+    columns = _columns(arrivals)
+    starts, formed_us, triggers = [], [], []
+    carry = None
+    for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        piece = columns.slice(start, stop)
+        offset = start
+        if carry is not None:
+            offset -= len(carry)
+            piece = QueryColumns.concat([carry, piece])
+        formed, carry = form_batch_columns(
+            piece, max_queries, max_delay_us,
+            final=index == len(bounds) - 2)
+        part = _column_batches(formed, offset)
+        starts += part[0]
+        formed_us += part[1]
+        triggers += part[2]
+    assert carry is None
+    oneshot, _ = form_batch_columns(columns, max_queries, max_delay_us)
+    assert (starts, formed_us, triggers) == _column_batches(oneshot)
+
+
+# --------------------------------------------------------------------- #
+# Interpolating service model                                           #
+# --------------------------------------------------------------------- #
+def _closed_form_us(size, total_poolings, total_lookups):
+    """Service time as a (non-linear in batch size) closed form."""
+    return (2.0 + 0.37 * total_poolings + 0.011 * total_lookups
+            + 3.0 * math.sqrt(size))
+
+
+class ClosedFormCluster:
+    """Cluster stand-in: closed-form service times, logged calls."""
+
+    def __init__(self):
+        self.calibrated = []
+
+    def service_time_us(self, batch):
+        shape = (batch.total_poolings // batch.num_requests,
+                 batch.total_lookups // batch.total_poolings)
+        if not self.calibrated or self.calibrated[-1] != shape:
+            self.calibrated.append(shape)
+        return _closed_form_us(batch.size, batch.total_poolings,
+                               batch.total_lookups)
+
+
+def _reference_pf_rows(observed, pooling_factors):
+    if pooling_factors is None:
+        return [observed]
+    below = [p for p in pooling_factors if p <= observed]
+    above = [p for p in pooling_factors if p >= observed]
+    if not below:
+        return [above[0]]
+    if not above:
+        return [below[-1]]
+    return sorted({below[-1], above[0]})
+
+
+def _reference_service_times(batches, pooling_factors):
+    """Per-batch loop: (service times, calibrated rows, extrapolated)."""
+    rows, calibrated, out, extrapolated = {}, [], [], 0
+
+    def row(poolings, pf):
+        if (poolings, pf) not in rows:
+            calibrated.append((poolings, pf))
+            totals = [size * poolings * NUM_TABLES for size in BATCH_SIZES]
+            rows[(poolings, pf)] = (
+                np.array(totals, dtype=np.float64),
+                np.array([_closed_form_us(size, total, total * pf)
+                          for size, total in zip(BATCH_SIZES, totals)]))
+        return rows[(poolings, pf)]
+
+    for batch in batches:
+        total = batch.total_poolings
+        poolings = max(int(round(total / batch.num_requests)), 1)
+        observed = max(int(round(batch.total_lookups / total)), 1)
+        pf_rows = _reference_pf_rows(observed, pooling_factors)
+        values, beyond = [], False
+        for pf in pf_rows:
+            xs, ys = row(poolings, pf)
+            if total > xs[-1]:
+                beyond = True
+                slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+                values.append(float(ys[-1] + slope * (total - xs[-1])))
+            else:
+                values.append(float(np.interp(float(total), xs, ys)))
+        if len(values) == 2:
+            weight = (observed - pf_rows[0]) / (pf_rows[1] - pf_rows[0])
+            values = [values[0] + weight * (values[1] - values[0])]
+        out.append(values[0])
+        extrapolated += beyond
+    return out, calibrated, extrapolated
+
+
+@st.composite
+def query_shapes(draw):
+    """One query: (num_requests, poolings, lookups)."""
+    num_requests = draw(st.integers(1, 3))
+    poolings = draw(st.integers(num_requests, 3 * num_requests))
+    lookups = draw(st.integers(poolings, 24 * poolings))
+    return num_requests, poolings, lookups
+
+
+batch_lists = st.lists(st.lists(query_shapes(), min_size=1, max_size=6),
+                       min_size=1, max_size=12)
+
+
+def _batch_columns(batches):
+    queries = [query for batch in batches for query in batch]
+    num_requests, poolings, lookups = (
+        np.array(column, dtype=np.int64) for column in zip(*queries))
+    starts = np.cumsum([0] + [len(batch) for batch in batches[:-1]])
+    zeros = np.zeros(len(batches))
+    return BatchColumns(
+        _columns(np.zeros(len(queries)), lookups, poolings, num_requests),
+        starts, zeros, zeros, zeros)
+
+
+@pytest.mark.parametrize("pooling_factors", [None, (4, 9, 16)])
+@settings(max_examples=60, deadline=None)
+@given(batches=batch_lists)
+def test_interp_matches_per_batch_reference(pooling_factors, batches):
+    batch_columns = _batch_columns(batches)
+    views = batch_columns.batches()
+    expected, calibrated, extrapolated = _reference_service_times(
+        views, pooling_factors)
+    answers = {
+        "columns": lambda model, cluster: model.service_times_us(
+            cluster, batch_columns),
+        "list": lambda model, cluster: model.service_times_us(cluster,
+                                                              views),
+        "scalar": lambda model, cluster: [
+            model.service_time_us(cluster, view) for view in views],
+    }
+    for answer in answers.values():
+        model = InterpolatingServiceModel(TRACES, batch_sizes=BATCH_SIZES,
+                                          pooling_factors=pooling_factors)
+        cluster = ClosedFormCluster()
+        assert answer(model, cluster) == expected
+        assert cluster.calibrated == calibrated
+        stats = model.stats()
+        assert stats["interpolated_calls"] == len(views)
+        assert stats["extrapolated_batches"] == extrapolated
+        assert stats["exact_calls"] == len(calibrated) * len(BATCH_SIZES)
+
+
+def test_zero_request_batch_columns_raise_value_error():
+    batch_columns = _batch_columns([[(2, 4, 40)], [(1, 2, 20)]])
+    batch_columns.columns.num_requests[1] = 0
+    model = InterpolatingServiceModel(TRACES, batch_sizes=BATCH_SIZES)
+    with pytest.raises(ValueError, match="no SLS requests"):
+        model.service_times_us(ClosedFormCluster(), batch_columns)
