@@ -4,14 +4,12 @@ Measures the full serving pipeline -- arrival generation, column-backed
 query construction, admission-free batching, the compiled event-loop
 kernels and report summarisation -- at 100k and 1M queries per run
 (interpolating service model, warm service cache) for every available
-event-kernel flavor, against the pre-PR baseline: materialised
-``ServingQuery`` objects driven through the legacy heap-based event
-loop (``force_flavor("disabled")``).
+event-kernel flavor.
 
 All timed runs stream queries through ``simulate(stream_chunk=...)`` so
 memory stays O(chunk); the reports are asserted byte-identical across
-every flavor, against the legacy object path, and against a one-shot
-materialised run.  Recorded throughput floors live in the
+every flavor and against a one-shot materialised run.  Recorded
+throughput floors live in the
 ``serving_scale`` block of ``perf_reference.json`` next to the exact-sim
 floors and are enforced with the same loose ``REGRESSION_FLOOR``
 mechanism (refresh with ``REPRO_PERF_WRITE_REFERENCE=1``).
@@ -39,7 +37,6 @@ from repro.serving import (
     PoissonArrivalProcess,
     QueryStream,
     ShardedServingCluster,
-    queries_from_traces,
     query_columns_from_traces,
 )
 from repro.serving.event_kernels import force_flavor
@@ -73,13 +70,6 @@ NODE_SYSTEM = "recnmp-opt"
 #: Multi-frontend FIFO dispatch: the event engine path the compiled
 #: kernels replace.
 ENGINE = "event"
-
-#: Full-mode speedup targets at the largest size, streamed columns vs
-#: the legacy object path.  The interpreted twins already clear 1.5x;
-#: the jitted kernels must clear 5x (asserted only when numba is the
-#: active flavor).
-TWIN_SPEEDUP_TARGET = 1.5
-NUMBA_SPEEDUP_TARGET = 5.0
 
 #: Observability must be free when off: with trace/metrics disabled the
 #: streamed pipeline may lose at most this fraction of the recorded
@@ -128,19 +118,6 @@ def compute_serving_scale():
                 seconds = time.perf_counter() - start
             return result, seconds
 
-        def legacy_run(num_queries):
-            """Pre-PR baseline: object queries, heap event loop."""
-            with force_flavor("disabled"):
-                start = time.perf_counter()
-                queries = queries_from_traces(
-                    traces, num_queries, _arrivals(),
-                    batch_size=QUERY_BATCH, pooling_factor=QUERY_POOLING)
-                result = cluster.simulate(
-                    queries, frontend=frontend, engine=ENGINE,
-                    service_model=model)
-                seconds = time.perf_counter() - start
-            return result, seconds
-
         # Warm the interpolation grid and the content-keyed service
         # cache so every timed run sees the same steady state (the
         # cycled request pool bounds the distinct batch compositions).
@@ -148,25 +125,17 @@ def compute_serving_scale():
 
         for num_queries in SIZES:
             entry = {"num_queries": num_queries, "runs": {}}
-            baseline_report, seconds = legacy_run(num_queries)
-            entry["runs"]["legacy-objects"] = {
-                "seconds": round(seconds, 4),
-                "queries_per_sec": round(num_queries / seconds, 1)}
-            baseline = dataclasses.asdict(baseline_report)
+            baseline = None
             for flavor in _flavors():
                 flavor_report, seconds = stream_run(num_queries, flavor)
                 entry["runs"][flavor] = {
                     "seconds": round(seconds, 4),
                     "queries_per_sec": round(num_queries / seconds, 1)}
+                if baseline is None:
+                    baseline = dataclasses.asdict(flavor_report)
                 assert dataclasses.asdict(flavor_report) == baseline, \
-                    "streamed %s report diverged from the legacy object " \
-                    "path at %d queries" % (flavor, num_queries)
-            legacy_rate = \
-                entry["runs"]["legacy-objects"]["queries_per_sec"]
-            for flavor in _flavors():
-                entry["runs"][flavor]["speedup_vs_legacy"] = round(
-                    entry["runs"][flavor]["queries_per_sec"]
-                    / legacy_rate, 2)
+                    "streamed %s report diverged from the %s flavor at " \
+                    "%d queries" % (flavor, _flavors()[0], num_queries)
             report["sizes"][str(num_queries)] = entry
 
         # Chunked streaming is byte-identical to a one-shot materialised
@@ -248,30 +217,12 @@ def bench_serving_scale(benchmark):
     for size, entry in report["sizes"].items():
         for name, run in entry["runs"].items():
             rows.append((size, name, run["seconds"],
-                         round(run["queries_per_sec"]),
-                         run.get("speedup_vs_legacy", "")))
+                         round(run["queries_per_sec"])))
     print()
     print(format_table(
         "Serving scale: end-to-end queries/sec (%s engine, chunk %d)"
         % (ENGINE, report["stream_chunk"]),
-        ["queries", "pipeline", "seconds", "queries/sec", "vs legacy"],
-        rows))
-
-    largest = report["sizes"][str(max(SIZES))]
-    if not SMOKE_MODE:
-        # Headline PR targets at the million-query size.
-        for flavor in ("python", "flat-python"):
-            speedup = largest["runs"][flavor]["speedup_vs_legacy"]
-            assert speedup >= TWIN_SPEEDUP_TARGET, \
-                "%s twin %.2fx vs the legacy object path at %d queries " \
-                "is below the %.1fx target" \
-                % (flavor, speedup, max(SIZES), TWIN_SPEEDUP_TARGET)
-        if "numba" in largest["runs"]:
-            speedup = largest["runs"]["numba"]["speedup_vs_legacy"]
-            assert speedup >= NUMBA_SPEEDUP_TARGET, \
-                "numba kernels %.2fx vs the legacy object path at %d " \
-                "queries is below the %.1fx target" \
-                % (speedup, max(SIZES), NUMBA_SPEEDUP_TARGET)
+        ["queries", "flavor", "seconds", "queries/sec"], rows))
 
     obs = report.get("obs")
     if obs:

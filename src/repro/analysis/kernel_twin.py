@@ -1,25 +1,20 @@
-"""Rule ``kernel-twin-sync``: the two kernel flavors cannot drift apart.
+"""Rule ``kernel-twin-sync``: the two DDR kernel flavors cannot drift apart.
 
-The repo keeps every performance kernel twice: the canonical
-struct-of-arrays function numba jits (whose un-jitted source is the
-``flat-python`` flavor) and a CPython twin that must implement the same
-arithmetic.  ``repro/core/kernels.py`` holds the DDR bank state machine
-as ``_execute_window_flat`` / ``_execute_window_python``;
-``repro/serving/event_kernels.py`` holds the serving event loops (FIFO
-dispatch, EDF dispatch, admission) the same way.  The runtime parity
-tests prove the flavors bit-identical -- but only on the compositions
-they run, and only on hosts that exercise both flavors.  An edit to one
-twin's timing arithmetic that is not mirrored into the other is exactly
-the kind of drift that survives a partial test matrix.
+``repro/core/kernels.py`` keeps the DDR bank state machine twice: the
+canonical struct-of-arrays ``_execute_window_flat`` numba jits (whose
+un-jitted source is the ``flat-python`` flavor) and the CPython twin
+``_execute_window_python``, which must implement the same arithmetic.
+The runtime parity tests prove the flavors bit-identical -- but only on
+the compositions they run, and only on hosts that exercise both flavors.
+An edit to one twin's timing arithmetic that is not mirrored into the
+other is exactly the kind of drift that survives a partial test matrix.
 
 This rule proves the drift cannot happen silently.  Every pair in the
-:data:`TWIN_PAIRS` registry is compared structurally: the region under
-the pair's *anchor* statement (for the DDR kernels, the ``else`` branch
-of their ``if hit:`` dispatch -- precharge/activate, the burst read
-loop, and the busy accounting tail), or the whole function body minus
-any docstring when the pair has no anchor (the event kernels, whose
-twins are full-body identical).  The two regions must be structurally
-identical ASTs after normalisation:
+:data:`TWIN_PAIRS` registry is compared structurally over the region
+under the pair's *anchor* statement -- for the DDR kernels, the ``else``
+branch of their ``if hit:`` dispatch: precharge/activate, the burst read
+loop, and the busy accounting tail.  The two regions must be
+structurally identical ASTs after normalisation:
 
 * line numbers, column offsets and comments are ignored (pure AST
   comparison);
@@ -45,17 +40,12 @@ from repro.analysis.linter import Rule, register_rule
 
 #: Function pairs that must stay structurally identical.  The third
 #: field names the variable whose ``if <name>:`` statement anchors the
-#: compared region (its ``else`` branch), or is ``None`` to compare the
-#: whole function body minus any leading docstring.  Pairs are matched
-#: by name in whatever module defines both -- a module holding neither
-#: twin of a pair is exempt from it.
+#: compared region (its ``else`` branch).  Pairs are matched by name in
+#: whatever module defines both -- a module holding neither twin of a
+#: pair is exempt from it.
 TWIN_PAIRS = (
     # DDR bank state machine (repro/core/kernels.py).
     ("_execute_window_flat", "_execute_window_python", "hit"),
-    # Serving event loops (repro/serving/event_kernels.py).
-    ("_fifo_events_flat", "_fifo_events_python", None),
-    ("_edf_events_flat", "_edf_events_python", None),
-    ("_admission_events_flat", "_admission_events_python", None),
 )
 
 #: The flavor-specific spellings the twins may differ in.  Each entry is
@@ -152,20 +142,9 @@ def _canonical_dump(stmt):
 
 
 def _twin_region(func, anchor):
-    """The compared statement region of one twin.
-
-    With an anchor: the ``else`` branch of the ``if <anchor>:``
-    statement, or ``None`` when the anchor is missing.  Without one
-    (``anchor=None``): the whole function body, minus a leading
-    docstring expression.
-    """
-    if anchor is None:
-        body = func.body
-        if body and isinstance(body[0], ast.Expr) \
-                and isinstance(body[0].value, ast.Constant) \
-                and isinstance(body[0].value.value, str):
-            body = body[1:]
-        return body
+    """The compared statement region of one twin: the ``else`` branch
+    of its ``if <anchor>:`` statement, or ``None`` when the anchor is
+    missing."""
     for node in ast.walk(func):
         if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
                 and node.test.id == anchor:

@@ -79,11 +79,10 @@ class RunCapture:
                approximate=False):
         """Fill the capture from one engine run.
 
-        ``batches`` is the dispatched batch sequence (a
-        :class:`~repro.serving.query_columns.BatchColumns` or a list of
-        :class:`~repro.serving.batcher.QueryBatch`); the per-query
-        identity columns are extracted here so the engines stay one
-        call-site line each.
+        ``batches`` is the dispatched
+        :class:`~repro.serving.query_columns.BatchColumns`; the
+        per-query identity columns are extracted here so the engines
+        stay one call-site line each.
         """
         if self.filled:
             raise ValueError("RunCapture already holds a run; use a "
@@ -96,33 +95,16 @@ class RunCapture:
         self.batch_start_us = np.asarray(start_us, dtype=np.float64)
         self.batch_complete_us = np.asarray(complete_us, dtype=np.float64)
         self.query_latency_us = np.asarray(latency_us, dtype=np.float64)
-        if getattr(batches, "is_columns", False):
-            columns = batches.columns
-            self.batch_open_us = np.asarray(batches.open_us,
+        columns = batches.columns
+        self.batch_open_us = np.asarray(batches.open_us, dtype=np.float64)
+        self.batch_sizes = np.asarray(batches.sizes, dtype=np.int64)
+        self.batch_triggers = [TRIGGER_NAMES[code]
+                               for code in batches.triggers]
+        self.query_id = np.asarray(columns.query_id, dtype=np.int64)
+        self.query_arrival_us = np.asarray(columns.arrival_us,
+                                           dtype=np.float64)
+        self.query_deadline_us = np.asarray(columns.deadline_us,
                                             dtype=np.float64)
-            self.batch_sizes = np.asarray(batches.sizes, dtype=np.int64)
-            self.batch_triggers = [TRIGGER_NAMES[code]
-                                   for code in batches.triggers]
-            self.query_id = np.asarray(columns.query_id, dtype=np.int64)
-            self.query_arrival_us = np.asarray(columns.arrival_us,
-                                               dtype=np.float64)
-            self.query_deadline_us = np.asarray(columns.deadline_us,
-                                                dtype=np.float64)
-        else:
-            self.batch_open_us = np.asarray(
-                [batch.open_us for batch in batches], dtype=np.float64)
-            self.batch_sizes = np.asarray(
-                [batch.size for batch in batches], dtype=np.int64)
-            self.batch_triggers = [batch.trigger for batch in batches]
-            queries = [query for batch in batches
-                       for query in batch.queries]
-            self.query_id = np.asarray(
-                [query.query_id for query in queries], dtype=np.int64)
-            self.query_arrival_us = np.asarray(
-                [query.arrival_us for query in queries], dtype=np.float64)
-            self.query_deadline_us = np.asarray(
-                [np.nan if query.deadline_us is None else query.deadline_us
-                 for query in queries], dtype=np.float64)
         if max_queue_depth is not None:
             self.max_queue_depth = int(max_queue_depth)
         if measured_utilization is not None:

@@ -223,23 +223,21 @@ class InterpolatingServiceModel(ServiceTimeModel):
         """Whole-chunk batch answering (the engine-facing call).
 
         Per-batch request, pooling and lookup totals come from
-        :meth:`BatchColumns.totals` (one comprehension for a batch
-        list).  Each batch's shape is its per-request poolings and mean
-        pooling factor, rounded half-to-even like ``round``.  Shape
-        groups calibrate their missing grid rows in first-encounter
-        order -- the calibration sequence of a one-batch-at-a-time loop
-        -- and are answered with one vectorised row interpolation each.
+        :meth:`BatchColumns.totals` (a batch list is converted once by
+        :func:`~repro.serving.query_columns.as_batch_columns`).  Each
+        batch's shape is its per-request poolings and mean pooling
+        factor, rounded half-to-even like ``round``.  Shape groups
+        calibrate their missing grid rows in first-encounter order --
+        the calibration sequence of a one-batch-at-a-time loop -- and
+        are answered with one vectorised row interpolation each.
         """
-        if getattr(batches, "is_columns", False):
-            num_requests, total_poolings, total_lookups = batches.totals()
-        else:
-            num_requests, total_poolings, total_lookups = np.array(
-                [(batch.num_requests, batch.total_poolings,
-                  batch.total_lookups) for batch in batches],
-                dtype=np.int64).reshape(-1, 3).T
-        count = num_requests.shape[0]
+        from repro.serving.query_columns import as_batch_columns
+
+        batches = as_batch_columns(batches)
+        count = len(batches)
         if not count:
             return []
+        num_requests, total_poolings, total_lookups = batches.totals()
         if not num_requests.all():
             raise ValueError(
                 "batch carries no SLS requests; cannot derive a "

@@ -9,13 +9,20 @@ admitted stream stays serveable.
 
 Controllers are causal and deterministic: decisions depend only on the
 query stream up to the arrival (never on future service times), driven by
-a *fluid backlog model* maintained by :func:`apply_admission` -- admitted
-queries deposit an estimated per-query service cost, ``num_servers``
-frontends drain it in parallel, and the predicted wait at an arrival is
-the remaining work divided by the drain rate.  The estimate comes from
-the cluster's own service model
+a *fluid backlog model* -- admitted queries deposit an estimated
+per-query service cost, ``num_servers`` frontends drain it in parallel,
+and the predicted wait at an arrival is the remaining work divided by
+the drain rate.  The estimate comes from the cluster's own service model
 (:meth:`ShardedServingCluster.estimate_query_service_us`), so the
 controller's view of capacity tracks the simulated hardware.
+
+The model exists twice: :func:`admission_loop` calls any controller's
+``admit`` per query (custom controllers, :func:`apply_admission`, and
+every controller when kernels are disabled), and
+:func:`repro.serving.event_kernels.admission_mask` runs the four
+built-ins as one compiled pass (:func:`admission_kernel_spec`).  Both
+carry their state in one vector, so chunked runs continue it across
+chunk boundaries.
 
 Registry (``ADMISSION_CONTROLLERS`` / :func:`resolve_admission`):
 
@@ -31,12 +38,14 @@ Registry (``ADMISSION_CONTROLLERS`` / :func:`resolve_admission`):
 
 import abc
 
+from repro.serving import event_kernels
+
 
 class AdmissionController(abc.ABC):
     """Strategy interface: admit or shed one arriving query.
 
     Subclasses read the shared capacity estimates installed by
-    :meth:`configure` (called once per run by :func:`apply_admission`)
+    :meth:`configure` (called once per run, before the first decision)
     and keep any per-run state reset by :meth:`reset`.
     """
 
@@ -237,12 +246,10 @@ def admission_kernel_spec(controller, capacity_qps):
     :func:`repro.serving.event_kernels.admission_mask`, or ``None`` when
     ``controller`` is not an *exact* instance of one of the four
     built-in classes -- subclasses may override ``admit``/``reset``
-    arbitrarily, so they stay on the per-query object path.
+    arbitrarily, so they run through :func:`admission_loop`.
     ``capacity_qps`` resolves the token bucket's default refill rate,
     mirroring :meth:`TokenBucketAdmission.configure`.
     """
-    from repro.serving import event_kernels
-
     kind = type(controller)
     if kind is NoAdmission:
         return (event_kernels.ADMISSION_MODE_NONE, 0.0, 0.0, 0.0)
@@ -263,16 +270,44 @@ def admission_kernel_spec(controller, capacity_qps):
     return None
 
 
+def admission_loop(queries, controller, num_servers, est_query_us, state):
+    """The fluid backlog model, one ``controller.admit`` call per query.
+
+    ``queries`` (objects or ``ColumnQueryView`` rows) arrive in order;
+    admitted queries add ``est_query_us`` of work, ``num_servers``
+    frontends drain it in parallel, and each decision sees the predicted
+    wait at its arrival.  ``state`` is the carried vector of
+    :func:`~repro.serving.event_kernels.new_admission_state`; its
+    backlog and last-arrival slots are updated in place, so consecutive
+    chunks continue one model.  Returns one admit flag per query.  The
+    built-in controllers run the same model as the
+    :func:`~repro.serving.event_kernels.admission_mask` kernel.
+    """
+    backlog_us = float(state[event_kernels.ADM_BACKLOG_US])
+    last_us = float(state[event_kernels.ADM_LAST_US])
+    admitted = []
+    for query in queries:
+        now_us = query.arrival_us
+        backlog_us = max(0.0, backlog_us - (now_us - last_us) * num_servers)
+        last_us = now_us
+        admit = bool(controller.admit(query, now_us,
+                                      backlog_us / num_servers))
+        admitted.append(admit)
+        if admit:
+            backlog_us += est_query_us
+    state[event_kernels.ADM_BACKLOG_US] = backlog_us
+    state[event_kernels.ADM_LAST_US] = last_us
+    return admitted
+
+
 def apply_admission(queries, controller, num_servers, est_query_us,
                     est_batch_us=None):
     """Filter a query stream through an admission controller.
 
-    Processes queries in arrival order (ties broken by query id),
-    maintaining the fluid backlog model: admitted queries add
-    ``est_query_us`` of work, ``num_servers`` frontends drain it in
-    parallel, and each decision sees the predicted wait at its arrival.
-    Returns ``(admitted, shed)`` -- two lists partitioning the input, in
-    arrival order.
+    Configures and resets ``controller``, then runs
+    :func:`admission_loop` over the queries in arrival order (ties
+    broken by query id).  Returns ``(admitted, shed)`` -- two lists
+    partitioning the input, in arrival order.
     """
     if num_servers < 1:
         raise ValueError("num_servers must be >= 1")
@@ -287,17 +322,10 @@ def apply_admission(queries, controller, num_servers, est_query_us,
     controller.configure(capacity_qps, est_query_us, est_batch_us,
                          num_servers)
     controller.reset()
-    admitted, shed = [], []
-    backlog_us = 0.0                    # outstanding work across servers
-    last_us = ordered[0].arrival_us if ordered else 0.0
-    for query in ordered:
-        backlog_us = max(
-            0.0, backlog_us - (query.arrival_us - last_us) * num_servers)
-        last_us = query.arrival_us
-        wait_us = backlog_us / num_servers
-        if controller.admit(query, query.arrival_us, wait_us):
-            admitted.append(query)
-            backlog_us += est_query_us
-        else:
-            shed.append(query)
+    state = event_kernels.new_admission_state(
+        ordered[0].arrival_us if ordered else 0.0)
+    flags = admission_loop(ordered, controller, num_servers, est_query_us,
+                           state)
+    admitted = [query for query, admit in zip(ordered, flags) if admit]
+    shed = [query for query, admit in zip(ordered, flags) if not admit]
     return admitted, shed

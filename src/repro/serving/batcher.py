@@ -180,11 +180,9 @@ class BatchingFrontend:
                                   self.max_delay_us, final=final)
 
     def trigger_counts(self, batches):
-        """``{"size": n, "deadline": m}`` over a batch list."""
-        array_counts = getattr(batches, "trigger_counts", None)
-        if array_counts is not None:
-            return array_counts()
-        counts = {"size": 0, "deadline": 0}
-        for batch in batches:
-            counts[batch.trigger] = counts.get(batch.trigger, 0) + 1
-        return counts
+        """``{"size": n, "deadline": m}`` over the dispatched batches
+        (:class:`~repro.serving.query_columns.BatchColumns` or a
+        :class:`QueryBatch` list)."""
+        from repro.serving.query_columns import as_batch_columns
+
+        return as_batch_columns(batches).trigger_counts()

@@ -30,7 +30,7 @@ from repro.perf.service_store import (
     resolve_service_store,
     stable_fingerprint,
 )
-from repro.serving.batcher import BatchingFrontend, QueryBatch
+from repro.serving.batcher import BatchingFrontend
 from repro.serving.engine import resolve_engine
 from repro.serving.sharding import TableSharder, partition_by_assignment
 from repro.systems.registry import build_system
@@ -465,6 +465,7 @@ class ShardedServingCluster:
         queries -- independent of whatever ran on the cluster before.
         """
         from repro.perf.service_model import resolve_service_model
+        from repro.serving.query_columns import ColumnBatch, QueryColumns
 
         if not len(queries):
             raise ValueError("need at least one query to estimate from")
@@ -472,25 +473,13 @@ class ShardedServingCluster:
             self.sharder.reset_routing()
         frontend = frontend or BatchingFrontend()
         model = resolve_service_model(service_model)
-        if hasattr(queries, "sorted_by_arrival"):
-            # Array-path probe over QueryColumns: same first
-            # max_queries rows, same content fingerprints, so it shares
-            # the service-cache entry with the object-path probe.
-            from repro.serving.query_columns import ColumnBatch
-
-            columns = queries.sorted_by_arrival()
-            count = min(len(columns), frontend.max_queries)
-            open_us = float(columns.arrival_us[0])
-            batch = ColumnBatch(columns, 0, count, open_us, open_us,
-                                "size")
-            return model.service_time_us(self, batch) / count
-        probe = sorted(queries,
-                       key=lambda q: (q.arrival_us, q.query_id))
-        probe = probe[:frontend.max_queries]
-        open_us = probe[0].arrival_us
-        batch = QueryBatch(queries=probe, open_us=open_us,
-                           formed_us=open_us)
-        return model.service_time_us(self, batch) / len(probe)
+        if not isinstance(queries, QueryColumns):
+            queries = QueryColumns.from_queries(queries)
+        columns = queries.sorted_by_arrival()
+        count = min(len(columns), frontend.max_queries)
+        open_us = float(columns.arrival_us[0])
+        batch = ColumnBatch(columns, 0, count, open_us, open_us, "size")
+        return model.service_time_us(self, batch) / count
 
     def simulate(self, queries, frontend=None, engine=None,
                  service_model=None, slo_policy=None, admission=None,
@@ -512,26 +501,28 @@ class ShardedServingCluster:
         :class:`~repro.serving.admission.AdmissionController`); shed
         queries never enter a batch, and the report's percentiles are
         conditioned on the admitted stream with the shed/goodput
-        accounting in ``extras["slo"]``.  Deadline assignment *mutates*
-        the query objects and persists across calls (deadlines set by
-        hand are honoured the same way): a later ``simulate`` without
-        ``slo_policy`` still reports SLO accounting against the
-        existing deadlines -- clear ``query.deadline_us`` for a
-        deadline-free rerun.  Every run starts from fresh
+        accounting in ``extras["slo"]``.  Every run starts from fresh
         routing state (stateful sharders reset their replica counters),
         so a report is a pure function of the query stream -- repeated
         ``simulate`` calls and reordered ``qps_sweep`` points agree.
 
-        ``queries`` may also be a
-        :class:`~repro.serving.query_columns.QueryColumns` (the
-        struct-of-arrays query path) or a
-        :class:`~repro.serving.query_columns.QueryStream`; both run the
-        array pipeline and produce a byte-identical report.
-        ``stream_chunk`` (valid for any query source) processes the run
-        in chunks of that many queries with carried batcher, sharder and
-        admission state -- O(chunk) memory for streams of any length,
-        byte-identical to the one-shot run.  A ``QueryStream`` without
-        an explicit ``stream_chunk`` uses ``DEFAULT_STREAM_CHUNK``.
+        ``queries`` is a list of
+        :class:`~repro.serving.arrival.ServingQuery` objects, a
+        :class:`~repro.serving.query_columns.QueryColumns` or a
+        :class:`~repro.serving.query_columns.QueryStream`.  All three
+        run one array pipeline (a list is converted once by
+        ``QueryColumns.from_queries``) and give the same report for the
+        same queries.  ``simulate`` never mutates its input: a policy's
+        deadlines go into the run's own deadline column, so a later run
+        without ``slo_policy`` reports no SLO accounting.  Deadlines
+        already on the input (``ServingQuery.deadline_us`` set by hand,
+        or the ``deadline_us`` column) are honoured when no policy
+        replaces them.  ``stream_chunk`` (valid for any query source)
+        processes the run in chunks of that many queries with carried
+        batcher, sharder and admission state -- O(chunk) memory for
+        streams of any length, byte-identical to the one-shot run.  A
+        ``QueryStream`` without an explicit ``stream_chunk`` uses
+        ``DEFAULT_STREAM_CHUNK``.
 
         ``trace`` / ``metrics`` switch on the observability layer
         (:mod:`repro.obs`): pass a fresh
@@ -547,11 +538,17 @@ class ShardedServingCluster:
         (the report object itself never carries the tracer).
         """
         from repro.perf.service_model import resolve_service_model
+        from repro.serving import event_kernels
         from repro.serving.admission import (
-            apply_admission,
+            admission_kernel_spec,
+            admission_loop,
             resolve_admission,
         )
-        from repro.serving.query_columns import QueryColumns, QueryStream
+        from repro.serving.query_columns import (
+            BatchColumns,
+            QueryColumns,
+            QueryStream,
+        )
         from repro.serving.slo import resolve_slo_policy
 
         frontend = frontend or BatchingFrontend()
@@ -567,48 +564,114 @@ class ShardedServingCluster:
                 raise ValueError(
                     "stream_chunk must be >= the frontend's max_queries "
                     "(%d)" % frontend.max_queries)
-        if isinstance(queries, (QueryColumns, QueryStream)) \
-                or stream_chunk is not None:
-            if isinstance(queries, QueryStream) and stream_chunk is None:
-                stream_chunk = DEFAULT_STREAM_CHUNK
-            return self._simulate_columns(queries, frontend, engine,
-                                          model, policy, controller,
-                                          stream_chunk, tracer, registry,
-                                          capture)
-        queries = list(queries)
-        if policy is not None:
-            policy.assign_deadlines(queries)
+        elif isinstance(queries, QueryStream):
+            stream_chunk = DEFAULT_STREAM_CHUNK
+
+        # Chunks flow through deadline assignment, admission, batching
+        # and service-time resolution with carried state between chunks
+        # (the admission fluid model, the batcher's open batch, the
+        # sharder's routing counters), then a single engine.summarize
+        # sees the whole run -- so the report is byte-identical whatever
+        # the chunk size, including the one-shot stream_chunk=None.
+        est_query_us = est_batch_us = None
+        kernel_spec = None
+        admission_state = None
+        num_offered = 0
+        num_admitted = 0
+        first_arrival = None
+        last_arrival = None
+        carry = None
+        batch_parts = []
+        services = []
+        shed_id_parts = []
+        shed_arrival_parts = []
+        routing_reset = False
+        for chunk, is_final in _column_chunks(queries, stream_chunk):
+            num_offered += len(chunk)
+            if first_arrival is None:
+                first_arrival = float(chunk.arrival_us[0])
+            last_arrival = float(chunk.arrival_us[-1])
+            if policy is not None:
+                policy.assign_deadlines_columns(chunk)
+            if controller is not None and est_query_us is None:
+                # Probe on the first chunk: chunking is monotone in
+                # arrival order, so it holds the globally earliest
+                # queries -- all the whole-stream estimate ever reads.
+                est_query_us = self.estimate_query_service_us(
+                    chunk, frontend=frontend, service_model=model)
+                est_batch_us = est_query_us * frontend.max_queries
+                capacity_qps = self.num_frontends / est_query_us * 1e6
+                controller.configure(capacity_qps, est_query_us,
+                                     est_batch_us, self.num_frontends)
+                controller.reset()
+                kernel_spec = admission_kernel_spec(controller,
+                                                    capacity_qps)
+                if event_kernels.active_flavor() == "disabled":
+                    kernel_spec = None
+                admission_state = event_kernels.new_admission_state(
+                    first_arrival,
+                    0.0 if kernel_spec is None else kernel_spec[3])
+            if not routing_reset:
+                # After the probe (which advances stateful routing),
+                # before the first real batch.
+                if self.sharder.stateful:
+                    self.sharder.reset_routing()
+                routing_reset = True
+            if controller is None:
+                admitted = chunk
+                num_admitted += len(chunk)
+            else:
+                if kernel_spec is not None:
+                    mode, param0, param1, _ = kernel_spec
+                    slacks = chunk.deadline_us - chunk.arrival_us
+                    mask = event_kernels.admission_mask(
+                        chunk.arrival_us, slacks, admission_state,
+                        self.num_frontends, est_query_us, est_batch_us,
+                        mode, param0, param1)
+                else:
+                    mask = np.asarray(admission_loop(
+                        chunk.views(), controller, self.num_frontends,
+                        est_query_us, admission_state), dtype=bool)
+                admitted = chunk if mask.all() \
+                    else chunk.take(np.flatnonzero(mask))
+                num_admitted += len(admitted)
+                if capture is not None and len(admitted) != len(chunk):
+                    dropped = np.flatnonzero(~mask)
+                    shed_id_parts.append(chunk.query_id[dropped].copy())
+                    shed_arrival_parts.append(
+                        chunk.arrival_us[dropped].copy())
+            piece = admitted
+            if carry is not None:
+                piece = QueryColumns.concat([carry, piece]) \
+                    if len(piece) else carry
+                carry = None
+            if not len(piece):
+                continue
+            formed, carry = frontend.form_batch_columns(piece,
+                                                        final=is_final)
+            if len(formed):
+                batch_parts.append(formed)
+                services.extend(model.service_times_us(self, formed))
+        if controller is not None and num_offered and not num_admitted:
+            raise ValueError(
+                "admission controller %r shed every query; offered "
+                "load is far beyond capacity or the controller is "
+                "misconfigured" % controller.describe())
         slo_info = None
-        admitted, shed = queries, []
-        if controller is not None:
-            # The probe simulation may advance stateful routing; the
-            # reset below restores the pure-function-of-stream contract.
-            est_query_us = self.estimate_query_service_us(
-                queries, frontend=frontend, service_model=model)
-            admitted, shed = apply_admission(
-                queries, controller, num_servers=self.num_frontends,
-                est_query_us=est_query_us,
-                est_batch_us=est_query_us * frontend.max_queries)
-            if not admitted:
-                raise ValueError(
-                    "admission controller %r shed every query; offered "
-                    "load is far beyond capacity or the controller is "
-                    "misconfigured" % controller.describe())
         if policy is not None or controller is not None:
-            arrivals = [query.arrival_us for query in queries]
             slo_info = {
-                "num_offered": len(queries),
-                "num_shed": len(shed),
-                "offered_span_us": max(arrivals) - min(arrivals),
+                "num_offered": num_offered,
+                "num_shed": num_offered - num_admitted,
+                "offered_span_us": (last_arrival - first_arrival)
+                if num_offered else 0.0,
                 "admission": controller.name if controller is not None
                 else "none",
                 "slo_policy": policy.describe() if policy is not None
                 else None,
             }
-        if self.sharder.stateful:
-            self.sharder.reset_routing()
-        batches = frontend.form_batches(admitted)
-        services = model.service_times_us(self, batches)
+        if not batch_parts:
+            raise ValueError("need at least one batch")
+        batches = BatchColumns.concat(batch_parts)
         report = engine.summarize(
             self.describe(), batches, services,
             num_servers=self.num_frontends,
@@ -620,10 +683,10 @@ class ShardedServingCluster:
                     "service_model": model.name},
             slo_info=slo_info, capture=capture)
         if capture is not None:
-            shed_ids = np.asarray([query.query_id for query in shed],
-                                  dtype=np.int64)
-            shed_arrivals = np.asarray(
-                [query.arrival_us for query in shed], dtype=np.float64)
+            shed_ids = np.concatenate(shed_id_parts) if shed_id_parts \
+                else np.empty(0, dtype=np.int64)
+            shed_arrivals = np.concatenate(shed_arrival_parts) \
+                if shed_arrival_parts else np.empty(0, dtype=np.float64)
             self._finish_observability(tracer, registry, capture,
                                        batches, report, engine,
                                        shed_ids, shed_arrivals)
@@ -755,158 +818,6 @@ class ShardedServingCluster:
                     help="measured busy fraction of the last run").set(
                     capture.measured_utilization)
 
-    def _simulate_columns(self, queries, frontend, engine, model, policy,
-                          controller, stream_chunk, tracer=None,
-                          registry=None, capture=None):
-        """Array-path run: columns in, one :class:`ServingReport` out.
-
-        Chunks flow through deadline assignment, admission, batching and
-        service-time resolution with carried state between chunks (the
-        admission fluid model, the batcher's open batch, the sharder's
-        routing counters), then a single ``engine.summarize`` sees the
-        whole run -- so the report is byte-identical whatever the chunk
-        size, including the one-shot ``stream_chunk=None``.
-        """
-        from repro.serving import event_kernels
-        from repro.serving.admission import admission_kernel_spec
-        from repro.serving.query_columns import BatchColumns, QueryColumns
-
-        est_query_us = est_batch_us = None
-        kernel_spec = None
-        admission_state = None
-        backlog_us = 0.0                # custom-controller fluid model
-        last_us = None
-        num_offered = 0
-        num_admitted = 0
-        first_arrival = None
-        last_arrival = None
-        carry = None
-        batch_parts = []
-        services = []
-        shed_id_parts = []
-        shed_arrival_parts = []
-        routing_reset = False
-        for chunk, is_final in _column_chunks(queries, stream_chunk):
-            num_offered += len(chunk)
-            if first_arrival is None:
-                first_arrival = float(chunk.arrival_us[0])
-            last_arrival = float(chunk.arrival_us[-1])
-            if policy is not None:
-                policy.assign_deadlines_columns(chunk)
-            if controller is not None and est_query_us is None:
-                # Probe on the first chunk: chunking is monotone in
-                # arrival order, so it holds the globally earliest
-                # queries -- all the whole-stream estimate ever reads.
-                est_query_us = self.estimate_query_service_us(
-                    chunk, frontend=frontend, service_model=model)
-                est_batch_us = est_query_us * frontend.max_queries
-                capacity_qps = self.num_frontends / est_query_us * 1e6
-                controller.configure(capacity_qps, est_query_us,
-                                     est_batch_us, self.num_frontends)
-                controller.reset()
-                kernel_spec = admission_kernel_spec(controller,
-                                                    capacity_qps)
-                if kernel_spec is not None \
-                        and event_kernels.active_flavor() != "disabled":
-                    admission_state = event_kernels.new_admission_state(
-                        first_arrival, kernel_spec[3])
-                else:
-                    # Custom controller (or kernels disabled): per-query
-                    # object loop, same fluid model, carried by hand.
-                    kernel_spec = None
-                    last_us = first_arrival
-            if not routing_reset:
-                # After the probe (which advances stateful routing),
-                # before the first real batch: the same reset point as
-                # the object path.
-                if self.sharder.stateful:
-                    self.sharder.reset_routing()
-                routing_reset = True
-            if controller is None:
-                admitted = chunk
-                num_admitted += len(chunk)
-            else:
-                if kernel_spec is not None:
-                    mode, param0, param1, _ = kernel_spec
-                    slacks = chunk.deadline_us - chunk.arrival_us
-                    mask = event_kernels.admission_mask(
-                        chunk.arrival_us, slacks, admission_state,
-                        self.num_frontends, est_query_us, est_batch_us,
-                        mode, param0, param1)
-                else:
-                    mask = np.empty(len(chunk), dtype=bool)
-                    for position in range(len(chunk)):
-                        view = chunk.view(position)
-                        now_us = view.arrival_us
-                        backlog_us = max(
-                            0.0, backlog_us - (now_us - last_us)
-                            * self.num_frontends)
-                        last_us = now_us
-                        wait_us = backlog_us / self.num_frontends
-                        admit = controller.admit(view, now_us, wait_us)
-                        mask[position] = admit
-                        if admit:
-                            backlog_us += est_query_us
-                admitted = chunk if mask.all() \
-                    else chunk.take(np.flatnonzero(mask))
-                num_admitted += len(admitted)
-                if capture is not None and len(admitted) != len(chunk):
-                    dropped = np.flatnonzero(~mask)
-                    shed_id_parts.append(chunk.query_id[dropped].copy())
-                    shed_arrival_parts.append(
-                        chunk.arrival_us[dropped].copy())
-            piece = admitted
-            if carry is not None:
-                piece = QueryColumns.concat([carry, piece]) \
-                    if len(piece) else carry
-                carry = None
-            if not len(piece):
-                continue
-            formed, carry = frontend.form_batch_columns(piece,
-                                                        final=is_final)
-            if len(formed):
-                batch_parts.append(formed)
-                services.extend(model.service_times_us(self, formed))
-        if controller is not None and num_offered and not num_admitted:
-            raise ValueError(
-                "admission controller %r shed every query; offered "
-                "load is far beyond capacity or the controller is "
-                "misconfigured" % controller.describe())
-        slo_info = None
-        if policy is not None or controller is not None:
-            slo_info = {
-                "num_offered": num_offered,
-                "num_shed": num_offered - num_admitted,
-                "offered_span_us": (last_arrival - first_arrival)
-                if num_offered else 0.0,
-                "admission": controller.name if controller is not None
-                else "none",
-                "slo_policy": policy.describe() if policy is not None
-                else None,
-            }
-        if not batch_parts:
-            raise ValueError("need at least one batch")
-        batches = BatchColumns.concat(batch_parts)
-        report = engine.summarize(
-            self.describe(), batches, services,
-            num_servers=self.num_frontends,
-            trigger_counts=frontend.trigger_counts(batches),
-            extras={"num_nodes": self.num_nodes,
-                    "node_system": self.node_system,
-                    "shard_policy": self.sharder.policy,
-                    "sharder": self.sharder.describe(),
-                    "service_model": model.name},
-            slo_info=slo_info, capture=capture)
-        if capture is not None:
-            shed_ids = np.concatenate(shed_id_parts) if shed_id_parts \
-                else np.empty(0, dtype=np.int64)
-            shed_arrivals = np.concatenate(shed_arrival_parts) \
-                if shed_arrival_parts else np.empty(0, dtype=np.float64)
-            self._finish_observability(tracer, registry, capture,
-                                       batches, report, engine,
-                                       shed_ids, shed_arrivals)
-        return report
-
     def describe(self):
         return "%dx %s" % (self.num_nodes, self.node_system)
 
@@ -920,7 +831,9 @@ def _column_chunks(queries, stream_chunk):
     once and sliced).  Streamed chunks are required to arrive in
     non-decreasing arrival order -- every built-in arrival process
     generates monotone times -- because carried batching state is only
-    meaningful over a globally sorted stream.
+    meaningful over a globally sorted stream.  Materialised input gets a
+    private deadline column, so deadline assignment never writes into
+    the caller's queries.
     """
     from repro.serving.query_columns import QueryColumns, QueryStream
 
@@ -944,8 +857,11 @@ def _column_chunks(queries, stream_chunk):
             if is_final:
                 break
         return
-    columns = queries if isinstance(queries, QueryColumns) \
-        else QueryColumns.from_queries(list(queries))
+    if isinstance(queries, QueryColumns):
+        columns = queries.slice(0, len(queries))
+        columns.deadline_us = queries.deadline_us.copy()
+    else:
+        columns = QueryColumns.from_queries(list(queries))
     columns = columns.sorted_by_arrival()
     size = len(columns)
     if stream_chunk is None:

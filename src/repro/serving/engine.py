@@ -22,8 +22,11 @@ instead of FIFO) or passed as instances;
 through their ``engine=`` parameter, with the analytic engine as the
 backward-compatible default.
 
-Engines consume the *whole* per-run service-time vector in one
-``summarize`` call -- they never resolve service times themselves.  The
+Engines consume the *whole* run in one ``summarize`` call: the batches
+as :class:`~repro.serving.query_columns.BatchColumns` (the one
+representation ``simulate`` runs on; a hand-built ``QueryBatch`` list is
+converted once) and the per-batch service-time vector -- they never
+resolve service times themselves.  The
 cluster produces that vector through
 :meth:`ServiceTimeModel.service_times_us`, whose exact mode
 batch-deduplicates and fans the unique misses out through the cluster's
@@ -52,15 +55,18 @@ class ServingEngine(abc.ABC):
                   slo_info=None, capture=None):
         """Produce a :class:`ServingReport` for one serving run.
 
-        ``batches`` are the dispatched
-        :class:`~repro.serving.batcher.QueryBatch` objects in dispatch
-        order, ``service_times_us`` the per-batch execution times on the
+        ``batches`` are the dispatched batches in dispatch order -- the
+        :class:`~repro.serving.query_columns.BatchColumns` the cluster
+        forms, or a list of :class:`~repro.serving.batcher.QueryBatch`
+        objects, which built-in engines convert once with
+        :func:`~repro.serving.query_columns.as_batch_columns`.
+        ``service_times_us`` are the per-batch execution times on the
         cluster, and ``num_servers`` the number of concurrent dispatch
         frontends draining the batch queue.  ``slo_info`` is the
         admission context from the cluster (offered/shed counts, policy
         names); when present -- or when any query carries a deadline --
         the engine attaches deadline accounting to ``extras["slo"]``
-        (:func:`repro.serving.slo.summarize_slo`).
+        (:func:`repro.serving.slo.summarize_slo_arrays`).
 
         ``capture``, when given, is a
         :class:`~repro.obs.capture.RunCapture` the engine must fill
@@ -81,17 +87,8 @@ class ServingEngine(abc.ABC):
         tagged.setdefault("engine", self.name)
         return tagged
 
-    def _attach_slo(self, extras, queries, latencies_us, slo_info):
+    def _attach_slo(self, extras, batch_columns, latencies_us, slo_info):
         """Attach ``extras["slo"]`` when the run carries SLO context."""
-        from repro.serving.slo import maybe_summarize_slo
-
-        record = maybe_summarize_slo(queries, latencies_us, slo_info)
-        if record is not None:
-            extras.setdefault("slo", record)
-
-    def _attach_slo_columns(self, extras, batch_columns, latencies_us,
-                            slo_info):
-        """Array-path :meth:`_attach_slo` over batched query columns."""
         from repro.serving.slo import maybe_summarize_slo_arrays
 
         columns = batch_columns.columns

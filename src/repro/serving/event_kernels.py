@@ -4,34 +4,26 @@ Three loops dominate long event-engine runs once service times come from
 the interpolating model: the multi-server FIFO dispatch queue, the EDF
 dispatch queue (both ``heapq`` loops in
 :func:`repro.serving.events.simulate_batch_queue`), and the admission
-layer's fluid-backlog filter (:func:`repro.serving.admission.apply_admission`).
-This module holds each loop in two interchangeable, bit-identical
-implementations, following the kernel-twin pattern of
-:mod:`repro.core.kernels`:
+layer's fluid-backlog filter (the per-query
+:func:`repro.serving.admission.admission_loop`).  This module holds each
+loop once, as a ``_*_flat`` struct-of-arrays kernel written in the
+numba-compilable subset of Python, and runs it three ways:
 
-* ``_*_flat`` -- the canonical struct-of-arrays kernel, written in the
-  numba-compilable subset of Python over preallocated ``float64`` /
-  ``int64`` arrays.  When :mod:`numba` is importable it is
-  ``@njit``-compiled and selected as the ``"numba"`` flavor; the
-  un-jitted source remains importable everywhere (the ``"flat-python"``
-  flavor), so the jitted semantics are pinned by tests on hosts without
-  numba.
-* ``_*_python`` -- the CPython twin operating on plain lists.  Selected
-  as the ``"python"`` flavor.
-
-The twins are *textually identical* function bodies -- every statement
-is valid and efficient over both numpy arrays and lists -- which is what
-lets the ``kernel-twin-sync`` lint rule
-(:mod:`repro.analysis.kernel_twin`) compare them whole-body and fail the
-build on any one-sided edit.
+* ``"numba"`` -- ``@njit``-compiled, when :mod:`numba` is importable;
+* ``"flat-python"`` -- the un-jitted source over preallocated
+  ``float64`` / ``int64`` arrays, so the jitted semantics are pinned by
+  tests on hosts without numba;
+* ``"python"`` -- the same un-jitted source over the inputs converted
+  to plain lists (``.tolist()``), which the interpreter indexes faster
+  than numpy arrays; every statement is valid over both.
 
 Flavor selection, ``force_flavor`` and ``REPRO_DISABLE_KERNELS`` are all
 shared with :mod:`repro.core.kernels` -- one switch governs every
 compiled kernel in the tree.  The ``"disabled"`` flavor is handled by
 the callers (:mod:`repro.serving.events` keeps its original ``heapq``
-loops as the readable specification; the admission layer keeps its
-per-query controller loop), so disabling kernels restores the legacy
-paths byte for byte.
+loops as the readable specification; the cluster runs every admission
+controller through the per-query loop), so disabling kernels restores
+the reference paths byte for byte.
 
 Bit-identity argument
 ---------------------
@@ -98,157 +90,12 @@ def _fifo_events_flat(order, ready, services, free_heap, starts, completes,
         free_heap[hole] = complete
 
 
-def _fifo_events_python(order, ready, services, free_heap, starts,
-                        completes, num_servers):
-    first = ready[order[0]]
-    for slot in range(num_servers):
-        free_heap[slot] = first
-    for position in range(len(order)):
-        index = order[position]
-        now = free_heap[0]
-        start = ready[index]
-        if start < now:
-            start = now
-        complete = start + services[index]
-        starts[index] = start
-        completes[index] = complete
-        hole = 0
-        child = 1
-        while child < num_servers:
-            right = child + 1
-            if right < num_servers and free_heap[right] < free_heap[child]:
-                child = right
-            if free_heap[child] < complete:
-                free_heap[hole] = free_heap[child]
-                hole = child
-                child = 2 * hole + 1
-            else:
-                break
-        free_heap[hole] = complete
-
-
 # --------------------------------------------------------------------- #
 # EDF dispatch queue                                                    #
 # --------------------------------------------------------------------- #
 def _edf_events_flat(order, ready, services, priority, free_heap,
                      pending_priority, pending_ready, pending_index,
                      starts, completes, num_servers):
-    num_batches = len(order)
-    first = ready[order[0]]
-    for slot in range(num_servers):
-        free_heap[slot] = first
-    pending_size = 0
-    next_arrival = 0
-    for _ in range(num_batches):
-        now = free_heap[0]
-        if pending_size == 0:
-            arrival = ready[order[next_arrival]]
-            if arrival > now:
-                now = arrival
-        while next_arrival < num_batches:
-            index = order[next_arrival]
-            if ready[index] > now:
-                break
-            child = pending_size
-            pending_priority[child] = priority[index]
-            pending_ready[child] = ready[index]
-            pending_index[child] = index
-            pending_size += 1
-            while child > 0:
-                parent = (child - 1) // 2
-                less = False
-                if pending_priority[child] < pending_priority[parent]:
-                    less = True
-                elif pending_priority[child] == pending_priority[parent]:
-                    if pending_ready[child] < pending_ready[parent]:
-                        less = True
-                    elif pending_ready[child] == pending_ready[parent] \
-                            and pending_index[child] \
-                            < pending_index[parent]:
-                        less = True
-                if not less:
-                    break
-                swap_priority = pending_priority[parent]
-                swap_ready = pending_ready[parent]
-                swap_index = pending_index[parent]
-                pending_priority[parent] = pending_priority[child]
-                pending_ready[parent] = pending_ready[child]
-                pending_index[parent] = pending_index[child]
-                pending_priority[child] = swap_priority
-                pending_ready[child] = swap_ready
-                pending_index[child] = swap_index
-                child = parent
-            next_arrival += 1
-        batch_ready = pending_ready[0]
-        index = pending_index[0]
-        pending_size -= 1
-        pending_priority[0] = pending_priority[pending_size]
-        pending_ready[0] = pending_ready[pending_size]
-        pending_index[0] = pending_index[pending_size]
-        hole = 0
-        while True:
-            child = 2 * hole + 1
-            if child >= pending_size:
-                break
-            right = child + 1
-            if right < pending_size:
-                less = False
-                if pending_priority[right] < pending_priority[child]:
-                    less = True
-                elif pending_priority[right] == pending_priority[child]:
-                    if pending_ready[right] < pending_ready[child]:
-                        less = True
-                    elif pending_ready[right] == pending_ready[child] \
-                            and pending_index[right] \
-                            < pending_index[child]:
-                        less = True
-                if less:
-                    child = right
-            less = False
-            if pending_priority[child] < pending_priority[hole]:
-                less = True
-            elif pending_priority[child] == pending_priority[hole]:
-                if pending_ready[child] < pending_ready[hole]:
-                    less = True
-                elif pending_ready[child] == pending_ready[hole] \
-                        and pending_index[child] < pending_index[hole]:
-                    less = True
-            if not less:
-                break
-            swap_priority = pending_priority[hole]
-            swap_ready = pending_ready[hole]
-            swap_index = pending_index[hole]
-            pending_priority[hole] = pending_priority[child]
-            pending_ready[hole] = pending_ready[child]
-            pending_index[hole] = pending_index[child]
-            pending_priority[child] = swap_priority
-            pending_ready[child] = swap_ready
-            pending_index[child] = swap_index
-            hole = child
-        start = batch_ready
-        if start < now:
-            start = now
-        complete = start + services[index]
-        starts[index] = start
-        completes[index] = complete
-        hole = 0
-        child = 1
-        while child < num_servers:
-            right = child + 1
-            if right < num_servers and free_heap[right] < free_heap[child]:
-                child = right
-            if free_heap[child] < complete:
-                free_heap[hole] = free_heap[child]
-                hole = child
-                child = 2 * hole + 1
-            else:
-                break
-        free_heap[hole] = complete
-
-
-def _edf_events_python(order, ready, services, priority, free_heap,
-                       pending_priority, pending_ready, pending_index,
-                       starts, completes, num_servers):
     num_batches = len(order)
     first = ready[order[0]]
     for slot in range(num_servers):
@@ -426,59 +273,11 @@ def _admission_events_flat(arrivals, slacks, admitted, state, num_servers,
     state[3] = token_last_us
 
 
-def _admission_events_python(arrivals, slacks, admitted, state, num_servers,
-                             est_query_us, est_batch_us, mode, param0,
-                             param1):
-    backlog_us = state[0]
-    last_us = state[1]
-    tokens = state[2]
-    token_last_us = state[3]
-    for position in range(len(arrivals)):
-        now_us = arrivals[position]
-        backlog_us = backlog_us - (now_us - last_us) * num_servers
-        if backlog_us < 0.0:
-            backlog_us = 0.0
-        last_us = now_us
-        wait_us = backlog_us / num_servers
-        admit = True
-        if mode == 1:
-            if token_last_us == token_last_us and now_us > token_last_us:
-                refill = tokens + (now_us - token_last_us) * param0 / 1e6
-                if refill < param1:
-                    tokens = refill
-                else:
-                    tokens = param1
-            token_last_us = now_us
-            if tokens >= 1.0:
-                tokens = tokens - 1.0
-            else:
-                admit = False
-        elif mode == 2:
-            depth = wait_us * num_servers / est_query_us
-            if depth >= param0:
-                admit = False
-        elif mode == 3:
-            slack_us = slacks[position]
-            if slack_us == slack_us:
-                predicted_us = wait_us + param0 * est_batch_us
-                if predicted_us > slack_us:
-                    admit = False
-        if admit:
-            admitted[position] = 1
-            backlog_us = backlog_us + est_query_us
-        else:
-            admitted[position] = 0
-    state[0] = backlog_us
-    state[1] = last_us
-    state[2] = tokens
-    state[3] = token_last_us
-
-
 # --------------------------------------------------------------------- #
 # Jit application (the core-kernels plumbing)                           #
 # --------------------------------------------------------------------- #
-#: Un-jitted references: importable on every host, pinned by parity
-#: tests so the compiled flavor can never silently diverge.
+#: Un-jitted sources: the "python" and "flat-python" flavors, pinned by
+#: parity tests so the compiled flavor can never silently diverge.
 _fifo_events_flat_py = _fifo_events_flat
 _edf_events_flat_py = _edf_events_flat
 _admission_events_flat_py = _admission_events_flat
@@ -515,9 +314,9 @@ def fifo_queue_times(ready, services, arrival_order, num_servers,
     if flavor == "python":
         starts = [0.0] * size
         completes = [0.0] * size
-        _fifo_events_python(arrival_order.tolist(), ready.tolist(),
-                            services.tolist(), [0.0] * num_servers,
-                            starts, completes, num_servers)
+        _fifo_events_flat_py(arrival_order.tolist(), ready.tolist(),
+                             services.tolist(), [0.0] * num_servers,
+                             starts, completes, num_servers)
         return (np.asarray(starts, dtype=np.float64),
                 np.asarray(completes, dtype=np.float64))
     kernel = _flat_kernel(_fifo_events_flat, _fifo_events_flat_py, flavor)
@@ -543,10 +342,11 @@ def edf_queue_times(ready, services, priorities, arrival_order, num_servers,
     if flavor == "python":
         starts = [0.0] * size
         completes = [0.0] * size
-        _edf_events_python(arrival_order.tolist(), ready.tolist(),
-                           services.tolist(), priorities.tolist(),
-                           [0.0] * num_servers, [0.0] * size, [0.0] * size,
-                           [0] * size, starts, completes, num_servers)
+        _edf_events_flat_py(arrival_order.tolist(), ready.tolist(),
+                            services.tolist(), priorities.tolist(),
+                            [0.0] * num_servers, [0.0] * size,
+                            [0.0] * size, [0] * size, starts, completes,
+                            num_servers)
         return (np.asarray(starts, dtype=np.float64),
                 np.asarray(completes, dtype=np.float64))
     kernel = _flat_kernel(_edf_events_flat, _edf_events_flat_py, flavor)
@@ -561,12 +361,12 @@ def edf_queue_times(ready, services, priorities, arrival_order, num_servers,
 
 
 def new_admission_state(first_arrival_us, initial_tokens=0.0):
-    """Fresh carried-state vector for :func:`admission_mask`.
+    """Fresh carried-state vector for :func:`admission_mask` and
+    :func:`repro.serving.admission.admission_loop`.
 
-    ``first_arrival_us`` seeds the fluid model's last-arrival clock
-    (matching :func:`repro.serving.admission.apply_admission`, whose
-    first gap is therefore zero); ``initial_tokens`` seeds the token
-    bucket (its burst size) for the token-bucket mode.
+    ``first_arrival_us`` seeds the fluid model's last-arrival clock (so
+    the first gap is zero); ``initial_tokens`` seeds the token bucket
+    (its burst size) for the token-bucket mode.
     """
     state = np.zeros(ADM_STATE_SIZE, dtype=np.float64)
     state[ADM_LAST_US] = first_arrival_us
@@ -591,10 +391,10 @@ def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
     if flavor == "python":
         admitted = [0] * size
         state_list = state.tolist()
-        _admission_events_python(arrivals.tolist(), slacks.tolist(),
-                                 admitted, state_list, num_servers,
-                                 est_query_us, est_batch_us, mode, param0,
-                                 param1)
+        _admission_events_flat_py(arrivals.tolist(), slacks.tolist(),
+                                  admitted, state_list, num_servers,
+                                  est_query_us, est_batch_us, mode, param0,
+                                  param1)
         state[:] = state_list
         return np.asarray(admitted, dtype=np.uint8) != 0
     kernel = _flat_kernel(_admission_events_flat,

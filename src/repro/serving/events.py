@@ -14,20 +14,24 @@ formation time, a min-heap holds the next-free time of every server, and
 FIFO order makes the earliest-free server the only candidate.  **EDF**
 (earliest deadline first, ``order="edf"``) additionally keeps a priority
 heap of ready batches keyed by their tightest query deadline
-(:attr:`~repro.serving.batcher.QueryBatch.earliest_deadline_us`), so a
-freed server always takes the most urgent waiting batch --
+(:meth:`~repro.serving.query_columns.BatchColumns.earliest_deadline_us`),
+so a freed server always takes the most urgent waiting batch --
 non-preemptive, O(B log B).  Service times come from whatever
 :class:`~repro.perf.service_model.ServiceTimeModel` produced them, so a
 million-query event run costs a million heap operations -- not a million
-cycle simulations.
+cycle simulations.  The loops run as the compiled kernels of
+:mod:`repro.serving.event_kernels`; the ``heapq`` loops below are their
+readable specification and the ``"disabled"`` flavor.
 
-When queries carry deadlines (assigned by an
-:class:`~repro.serving.slo.SLOPolicy`) or the run went through admission
-control, the engine attaches the measured SLO accounting -- goodput,
-attainment, shed rate -- to ``extras["slo"]``
-(:func:`repro.serving.slo.summarize_slo`).  The reported percentiles are
-always conditioned on *admitted* queries; shed queries never enter a
-batch.
+The engine works on :class:`~repro.serving.query_columns.BatchColumns`
+(a ``QueryBatch`` list is converted once), turning per-batch times into
+per-query latencies with array passes.  When queries carry deadlines
+(assigned by an :class:`~repro.serving.slo.SLOPolicy`) or the run went
+through admission control, the engine attaches the measured SLO
+accounting -- goodput, attainment, shed rate -- to ``extras["slo"]``
+(:func:`repro.serving.slo.summarize_slo_arrays`).  The reported
+percentiles are always conditioned on *admitted* queries; shed queries
+never enter a batch.
 """
 
 import heapq
@@ -36,12 +40,13 @@ import numpy as np
 
 from repro.serving import event_kernels
 from repro.serving.engine import ENGINES, ServingEngine
+from repro.serving.query_columns import as_batch_columns
 from repro.serving.queueing import (
     ServingReport,
     mgc_utilization,
     percentile,
     saturation_qps,
-    traffic_stats,
+    traffic_rates,
 )
 
 #: Service orders the event simulation understands.
@@ -187,61 +192,32 @@ class EventEngine(ServingEngine):
     def summarize(self, system_name, batches, service_times_us,
                   num_servers=1, trigger_counts=None, extras=None,
                   slo_info=None, capture=None):
+        batches = as_batch_columns(batches)
         services = np.asarray(service_times_us, dtype=np.float64)
         if len(batches) != services.size:
             raise ValueError("need one service time per batch")
         if not len(batches):
             raise ValueError("need at least one batch")
-        is_columns = getattr(batches, "is_columns", False)
-        if is_columns:
-            ready = batches.formed_us
-        else:
-            ready = np.asarray([batch.formed_us for batch in batches],
-                               dtype=np.float64)
+        ready = batches.formed_us
         priorities = None
         if self.order == "edf":
             # Deadline-free batches sort after every constrained one
             # (+inf priority); ready-time tie-breaks keep FIFO among them.
-            if is_columns:
-                earliest = batches.earliest_deadline_us()
-                priorities = np.where(np.isnan(earliest), np.inf, earliest)
-            else:
-                priorities = [
-                    float("inf") if deadline is None else deadline
-                    for deadline in (batch.earliest_deadline_us
-                                     for batch in batches)]
+            earliest = batches.earliest_deadline_us()
+            priorities = np.where(np.isnan(earliest), np.inf, earliest)
         starts, completes, max_depth = simulate_batch_queue(
             ready, services, num_servers, order=self.order,
             priorities=priorities)
         waits = starts - ready
 
-        if is_columns:
-            # The per-query loops below as array ops: batch order equals
-            # query order within the columns, so np.repeat reproduces
-            # the flattened zip exactly (and bitwise: the same float64
-            # subtractions in the same order).
-            sizes = batches.sizes
-            arrivals = batches.columns.arrival_us
-            latencies = np.repeat(completes, sizes) - arrivals
-            delays = np.repeat(ready, sizes) - arrivals
-            num_queries = batches.num_queries
-            span_us = arrivals.max() - arrivals.min()
-            offered_qps = ((num_queries - 1) / span_us * 1e6
-                           if num_queries > 1 and span_us > 0.0 else 0.0)
-            if len(batches) > 1:
-                batch_span_us = ready.max() - ready.min()
-                batch_rate_per_us = ((len(batches) - 1) / batch_span_us
-                                     if batch_span_us > 0.0 else 0.0)
-            else:
-                batch_rate_per_us = 0.0
-        else:
-            latencies = []
-            for batch, complete in zip(batches, completes):
-                for query in batch.queries:
-                    latencies.append(float(complete) - query.arrival_us)
-            queries, delays, offered_qps, batch_rate_per_us = \
-                traffic_stats(batches)
-            num_queries = len(queries)
+        # Batch order equals query order within the columns, so np.repeat
+        # broadcasts every batch time onto its queries.
+        sizes = batches.sizes
+        arrivals = batches.columns.arrival_us
+        latencies = np.repeat(completes, sizes) - arrivals
+        delays = np.repeat(ready, sizes) - arrivals
+        num_queries = batches.num_queries
+        offered_qps, batch_rate_per_us = traffic_rates(batches)
 
         rho = mgc_utilization(batch_rate_per_us, services, num_servers)
         busy_span_us = max(float(completes.max() - ready.min()), 1e-9)
@@ -269,11 +245,7 @@ class EventEngine(ServingEngine):
         run_extras.setdefault("measured_utilization", measured_utilization)
         run_extras.setdefault("max_queue_depth", int(max_depth))
         run_extras.setdefault("p99_wait_us", percentile(waits, 99.0))
-        if is_columns:
-            self._attach_slo_columns(run_extras, batches, latencies,
-                                     slo_info)
-        else:
-            self._attach_slo(run_extras, queries, latencies, slo_info)
+        self._attach_slo(run_extras, batches, latencies, slo_info)
         return ServingReport(
             system=system_name,
             num_queries=num_queries,

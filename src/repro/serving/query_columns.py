@@ -1,10 +1,11 @@
-"""Struct-of-arrays query path for million-query serving runs.
+"""Struct-of-arrays query representation of every serving run.
 
-The object query path builds one :class:`~repro.serving.arrival.ServingQuery`
-per query and re-walks Python object graphs for every aggregate -- fine
-for thousands of queries, the bottleneck at millions.  This module keeps
-the *stream* of queries in flat numpy columns and materialises objects
-only where a caller actually needs one:
+``ShardedServingCluster.simulate`` runs one pipeline, over the flat
+numpy columns of this module: a :class:`QueryStream` produces them
+chunk by chunk, a :class:`QueryColumns` is used as given, and a list of
+:class:`~repro.serving.arrival.ServingQuery` objects is converted once
+(:meth:`QueryColumns.from_queries`).  Objects materialise only where a
+caller actually needs one:
 
 * :class:`QueryColumns` -- the per-query arrays (ids, arrivals,
   deadlines, per-query lookup/pooling counts) plus a *request provider*
@@ -12,9 +13,9 @@ only where a caller actually needs one:
   fingerprint.  Slicing, sorting and concatenation are array ops.
 * :class:`ColumnQueryView` -- a zero-copy view of one row that quacks
   like a ``ServingQuery`` (``arrival_us``, ``deadline_us``,
-  ``slack_us``, ``requests``, ``fingerprint()``), so object-path
+  ``slack_us``, ``requests``, ``fingerprint()``), so per-query
   consumers (custom SLO policies, admission controllers, the exact
-  service path) keep working unchanged.
+  service path) work unchanged.
 * :func:`form_batch_columns` -- the two-trigger batcher
   (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as one
   whole-chunk ``searchsorted`` plus a walk over per-position batch
@@ -24,14 +25,19 @@ only where a caller actually needs one:
   arrays (formation times, sizes, triggers, per-batch deadline minima
   and request/pooling/lookup totals) plus per-batch views compatible
   with :class:`~repro.serving.batcher.QueryBatch`.
+  :func:`as_batch_columns` is the one conversion for entry points that
+  are handed a ``QueryBatch`` list instead.
 * :class:`QueryStream` -- a resumable generator of ``QueryColumns``
   chunks from traces plus an arrival process, the O(chunk)-memory
   source behind ``ShardedServingCluster.simulate(stream_chunk=N)``.
 
 Everything here is representation, not policy: batch boundaries,
-formation times, aggregates and fingerprints are defined by the object
-path and reproduced exactly (equivalence is pinned by
-``tests/test_query_columns.py``).
+formation times, aggregates and fingerprints are defined by
+``ServingQuery``, ``QueryBatch`` and
+:meth:`~repro.serving.batcher.BatchingFrontend.form_batches` and
+reproduced exactly (pinned by ``tests/test_query_columns.py``,
+``tests/test_serving_properties.py`` and the object-pipeline goldens of
+``tests/test_serving_golden.py``).
 """
 
 import hashlib
@@ -132,8 +138,8 @@ class _ExplicitRequests:
     """Request provider over materialised :class:`ServingQuery` objects.
 
     Used by :meth:`QueryColumns.from_queries`: requests and fingerprints
-    delegate to the original objects, so digests memoised there are
-    shared with the object path.
+    delegate to the original objects, so digests they memoise are
+    shared across runs over the same queries.
     """
 
     def __init__(self, queries):
@@ -549,12 +555,10 @@ class BatchColumns:
 
     ``columns`` holds the *batched* queries in dispatch order (batch
     after batch, each batch in arrival order), ``starts`` the per-batch
-    offsets into it.  Engines branch on the ``is_columns`` marker to
-    consume the arrays directly; iteration and indexing materialise
-    :class:`ColumnBatch` views for object-path consumers.
+    offsets into it.  Engines and service models consume the arrays
+    directly; iteration and indexing materialise :class:`ColumnBatch`
+    views for per-batch consumers (the exact service path).
     """
-
-    is_columns = True
 
     def __init__(self, columns, starts, formed_us, open_us, triggers):
         self.columns = columns
@@ -636,6 +640,43 @@ class BatchColumns:
                    np.concatenate([part.formed_us for part in parts]),
                    np.concatenate([part.open_us for part in parts]),
                    np.concatenate([part.triggers for part in parts]))
+
+    @classmethod
+    def from_batches(cls, batches):
+        """Batch columns over a dispatched batch list.
+
+        ``batches`` are :class:`~repro.serving.batcher.QueryBatch`
+        objects (or :class:`ColumnBatch` views); queries keep their
+        order, batch after batch.  Views of columns sharing one request
+        provider are sliced straight from those columns; anything else
+        goes through :meth:`QueryColumns.from_queries`.
+        """
+        batches = list(batches)
+        sizes = np.asarray([batch.size for batch in batches],
+                           dtype=np.int64)
+        if not sizes.all():
+            raise ValueError("every batch needs at least one query")
+        if batches and all(
+                isinstance(batch, ColumnBatch)
+                and batch.columns.provider is batches[0].columns.provider
+                for batch in batches):
+            columns = QueryColumns.concat(
+                [batch.columns.slice(batch.start, batch.stop)
+                 for batch in batches])
+        else:
+            columns = QueryColumns.from_queries(
+                [query for batch in batches for query in batch.queries])
+        return cls(columns, np.cumsum(sizes) - sizes,
+                   [batch.formed_us for batch in batches],
+                   [batch.open_us for batch in batches],
+                   [batch.trigger == "deadline" for batch in batches])
+
+
+def as_batch_columns(batches):
+    """``batches`` as :class:`BatchColumns` (converted once if needed)."""
+    if isinstance(batches, BatchColumns):
+        return batches
+    return BatchColumns.from_batches(batches)
 
 
 def form_batch_columns(columns, max_queries, max_delay_us, final=True):

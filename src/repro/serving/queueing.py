@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.serving.query_columns import as_batch_columns
+
 
 def percentile(samples, p):
     """The ``p``-th percentile with linear interpolation (0 <= p <= 100)."""
@@ -140,38 +142,31 @@ def wait_quantile_us(arrival_rate_per_us, service_times_us, p,
         / (num_servers * (1.0 - rho))
 
 
-def traffic_stats(batches):
-    """Shared offered-load bookkeeping for the serving engines.
+def traffic_rates(batches):
+    """Offered query rate and batch arrival rate of a dispatched run.
 
-    Returns ``(queries, delays_us, offered_qps, batch_rate_per_us)``:
-    the flattened query list, per-query batching delays, the offered
-    query rate over the arrival span, and the batch arrival rate from
-    the inter-dispatch intervals.  Both rates use the interval form
-    ``(N - 1) / span`` -- the maximum-likelihood rate estimate from N
-    arrivals, and the only form that stays finite when the span
-    degenerates.  A single query (or a single batch), and identical
-    arrival (or dispatch) times, carry no rate information at all, so
-    those degenerate spans report a rate of 0 rather than exploding on
-    an epsilon floor.
+    Returns ``(offered_qps, batch_rate_per_us)`` for a
+    :class:`~repro.serving.query_columns.BatchColumns`: the query rate
+    over the arrival span and the batch rate over the formation span.
+    Both use the interval form ``(N - 1) / span`` -- the
+    maximum-likelihood rate estimate from N arrivals, and the only form
+    that stays finite when the span degenerates.  A single query (or a
+    single batch), and identical arrival (or dispatch) times, carry no
+    rate information at all, so those degenerate spans report a rate of
+    0 rather than exploding on an epsilon floor.
     """
-    if not len(batches):
-        raise ValueError("need at least one batch")
-    queries = [query for batch in batches for query in batch.queries]
-    first_arrival = min(query.arrival_us for query in queries)
-    last_arrival = max(query.arrival_us for query in queries)
-    span_us = last_arrival - first_arrival
-    offered_qps = ((len(queries) - 1) / span_us * 1e6
-                   if len(queries) > 1 and span_us > 0.0 else 0.0)
+    arrivals = batches.columns.arrival_us
+    num_queries = batches.num_queries
+    span_us = arrivals.max() - arrivals.min()
+    offered_qps = ((num_queries - 1) / span_us * 1e6
+                   if num_queries > 1 and span_us > 0.0 else 0.0)
+    batch_rate_per_us = 0.0
     if len(batches) > 1:
-        formed = [batch.formed_us for batch in batches]
-        batch_span_us = max(formed) - min(formed)
+        formed = batches.formed_us
+        batch_span_us = formed.max() - formed.min()
         batch_rate_per_us = ((len(batches) - 1) / batch_span_us
                              if batch_span_us > 0.0 else 0.0)
-    else:
-        batch_rate_per_us = 0.0
-    delays = [batch.batching_delay_us(query)
-              for batch in batches for query in batch.queries]
-    return queries, delays, offered_qps, batch_rate_per_us
+    return offered_qps, batch_rate_per_us
 
 
 def saturation_qps(num_queries, num_batches, mean_service_us, num_servers):
@@ -237,8 +232,11 @@ def summarize_serving(system_name, batches, service_times_us,
                       slo_info=None, capture=None):
     """Turn per-batch service times into a :class:`ServingReport`.
 
-    ``batches`` are the dispatched :class:`~repro.serving.batcher.QueryBatch`
-    objects; ``service_times_us`` the simulated execution time of each.  A
+    ``batches`` are the dispatched batches -- a
+    :class:`~repro.serving.query_columns.BatchColumns`, or a list of
+    :class:`~repro.serving.batcher.QueryBatch` objects converted once by
+    ``BatchColumns.from_batches``; ``service_times_us`` the simulated
+    execution time of each.  A
     per-query latency percentile combines the exact batching-delay-plus-
     service distribution with the M/G/c waiting-time quantile at the same
     percentile (:func:`wait_quantile_us`), so the tail reflects queueing
@@ -261,41 +259,21 @@ def summarize_serving(system_name, batches, service_times_us,
     """
     if num_servers < 1:
         raise ValueError("num_servers must be >= 1")
+    batches = as_batch_columns(batches)
     services = np.asarray(service_times_us, dtype=np.float64)
     if len(batches) != services.size:
         raise ValueError("need one service time per batch")
     if not len(batches):
         raise ValueError("need at least one batch")
-    is_columns = getattr(batches, "is_columns", False)
-    if is_columns:
-        # Array fast path: batch order equals query order inside the
-        # columns, so np.repeat reproduces the flattened per-query loops
-        # below bitwise (the same float64 operations in the same
-        # association order as the scalar path).
-        sizes = batches.sizes
-        arrivals = batches.columns.arrival_us
-        num_queries = batches.num_queries
-        formed = batches.formed_us
-        delays = np.repeat(formed, sizes) - arrivals
-        span_us = arrivals.max() - arrivals.min()
-        offered_qps = ((num_queries - 1) / span_us * 1e6
-                       if num_queries > 1 and span_us > 0.0 else 0.0)
-        if len(batches) > 1:
-            batch_span_us = formed.max() - formed.min()
-            batch_rate_per_us = ((len(batches) - 1) / batch_span_us
-                                 if batch_span_us > 0.0 else 0.0)
-        else:
-            batch_rate_per_us = 0.0
-        base_samples = delays + np.repeat(services, sizes)
-    else:
-        queries, delays, offered_qps, batch_rate_per_us = \
-            traffic_stats(batches)
-        num_queries = len(queries)
-        base_samples = []
-        for batch, service in zip(batches, services):
-            for query in batch.queries:
-                base_samples.append(batch.batching_delay_us(query)
-                                    + float(service))
+    # Batch order equals query order inside the columns, so np.repeat
+    # broadcasts every batch quantity onto its queries.
+    sizes = batches.sizes
+    arrivals = batches.columns.arrival_us
+    num_queries = batches.num_queries
+    formed = batches.formed_us
+    delays = np.repeat(formed, sizes) - arrivals
+    offered_qps, batch_rate_per_us = traffic_rates(batches)
+    base_samples = delays + np.repeat(services, sizes)
     rho = mgc_utilization(batch_rate_per_us, services, num_servers)
     mean_wait = mgc_mean_wait_us(batch_rate_per_us, services, num_servers)
     percentiles = {
@@ -304,36 +282,23 @@ def summarize_serving(system_name, batches, service_times_us,
                            num_servers=num_servers)
         for p in (50.0, 95.0, 99.0)
     }
-    if is_columns:
-        samples = base_samples + mean_wait
-    else:
-        samples = [base + mean_wait for base in base_samples]
+    samples = base_samples + mean_wait
     mean_service = float(services.mean())
     sustainable_qps = saturation_qps(num_queries, len(batches),
                                      mean_service, num_servers)
     if capture is not None:
-        formed_times = formed if is_columns \
-            else np.asarray([batch.formed_us for batch in batches],
-                            dtype=np.float64)
-        approx_starts = formed_times + mean_wait
+        approx_starts = formed + mean_wait
         capture.record(
-            engine="analytic", batches=batches, ready_us=formed_times,
+            engine="analytic", batches=batches, ready_us=formed,
             service_us=services, start_us=approx_starts,
             complete_us=approx_starts + services, latency_us=samples,
             num_servers=num_servers, approximate=True)
     # Lazy import: repro.serving.slo imports this module.
-    from repro.serving.slo import (
-        maybe_summarize_slo,
-        maybe_summarize_slo_arrays,
-    )
+    from repro.serving.slo import maybe_summarize_slo_arrays
 
     extras = dict(extras or {})
-    if is_columns:
-        columns = batches.columns
-        slo_record = maybe_summarize_slo_arrays(
-            arrivals, columns.deadline_us - arrivals, samples, slo_info)
-    else:
-        slo_record = maybe_summarize_slo(queries, samples, slo_info)
+    slo_record = maybe_summarize_slo_arrays(
+        arrivals, batches.columns.deadline_us - arrivals, samples, slo_info)
     if slo_record is not None:
         extras.setdefault("slo", slo_record)
     return ServingReport(

@@ -13,9 +13,10 @@ queries that met their deadline).  This module provides:
   query touches (:class:`PerTableSLOPolicy`), and a budget derived from a
   percentile of observed service times
   (:class:`ServicePercentileSLOPolicy`).
-* :func:`summarize_slo` -- the shared deadline bookkeeping both serving
-  engines attach to their reports (``extras["slo"]``): attainment,
-  goodput, shed rate, and the admission counts.
+* :func:`summarize_slo_arrays` -- the shared deadline bookkeeping both
+  serving engines attach to their reports (``extras["slo"]``):
+  attainment, goodput, shed rate, and the admission counts.
+  :func:`summarize_slo` is the same record for a query list.
 
 Deadlines are *absolute* times (``arrival_us + slack``), so a query's
 latency meets its SLO exactly when ``complete_us <= deadline_us``.
@@ -53,19 +54,34 @@ class SLOPolicy(abc.ABC):
         return queries
 
     def assign_deadlines_columns(self, columns):
-        """Array-path deadline assignment over a
-        :class:`~repro.serving.query_columns.QueryColumns`.
+        """Deadline assignment over a
+        :class:`~repro.serving.query_columns.QueryColumns` (the step
+        ``ShardedServingCluster.simulate`` runs).
 
-        The generic implementation evaluates :meth:`slack_us` per row
-        view (so custom policies work unchanged); the built-in policies
-        override with a vectorised write.  Mutates the deadline column
-        in place and returns the columns.
+        A built-in policy writes the whole column at once from its
+        ``_slack_column``, but only while that class's own
+        :meth:`slack_us` is in force: a subclass that overrides
+        ``slack_us`` alone gets :meth:`slack_us` evaluated per row view,
+        like any custom policy.  Mutates the deadline column in place
+        and returns the columns.
         """
+        if self._slack_column_applies():
+            columns.deadline_us[:] = columns.arrival_us \
+                + self._slack_column(columns)
+            return columns
         deadline = columns.deadline_us
         for position in range(len(columns)):
             deadline[position] = columns.arrival_us[position] \
                 + self.slack_us(columns.view(position))
         return columns
+
+    def _slack_column_applies(self):
+        """True when the class defining the effective ``slack_us`` also
+        defines ``_slack_column`` (so the two agree by construction)."""
+        for klass in type(self).__mro__:
+            if "slack_us" in vars(klass):
+                return "_slack_column" in vars(klass)
+        return False
 
     def describe(self):
         """Human-readable one-line description of the policy."""
@@ -85,9 +101,8 @@ class FixedSLOPolicy(SLOPolicy):
     def slack_us(self, query):
         return self.slo_us
 
-    def assign_deadlines_columns(self, columns):
-        columns.deadline_us[:] = columns.arrival_us + self.slo_us
-        return columns
+    def _slack_column(self, columns):
+        return self.slo_us
 
     def describe(self):
         return "fixed %.0f us" % self.slo_us
@@ -114,14 +129,12 @@ class PerTableSLOPolicy(SLOPolicy):
     def slack_us(self, query):
         return self.base_us + self.per_table_us * query.num_tables
 
-    def assign_deadlines_columns(self, columns):
+    def _slack_column(self, columns):
         # num_requests holds the per-query table count; int64 -> float64
         # is exact for any realistic fan-out, so the vectorised slack
         # matches the scalar ``base + per_table * num_tables`` bitwise.
-        columns.deadline_us[:] = columns.arrival_us + (
-            self.base_us
-            + self.per_table_us * columns.num_requests.astype(np.float64))
-        return columns
+        return self.base_us \
+            + self.per_table_us * columns.num_requests.astype(np.float64)
 
     def describe(self):
         return "per-table %.0f + %.0f us/table" % (self.base_us,
@@ -152,9 +165,8 @@ class ServicePercentileSLOPolicy(SLOPolicy):
     def slack_us(self, query):
         return self._slack_us
 
-    def assign_deadlines_columns(self, columns):
-        columns.deadline_us[:] = columns.arrival_us + self._slack_us
-        return columns
+    def _slack_column(self, columns):
+        return self._slack_us
 
     def describe(self):
         return "%.1fx p%g service time (%.0f us)" % (self.multiplier,
@@ -196,91 +208,47 @@ def resolve_slo_policy(policy):
         % ", ".join(available_slo_policies()))
 
 
-def maybe_summarize_slo(queries, latencies_us, slo_info=None):
-    """:func:`summarize_slo` when the run carries SLO context, else None.
+def _query_arrays(queries):
+    """``(arrival_us, slack_us)`` float64 vectors of a query list, with
+    NaN slack for deadline-free queries."""
+    arrivals = np.asarray([query.arrival_us for query in queries],
+                          dtype=np.float64)
+    slack = [getattr(query, "slack_us", None) for query in queries]
+    slack = np.asarray([np.nan if value is None else value
+                        for value in slack], dtype=np.float64)
+    return arrivals, slack
 
-    The shared trigger both serving engines use: accounting is attached
-    when the cluster passed admission context (``slo_info``) *or* any
-    query carries a deadline (assigned by a policy or by hand).
-    """
-    if slo_info is None and not any(
-            getattr(query, "deadline_us", None) is not None
-            for query in queries):
-        return None
-    return summarize_slo(queries, latencies_us, slo_info)
+
+def maybe_summarize_slo(queries, latencies_us, slo_info=None):
+    """:func:`summarize_slo` when the run carries SLO context, else None
+    (:func:`maybe_summarize_slo_arrays` over a query list)."""
+    arrivals, slack = _query_arrays(queries)
+    return maybe_summarize_slo_arrays(arrivals, slack, latencies_us,
+                                      slo_info)
 
 
 def summarize_slo(queries, latencies_us, slo_info=None):
     """Deadline bookkeeping for one serving run (``extras["slo"]``).
 
     ``queries`` are the *admitted* queries in the engine's sample order
-    and ``latencies_us`` their per-query latencies (measured by the event
-    engine, approximated by the analytic engine).  ``slo_info`` carries
-    the admission context from the cluster: ``num_offered`` / ``num_shed``
-    / ``offered_span_us`` / ``admission`` / ``slo_policy``.
-
-    Returns a JSON-serialisable dict: counts, ``shed_rate``,
-    ``attainment`` (fraction of deadline-carrying admitted queries that
-    met their deadline; ``None`` when no query carries one), and
-    ``goodput_qps`` -- deadline-meeting completions per second of offered
-    traffic (all admitted completions count when no deadlines are
-    assigned, making goodput degrade gracefully to net throughput).
-    Goodput uses the same interval form ``(N - 1) / span`` as every
-    other rate in :func:`~repro.serving.queueing.traffic_stats`, so it
-    stays comparable to ``offered_qps`` (never exceeding it) and a
-    degenerate single completion reports 0 rather than exploding.
+    and ``latencies_us`` their per-query latencies; see
+    :func:`summarize_slo_arrays`, which this calls on the queries'
+    arrival and slack vectors.
     """
-    if len(queries) != len(latencies_us):
-        raise ValueError("need one latency per admitted query")
-    info = dict(slo_info or {})
-    num_admitted = len(queries)
-    num_shed = int(info.get("num_shed", 0))
-    num_offered = int(info.get("num_offered", num_admitted + num_shed))
-    if num_offered < num_admitted + num_shed:
-        raise ValueError("offered count below admitted + shed")
-    span_us = info.get("offered_span_us")
-    if span_us is None:
-        arrivals = [query.arrival_us for query in queries]
-        span_us = max(arrivals) - min(arrivals) if arrivals else 0.0
-
-    with_deadline = 0
-    met = 0
-    for query, latency in zip(queries, latencies_us):
-        slack = getattr(query, "slack_us", None)
-        if slack is None:
-            continue
-        with_deadline += 1
-        if latency <= slack:
-            met += 1
-    attainment = met / with_deadline if with_deadline else None
-    # Queries without a deadline always count as useful work, so goodput
-    # degrades gracefully to net (post-shedding) throughput without SLOs.
-    good = met + (num_admitted - with_deadline)
-    goodput_qps = ((good - 1) / span_us * 1e6
-                   if good > 1 and span_us > 0.0 else 0.0)
-    return {
-        "slo_policy": info.get("slo_policy"),
-        "admission": info.get("admission", "none"),
-        "num_offered": num_offered,
-        "num_admitted": num_admitted,
-        "num_shed": num_shed,
-        "shed_rate": num_shed / num_offered if num_offered else 0.0,
-        "num_with_deadline": with_deadline,
-        "deadlines_met": met,
-        "attainment": attainment,
-        "goodput_qps": goodput_qps,
-        "offered_span_us": float(span_us),
-    }
+    arrivals, slack = _query_arrays(queries)
+    return summarize_slo_arrays(arrivals, slack, latencies_us, slo_info)
 
 
 def maybe_summarize_slo_arrays(arrival_us, slack_us, latencies_us,
                                slo_info=None):
-    """Array-path :func:`maybe_summarize_slo` (the columns engines).
+    """:func:`summarize_slo_arrays` when the run carries SLO context,
+    else None.
 
+    The shared trigger both serving engines use: accounting is attached
+    when the cluster passed admission context (``slo_info``) *or* any
+    query carries a deadline (assigned by a policy or by hand).
     ``slack_us`` is the per-admitted-query slack vector with NaN for
-    deadline-free queries (the array analogue of ``slack_us is None``);
-    the trigger and every reported number match the object path
-    bitwise.
+    deadline-free queries.
     """
     has_deadline = ~np.isnan(slack_us)
     if slo_info is None and not has_deadline.any():
@@ -291,12 +259,25 @@ def maybe_summarize_slo_arrays(arrival_us, slack_us, latencies_us,
 
 def summarize_slo_arrays(arrival_us, slack_us, latencies_us, slo_info=None,
                          has_deadline=None):
-    """Vectorised :func:`summarize_slo` over per-query arrays.
+    """Deadline bookkeeping for one serving run over per-query arrays.
 
-    Same accounting, same dict -- counts via masked comparisons instead
-    of a per-query loop.  The comparisons (``latency <= slack``) and the
-    derived ratios are the identical float64 operations the scalar loop
-    performs, so the record is byte-identical.
+    ``arrival_us`` / ``slack_us`` / ``latencies_us`` describe the
+    *admitted* queries (NaN slack = no deadline); latencies are measured
+    by the event engine and approximated by the analytic engine.
+    ``slo_info`` carries the admission context from the cluster:
+    ``num_offered`` / ``num_shed`` / ``offered_span_us`` / ``admission``
+    / ``slo_policy``.
+
+    Returns a JSON-serialisable dict: counts, ``shed_rate``,
+    ``attainment`` (fraction of deadline-carrying admitted queries that
+    met their deadline, ``latency <= slack``; ``None`` when no query
+    carries one), and ``goodput_qps`` -- deadline-meeting completions
+    per second of offered traffic (all admitted completions count when
+    no deadlines are assigned, making goodput degrade gracefully to net
+    throughput).  Goodput uses the same interval form ``(N - 1) / span``
+    as every other rate in :func:`~repro.serving.queueing.traffic_rates`,
+    so it stays comparable to ``offered_qps`` (never exceeding it) and a
+    degenerate single completion reports 0 rather than exploding.
     """
     latencies = np.asarray(latencies_us, dtype=np.float64)
     slack = np.asarray(slack_us, dtype=np.float64)

@@ -403,54 +403,12 @@ class TestKernelTwinSyncRule:
         assert len(findings) == 1
         assert "drifted apart" in findings[0].message
 
-    def test_anchorless_pair_compares_whole_body(self, tmp_path):
-        """Event-kernel pairs have no anchor: whole bodies must match,
-        docstrings exempt."""
-        _, findings = lint_snippet(tmp_path, "event_kernels.py", """\
-            def _fifo_events_flat(ready, starts):
-                for index in range(len(ready)):
-                    starts[index] = ready[index] + 1.0
-
-            def _fifo_events_python(ready, starts):
-                '''CPython twin (docstrings may differ).'''
-                for index in range(len(ready)):
-                    starts[index] = ready[index] + 1.0
-            """, rules=["kernel-twin-sync"])
-        assert findings == []
-
-    def test_anchorless_pair_drift_fires(self, tmp_path):
-        _, findings = lint_snippet(tmp_path, "event_kernels.py", """\
-            def _fifo_events_flat(ready, starts):
-                for index in range(len(ready)):
-                    starts[index] = ready[index] + 1.0
-
-            def _fifo_events_python(ready, starts):
-                for index in range(len(ready)):
-                    starts[index] = ready[index] - 1.0
-            """, rules=["kernel-twin-sync"])
-        assert len(findings) == 1
-        assert "drifted apart" in findings[0].message
-
     def test_real_event_kernels_module_in_sync(self):
         kernels = (REPO_ROOT / "src" / "repro" / "serving"
                    / "event_kernels.py")
         findings = lint_paths([str(kernels)],
                               rules=["kernel-twin-sync"])
         assert findings == []
-
-    def test_real_event_kernels_mutation_detected(self, tmp_path):
-        """A one-operator flip in one event-loop twin must fire."""
-        source = (REPO_ROOT / "src" / "repro" / "serving"
-                  / "event_kernels.py").read_text()
-        mutated = source.replace("complete = start + services[index]",
-                                 "complete = start - services[index]", 1)
-        assert mutated != source, \
-            "mutation target vanished from event kernels"
-        path = tmp_path / "event_kernels.py"
-        path.write_text(mutated)
-        findings = lint_paths([str(path)], rules=["kernel-twin-sync"])
-        assert len(findings) >= 1
-        assert all("drifted apart" in f.message for f in findings)
 
     def test_compare_twin_regions_reports_both_lines(self):
         import ast

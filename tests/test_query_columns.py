@@ -146,8 +146,6 @@ class TestClusterEquivalence:
                                                    slo, admission):
         with ShardedServingCluster(num_nodes=2,
                                    node_system="recnmp-opt") as cluster:
-            # Fresh object queries per trial: slo_policy assignment
-            # mutates ServingQuery deadlines in place.
             object_report = cluster.simulate(
                 queries_from_traces(traces, NUM_QUERIES, _arrivals()),
                 engine=engine, slo_policy=slo, admission=admission)

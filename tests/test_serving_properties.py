@@ -4,22 +4,34 @@ The column batcher (:func:`form_batch_columns`) and the grouped
 interpolating service model answer whole chunks with array passes.  The
 references here share no code with them: the object frontend's per-query
 loop (:meth:`BatchingFrontend.form_batches`) and a per-batch
-interpolation loop written out below.
+interpolation loop written out below.  The pipeline properties run
+``ShardedServingCluster.simulate(trace=Tracer())`` end to end and check
+invariants no implementation detail can satisfy by accident:
+conservation, per-query causality and chunk-size invariance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from repro.obs import Tracer
 from repro.perf.service_model import InterpolatingServiceModel
 from repro.serving import (
     BatchingFrontend,
+    DeadlineAwareAdmission,
+    NoAdmission,
     QueryColumns,
+    QueueDepthAdmission,
     ServingQuery,
+    ShardedServingCluster,
+    TokenBucketAdmission,
     form_batch_columns,
+    queries_from_traces,
+    query_columns_from_traces,
 )
 from repro.serving.query_columns import BatchColumns
 from repro.traces import make_production_table_traces
@@ -246,3 +258,96 @@ def test_zero_request_batch_columns_raise_value_error():
     model = InterpolatingServiceModel(TRACES, batch_sizes=BATCH_SIZES)
     with pytest.raises(ValueError, match="no SLS requests"):
         model.service_times_us(ClosedFormCluster(), batch_columns)
+
+
+# --------------------------------------------------------------------- #
+# The serving pipeline end to end                                       #
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def pipeline():
+    """A real cluster and an interpolating model calibrated on first use
+    (one query shape, so later examples never cycle-simulate)."""
+    cluster = ShardedServingCluster(num_nodes=2, node_system="recnmp-base")
+    model = InterpolatingServiceModel(TRACES, batch_sizes=(1, 2, 4, 8))
+    yield cluster, model
+    cluster.close()
+
+
+#: Fresh controller per run, tight enough to shed at these loads.
+PIPELINE_ADMISSIONS = {
+    "off": lambda: None,
+    "none": NoAdmission,
+    "token-bucket": lambda: TokenBucketAdmission(burst=8),
+    "queue-depth": lambda: QueueDepthAdmission(max_depth=8),
+    "deadline": DeadlineAwareAdmission,
+}
+
+pipeline_runs = st.fixed_dictionaries({
+    # Inter-arrival gaps on a 0.05 us lattice: ties, bursts far above
+    # capacity, and the odd idle stretch.
+    "gaps": st.integers(1, 60).flatmap(lambda size: st.lists(
+        st.sampled_from([0, 0, 1, 2, 40]), min_size=size, max_size=size)),
+    "max_queries": st.integers(1, 6),
+    "max_delay_us": st.sampled_from([0.0, 0.1, 0.4, 5.0]),
+    "engine": st.sampled_from(["analytic", "event", "event-edf"]),
+    "admission": st.sampled_from(sorted(PIPELINE_ADMISSIONS)),
+    "slo_us": st.sampled_from([None, 4.0, 15.0]),
+    "as_list": st.booleans(),
+    "chunk_extra": st.integers(0, 12),
+})
+
+
+def _traced_run(pipeline, run, stream_chunk=None):
+    cluster, model = pipeline
+    arrivals = 0.05 * np.cumsum(run["gaps"])
+    make = queries_from_traces if run["as_list"] \
+        else query_columns_from_traces
+    queries = make(TRACES, len(arrivals), arrivals, batch_size=8,
+                   pooling_factor=16)
+    tracer = Tracer()
+    try:
+        report = cluster.simulate(
+            queries, frontend=BatchingFrontend(run["max_queries"],
+                                               run["max_delay_us"]),
+            engine=run["engine"], service_model=model,
+            slo_policy=run["slo_us"],
+            admission=PIPELINE_ADMISSIONS[run["admission"]](),
+            stream_chunk=stream_chunk, trace=tracer)
+    except ValueError as error:
+        if "shed every query" not in str(error):
+            raise
+        reject()
+    return report, tracer
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=pipeline_runs)
+def test_pipeline_conservation_causality_and_chunking(pipeline, run):
+    report, tracer = _traced_run(pipeline, run)
+    capture = tracer.capture
+    offered = len(run["gaps"])
+    admitted = capture.query_id.tolist()
+    shed = tracer.shed_query_id.tolist()
+    # Conservation: admitted + shed = offered, each query exactly once,
+    # and every admitted query in exactly one batch.
+    assert len(admitted) + len(shed) == offered
+    assert sorted(admitted + shed) == list(range(offered))
+    assert int(capture.batch_sizes.sum()) == len(admitted)
+    assert (capture.batch_sizes > 0).all()
+    assert report.num_queries == len(admitted)
+    slo = report.extras.get("slo")
+    if slo is not None:
+        assert slo["num_offered"] == offered
+        assert slo["num_admitted"] + slo["num_shed"] == offered
+        assert slo["num_shed"] == len(shed)
+    # Causality along every query's life.
+    formed = capture.per_query(capture.batch_ready_us)
+    start = capture.per_query(capture.batch_start_us)
+    complete = capture.per_query(capture.batch_complete_us)
+    assert (capture.query_arrival_us <= formed).all()
+    assert (formed <= start).all()
+    assert (start <= complete).all()
+    # Chunk-size invariance.
+    chunked, _ = _traced_run(pipeline, run,
+                             run["max_queries"] + run["chunk_extra"])
+    assert dataclasses.asdict(chunked) == dataclasses.asdict(report)
