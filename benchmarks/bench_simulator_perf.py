@@ -33,10 +33,18 @@ this benchmark guards both its *speed* and its *answers*:
   pass must perform *zero* exact batch simulations (store misses == 0)
   in every mode, and on hosts with >=4 cores the process sweep must
   reach the >=3x wall-clock target at full scale.
+* **DDR4 baseline** -- ``run_baseline_trace`` (uncached) on Fig. 16's
+  production shape (2 tables x batch 8 x pooling 40, 128-byte vectors)
+  on the baseline's 1-channel x 4-DIMM x 2-rank system, reported in
+  host microseconds per access (one access is one lookup address, as
+  in the perfbench ledger's ``dram.baseline_us_per_access``).  The rest
+  of this suite runs with ``compare_baseline=False``, so this row is the
+  only floor on the baseline every paper figure is normalised against.
 * **Regression floor** -- in every mode (including ``run_all.py --smoke``
-  / CI) the measured single-channel throughput and serial sweep
-  points/sec must stay within 2x of the recorded post-optimisation
-  values, so future PRs cannot silently re-slow the hot paths.
+  / CI) the measured single-channel throughput, serial sweep points/sec
+  and DDR4 baseline cost per access must stay within 2x of the recorded
+  post-optimisation values, so future PRs cannot silently re-slow the
+  hot paths.
 
 Results are printed as a ``SIM_PERF_JSON:`` record for
 ``BENCH_results.json``.  Set ``REPRO_PERF_WRITE_REFERENCE=1`` to refresh
@@ -54,6 +62,7 @@ from workloads import (
     NUM_ROWS,
     SMOKE_MODE,
     VECTOR_BYTES,
+    address_of,
     build_bench_system,
     format_table,
     production_requests,
@@ -62,6 +71,8 @@ from workloads import (
 )
 
 from repro.core import kernels
+from repro.dram.system import DramSystemConfig
+from repro.perf.baseline_cache import run_baseline_trace
 
 REFERENCE_PATH = Path(__file__).resolve().parent / "perf_reference.json"
 MODE = "smoke" if SMOKE_MODE else "full"
@@ -97,6 +108,8 @@ SWEEP_BACKENDS = ("serial", "process")
 #: Full-scale parallel-sweep wall-clock target, only meaningful on hosts
 #: with at least one core per in-flight sweep point.
 SWEEP_SPEEDUP_TARGET = 3.0
+#: DDR4 baseline row: Fig. 16's first two production tables.
+BASELINE_TABLES = 2
 
 
 def _workloads():
@@ -161,6 +174,28 @@ def _kernel_comparison(requests):
         "speedup_vs_legacy": round(
             timings["legacy"] / timings["active"], 3),
     }
+
+
+def _baseline_comparison():
+    """Best-of-N uncached DDR4 baseline on Fig. 16's request shape."""
+    requests = production_requests(num_tables=BASELINE_TABLES, batch=BATCH,
+                                   pooling=POOLING, seed=0)
+    addresses = [address_of(request.table_id, int(row))
+                 for request in requests for row in request.indices]
+    config = DramSystemConfig(num_channels=1, dimms_per_channel=4,
+                              ranks_per_dimm=2)
+    best = float("inf")
+    result = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run_baseline_trace(config, addresses,
+                                    request_bytes=VECTOR_BYTES,
+                                    outstanding_per_channel=32,
+                                    use_cache=False)
+        best = min(best, time.perf_counter() - start)
+    return {"num_accesses": len(addresses), "cycles": result.cycles,
+            "seconds": round(best, 5),
+            "us_per_access": round(best * 1e6 / len(addresses), 3)}
 
 
 def _node_batch():
@@ -361,6 +396,7 @@ def compute_simulator_perf():
             entry["multi4_backends"]["process"]["seconds"]
             / entry["multi4_backends"]["shared-memory"]["seconds"], 3)
         report["workloads"][kind] = entry
+    report["baseline"] = _baseline_comparison()
     report["node8"] = _node_parallel_comparison()
     with tempfile.TemporaryDirectory(prefix="repro-sweep-store-") as tmp:
         report["sweep"], report["sweep_service_stats"] = \
@@ -389,6 +425,10 @@ def _maybe_write_reference(reference, report):
             "shm_vs_pickle": entry["shm_vs_pickle"],
             "kernel": entry["kernel"],
         }
+    recorded["baseline"] = {
+        "num_accesses": report["baseline"]["num_accesses"],
+        "us_per_access": report["baseline"]["us_per_access"],
+    }
     recorded["node8"] = {
         "kernel_flavor": report["kernel_flavor"],
         "serial_seconds":
@@ -433,6 +473,9 @@ def bench_simulator_perf(benchmark):
             rows.append((kind, "4ch/" + backend, backend_entry["seconds"],
                          backend_entry["insts_per_sec"],
                          backend_entry["scaling_vs_serial"]))
+    baseline = report["baseline"]
+    rows.append(("fig16", "ddr4-baseline", baseline["seconds"],
+                 "%.1f us/access" % baseline["us_per_access"], "-"))
     node8 = report["node8"]
     for backend in ("serial", "shared-memory"):
         rows.append(("batch", "8node/" + backend,
@@ -563,6 +606,18 @@ def bench_simulator_perf(benchmark):
             assert multi_speedup >= MULTI_SPEEDUP_TARGET, \
                 "4-channel process-backend speedup %.2fx below the %.1fx " \
                 "target on %s" % (multi_speedup, MULTI_SPEEDUP_TARGET, kind)
+    # Loose CI floor on the DDR4 baseline's host cost per access.
+    recorded_baseline = mode_reference.get("recorded", {}).get("baseline")
+    if recorded_baseline and not WRITE_REFERENCE:
+        assert baseline["num_accesses"] == \
+            recorded_baseline["num_accesses"], baseline
+        ceiling = recorded_baseline["us_per_access"] * REGRESSION_FLOOR
+        assert baseline["us_per_access"] <= ceiling, \
+            "DDR4 baseline cost %.1f us/access regressed >%.0fx above " \
+            "the recorded %.1f us/access (refresh with " \
+            "REPRO_PERF_WRITE_REFERENCE=1 if this host is legitimately " \
+            "slower)" % (baseline["us_per_access"], REGRESSION_FLOOR,
+                         recorded_baseline["us_per_access"])
     # Loose CI floor on the serial sweep rate, same mechanism as the
     # single-channel throughput floor above.
     recorded_sweep = mode_reference.get("recorded", {}).get("sweep")

@@ -7,11 +7,12 @@ requests whose next DDR command is ready to issue, row-buffer hits win, ties
 broken by age.  An open-page policy keeps rows open after a read.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.dram.address_mapping import SkylakeAddressMapping
 from repro.dram.channel import Channel
-from repro.dram.commands import CommandType, RequestType
+from repro.dram.commands import CommandType, MemoryRequest, RequestType
 from repro.dram.timing import DDR4_2400
 
 
@@ -43,19 +44,35 @@ class ControllerStats:
 
 
 class _PendingRequest:
-    """Book-keeping wrapper around a queued memory request."""
+    """Book-keeping wrapper around a queued memory request.
 
-    __slots__ = ("request", "address", "arrival_cycle", "outcome_recorded")
+    The request is decoded once, at admission: the channel-wide rank index
+    and the ``Rank``/``Bank`` objects it targets are cached here so the
+    per-pass readiness check never goes through the range-checked lookups.
+    """
 
-    def __init__(self, request, address, arrival_cycle):
+    __slots__ = ("request", "address", "arrival_cycle", "outcome_recorded",
+                 "rank_index", "rank", "bank")
+
+    def __init__(self, request, address, arrival_cycle, rank_index, rank,
+                 bank):
         self.request = request
         self.address = address
         self.arrival_cycle = arrival_cycle
         self.outcome_recorded = False
+        self.rank_index = rank_index
+        self.rank = rank
+        self.bank = bank
 
 
 class MemoryController:
     """FR-FCFS controller for a single DRAM channel.
+
+    The controller is event-driven: each :meth:`_step` either issues the
+    FR-FCFS pick or, when no queued command is ready, jumps the clock to the
+    earliest cycle one becomes ready.  Between two issues no queue, admission
+    or timing state changes, so the jump lands on exactly the cycle a
+    one-cycle-at-a-time loop would have issued at.
 
     Parameters
     ----------
@@ -82,7 +99,7 @@ class MemoryController:
             raise ValueError("queue_depth must be positive")
         self.cycle = 0
         self._queue = []
-        self._waiting = []          # requests not yet admitted to the queue
+        self._waiting = deque()     # requests not yet admitted to the queue
         self.stats = ControllerStats()
 
     # ------------------------------------------------------------------ #
@@ -98,11 +115,16 @@ class MemoryController:
         self._admit_waiting()
 
     def _admit_waiting(self):
+        channel = self.channel
         while self._waiting and len(self._queue) < self.queue_depth:
-            request = self._waiting.pop(0)
+            request = self._waiting.popleft()
             address = self.address_mapping.map(request.physical_address)
-            self._queue.append(
-                _PendingRequest(request, address, self.cycle))
+            rank_index = channel.global_rank_index(address.dimm,
+                                                   address.rank)
+            rank = channel.rank(rank_index)
+            bank = rank.bank(address.bank_group, address.bank)
+            self._queue.append(_PendingRequest(
+                request, address, self.cycle, rank_index, rank, bank))
 
     @property
     def pending_requests(self):
@@ -112,83 +134,120 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Scheduling                                                         #
     # ------------------------------------------------------------------ #
-    def _rank_of(self, address):
-        return self.channel.global_rank_index(address.dimm, address.rank)
+    def _ready_cycle(self, pending):
+        """Earliest issue cycle of ``pending``'s next command, and whether
+        that command is a row-hit RD.
 
-    def _next_command(self, pending):
-        """Return the next DDR command needed by a pending request."""
-        address = pending.address
-        rank_index = self._rank_of(address)
-        bank = self.channel.rank(rank_index).bank(address.bank_group,
-                                                  address.bank)
-        commands = bank.required_commands(address.row)
-        return commands[0]
+        The next command is RD on a row hit, ACT on a closed bank and PRE
+        on a row conflict.  The cycle is not clamped to the current one; it
+        is the same constraint set ``Channel.earliest_issue_cycle`` (and the
+        ``Rank``/``Bank`` checks under it) applies, read in one pass.
+        """
+        bank = pending.bank
+        channel = self.channel
+        ready = channel.next_ca_free
+        open_row = bank.open_row
+        if open_row == pending.address.row:
+            timing = self.timing
+            rank = pending.rank
+            if bank.next_read > ready:
+                ready = bank.next_read
+            last_col = rank._last_col_cycle
+            if last_col is not None:
+                ccd = last_col + (
+                    timing.tCCD_L
+                    if pending.address.bank_group == rank._last_col_bank_group
+                    else timing.tCCD_S)
+                if ccd > ready:
+                    ready = ccd
+            # The burst must find both the rank's and the channel's data
+            # bus free (plus the rank-to-rank switch penalty).
+            bus = rank.next_data_bus_free - timing.tCL
+            if bus > ready:
+                ready = bus
+            bus = channel.next_data_free
+            last_rank = channel._last_data_rank
+            if last_rank is not None and last_rank != pending.rank_index:
+                bus += channel.rank_to_rank_penalty
+            bus -= timing.tCL
+            if bus > ready:
+                ready = bus
+            return ready, True
+        if open_row is None:
+            timing = self.timing
+            rank = pending.rank
+            if bank.next_act > ready:
+                ready = bank.next_act
+            history = rank._act_history
+            if len(history) >= 4:
+                faw = history[-4] + timing.tFAW
+                if faw > ready:
+                    ready = faw
+            last_act = rank._last_act_cycle
+            if last_act is not None:
+                rrd = last_act + (
+                    timing.tRRD_L
+                    if pending.address.bank_group == rank._last_act_bank_group
+                    else timing.tRRD_S)
+                if rrd > ready:
+                    ready = rrd
+            return ready, False
+        if bank.next_pre > ready:
+            ready = bank.next_pre
+        return ready, False
 
-    def _is_row_hit(self, pending):
-        address = pending.address
-        rank_index = self._rank_of(address)
-        bank = self.channel.rank(rank_index).bank(address.bank_group,
-                                                  address.bank)
-        return bank.is_row_hit(address.row)
-
-    def _can_issue_next(self, pending):
-        command = self._next_command(pending)
-        address = pending.address
-        rank_index = self._rank_of(address)
-        return self.channel.can_issue(command, rank_index,
-                                      address.bank_group, address.bank,
-                                      self.cycle)
-
-    def _select_request(self):
-        """FR-FCFS selection: ready row hits first, then oldest ready."""
-        best = None
-        best_is_hit = False
-        for pending in self._queue:
-            if not self._can_issue_next(pending):
-                continue
-            is_hit = self._is_row_hit(pending)
-            if best is None or (is_hit and not best_is_hit):
-                best = pending
-                best_is_hit = is_hit
-                if best_is_hit:
-                    # Queue order is arrival order, so the first ready hit is
-                    # already the oldest ready hit.
-                    break
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Simulation loop                                                    #
-    # ------------------------------------------------------------------ #
-    def tick(self):
-        """Advance one memory-clock cycle, issuing at most one command."""
+    def _step(self):
+        """Admit waiting requests, then issue the FR-FCFS pick (ready row
+        hits first, then the oldest ready request) or, if nothing is ready,
+        advance the clock to the earliest cycle something is."""
         self._admit_waiting()
-        if not self.channel.ca_bus_free(self.cycle):
-            self.cycle += 1
-            return
-        pending = self._select_request()
-        if pending is not None:
-            self._issue_for(pending)
-        self.cycle += 1
+        cycle = self.cycle
+        best = None
+        earliest = None
+        for pending in self._queue:
+            ready, is_hit = self._ready_cycle(pending)
+            if ready <= cycle:
+                if is_hit:
+                    # Queue order is arrival order, so the first ready hit
+                    # is already the oldest ready hit.
+                    best = pending
+                    break
+                if best is None:
+                    best = pending
+            elif earliest is None or ready < earliest:
+                earliest = ready
+        if best is not None:
+            self._issue_for(best)
+            self.cycle = cycle + 1
+        elif earliest is not None:
+            self.cycle = earliest
+        else:
+            self.cycle = cycle + 1
 
     def _issue_for(self, pending):
         address = pending.address
-        rank_index = self._rank_of(address)
-        bank = self.channel.rank(rank_index).bank(address.bank_group,
-                                                  address.bank)
+        bank = pending.bank
+        row = address.row
+        if bank.open_row == row:
+            command = CommandType.RD
+        elif bank.open_row is None:
+            command = CommandType.ACT
+        else:
+            command = CommandType.PRE
         if not pending.outcome_recorded:
             # Record hit/miss/conflict once, at the first command issued on
             # behalf of this request.
-            if bank.is_row_hit(address.row):
+            if command is CommandType.RD:
                 self.stats.row_hits += 1
-            elif bank.is_row_closed():
+            elif command is CommandType.ACT:
                 self.stats.row_misses += 1
             else:
                 self.stats.row_conflicts += 1
+            bank.record_access_outcome(row)
             pending.outcome_recorded = True
-        command = self._next_command(pending)
-        data_done = self.channel.issue(command, rank_index,
+        data_done = self.channel.issue(command, pending.rank_index,
                                        address.bank_group, address.bank,
-                                       address.row, self.cycle)
+                                       row, self.cycle)
         self.stats.commands_issued += 1
         if command is CommandType.RD:
             self._complete(pending, data_done)
@@ -201,18 +260,20 @@ class MemoryController:
         self.stats.latencies.append(latency)
         self._queue.remove(pending)
 
+    # ------------------------------------------------------------------ #
+    # Simulation loop                                                    #
+    # ------------------------------------------------------------------ #
     def run_until_drained(self, max_cycles=10_000_000):
-        """Tick until all queued requests complete (or ``max_cycles``)."""
+        """Step until all queued requests complete (or ``max_cycles``)."""
         start_cycle = self.cycle
         while self.pending_requests:
             if self.cycle - start_cycle > max_cycles:
                 raise RuntimeError(
                     "controller did not drain within %d cycles" % max_cycles)
-            self.tick()
+            self._step()
         self.stats.cycles_elapsed = self.cycle
         return self.stats
 
-    # ------------------------------------------------------------------ #
     def process_trace(self, physical_addresses, batch_size=None):
         """Convenience helper: enqueue a read for every address and drain.
 
@@ -220,8 +281,6 @@ class MemoryController:
         many requests are outstanding at once (mimicking a core's MSHR
         limit); ``None`` enqueues everything up front.
         """
-        from repro.dram.commands import MemoryRequest
-
         addresses = list(physical_addresses)
         if batch_size is None:
             for address in addresses:
@@ -234,6 +293,6 @@ class MemoryController:
                 self.enqueue(
                     MemoryRequest(physical_address=int(addresses[index])))
                 index += 1
-            self.tick()
+            self._step()
         self.stats.cycles_elapsed = self.cycle
         return self.stats

@@ -91,6 +91,24 @@ class TestFRFCFS:
         stats = controller.process_trace(addresses, batch_size=4)
         assert stats.requests_completed == 50
 
+    def test_channel_row_outcomes_match_controller_stats(self):
+        import random
+
+        controller = MemoryController()
+        rng = random.Random(1)
+        # A 16 MiB window: reused rows (hits), fresh banks (misses) and
+        # rows evicting each other (conflicts).
+        addresses = [rng.randrange(0, 1 << 24) // 64 * 64 for _ in range(300)]
+        stats = controller.process_trace(addresses, batch_size=16)
+        totals = controller.channel.stats()
+        assert stats.row_hits and stats.row_misses and stats.row_conflicts
+        assert (totals["row_hits"], totals["row_misses"],
+                totals["row_conflicts"]) == (
+            stats.row_hits, stats.row_misses, stats.row_conflicts)
+        # A request whose row another request closes again before its RD
+        # activates twice, so ACTs can only exceed the first outcomes.
+        assert totals["activations"] >= stats.row_misses + stats.row_conflicts
+
     def test_stats_row_hit_rate(self):
         controller = MemoryController()
         addresses = [i * 64 for i in range(32)]
