@@ -536,8 +536,8 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
 
 
 def _reorder_window_flat(rows, ranks, window_size, num_ranks):
-    """FR-FCFS permutation of ``NMPMemoryController._reorder_indices``
-    over flat int64 arrays (numba-compilable): within the sliding window
+    """FR-FCFS permutation of :func:`reorder_indices` over flat int64
+    arrays (numba-compilable): within the sliding window
     the first member whose row matches the last row issued to its rank
     is hoisted; otherwise the oldest member goes."""
     count = len(rows)
@@ -626,30 +626,31 @@ def _reorder_window_python(rows, ranks, window_size, num_ranks):
 
 
 def reorder_indices(rows, ranks, window_size, num_ranks):
-    """FR-FCFS permutation over int64 arrays using the active flavor.
+    """FR-FCFS permutation using the active flavor.
 
-    ``rows``/``ranks`` are aligned numpy int64 arrays; every rank must be
-    in ``[0, num_ranks)`` (callers validate).  Returns an int64 index
-    array.  Bit-identical to the dict-based loop in
-    ``NMPMemoryController._reorder_indices`` (``-1`` can never match a
-    real row, exactly like the empty-dict initial state).
+    ``rows``/``ranks`` are aligned int64 arrays or int lists (the object
+    dispatch path passes lists, which the list twin uses as they are);
+    every rank must be in ``[0, num_ranks)`` (callers validate -- the
+    per-rank open-row table is indexed by rank).  Within a sliding
+    window of ``window_size`` pending instructions, the oldest one whose
+    row matches the last row issued to its rank is hoisted; otherwise
+    the oldest goes.  Returns an int64 index array.
     """
     count = len(rows)
     if count <= 2:
         return np.arange(count, dtype=np.int64)
+    window_size = window_size if window_size > 1 else 1
     flavor = active_flavor()
-    if flavor == "numba":
-        return _reorder_window_flat(rows, ranks,
-                                    window_size if window_size > 1 else 1,
-                                    num_ranks)
-    if flavor == "flat-python":
-        return _reorder_window_flat_py(rows, ranks,
-                                       window_size if window_size > 1 else 1,
-                                       num_ranks)
+    if flavor in ("numba", "flat-python"):
+        kernel = _reorder_window_flat if flavor == "numba" \
+            else _reorder_window_flat_py
+        return kernel(np.asarray(rows, dtype=np.int64),
+                      np.asarray(ranks, dtype=np.int64), window_size,
+                      num_ranks)
+    if isinstance(rows, np.ndarray):
+        rows, ranks = rows.tolist(), ranks.tolist()
     return np.asarray(
-        _reorder_window_python(rows.tolist(), ranks.tolist(),
-                               window_size if window_size > 1 else 1,
-                               num_ranks),
+        _reorder_window_python(rows, ranks, window_size, num_ranks),
         dtype=np.int64)
 
 

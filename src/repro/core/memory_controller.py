@@ -101,37 +101,21 @@ class NMPMemoryController:
         rank_of_address = self.rank_of_address
         return [rank_of_address(inst.daddr * 64) for inst in instructions]
 
-    def _reorder_indices(self, rows, ranks):
-        """FR-FCFS reorder as an index permutation (see dispatch).
+    def _reorder_permutation(self, instructions, ranks):
+        """FR-FCFS issue order of one packet as a list of indices.
 
         Within a sliding window, instructions that target an already-open
         row (same row as the previous instruction to that rank) are hoisted
         to issue consecutively.  Ordering across PsumTags is irrelevant for
-        correctness because each accumulates into its own register.
-        ``rows`` carries the per-instruction DRAM row (``daddr // 128``,
-        128 columns per row), precomputed by the caller so the packed
-        dispatch path can derive it as one array op.
+        correctness because each accumulates into its own register.  Rows
+        are ``daddr // 128`` (128 columns per row); the permutation is the
+        shared :func:`repro.core.kernels.reorder_indices`, so the object
+        and packed dispatch paths issue in the same order.
         """
-        count = len(rows)
-        if count <= 2:
-            return list(range(count))
-        window = list(range(min(self.reorder_window, count)))
-        next_index = len(window)
-        last_row_per_rank = {}
-        order = []
-        while window:
-            chosen_pos = 0
-            for pos, index in enumerate(window):
-                if last_row_per_rank.get(ranks[index]) == rows[index]:
-                    chosen_pos = pos
-                    break
-            index = window.pop(chosen_pos)
-            if next_index < count:
-                window.append(next_index)
-                next_index += 1
-            last_row_per_rank[ranks[index]] = rows[index]
-            order.append(index)
-        return order
+        _require_valid_ranks(ranks, min(ranks), max(ranks), self.num_ranks)
+        rows = [inst.daddr // 128 for inst in instructions]
+        return _kernels.reorder_indices(rows, ranks, self.reorder_window,
+                                        self.num_ranks).tolist()
 
     def _reorder_within_packet(self, packet):
         """FR-FCFS-style reordering of instructions inside one packet."""
@@ -139,9 +123,8 @@ class NMPMemoryController:
         if len(instructions) <= 2:
             return instructions
         ranks = self._packet_ranks(instructions)
-        rows = [inst.daddr // 128 for inst in instructions]
         return [instructions[i]
-                for i in self._reorder_indices(rows, ranks)]
+                for i in self._reorder_permutation(instructions, ranks)]
 
     # ------------------------------------------------------------------ #
     def dispatch(self, channel, reorder=True):
@@ -178,8 +161,7 @@ class NMPMemoryController:
             instructions = list(packet.instructions)
             ranks = self._packet_ranks(instructions)
             if reorder and len(instructions) > 2:
-                rows = [inst.daddr // 128 for inst in instructions]
-                permutation = self._reorder_indices(rows, ranks)
+                permutation = self._reorder_permutation(instructions, ranks)
                 instructions = [instructions[i] for i in permutation]
                 ranks = [ranks[i] for i in permutation]
             issue_packet = _ReorderedPacketView(packet, instructions)
@@ -217,10 +199,9 @@ class NMPMemoryController:
                 (rank_of_address(daddr * 64)
                  for daddr in daddrs.tolist()),
                 np.int64, count)
-        if count and (int(ranks.min()) < 0
-                      or int(ranks.max()) >= self.num_ranks):
-            bad = ranks[(ranks < 0) | (ranks >= self.num_ranks)][0]
-            raise ValueError("invalid rank %d for instruction" % int(bad))
+        if count:
+            _require_valid_ranks(ranks, int(ranks.min()), int(ranks.max()),
+                                 self.num_ranks)
         if reorder and count > 2:
             permutation = _kernels.reorder_indices(
                 daddrs // 128, ranks, self.reorder_window, self.num_ranks)
@@ -243,6 +224,17 @@ class NMPMemoryController:
         """Clear queued packets and statistics."""
         self.scheduler.clear()
         self.stats = NMPControllerStats()
+
+
+def _require_valid_ranks(ranks, low, high, num_ranks):
+    """Raise unless every rank (spanning ``[low, high]``) is in range.
+
+    Checked before the FR-FCFS reorder, which indexes its per-rank
+    open-row table by rank: a negative rank would wrap around silently.
+    """
+    if low < 0 or high >= num_ranks:
+        bad = next(rank for rank in ranks if not 0 <= rank < num_ranks)
+        raise ValueError("invalid rank %d for instruction" % int(bad))
 
 
 class _ReorderedPacketView:

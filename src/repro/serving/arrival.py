@@ -8,6 +8,8 @@ from the per-table lookup traces in :mod:`repro.traces`.
 """
 
 import hashlib
+import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,48 +73,15 @@ class ServingQuery:
         return self._fingerprint
 
 
-class _ExponentialDraws:
-    """Order-preserving standard-exponential draw buffer.
+def _require_finite(**values):
+    """Reject NaN and infinite arrival parameters by name.
 
-    Blocked ``standard_exponential`` refills consume the generator's
-    underlying bit stream exactly like repeated scalar draws (and
-    ``exponential(scale)`` equals ``scale * standard_exponential()``
-    draw for draw), so consumers that mix one-at-a-time draws with
-    vectorised runs reproduce a scalar drawing loop bit for bit.
+    A NaN slips past every ``<= 0`` guard (all its comparisons are
+    false), so each process checks finiteness before its range checks.
     """
-
-    def __init__(self, rng, block=8192):
-        self._rng = rng
-        self._block = int(block)
-        self._draws = np.empty(0, dtype=np.float64)
-        self._position = 0
-
-    def _refill(self):
-        self._draws = self._rng.standard_exponential(self._block)
-        self._position = 0
-
-    def next_scaled(self, scale):
-        """One draw, scaled (an ``exponential(scale)`` variate)."""
-        if self._position >= self._draws.size:
-            self._refill()
-        value = self._draws[self._position] * scale
-        self._position += 1
-        return float(value)
-
-    def buffered_scaled(self, scale):
-        """The un-consumed buffered draws, scaled, without consuming.
-
-        Refills first when the buffer is empty, so the returned run is
-        never zero-length; callers account for what they actually used
-        via :meth:`consume`.
-        """
-        if self._position >= self._draws.size:
-            self._refill()
-        return self._draws[self._position:] * scale
-
-    def consume(self, count):
-        """Mark ``count`` draws from the last buffered run as used."""
-        self._position += count
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 class _CumulativeGapStream:
@@ -172,71 +141,84 @@ class _TraceReplayArrivalStream(_CumulativeGapStream):
 
 
 class _MMPPArrivalStream:
-    """Resumable two-state MMPP arrival stream, vectorised per state.
+    """Resumable two-state MMPP arrival stream, one step per draw.
 
-    Replaces the per-draw scalar loop of
-    :meth:`MMPPArrivalProcess.arrival_times_us` with runs over a shared
-    draw buffer: one draw per state sojourn, one per candidate gap --
+    Replays the per-draw scalar loop of
+    :meth:`MMPPArrivalProcess.arrival_times_us` over a blocked draw
+    buffer: one draw per state sojourn, one per candidate gap --
     including the discarded overflow gap that ends a state -- consumed
-    in exactly the order the scalar loop drew them, so the generated
-    times are bit-identical.  When a ``take`` quota fills mid-state the
+    in exactly the order the scalar loop drew them.  Blocked
+    ``standard_exponential`` refills consume the generator's bit stream
+    exactly like repeated scalar draws, and ``exponential(scale)``
+    equals ``scale * standard_exponential()`` draw for draw, so the
+    generated times are bit-identical.  Each step is O(1): a sojourn
+    costs its own arrivals plus the overflow draw, never a pass over the
+    rest of the buffer.  When a ``take`` quota fills mid-state the
     overflow draw is *not* consumed (the scalar loop stops before
     drawing it); the next ``take`` resumes inside the same sojourn.
     """
 
     def __init__(self, process, block=8192):
-        self._process = process
-        self._draws = _ExponentialDraws(
-            np.random.default_rng(process.seed), block)
-        self._now_us = 0.0
+        self._rng = np.random.default_rng(process.seed)
+        self._block = int(block)
+        self._draws = iter(())          # unconsumed buffered draws
+        self._mean_sojourn_us = (process.mean_low_us, process.mean_high_us)
+        self._mean_gap_us = (1e6 / process.rate_low_qps,
+                             1e6 / process.rate_high_qps)
         self._high = False              # start in the (longer) low state
         self._limit_us = None           # end of the in-progress sojourn
-        self._t_us = 0.0                # last candidate time in the state
+        self._t_us = 0.0                # last arrival, or the state start
+
+    def _refill(self):
+        # Iterating a memoryview yields plain floats without boxing the
+        # whole block up front.
+        return iter(memoryview(
+            self._rng.standard_exponential(self._block)))
 
     def take(self, count):
         """The next ``count`` arrival times (us), continuing the stream."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        process = self._process
-        out = np.empty(count, dtype=np.float64)
-        filled = 0
-        while filled < count:
-            if self._limit_us is None:
-                mean_sojourn = process.mean_high_us if self._high \
-                    else process.mean_low_us
-                sojourn_us = self._draws.next_scaled(mean_sojourn)
-                self._limit_us = self._now_us + sojourn_us
-                self._t_us = self._now_us
-            rate_qps = process.rate_high_qps if self._high \
-                else process.rate_low_qps
-            gaps = self._draws.buffered_scaled(1e6 / rate_qps)
-            times = np.cumsum(np.concatenate(([self._t_us], gaps)))[1:]
-            # Arrivals stay in the state while t <= limit (a query landing
-            # exactly at the boundary still belongs to the sojourn).
-            over_at = int(np.searchsorted(times, self._limit_us,
-                                          side="right"))
-            emit = min(over_at, count - filled)
-            if emit:
-                out[filled:filled + emit] = times[:emit]
-                filled += emit
-                self._t_us = float(times[emit - 1])
-                self._draws.consume(emit)
-            if over_at < times.shape[0] and filled < count:
-                # The state expired inside the buffered run and the quota
-                # still has room: the overflow draw is consumed (and
-                # discarded -- the leftover gap is memoryless) and the
-                # process flips states.
-                self._draws.consume(1)
-                self._now_us = self._limit_us
-                self._limit_us = None
-                self._high = not self._high
-        return out
+        out = array("d")
+        append = out.append
+        draws = self._draws
+        high, limit_us, t_us = self._high, self._limit_us, self._t_us
+        remaining = count
+        while remaining:
+            if limit_us is None:
+                draw = next(draws, None)
+                if draw is None:
+                    draws = self._refill()
+                    continue
+                limit_us = t_us + draw * self._mean_sojourn_us[high]
+            scale = self._mean_gap_us[high]
+            for draw in draws:
+                candidate = t_us + draw * scale
+                # Arrivals stay in the state while t <= limit (a query
+                # landing exactly at the boundary still belongs to the
+                # sojourn); the overflow draw is consumed and discarded
+                # -- the leftover gap is memoryless -- and the next
+                # sojourn starts at this one's end.
+                if candidate > limit_us:
+                    t_us, limit_us, high = limit_us, None, not high
+                    break
+                t_us = candidate
+                append(candidate)
+                remaining -= 1
+                if not remaining:
+                    break
+            else:
+                draws = self._refill()
+        self._draws = draws
+        self._high, self._limit_us, self._t_us = high, limit_us, t_us
+        return np.array(out, dtype=np.float64)
 
 
 class PoissonArrivalProcess:
     """Memoryless arrivals at a target rate (the classic traffic model)."""
 
     def __init__(self, rate_qps, seed=None):
+        _require_finite(rate_qps=rate_qps)
         if rate_qps <= 0:
             raise ValueError("rate_qps must be positive")
         self.rate_qps = float(rate_qps)
@@ -269,8 +251,11 @@ class TraceReplayArrivalProcess:
         gaps = np.asarray(inter_arrival_us, dtype=np.float64)
         if gaps.size == 0:
             raise ValueError("need at least one inter-arrival gap")
+        if not np.isfinite(gaps).all():
+            raise ValueError("inter-arrival gaps must be finite")
         if (gaps < 0).any():
             raise ValueError("inter-arrival gaps must be non-negative")
+        _require_finite(rate_scale=rate_scale)
         if rate_scale <= 0:
             raise ValueError("rate_scale must be positive")
         self.gaps_us = gaps / rate_scale
@@ -288,6 +273,7 @@ class TraceReplayArrivalProcess:
         arm.  The first gap equals the first recorded arrival time, so
         the replay starts from the recorded stream's initial lull.
         """
+        _require_finite(rate_qps=rate_qps)
         reference_qps = 1_000.0
         recorded = MMPPArrivalProcess.from_mean(
             reference_qps, burstiness=burstiness,
@@ -326,6 +312,9 @@ class MMPPArrivalProcess:
 
     def __init__(self, rate_high_qps, rate_low_qps, mean_high_us,
                  mean_low_us, seed=None):
+        _require_finite(rate_high_qps=rate_high_qps,
+                        rate_low_qps=rate_low_qps,
+                        mean_high_us=mean_high_us, mean_low_us=mean_low_us)
         if rate_high_qps <= 0 or rate_low_qps <= 0:
             raise ValueError("state rates must be positive")
         if rate_high_qps < rate_low_qps:
@@ -350,6 +339,9 @@ class MMPPArrivalProcess:
         rate equals ``mean_rate_qps`` exactly, so sweeps can scale the
         offered load without changing the burst shape.
         """
+        _require_finite(mean_rate_qps=mean_rate_qps, burstiness=burstiness,
+                        high_fraction=high_fraction,
+                        cycle_arrivals=cycle_arrivals)
         if mean_rate_qps <= 0:
             raise ValueError("mean_rate_qps must be positive")
         if burstiness < 1.0:
@@ -379,7 +371,7 @@ class MMPPArrivalProcess:
     def arrival_times_us(self, num_queries):
         """Cumulative arrival times (us) of ``num_queries`` queries.
 
-        Vectorised per state sojourn over a shared draw buffer
+        Walks a blocked draw buffer one draw at a time
         (:class:`_MMPPArrivalStream`); bit-identical to the original
         per-draw scalar loop, which ``tests/test_arrival_streams.py``
         keeps as the pinned specification.

@@ -333,6 +333,29 @@ class TestPackedHelpers:
         order = np.asarray(kernels.reorder_indices(rows, ranks, 8, 1))
         assert order.tolist() == [0, 2, 1]
 
+    @pytest.mark.parametrize(
+        "flavor", PORTABLE_FLAVORS + (("numba",)
+                                      if kernels.KERNEL_FLAVOR == "numba"
+                                      else ()))
+    def test_reorder_flavors_agree_on_lists_and_arrays(self, flavor):
+        # The object dispatch path passes int lists, the packed path
+        # int64 arrays; every flavor must give one permutation for both.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            count = int(rng.integers(0, 90))
+            num_ranks = int(rng.integers(1, 9))
+            window = int(rng.integers(0, 20))
+            rows = rng.integers(0, 6, size=count)
+            ranks = rng.integers(0, num_ranks, size=count)
+            expected = kernels._reorder_window_python(
+                rows.tolist(), ranks.tolist(), max(window, 1), num_ranks) \
+                if count > 2 else list(range(count))
+            with kernels.force_flavor(flavor):
+                for args in ((rows, ranks), (rows.tolist(), ranks.tolist())):
+                    order = kernels.reorder_indices(*args, window, num_ranks)
+                    assert order.dtype == np.int64
+                    assert order.tolist() == expected
+
     def test_packed_dispatch_cutover_by_flavor(self):
         # The jitted flavour amortises its call overhead on far smaller
         # packets than the interpreted twins; disabled has no kernel to

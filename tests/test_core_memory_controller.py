@@ -106,6 +106,35 @@ class TestReordering:
         assert sorted(i.daddr for i in reordered) == \
             sorted(i.daddr for i in packet.instructions)
 
+    def test_reorder_permutation_is_fr_fcfs(self):
+        # One rank, rows [A, B, A, B, C, A], window 4: with no open row
+        # the oldest (A) goes; each later A that has entered the window
+        # is then hoisted past the older B misses, then B, B, C drain.
+        controller = NMPMemoryController(num_ranks=1, reorder_window=4)
+        rows = [3, 7, 3, 7, 9, 3]
+        instructions = [NMPInstruction(ddr_cmd=FULL_CMD, daddr=row * 128)
+                        for row in rows]
+        reordered = controller._reorder_within_packet(
+            NMPPacket(instructions=instructions))
+        assert [inst.daddr // 128 for inst in reordered] == \
+            [3, 3, 3, 7, 7, 9]
+
+    @pytest.mark.parametrize("bad_rank", [-1, 4])
+    def test_out_of_range_rank_rejected_before_reorder(self, bad_rank):
+        # The reorder indexes its per-rank open-row table by rank, so a
+        # negative rank would silently wrap around if not caught first.
+        controller = NMPMemoryController(
+            num_ranks=4,
+            rank_of_address=lambda address: bad_rank
+            if address == 0 else 1)
+        channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
+        packet = _packet(0, 0, 0, count=8)
+        with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
+            controller._reorder_within_packet(packet)
+        controller.submit([packet])
+        with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
+            controller.dispatch(channel)
+
     def test_dispatch_without_reorder(self):
         controller = NMPMemoryController(num_ranks=2)
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2,
