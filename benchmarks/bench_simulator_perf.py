@@ -7,8 +7,8 @@ this benchmark guards both its *speed* and its *answers*:
 * **Cycle-exactness** -- ``total_cycles``, cache hit rate, energy and the
   per-rank/per-channel statistics on the fig16 comparison workloads must
   be bit-identical to the pre-optimisation serial simulator (pinned in
-  ``perf_reference.json``), and identical across the ``serial`` /
-  ``thread`` / ``process`` execution backends.
+  ``perf_reference.json``), and identical across the ``serial`` and
+  ``process`` execution backends.
 * **Throughput** -- single-channel exact-sim instructions/sec and the
   4-channel wall-clock are measured per backend; at full scale the suite
   asserts the PR's speedup targets (>=3x single-channel vs the recorded
@@ -19,11 +19,8 @@ this benchmark guards both its *speed* and its *answers*:
   results must match bit-for-bit, and at full scale the active kernel
   must beat the legacy path (>=4x when the jitted ``numba`` flavour is
   active, a >=1.2x floor for the pure-python twin).
-* **Transports** -- the 4-channel timing covers the pickling ``process``
-  backend *and* the zero-copy ``shared-memory`` backend, recording their
-  wall-clock ratio (``shm_vs_pickle``).
 * **Node-level parallelism** -- one batch on an 8-node serving cluster
-  is timed with the serial and shared-memory *node-level* backends;
+  is timed with the serial and process *node-level* backends;
   service times must be identical, and on hosts with >=8 cores the
   fan-out must reach the >=3x wall-clock target at full scale.
 * **Sweep-level parallelism** -- an exact-mode ``qps_sweep`` is timed
@@ -80,7 +77,7 @@ NUM_TABLES = 8
 BATCH = smoke_scaled(8, 2)
 POOLING = smoke_scaled(40, 8)
 REPEATS = 3
-BACKENDS = ("serial", "thread", "process", "shared-memory")
+BACKENDS = ("serial", "process")
 WRITE_REFERENCE = os.environ.get("REPRO_PERF_WRITE_REFERENCE", "") \
     not in ("", "0")
 
@@ -228,13 +225,13 @@ def _timed_service(cluster, batch, repeats=REPEATS):
 
 
 def _node_parallel_comparison():
-    """8-node batch wall-clock: serial vs shared-memory node backend."""
+    """8-node batch wall-clock: serial vs process node backend."""
     from repro.serving import ShardedServingCluster
 
     batch = _node_batch()
     entry = {"num_nodes": NODE_COUNT, "backends": {}}
     values = {}
-    for backend in ("serial", "shared-memory"):
+    for backend in BACKENDS:
         with ShardedServingCluster(
                 num_nodes=NODE_COUNT, node_system="recnmp-opt",
                 table_rows=NUM_ROWS, vector_size_bytes=VECTOR_BYTES,
@@ -243,12 +240,12 @@ def _node_parallel_comparison():
             value, seconds = _timed_service(cluster, batch)
         values[backend] = value
         entry["backends"][backend] = {"seconds": round(seconds, 5)}
-    assert values["shared-memory"] == values["serial"], \
+    assert values["process"] == values["serial"], \
         "node-level fan-out changed the batch service time"
     entry["service_time_us"] = values["serial"]
     entry["parallel_speedup"] = round(
         entry["backends"]["serial"]["seconds"]
-        / entry["backends"]["shared-memory"]["seconds"], 3)
+        / entry["backends"]["process"]["seconds"], 3)
     return entry
 
 
@@ -392,9 +389,6 @@ def compute_simulator_perf():
             backend_entry = entry["multi4_backends"][backend]
             backend_entry["scaling_vs_serial"] = round(
                 serial_seconds / backend_entry["seconds"], 3)
-        entry["shm_vs_pickle"] = round(
-            entry["multi4_backends"]["process"]["seconds"]
-            / entry["multi4_backends"]["shared-memory"]["seconds"], 3)
         report["workloads"][kind] = entry
     report["baseline"] = _baseline_comparison()
     report["node8"] = _node_parallel_comparison()
@@ -420,9 +414,6 @@ def _maybe_write_reference(reference, report):
             "single_insts_per_sec": entry["single_insts_per_sec"],
             "multi4_process_seconds":
                 entry["multi4_backends"]["process"]["seconds"],
-            "multi4_shared_memory_seconds":
-                entry["multi4_backends"]["shared-memory"]["seconds"],
-            "shm_vs_pickle": entry["shm_vs_pickle"],
             "kernel": entry["kernel"],
         }
     recorded["baseline"] = {
@@ -433,8 +424,8 @@ def _maybe_write_reference(reference, report):
         "kernel_flavor": report["kernel_flavor"],
         "serial_seconds":
             report["node8"]["backends"]["serial"]["seconds"],
-        "shared_memory_seconds":
-            report["node8"]["backends"]["shared-memory"]["seconds"],
+        "process_seconds":
+            report["node8"]["backends"]["process"]["seconds"],
         "parallel_speedup": report["node8"]["parallel_speedup"],
         "cpu_count": os.cpu_count(),
     }
@@ -477,11 +468,11 @@ def bench_simulator_perf(benchmark):
     rows.append(("fig16", "ddr4-baseline", baseline["seconds"],
                  "%.1f us/access" % baseline["us_per_access"], "-"))
     node8 = report["node8"]
-    for backend in ("serial", "shared-memory"):
+    for backend in BACKENDS:
         rows.append(("batch", "8node/" + backend,
                      node8["backends"][backend]["seconds"], "-",
                      node8["parallel_speedup"]
-                     if backend == "shared-memory" else "-"))
+                     if backend == "process" else "-"))
     sweep = report["sweep"]
     for backend in SWEEP_BACKENDS:
         rows.append(("sweep", "%dpt/%s" % (sweep["num_points"], backend),
@@ -534,7 +525,7 @@ def bench_simulator_perf(benchmark):
     # Node-level fan-out target: only meaningful with one core per node.
     if not SMOKE_MODE and os.cpu_count() and os.cpu_count() >= NODE_COUNT:
         assert node8["parallel_speedup"] >= NODE_PARALLEL_TARGET, \
-            "8-node shared-memory fan-out %.2fx below the %.1fx target " \
+            "8-node process fan-out %.2fx below the %.1fx target " \
             "on a %d-core host" % (node8["parallel_speedup"],
                                    NODE_PARALLEL_TARGET, os.cpu_count())
     elif node8["parallel_speedup"] < 1.0:

@@ -66,15 +66,13 @@ Subcommands
     error (unknown rule, missing path).  Suppress an intentional
     pattern in place with ``# repro-lint: allow-<rule> (reason)``.
 
-``run``, ``serve`` and ``profile`` accept ``--backend
-{serial,thread,process,shared-memory}`` and ``--jobs N`` to pick the
-execution backend: for ``run``/``profile`` it drives the multi-channel
-cycle simulations (``process`` puts N channels on N cores,
-``shared-memory`` additionally ships the request arrays zero-copy); for
-``serve`` it is the cluster's *node-level* backend (the per-node shard
-simulations of each batch fan out, with ``--jobs`` governing the total
-worker slots).  ``run`` prints the memoised DDR4 baseline-cache
-effectiveness after the workload.
+``run``, ``serve`` and ``profile`` accept ``--backend {serial,process}``
+and ``--jobs N`` to pick the execution backend: for ``run``/``profile``
+it drives the multi-channel cycle simulations (``process`` puts N
+channels on N cores); for ``serve`` it is the cluster's *node-level*
+backend (the per-node shard simulations of each batch fan out, with
+``--jobs`` governing the total worker slots).  ``run`` prints the
+memoised DDR4 baseline-cache effectiveness after the workload.
 """
 
 import argparse
@@ -545,12 +543,10 @@ def build_parser():
         p.add_argument("--vector-bytes", type=int, default=128)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--backend",
-                       choices=("serial", "thread", "process",
-                                "shared-memory"),
+                       choices=("serial", "process"),
                        default=None,
                        help="execution backend (run/profile: one core per "
-                            "channel; serve: one core per node shard; "
-                            "shared-memory ships request arrays zero-copy)")
+                            "channel; serve: one core per node shard)")
         p.add_argument("--jobs", type=int, default=None,
                        help="max concurrent backend workers (default: one "
                             "per busy channel / node)")

@@ -1,6 +1,6 @@
 """Rule ``pickle-safety``: process-backend payload classes must pickle.
 
-The process and shared-memory backends ship work through ``pickle``:
+The process backend ships work through ``pickle``:
 channel work units carry :class:`SLSRequest` objects, node jobs carry a
 registry spec, and parallel sweeps pickle the whole parameter set --
 queries, frontend, sharder, admission controller, SLO policy, service

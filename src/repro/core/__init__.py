@@ -8,7 +8,7 @@ This package contains the near-memory processing architecture itself:
   profiling),
 * the rank-NMP and DIMM-NMP hardware modules and the RecNMP processing unit,
 * the cycle-level RecNMP simulator and the NMP-extended memory controller,
-* the execution backends (serial / thread / process) running multi-channel
+* the execution backends (serial / process) running multi-channel
   simulations in parallel,
 * the C/A-bandwidth expansion analysis,
 * the energy and area/power models.
@@ -43,7 +43,6 @@ from repro.core.backend import (
     ParallelBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.core.multi_channel import MultiChannelRecNMP, MultiChannelResult
@@ -84,7 +83,6 @@ __all__ = [
     "BACKENDS",
     "ParallelBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
     "MultiChannelRecNMP",

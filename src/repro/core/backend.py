@@ -8,13 +8,8 @@ provides that policy layer:
 
 ``serial``
     One channel after another on the calling thread.  The reference
-    backend: zero coordination overhead, deterministic, and what every
-    other backend must match bit for bit.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`, one worker per
-    busy channel.  The cycle loops are pure Python, so threads buy
-    nothing for compute (the GIL serialises them) -- this backend exists
-    for API continuity and for timing models that release the GIL.
+    backend: zero coordination overhead, deterministic, and what the
+    process backend must match bit for bit.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` with picklable
     ``(config, address_of, requests)`` work units, so N channels use N
@@ -22,32 +17,19 @@ provides that policy layer:
     ``(key, result)`` pairs and merged back into the parent's cache
     (:func:`repro.perf.baseline_cache.merge_baseline_entries`), so a
     baseline simulated in a worker is a cache hit for every later
-    dispatch on any backend.
-``shared-memory``
-    The process pool with a zero-copy transport: the channel config and
-    address map are broadcast once per pool through the worker
-    initializer, and the request arrays (indices/lengths/weights of
-    every :class:`~repro.dlrm.operators.SLSRequest`) travel through one
-    ``multiprocessing.shared_memory`` segment per dispatch instead of
-    being pickled into every submit call.  Workers attach the segment
-    and rebuild the requests as zero-copy numpy views; the parent
-    unlinks the segment once all futures have resolved.
+    dispatch on either backend.
 
-Every backend returns per-channel
+Both backends return per-channel
 :class:`~repro.core.simulator.RecNMPResult` objects in job order;
-cross-backend equivalence is pinned by ``tests/test_core_backend.py``.
+their equivalence is pinned by ``tests/test_core_backend.py``.
 """
 
 import abc
 import dataclasses
-import gc
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-import numpy as np
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.core.simulator import RecNMPSimulator
-from repro.dlrm.operators import SLSRequest
 from repro.perf.baseline_cache import (
     baseline_cache_stats,
     export_baseline_entries,
@@ -58,15 +40,14 @@ from repro.perf.baseline_cache import (
 def _preflight_pickle(config, address_of, backend_name):
     """Pickle the worker context up front, naming the offending field.
 
-    The process-family backends ship ``(config, address_of)`` to worker
+    The process backend ships ``(config, address_of)`` to worker
     processes; a pickling failure inside a pool worker surfaces as an
     opaque ``BrokenProcessPool``, so the check runs in the parent first
     and the error says *which* input (down to the config field) cannot
-    be pickled and what to do about it.  Returns the pickled payload so
-    the shared-memory backend can reuse it as its broadcast fingerprint.
+    be pickled and what to do about it.
     """
     try:
-        return pickle.dumps((config, address_of))
+        pickle.dumps((config, address_of))
     except Exception as error:  # repro-lint: allow-broad-except-audit (preflight probe: any pickling failure becomes the actionable ValueError raised below)
         culprit = "the channel config"
         try:
@@ -87,7 +68,7 @@ def _preflight_pickle(config, address_of, backend_name):
         raise ValueError(
             "the %s backend ships work units to worker processes and "
             "needs picklable inputs, but %s is not picklable (%s) -- "
-            "use backend='serial' or 'thread' instead"
+            "use backend='serial' instead"
             % (backend_name, culprit, error)) from error
 
 
@@ -114,22 +95,6 @@ def _run_channel_job(job):
     return (slot, result, new_entries,
             stats_after["hits"] - stats_before["hits"],
             stats_after["misses"] - stats_before["misses"])
-
-
-#: Worker-global context broadcast once per pool by the shared-memory
-#: backend's initializer (instead of pickled per job): ``(config,
-#: address_of)`` for channel jobs, ``(node_system, node_overrides)`` for
-#: node-level serving jobs.  ``_WORKER_CONTEXT_PAYLOAD`` keeps the raw
-#: pickled bytes as the node-system cache key.
-_WORKER_CONTEXT = None
-_WORKER_CONTEXT_PAYLOAD = None
-
-
-def _init_shm_worker(payload):
-    """Pool initializer: install the broadcast worker context."""
-    global _WORKER_CONTEXT, _WORKER_CONTEXT_PAYLOAD
-    _WORKER_CONTEXT_PAYLOAD = payload
-    _WORKER_CONTEXT = pickle.loads(payload)
 
 
 #: Per-worker cache of node systems built for serving jobs, keyed by the
@@ -175,7 +140,7 @@ def _preflight_node_spec(node_system, node_overrides, backend_name):
         raise ValueError(
             "the %s backend rebuilds serving nodes in worker processes "
             "and needs a picklable node spec, but %s is not picklable "
-            "(%s) -- use backend='serial' or 'thread' instead"
+            "(%s) -- use backend='serial' instead"
             % (backend_name, culprit, error)) from error
 
 
@@ -218,8 +183,8 @@ def _preflight_sweep_pickle(value, backend_name, what):
         raise ValueError(
             "the %s backend runs sweep points in worker processes and "
             "needs %s to be picklable (%s) -- run the sweep with "
-            "backend='serial' or 'thread' instead" % (backend_name, what,
-                                                      error)) from error
+            "backend='serial' instead" % (backend_name, what,
+                                          error)) from error
 
 
 def _run_sweep_point(job):
@@ -231,7 +196,7 @@ def _run_sweep_point(job):
     point's report is a pure function of its query stream -- identical
     whether it runs here or in the parent.  Returns the report plus the
     *new* service-cache entries and counter deltas this point produced
-    (and the baseline-cache deltas, as every process-family job does) so
+    (and the baseline-cache deltas, as every process job does) so
     the parent can merge them.
     """
     slot, spec_payload, params_payload, queries = job
@@ -288,170 +253,6 @@ def _run_node_job(job):
             stats_after["misses"] - stats_before["misses"])
 
 
-def _pack_requests(jobs):
-    """Concatenate all jobs' request arrays into one shared segment.
-
-    Returns ``(shm, descriptors_per_job)`` where each descriptor is
-    ``(table_id, indices_offset, num_indices, lengths_offset,
-    num_lengths, weights_offset_or_-1, metadata_or_None)`` with offsets
-    in bytes into the segment.  Offsets stay 8-byte aligned so the
-    worker-side int64/float32 views are always aligned.
-    """
-    from multiprocessing import shared_memory
-
-    plan = []
-    offset = 0
-
-    def reserve(array):
-        nonlocal offset
-        start = offset
-        plan.append((array, start))
-        offset = (offset + array.nbytes + 7) & ~7
-        return start
-
-    descriptors_per_job = []
-    for _, _, requests in jobs:
-        descriptors = []
-        for request in requests:
-            indices_offset = reserve(request.indices)
-            lengths_offset = reserve(request.lengths)
-            weights_offset = (reserve(request.weights)
-                              if request.weights is not None else -1)
-            descriptors.append((
-                int(request.table_id),
-                indices_offset, int(request.indices.shape[0]),
-                lengths_offset, int(request.lengths.shape[0]),
-                weights_offset,
-                request.metadata or None,
-            ))
-        descriptors_per_job.append(descriptors)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
-    for array, start in plan:
-        np.ndarray(array.shape, dtype=array.dtype,
-                   buffer=shm.buf, offset=start)[:] = array
-    return shm, descriptors_per_job
-
-
-def _attach_requests(shm, descriptors):
-    """Rebuild SLSRequests as zero-copy views into the shared segment."""
-    requests = []
-    for (table_id, indices_offset, num_indices, lengths_offset,
-            num_lengths, weights_offset, metadata) in descriptors:
-        indices = np.ndarray((num_indices,), dtype=np.int64,
-                             buffer=shm.buf, offset=indices_offset)
-        lengths = np.ndarray((num_lengths,), dtype=np.int64,
-                             buffer=shm.buf, offset=lengths_offset)
-        weights = None
-        if weights_offset >= 0:
-            weights = np.ndarray((num_indices,), dtype=np.float32,
-                                 buffer=shm.buf, offset=weights_offset)
-        requests.append(SLSRequest(table_id=table_id, indices=indices,
-                                   lengths=lengths, weights=weights,
-                                   metadata=metadata or {}))
-    return requests
-
-
-def _run_shm_job(job):
-    """Shared-memory twin of :func:`_run_channel_job`.
-
-    The config and address map come from the initializer-broadcast
-    worker context; the request arrays are read in place from the named
-    segment.  Every view is dropped before the segment is closed (a
-    still-exported buffer would raise ``BufferError``), and the
-    worker-side resource-tracker registration is handled so the
-    *parent's* unlink stays the single point of segment removal (on
-    Python < 3.13 each attach registers the segment with the attaching
-    process's tracker).
-    """
-    slot, shm_name, descriptors, compare_baseline = job
-    config, address_of = _WORKER_CONTEXT
-    import multiprocessing
-    from multiprocessing import resource_tracker, shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    if multiprocessing.get_start_method() != "fork":
-        # Under spawn/forkserver the worker has its *own* resource
-        # tracker, and the attach above registered the segment with it;
-        # left in place, the worker's exit would unlink a segment the
-        # parent owns.  Under fork the tracker is shared with the parent
-        # and the attach registration is a set no-op -- unregistering
-        # here would instead break the parent's unlink.
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # repro-lint: allow-broad-except-audit (best-effort tracker unregister on a private API; the attach already succeeded and a failure only risks a spurious unlink warning)
-            pass
-    try:
-        requests = _attach_requests(shm, descriptors)
-        before_keys = {key for key, _ in export_baseline_entries()}
-        stats_before = baseline_cache_stats()
-        simulator = RecNMPSimulator(config, address_of=address_of)
-        result = simulator.run_requests(requests,
-                                        compare_baseline=compare_baseline)
-        new_entries = [(key, value)
-                       for key, value in export_baseline_entries()
-                       if key not in before_keys]
-        stats_after = baseline_cache_stats()
-        del simulator, requests
-        return (slot, result, new_entries,
-                stats_after["hits"] - stats_before["hits"],
-                stats_after["misses"] - stats_before["misses"])
-    finally:
-        try:
-            shm.close()
-        except BufferError:
-            # A straggling view kept the buffer exported; collect the
-            # cycle and retry once before giving up (the mapping would
-            # then persist until the worker is recycled -- harmless).
-            gc.collect()
-            try:
-                shm.close()
-            except BufferError:
-                pass
-
-
-def _run_shm_node_job(job):
-    """Shared-memory twin of :func:`_run_node_job`.
-
-    The node spec comes from the initializer-broadcast context (its raw
-    payload doubles as the node-system cache key) and the shard's
-    request arrays are read in place from the named segment, with the
-    same view-release and resource-tracker care as :func:`_run_shm_job`.
-    """
-    slot, shm_name, descriptors = job
-    import multiprocessing
-    from multiprocessing import resource_tracker, shared_memory
-
-    system = _node_system_for(_WORKER_CONTEXT_PAYLOAD)
-    shm = shared_memory.SharedMemory(name=shm_name)
-    if multiprocessing.get_start_method() != "fork":
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # repro-lint: allow-broad-except-audit (best-effort tracker unregister on a private API; the attach already succeeded and a failure only risks a spurious unlink warning)
-            pass
-    try:
-        shard = _attach_requests(shm, descriptors)
-        before_keys = {key for key, _ in export_baseline_entries()}
-        stats_before = baseline_cache_stats()
-        service_us = system.service_time_us(shard)
-        new_entries = [(key, value)
-                       for key, value in export_baseline_entries()
-                       if key not in before_keys]
-        stats_after = baseline_cache_stats()
-        del shard
-        return (slot, service_us, new_entries,
-                stats_after["hits"] - stats_before["hits"],
-                stats_after["misses"] - stats_before["misses"])
-    finally:
-        try:
-            shm.close()
-        except BufferError:
-            gc.collect()
-            try:
-                shm.close()
-            except BufferError:
-                pass
-
-
 class ParallelBackend(abc.ABC):
     """How the independent per-channel simulations are executed.
 
@@ -462,7 +263,7 @@ class ParallelBackend(abc.ABC):
         busy channel.
     """
 
-    #: Registry name (``"serial"`` / ``"thread"`` / ``"process"``).
+    #: Registry name (``"serial"`` / ``"process"``).
     name = "parallel-backend"
 
     def __init__(self, max_workers=None):
@@ -483,10 +284,10 @@ class ParallelBackend(abc.ABC):
         One job is one serving node's shard of one batch; the return
         value is the per-job service time in microseconds, in job
         order.  The default runs the cluster's own (in-process) node
-        systems serially; the process-family backends rebuild the nodes
-        from ``cluster.node_system``/``cluster.node_overrides`` in their
-        workers (cached per worker by spec) so the per-node simulations
-        of one batch use real cores.
+        systems serially; the process backend rebuilds the nodes from
+        ``cluster.node_system``/``cluster.node_overrides`` in its workers
+        (cached per worker by spec) so the per-node simulations of one
+        batch use real cores.
         """
         return [node.service_time_us(shard) for _, node, shard in jobs]
 
@@ -497,13 +298,12 @@ class ParallelBackend(abc.ABC):
 
         ``point_queries`` holds the materialised query stream of every
         sweep point.  Points are independent given fresh routing state
-        (``simulate`` resets it per run), so the parallel backends fan
-        them out -- per-point cluster clones on threads, worker-side
-        cluster rebuilds in processes -- and merge each worker's
-        service-time cache/store deltas back into ``cluster``, exactly
-        like the baseline-cache merge of the channel jobs.  Reports are
-        bit-identical to this default, the serial loop on the cluster
-        itself.
+        (``simulate`` resets it per run), so the process backend fans
+        them out to worker-side cluster rebuilds and merges each
+        worker's service-time cache/store deltas back into ``cluster``,
+        exactly like the baseline-cache merge of the channel jobs.
+        Reports are bit-identical to this default, the serial loop on
+        the cluster itself.
         """
         return [cluster.simulate(queries, frontend=frontend, engine=engine,
                                  service_model=service_model,
@@ -538,111 +338,6 @@ class SerialBackend(ParallelBackend):
                 for _, simulator, requests in jobs]
 
 
-class ThreadBackend(ParallelBackend):
-    """Run the channels on a thread pool (one worker per busy channel).
-
-    Pure-Python cycle loops hold the GIL, so this backend's value is
-    overlap of any GIL-releasing work plus API continuity; use
-    ``process`` for actual multi-core scaling.
-    """
-
-    name = "thread"
-
-    def run_channels(self, coordinator, jobs, compare_baseline):
-        if len(jobs) <= 1 or self.max_workers == 1:
-            return SerialBackend.run_channels(self, coordinator, jobs,
-                                              compare_baseline)
-        workers = len(jobs) if self.max_workers is None else \
-            min(self.max_workers, len(jobs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(simulator.run_requests, requests,
-                                   compare_baseline=compare_baseline)
-                       for _, simulator, requests in jobs]
-            return [future.result() for future in futures]
-
-    def run_service_jobs(self, cluster, jobs):
-        if len(jobs) <= 1 or self.max_workers == 1:
-            return ParallelBackend.run_service_jobs(self, cluster, jobs)
-        # Batched service resolution can place the same node object in
-        # several jobs (one per pending batch), and a node system is not
-        # safe to run concurrently with itself -- so jobs are grouped by
-        # node and each group runs serially on one worker, preserving
-        # per-node job order.
-        groups, order = {}, []
-        for position, (_, node, shard) in enumerate(jobs):
-            group = groups.get(id(node))
-            if group is None:
-                group = groups[id(node)] = (node, [])
-                order.append(id(node))
-            group[1].append((position, shard))
-
-        def run_group(node, work):
-            return [(position, node.service_time_us(shard))
-                    for position, shard in work]
-
-        workers = len(order) if self.max_workers is None else \
-            min(self.max_workers, len(order))
-        results = [None] * len(jobs)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_group, *groups[node_id])
-                       for node_id in order]
-            for future in futures:
-                for position, value in future.result():
-                    results[position] = value
-        return results
-
-    def run_sweep_points(self, cluster, point_queries, frontend=None,
-                         engine=None, service_model=None, slo_policy=None,
-                         admission=None):
-        """Run each point on its own in-process cluster clone.
-
-        The clones isolate everything a point mutates -- routing
-        counters, service cache, node state -- so points can run
-        concurrently; their service-time entries and counters are merged
-        back into the parent cluster in point order.  The cycle loops
-        hold the GIL, so like the channel path this buys overlap rather
-        than multi-core scaling -- use ``process`` for that.
-        """
-        if len(point_queries) <= 1 or self.max_workers == 1:
-            return ParallelBackend.run_sweep_points(
-                self, cluster, point_queries, frontend=frontend,
-                engine=engine, service_model=service_model,
-                slo_policy=slo_policy, admission=admission)
-        import copy
-
-        from repro.serving.cluster import build_sweep_cluster
-
-        spec = cluster.sweep_spec()
-
-        def run_point(queries):
-            clone = build_sweep_cluster(spec)
-            try:
-                # Admission controllers (token levels) and SLO policies
-                # carry per-run state; every point gets its own copies,
-                # which reset-per-run semantics make identical to the
-                # serial loop's shared, reset instances.
-                report = clone.simulate(
-                    queries, frontend=copy.deepcopy(frontend),
-                    engine=engine, service_model=service_model,
-                    slo_policy=copy.deepcopy(slo_policy),
-                    admission=copy.deepcopy(admission))
-                return report, clone.export_service_state()
-            finally:
-                clone.close()
-
-        workers = len(point_queries) if self.max_workers is None else \
-            min(self.max_workers, len(point_queries))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_point, queries)
-                       for queries in point_queries]
-            outcomes = [future.result() for future in futures]
-        reports = []
-        for report, state in outcomes:
-            cluster.merge_service_state(state)
-            reports.append(report)
-        return reports
-
-
 class ProcessBackend(ParallelBackend):
     """Run the channels on a process pool (true multi-core execution).
 
@@ -650,7 +345,7 @@ class ProcessBackend(ParallelBackend):
     config and address map, so each dispatch runs on *fresh* channel
     simulators -- the contract of the registry systems, which reset
     per run; a coordinator that relies on channel state accumulating
-    across ``run_requests`` calls must use ``serial``/``thread``.  The
+    across ``run_requests`` calls must use ``serial``.  The
     pool is created lazily and kept alive across dispatches (amortising
     worker start-up); call :meth:`shutdown` (or
     ``MultiChannelRecNMP.close``) for deterministic cleanup.
@@ -765,97 +460,20 @@ class ProcessBackend(ParallelBackend):
             self._pool_workers = 0
 
 
-class SharedMemoryBackend(ProcessBackend):
-    """The process pool with a zero-copy shared-memory transport.
-
-    Differences from :class:`ProcessBackend`:
-
-    * The ``(config, address_of)`` context is broadcast exactly once per
-      pool through the worker initializer instead of being pickled into
-      every submitted job; the pool is transparently rebuilt when the
-      coordinator's context changes (the pickled payload doubles as the
-      fingerprint).
-    * Per dispatch, the request arrays of *all* jobs are written into a
-      single ``multiprocessing.shared_memory`` segment and the workers
-      rebuild their :class:`~repro.dlrm.operators.SLSRequest` lists as
-      zero-copy numpy views -- only the per-request offsets travel over
-      the pickle channel.  The parent unlinks the segment after the
-      last future resolves.
-    """
-
-    name = "shared-memory"
-
-    def __init__(self, max_workers=None):
-        super().__init__(max_workers=max_workers)
-        self._context_payload = None
-
-    def _ensure_pool_with_context(self, wanted, payload):
-        if self._pool is not None and payload != self._context_payload:
-            self.shutdown()     # context changed: rebroadcast via a new pool
-        if self.max_workers is not None:
-            wanted = min(wanted, self.max_workers)
-        wanted = max(1, wanted)
-        if self._pool is not None and self._pool_workers < wanted:
-            self.shutdown()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=wanted, initializer=_init_shm_worker,
-                initargs=(payload,))
-            self._pool_workers = wanted
-            self._context_payload = payload
-        return self._pool
-
-    def run_channels(self, coordinator, jobs, compare_baseline):
-        payload = _preflight_pickle(coordinator.channel_config,
-                                    coordinator.address_of, self.name)
-        pool = self._ensure_pool_with_context(len(jobs), payload)
-        shm, descriptors_per_job = _pack_requests(jobs)
-        try:
-            futures = [pool.submit(_run_shm_job,
-                                   (slot, shm.name, descriptors,
-                                    compare_baseline))
-                       for (slot, _, _), descriptors
-                       in zip(jobs, descriptors_per_job)]
-            return self._collect_results(futures)
-        finally:
-            # All futures have resolved (or raised): the segment is no
-            # longer referenced by any worker and can be removed.
-            shm.close()
-            shm.unlink()
-
-    def run_service_jobs(self, cluster, jobs):
-        payload = _preflight_node_spec(cluster.node_system,
-                                       cluster.node_overrides, self.name)
-        pool = self._ensure_pool_with_context(len(jobs), payload)
-        shm, descriptors_per_job = _pack_requests(jobs)
-        try:
-            futures = [pool.submit(_run_shm_node_job,
-                                   (slot, shm.name, descriptors))
-                       for (slot, _, _), descriptors
-                       in zip(jobs, descriptors_per_job)]
-            return self._collect_results(futures)
-        finally:
-            shm.close()
-            shm.unlink()
-
-
 #: Backend registry: name -> class.
 BACKENDS = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
-    SharedMemoryBackend.name: SharedMemoryBackend,
 }
 
 
 def resolve_backend(backend, max_workers=None):
     """Normalise a ``backend=`` argument into a backend instance.
 
-    Accepts ``None`` (the serial default -- fastest for the GIL-bound
-    cycle loops and bit-identical to every other backend), a registry
-    name, a :class:`ParallelBackend` subclass, or a ready instance
-    (returned as-is; ``max_workers`` must then be unset -- the instance
-    already carries its bound).
+    Accepts ``None`` (the serial default -- the reference, bit-identical
+    to the process backend), a registry name, a :class:`ParallelBackend`
+    subclass, or a ready instance (returned as-is; ``max_workers`` must
+    then be unset -- the instance already carries its bound).
     """
     if isinstance(backend, ParallelBackend):
         if max_workers is not None:

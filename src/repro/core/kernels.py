@@ -48,7 +48,6 @@ consistent state.
 """
 
 import os
-from collections import OrderedDict
 
 import numpy as np
 
@@ -1266,7 +1265,3 @@ def describe():
         return "numba-jitted bank state machine"
     return "pure-python kernel fallback (numba not installed)"
 
-
-# Imported for the OrderedDict type used in mirror replay documentation;
-# kept explicit so the dependency is visible.
-_ = OrderedDict

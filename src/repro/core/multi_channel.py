@@ -66,15 +66,12 @@ class MultiChannelRecNMP:
         channel.  Pass 1 to force sequential execution.
     backend:
         Execution backend for the per-channel simulations: ``"serial"``
-        (default: fastest for the GIL-bound cycle loops), ``"thread"``,
-        ``"process"`` (true multi-core; needs a picklable
-        ``address_of``), ``"shared-memory"`` (the process pool with the
-        request arrays shipped through one shared-memory segment per
-        dispatch and the config broadcast once per pool), or a ready
+        (the default and the reference), ``"process"`` (true multi-core;
+        needs a picklable ``address_of``), or a ready
         :class:`~repro.core.backend.ParallelBackend` instance.  The
         process backend rebuilds fresh channel simulators per dispatch in
         its workers (the per-run-reset contract of the registry systems);
-        serial/thread reuse the coordinator's persistent simulators.
+        serial reuses the coordinator's persistent simulators.
     """
 
     def __init__(self, num_channels=4, channel_config=None, address_of=None,
@@ -113,8 +110,8 @@ class MultiChannelRecNMP:
 
         Channels are independent (per-channel simulators, disjoint table
         partitions), so their simulation is delegated to the configured
-        :class:`~repro.core.backend.ParallelBackend`: serial/thread run
-        the coordinator's own simulators, the process backend ships
+        :class:`~repro.core.backend.ParallelBackend`: serial runs the
+        coordinator's own simulators, the process backend ships
         picklable ``(config, requests)`` work units to a process pool so
         N channels use N cores, and merges worker-side baseline-cache
         entries back into this process.

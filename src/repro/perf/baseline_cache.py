@@ -9,9 +9,10 @@ cache: the key captures the trace content and the full DRAM configuration,
 so a repeated (trace, config) pair returns the stored
 :class:`~repro.dram.system.DramSystemResult` without re-simulating.
 
-The cache is process-wide and thread-safe (the concurrent multi-channel
-coordinator hits it from worker threads).  Results must be treated as
-read-only by callers, which all current callers honour.
+The cache is process-wide and thread-safe.  Process-backend workers keep
+their own copy and export new entries for the parent to merge
+(:func:`merge_baseline_entries`).  Results must be treated as read-only
+by callers, which all current callers honour.
 """
 
 import dataclasses

@@ -54,10 +54,9 @@ class ExactServiceModel(ServiceTimeModel):
     Exact mode's cost is one cycle simulation per distinct batch
     composition, so it scales directly with the simulator hot path and
     the cluster's *node-level* execution backend:
-    ``ShardedServingCluster(backend="process")`` (or
-    ``"shared-memory"``) fans the per-node shard simulations of each
-    batch out to worker processes, so an N-node batch uses up to N
-    cores while staying bit-identical to serial.  The compiled
+    ``ShardedServingCluster(backend="process")`` fans the per-node shard
+    simulations of each batch out to worker processes, so an N-node
+    batch uses up to N cores while staying bit-identical to serial.  The compiled
     command-issue kernels plus node-level parallelism are what make
     exact (non-interpolated) service times affordable for long
     event-engine runs.

@@ -76,13 +76,12 @@ class ShardedServingCluster:
     service_cache_entries:
         LRU bound on the memoised per-batch service times.
     backend, jobs:
-        *Node-level* execution backend (``"serial"`` / ``"thread"`` /
-        ``"process"`` / ``"shared-memory"`` or a ready
-        :class:`~repro.core.backend.ParallelBackend`) and its worker
-        bound: the per-node shard simulations of one batch fan out
-        through it, so ``jobs`` governs the total worker slots of the
-        cluster.  The process-family backends rebuild each node from
-        its registry spec in their workers (cached per worker), which
+        *Node-level* execution backend (``"serial"`` / ``"process"`` or
+        a ready :class:`~repro.core.backend.ParallelBackend`) and its
+        worker bound: the per-node shard simulations of one batch fan
+        out through it, so ``jobs`` governs the total worker slots of
+        the cluster.  The process backend rebuilds each node from its
+        registry spec in its workers (cached per worker), which
         keeps every node's channels serial unless ``channel_backend``
         says otherwise.  Results are bit-identical across backends; the
         per-batch memoisation stays in this (parent) process.
@@ -361,11 +360,10 @@ class ShardedServingCluster:
     def export_service_state(self):
         """Snapshot of cache entries and counters for a sweep merge.
 
-        A sweep worker (thread clone or process rebuild) runs its points
-        on its own cluster object; the parent folds the worker's
-        service-time entries and counter deltas back with
-        :meth:`merge_service_state`, exactly like the baseline-cache
-        merge of the process backends.
+        A sweep worker process runs its points on its own cluster
+        rebuild; the parent folds the worker's service-time entries and
+        counter deltas back with :meth:`merge_service_state`, exactly
+        like the baseline-cache merge of the channel jobs.
         """
         cache = self._service_cache.stats()
         state = {"entries": self._service_cache.export_entries(),
@@ -822,6 +820,21 @@ class ShardedServingCluster:
         return "%dx %s" % (self.num_nodes, self.node_system)
 
 
+def _check_finite_arrivals(arrivals, offset):
+    """Reject NaN/+-inf arrival times, naming the first bad position.
+
+    The non-decreasing check cannot see them (NaN compares False, and
+    ``-inf < -inf`` is False), and downstream they only surface as NaN
+    latency means.  ``offset`` is the input position of ``arrivals[0]``.
+    """
+    finite = np.isfinite(arrivals)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError("arrival_us must be finite, but query %d of the "
+                         "input has arrival_us=%r"
+                         % (offset + index, float(arrivals[index])))
+
+
 def _column_chunks(queries, stream_chunk):
     """Yield ``(chunk, is_final)`` pairs in global (arrival, id) order.
 
@@ -831,9 +844,10 @@ def _column_chunks(queries, stream_chunk):
     once and sliced).  Streamed chunks are required to arrive in
     non-decreasing arrival order -- every built-in arrival process
     generates monotone times -- because carried batching state is only
-    meaningful over a globally sorted stream.  Materialised input gets a
-    private deadline column, so deadline assignment never writes into
-    the caller's queries.
+    meaningful over a globally sorted stream.  Non-finite arrival times
+    are rejected in both forms.  Materialised input gets a private
+    deadline column, so deadline assignment never writes into the
+    caller's queries.
     """
     from repro.serving.query_columns import QueryColumns, QueryStream
 
@@ -842,11 +856,14 @@ def _column_chunks(queries, stream_chunk):
             raise ValueError("chunked simulation needs a bounded stream; "
                              "construct the QueryStream with num_queries")
         last_arrival = -np.inf
+        taken = 0
         while True:
             chunk = queries.take(stream_chunk)
             if not len(chunk):
                 break
             arrivals = chunk.arrival_us
+            _check_finite_arrivals(arrivals, taken)
+            taken += len(chunk)
             if arrivals[0] < last_arrival \
                     or np.any(np.diff(arrivals) < 0.0):
                 raise ValueError(
@@ -862,6 +879,7 @@ def _column_chunks(queries, stream_chunk):
         columns.deadline_us = queries.deadline_us.copy()
     else:
         columns = QueryColumns.from_queries(list(queries))
+    _check_finite_arrivals(columns.arrival_us, 0)
     columns = columns.sorted_by_arrival()
     size = len(columns)
     if stream_chunk is None:
@@ -877,10 +895,10 @@ def build_sweep_cluster(spec):
     """Rebuild an equivalent cluster from a sweep spec.
 
     The sharder is deep-copied so the rebuilt cluster owns its routing
-    state (thread-backend clones would otherwise share counters with the
-    parent); everything else in the spec is plain configuration.  The
-    clone's node-level backend is serial and its store -- when the spec
-    names one -- is a fresh connection to the shared database file.
+    state even when built in-process from a live spec; everything else
+    in the spec is plain configuration.  The clone's node-level backend
+    is serial and its store -- when the spec names one -- is a fresh
+    connection to the shared database file.
     """
     import copy
 
@@ -911,10 +929,8 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
 
     ``backend``/``jobs`` select the *sweep-level* execution backend
     (default serial): sweep points are independent given fresh routing
-    state -- ``simulate`` already resets it per run -- so ``"thread"``
-    runs each point on a per-point cluster clone and ``"process"`` /
-    ``"shared-memory"`` rebuild the cluster in worker processes, one
-    point per worker.  Query streams are materialised in the parent
+    state -- ``simulate`` already resets it per run -- so ``"process"``
+    rebuilds the cluster in worker processes, one point per worker.  Query streams are materialised in the parent
     (``make_queries`` itself never crosses a process boundary), every
     worker's service-time cache/store deltas are merged back into
     ``cluster``, and the reports are bit-identical to the serial loop.

@@ -268,7 +268,7 @@ class MultiChannelSystem(EmbeddingSystem):
     """Software-coordinated RecNMP across several memory channels.
 
     ``backend`` selects how the per-channel cycle simulations execute
-    (``"serial"`` / ``"thread"`` / ``"process"`` or a ready
+    (``"serial"`` / ``"process"`` or a ready
     :class:`~repro.core.backend.ParallelBackend`); ``max_workers`` bounds
     the worker pool.  The default dense :class:`TableLayout` address map
     is a bound method of a picklable dataclass, so the process backend

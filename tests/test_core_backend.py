@@ -10,8 +10,6 @@ from repro.core.backend import (
     ParallelBackend,
     ProcessBackend,
     SerialBackend,
-    SharedMemoryBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.core.multi_channel import MultiChannelRecNMP
@@ -28,6 +26,8 @@ from repro.systems.base import TableLayout
 NUM_ROWS = 8_000
 VECTOR_BYTES = 128
 LAYOUT = TableLayout(num_rows=NUM_ROWS, vector_bytes=VECTOR_BYTES)
+# Every registered backend except the serial reference.
+PARALLEL_BACKENDS = tuple(sorted(set(BACKENDS) - {"serial"}))
 
 
 def _requests(num_tables=4, batch=4, pooling=12, seed=0):
@@ -71,12 +71,23 @@ class TestResolveBackend:
             resolve_backend(SerialBackend(), max_workers=2)
 
     def test_unknown_name_rejected(self):
+        # Removed backend names fail like any unknown name, and the error
+        # lists exactly the backends that can be chosen.
+        for name in ("gpu", "thread", "shared-memory"):
+            with pytest.raises(ValueError) as excinfo:
+                resolve_backend(name)
+            assert str(excinfo.value) == (
+                "unknown backend %r; available: process, serial" % name)
+
+    @pytest.mark.parametrize("name", ["thread", "shared-memory"])
+    def test_removed_backend_not_registered(self, name):
+        assert name not in BACKENDS
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu")
+            resolve_backend(name, max_workers=2)
 
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(ValueError):
-            ThreadBackend(max_workers=0)
+            ProcessBackend(max_workers=0)
 
     def test_describe(self):
         assert ProcessBackend(max_workers=3).describe() == \
@@ -105,11 +116,11 @@ class TestPickleRoundtrip:
         address_of = pickle.loads(pickle.dumps(LAYOUT.address_of))
         assert address_of(3, 17) == LAYOUT.address_of(3, 17)
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_unpicklable_address_of_rejected(self, backend):
-        # The lambda address-map regression: both process-family
-        # transports must fail fast in the parent and *name* the
-        # offending input, not die inside a pool worker.
+        # The lambda address-map regression: the process backend must
+        # fail fast in the parent and *name* the offending input, not
+        # die inside a pool worker.
         with MultiChannelRecNMP(
                 num_channels=2,
                 channel_config=RecNMPConfig(num_dimms=1, ranks_per_dimm=2),
@@ -121,7 +132,7 @@ class TestPickleRoundtrip:
                                                    pooling=4),
                                          compare_baseline=False)
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_unpicklable_config_field_named(self, backend):
         with MultiChannelRecNMP(
                 num_channels=2,
@@ -139,7 +150,7 @@ class TestPickleRoundtrip:
 
 
 class TestBackendEquivalence:
-    """serial / thread / process must be byte-identical per dispatch."""
+    """serial and process must be byte-identical per dispatch."""
 
     @classmethod
     def setup_class(cls):
@@ -148,8 +159,7 @@ class TestBackendEquivalence:
         cls.reference = coordinator.run_requests(cls.requests,
                                                  compare_baseline=True)
 
-    @pytest.mark.parametrize("backend", ["thread", "process",
-                                         "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_identical_results(self, backend):
         coordinator = _coordinator(backend)
         result = coordinator.run_requests(self.requests,
@@ -167,10 +177,45 @@ class TestBackendEquivalence:
         coordinator.close()
 
     def test_jobs_bound_respected(self):
-        coordinator = _coordinator(ThreadBackend(max_workers=1))
-        result = coordinator.run_requests(self.requests,
-                                          compare_baseline=False)
+        with _coordinator(ProcessBackend(max_workers=1)) as coordinator:
+            result = coordinator.run_requests(self.requests,
+                                              compare_baseline=False)
+            assert coordinator.backend._pool_workers == 1
         assert result.total_cycles == self.reference.total_cycles
+
+    def test_weighted_and_metadata_requests_roundtrip(self):
+        # Float32 weights and request metadata must survive the trip to
+        # the worker processes unchanged.
+        rng = np.random.default_rng(5)
+        requests = []
+        for table in range(2):
+            indices = rng.integers(0, NUM_ROWS, size=24)
+            requests.append(SLSRequest(
+                table_id=table, indices=indices,
+                lengths=np.full(2, 12),
+                weights=rng.random(24).astype(np.float32),
+                metadata={"origin": "test"}))
+        results = {}
+        for backend in ("serial", "process"):
+            with _coordinator(backend, num_channels=2) as coordinator:
+                result = coordinator.run_requests(requests,
+                                                  compare_baseline=False)
+                results[backend] = (result.total_cycles,
+                                    result.per_channel_cycles,
+                                    result.energy_nj)
+        assert results["process"] == results["serial"]
+
+    def test_repeat_dispatch_reuses_pool(self):
+        with _coordinator("process", num_channels=2) as coordinator:
+            first = coordinator.run_requests(
+                _requests(num_tables=2, batch=2, pooling=8, seed=1),
+                compare_baseline=False)
+            pool = coordinator.backend._pool
+            second = coordinator.run_requests(
+                _requests(num_tables=2, batch=2, pooling=8, seed=1),
+                compare_baseline=False)
+            assert coordinator.backend._pool is pool
+        assert first.total_cycles == second.total_cycles
 
     def test_process_merges_worker_baseline_entries(self):
         clear_baseline_cache()
@@ -185,58 +230,6 @@ class TestBackendEquivalence:
             assert stats["entries"] == 2
             assert stats["misses"] == 2
             coordinator.close()
-        finally:
-            clear_baseline_cache()
-
-
-class TestSharedMemoryTransport:
-    """Zero-copy specifics of the shared-memory backend."""
-
-    def test_weighted_and_metadata_requests_roundtrip(self):
-        # Weights ride in the segment as float32 views; metadata (small)
-        # travels with the descriptors.  Both must survive the transport.
-        rng = np.random.default_rng(5)
-        requests = []
-        for table in range(2):
-            indices = rng.integers(0, NUM_ROWS, size=24)
-            requests.append(SLSRequest(
-                table_id=table, indices=indices,
-                lengths=np.full(2, 12),
-                weights=rng.random(24).astype(np.float32),
-                metadata={"origin": "test"}))
-        results = {}
-        for backend in ("serial", "shared-memory"):
-            with _coordinator(backend, num_channels=2) as coordinator:
-                result = coordinator.run_requests(requests,
-                                                  compare_baseline=False)
-                results[backend] = (result.total_cycles,
-                                    result.per_channel_cycles,
-                                    result.energy_nj)
-        assert results["shared-memory"] == results["serial"]
-
-    def test_repeat_dispatch_reuses_pool(self):
-        with _coordinator("shared-memory", num_channels=2) as coordinator:
-            first = coordinator.run_requests(
-                _requests(num_tables=2, batch=2, pooling=8, seed=1),
-                compare_baseline=False)
-            pool = coordinator.backend._pool
-            second = coordinator.run_requests(
-                _requests(num_tables=2, batch=2, pooling=8, seed=1),
-                compare_baseline=False)
-            assert coordinator.backend._pool is pool
-        assert first.total_cycles == second.total_cycles
-
-    def test_merges_worker_baseline_entries(self):
-        clear_baseline_cache()
-        try:
-            with _coordinator("shared-memory",
-                              num_channels=2) as coordinator:
-                coordinator.run_requests(
-                    _requests(num_tables=2, batch=2, pooling=8, seed=9),
-                    compare_baseline=True)
-                stats = baseline_cache_stats()
-                assert stats["entries"] == 2
-                assert stats["misses"] == 2
         finally:
             clear_baseline_cache()
 
@@ -292,8 +285,7 @@ class TestNodeLevelServiceJobs:
                                       batch_size=2, pooling_factor=10)
         return QueryBatch(queries=queries, open_us=0.0, formed_us=0.0)
 
-    @pytest.mark.parametrize("backend", ["thread", "process",
-                                         "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_service_time_matches_serial(self, backend):
         batch = self._batch()
         with self._cluster("serial") as cluster:
@@ -310,7 +302,7 @@ class TestNodeLevelServiceJobs:
             assert cluster.service_time_us(batch) == first
             assert cluster.service_cache_stats()["hits"] == 1
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_unpicklable_node_override_named(self, backend):
         from repro.serving import ShardedServingCluster
 

@@ -23,6 +23,7 @@ from repro.serving import (
     ShardedServingCluster,
     TokenBucketAdmission,
     query_columns_from_traces,
+    queries_from_traces,
 )
 from repro.serving.sharding import ReplicatedTableSharder
 from repro.traces import make_production_table_traces
@@ -192,6 +193,34 @@ class TestValidation:
                                    node_system="recnmp-opt") as cluster:
             with pytest.raises(ValueError, match="non-decreasing"):
                 cluster.simulate(stream, stream_chunk=64)
+
+    @pytest.mark.parametrize("form", ["list", "columns", "stream"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_arrivals_rejected(self, traces, form, bad):
+        # NaN compares False and -inf < -inf is False, so the ordering
+        # check alone would let these through as NaN report means.
+        times = np.arange(16, dtype=np.float64) * 10.0
+        times[11] = bad
+        if form == "list":
+            queries = queries_from_traces(traces, 16, list(times))
+        elif form == "columns":
+            queries = query_columns_from_traces(traces, 16, times)
+        else:
+            class Replay:
+                def __init__(self):
+                    self._taken = 0
+
+                def take(self, count):
+                    chunk = times[self._taken:self._taken + count]
+                    self._taken += count
+                    return chunk
+
+            queries = QueryStream(traces, Replay(), num_queries=16)
+        with ShardedServingCluster(num_nodes=2,
+                                   node_system="recnmp-opt") as cluster:
+            with pytest.raises(ValueError, match="query 11 of the input"):
+                cluster.simulate(queries, stream_chunk=8)
 
     def test_all_shed_raises(self, traces):
         class ShedAll(TokenBucketAdmission):

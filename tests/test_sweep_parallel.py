@@ -1,7 +1,7 @@
 """Tests for parallel qps_sweep, batched dedup and the warm store path.
 
 The sweep backends must be invisible: whatever backend runs the points
-(serial loop, per-point thread clones, worker-process rebuilds), the
+(serial loop or worker-process rebuilds), the
 reports -- percentiles, extras, SLO records -- must be *byte-identical*
 to the serial loop, across stateless and stateful sharders and across
 engines.  Batched service resolution must likewise be indistinguishable
@@ -23,7 +23,7 @@ from repro.traces import make_production_table_traces
 NUM_ROWS = 512
 NUM_TABLES = 4
 QPS_POINTS = [40_000.0, 80_000.0, 120_000.0]
-PARALLEL_BACKENDS = ("thread", "process")
+PARALLEL_BACKENDS = ("process",)
 
 
 def make_traces():
@@ -76,7 +76,7 @@ class TestParallelSweepIdentity:
 
     def test_backends_match_serial_stateful_sharder(self):
         # Replication routes by running load counters (stateful), the
-        # hardest case for per-point clones and worker rebuilds.
+        # hardest case for worker rebuilds.
         traces = make_traces()
 
         def sharder():
