@@ -12,11 +12,6 @@ suite otherwise only checks dynamically:
 ``pickle-safety``
     Classes in process-backend payload modules carry no
     lambdas/locks/connections/pools without a ``__getstate__``.
-``kernel-twin-sync``
-    Every registered numba-kernel/CPython-twin pair (the DDR state
-    machine in ``core/kernels.py``, the serving event loops in
-    ``serving/event_kernels.py``) stays structurally identical modulo
-    an explicit substitution table.
 ``broad-except-audit``
     Every ``except Exception`` documents its degradation contract in a
     pragma.
@@ -53,7 +48,6 @@ from repro.analysis.linter import (       # noqa: F401
 from repro.analysis import determinism    # noqa: F401  (registers rule)
 from repro.analysis import excepts        # noqa: F401  (registers rule)
 from repro.analysis import fingerprint    # noqa: F401  (registers rule)
-from repro.analysis import kernel_twin    # noqa: F401  (registers rule)
 from repro.analysis import obs_hygiene    # noqa: F401  (registers rule)
 from repro.analysis import pickle_safety  # noqa: F401  (registers rule)
 from repro.analysis import registries     # noqa: F401  (registers rule)

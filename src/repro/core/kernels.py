@@ -1,28 +1,28 @@
-"""Compiled kernels for the rank-NMP command-issue hot loop.
+"""Compiled kernel for the rank-NMP command-issue hot loop.
 
 The DDR command-issue inner loop (windowed FR-FCFS selection plus the
 bank/rank state machine of :meth:`RankNMP._dram_read`) dominates exact
-simulation time.  This module holds that loop in two interchangeable,
-bit-identical implementations operating on flat ``int64`` state instead
-of ``Bank`` / ``Rank`` / ``RankCache`` objects:
+simulation time.  It exists in two bit-identical implementations:
 
-* :func:`_execute_window_flat` -- the canonical *struct-of-arrays*
-  kernel, written in the numba-compilable subset of Python (numpy
-  scalars, plain loops, an ``int64 -> int64`` dict for cache residency).
-  When :mod:`numba` is importable it is ``@njit``-compiled and selected
-  as the ``"numba"`` flavor; the un-jitted source remains importable
-  everywhere so its semantics are pinned by tests even on hosts without
+* :meth:`RankNMP._execute_window` -- the readable specification, a
+  CPython loop over per-instruction columns (Daddr, burst count,
+  weighted flag, LocalityBit, PsumTag, arrival and decoded bank
+  group / bank / row) that drives the ``Bank`` / ``Rank`` /
+  ``RankCache`` objects directly.  It is what the ``"python"`` flavor
+  (numba not installed) and the ``"disabled"`` flavor
+  (``REPRO_DISABLE_KERNELS=1``) run, for object and packed input alike.
+* :func:`_execute_window_flat` -- the *struct-of-arrays* kernel in this
+  module, written in the numba-compilable subset of Python (numpy
+  scalars, plain loops, an ``int64 -> int64`` dict for cache residency)
+  over flat ``int64`` state.  When :mod:`numba` is importable it is
+  ``@njit``-compiled and selected as the ``"numba"`` flavor; the
+  un-jitted source stays importable everywhere as the ``"flat-python"``
+  flavor, so its semantics are pinned by tests even on hosts without
   numba.
-* :func:`_execute_window_python` -- a hand-tuned CPython twin using
-  plain lists and the :class:`RankCache`'s own ``OrderedDict`` (C-speed
-  LRU ops).  Selected as the ``"python"`` fallback flavor when numba is
-  unavailable.
 
 Flavor selection happens once at import: ``REPRO_DISABLE_KERNELS=1``
-disables both (``RankNMP`` then runs its original object-based path,
-which is kept as the readable specification); otherwise numba is tried
-and the pure-python kernel is the fallback.  Tests can override the
-selection with :func:`force_flavor`.
+selects ``"disabled"``; otherwise numba is tried and ``"python"`` is the
+fallback.  Tests can override the selection with :func:`force_flavor`.
 
 State layout conventions
 ------------------------
@@ -39,15 +39,16 @@ parameters arrive as a ``TP_SIZE`` vector (`TP_*` indices, see
 :meth:`DDR4Timing.kernel_params`) and statistics deltas leave through an
 ``ST_SIZE`` vector (`ST_*` indices).
 
-Both kernels mutate those vectors in place and return the last
-completion cycle; the wrapper classes below sync them with the
+The kernel mutates those vectors in place and returns the last
+completion cycle; :class:`FlatRankKernel` syncs them with the
 authoritative ``Bank`` / ``Rank`` / ``RankCache`` objects around every
 call, so the object layer stays the source of truth between calls and
-the legacy path (or direct object inspection in tests) always sees
+the column loop (or direct object inspection in tests) always sees
 consistent state.
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -131,11 +132,6 @@ def active_flavor():
     return KERNEL_FLAVOR
 
 
-def kernels_enabled():
-    """True when new RankNMP instances use a kernel (any flavor)."""
-    return active_flavor() != "disabled"
-
-
 def maybe_jit(fn):
     """Jit ``fn`` when the import-time flavor is numba, else return it.
 
@@ -150,30 +146,36 @@ def maybe_jit(fn):
     return fn
 
 
-#: Packet sizes below which the legacy object path beats the packed
-#: kernel path: the numpy packing and kernel-call fixed costs only
-#: amortise on large packets.  The jitted flavour recoups its call
-#: overhead almost immediately; the interpreted flavours need packets
-#: of a few hundred instructions (measured crossover on CPython 3.11).
-_PACKED_MIN_INSTRUCTIONS = {"numba": 24, "python": 256,
-                            "flat-python": 256}
+#: Packet sizes below which the object dispatch path beats the packed
+#: one: the numpy packing and per-call fixed costs only amortise on
+#: large packets.  The jitted flavour recoups its call overhead almost
+#: immediately; every CPython flavour needs packets of a few hundred
+#: instructions (measured crossover on CPython 3.11).
+_NUMBA_PACKED_MIN_INSTRUCTIONS = 24
+_CPYTHON_PACKED_MIN_INSTRUCTIONS = 256
 
 
 def packed_dispatch_min_instructions(flavor=None):
-    """Smallest instruction stream worth routing through a kernel.
+    """Smallest instruction stream worth routing through the packed path.
 
-    The memory controller and :class:`~repro.core.rank_nmp.RankNMP`
-    fall back to the (bit-identical) legacy object path for streams
-    below this size; 0 means always use the kernel.  Inside a
-    :class:`force_flavor` context the cutover is 0: forcing a flavor
-    means exercising that flavor unconditionally (the parity tests
-    depend on it).
+    The memory controller takes the (bit-identical) object dispatch
+    path for packets below this size, and a :class:`RankNMP` with a
+    bound kernel runs its column loop for streams below it; 0 means
+    always packed.  Inside a :class:`force_flavor` context the cutover
+    is 0 -- forcing a flavor means exercising its packed path
+    unconditionally (the parity tests depend on it) -- except under
+    ``"disabled"``, which keeps every stream on the object path: the
+    readable spec end to end, the reference those tests compare with.
     """
     if flavor is None:
+        if _FORCED_FLAVOR == "disabled":
+            return sys.maxsize
         if _FORCED_FLAVOR is not None:
             return 0
         flavor = KERNEL_FLAVOR
-    return _PACKED_MIN_INSTRUCTIONS.get(flavor, 0)
+    if flavor == "numba":
+        return _NUMBA_PACKED_MIN_INSTRUCTIONS
+    return _CPYTHON_PACKED_MIN_INSTRUCTIONS
 
 
 class force_flavor:
@@ -225,10 +227,10 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
                          exec_order):
     """Windowed FR-FCFS execution over flat int64 state.
 
-    Mirrors ``RankNMP.execute_instructions`` (selection + memoised
-    rank-part estimates) fused with ``execute_instruction`` (cache
-    lookup, datapath latency, busy accounting) and ``_dram_read`` (the
-    bank/rank DDR state machine) -- one loop, no attribute access.
+    Mirrors ``RankNMP._execute_window`` (selection + memoised
+    rank-part estimates, cache lookup, datapath latency, busy
+    accounting) fused with ``RankNMP._dram_read`` (the bank/rank DDR
+    state machine) -- one loop, no attribute access.
     ``exec_order`` receives the execution permutation so the caller can
     replay LRU effects onto the mirroring ``OrderedDict``.
     """
@@ -654,257 +656,6 @@ def reorder_indices(rows, ranks, window_size, num_ranks):
 
 
 # --------------------------------------------------------------------- #
-# Hand-tuned CPython fallback                                           #
-# --------------------------------------------------------------------- #
-def _execute_window_python(daddrs, vsizes, computes, vbytes, localities,
-                           arrivals, flats, bank_groups, rows,
-                           window_size,
-                           b_open, b_next_act, b_next_read, b_next_pre,
-                           b_activations, b_reads, b_precharges,
-                           rs, tp, st, entries, cache_capacity,
-                           cache_latency):
-    """CPython twin of :func:`_execute_window_flat` over plain lists.
-
-    Identical algorithm, tuned for the interpreter: list state (faster
-    element access than numpy scalars under CPython), dict part-memos,
-    and the RankCache's own ``OrderedDict`` as the LRU (its
-    ``move_to_end`` / ``popitem`` are C operations), so cache contents
-    stay authoritative in the object layer with zero syncing.
-    """
-    count = len(daddrs)
-    tRP = tp[TP_TRP]
-    tRCD = tp[TP_TRCD]
-    tCL = tp[TP_TCL]
-    tBL = tp[TP_TBL]
-    tCCD_S = tp[TP_TCCD_S]
-    tCCD_L = tp[TP_TCCD_L]
-    tRRD_S = tp[TP_TRRD_S]
-    tRRD_L = tp[TP_TRRD_L]
-    tFAW = tp[TP_TFAW]
-    tRAS = tp[TP_TRAS]
-    tRC = tp[TP_TRC]
-    tRTP = tp[TP_TRTP]
-    act_count = rs[RS_ACT_COUNT]
-    last_act = rs[RS_LAST_ACT]
-    last_act_bg = rs[RS_LAST_ACT_BG]
-    last_col = rs[RS_LAST_COL]
-    last_col_bg = rs[RS_LAST_COL_BG]
-    bus_free = rs[RS_BUS_FREE]
-    current = rs[RS_CURRENT]
-    use_cache = entries is not None
-    st_instructions = 0
-    st_hits = 0
-    st_misses = 0
-    st_bypasses = 0
-    st_dram_reads = 0
-    st_activations = 0
-    st_busy = 0
-    st_bytes_dram = 0
-    st_bytes_cache = 0
-    st_evictions = 0
-    last_completion = current
-    window = list(range(window_size if window_size < count else count))
-    next_index = len(window)
-    act_part = {}
-    rd_part = {}
-    while window:
-        best_pos = 0
-        best_estimate = None
-        for pos, index in enumerate(window):
-            arrival = arrivals[index]
-            start = arrival if arrival > current else current
-            if best_estimate is not None and start >= best_estimate:
-                continue
-            if use_cache and localities[index] and daddrs[index] in entries:
-                estimate = start
-            else:
-                flat = flats[index]
-                open_row = b_open[flat]
-                bg = bank_groups[index]
-                if open_row == rows[index]:
-                    ready = b_next_read[flat]
-                    part = rd_part.get(bg)
-                    if part is None:
-                        part = bus_free - tCL
-                        if last_col >= 0:
-                            ccd = last_col + (tCCD_L if bg == last_col_bg
-                                              else tCCD_S)
-                            if ccd > part:
-                                part = ccd
-                        rd_part[bg] = part
-                    if part > ready:
-                        ready = part
-                elif open_row == -1:
-                    ready = b_next_act[flat]
-                    part = act_part.get(bg)
-                    if part is None:
-                        part = 0
-                        if act_count >= 4:
-                            faw = rs[act_count % 4] + tFAW
-                            if faw > part:
-                                part = faw
-                        if last_act >= 0:
-                            rrd = last_act + (tRRD_L if bg == last_act_bg
-                                              else tRRD_S)
-                            if rrd > part:
-                                part = rrd
-                        act_part[bg] = part
-                    if part > ready:
-                        ready = part
-                else:
-                    ready = b_next_pre[flat]
-                estimate = start if start > ready else ready
-            if best_estimate is None or estimate < best_estimate:
-                best_estimate = estimate
-                best_pos = pos
-                if estimate <= current:
-                    # estimate >= start >= current for every member and
-                    # ties keep the earliest position: already won.
-                    break
-        index = window.pop(best_pos)
-        if next_index < count:
-            window.append(next_index)
-            next_index += 1
-        daddr = daddrs[index]
-        resident = use_cache and daddr in entries
-        arrival = arrivals[index]
-        start = arrival if arrival > current else current
-        st_instructions += 1
-        hit = False
-        if use_cache:
-            if resident:
-                entries.move_to_end(daddr)
-                hit = True
-            elif localities[index]:
-                st_misses += 1
-                if len(entries) >= cache_capacity:
-                    entries.popitem(last=False)
-                    st_evictions += 1
-                entries[daddr] = None
-            else:
-                st_bypasses += 1
-        if hit:
-            st_hits += 1
-            st_bytes_cache += vbytes[index]
-            data_ready = start + cache_latency
-            next_free = data_ready
-        else:
-            cycle = start
-            commands_issued = 0
-            first_issue = -1
-            row = rows[index]
-            flat = flats[index]
-            bg = bank_groups[index]
-            open_row = b_open[flat]
-            if open_row != row:
-                if open_row != -1:
-                    ready = b_next_pre[flat]
-                    if ready > cycle:
-                        cycle = ready
-                    b_open[flat] = -1
-                    b_precharges[flat] += 1
-                    value = cycle + tRP
-                    if value > b_next_act[flat]:
-                        b_next_act[flat] = value
-                    commands_issued = 1
-                    first_issue = cycle
-                ready = b_next_act[flat]
-                if act_count >= 4:
-                    faw = rs[act_count % 4] + tFAW
-                    if faw > ready:
-                        ready = faw
-                if last_act >= 0:
-                    rrd = last_act + (tRRD_L if bg == last_act_bg
-                                      else tRRD_S)
-                    if rrd > ready:
-                        ready = rrd
-                if ready > cycle:
-                    cycle = ready
-                b_open[flat] = row
-                b_activations[flat] += 1
-                value = cycle + tRCD
-                if value > b_next_read[flat]:
-                    b_next_read[flat] = value
-                value = cycle + tRAS
-                if value > b_next_pre[flat]:
-                    b_next_pre[flat] = value
-                value = cycle + tRC
-                if value > b_next_act[flat]:
-                    b_next_act[flat] = value
-                rs[act_count % 4] = cycle
-                act_count += 1
-                last_act = cycle
-                last_act_bg = bg
-                commands_issued += 1
-                if first_issue == -1:
-                    first_issue = cycle
-                st_activations += 1
-            finish = cycle
-            bursts = vsizes[index]
-            if bursts < 1:
-                bursts = 1
-            for _ in range(bursts):
-                ready = b_next_read[flat]
-                if last_col >= 0:
-                    ccd = last_col + (tCCD_L if bg == last_col_bg
-                                      else tCCD_S)
-                    if ccd > ready:
-                        ready = ccd
-                bus = bus_free - tCL
-                if bus > ready:
-                    ready = bus
-                if ready > cycle:
-                    cycle = ready
-                b_reads[flat] += 1
-                finish = cycle + tCL + tBL
-                value = cycle + tCCD_L
-                if value > b_next_read[flat]:
-                    b_next_read[flat] = value
-                value = cycle + tRTP
-                if value > b_next_pre[flat]:
-                    b_next_pre[flat] = value
-                last_col = cycle
-                last_col_bg = bg
-                if finish > bus_free:
-                    bus_free = finish
-                commands_issued += 1
-                if first_issue == -1:
-                    first_issue = cycle
-                st_dram_reads += 1
-            st_bytes_dram += vbytes[index]
-            data_ready = finish
-            next_free = (start if start > first_issue else first_issue) \
-                + commands_issued
-        completion = data_ready + computes[index]
-        if next_free > start:
-            st_busy += next_free - start
-        current = next_free
-        if completion > last_completion:
-            last_completion = completion
-        if not resident:
-            act_part.clear()
-            rd_part.clear()
-    rs[RS_ACT_COUNT] = act_count
-    rs[RS_LAST_ACT] = last_act
-    rs[RS_LAST_ACT_BG] = last_act_bg
-    rs[RS_LAST_COL] = last_col
-    rs[RS_LAST_COL_BG] = last_col_bg
-    rs[RS_BUS_FREE] = bus_free
-    rs[RS_CURRENT] = current
-    st[ST_INSTRUCTIONS] += st_instructions
-    st[ST_HITS] += st_hits
-    st[ST_MISSES] += st_misses
-    st[ST_BYPASSES] += st_bypasses
-    st[ST_DRAM_READS] += st_dram_reads
-    st[ST_ACTIVATIONS] += st_activations
-    st[ST_BUSY] += st_busy
-    st[ST_BYTES_DRAM] += st_bytes_dram
-    st[ST_BYTES_CACHE] += st_bytes_cache
-    st[ST_EVICTIONS] += st_evictions
-    return last_completion
-
-
-# --------------------------------------------------------------------- #
 # Packing helpers                                                       #
 # --------------------------------------------------------------------- #
 def pack_decoded(config, daddrs):
@@ -918,192 +669,9 @@ def pack_decoded(config, daddrs):
 
 
 # --------------------------------------------------------------------- #
-# Wrapper classes: sync object state around each kernel call            #
+# Wrapper class: sync object state around each kernel call              #
 # --------------------------------------------------------------------- #
-class _RankKernelBase:
-    """Shared packing / sync glue between a RankNMP and a kernel."""
-
-    def __init__(self, rank_nmp):
-        self.rank_nmp = rank_nmp
-        config = rank_nmp.config
-        self.adder = config.adder_latency_cycles
-        self.multiplier = config.multiplier_latency_cycles
-        self.cache_latency = config.cache_latency_cycles
-        self.banks_per_group = config.banks_per_group
-        self.num_bank_groups = config.num_bank_groups
-        self.capacity = (rank_nmp.cache.num_entries
-                         if rank_nmp.cache is not None else 0)
-        self.timing_params = config.timing.kernel_params()
-
-    # ---- entry points ------------------------------------------------ #
-    def execute_objects(self, instructions, arrival_cycles, reorder_window,
-                        decoded=None):
-        """Kernel execution from a list of NMPInstruction objects."""
-        count = len(instructions)
-        if count == 0:
-            return self.rank_nmp.current_cycle
-        daddrs = np.fromiter((inst.daddr for inst in instructions),
-                             np.int64, count)
-        vsizes = np.fromiter((inst.vsize for inst in instructions),
-                             np.int64, count)
-        weighted = np.fromiter((inst.weight != 1.0 for inst in instructions),
-                               np.bool_, count)
-        localities = np.fromiter(
-            (inst.locality_bit for inst in instructions), np.bool_, count)
-        psum_tags = np.fromiter((inst.psum_tag for inst in instructions),
-                                np.int64, count)
-        if decoded is None:
-            bank_groups, banks, rows = pack_decoded(
-                self.rank_nmp.config, daddrs)
-        else:
-            bank_groups = np.asarray(decoded[0], dtype=np.int64)
-            banks = np.asarray(decoded[1], dtype=np.int64)
-            rows = np.asarray(decoded[2], dtype=np.int64)
-        arrivals = np.asarray(arrival_cycles, dtype=np.int64)
-        return self.execute_arrays(daddrs, vsizes, weighted, localities,
-                                   psum_tags, arrivals, bank_groups, banks,
-                                   rows, reorder_window)
-
-    def execute_arrays(self, daddrs, vsizes, weighted, localities,
-                       psum_tags, arrivals, bank_groups, banks, rows,
-                       reorder_window):
-        raise NotImplementedError
-
-    # ---- shared sync helpers ----------------------------------------- #
-    def _rank_scalars(self):
-        """RS vector (list) from the live Rank object + current_cycle."""
-        rank_nmp = self.rank_nmp
-        rs = rank_nmp.dram_rank.kernel_scalars()
-        rs.append(rank_nmp.current_cycle)
-        return rs
-
-    def _write_rank_scalars(self, rs):
-        rank_nmp = self.rank_nmp
-        rank_nmp.dram_rank.set_kernel_scalars(rs)
-        rank_nmp.current_cycle = int(rs[RS_CURRENT])
-
-    def _apply_stats(self, st, psum_tags):
-        rank_nmp = self.rank_nmp
-        stats = rank_nmp.stats
-        stats.instructions += int(st[ST_INSTRUCTIONS])
-        stats.cache_hits += int(st[ST_HITS])
-        stats.cache_misses += int(st[ST_MISSES])
-        stats.cache_bypasses += int(st[ST_BYPASSES])
-        stats.dram_reads += int(st[ST_DRAM_READS])
-        stats.activations += int(st[ST_ACTIVATIONS])
-        stats.busy_cycles += int(st[ST_BUSY])
-        stats.bytes_from_dram += int(st[ST_BYTES_DRAM])
-        stats.bytes_from_cache += int(st[ST_BYTES_CACHE])
-        cache = rank_nmp.cache
-        if cache is not None:
-            cache_stats = cache.stats
-            cache_stats.hits += int(st[ST_HITS])
-            cache_stats.misses += int(st[ST_MISSES])
-            cache_stats.bypasses += int(st[ST_BYPASSES])
-            cache_stats.evictions += int(st[ST_EVICTIONS])
-        psums = rank_nmp._psum_counts
-        if isinstance(psum_tags, np.ndarray):
-            tags, counts = np.unique(psum_tags, return_counts=True)
-            for tag, tag_count in zip(tags.tolist(), counts.tolist()):
-                psums[tag] = psums.get(tag, 0) + tag_count
-        else:
-            for tag in psum_tags:
-                psums[tag] = psums.get(tag, 0) + 1
-
-    def reset(self):
-        """Drop kernel-side state (after RankNMP.reset / cache flush)."""
-
-
-class PythonRankKernel(_RankKernelBase):
-    """Pure-python kernel: list state + the cache's own OrderedDict."""
-
-    flavor = "python"
-
-    def execute_objects(self, instructions, arrival_cycles, reorder_window,
-                        decoded=None):
-        """List-native packing from NMPInstruction objects (no numpy
-        round trip -- plain-int state is what the CPython loop wants)."""
-        count = len(instructions)
-        if count == 0:
-            return self.rank_nmp.current_cycle
-        adder = self.adder
-        with_mult = adder + self.multiplier
-        daddr_list = [inst.daddr for inst in instructions]
-        vsize_list = [inst.vsize for inst in instructions]
-        computes = [with_mult if inst.weight != 1.0 else adder
-                    for inst in instructions]
-        vbytes = [vsize * 64 for vsize in vsize_list]
-        locality_list = [inst.locality_bit for inst in instructions]
-        psum_list = [inst.psum_tag for inst in instructions]
-        if decoded is None:
-            bg_list, bank_list, row_list = \
-                self.rank_nmp.decode_bank_rows(daddr_list)
-        else:
-            bg_list, bank_list, row_list = \
-                list(decoded[0]), list(decoded[1]), list(decoded[2])
-        banks_per_group = self.banks_per_group
-        flats = [bg_list[i] * banks_per_group + bank_list[i]
-                 for i in range(count)]
-        return self._run(daddr_list, vsize_list, computes, vbytes,
-                         locality_list, psum_list, list(arrival_cycles),
-                         flats, bg_list, row_list, reorder_window)
-
-    def execute_arrays(self, daddrs, vsizes, weighted, localities,
-                       psum_tags, arrivals, bank_groups, banks, rows,
-                       reorder_window):
-        count = len(daddrs)
-        if count == 0:
-            return self.rank_nmp.current_cycle
-        flats = (bank_groups * self.banks_per_group + banks).tolist()
-        computes = (self.adder
-                    + self.multiplier * weighted.astype(np.int64)).tolist()
-        vbytes = (vsizes * 64).tolist()
-        return self._run(daddrs.tolist(), vsizes.tolist(), computes, vbytes,
-                         localities.tolist(), psum_tags.tolist(),
-                         arrivals.tolist(), flats, bank_groups.tolist(),
-                         rows.tolist(), reorder_window)
-
-    def _run(self, daddr_list, vsize_list, computes, vbytes, locality_list,
-             psum_list, arrival_list, flats, bg_list, row_list,
-             reorder_window):
-        rank_nmp = self.rank_nmp
-        rank = rank_nmp.dram_rank
-        bank_objs = rank.banks
-        b_open = [-1 if b.open_row is None else b.open_row
-                  for b in bank_objs]
-        b_next_act = [b.next_act for b in bank_objs]
-        b_next_read = [b.next_read for b in bank_objs]
-        b_next_pre = [b.next_pre for b in bank_objs]
-        b_activations = [b.activations for b in bank_objs]
-        b_reads = [b.reads for b in bank_objs]
-        b_precharges = [b.precharges for b in bank_objs]
-        rs = self._rank_scalars()
-        st = [0] * ST_SIZE
-        cache = rank_nmp.cache
-        entries = cache._entries if cache is not None else None
-        window_size = reorder_window if reorder_window > 1 else 1
-        last = _execute_window_python(
-            daddr_list, vsize_list, computes, vbytes, locality_list,
-            arrival_list, flats, bg_list, row_list, window_size,
-            b_open, b_next_act, b_next_read, b_next_pre,
-            b_activations, b_reads, b_precharges,
-            rs, self.timing_params, st, entries, self.capacity,
-            self.cache_latency)
-        for i, bank in enumerate(bank_objs):
-            open_row = b_open[i]
-            bank.open_row = None if open_row < 0 else open_row
-            bank.next_act = b_next_act[i]
-            bank.next_read = b_next_read[i]
-            bank.next_pre = b_next_pre[i]
-            bank.activations = b_activations[i]
-            bank.reads = b_reads[i]
-            bank.precharges = b_precharges[i]
-        self._write_rank_scalars(rs)
-        self._apply_stats(st, psum_list)
-        return last
-
-
-class FlatRankKernel(_RankKernelBase):
+class FlatRankKernel:
     """Struct-of-arrays kernel wrapper (numba-jitted or un-jitted).
 
     Keeps a persistent flat LRU (``int64 -> slot`` dict plus linked-list
@@ -1114,28 +682,28 @@ class FlatRankKernel(_RankKernelBase):
     external ``flush()``).
     """
 
-    def __init__(self, rank_nmp, fn=None, rebuild_fn=None,
-                 dict_factory=None):
-        super().__init__(rank_nmp)
-        if fn is None:
-            fn = _execute_window_flat
-        if rebuild_fn is None:
-            rebuild_fn = _rebuild_lru_flat
-        self.fn = fn
-        self.rebuild_fn = rebuild_fn
-        if dict_factory is None:
-            if _numba_typed is not None:
-                dict_factory = lambda: _numba_typed.Dict.empty(  # noqa: E731
-                    key_type=_numba_types.int64,
-                    value_type=_numba_types.int64)
-            else:
-                dict_factory = dict
-        self.dict_factory = dict_factory
-        self.flavor = "numba" if _njit is not None and \
-            fn is _execute_window_flat and KERNEL_FLAVOR == "numba" \
-            else "flat-python"
+    def __init__(self, rank_nmp, flavor):
+        self.rank_nmp = rank_nmp
+        config = rank_nmp.config
+        self.adder = config.adder_latency_cycles
+        self.multiplier = config.multiplier_latency_cycles
+        self.cache_latency = config.cache_latency_cycles
+        self.banks_per_group = config.banks_per_group
+        self.num_bank_groups = config.num_bank_groups
+        self.capacity = (rank_nmp.cache.num_entries
+                         if rank_nmp.cache is not None else 0)
+        self.timing_params = config.timing.kernel_params()
+        if flavor == "numba":
+            self.fn = _execute_window_flat
+            self.rebuild_fn = _rebuild_lru_flat
+            self.dict_factory = lambda: _numba_typed.Dict.empty(  # noqa: E731
+                key_type=_numba_types.int64, value_type=_numba_types.int64)
+        else:
+            self.fn = _execute_window_flat_py
+            self.rebuild_fn = _rebuild_lru_flat_py
+            self.dict_factory = dict
         capacity = max(1, self.capacity)
-        self._cache_slot = dict_factory()
+        self._cache_slot = self.dict_factory()
         self._lru_prev = np.empty(capacity, np.int64)
         self._lru_next = np.empty(capacity, np.int64)
         self._lru_key = np.empty(capacity, np.int64)
@@ -1144,6 +712,7 @@ class FlatRankKernel(_RankKernelBase):
         self._cs[CS_TAIL] = -1
 
     def reset(self):
+        """Drop kernel-side state (after RankNMP.reset / cache flush)."""
         self._cache_slot = self.dict_factory()
         self._cs[CS_HEAD] = -1
         self._cs[CS_TAIL] = -1
@@ -1180,9 +749,37 @@ class FlatRankKernel(_RankKernelBase):
                     popitem(last=False)
                 entries[daddr] = None
 
+    def _apply_stats(self, st, psum_tags):
+        """Add one call's statistics deltas and PsumTag counts to the
+        rank-NMP and its cache."""
+        rank_nmp = self.rank_nmp
+        stats = rank_nmp.stats
+        stats.instructions += int(st[ST_INSTRUCTIONS])
+        stats.cache_hits += int(st[ST_HITS])
+        stats.cache_misses += int(st[ST_MISSES])
+        stats.cache_bypasses += int(st[ST_BYPASSES])
+        stats.dram_reads += int(st[ST_DRAM_READS])
+        stats.activations += int(st[ST_ACTIVATIONS])
+        stats.busy_cycles += int(st[ST_BUSY])
+        stats.bytes_from_dram += int(st[ST_BYTES_DRAM])
+        stats.bytes_from_cache += int(st[ST_BYTES_CACHE])
+        cache = rank_nmp.cache
+        if cache is not None:
+            cache_stats = cache.stats
+            cache_stats.hits += int(st[ST_HITS])
+            cache_stats.misses += int(st[ST_MISSES])
+            cache_stats.bypasses += int(st[ST_BYPASSES])
+            cache_stats.evictions += int(st[ST_EVICTIONS])
+        psums = rank_nmp._psum_counts
+        tags, counts = np.unique(psum_tags, return_counts=True)
+        for tag, tag_count in zip(tags.tolist(), counts.tolist()):
+            psums[tag] = psums.get(tag, 0) + tag_count
+
     def execute_arrays(self, daddrs, vsizes, weighted, localities,
                        psum_tags, arrivals, bank_groups, banks, rows,
                        reorder_window):
+        """Run one aligned int64/bool column stream through the kernel;
+        returns the last completion cycle."""
         rank_nmp = self.rank_nmp
         count = len(daddrs)
         if count == 0:
@@ -1211,7 +808,9 @@ class FlatRankKernel(_RankKernelBase):
             b_activations[i] = bank.activations
             b_reads[i] = bank.reads
             b_precharges[i] = bank.precharges
-        rs = np.asarray(self._rank_scalars(), dtype=np.int64)
+        scalars = rank.kernel_scalars()
+        scalars.append(rank_nmp.current_cycle)
+        rs = np.asarray(scalars, dtype=np.int64)
         tp = np.asarray(self.timing_params, dtype=np.int64)
         st = np.zeros(ST_SIZE, np.int64)
         exec_order = np.empty(count, np.int64)
@@ -1236,24 +835,21 @@ class FlatRankKernel(_RankKernelBase):
             bank.activations = int(b_activations[i])
             bank.reads = int(b_reads[i])
             bank.precharges = int(b_precharges[i])
-        self._write_rank_scalars(rs)
+        rank.set_kernel_scalars(rs)
+        rank_nmp.current_cycle = int(rs[RS_CURRENT])
         self._replay_cache_out(exec_order, daddrs, localities)
         self._apply_stats(st, psum_tags)
         return int(last)
 
 
 def make_rank_kernel(rank_nmp):
-    """Kernel wrapper for one RankNMP, or None when kernels are disabled."""
+    """Flat kernel wrapper for one RankNMP under the ``numba`` and
+    ``flat-python`` flavors; None under ``python`` and ``disabled``,
+    where RankNMP runs its own column window loop."""
     flavor = active_flavor()
-    if flavor == "disabled":
-        return None
-    if flavor == "numba":
-        return FlatRankKernel(rank_nmp)
-    if flavor == "flat-python":
-        return FlatRankKernel(rank_nmp, fn=_execute_window_flat_py,
-                              rebuild_fn=_rebuild_lru_flat_py,
-                              dict_factory=dict)
-    return PythonRankKernel(rank_nmp)
+    if flavor in ("numba", "flat-python"):
+        return FlatRankKernel(rank_nmp, flavor)
+    return None
 
 
 def describe():
@@ -1263,5 +859,7 @@ def describe():
         return "kernels disabled (REPRO_DISABLE_KERNELS)"
     if flavor == "numba":
         return "numba-jitted bank state machine"
-    return "pure-python kernel fallback (numba not installed)"
+    if flavor == "flat-python":
+        return "un-jitted flat kernel source"
+    return "RankNMP column loop (numba not installed)"
 

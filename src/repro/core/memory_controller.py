@@ -144,15 +144,13 @@ class NMPMemoryController:
         per_packet = []
         current_cycle = 0
         per_rank_counts = self.stats.per_rank_instructions
-        use_packed = getattr(channel, "supports_packed", False)
-        # Tiny packets stay on the object path: the numpy packing and
-        # kernel-call fixed costs only pay for themselves past a
+        # Small packets stay on the object path: the numpy packing and
+        # per-call fixed costs only pay for themselves past a
         # flavour-dependent packet size (both paths are bit-identical,
         # so mixing them within one dispatch is safe).
-        packed_min = _kernels.packed_dispatch_min_instructions() \
-            if use_packed else 0
+        packed_min = _kernels.packed_dispatch_min_instructions()
         for packet in order:
-            if use_packed and len(packet.instructions) >= packed_min:
+            if len(packet.instructions) >= packed_min:
                 current_cycle, latency = self._dispatch_packed(
                     channel, packet, current_cycle, reorder,
                     per_rank_counts)

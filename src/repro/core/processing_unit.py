@@ -13,6 +13,7 @@ through which the compressed NMP-Insts are delivered.
 
 import numpy as np
 
+from repro.core import kernels as _kernels
 from repro.core.dimm_nmp import DimmNMP
 from repro.core.rank_nmp import RankNMPConfig
 
@@ -116,14 +117,11 @@ class RecNMPChannel:
         # whole packet -- the rank config is shared by all rank-NMPs, so
         # one vectorised pass replaces a per-instruction decode in each
         # rank's scheduler.
-        config = self.rank_config
-        blocks = np.fromiter((inst.daddr for inst in instructions),
-                             dtype=np.int64,
-                             count=count) // config.columns_per_row
-        bank_groups = (blocks % config.num_bank_groups).tolist()
-        blocks //= config.num_bank_groups
-        bank_indices = (blocks % config.banks_per_group).tolist()
-        rows = (blocks // config.banks_per_group).tolist()
+        bank_groups, bank_indices, rows = (
+            column.tolist() for column in _kernels.pack_decoded(
+                self.rank_config,
+                np.fromiter((inst.daddr for inst in instructions),
+                            dtype=np.int64, count=count)))
         # Group instructions per rank, preserving order; arrival times model
         # the shared C/A interface delivering instructions sequentially.
         rate = self.instruction_rate_per_cycle
@@ -159,16 +157,8 @@ class RecNMPChannel:
         return (slowest + dimm_nmp.adder_tree_latency_cycles
                 + dimm_nmp.sum_transfer_cycles * packet.num_poolings)
 
-    @property
-    def supports_packed(self):
-        """True when every rank-NMP has an active command-issue kernel
-        (the array-native :meth:`execute_packed` path is then available
-        and bit-identical to :meth:`execute_packet`)."""
-        return all(rank_nmp.supports_packed
-                   for rank_nmp in self.all_rank_nmps())
-
     def execute_packed(self, packed, start_cycle=0, ranks=None):
-        """Array-native twin of :meth:`execute_packet`.
+        """Array-native counterpart of :meth:`execute_packet`.
 
         ``packed`` is a :class:`~repro.core.instruction.PackedInstructions`
         already in issue order; ``ranks`` the aligned per-instruction

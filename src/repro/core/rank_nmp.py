@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.cache.rank_cache import RankCache
 from repro.core import kernels as _kernels
+from repro.core.instruction import PackedInstructions
 from repro.dram.commands import CommandType
 from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2400
@@ -48,6 +49,15 @@ class RankNMPConfig:
     columns_per_row: int = 128
 
     def __post_init__(self):
+        for name in ("num_bank_groups", "banks_per_group",
+                     "columns_per_row"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1, got %r"
+                                 % (name, getattr(self, name)))
+        for name in ("adder_latency_cycles", "multiplier_latency_cycles"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0, got %r"
+                                 % (name, getattr(self, name)))
         if self.cache_capacity_bytes <= 0:
             raise ValueError("cache_capacity_bytes must be positive")
         if self.vector_size_bytes <= 0 or self.vector_size_bytes % 64:
@@ -110,13 +120,13 @@ class RankNMP:
         # Partial-sum register file: PsumTag -> accumulated vector count.
         self._psum_counts = {}
         self.current_cycle = 0
-        # Compiled (or pure-python) command-issue kernel; None when
-        # REPRO_DISABLE_KERNELS is set, in which case the object-based
-        # methods below run as-is (they remain the readable spec the
-        # kernel is tested against).  Streams shorter than the cutover
-        # take the legacy path even with a kernel bound: the kernel's
-        # packing and sync costs only amortise on long streams (the
-        # cutover is 0 -- kernel always -- inside force_flavor).
+        # Flat command-issue kernel for the numba and flat-python
+        # flavors; None otherwise, in which case both entry points run
+        # the column window loop below (the readable spec the kernel is
+        # tested against).  Streams shorter than the cutover take that
+        # loop even with a kernel bound: the kernel's packing and sync
+        # costs only amortise on long streams (the cutover is 0 --
+        # kernel always -- inside force_flavor).
         self._kernel = _kernels.make_rank_kernel(self)
         self._kernel_min_instructions = \
             _kernels.packed_dispatch_min_instructions()
@@ -146,25 +156,21 @@ class RankNMP:
         """Vectorised :meth:`decode_bank_row` over many Daddrs.
 
         Returns ``(bank_groups, banks, rows)`` as plain Python lists (the
-        column is not needed by the timing model).  Used to decode a whole
-        packet once instead of re-decoding per instruction per scheduler
-        scan.
+        column is not needed by the timing model), decoded once per
+        stream by :func:`~repro.core.kernels.pack_decoded`.
         """
-        config = self.config
-        blocks = np.asarray(daddrs, dtype=np.int64) // config.columns_per_row
-        bank_groups = blocks % config.num_bank_groups
-        blocks = blocks // config.num_bank_groups
-        banks = blocks % config.banks_per_group
-        rows = blocks // config.banks_per_group
-        return bank_groups.tolist(), banks.tolist(), rows.tolist()
+        return tuple(column.tolist() for column in _kernels.pack_decoded(
+            self.config, np.asarray(daddrs, dtype=np.int64)))
 
     # ------------------------------------------------------------------ #
     # Execution                                                          #
     # ------------------------------------------------------------------ #
-    def _dram_read(self, instruction, earliest_cycle, decoded=None):
+    def _dram_read(self, bank_group, bank_index, row, vsize, earliest_cycle):
         """Issue the DDR commands of one instruction.
 
-        Returns ``(data_done, next_slot)`` where ``data_done`` is the cycle
+        The instruction arrives as its decoded Daddr (``bank_group``,
+        ``bank_index``, ``row``) and its burst count ``vsize``.  Returns
+        ``(data_done, next_slot)`` where ``data_done`` is the cycle
         the last data beat arrives and ``next_slot`` the command-bus cycle
         from which the *next* instruction's commands may start.  Commands of
         consecutive instructions are pipelined: the next instruction only
@@ -176,15 +182,8 @@ class RankNMP:
         :class:`~repro.dram.bank.Bank` is inlined here (this is the
         simulator's hottest function): every command is issued at its
         ``earliest_issue_cycle``, so the legality re-checks of the generic
-        ``issue`` path are redundant by construction.  ``decoded`` carries
-        a precomputed ``(bank_group, bank_index, row)`` from
-        :meth:`decode_bank_rows`.
+        ``issue`` path are redundant by construction.
         """
-        if decoded is None:
-            bank_group, bank_index, row, _ = self.decode_bank_row(
-                instruction.daddr)
-        else:
-            bank_group, bank_index, row = decoded
         rank = self.dram_rank
         timing = rank.timing
         bank = rank.banks[bank_group * rank.banks_per_group + bank_index]
@@ -244,100 +243,64 @@ class RankNMP:
                 first_issue = cycle
             self.stats.activations += 1
         finish = cycle
-        bursts = instruction.vsize
-        if bursts < 1:
-            bursts = 1
+        bursts = vsize if vsize > 1 else 1
         tCL = timing.tCL
         tCCD_L = timing.tCCD_L
         tCCD_S = timing.tCCD_S
         tBL = timing.tBL
         tRTP = timing.tRTP
+        next_read = bank.next_read
+        next_pre = bank.next_pre
+        last_col = rank._last_col_cycle
+        last_col_bank_group = rank._last_col_bank_group
+        bus_free = rank.next_data_bus_free
         for _ in range(bursts):
-            ready = bank.next_read
-            last_col = rank._last_col_cycle
+            ready = next_read
             if last_col is not None:
-                ccd = last_col + (tCCD_L
-                                  if bank_group == rank._last_col_bank_group
+                ccd = last_col + (tCCD_L if bank_group == last_col_bank_group
                                   else tCCD_S)
                 if ccd > ready:
                     ready = ccd
-            bus = rank.next_data_bus_free - tCL
+            bus = bus_free - tCL
             if bus > ready:
                 ready = bus
             if ready > cycle:
                 cycle = ready
-            bank.reads += 1
             finish = cycle + tCL + tBL
             value = cycle + tCCD_L
-            if value > bank.next_read:
-                bank.next_read = value
+            if value > next_read:
+                next_read = value
             value = cycle + tRTP
-            if value > bank.next_pre:
-                bank.next_pre = value
-            rank._last_col_cycle = cycle
-            rank._last_col_bank_group = bank_group
-            if finish > rank.next_data_bus_free:
-                rank.next_data_bus_free = finish
-            commands_issued += 1
+            if value > next_pre:
+                next_pre = value
+            last_col = cycle
+            last_col_bank_group = bank_group
+            if finish > bus_free:
+                bus_free = finish
             if first_issue is None:
                 first_issue = cycle
-            self.stats.dram_reads += 1
-        self.stats.bytes_from_dram += instruction.vector_bytes
+        bank.next_read = next_read
+        bank.next_pre = next_pre
+        bank.reads += bursts
+        rank._last_col_cycle = last_col
+        rank._last_col_bank_group = last_col_bank_group
+        rank.next_data_bus_free = bus_free
+        stats = self.stats
+        stats.dram_reads += bursts
+        stats.bytes_from_dram += vsize * 64
         next_slot = (start if start > first_issue else first_issue) \
-            + commands_issued
+            + commands_issued + bursts
         return finish, next_slot
 
-    def execute_instruction(self, instruction, arrival_cycle=0,
-                            decoded=None):
+    def execute_instruction(self, instruction, arrival_cycle=0):
         """Execute one NMP-Inst; returns the cycle its Psum update completes.
 
-        ``decoded`` optionally carries the precomputed ``(bank_group,
-        bank_index, row)`` of the instruction (see :meth:`decode_bank_rows`).
+        A one-instruction :meth:`execute_instructions`: the completion never
+        precedes the entry ``current_cycle``, so the stream's last
+        completion is this instruction's.
         """
-        if self._kernel is not None and self._kernel_min_instructions <= 1:
-            # One-element kernel call: the completion necessarily exceeds
-            # the entry current_cycle, so the return value is identical
-            # to the legacy path below.
-            return self._kernel.execute_objects(
-                (instruction,), (arrival_cycle,), 1,
-                decoded=None if decoded is None else
-                ((decoded[0],), (decoded[1],), (decoded[2],)))
-        self.stats.instructions += 1
-        start = max(self.current_cycle, arrival_cycle)
-        if self.cache is not None:
-            hit = self.cache.lookup(instruction.daddr,
-                                    locality_hint=instruction.locality_bit)
-            if hit:
-                self.stats.cache_hits += 1
-                self.stats.bytes_from_cache += instruction.vector_bytes
-                data_ready = start + self.config.cache_latency_cycles
-                next_free = start + self.config.cache_latency_cycles
-            else:
-                if instruction.locality_bit:
-                    self.stats.cache_misses += 1
-                else:
-                    self.stats.cache_bypasses += 1
-                data_ready, next_free = self._dram_read(instruction, start,
-                                                        decoded=decoded)
-        else:
-            data_ready, next_free = self._dram_read(instruction, start,
-                                                    decoded=decoded)
-        # Datapath: weighted multiply (if any) then accumulate.  The pipeline
-        # overlaps with the next memory access, so only the final add depth
-        # shows up in the completion time of this instruction.
-        compute = self.config.adder_latency_cycles
-        if instruction.weight != 1.0:
-            compute += self.config.multiplier_latency_cycles
-        completion = data_ready + compute
-        self._psum_counts[instruction.psum_tag] = \
-            self._psum_counts.get(instruction.psum_tag, 0) + 1
-        busy_delta = max(0, next_free - start)
-        self.stats.busy_cycles += busy_delta
-        # Memory accesses are pipelined: the next instruction's DDR commands
-        # can be scheduled as soon as this one's last command slot is past
-        # (bank/rank/data-bus legality is enforced by the DRAM rank model).
-        self.current_cycle = next_free
-        return completion
+        return self.execute_instructions((instruction,), (arrival_cycle,),
+                                         reorder_window=1)
 
     def _estimated_start(self, instruction, arrival_cycle):
         """Earliest cycle the first command of an instruction could issue.
@@ -373,16 +336,10 @@ class RankNMP:
         first.  Correctness is unaffected because each pooling accumulates
         into its own PsumTag register.
 
-        The selection is cycle-identical to evaluating
-        :meth:`_estimated_start` for every window member on every
-        iteration, but avoids that quadratic re-computation: per-bank
-        command/readiness is read once per member from the live bank state,
-        the rank-level ACT/RD components are memoised per bank group and
-        invalidated lazily (only an instruction that touched DRAM can
-        change them), and members whose earliest possible start already
-        matches or exceeds the best estimate are skipped outright.
-        ``decoded`` optionally carries ``(bank_groups, banks, rows)`` lists
-        from :meth:`decode_bank_rows`, so callers that already decoded the
+        The instruction objects are read once, into the columns the window
+        loop runs on (see :meth:`_execute_window`).  ``decoded`` optionally
+        carries ``(bank_groups, banks, rows)`` lists from
+        :meth:`decode_bank_rows`, so callers that already decoded the
         packet (the channel does) don't pay for it twice.
         """
         count = len(instructions)
@@ -390,28 +347,80 @@ class RankNMP:
             arrival_cycles = [0] * count
         if len(arrival_cycles) != count:
             raise ValueError("arrival_cycles must match instructions")
-        last_completion = self.current_cycle
         if not count:
-            return last_completion
+            return self.current_cycle
         if self._kernel is not None and \
                 count >= self._kernel_min_instructions:
-            return self._kernel.execute_objects(
-                instructions, arrival_cycles, reorder_window,
-                decoded=decoded)
+            return self.execute_packed(
+                PackedInstructions.from_instructions(instructions),
+                arrival_cycles, reorder_window)
+        daddrs = [inst.daddr for inst in instructions]
         if decoded is None:
-            decoded = self.decode_bank_rows(
-                [inst.daddr for inst in instructions])
+            decoded = self.decode_bank_rows(daddrs)
         bank_groups, bank_indices, rows = decoded
+        return self._execute_window(
+            daddrs, [inst.vsize for inst in instructions],
+            [inst.weight != 1.0 for inst in instructions],
+            [inst.locality_bit for inst in instructions],
+            [inst.psum_tag for inst in instructions],
+            arrival_cycles, bank_groups, bank_indices, rows, reorder_window)
+
+    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
+        """:meth:`execute_instructions` over a
+        :class:`~repro.core.instruction.PackedInstructions` (flat numpy
+        arrays, no NMPInstruction objects); bit-identical to it.
+
+        A bound kernel runs the arrays as they are; otherwise their
+        ``tolist()`` columns go through :meth:`_execute_window`.
+        """
+        daddrs = packed.daddrs
+        if not len(daddrs):
+            return self.current_cycle
+        bank_groups, bank_indices, rows = _kernels.pack_decoded(self.config,
+                                                                daddrs)
+        arrivals = np.asarray(arrival_cycles, dtype=np.int64)
+        if self._kernel is not None:
+            return self._kernel.execute_arrays(
+                daddrs, packed.vsizes, packed.weighted, packed.localities,
+                packed.psum_tags, arrivals, bank_groups, bank_indices, rows,
+                reorder_window)
+        return self._execute_window(
+            daddrs.tolist(), packed.vsizes.tolist(), packed.weighted.tolist(),
+            packed.localities.tolist(), packed.psum_tags.tolist(),
+            arrivals.tolist(), bank_groups.tolist(), bank_indices.tolist(),
+            rows.tolist(), reorder_window)
+
+    def _execute_window(self, daddrs, vsizes, weighted, localities,
+                        psum_tags, arrival_cycles, bank_groups, bank_indices,
+                        rows, reorder_window):
+        """The FR-FCFS window loop over aligned per-instruction columns.
+
+        Each iteration picks one window member, then executes it: a
+        RankCache lookup (the LocalityBit decides allocation on a miss),
+        the DDR command sequence of :meth:`_dram_read` unless it hit, and
+        the datapath latency into its PsumTag register.
+
+        The selection is cycle-identical to evaluating
+        :meth:`_estimated_start` for every window member on every
+        iteration, but avoids that quadratic re-computation: per-bank
+        command/readiness is read once per member from the live bank state,
+        the rank-level ACT/RD components are memoised per bank group and
+        invalidated lazily (only an instruction that touched DRAM can
+        change them), and members whose earliest possible start already
+        matches or exceeds the best estimate are skipped outright.  This
+        is the readable specification the flat kernel
+        (:func:`~repro.core.kernels._execute_window_flat`) is pinned to.
+        """
+        count = len(daddrs)
+        last_completion = self.current_cycle
         banks_per_group = self.config.banks_per_group
         rank = self.dram_rank
         banks = rank.banks
+        bank_of = [banks[bank_groups[i] * banks_per_group + bank_indices[i]]
+                   for i in range(count)]
         timing = rank.timing
         cache = self.cache
         entries = cache._entries if cache is not None else None
-        daddrs = [inst.daddr for inst in instructions]
-        localities = [inst.locality_bit for inst in instructions]
-        flats = [bank_groups[i] * banks_per_group + bank_indices[i]
-                 for i in range(count)]
         tCL = timing.tCL
         tCCD_L = timing.tCCD_L
         tCCD_S = timing.tCCD_S
@@ -421,12 +430,17 @@ class RankNMP:
         window_size = reorder_window if reorder_window > 1 else 1
         window = list(range(window_size if window_size < count else count))
         next_index = len(window)
+        stats = self.stats
+        psums = self._psum_counts
+        cache_latency = self.config.cache_latency_cycles
+        adder = self.config.adder_latency_cycles
+        adder_multiplier = adder + self.config.multiplier_latency_cycles
+        dram_read = self._dram_read
         # Rank-level earliest-issue components, memoised per bank group and
         # cleared whenever an executed instruction touched DRAM (cache hits
         # leave both the rank and every bank untouched).
         act_part = {}
         rd_part = {}
-        execute = self.execute_instruction
         while window:
             current = self.current_cycle
             best_pos = 0
@@ -436,15 +450,15 @@ class RankNMP:
                 start = arrival if arrival > current else current
                 if best_estimate is not None and start >= best_estimate:
                     # estimate >= start, so this member cannot win (ties
-                    # keep the earliest window position, as before).
+                    # keep the earliest window position).
                     continue
                 if entries is not None and localities[index] and \
                         daddrs[index] in entries:
                     estimate = start
                 else:
-                    bank = banks[flats[index]]
-                    open_row = bank.open_row
                     bank_group = bank_groups[index]
+                    bank = bank_of[index]
+                    open_row = bank.open_row
                     if open_row == rows[index]:
                         ready = bank.next_read
                         part = rd_part.get(bank_group)
@@ -484,46 +498,54 @@ class RankNMP:
                 if best_estimate is None or estimate < best_estimate:
                     best_estimate = estimate
                     best_pos = pos
+                    if estimate <= current:
+                        # estimate >= start >= current for every member
+                        # and ties keep the earliest position: already won.
+                        break
             index = window.pop(best_pos)
             if next_index < count:
                 window.append(next_index)
                 next_index += 1
-            resident = entries is not None and daddrs[index] in entries
-            completion = execute(
-                instructions[index], arrival_cycle=arrival_cycles[index],
-                decoded=(bank_groups[index], bank_indices[index],
-                         rows[index]))
-            if completion > last_completion:
-                last_completion = completion
-            if not resident:
+            # Execute the pick: RankCache lookup (LocalityBit decides
+            # allocation on a miss), else the DDR command sequence.
+            vsize = vsizes[index]
+            locality = localities[index]
+            arrival = arrival_cycles[index]
+            start = arrival if arrival > current else current
+            stats.instructions += 1
+            if cache is not None and cache.lookup(daddrs[index],
+                                                  locality_hint=locality):
+                stats.cache_hits += 1
+                stats.bytes_from_cache += vsize * 64
+                data_ready = next_free = start + cache_latency
+            else:
+                if cache is not None:
+                    if locality:
+                        stats.cache_misses += 1
+                    else:
+                        stats.cache_bypasses += 1
+                data_ready, next_free = dram_read(
+                    bank_groups[index], bank_indices[index], rows[index],
+                    vsize, start)
                 act_part.clear()
                 rd_part.clear()
+            # Datapath: weighted multiply (if any) then accumulate into the
+            # PsumTag's register.  The pipeline overlaps with the next
+            # memory access, so only its depth shows up in the completion.
+            completion = data_ready + (adder_multiplier if weighted[index]
+                                       else adder)
+            if completion > last_completion:
+                last_completion = completion
+            psum_tag = psum_tags[index]
+            psums[psum_tag] = psums.get(psum_tag, 0) + 1
+            if next_free > start:
+                stats.busy_cycles += next_free - start
+            # Memory accesses are pipelined: the next instruction's DDR
+            # commands can be scheduled as soon as this one's last command
+            # slot is past (bank/rank/data-bus legality is enforced by the
+            # DRAM state machine of _dram_read).
+            self.current_cycle = next_free
         return last_completion
-
-    @property
-    def supports_packed(self):
-        """True when the array-native kernel entry point is available."""
-        return self._kernel is not None
-
-    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
-        """Array-native twin of :meth:`execute_instructions`.
-
-        ``packed`` is a :class:`~repro.core.instruction.PackedInstructions`
-        (flat numpy arrays, no NMPInstruction objects); callers must check
-        :attr:`supports_packed` first.  Bit-identical to the object path.
-        """
-        kernel = self._kernel
-        if kernel is None:
-            raise RuntimeError("kernels are disabled; use "
-                               "execute_instructions instead")
-        daddrs = packed.daddrs
-        if not len(daddrs):
-            return self.current_cycle
-        bank_groups, banks, rows = _kernels.pack_decoded(self.config, daddrs)
-        return kernel.execute_arrays(
-            daddrs, packed.vsizes, packed.weighted, packed.localities,
-            packed.psum_tags, arrival_cycles, bank_groups, banks, rows,
-            reorder_window)
 
     # ------------------------------------------------------------------ #
     def psum_count(self, psum_tag):

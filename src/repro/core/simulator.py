@@ -8,10 +8,10 @@ same physical-address trace runs through the baseline DDR4 system
 (:class:`~repro.dram.system.DramSystem`) so memory-latency speedups can be
 reported exactly as the paper does.
 
-The command-issue inner loop runs on one of the bit-identical execution
-kernels in :mod:`repro.core.kernels` (numba-jitted when available, a
-pure-python twin otherwise); each result records which flavor produced it
-in :attr:`RecNMPResult.kernel_flavor`.
+The command-issue inner loop runs on one of its bit-identical
+implementations (see :mod:`repro.core.kernels`: the numba-jitted flat
+kernel when available, the rank-NMP column loop otherwise); each result
+records which flavor produced it in :attr:`RecNMPResult.kernel_flavor`.
 """
 
 from dataclasses import dataclass, field

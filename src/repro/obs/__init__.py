@@ -10,7 +10,7 @@ completion), built from four pieces:
 * :mod:`repro.obs.capture` -- :class:`RunCapture`, the raw per-run
   arrays an engine deposits after its queue simulation.  Spans are
   reconstructed *post hoc* from kernel output arrays: no callbacks ever
-  enter a jitted loop, so kernel-twin sync and bit-identity are
+  enter a jitted loop, so bit-identity across kernel flavors is
   untouched.
 * :mod:`repro.obs.tracing` -- :class:`Tracer`, per-query lifecycle
   spans and sim-time queue-depth / per-node activity series.

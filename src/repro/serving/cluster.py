@@ -649,7 +649,9 @@ class ShardedServingCluster:
                                                         final=is_final)
             if len(formed):
                 batch_parts.append(formed)
-                services.extend(model.service_times_us(self, formed))
+                times = model.service_times_us(self, formed)
+                _require_valid_service_times(model, times, len(services))
+                services.extend(times)
         if controller is not None and num_offered and not num_admitted:
             raise ValueError(
                 "admission controller %r shed every query; offered "
@@ -833,6 +835,25 @@ def _check_finite_arrivals(arrivals, offset):
         raise ValueError("arrival_us must be finite, but query %d of the "
                          "input has arrival_us=%r"
                          % (offset + index, float(arrivals[index])))
+
+
+def _require_valid_service_times(model, times, offset):
+    """Reject NaN, infinite or negative service times from ``model``,
+    naming the first bad batch.
+
+    Downstream they would only surface as NaN percentiles or a negative
+    utilisation.  ``offset`` is the run-wide index of ``times[0]``'s
+    batch.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    valid = (times >= 0.0) & (times < np.inf)
+    if not valid.all():
+        index = int(np.argmin(valid))
+        raise ValueError("service-time model %r returned %r us for batch "
+                         "%d; service times must be finite and "
+                         "non-negative" % (model.describe(),
+                                           float(times[index]),
+                                           offset + index))
 
 
 def _column_chunks(queries, stream_chunk):

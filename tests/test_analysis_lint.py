@@ -2,10 +2,9 @@
 
 Each rule gets golden bad-snippet fixtures asserting the exact rule,
 file and line of every finding, plus a clean fixture proving zero
-false positives; pragma suppression is round-tripped; the kernel-twin
-rule is driven against a mutated copy of the *real* kernels module;
-and the shipped tree itself must lint clean (the self-lint test is the
-tier-1 guarantee that the repo never regresses its own invariants).
+false positives; pragma suppression is round-tripped; and the shipped
+tree itself must lint clean (the self-lint test is the tier-1 guarantee
+that the repo never regresses its own invariants).
 """
 
 import textwrap
@@ -19,7 +18,6 @@ from repro.analysis import (
     available_rules,
     lint_paths,
 )
-from repro.analysis.kernel_twin import compare_twin_regions
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -318,107 +316,6 @@ class TestPickleSafetyRule:
                     self._connection = sqlite3.connect(path)
             """, rules=["pickle-safety"])
         assert [f.line for f in findings] == [5, 6]
-
-
-# --------------------------------------------------------------------- #
-TWIN_TEMPLATE = """\
-    def _execute_window_flat(hit, use_cache, part_map, key):
-        if hit:
-            served = 1
-        else:
-            if use_cache != 0:
-                row = part_map[key]
-                cost = 2 if row == _PART_UNSET else 3
-            total = cost {op} 1
-        return total
-
-
-    def _execute_window_python(hit, use_cache, part_map, key):
-        if hit:
-            served = 1
-        else:
-            if use_cache:
-                row = part_map.get(key)
-                if row is None:
-                    cost = 2
-                else:
-                    cost = 3
-            total = cost + 1
-        return total
-    """
-
-
-class TestKernelTwinSyncRule:
-    def test_allowed_substitutions_compare_equal(self, tmp_path):
-        _, findings = lint_snippet(
-            tmp_path, "kernels.py", TWIN_TEMPLATE.format(op="+"),
-            rules=["kernel-twin-sync"])
-        assert findings == []
-
-    def test_flipped_operator_fires(self, tmp_path):
-        path, findings = lint_snippet(
-            tmp_path, "kernels.py", TWIN_TEMPLATE.format(op="-"),
-            rules=["kernel-twin-sync"])
-        assert len(findings) == 1
-        assert findings[0].path == str(path)
-        assert "drifted apart" in findings[0].message
-
-    def test_lost_anchor_fires(self, tmp_path):
-        _, findings = lint_snippet(tmp_path, "kernels.py", """\
-            def _execute_window_flat(x):
-                return x
-
-            def _execute_window_python(hit):
-                if hit:
-                    return 1
-                else:
-                    return 2
-            """, rules=["kernel-twin-sync"])
-        assert len(findings) == 1
-        assert "anchor" in findings[0].message
-
-    def test_modules_without_twins_exempt(self, tmp_path):
-        _, findings = lint_snippet(tmp_path, "mod.py", """\
-            def _execute_window_flat(hit):
-                return 0
-            """, rules=["kernel-twin-sync"])
-        assert findings == []
-
-    def test_real_kernels_module_in_sync(self):
-        kernels = REPO_ROOT / "src" / "repro" / "core" / "kernels.py"
-        findings = lint_paths([str(kernels)],
-                              rules=["kernel-twin-sync"])
-        assert findings == []
-
-    def test_real_kernels_mutation_detected(self, tmp_path):
-        """A one-operator flip in the real flat kernel must fire."""
-        source = (REPO_ROOT / "src" / "repro" / "core"
-                  / "kernels.py").read_text()
-        mutated = source.replace("value = cycle + tRP",
-                                 "value = cycle - tRP", 1)
-        assert mutated != source, "mutation target vanished from kernels"
-        path = tmp_path / "kernels.py"
-        path.write_text(mutated)
-        findings = lint_paths([str(path)], rules=["kernel-twin-sync"])
-        assert len(findings) == 1
-        assert "drifted apart" in findings[0].message
-
-    def test_real_event_kernels_module_in_sync(self):
-        kernels = (REPO_ROOT / "src" / "repro" / "serving"
-                   / "event_kernels.py")
-        findings = lint_paths([str(kernels)],
-                              rules=["kernel-twin-sync"])
-        assert findings == []
-
-    def test_compare_twin_regions_reports_both_lines(self):
-        import ast
-        tree = ast.parse(textwrap.dedent(TWIN_TEMPLATE.format(op="-")))
-        flat, python = [node for node in tree.body
-                        if isinstance(node, ast.FunctionDef)]
-        divergence = compare_twin_regions(flat, python)
-        assert divergence is not None
-        message, flat_line, python_line = divergence
-        assert flat_line > 0 and python_line > flat_line
 
 
 # --------------------------------------------------------------------- #

@@ -1,14 +1,14 @@
-"""Bit-exactness tests for the compiled command-issue kernels.
+"""Bit-exactness tests for the compiled command-issue kernel.
 
 The contract of :mod:`repro.core.kernels` is that every flavour --
 ``numba`` (jitted flat arrays), ``flat-python`` (the same flat-array
-source, un-jitted), ``python`` (the list-native CPython twin) and
-``disabled`` (the legacy object-path spec in
-:class:`~repro.core.rank_nmp.RankNMP`) -- produces *identical* cycles,
-statistics, cache contents and bank state.  These tests pin that
-contract at two levels: randomized instruction streams on a single
-rank-NMP (down to the per-bank timing state), and full-system runs over
-the RecNMP variant matrix of the paper.
+source, un-jitted), and ``python`` / ``disabled`` (the column window
+loop of :class:`~repro.core.rank_nmp.RankNMP`, the readable spec) --
+produces *identical* cycles, statistics, cache contents and bank state,
+whether a stream arrives as instruction objects or as packed arrays.
+These tests pin that contract at two levels: randomized instruction
+streams on a single rank-NMP (down to the per-bank timing state), and
+full-system runs over the RecNMP variant matrix of the paper.
 """
 
 import contextlib
@@ -18,6 +18,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.instruction import (
@@ -25,6 +27,7 @@ from repro.core.instruction import (
     DDR_CMD_PRE,
     DDR_CMD_RD,
     NMPInstruction,
+    PackedInstructions,
 )
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
 from repro.dlrm.operators import SLSRequest
@@ -89,11 +92,25 @@ class TestFlavorSelection:
             with kernels.force_flavor("numba"):
                 pass
 
-    def test_disabled_flavor_removes_kernel(self):
+    def test_disabled_flavor_executes_packed_input(self):
+        # No kernel is bound, yet packed input runs -- through the same
+        # column loop as objects, bit-identically.
+        rng = np.random.default_rng(3)
+        instructions = _random_instructions(rng, 60)
+        arrivals = np.cumsum(rng.integers(0, 3, size=60))
+        config = RankNMPConfig(cache_capacity_bytes=4096)
         with kernels.force_flavor("disabled"):
-            rank = RankNMP(RankNMPConfig())
-            assert rank._kernel is None
-            assert not rank.supports_packed
+            objects = RankNMP(config)
+            packed = RankNMP(config)
+        assert packed._kernel is None
+        last = objects.execute_instructions(
+            instructions, arrival_cycles=arrivals.tolist(),
+            reorder_window=8)
+        packed_last = packed.execute_packed(
+            PackedInstructions.from_instructions(instructions), arrivals,
+            reorder_window=8)
+        assert (packed_last, _rank_snapshot(packed)) == \
+            (last, _rank_snapshot(objects))
 
     def test_force_flavor_restores_after_body_exception(self):
         before = kernels._FORCED_FLAVOR
@@ -127,28 +144,82 @@ class TestFlavorSelection:
         assert kernels._FORCED_FLAVOR == before
 
 
+def _run_entry_point(flavor, config, instructions, arrivals, window,
+                     packed, split):
+    """Run ``instructions`` on a fresh rank-NMP of ``flavor`` in two
+    calls (split at ``split``, so state carries across a call boundary)
+    through one entry point; returns ``(last, snapshot)``."""
+    with kernels.force_flavor(flavor):
+        rank = RankNMP(config)
+    last = None
+    for part in (slice(0, split), slice(split, None)):
+        chunk = instructions[part]
+        if packed:
+            last = rank.execute_packed(
+                PackedInstructions.from_instructions(chunk),
+                np.asarray(arrivals[part], dtype=np.int64),
+                reorder_window=window)
+        else:
+            last = rank.execute_instructions(
+                chunk, arrival_cycles=arrivals[part], reorder_window=window)
+    return last, _rank_snapshot(rank)
+
+
 class TestRankTriParity:
-    """python / flat-python / disabled agree on randomized streams."""
+    """python / flat-python / disabled agree on randomized streams,
+    through both the object and the packed entry point."""
 
     @pytest.mark.parametrize("use_cache", [True, False])
     @pytest.mark.parametrize("seed", range(4))
     def test_tri_parity(self, seed, use_cache):
+        self._check_tri_parity(seed, use_cache, packed=False)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tri_parity_packed(self, seed, use_cache):
+        self._check_tri_parity(seed, use_cache, packed=True)
+
+    @staticmethod
+    def _check_tri_parity(seed, use_cache, packed):
+        """Every portable flavor's ``packed`` (or object) entry point
+        matches the disabled flavor's object entry point."""
         rng = np.random.default_rng(seed)
         instructions = _random_instructions(rng, 120)
         arrivals = np.cumsum(rng.integers(0, 3, size=120)).tolist()
         config = RankNMPConfig(use_cache=use_cache,
                                cache_capacity_bytes=4096)
-        snapshots = {}
+        reference = _run_entry_point("disabled", config, instructions,
+                                     arrivals, 8, False, 70)
         for flavor in ("disabled",) + PORTABLE_FLAVORS:
-            with kernels.force_flavor(flavor):
-                rank = RankNMP(config)
-                last = rank.execute_instructions(
-                    list(instructions), arrival_cycles=list(arrivals),
-                    reorder_window=8)
-            snapshots[flavor] = (last, _rank_snapshot(rank))
-        reference = snapshots["disabled"]
-        for flavor in PORTABLE_FLAVORS:
-            assert snapshots[flavor] == reference, flavor
+            assert _run_entry_point(flavor, config, instructions, arrivals,
+                                    8, packed, 70) == reference, flavor
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_entry_points_agree(self, data):
+        """Objects under ``python``, packed under ``python`` and packed
+        under ``flat-python`` leave identical rank-NMP state."""
+        count = data.draw(st.integers(0, 60), label="count")
+        daddr = st.one_of(st.integers(0, 63), st.integers(0, 1 << 20))
+        instructions = [
+            NMPInstruction(ddr_cmd=FULL_CMD, daddr=data.draw(daddr),
+                           vsize=data.draw(st.integers(1, 4)),
+                           weight=data.draw(st.sampled_from([1.0, 0.5])),
+                           locality_bit=data.draw(st.booleans()),
+                           psum_tag=data.draw(st.integers(0, 15)))
+            for _ in range(count)]
+        arrivals = data.draw(st.lists(st.integers(0, 400), min_size=count,
+                                      max_size=count), label="arrivals")
+        window = data.draw(st.integers(1, 20), label="window")
+        config = RankNMPConfig(use_cache=data.draw(st.booleans()),
+                               cache_capacity_bytes=1024)
+        split = data.draw(st.integers(0, count), label="split")
+        objects = _run_entry_point("python", config, instructions, arrivals,
+                                   window, False, split)
+        assert _run_entry_point("python", config, instructions, arrivals,
+                                window, True, split) == objects
+        assert _run_entry_point("flat-python", config, instructions,
+                                arrivals, window, True, split) == objects
 
     def test_single_instruction_path(self):
         inst = NMPInstruction(ddr_cmd=FULL_CMD, daddr=123, vsize=2,
@@ -358,25 +429,27 @@ class TestPackedHelpers:
 
     def test_packed_dispatch_cutover_by_flavor(self):
         # The jitted flavour amortises its call overhead on far smaller
-        # packets than the interpreted twins; disabled has no kernel to
-        # route to, so its cutover is irrelevant (0).
+        # packets than the CPython flavours, which all share one cutover.
         assert kernels.packed_dispatch_min_instructions("numba") < \
             kernels.packed_dispatch_min_instructions("python")
-        assert kernels.packed_dispatch_min_instructions("flat-python") == \
-            kernels.packed_dispatch_min_instructions("python")
-        assert kernels.packed_dispatch_min_instructions("disabled") == 0
-        # Forcing a flavor disables the cutover: the forced kernel runs
-        # on every stream (the parity tests above depend on this).
-        with kernels.force_flavor("python"):
-            assert kernels.packed_dispatch_min_instructions() == 0
-            assert RankNMP(RankNMPConfig())._kernel_min_instructions == 0
+        for flavor in ("flat-python", "disabled"):
+            assert kernels.packed_dispatch_min_instructions(flavor) == \
+                kernels.packed_dispatch_min_instructions("python")
+        # Forcing a flavor disables the cutover: its packed path runs on
+        # every stream (the parity tests above depend on this) -- except
+        # "disabled", the object-path reference they compare against.
+        for flavor in PORTABLE_FLAVORS:
+            with kernels.force_flavor(flavor):
+                assert kernels.packed_dispatch_min_instructions() == 0
+                assert RankNMP(RankNMPConfig())._kernel_min_instructions \
+                    == 0
+        with kernels.force_flavor("disabled"):
+            assert kernels.packed_dispatch_min_instructions() > 1 << 32
 
     def test_small_packets_fall_back_bit_identically(self):
         # Built under the ambient (un-forced) flavor, streams below the
-        # cutover take the legacy object path even with a kernel bound;
-        # the dispatch mix must not disturb the results.
-        if kernels.active_flavor() == "disabled":
-            pytest.skip("kernels globally disabled: no mixed dispatch")
+        # cutover take the object path, even with a kernel bound; the
+        # dispatch mix must not disturb the results.
         requests = _requests_for("random", num_tables=2, batch=2,
                                  pooling=6, seed=3)
 
@@ -389,13 +462,3 @@ class TestPackedHelpers:
                     return _system_fingerprint(system.run(requests))
 
         assert run(None) == run("disabled")
-
-    def test_packed_execution_rejected_without_kernel(self):
-        from repro.core.instruction import PackedInstructions
-
-        with kernels.force_flavor("disabled"):
-            rank = RankNMP(RankNMPConfig())
-        packed = PackedInstructions.from_instructions(
-            _random_instructions(np.random.default_rng(0), 4))
-        with pytest.raises(RuntimeError, match="kernel"):
-            rank.execute_packed(packed, np.zeros(4, dtype=np.int64))

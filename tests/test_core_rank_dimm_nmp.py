@@ -26,6 +26,26 @@ def _instructions(count, stride_blocks=1000, vsize=1, locality=True,
             for i in range(count)]
 
 
+class TestRankNMPConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("columns_per_row", 0),
+        ("num_bank_groups", 0),
+        ("banks_per_group", 0),
+        ("banks_per_group", -2),
+        ("adder_latency_cycles", -10),
+        ("multiplier_latency_cycles", -1),
+    ])
+    def test_bad_geometry_and_latency_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RankNMPConfig(**{field: value})
+
+    def test_zero_latencies_accepted(self):
+        config = RankNMPConfig(adder_latency_cycles=0,
+                               multiplier_latency_cycles=0)
+        assert RankNMP(config).execute_instruction(
+            _instructions(1)[0]) > 0
+
+
 class TestRankNMP:
     def test_single_miss_latency(self):
         rank = RankNMP(RankNMPConfig(use_cache=False))

@@ -270,3 +270,31 @@ class TestInterpolatingModel:
                                   service_model=model)
         assert report.extras["service_model"] == "interp"
         assert report.mean_service_us > 0
+
+
+class TestServiceTimeValidation:
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_bad_service_times_rejected(self, bad, engine):
+        class BrokenModel(ServiceTimeModel):
+            """10 us per batch, except ``bad`` for the third batch."""
+
+            name = "broken"
+
+            def __init__(self):
+                self.calls = 0
+
+            def service_time_us(self, cluster, batch):
+                self.calls += 1
+                return bad if self.calls == 3 else 10.0
+
+        queries = queries_from_traces(
+            make_traces(), 12, PoissonArrivalProcess(rate_qps=30_000,
+                                                     seed=3),
+            batch_size=2, pooling_factor=4)
+        with pytest.raises(ValueError,
+                           match=r"model 'broken' returned .* batch 2;"):
+            make_cluster().simulate(
+                queries, engine=engine, service_model=BrokenModel(),
+                frontend=BatchingFrontend(max_queries=2),
+                stream_chunk=4)
