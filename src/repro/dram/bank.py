@@ -65,7 +65,7 @@ class Bank:
             ready = self.next_pre
         else:
             raise ValueError("unsupported command %r" % (command_type,))
-        return max(ready, current_cycle)
+        return ready if ready > current_cycle else current_cycle
 
     def can_issue(self, command_type, current_cycle):
         """True if the bank-local timing allows issuing the command now."""
@@ -77,7 +77,7 @@ class Bank:
     # ------------------------------------------------------------------ #
     def issue_activate(self, row, cycle):
         """Issue ACT: open ``row`` and update timing state."""
-        if not self.can_issue(CommandType.ACT, cycle):
+        if self.next_act > cycle:
             raise RuntimeError(
                 "ACT issued at cycle %d before bank ready (ready at %d)"
                 % (cycle, self.next_act))
@@ -95,7 +95,7 @@ class Bank:
         if self.open_row != row:
             raise RuntimeError(
                 "RD to row %r but open row is %r" % (row, self.open_row))
-        if not self.can_issue(CommandType.RD, cycle):
+        if self.next_read > cycle:
             raise RuntimeError(
                 "RD issued at cycle %d before bank ready (ready at %d)"
                 % (cycle, self.next_read))
@@ -110,7 +110,7 @@ class Bank:
 
     def issue_precharge(self, cycle):
         """Issue PRE: close the open row and update timing state."""
-        if not self.can_issue(CommandType.PRE, cycle):
+        if self.next_pre > cycle:
             raise RuntimeError(
                 "PRE issued at cycle %d before bank ready (ready at %d)"
                 % (cycle, self.next_pre))

@@ -64,7 +64,9 @@ class Channel:
         rank = self.rank(rank_index)
         ready = rank.earliest_issue_cycle(
             command_type, bank_group, bank_index, current_cycle)
-        ready = max(ready, self.next_ca_free)
+        # ``ready`` is already at least ``current_cycle``.
+        if self.next_ca_free > ready:
+            ready = self.next_ca_free
         if command_type in (CommandType.RD, CommandType.WR):
             # The data burst (starting tCL after the column command) must not
             # overlap another rank's burst on the shared data bus.
@@ -72,8 +74,10 @@ class Channel:
             if (self._last_data_rank is not None
                     and self._last_data_rank != rank_index):
                 burst_start_floor += self.rank_to_rank_penalty
-            ready = max(ready, burst_start_floor - self.timing.tCL)
-        return max(ready, current_cycle)
+            bus = burst_start_floor - self.timing.tCL
+            if bus > ready:
+                ready = bus
+        return ready
 
     def can_issue(self, command_type, rank_index, bank_group, bank_index,
                   current_cycle):
@@ -88,8 +92,8 @@ class Channel:
 
         Returns the data-completion cycle for RD commands, else ``None``.
         """
-        if not self.can_issue(command_type, rank_index, bank_group,
-                              bank_index, cycle):
+        if self.earliest_issue_cycle(command_type, rank_index, bank_group,
+                                     bank_index, cycle) > cycle:
             raise RuntimeError(
                 "%s not ready on channel %d rank %d at cycle %d"
                 % (command_type.value, self.channel_index, rank_index, cycle))

@@ -15,6 +15,9 @@ from repro.dram.channel import Channel
 from repro.dram.commands import CommandType, MemoryRequest, RequestType
 from repro.dram.timing import DDR4_2400
 
+#: Cycle budget of one drain; exceeding it raises ``RuntimeError``.
+_MAX_DRAIN_CYCLES = 10_000_000
+
 
 @dataclass
 class ControllerStats:
@@ -49,10 +52,15 @@ class _PendingRequest:
     The request is decoded once, at admission: the channel-wide rank index
     and the ``Rank``/``Bank`` objects it targets are cached here so the
     per-pass readiness check never goes through the range-checked lookups.
+
+    ``rank_ready``/``is_hit`` cache the bank+rank part of the readiness
+    (:meth:`MemoryController._rank_ready`); they are current while
+    ``version`` equals the controller's issue counter for ``rank_index``.
     """
 
     __slots__ = ("request", "address", "arrival_cycle", "outcome_recorded",
-                 "rank_index", "rank", "bank")
+                 "rank_index", "rank", "bank", "version", "rank_ready",
+                 "is_hit")
 
     def __init__(self, request, address, arrival_cycle, rank_index, rank,
                  bank):
@@ -63,6 +71,9 @@ class _PendingRequest:
         self.rank_index = rank_index
         self.rank = rank
         self.bank = bank
+        self.version = -1
+        self.rank_ready = None
+        self.is_hit = False
 
 
 class MemoryController:
@@ -73,6 +84,11 @@ class MemoryController:
     earliest cycle one becomes ready.  Between two issues no queue, admission
     or timing state changes, so the jump lands on exactly the cycle a
     one-cycle-at-a-time loop would have issued at.
+
+    A command changes the state of one rank plus the channel's C/A slot
+    and data bus, so each queued request caches the readiness its bank and
+    rank impose and recomputes it only after a command went to that rank;
+    the channel part is two scalars per pass.
 
     Parameters
     ----------
@@ -99,7 +115,10 @@ class MemoryController:
             raise ValueError("queue_depth must be positive")
         self.cycle = 0
         self._queue = []
-        self._waiting = deque()     # requests not yet admitted to the queue
+        # (request, decoded address or None) pairs not yet admitted.
+        self._waiting = deque()
+        # Commands issued to each rank: the readiness cache's version tag.
+        self._rank_versions = [0] * self.channel.num_ranks
         self.stats = ControllerStats()
 
     # ------------------------------------------------------------------ #
@@ -107,18 +126,25 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     def enqueue(self, request):
         """Submit a memory request; it is admitted when queue space allows."""
+        self._submit(request, None)
+
+    def _submit(self, request, address):
+        """Queue ``request`` for admission.  ``address`` is its
+        :class:`~repro.dram.address_mapping.DramAddress` when the caller
+        already decoded it, else ``None`` (decoded at admission)."""
         if request.request_type is not RequestType.READ:
             raise NotImplementedError(
                 "the RecNMP study only exercises read traffic")
         request.arrival_cycle = self.cycle
-        self._waiting.append(request)
+        self._waiting.append((request, address))
         self._admit_waiting()
 
     def _admit_waiting(self):
         channel = self.channel
         while self._waiting and len(self._queue) < self.queue_depth:
-            request = self._waiting.popleft()
-            address = self.address_mapping.map(request.physical_address)
+            request, address = self._waiting.popleft()
+            if address is None:
+                address = self.address_mapping.map(request.physical_address)
             rank_index = channel.global_rank_index(address.dimm,
                                                    address.rank)
             rank = channel.rank(rank_index)
@@ -134,24 +160,22 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Scheduling                                                         #
     # ------------------------------------------------------------------ #
-    def _ready_cycle(self, pending):
-        """Earliest issue cycle of ``pending``'s next command, and whether
-        that command is a row-hit RD.
+    def _rank_ready(self, pending):
+        """Earliest issue cycle of ``pending``'s next command under its
+        bank's and rank's constraints, and whether that command is a
+        row-hit RD.
 
         The next command is RD on a row hit, ACT on a closed bank and PRE
-        on a row conflict.  The cycle is not clamped to the current one; it
-        is the same constraint set ``Channel.earliest_issue_cycle`` (and the
-        ``Rank``/``Bank`` checks under it) applies, read in one pass.
+        on a row conflict.  The result reads only the state of
+        ``pending``'s rank, so it stays valid until a command issues to
+        that rank.  It is not clamped to the current cycle.
         """
         bank = pending.bank
-        channel = self.channel
-        ready = channel.next_ca_free
         open_row = bank.open_row
         if open_row == pending.address.row:
             timing = self.timing
             rank = pending.rank
-            if bank.next_read > ready:
-                ready = bank.next_read
+            ready = bank.next_read
             last_col = rank._last_col_cycle
             if last_col is not None:
                 ccd = last_col + (
@@ -160,24 +184,15 @@ class MemoryController:
                     else timing.tCCD_S)
                 if ccd > ready:
                     ready = ccd
-            # The burst must find both the rank's and the channel's data
-            # bus free (plus the rank-to-rank switch penalty).
+            # The burst must find the rank's data bus free.
             bus = rank.next_data_bus_free - timing.tCL
-            if bus > ready:
-                ready = bus
-            bus = channel.next_data_free
-            last_rank = channel._last_data_rank
-            if last_rank is not None and last_rank != pending.rank_index:
-                bus += channel.rank_to_rank_penalty
-            bus -= timing.tCL
             if bus > ready:
                 ready = bus
             return ready, True
         if open_row is None:
             timing = self.timing
             rank = pending.rank
-            if bank.next_act > ready:
-                ready = bank.next_act
+            ready = bank.next_act
             history = rank._act_history
             if len(history) >= 4:
                 faw = history[-4] + timing.tFAW
@@ -192,29 +207,87 @@ class MemoryController:
                 if rrd > ready:
                     ready = rrd
             return ready, False
-        if bank.next_pre > ready:
-            ready = bank.next_pre
-        return ready, False
+        return bank.next_pre, False
+
+    def _channel_floors(self):
+        """The channel part of every request's readiness: the earliest
+        cycle the channel lets an ACT or PRE issue (the C/A slot), and a
+        RD whose burst comes from the rank that sent the last one or from
+        any other rank (which also pays the rank-to-rank switch penalty;
+        both RD floors include the C/A slot)."""
+        channel = self.channel
+        ca_free = channel.next_ca_free
+        same_rank = channel.next_data_free - self.timing.tCL
+        other_rank = same_rank
+        if channel._last_data_rank is not None:
+            other_rank += channel.rank_to_rank_penalty
+        if ca_free > same_rank:
+            same_rank = ca_free
+        if ca_free > other_rank:
+            other_rank = ca_free
+        return ca_free, same_rank, other_rank
+
+    def _ready_cycle(self, pending):
+        """Earliest issue cycle of ``pending``'s next command, and whether
+        that command is a row-hit RD.
+
+        The bank+rank part (:meth:`_rank_ready`, recomputed here) combined
+        with the channel part (:meth:`_channel_floors`): the same
+        constraint set ``Channel.earliest_issue_cycle`` and the
+        ``Rank``/``Bank`` checks under it apply, not clamped to the
+        current cycle.
+        """
+        ready, is_hit = self._rank_ready(pending)
+        floor, same_rank, other_rank = self._channel_floors()
+        if is_hit:
+            floor = (same_rank
+                     if pending.rank_index == self.channel._last_data_rank
+                     else other_rank)
+        if floor > ready:
+            ready = floor
+        return ready, is_hit
 
     def _step(self):
         """Admit waiting requests, then issue the FR-FCFS pick (ready row
         hits first, then the oldest ready request) or, if nothing is ready,
-        advance the clock to the earliest cycle something is."""
+        advance the clock to the earliest cycle something is.
+
+        Readiness is :meth:`_ready_cycle`'s, with the bank+rank part read
+        from each request's cache while its rank's version is unchanged.
+        """
         self._admit_waiting()
         cycle = self.cycle
+        ca_free, same_rank, other_rank = self._channel_floors()
+        last_data_rank = self.channel._last_data_rank
+        versions = self._rank_versions
+        rank_ready = self._rank_ready
         best = None
         earliest = None
         for pending in self._queue:
-            ready, is_hit = self._ready_cycle(pending)
-            if ready <= cycle:
-                if is_hit:
+            rank_index = pending.rank_index
+            version = versions[rank_index]
+            if pending.version != version:
+                pending.rank_ready, pending.is_hit = rank_ready(pending)
+                pending.version = version
+            ready = pending.rank_ready
+            if pending.is_hit:
+                floor = same_rank if rank_index == last_data_rank \
+                    else other_rank
+                if floor > ready:
+                    ready = floor
+                if ready <= cycle:
                     # Queue order is arrival order, so the first ready hit
                     # is already the oldest ready hit.
                     best = pending
                     break
-                if best is None:
-                    best = pending
-            elif earliest is None or ready < earliest:
+            else:
+                if ca_free > ready:
+                    ready = ca_free
+                if ready <= cycle:
+                    if best is None:
+                        best = pending
+                    continue
+            if earliest is None or ready < earliest:
                 earliest = ready
         if best is not None:
             self._issue_for(best)
@@ -248,6 +321,7 @@ class MemoryController:
         data_done = self.channel.issue(command, pending.rank_index,
                                        address.bank_group, address.bank,
                                        row, self.cycle)
+        self._rank_versions[pending.rank_index] += 1
         self.stats.commands_issued += 1
         if command is CommandType.RD:
             self._complete(pending, data_done)
@@ -263,16 +337,20 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Simulation loop                                                    #
     # ------------------------------------------------------------------ #
-    def run_until_drained(self, max_cycles=10_000_000):
+    def run_until_drained(self, max_cycles=_MAX_DRAIN_CYCLES):
         """Step until all queued requests complete (or ``max_cycles``)."""
         start_cycle = self.cycle
         while self.pending_requests:
-            if self.cycle - start_cycle > max_cycles:
-                raise RuntimeError(
-                    "controller did not drain within %d cycles" % max_cycles)
-            self._step()
+            self._step_within(start_cycle, max_cycles)
         self.stats.cycles_elapsed = self.cycle
         return self.stats
+
+    def _step_within(self, start_cycle, max_cycles):
+        """:meth:`_step`, unless the run has exceeded its cycle budget."""
+        if self.cycle - start_cycle > max_cycles:
+            raise RuntimeError(
+                "controller did not drain within %d cycles" % max_cycles)
+        self._step()
 
     def process_trace(self, physical_addresses, batch_size=None):
         """Convenience helper: enqueue a read for every address and drain.
@@ -281,18 +359,36 @@ class MemoryController:
         many requests are outstanding at once (mimicking a core's MSHR
         limit); ``None`` enqueues everything up front.
         """
-        addresses = list(physical_addresses)
+        check_outstanding_limit("batch_size", batch_size)
+        return self._process_bursts(
+            [(int(address), None) for address in physical_addresses],
+            batch_size)
+
+    def _process_bursts(self, bursts, batch_size):
+        """:meth:`process_trace` over ``(physical_address, decoded)``
+        pairs, ``decoded`` being the burst's ``DramAddress`` or ``None``
+        to decode it at admission.  ``batch_size`` is already checked."""
         if batch_size is None:
-            for address in addresses:
-                self.enqueue(MemoryRequest(physical_address=int(address)))
+            for physical_address, address in bursts:
+                self._submit(MemoryRequest(physical_address=physical_address),
+                             address)
             return self.run_until_drained()
+        start_cycle = self.cycle
         index = 0
-        while index < len(addresses) or self.pending_requests:
-            while (index < len(addresses)
-                   and self.pending_requests < batch_size):
-                self.enqueue(
-                    MemoryRequest(physical_address=int(addresses[index])))
+        while index < len(bursts) or self.pending_requests:
+            while index < len(bursts) and self.pending_requests < batch_size:
+                physical_address, address = bursts[index]
+                self._submit(MemoryRequest(physical_address=physical_address),
+                             address)
                 index += 1
-            self._step()
+            self._step_within(start_cycle, _MAX_DRAIN_CYCLES)
         self.stats.cycles_elapsed = self.cycle
         return self.stats
+
+
+def check_outstanding_limit(name, limit):
+    """Reject an outstanding-request cap below one (``None`` = unbounded):
+    a throttled run admits nothing under such a cap and never drains."""
+    if limit is not None and limit < 1:
+        raise ValueError("%s must be at least 1 (or None for no limit), "
+                         "got %r" % (name, limit))

@@ -80,14 +80,23 @@ class Rank:
         """Earliest legal issue cycle combining bank and rank constraints."""
         bank = self.bank(bank_group, bank_index)
         ready = bank.earliest_issue_cycle(command_type, current_cycle)
+        # ``ready`` is already at least ``current_cycle``.
         if command_type is CommandType.ACT:
-            ready = max(ready, self._faw_ready_cycle(),
-                        self._rrd_ready_cycle(bank_group))
+            faw = self._faw_ready_cycle()
+            if faw > ready:
+                ready = faw
+            rrd = self._rrd_ready_cycle(bank_group)
+            if rrd > ready:
+                ready = rrd
         elif command_type in (CommandType.RD, CommandType.WR):
-            ready = max(ready, self._ccd_ready_cycle(bank_group),
-                        # data bus must be free when the burst starts
-                        self.next_data_bus_free - self.timing.tCL)
-        return max(ready, current_cycle)
+            ccd = self._ccd_ready_cycle(bank_group)
+            if ccd > ready:
+                ready = ccd
+            # data bus must be free when the burst starts
+            bus = self.next_data_bus_free - self.timing.tCL
+            if bus > ready:
+                ready = bus
+        return ready
 
     def can_issue(self, command_type, bank_group, bank_index, current_cycle):
         """True if the command may legally issue at ``current_cycle``."""
@@ -100,7 +109,8 @@ class Rank:
     # ------------------------------------------------------------------ #
     def issue(self, command_type, bank_group, bank_index, row, cycle):
         """Issue a command; returns data-completion cycle for RD else None."""
-        if not self.can_issue(command_type, bank_group, bank_index, cycle):
+        if self.earliest_issue_cycle(command_type, bank_group, bank_index,
+                                     cycle) > cycle:
             raise RuntimeError(
                 "%s to rank %d bg %d bank %d not ready at cycle %d"
                 % (command_type.value, self.rank_index, bank_group,

@@ -9,7 +9,7 @@ latency, bandwidth and energy.
 from dataclasses import dataclass, field
 
 from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
-from repro.dram.controller import MemoryController
+from repro.dram.controller import MemoryController, check_outstanding_limit
 from repro.dram.energy import DramEnergyModel
 from repro.dram.timing import DDR4_2400, DDR4Timing
 
@@ -112,11 +112,6 @@ class DramSystem:
         ]
 
     # ------------------------------------------------------------------ #
-    def channel_of(self, physical_address):
-        """Channel index a physical address maps to."""
-        mapping = self.controllers[0].address_mapping
-        return mapping.map(physical_address).channel
-
     def run_trace(self, physical_addresses, request_bytes=64,
                   outstanding_per_channel=None):
         """Run a read trace through the system and return aggregate results.
@@ -131,19 +126,25 @@ class DramSystem:
             transfer 64 B per burst), so a 256 B embedding vector costs four
             bursts on the channel exactly as it does on real hardware.
         outstanding_per_channel:
-            Optional cap on in-flight requests per channel.
+            Optional cap (at least 1) on in-flight requests per channel.
+
+        Each burst is decoded once, here, with the first channel's mapping
+        (which picks its channel), and handed to that channel's controller
+        already decoded.
         """
         if request_bytes <= 0 or request_bytes % 64:
             raise ValueError("request_bytes must be a positive multiple of 64")
+        check_outstanding_limit("outstanding_per_channel",
+                                outstanding_per_channel)
         bursts_per_request = request_bytes // 64
-        addresses = []
+        mapping = self.controllers[0].address_mapping
+        per_channel = [[] for _ in range(self.config.num_channels)]
         for address in physical_addresses:
             base = int(address)
             for burst in range(bursts_per_request):
-                addresses.append(base + 64 * burst)
-        per_channel = [[] for _ in range(self.config.num_channels)]
-        for address in addresses:
-            per_channel[self.channel_of(address)].append(address)
+                burst_address = base + 64 * burst
+                decoded = mapping.map(burst_address)
+                per_channel[decoded.channel].append((burst_address, decoded))
 
         per_channel_stats = []
         max_cycles = 0
@@ -155,8 +156,8 @@ class DramSystem:
         for controller, channel_trace in zip(self.controllers, per_channel):
             if not channel_trace:
                 continue
-            stats = controller.process_trace(
-                channel_trace, batch_size=outstanding_per_channel)
+            stats = controller._process_bursts(channel_trace,
+                                               outstanding_per_channel)
             per_channel_stats.append(stats)
             max_cycles = max(max_cycles, stats.cycles_elapsed)
             total_latency += stats.total_latency_cycles

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.dram import controller as controller_module
 from repro.dram.commands import MemoryRequest, RequestType
 from repro.dram.controller import MemoryController
+from repro.dram.system import DramSystem, DramSystemConfig
 from repro.dram.timing import DDR4_2400
 
 
@@ -115,3 +117,38 @@ class TestFRFCFS:
         stats = controller.process_trace(addresses)
         assert 0.9 <= stats.row_hit_rate <= 1.0 or stats.row_hits >= 28
         assert stats.average_latency_cycles > 0
+
+
+def _controller_run(addresses, limit):
+    controller = MemoryController()
+    return controller, lambda: controller.process_trace(
+        addresses, batch_size=limit)
+
+
+def _system_run(addresses, limit):
+    system = DramSystem(DramSystemConfig(num_channels=1))
+    return system.controllers[0], lambda: system.run_trace(
+        addresses, outstanding_per_channel=limit)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+@pytest.mark.parametrize("entry_point, parameter", [
+    (_controller_run, "batch_size"),
+    (_system_run, "outstanding_per_channel")])
+def test_outstanding_limit_below_one_is_rejected(entry_point, parameter,
+                                                 limit):
+    """Such a cap admits nothing, so the throttled loop would never drain:
+    the call raises before it enqueues or steps anything."""
+    controller, run = entry_point([i * 4096 for i in range(8)], limit)
+    with pytest.raises(ValueError, match=parameter):
+        run()
+    assert controller.cycle == 0
+    assert controller.pending_requests == 0
+
+
+def test_throttled_run_has_the_drain_cycle_budget(monkeypatch):
+    monkeypatch.setattr(controller_module, "_MAX_DRAIN_CYCLES", 100)
+    controller = MemoryController()
+    with pytest.raises(RuntimeError, match="did not drain within 100"):
+        controller.process_trace([i * (8 << 20) for i in range(32)],
+                                 batch_size=4)
