@@ -15,8 +15,8 @@ this benchmark guards both its *speed* and its *answers*:
   pre-optimisation throughput, >=2.5x 4-channel wall-clock with the
   process backend).
 * **Kernel flavour** -- the single-channel workload is re-timed under
-  the ``disabled`` flavour (object dispatch into the rank-NMP column
-  loop); results must match the active flavour's packed dispatch
+  the ``disabled`` flavour (every packet through ``execute_packet`` into
+  the rank-NMP column loop); results must match the active flavour's
   bit-for-bit, and at full scale the jitted ``numba`` flavour must beat
   it by >=4x.
 * **Node-level parallelism** -- one batch on an 8-node serving cluster
@@ -146,7 +146,7 @@ def _multi_fields(result):
 
 def _kernel_comparison(requests):
     """Single-channel timing with the active kernel flavour vs the
-    legacy object path (``force_flavor("disabled")``)."""
+    column loop on every packet (``force_flavor("disabled")``)."""
     active = kernels.active_flavor()
     if active == "disabled":
         return None   # kernels globally off: nothing to compare against
@@ -161,7 +161,7 @@ def _kernel_comparison(requests):
         timings[label] = seconds
         fields[label] = _single_fields(result)
     assert fields["active"] == fields["legacy"], \
-        "kernel flavour %r diverged from the legacy object path" % active
+        "kernel flavour %r diverged from the disabled flavour" % active
     return {
         "flavor": active,
         "kernel_seconds": round(timings["active"], 5),

@@ -42,6 +42,12 @@ class ProfileResult:
         """True if the row was marked hot by the profiler."""
         return int(row_index) in self.hot_rows
 
+    def hot_mask(self, indices):
+        """Vectorised :meth:`is_hot`: a bool array aligned with ``indices``."""
+        rows = np.asarray(indices, dtype=np.int64).tolist()
+        return np.fromiter(map(self.hot_rows.__contains__, rows), np.bool_,
+                           len(rows))
+
 
 class HotEntryProfiler:
     """Mark embedding rows that repeat within a batch of lookups.
@@ -60,12 +66,26 @@ class HotEntryProfiler:
 
     def profile(self, indices, table_id=0):
         """Profile one batch of row indices; returns a :class:`ProfileResult`."""
-        indices = np.asarray(indices, dtype=np.int64)
-        counts = Counter(int(i) for i in indices)
+        return self.profile_with_mask(indices, table_id=table_id)[0]
+
+    def profile_with_mask(self, indices, table_id=0):
+        """:meth:`profile` plus the LocalityBit of every lookup.
+
+        Returns ``(profile, hot)`` where ``hot`` is a bool array aligned
+        with ``indices``, True where the lookup's row is hot.  One count
+        over the index list serves both; on the few dozen lookups of a
+        serving batch's table a :class:`~collections.Counter` beats
+        ``np.unique``'s sort-based pass.
+        """
+        rows = np.asarray(indices, dtype=np.int64).tolist()
+        counts = Counter(rows)
+        threshold = self.threshold
         hot_rows = {row for row, count in counts.items()
-                    if count >= self.threshold}
-        return ProfileResult(table_id=table_id, threshold=self.threshold,
-                             hot_rows=hot_rows, access_counts=dict(counts))
+                    if count >= threshold}
+        profile = ProfileResult(table_id=table_id, threshold=threshold,
+                                hot_rows=hot_rows, access_counts=dict(counts))
+        return profile, np.fromiter(map(hot_rows.__contains__, rows),
+                                    np.bool_, len(rows))
 
     def profile_requests(self, requests):
         """Profile a list of :class:`~repro.dlrm.operators.SLSRequest`.
@@ -74,15 +94,31 @@ class HotEntryProfiler:
         (they execute within the same batch window).  Returns a dictionary
         mapping table id to :class:`ProfileResult`.
         """
+        return self.profile_requests_with_masks(requests)[0]
+
+    def profile_requests_with_masks(self, requests):
+        """:meth:`profile_requests` plus every request's LocalityBits.
+
+        Returns ``(profiles, masks)``: ``masks[i]`` is the hot mask of
+        ``requests[i]``'s indices under its table's batch-wide profile.
+        """
         per_table = {}
-        for request in requests:
-            per_table.setdefault(request.table_id, []).append(request.indices)
-        results = {}
-        for table_id, index_lists in per_table.items():
-            combined = np.concatenate(index_lists) if index_lists else \
-                np.empty(0, dtype=np.int64)
-            results[table_id] = self.profile(combined, table_id=table_id)
-        return results
+        for position, request in enumerate(requests):
+            per_table.setdefault(request.table_id, []).append(position)
+        profiles = {}
+        masks = [None] * len(requests)
+        for table_id, positions in per_table.items():
+            combined = requests[positions[0]].indices \
+                if len(positions) == 1 else np.concatenate(
+                    [requests[position].indices for position in positions])
+            profiles[table_id], hot = self.profile_with_mask(
+                combined, table_id=table_id)
+            start = 0
+            for position in positions:
+                end = start + len(requests[position].indices)
+                masks[position] = hot[start:end]
+                start = end
+        return profiles, masks
 
     # ------------------------------------------------------------------ #
     @classmethod

@@ -20,6 +20,7 @@ vector, which is how RecNMP compresses C/A bandwidth by up to 8x.
 
 import enum
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,24 @@ _PSUMTAG_BITS = 4
 TOTAL_INSTRUCTION_BITS = (_OPCODE_BITS + _DDRCMD_BITS + _DADDR_BITS
                           + _VSIZE_BITS + _WEIGHT_BITS + _LOCALITY_BITS
                           + _PSUMTAG_BITS)
+
+#: Largest embedding vector the 4-bit vsize field encodes: 15 bursts.
+MAX_VECTOR_BYTES = ((1 << _VSIZE_BITS) - 1) * 64
+
+
+def check_vector_size_bytes(vector_size_bytes):
+    """Raise unless a vector size fits the vsize field of an NMP-Inst.
+
+    It must be a positive multiple of the 64 B burst and at most
+    :data:`MAX_VECTOR_BYTES` (960 B).
+    """
+    if vector_size_bytes <= 0 or vector_size_bytes % 64:
+        raise ValueError("vector_size_bytes must be a positive multiple of "
+                         "64, got %r" % (vector_size_bytes,))
+    if vector_size_bytes > MAX_VECTOR_BYTES:
+        raise ValueError(
+            "vector_size_bytes=%d exceeds the %d-byte limit of the 4-bit "
+            "vsize field" % (vector_size_bytes, MAX_VECTOR_BYTES))
 
 
 class NMPOpcode(enum.IntEnum):
@@ -265,57 +284,110 @@ class PackedInstructions:
     @property
     def num_poolings(self):
         """Number of distinct PsumTags (poolings)."""
-        return len(np.unique(self.psum_tags))
+        return int(np.count_nonzero(np.bincount(self.psum_tags)))
 
 
-@dataclass
 class NMPPacket:
     """A packet of NMP-Insts offloaded to one RecNMP processing unit.
 
     A packet carries one or more pooling operations (identified by PsumTag)
     of one SLS operator; the packet header configures the accumulation
     counters, the tail returns the final sums to the host.
+
+    A packet holds its instructions in one of two forms.  Built from a list
+    of :class:`NMPInstruction` (``NMPPacket(instructions=[...])``) it keeps
+    that list.  Built by the packet generator (:meth:`from_columns`) it
+    holds only columns: the :class:`PackedInstructions` the timing model
+    runs on plus the remaining ISA fields, and :attr:`instructions` builds
+    instruction objects only when they are read.  Packets are treated as
+    immutable after generation everywhere in the pipeline.
     """
 
-    instructions: list = field(default_factory=list)
-    table_id: int = 0
-    model_id: int = 0
-    batch_index: int = 0
-    packet_id: int = 0
+    __slots__ = ("table_id", "model_id", "batch_index", "packet_id",
+                 "_instructions", "_packed", "_isa")
 
-    def __post_init__(self):
-        tags = {inst.psum_tag for inst in self.instructions}
-        if len(tags) > 16:
+    def __init__(self, instructions=None, table_id=0, model_id=0,
+                 batch_index=0, packet_id=0):
+        instructions = [] if instructions is None else instructions
+        if len({inst.psum_tag for inst in instructions}) > 16:
             raise ValueError(
                 "a packet can carry at most 16 poolings (4-bit PsumTag)")
+        self._instructions = instructions
+        self._packed = self._isa = None
+        self.table_id = table_id
+        self.model_id = model_id
+        self.batch_index = batch_index
+        self.packet_id = packet_id
+
+    @classmethod
+    def from_columns(cls, packed, opcode, ddr_cmds, weights,
+                     pooling_indices, row_indices, table_id=0, model_id=0,
+                     batch_index=0, packet_id=0):
+        """A packet holding columns only (no instruction objects).
+
+        ``packed`` is the :class:`PackedInstructions` of the packet;
+        ``ddr_cmds``, ``pooling_indices`` and ``row_indices`` are aligned
+        int64 arrays, ``weights`` an aligned float array (or None for all
+        1.0) and ``opcode`` the :class:`NMPOpcode` shared by every
+        instruction, whose ``table_id`` is the packet's.  The caller
+        guarantees every field is in range (at most 16 PsumTags).
+        """
+        packet = cls(table_id=table_id, model_id=model_id,
+                     batch_index=batch_index, packet_id=packet_id)
+        packet._instructions = None
+        packet._packed = packed
+        packet._isa = (opcode, ddr_cmds, weights, pooling_indices,
+                       row_indices)
+        return packet
+
+    @property
+    def instructions(self):
+        """The packet's NMP-Insts, in packet order.
+
+        For a column packet this is a read-only :class:`InstructionColumns`
+        sequence: ``len()`` reads the column length, and instruction
+        objects are built only when items are read.
+        """
+        if self._instructions is not None:
+            return self._instructions
+        return InstructionColumns(self)
 
     def __len__(self):
-        return len(self.instructions)
+        if self._instructions is not None:
+            return len(self._instructions)
+        return len(self._packed)
+
+    def __repr__(self):
+        return ("NMPPacket(packet_id=%d, table_id=%d, model_id=%d, "
+                "batch_index=%d, instructions=%d)"
+                % (self.packet_id, self.table_id, self.model_id,
+                   self.batch_index, len(self)))
 
     def packed_arrays(self):
-        """Cached :class:`PackedInstructions` of this packet.
+        """The :class:`PackedInstructions` of this packet.
 
-        Packed once on first use (the dispatch path re-reads it per run);
-        the cache is keyed on instruction count, so replacing the
-        ``instructions`` list with one of equal length requires dropping
-        ``_packed`` manually -- packets are treated as immutable after
-        generation everywhere in the pipeline.
+        A column packet returns its own columns.  A packet built from
+        instruction objects packs them on first use and caches the result,
+        keyed on instruction count: replacing the list with one of equal
+        length requires dropping ``_packed`` manually.
         """
-        packed = getattr(self, "_packed", None)
-        if packed is None or len(packed) != len(self.instructions):
-            packed = PackedInstructions.from_instructions(self.instructions)
+        if self._instructions is None:
+            return self._packed
+        packed = self._packed
+        if packed is None or len(packed) != len(self._instructions):
+            packed = PackedInstructions.from_instructions(self._instructions)
             self._packed = packed
         return packed
 
     @property
     def num_poolings(self):
         """Number of distinct poolings (PsumTags) in the packet."""
-        return len({inst.psum_tag for inst in self.instructions})
+        return self.packed_arrays().num_poolings
 
     @property
     def total_vector_bytes(self):
         """Bytes of embedding data the packet gathers from memory."""
-        return sum(inst.vector_bytes for inst in self.instructions)
+        return int(self.packed_arrays().vsizes.sum()) * 64
 
     def instructions_by_psum(self):
         """Group instructions by PsumTag; returns ``{tag: [insts]}``."""
@@ -326,7 +398,53 @@ class NMPPacket:
 
     def locality_fraction(self):
         """Fraction of instructions carrying a set LocalityBit."""
-        if not self.instructions:
+        if not len(self):
             return 0.0
-        hot = sum(1 for inst in self.instructions if inst.locality_bit)
-        return hot / len(self.instructions)
+        return int(self.packed_arrays().localities.sum()) / len(self)
+
+
+class InstructionColumns(Sequence):
+    """Read-only sequence of a column packet's NMP-Insts.
+
+    ``len()`` reads the column length; reading items builds fresh
+    :class:`NMPInstruction` objects from the columns, all of them in one
+    pass (read ``list(...)`` once for repeated access).  Compares equal
+    to any sequence holding equal instructions in the same order.
+    """
+
+    __slots__ = ("_packet",)
+
+    def __init__(self, packet):
+        self._packet = packet
+
+    def __len__(self):
+        return len(self._packet._packed)
+
+    def __iter__(self):
+        packet = self._packet
+        packed = packet._packed
+        opcode, ddr_cmds, weights, pooling_indices, row_indices = packet._isa
+        weights = [1.0] * len(packed) if weights is None \
+            else weights.tolist()
+        trusted = NMPInstruction.trusted
+        table_id = packet.table_id
+        return iter([trusted(opcode, ddr_cmd, daddr, vsize, weight, locality,
+                             psum_tag, table_id, pooling_index, row_index)
+                     for ddr_cmd, daddr, vsize, weight, locality, psum_tag,
+                     pooling_index, row_index in zip(
+                         ddr_cmds.tolist(), packed.daddrs.tolist(),
+                         packed.vsizes.tolist(), weights,
+                         packed.localities.tolist(),
+                         packed.psum_tags.tolist(),
+                         pooling_indices.tolist(), row_indices.tolist())])
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return repr(list(self))

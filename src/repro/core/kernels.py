@@ -10,7 +10,7 @@ simulation time.  It exists in two bit-identical implementations:
   group / bank / row) that drives the ``Bank`` / ``Rank`` /
   ``RankCache`` objects directly.  It is what the ``"python"`` flavor
   (numba not installed) and the ``"disabled"`` flavor
-  (``REPRO_DISABLE_KERNELS=1``) run, for object and packed input alike.
+  (``REPRO_DISABLE_KERNELS=1``) run, for every entry point.
 * :func:`_execute_window_flat` -- the *struct-of-arrays* kernel in this
   module, written in the numba-compilable subset of Python (numpy
   scalars, plain loops, an ``int64 -> int64`` dict for cache residency)
@@ -146,26 +146,24 @@ def maybe_jit(fn):
     return fn
 
 
-#: Packet sizes below which the object dispatch path beats the packed
-#: one: the numpy packing and per-call fixed costs only amortise on
-#: large packets.  The jitted flavour recoups its call overhead almost
-#: immediately; every CPython flavour needs packets of a few hundred
-#: instructions (measured crossover on CPython 3.11).
+#: Packet sizes from which the memory controller hands packets to
+#: ``RecNMPChannel.execute_packed`` (gathered into issue order) instead
+#: of ``execute_packet`` (issue order as a permutation).  Both entry
+#: points run the same column routine; the cutover only picks the entry
+#: point.  The values are the crossovers measured when the two entry
+#: points still ran different code (CPython 3.11).
 _NUMBA_PACKED_MIN_INSTRUCTIONS = 24
 _CPYTHON_PACKED_MIN_INSTRUCTIONS = 256
 
 
 def packed_dispatch_min_instructions(flavor=None):
-    """Smallest instruction stream worth routing through the packed path.
+    """Smallest packet the memory controller sends to ``execute_packed``.
 
-    The memory controller takes the (bit-identical) object dispatch
-    path for packets below this size, and a :class:`RankNMP` with a
-    bound kernel runs its column loop for streams below it; 0 means
-    always packed.  Inside a :class:`force_flavor` context the cutover
-    is 0 -- forcing a flavor means exercising its packed path
-    unconditionally (the parity tests depend on it) -- except under
-    ``"disabled"``, which keeps every stream on the object path: the
-    readable spec end to end, the reference those tests compare with.
+    Smaller packets go to ``execute_packet``; 0 means always
+    ``execute_packed``.  Inside a :class:`force_flavor` context the
+    cutover is 0 -- forcing a flavor exercises its ``execute_packed``
+    entry unconditionally -- except under ``"disabled"``, which keeps
+    every packet on ``execute_packet``.
     """
     if flavor is None:
         if _FORCED_FLAVOR == "disabled":
@@ -629,8 +627,8 @@ def _reorder_window_python(rows, ranks, window_size, num_ranks):
 def reorder_indices(rows, ranks, window_size, num_ranks):
     """FR-FCFS permutation using the active flavor.
 
-    ``rows``/``ranks`` are aligned int64 arrays or int lists (the object
-    dispatch path passes lists, which the list twin uses as they are);
+    ``rows``/``ranks`` are aligned int64 arrays or int lists (the list
+    twin runs on lists; arrays are converted once);
     every rank must be in ``[0, num_ranks)`` (callers validate -- the
     per-rank open-row table is indexed by rank).  Within a sliding
     window of ``window_size`` pending instructions, the oldest one whose

@@ -6,9 +6,16 @@ simplified OS page mapping), the DDR command tags (ACT/RD/PRE presence) are
 set from the relative position of consecutive accesses, the LocalityBit is
 filled in from hot-entry profiling, and the lookups are grouped into NMP
 packets of a configurable number of poolings (bounded by the 4-bit PsumTag).
+
+Each request is turned into columns in one array pass -- Daddrs, DDR
+command tags, LocalityBits, PsumTag slots and weights -- and every packet
+is a column slice of them (see :meth:`NMPPacket.from_columns`): no
+instruction object is built unless a caller reads
+:attr:`NMPPacket.instructions`.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -17,9 +24,10 @@ from repro.core.instruction import (
     DDR_CMD_ACT,
     DDR_CMD_PRE,
     DDR_CMD_RD,
-    NMPInstruction,
     NMPOpcode,
     NMPPacket,
+    PackedInstructions,
+    check_vector_size_bytes,
 )
 
 
@@ -33,7 +41,8 @@ class PacketGeneratorConfig:
         How many pooling operations share one NMP packet (1-16; the paper
         sweeps 1-8 in Fig. 14(a)).
     vector_size_bytes:
-        Embedding vector size (64-256 B in production).
+        Embedding vector size (64-256 B in production; at most 960 B, the
+        largest the 4-bit vsize field encodes).
     row_buffer_bytes:
         DRAM row size used to decide whether consecutive vectors share a row
         (and therefore can skip ACT/PRE).
@@ -58,12 +67,10 @@ class PacketGeneratorConfig:
         if not 1 <= self.poolings_per_packet <= 16:
             raise ValueError("poolings_per_packet must be in [1, 16] "
                              "(4-bit PsumTag)")
-        if self.vector_size_bytes % 64:
-            raise ValueError("vector_size_bytes must be a multiple of 64")
-        if self.vector_size_bytes <= 0:
-            raise ValueError("vector_size_bytes must be positive")
+        check_vector_size_bytes(self.vector_size_bytes)
         if self.row_buffer_bytes <= 0:
             raise ValueError("row_buffer_bytes must be positive")
+        self.opcode = NMPOpcode(self.opcode)
 
     @property
     def vsize(self):
@@ -81,7 +88,11 @@ class PacketGenerator:
     address_of:
         Callable ``(table_id, row_index) -> physical byte address``.  The
         embedding-bag layout plus the simplified OS page mapper provide this
-        in the full pipeline; tests can pass simple lambdas.
+        in the full pipeline; tests can pass simple lambdas.  A map that
+        also accepts an int64 index array (returning the aligned address
+        array) is called once per request: the first request with two or
+        more lookups probes it against the scalar calls, and any map that
+        fails the probe keeps one scalar call per lookup, in lookup order.
     """
 
     def __init__(self, config=None, address_of=None):
@@ -91,6 +102,10 @@ class PacketGenerator:
             address_of = lambda table_id, row: \
                 row * self.config.vector_size_bytes  # noqa: E731
         self.address_of = address_of
+        # (address map, takes index arrays) once the map was probed.
+        self._address_probe = None
+        # (key, columns) of the last request shape (see _shape_columns).
+        self._shape = None
         self._packet_counter = 0
         self._last_profiles = {}
 
@@ -110,29 +125,36 @@ class PacketGenerator:
         self._last_profiles = {}
 
     # ------------------------------------------------------------------ #
-    def _daddr(self, physical_address):
-        """Compress a physical byte address into the 32-bit Daddr field."""
-        return (physical_address // 64) & 0xFFFFFFFF
+    def _addresses(self, table_id, indices):
+        """Physical byte addresses of one request's lookups (int64 array).
 
-    def _ddr_cmd_tags(self, physical_addresses):
-        """Set ACT/RD/PRE presence from consecutive-access row locality.
-
-        The host-side memory controller sets the tags from the relative
-        physical address of consecutive embedding accesses: when the next
-        vector falls in the same DRAM row the ACT (and the preceding PRE)
-        can be elided; otherwise the full PRE+ACT+RD sequence is required.
+        The first request with at least two lookups probes ``address_of``
+        with the index array and keeps the array call if it returns the
+        scalar calls' integers.  An array call that raises later drops
+        back to scalar calls for good; those raise any real error.
         """
-        row_bytes = self.config.row_buffer_bytes
-        tags = []
-        previous_row = None
-        for address in physical_addresses:
-            row = address // row_bytes
-            if previous_row is not None and row == previous_row:
-                tags.append(DDR_CMD_RD)
-            else:
-                tags.append(DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE)
-            previous_row = row
-        return tags
+        address_of = self.address_of
+        probe = self._address_probe
+        if probe is not None and probe[0] is address_of and probe[1]:
+            try:
+                return np.asarray(address_of(table_id, indices),
+                                  dtype=np.int64)
+            except Exception:  # repro-lint: allow-broad-except-audit (the scalar calls below repeat the lookup and raise any real error)
+                probe = self._address_probe = (address_of, False)
+        scalar = np.fromiter((address_of(table_id, row)
+                              for row in indices.tolist()),
+                             np.int64, len(indices))
+        if len(indices) >= 2 and (probe is None
+                                  or probe[0] is not address_of):
+            try:
+                vector = np.asarray(address_of(table_id, indices))
+            except Exception:  # repro-lint: allow-broad-except-audit (a map that rejects index arrays stays on scalar calls, which raise real errors)
+                vector = None
+            takes_arrays = (vector is not None and vector.dtype.kind in "iu"
+                            and vector.shape == scalar.shape
+                            and bool((vector == scalar).all()))
+            self._address_probe = (address_of, takes_arrays)
+        return scalar
 
     # ------------------------------------------------------------------ #
     def packets_for_request(self, request, model_id=0, batch_index=0,
@@ -143,78 +165,99 @@ class PacketGenerator:
         :class:`~repro.core.hot_entry.ProfileResult`; otherwise the profiler
         runs on the request's own indices when profiling is enabled.
         """
-        config = self.config
-        if config.enable_hot_entry_profiling and profile is None:
-            profiler = HotEntryProfiler(threshold=config.hot_entry_threshold)
-            profile = profiler.profile(request.indices,
-                                       table_id=request.table_id)
-        # Validate the shared fields once per request so the instructions
-        # can be built with the no-validation fast constructor below (the
-        # per-instruction fields are in range by construction: Daddr is
-        # masked, the PsumTag slot is bounded by poolings_per_packet).
-        opcode = NMPOpcode(config.opcode)
-        vsize = int(config.vsize)
-        if not 1 <= vsize < 16:
-            raise ValueError("vsize must be in [1, 16)")
-        table_id = request.table_id
-        packets = []
-        pooling_groups = list(request.pooling_slices())
-        for start in range(0, len(pooling_groups),
-                           config.poolings_per_packet):
-            group = pooling_groups[start:start + config.poolings_per_packet]
-            instructions = []
-            # Collect the physical addresses of the group in issue order to
-            # derive the DDR command tags.
-            flat = []
-            for tag_slot, (pooling_index, indices, weights) in enumerate(group):
-                for position, row in enumerate(indices):
-                    weight = (float(weights[position])
-                              if weights is not None else 1.0)
-                    flat.append((tag_slot, pooling_index, int(row), weight))
-            addresses = [self.address_of(request.table_id, row)
-                         for _, _, row, _ in flat]
-            ddr_tags = self._ddr_cmd_tags(addresses)
-            profiling = config.enable_hot_entry_profiling
-            trusted = NMPInstruction.trusted
-            append = instructions.append
-            for (tag_slot, pooling_index, row, weight), address, ddr_cmd in \
-                    zip(flat, addresses, ddr_tags):
-                locality = bool(profile.is_hot(row)) if profiling else True
-                append(trusted(
-                    opcode,
-                    ddr_cmd,
-                    (address // 64) & 0xFFFFFFFF,
-                    vsize,
-                    weight,
-                    locality,
-                    tag_slot,
-                    table_id=table_id,
-                    pooling_index=pooling_index,
-                    row_index=row,
-                ))
-            packets.append(NMPPacket(instructions=instructions,
-                                     table_id=request.table_id,
-                                     model_id=model_id,
-                                     batch_index=batch_index,
-                                     packet_id=self._packet_counter))
-            self._packet_counter += 1
-        return packets
+        hot = None
+        if self.config.enable_hot_entry_profiling:
+            if profile is None:
+                _, hot = HotEntryProfiler(
+                    threshold=self.config.hot_entry_threshold
+                ).profile_with_mask(request.indices,
+                                    table_id=request.table_id)
+            else:
+                hot = profile.hot_mask(request.indices)
+        return self._packets(request, hot, model_id, batch_index)
 
     def packets_for_requests(self, requests, model_id=0):
         """Generate packets for a list of SLS requests (one batch)."""
-        packets = []
-        profiles = None
+        masks = [None] * len(requests)
         if self.config.enable_hot_entry_profiling:
             profiler = HotEntryProfiler(
                 threshold=self.config.hot_entry_threshold)
-            profiles = profiler.profile_requests(requests)
-            self._last_profiles = profiles
+            self._last_profiles, masks = \
+                profiler.profile_requests_with_masks(requests)
+        packets = []
         for batch_index, request in enumerate(requests):
-            profile = profiles.get(request.table_id) if profiles else None
-            packets.extend(self.packets_for_request(
-                request, model_id=model_id, batch_index=batch_index,
-                profile=profile))
+            packets.extend(self._packets(request, masks[batch_index],
+                                         model_id, batch_index))
         return packets
+
+    def _packets(self, request, hot, model_id, batch_index):
+        """Columns of one request, sliced into packets.
+
+        ``hot`` is the request's LocalityBit mask (None marks every lookup
+        cacheable).  Poolings are grouped ``poolings_per_packet`` at a
+        time; within a packet the PsumTag is the pooling's slot and a
+        lookup keeps ACT/PRE only when its DRAM row differs from the
+        previous lookup's (the first lookup of a packet always has them).
+        """
+        config = self.config
+        table_id = request.table_id
+        indices = request.indices
+        count = len(indices)
+        bounds, pooling_indices, psum_tags, vsizes, zeros, ones = \
+            self._shape_columns(request.lengths)
+        addresses = self._addresses(table_id, indices)
+        daddrs = (addresses >> 6) & 0xFFFFFFFF
+        dram_rows = addresses // config.row_buffer_bytes
+        same_row = np.empty(count, np.bool_)
+        np.equal(dram_rows[1:], dram_rows[:-1], out=same_row[1:])
+        for start in bounds[:-1]:
+            same_row[start] = False
+        ddr_cmds = np.where(same_row, DDR_CMD_RD,
+                            DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE)
+        weights = request.weights
+        weighted = zeros if weights is None else weights != 1.0
+        localities = ones if hot is None else hot
+        packets = []
+        for start, end in zip(bounds, bounds[1:]):
+            packed = PackedInstructions(
+                daddrs[start:end], vsizes[start:end], weighted[start:end],
+                localities[start:end], psum_tags[start:end])
+            packets.append(NMPPacket.from_columns(
+                packed, config.opcode, ddr_cmds[start:end],
+                None if weights is None else weights[start:end],
+                pooling_indices[start:end], indices[start:end],
+                table_id=table_id, model_id=model_id,
+                batch_index=batch_index, packet_id=self._packet_counter))
+            self._packet_counter += 1
+        return packets
+
+    def _shape_columns(self, lengths):
+        """Columns that depend only on a request's pooling lengths.
+
+        Returns ``(bounds, pooling_indices, psum_tags, vsizes, zeros,
+        ones)``: the instruction offset of every packet's first lookup
+        plus the end, each lookup's pooling index and PsumTag slot, the
+        burst count, and all-False / all-True bool columns.  Serving
+        batches repeat one shape, so the last shape's columns are kept,
+        read-only, and shared by the packets cut from them.
+        """
+        config = self.config
+        per_packet = config.poolings_per_packet
+        key = (lengths.tobytes(), per_packet, config.vsize)
+        if self._shape is not None and self._shape[0] == key:
+            return self._shape[1]
+        count = int(lengths.sum())
+        num_poolings = len(lengths)
+        bounds = list(accumulate(lengths.tolist(),
+                                 initial=0))[:-1:per_packet] + [count]
+        pooling_indices = np.repeat(np.arange(num_poolings), lengths)
+        columns = (bounds, pooling_indices, pooling_indices % per_packet,
+                   np.full(count, config.vsize, np.int64),
+                   np.zeros(count, np.bool_), np.ones(count, np.bool_))
+        for column in columns[1:]:
+            column.flags.writeable = False
+        self._shape = (key, columns)
+        return columns
 
     # ------------------------------------------------------------------ #
     def rank_load(self, packets, rank_of_address, num_ranks):
@@ -226,6 +269,6 @@ class PacketGenerator:
         """
         counts = np.zeros(num_ranks, dtype=np.int64)
         for packet in packets:
-            for inst in packet.instructions:
-                counts[rank_of_address(inst.daddr * 64)] += 1
+            for daddr in packet.packed_arrays().daddrs.tolist():
+                counts[rank_of_address(daddr * 64)] += 1
         return counts

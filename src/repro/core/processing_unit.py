@@ -18,6 +18,17 @@ from repro.core.dimm_nmp import DimmNMP
 from repro.core.rank_nmp import RankNMPConfig
 
 
+def require_valid_ranks(ranks, num_ranks):
+    """Raise unless every channel-rank index (an int64 array) is in
+    ``[0, num_ranks)``.  The FR-FCFS reorder indexes its per-rank
+    open-row table by rank, so a negative rank would wrap around
+    silently instead of failing."""
+    if len(ranks) and (int(ranks.min()) < 0
+                       or int(ranks.max()) >= num_ranks):
+        bad = ranks[(ranks < 0) | (ranks >= num_ranks)][0]
+        raise ValueError("invalid rank %d for instruction" % int(bad))
+
+
 class RecNMPProcessingUnit:
     """One RecNMP PU: the DIMM-NMP plus its rank-NMPs on one DIMM."""
 
@@ -75,6 +86,8 @@ class RecNMPChannel:
                                  dimm_index=d)
             for d in range(self.num_dimms)
         ]
+        self._rank_nmps = [rank_nmp for pu in self.processing_units
+                           for rank_nmp in pu.rank_nmps]
 
     # ------------------------------------------------------------------ #
     @property
@@ -89,106 +102,85 @@ class RecNMPChannel:
 
     def all_rank_nmps(self):
         """All rank-NMP modules of the channel, in channel-rank order."""
-        return [self.rank_nmp(r) for r in range(self.num_ranks)]
+        return list(self._rank_nmps)
 
     # ------------------------------------------------------------------ #
     def execute_packet(self, packet, start_cycle=0, rank_of_instruction=None,
-                       ranks=None):
+                       ranks=None, order=None):
         """Execute one packet across all ranks of the channel.
 
-        ``rank_of_instruction`` maps an instruction to a channel-wide rank
-        index (default: Daddr modulo rank count); ``ranks`` optionally
-        carries the precomputed per-instruction rank indices (aligned with
-        ``packet.instructions``) so the memory controller's once-per-packet
-        mapping is not re-derived here.  Returns the packet completion
-        cycle.
+        ``ranks`` optionally carries the per-instruction channel-rank
+        indices, aligned with the packet's instructions (the memory
+        controller computes them once per packet); otherwise
+        ``rank_of_instruction`` maps each instruction (default: Daddr
+        modulo rank count).  ``order`` optionally gives the issue order as
+        a permutation of the packet's instructions (the controller's
+        FR-FCFS reorder); by default they issue in packet order.  Returns
+        the packet completion cycle.
         """
-        instructions = packet.instructions
-        count = len(instructions)
+        packed = packet.packed_arrays()
         if ranks is None:
             if rank_of_instruction is None:
-                num_ranks = self.num_ranks
-                ranks = [int(inst.daddr) % num_ranks
-                         for inst in instructions]
+                ranks = packed.daddrs % self.num_ranks
             else:
                 ranks = [rank_of_instruction(inst)
-                         for inst in instructions]
-        # Decode every instruction's (bank group, bank, row) once for the
-        # whole packet -- the rank config is shared by all rank-NMPs, so
-        # one vectorised pass replaces a per-instruction decode in each
-        # rank's scheduler.
-        bank_groups, bank_indices, rows = (
-            column.tolist() for column in _kernels.pack_decoded(
-                self.rank_config,
-                np.fromiter((inst.daddr for inst in instructions),
-                            dtype=np.int64, count=count)))
-        # Group instructions per rank, preserving order; arrival times model
-        # the shared C/A interface delivering instructions sequentially.
-        rate = self.instruction_rate_per_cycle
-        num_ranks = self.num_ranks
-        per_rank = {}
-        for position, instruction in enumerate(instructions):
-            rank = ranks[position]
-            if not 0 <= rank < num_ranks:
-                raise ValueError("invalid rank %d for instruction" % rank)
-            entry = per_rank.get(rank)
-            if entry is None:
-                entry = ([], [], ([], [], []))
-                per_rank[rank] = entry
-            entry[0].append(instruction)
-            entry[1].append(start_cycle + int(position / rate))
-            decoded = entry[2]
-            decoded[0].append(bank_groups[position])
-            decoded[1].append(bank_indices[position])
-            decoded[2].append(rows[position])
-        per_rank_last = []
-        for rank_index in sorted(per_rank):
-            rank_instructions, arrivals, decoded = per_rank[rank_index]
-            rank_nmp = self.rank_nmp(rank_index)
-            per_rank_last.append(rank_nmp.execute_instructions(
-                rank_instructions, arrival_cycles=arrivals,
-                decoded=decoded))
-        if not per_rank_last:
-            return start_cycle
-        slowest = max(per_rank_last)
-        # Adder-tree + DIMM.Sum transfer overhead (constant per packet, one
-        # transfer cycle per pooled output).
-        dimm_nmp = self.processing_units[0].dimm_nmp
-        return (slowest + dimm_nmp.adder_tree_latency_cycles
-                + dimm_nmp.sum_transfer_cycles * packet.num_poolings)
+                         for inst in packet.instructions]
+        return self._execute_columns(packed, ranks, order, start_cycle)
 
     def execute_packed(self, packed, start_cycle=0, ranks=None):
-        """Array-native counterpart of :meth:`execute_packet`.
+        """:meth:`execute_packet` over a
+        :class:`~repro.core.instruction.PackedInstructions` already in
+        issue order; ``ranks`` the aligned per-instruction channel-rank
+        indices (default: Daddr modulo rank count).
+        """
+        if ranks is None:
+            ranks = packed.daddrs % self.num_ranks
+        return self._execute_columns(packed, ranks, None, start_cycle)
 
-        ``packed`` is a :class:`~repro.core.instruction.PackedInstructions`
-        already in issue order; ``ranks`` the aligned per-instruction
-        channel-rank indices (int64 array; defaults to Daddr modulo rank
-        count like the object path).  The per-rank split, C/A arrival
-        times and completion math are vectorised but cycle-identical.
+    def _execute_columns(self, packed, ranks, order, start_cycle):
+        """Split one packet's columns over the ranks and run them.
+
+        The instruction at issue position ``i`` (``order[i]`` of the packet
+        when reordered) reaches its rank over the shared C/A interface at
+        ``start_cycle + int(i / rate)``.  One stable argsort groups the
+        issue sequence by rank, keeping issue order within each rank;
+        every column is gathered in that order once, decoded into bank
+        group / bank / row once, and each rank-NMP runs its contiguous
+        span: array slices for a bound kernel, otherwise slices of the
+        columns' ``tolist()``.  The packet completes when the slowest rank
+        finishes and the adder tree plus one DIMM.Sum transfer per pooled
+        output drain.
         """
         count = len(packed)
         if count == 0:
             return start_cycle
         num_ranks = self.num_ranks
-        if ranks is None:
-            ranks = packed.daddrs % num_ranks
-        else:
-            ranks = np.asarray(ranks, dtype=np.int64)
-        if int(ranks.min()) < 0 or int(ranks.max()) >= num_ranks:
-            bad = ranks[(ranks < 0) | (ranks >= num_ranks)][0]
-            raise ValueError("invalid rank %d for instruction" % int(bad))
-        arrivals = start_cycle + (np.arange(count)
-                                  / self.instruction_rate_per_cycle) \
-            .astype(np.int64)
+        ranks = np.asarray(ranks, dtype=np.int64)
+        require_valid_ranks(ranks, num_ranks)
+        if order is not None:
+            ranks = ranks[order]
+        by_rank = np.argsort(ranks, kind="stable")
+        gather = by_rank if order is None else order[by_rank]
+        daddrs = packed.daddrs[gather]
+        columns = [daddrs, packed.vsizes[gather], packed.weighted[gather],
+                   packed.localities[gather], packed.psum_tags[gather],
+                   start_cycle + (by_rank / self.instruction_rate_per_cycle)
+                   .astype(np.int64)]
+        columns.extend(_kernels.pack_decoded(self.rank_config, daddrs))
+        rank_nmps = self._rank_nmps
+        if not rank_nmps[0].takes_arrays:
+            columns = [column.tolist() for column in columns]
         per_rank_last = []
-        for rank_index in np.unique(ranks).tolist():
-            idx = np.nonzero(ranks == rank_index)[0]
-            rank_nmp = self.rank_nmp(rank_index)
-            per_rank_last.append(rank_nmp.execute_packed(
-                packed.take(idx), arrivals[idx]))
-        slowest = max(per_rank_last)
+        start = 0
+        for rank_index, rank_count in enumerate(
+                np.bincount(ranks, minlength=num_ranks).tolist()):
+            if rank_count:
+                end = start + rank_count
+                per_rank_last.append(rank_nmps[rank_index].execute_columns(
+                    [column[start:end] for column in columns]))
+                start = end
         dimm_nmp = self.processing_units[0].dimm_nmp
-        return (slowest + dimm_nmp.adder_tree_latency_cycles
+        return (max(per_rank_last) + dimm_nmp.adder_tree_latency_cycles
                 + dimm_nmp.sum_transfer_cycles * packed.num_poolings)
 
     def rank_load(self, packet, rank_of_instruction=None):

@@ -23,8 +23,10 @@ import numpy as np
 
 from repro.cache.rank_cache import RankCache
 from repro.core import kernels as _kernels
-from repro.core.instruction import PackedInstructions
-from repro.dram.commands import CommandType
+from repro.core.instruction import (
+    PackedInstructions,
+    check_vector_size_bytes,
+)
 from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2400
 
@@ -60,9 +62,7 @@ class RankNMPConfig:
                                  % (name, getattr(self, name)))
         if self.cache_capacity_bytes <= 0:
             raise ValueError("cache_capacity_bytes must be positive")
-        if self.vector_size_bytes <= 0 or self.vector_size_bytes % 64:
-            raise ValueError("vector_size_bytes must be a positive multiple "
-                             "of 64")
+        check_vector_size_bytes(self.vector_size_bytes)
 
 
 @dataclass
@@ -121,15 +121,10 @@ class RankNMP:
         self._psum_counts = {}
         self.current_cycle = 0
         # Flat command-issue kernel for the numba and flat-python
-        # flavors; None otherwise, in which case both entry points run
-        # the column window loop below (the readable spec the kernel is
-        # tested against).  Streams shorter than the cutover take that
-        # loop even with a kernel bound: the kernel's packing and sync
-        # costs only amortise on long streams (the cutover is 0 --
-        # kernel always -- inside force_flavor).
+        # flavors; None otherwise, in which case every stream runs the
+        # column window loop below (the readable spec the kernel is
+        # tested against).
         self._kernel = _kernels.make_rank_kernel(self)
-        self._kernel_min_instructions = \
-            _kernels.packed_dispatch_min_instructions()
 
     # ------------------------------------------------------------------ #
     # Address decoding                                                   #
@@ -151,16 +146,6 @@ class RankNMP:
         block //= config.banks_per_group
         row = block
         return bank_group, bank, row, column
-
-    def decode_bank_rows(self, daddrs):
-        """Vectorised :meth:`decode_bank_row` over many Daddrs.
-
-        Returns ``(bank_groups, banks, rows)`` as plain Python lists (the
-        column is not needed by the timing model), decoded once per
-        stream by :func:`~repro.core.kernels.pack_decoded`.
-        """
-        return tuple(column.tolist() for column in _kernels.pack_decoded(
-            self.config, np.asarray(daddrs, dtype=np.int64)))
 
     # ------------------------------------------------------------------ #
     # Execution                                                          #
@@ -302,31 +287,8 @@ class RankNMP:
         return self.execute_instructions((instruction,), (arrival_cycle,),
                                          reorder_window=1)
 
-    def _estimated_start(self, instruction, arrival_cycle):
-        """Earliest cycle the first command of an instruction could issue.
-
-        Used by the windowed scheduler to avoid head-of-line blocking: an
-        instruction whose bank is still serving tRAS/tRC from an earlier
-        access can be deferred in favour of one whose bank is ready.
-        """
-        start = max(self.current_cycle, arrival_cycle)
-        if self.cache is not None and instruction.locality_bit and \
-                self.cache.contains(instruction.daddr):
-            return start
-        bank_group, bank_index, row, _ = self.decode_bank_row(
-            instruction.daddr)
-        bank = self.dram_rank.bank(bank_group, bank_index)
-        if bank.is_row_hit(row):
-            command = CommandType.RD
-        elif bank.is_row_closed():
-            command = CommandType.ACT
-        else:
-            command = CommandType.PRE
-        return self.dram_rank.earliest_issue_cycle(
-            command, bank_group, bank_index, start)
-
     def execute_instructions(self, instructions, arrival_cycles=None,
-                             reorder_window=16, decoded=None):
+                             reorder_window=16):
         """Execute a list of instructions; returns the last completion cycle.
 
         Instructions are issued FR-FCFS-style within a small reorder window
@@ -336,59 +298,51 @@ class RankNMP:
         first.  Correctness is unaffected because each pooling accumulates
         into its own PsumTag register.
 
-        The instruction objects are read once, into the columns the window
-        loop runs on (see :meth:`_execute_window`).  ``decoded`` optionally
-        carries ``(bank_groups, banks, rows)`` lists from
-        :meth:`decode_bank_rows`, so callers that already decoded the
-        packet (the channel does) don't pay for it twice.
+        The instruction objects are read once, into the columns
+        :meth:`execute_packed` runs on.
         """
         count = len(instructions)
         if arrival_cycles is None:
             arrival_cycles = [0] * count
         if len(arrival_cycles) != count:
             raise ValueError("arrival_cycles must match instructions")
-        if not count:
-            return self.current_cycle
-        if self._kernel is not None and \
-                count >= self._kernel_min_instructions:
-            return self.execute_packed(
-                PackedInstructions.from_instructions(instructions),
-                arrival_cycles, reorder_window)
-        daddrs = [inst.daddr for inst in instructions]
-        if decoded is None:
-            decoded = self.decode_bank_rows(daddrs)
-        bank_groups, bank_indices, rows = decoded
-        return self._execute_window(
-            daddrs, [inst.vsize for inst in instructions],
-            [inst.weight != 1.0 for inst in instructions],
-            [inst.locality_bit for inst in instructions],
-            [inst.psum_tag for inst in instructions],
-            arrival_cycles, bank_groups, bank_indices, rows, reorder_window)
+        return self.execute_packed(
+            PackedInstructions.from_instructions(instructions),
+            arrival_cycles, reorder_window)
 
     def execute_packed(self, packed, arrival_cycles, reorder_window=16):
         """:meth:`execute_instructions` over a
         :class:`~repro.core.instruction.PackedInstructions` (flat numpy
         arrays, no NMPInstruction objects); bit-identical to it.
-
-        A bound kernel runs the arrays as they are; otherwise their
-        ``tolist()`` columns go through :meth:`_execute_window`.
         """
         daddrs = packed.daddrs
         if not len(daddrs):
             return self.current_cycle
-        bank_groups, bank_indices, rows = _kernels.pack_decoded(self.config,
-                                                                daddrs)
-        arrivals = np.asarray(arrival_cycles, dtype=np.int64)
+        columns = [daddrs, packed.vsizes, packed.weighted, packed.localities,
+                   packed.psum_tags, np.asarray(arrival_cycles, np.int64)]
+        columns.extend(_kernels.pack_decoded(self.config, daddrs))
+        if not self.takes_arrays:
+            columns = [column.tolist() for column in columns]
+        return self.execute_columns(columns, reorder_window)
+
+    @property
+    def takes_arrays(self):
+        """True when :meth:`execute_columns` wants numpy arrays (a flat
+        kernel is bound), False when it wants plain lists."""
+        return self._kernel is not None
+
+    def execute_columns(self, columns, reorder_window=16):
+        """Run one instruction stream given as nine aligned columns.
+
+        The columns are, in order: Daddr, burst count, weighted flag,
+        LocalityBit, PsumTag, arrival cycle, and the decoded bank group,
+        bank and row.  They are int64/bool arrays for the bound flat
+        kernel, or plain lists for the column window loop -- see
+        :attr:`takes_arrays`.  Returns the last completion cycle.
+        """
         if self._kernel is not None:
-            return self._kernel.execute_arrays(
-                daddrs, packed.vsizes, packed.weighted, packed.localities,
-                packed.psum_tags, arrivals, bank_groups, bank_indices, rows,
-                reorder_window)
-        return self._execute_window(
-            daddrs.tolist(), packed.vsizes.tolist(), packed.weighted.tolist(),
-            packed.localities.tolist(), packed.psum_tags.tolist(),
-            arrivals.tolist(), bank_groups.tolist(), bank_indices.tolist(),
-            rows.tolist(), reorder_window)
+            return self._kernel.execute_arrays(*columns, reorder_window)
+        return self._execute_window(*columns, reorder_window)
 
     def _execute_window(self, daddrs, vsizes, weighted, localities,
                         psum_tags, arrival_cycles, bank_groups, bank_indices,
@@ -400,8 +354,9 @@ class RankNMP:
         the DDR command sequence of :meth:`_dram_read` unless it hit, and
         the datapath latency into its PsumTag register.
 
-        The selection is cycle-identical to evaluating
-        :meth:`_estimated_start` for every window member on every
+        The selection is cycle-identical to evaluating each window
+        member's earliest first-command cycle (the ``estimated_start``
+        spec in ``tests/test_core_rank_dimm_nmp.py``) on every
         iteration, but avoids that quadratic re-computation: per-bank
         command/readiness is read once per member from the live bank state,
         the rank-level ACT/RD components are memoised per bank group and

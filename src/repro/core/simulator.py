@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import kernels as _kernels
-from repro.core.instruction import NMPOpcode
+from repro.core.instruction import NMPOpcode, check_vector_size_bytes
 from repro.core.memory_controller import NMPMemoryController
 from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
 from repro.core.processing_unit import RecNMPChannel
@@ -51,7 +51,8 @@ class RecNMPConfig:
     poolings_per_packet:
         Poolings per NMP packet (Fig. 14(a) sweeps 1-8).
     vector_size_bytes:
-        Embedding vector size.
+        Embedding vector size: a multiple of 64 B, at most 960 B (the
+        4-bit vsize field of an NMP-Inst).
     rank_assignment:
         ``"address"`` -- vectors land on ranks according to their (page-
         mapped, effectively random) physical addresses, which exposes the
@@ -83,6 +84,7 @@ class RecNMPConfig:
         if self.rank_cache_kb <= 0 and self.use_rank_cache:
             raise ValueError("rank_cache_kb must be positive when the cache "
                              "is enabled")
+        check_vector_size_bytes(self.vector_size_bytes)
 
     @property
     def num_ranks(self):
@@ -266,9 +268,9 @@ class RecNMPSimulator:
         :mod:`repro.perf.baseline_cache`): sweeps that vary only the RecNMP
         configuration replay the stored baseline instead of re-simulating it.
         """
-        addresses = [inst.daddr * 64
-                     for packet in packets
-                     for inst in packet.instructions]
+        addresses = (np.concatenate(
+            [packet.packed_arrays().daddrs for packet in packets]
+            or [np.empty(0, np.int64)]) * 64).tolist()
         baseline_config = DramSystemConfig(
             timing=self.config.timing,
             num_channels=1,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,10 @@ from repro.core.instruction import (
     NMPPacket,
     TOTAL_INSTRUCTION_BITS,
 )
+from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
+from repro.core.rank_nmp import RankNMPConfig
+from repro.core.simulator import RecNMPConfig
+from repro.dlrm.operators import SLSRequest
 
 
 class TestInstructionFormat:
@@ -141,3 +146,30 @@ class TestNMPPacket:
         # tags so a >16-pooling packet cannot even be constructed.
         with pytest.raises(ValueError):
             [NMPInstruction(psum_tag=tag) for tag in range(17)]
+
+
+@pytest.mark.parametrize("config_class", [PacketGeneratorConfig,
+                                          RecNMPConfig, RankNMPConfig])
+class TestVectorSizeLimit:
+    """vsize is 4 bits, so a vector is at most 15 bursts (960 B); every
+    config that carries a vector size rejects larger ones up front."""
+
+    def test_largest_encodable_vector_accepted(self, config_class):
+        assert config_class(vector_size_bytes=960).vector_size_bytes == 960
+
+    @pytest.mark.parametrize("vector_bytes", [1024, 4096])
+    def test_oversized_vector_rejected(self, config_class, vector_bytes):
+        with pytest.raises(ValueError,
+                           match=r"vector_size_bytes=%d .*960-byte limit"
+                           % vector_bytes):
+            config_class(vector_size_bytes=vector_bytes)
+
+
+def test_largest_vector_encodes_in_packets():
+    generator = PacketGenerator(PacketGeneratorConfig(
+        vector_size_bytes=960, enable_hot_entry_profiling=False))
+    request = SLSRequest(table_id=0, indices=np.arange(4),
+                         lengths=np.array([4]))
+    instruction = generator.packets_for_request(request)[0].instructions[0]
+    assert instruction.vsize == 15
+    assert NMPInstruction.decode(instruction.encode()).vsize == 15

@@ -435,14 +435,12 @@ class TestPackedHelpers:
         for flavor in ("flat-python", "disabled"):
             assert kernels.packed_dispatch_min_instructions(flavor) == \
                 kernels.packed_dispatch_min_instructions("python")
-        # Forcing a flavor disables the cutover: its packed path runs on
-        # every stream (the parity tests above depend on this) -- except
-        # "disabled", the object-path reference they compare against.
+        # Forcing a flavor disables the cutover: every packet goes to
+        # ``execute_packed`` -- except under "disabled", where every
+        # packet goes to ``execute_packet``.
         for flavor in PORTABLE_FLAVORS:
             with kernels.force_flavor(flavor):
                 assert kernels.packed_dispatch_min_instructions() == 0
-                assert RankNMP(RankNMPConfig())._kernel_min_instructions \
-                    == 0
         with kernels.force_flavor("disabled"):
             assert kernels.packed_dispatch_min_instructions() > 1 << 32
 

@@ -9,10 +9,7 @@ from repro.core.instruction import (
     NMPInstruction,
     NMPPacket,
 )
-from repro.core.memory_controller import (
-    NMPMemoryController,
-    _ReorderedPacketView,
-)
+from repro.core.memory_controller import NMPMemoryController
 from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMPConfig
 
@@ -28,6 +25,15 @@ def _packet(table_id, batch_index, packet_id, count=8, stride=997):
     ]
     return NMPPacket(instructions=instructions, table_id=table_id,
                      batch_index=batch_index, packet_id=packet_id)
+
+
+def _reordered(controller, packet):
+    """The packet's instructions in the controller's issue order."""
+    _, permutation = controller._issue_order(packet.packed_arrays())
+    instructions = packet.instructions
+    if permutation is None:
+        return list(instructions)
+    return [instructions[i] for i in permutation.tolist()]
 
 
 class TestSubmissionAndDispatch:
@@ -87,7 +93,7 @@ class TestReordering:
                                        daddr=(i % 2) * 128 * 64 + i)
                         for i in range(8)]
         packet = NMPPacket(instructions=instructions)
-        reordered = controller._reorder_within_packet(packet)
+        reordered = _reordered(controller, packet)
         rows = [inst.daddr // 128 for inst in reordered]
         transitions = sum(1 for a, b in zip(rows, rows[1:]) if a != b)
         original_rows = [inst.daddr // 128 for inst in instructions]
@@ -102,7 +108,7 @@ class TestReordering:
     def test_reorder_preserves_instruction_multiset(self):
         controller = NMPMemoryController(num_ranks=4, reorder_window=4)
         packet = _packet(0, 0, 0, count=12)
-        reordered = controller._reorder_within_packet(packet)
+        reordered = _reordered(controller, packet)
         assert sorted(i.daddr for i in reordered) == \
             sorted(i.daddr for i in packet.instructions)
 
@@ -114,8 +120,8 @@ class TestReordering:
         rows = [3, 7, 3, 7, 9, 3]
         instructions = [NMPInstruction(ddr_cmd=FULL_CMD, daddr=row * 128)
                         for row in rows]
-        reordered = controller._reorder_within_packet(
-            NMPPacket(instructions=instructions))
+        reordered = _reordered(controller,
+                               NMPPacket(instructions=instructions))
         assert [inst.daddr // 128 for inst in reordered] == \
             [3, 3, 3, 7, 7, 9]
 
@@ -130,7 +136,7 @@ class TestReordering:
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
         packet = _packet(0, 0, 0, count=8)
         with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
-            controller._reorder_within_packet(packet)
+            controller._issue_order(packet.packed_arrays())
         controller.submit([packet])
         with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
             controller.dispatch(channel)
@@ -173,36 +179,9 @@ class TestPerRankStats:
         vectorised = NMPMemoryController(num_ranks=4,
                                          ranks_of_addresses=ranks_of)
         packet = _packet(0, 0, 0, count=16)
-        instructions = list(packet.instructions)
-        assert vectorised._packet_ranks(instructions) == \
-            scalar._packet_ranks(instructions)
-        assert vectorised._reorder_within_packet(packet) == \
-            scalar._reorder_within_packet(packet)
-
-
-class TestReorderedPacketView:
-    def _view(self, count=8):
-        packet = _packet(3, 1, 7, count=count)
-        return packet, _ReorderedPacketView(packet,
-                                            list(packet.instructions))
-
-    def test_num_poolings_cached_and_correct(self):
-        packet, view = self._view()
-        assert view.num_poolings == packet.num_poolings == 4
-        # Computed once at construction: later mutation of the
-        # instruction list must not change the reported pooling count.
-        view.instructions.pop()
-        assert view.num_poolings == 4
-
-    def test_delegates_packet_attributes(self):
-        packet, view = self._view()
-        assert view.table_id == packet.table_id == 3
-        assert view.packet_id == packet.packet_id == 7
-        assert len(view) == len(packet.instructions)
-
-    def test_slots_reject_stray_attributes(self):
-        _, view = self._view()
-        with pytest.raises(AttributeError):
-            view.num_pooling = 1     # typo cannot silently attach
-        with pytest.raises(AttributeError):
-            _ = view.not_an_attribute
+        vectorised_ranks, vectorised_order = vectorised._issue_order(
+            packet.packed_arrays())
+        scalar_ranks, scalar_order = scalar._issue_order(
+            packet.packed_arrays())
+        assert vectorised_ranks.tolist() == scalar_ranks.tolist()
+        assert vectorised_order.tolist() == scalar_order.tolist()

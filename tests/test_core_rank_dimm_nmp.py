@@ -13,6 +13,7 @@ from repro.core.instruction import (
 )
 from repro.core.processing_unit import RecNMPChannel, RecNMPProcessingUnit
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
+from repro.dram.commands import CommandType
 from repro.dram.timing import DDR4_2400
 
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
@@ -128,6 +129,29 @@ class TestRankNMP:
         assert completion > 500
 
 
+def _estimated_start(rank, instruction, arrival_cycle):
+    """Earliest cycle the first command of an instruction could issue.
+
+    The windowed scheduler uses it to avoid head-of-line blocking: an
+    instruction whose bank is still serving tRAS/tRC from an earlier
+    access can be deferred in favour of one whose bank is ready.
+    """
+    start = max(rank.current_cycle, arrival_cycle)
+    if rank.cache is not None and instruction.locality_bit and \
+            rank.cache.contains(instruction.daddr):
+        return start
+    bank_group, bank_index, row, _ = rank.decode_bank_row(instruction.daddr)
+    bank = rank.dram_rank.bank(bank_group, bank_index)
+    if bank.is_row_hit(row):
+        command = CommandType.RD
+    elif bank.is_row_closed():
+        command = CommandType.ACT
+    else:
+        command = CommandType.PRE
+    return rank.dram_rank.earliest_issue_cycle(command, bank_group,
+                                               bank_index, start)
+
+
 def _reference_execute_instructions(rank, instructions, arrival_cycles,
                                     reorder_window=16):
     """The pre-optimisation windowed scheduler, verbatim.
@@ -145,7 +169,7 @@ def _reference_execute_instructions(rank, instructions, arrival_cycles,
         best_index = 0
         best_start = None
         for index, (instruction, arrival) in enumerate(window):
-            estimate = rank._estimated_start(instruction, arrival)
+            estimate = _estimated_start(rank, instruction, arrival)
             if best_start is None or estimate < best_start:
                 best_start = estimate
                 best_index = index
