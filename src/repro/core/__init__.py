@@ -6,7 +6,7 @@ This package contains the near-memory processing architecture itself:
 * the packet generator (SLS operator -> NMP-Insts),
 * the HW/SW co-optimisations (table-aware packet scheduling, hot-entry
   profiling),
-* the rank-NMP and DIMM-NMP hardware modules and the RecNMP processing unit,
+* the rank-NMP modules and the RecNMP channel that runs packets across them,
 * the cycle-level RecNMP simulator and the NMP-extended memory controller,
 * the execution backends (serial / process) running multi-channel
   simulations in parallel,
@@ -30,8 +30,6 @@ from repro.core.scheduler import (
 )
 from repro.core.hot_entry import HotEntryProfiler, ProfileResult
 from repro.core.rank_nmp import RankNMP, RankNMPConfig, RankNMPStats
-from repro.core.dimm_nmp import DimmNMP
-from repro.core.processing_unit import RecNMPProcessingUnit
 from repro.core.simulator import (
     RecNMPSimulator,
     RecNMPConfig,
@@ -74,8 +72,6 @@ __all__ = [
     "RankNMP",
     "RankNMPConfig",
     "RankNMPStats",
-    "DimmNMP",
-    "RecNMPProcessingUnit",
     "RecNMPSimulator",
     "RecNMPConfig",
     "RecNMPResult",

@@ -9,8 +9,7 @@ simulation time.  It exists in two bit-identical implementations:
   weighted flag, LocalityBit, PsumTag, arrival and decoded bank
   group / bank / row) that drives the ``Bank`` / ``Rank`` /
   ``RankCache`` objects directly.  It is what the ``"python"`` flavor
-  (numba not installed) and the ``"disabled"`` flavor
-  (``REPRO_DISABLE_KERNELS=1``) run, for every entry point.
+  (numba not installed) runs, for every entry point.
 * :func:`_execute_window_flat` -- the *struct-of-arrays* kernel in this
   module, written in the numba-compilable subset of Python (numpy
   scalars, plain loops, an ``int64 -> int64`` dict for cache residency)
@@ -20,9 +19,9 @@ simulation time.  It exists in two bit-identical implementations:
   flavor, so its semantics are pinned by tests even on hosts without
   numba.
 
-Flavor selection happens once at import: ``REPRO_DISABLE_KERNELS=1``
-selects ``"disabled"``; otherwise numba is tried and ``"python"`` is the
-fallback.  Tests can override the selection with :func:`force_flavor`.
+Flavor selection happens once at import: numba is tried and
+``"python"`` is the fallback.  Tests can override the selection with
+:func:`force_flavor`.
 
 State layout conventions
 ------------------------
@@ -46,9 +45,6 @@ call, so the object layer stays the source of truth between calls and
 the column loop (or direct object inspection in tests) always sees
 consistent state.
 """
-
-import os
-import sys
 
 import numpy as np
 
@@ -100,12 +96,7 @@ _PART_UNSET = -(1 << 62)
 # --------------------------------------------------------------------- #
 # Flavor selection                                                      #
 # --------------------------------------------------------------------- #
-_DISABLED_BY_ENV = os.environ.get("REPRO_DISABLE_KERNELS", "") \
-    not in ("", "0")
-
 try:
-    if _DISABLED_BY_ENV:
-        raise ImportError("kernels disabled via REPRO_DISABLE_KERNELS")
     from numba import njit as _njit
     from numba import typed as _numba_typed
     from numba.core import types as _numba_types
@@ -114,7 +105,7 @@ except ImportError:
     _njit = None
     _numba_typed = None
     _numba_types = None
-    KERNEL_FLAVOR = "disabled" if _DISABLED_BY_ENV else "python"
+    KERNEL_FLAVOR = "python"
 
 #: Test hook: force_flavor() overrides the import-time selection.
 _FORCED_FLAVOR = None
@@ -122,7 +113,7 @@ _FORCED_FLAVOR = None
 #: Flavors force_flavor accepts.  "flat-python" runs the canonical
 #: struct-of-arrays kernel *un-jitted* -- slow, but it lets the numba
 #: source semantics be pinned by tests on hosts without numba.
-_KNOWN_FLAVORS = ("numba", "python", "flat-python", "disabled")
+_KNOWN_FLAVORS = ("numba", "python", "flat-python")
 
 
 def active_flavor():
@@ -137,9 +128,8 @@ def maybe_jit(fn):
 
     The hook other kernel modules (:mod:`repro.serving.event_kernels`)
     use to apply this module's flavor selection to their own flat
-    kernels: one numba probe, one ``REPRO_DISABLE_KERNELS`` switch, one
-    ``force_flavor`` override governing every compiled kernel in the
-    tree.
+    kernels: one numba probe and one ``force_flavor`` override governing
+    every compiled kernel in the tree.
     """
     if KERNEL_FLAVOR == "numba":
         return _njit(cache=True)(fn)
@@ -162,12 +152,9 @@ def packed_dispatch_min_instructions(flavor=None):
     Smaller packets go to ``execute_packet``; 0 means always
     ``execute_packed``.  Inside a :class:`force_flavor` context the
     cutover is 0 -- forcing a flavor exercises its ``execute_packed``
-    entry unconditionally -- except under ``"disabled"``, which keeps
-    every packet on ``execute_packet``.
+    entry unconditionally.
     """
     if flavor is None:
-        if _FORCED_FLAVOR == "disabled":
-            return sys.maxsize
         if _FORCED_FLAVOR is not None:
             return 0
         flavor = KERNEL_FLAVOR
@@ -842,8 +829,8 @@ class FlatRankKernel:
 
 def make_rank_kernel(rank_nmp):
     """Flat kernel wrapper for one RankNMP under the ``numba`` and
-    ``flat-python`` flavors; None under ``python`` and ``disabled``,
-    where RankNMP runs its own column window loop."""
+    ``flat-python`` flavors; None under ``python``, where RankNMP runs
+    its own column window loop."""
     flavor = active_flavor()
     if flavor in ("numba", "flat-python"):
         return FlatRankKernel(rank_nmp, flavor)
@@ -853,8 +840,6 @@ def make_rank_kernel(rank_nmp):
 def describe():
     """One-line kernel status for CLI / benchmark reporting."""
     flavor = active_flavor()
-    if flavor == "disabled":
-        return "kernels disabled (REPRO_DISABLE_KERNELS)"
     if flavor == "numba":
         return "numba-jitted bank state machine"
     if flavor == "flat-python":

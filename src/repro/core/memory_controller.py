@@ -80,10 +80,6 @@ class NMPMemoryController:
         self.scheduler.add_source(packets)
         self.stats.packets_received += len(packets)
 
-    def rank_of_instruction(self, instruction):
-        """Channel-wide rank index an NMP-Inst is routed to."""
-        return self.rank_of_address(instruction.daddr * 64)
-
     def _issue_order(self, packed, reorder=True):
         """Rank and FR-FCFS issue order of one packet's columns.
 

@@ -258,17 +258,3 @@ class PacketGenerator:
             column.flags.writeable = False
         self._shape = (key, columns)
         return columns
-
-    # ------------------------------------------------------------------ #
-    def rank_load(self, packets, rank_of_address, num_ranks):
-        """Distribution of instructions over ranks for a list of packets.
-
-        Returns an integer array of length ``num_ranks`` counting how many
-        embedding lookups each rank serves -- the quantity behind the
-        load-imbalance analysis of Fig. 14(b).
-        """
-        counts = np.zeros(num_ranks, dtype=np.int64)
-        for packet in packets:
-            for daddr in packet.packed_arrays().daddrs.tolist():
-                counts[rank_of_address(daddr * 64)] += 1
-        return counts

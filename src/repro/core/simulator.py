@@ -113,13 +113,13 @@ class RecNMPResult:
     cache_hit_rate: float
     rank_load: list
     load_imbalance: float
+    kernel_flavor: str
     baseline_cycles: int = 0
     speedup_vs_baseline: float = 0.0
     energy_nj: float = 0.0
     baseline_energy_nj: float = 0.0
     energy_savings_fraction: float = 0.0
     channel_stats: dict = field(default_factory=dict)
-    kernel_flavor: str = "disabled"
 
     @property
     def average_packet_cycles(self):

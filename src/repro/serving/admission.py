@@ -17,9 +17,8 @@ the drain rate.  The estimate comes from the cluster's own service model
 controller's view of capacity tracks the simulated hardware.
 
 The model exists twice: :func:`admission_loop` calls any controller's
-``admit`` per query (custom controllers, :func:`apply_admission`, and
-every controller when kernels are disabled), and
-:func:`repro.serving.event_kernels.admission_mask` runs the four
+``admit`` per query (custom controllers and :func:`apply_admission`),
+and :func:`repro.serving.event_kernels.admission_mask` runs the four
 built-ins as one compiled pass (:func:`admission_kernel_spec`).  Both
 carry their state in one vector, so chunked runs continue it across
 chunk boundaries.

@@ -30,6 +30,11 @@ from repro.perf.service_store import (
     resolve_service_store,
     stable_fingerprint,
 )
+from repro.serving.admission import (
+    admission_kernel_spec,
+    admission_loop,
+    resolve_admission,
+)
 from repro.serving.batcher import BatchingFrontend
 from repro.serving.engine import resolve_engine
 from repro.serving.sharding import TableSharder, partition_by_assignment
@@ -537,11 +542,6 @@ class ShardedServingCluster:
         """
         from repro.perf.service_model import resolve_service_model
         from repro.serving import event_kernels
-        from repro.serving.admission import (
-            admission_kernel_spec,
-            admission_loop,
-            resolve_admission,
-        )
         from repro.serving.query_columns import (
             BatchColumns,
             QueryColumns,
@@ -604,8 +604,6 @@ class ShardedServingCluster:
                 controller.reset()
                 kernel_spec = admission_kernel_spec(controller,
                                                     capacity_qps)
-                if event_kernels.active_flavor() == "disabled":
-                    kernel_spec = None
                 admission_state = event_kernels.new_admission_state(
                     first_arrival,
                     0.0 if kernel_spec is None else kernel_spec[3])
@@ -969,7 +967,6 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
 
     from repro.core.backend import ParallelBackend, resolve_backend
     from repro.perf.service_model import resolve_service_model
-    from repro.serving.admission import resolve_admission
     from repro.serving.slo import resolve_slo_policy
 
     def _stage(name):

@@ -1,9 +1,9 @@
 """Compiled kernels for the serving layer's per-event hot loops.
 
 Three loops dominate long event-engine runs once service times come from
-the interpolating model: the multi-server FIFO dispatch queue, the EDF
-dispatch queue (both ``heapq`` loops in
-:func:`repro.serving.events.simulate_batch_queue`), and the admission
+the interpolating model: the multi-server FIFO dispatch queue and the
+EDF dispatch queue of :func:`repro.serving.events.simulate_batch_queue`
+(both ``heapq`` loops in their reference form), and the admission
 layer's fluid-backlog filter (the per-query
 :func:`repro.serving.admission.admission_loop`).  This module holds each
 loop once, as a ``_*_flat`` struct-of-arrays kernel written in the
@@ -17,13 +17,13 @@ numba-compilable subset of Python, and runs it three ways:
   to plain lists (``.tolist()``), which the interpreter indexes faster
   than numpy arrays; every statement is valid over both.
 
-Flavor selection, ``force_flavor`` and ``REPRO_DISABLE_KERNELS`` are all
-shared with :mod:`repro.core.kernels` -- one switch governs every
-compiled kernel in the tree.  The ``"disabled"`` flavor is handled by
-the callers (:mod:`repro.serving.events` keeps its original ``heapq``
-loops as the readable specification; the cluster runs every admission
-controller through the per-query loop), so disabling kernels restores
-the reference paths byte for byte.
+Flavor selection and ``force_flavor`` are shared with
+:mod:`repro.core.kernels` -- one switch governs every compiled kernel in
+the tree.  The readable ``heapq`` specifications of the two queue loops
+live in the test suite as reference oracles, and the per-query
+:func:`~repro.serving.admission.admission_loop` stays in the tree for
+custom admission controllers; the tests pin every flavor against them
+byte for byte.
 
 Bit-identity argument
 ---------------------
@@ -36,7 +36,7 @@ which are ties between equal floats.  The EDF pending heap orders
 the order is total and the popped element is layout-independent there
 too.  The admission kernel performs the same float arithmetic in the
 same order as the controller loop.  Randomized equivalence tests
-(``tests/test_event_kernels.py``) pin all three against the legacy
+(``tests/test_event_kernels.py``) pin all three against the reference
 loops.
 """
 
@@ -305,8 +305,8 @@ def fifo_queue_times(ready, services, arrival_order, num_servers,
     ``ready`` / ``services`` are ``float64`` arrays, ``arrival_order``
     the stable arrival permutation.  Returns ``(starts, completes)``
     ``float64`` arrays indexed like the inputs, bit-identical to the
-    legacy ``heapq`` loop.  ``flavor`` overrides the ambient selection
-    (``"disabled"`` is the caller's branch, not a kernel).
+    reference ``heapq`` loop.  ``flavor`` overrides the ambient
+    selection.
     """
     if flavor is None:
         flavor = active_flavor()
@@ -334,7 +334,7 @@ def edf_queue_times(ready, services, priorities, arrival_order, num_servers,
 
     Like :func:`fifo_queue_times` with a per-batch ``priorities`` vector
     (smaller serves first; ties fall back to ready time, then batch
-    index -- exactly ``heapq``'s tuple order in the legacy loop).
+    index -- exactly ``heapq``'s tuple order in the reference loop).
     """
     if flavor is None:
         flavor = active_flavor()
@@ -408,8 +408,6 @@ def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
 def describe():
     """One-line event-kernel status for CLI / benchmark reporting."""
     flavor = active_flavor()
-    if flavor == "disabled":
-        return "event kernels disabled (legacy heapq loops)"
     if flavor == "numba":
         return "numba-jitted event-loop kernels"
     return "pure-python event-loop kernels (numba not installed)"

@@ -19,9 +19,10 @@ so a freed server always takes the most urgent waiting batch --
 non-preemptive, O(B log B).  Service times come from whatever
 :class:`~repro.perf.service_model.ServiceTimeModel` produced them, so a
 million-query event run costs a million heap operations -- not a million
-cycle simulations.  The loops run as the compiled kernels of
-:mod:`repro.serving.event_kernels`; the ``heapq`` loops below are their
-readable specification and the ``"disabled"`` flavor.
+cycle simulations.  The multi-server loops run as the kernels of
+:mod:`repro.serving.event_kernels`; their readable ``heapq``
+specification lives in the test suite as the reference oracle they are
+pinned against.
 
 The engine works on :class:`~repro.serving.query_columns.BatchColumns`
 (a ``QueryBatch`` list is converted once), turning per-batch times into
@@ -33,8 +34,6 @@ accounting -- goodput, attainment, shed rate -- to ``extras["slo"]``
 percentiles are always conditioned on *admitted* queries; shed queries
 never enter a batch.
 """
-
-import heapq
 
 import numpy as np
 
@@ -76,8 +75,6 @@ def simulate_batch_queue(ready_times_us, service_times_us, num_servers=1,
     if order not in QUEUE_ORDERS:
         raise ValueError("order must be one of %s" % (QUEUE_ORDERS,))
     arrival_order = np.argsort(ready, kind="stable")
-    starts = np.empty_like(ready)
-    completes = np.empty_like(ready)
     if order == "fifo" and num_servers == 1:
         # Single-server FIFO is a pure running recurrence -- start[i] =
         # max(ready[i], complete[i-1]) -- with the closed form
@@ -94,56 +91,21 @@ def simulate_batch_queue(ready_times_us, service_times_us, num_servers=1,
             + csum
         sorted_starts = np.maximum(sorted_ready,
                                    sorted_completes - sorted_services)
+        starts = np.empty_like(ready)
+        completes = np.empty_like(ready)
         starts[arrival_order] = sorted_starts
         completes[arrival_order] = sorted_completes
     elif order == "fifo":
-        if event_kernels.active_flavor() != "disabled":
-            starts, completes = event_kernels.fifo_queue_times(
-                ready, services, arrival_order, num_servers)
-        else:
-            # Legacy heapq loop: the readable specification the compiled
-            # kernels are pinned against (and the "disabled" flavor).
-            free_at = [float(ready[arrival_order[0]])] * num_servers
-            heapq.heapify(free_at)
-            for index in arrival_order:
-                start = max(float(ready[index]), heapq.heappop(free_at))
-                complete = start + float(services[index])
-                starts[index] = start
-                completes[index] = complete
-                heapq.heappush(free_at, complete)
+        starts, completes = event_kernels.fifo_queue_times(
+            ready, services, arrival_order, num_servers)
     else:
         if priorities is None:
             raise ValueError("EDF order needs one priority per batch")
         priority = np.asarray(priorities, dtype=np.float64)
         if priority.size != ready.size:
             raise ValueError("need one priority per batch")
-        if event_kernels.active_flavor() != "disabled":
-            starts, completes = event_kernels.edf_queue_times(
-                ready, services, priority, arrival_order, num_servers)
-        else:
-            free_at = [float(ready[arrival_order[0]])] * num_servers
-            heapq.heapify(free_at)
-            pending = []                   # (priority, ready, index)
-            next_arrival = 0
-            for _ in range(ready.size):
-                now = heapq.heappop(free_at)
-                if not pending:
-                    # The earliest-free server idles until the next
-                    # arrival.
-                    now = max(now, float(ready[arrival_order[
-                        next_arrival]]))
-                while next_arrival < ready.size and \
-                        float(ready[arrival_order[next_arrival]]) <= now:
-                    index = int(arrival_order[next_arrival])
-                    heapq.heappush(pending, (float(priority[index]),
-                                             float(ready[index]), index))
-                    next_arrival += 1
-                _, batch_ready, index = heapq.heappop(pending)
-                start = max(batch_ready, now)
-                complete = start + float(services[index])
-                starts[index] = start
-                completes[index] = complete
-                heapq.heappush(free_at, complete)
+        starts, completes = event_kernels.edf_queue_times(
+            ready, services, priority, arrival_order, num_servers)
     # Waiting-queue depth: a batch occupies the queue from ready to start,
     # and the depth only peaks just after an arrival -- so instead of
     # replaying a sorted 2B-event list, evaluate the depth at each sorted

@@ -2,8 +2,8 @@
 
 The contract of :mod:`repro.core.kernels` is that every flavour --
 ``numba`` (jitted flat arrays), ``flat-python`` (the same flat-array
-source, un-jitted), and ``python`` / ``disabled`` (the column window
-loop of :class:`~repro.core.rank_nmp.RankNMP`, the readable spec) --
+source, un-jitted), and ``python`` (the column window loop of
+:class:`~repro.core.rank_nmp.RankNMP`, the readable spec) --
 produces *identical* cycles, statistics, cache contents and bank state,
 whether a stream arrives as instruction objects or as packed arrays.
 These tests pin that contract at two levels: randomized instruction
@@ -75,14 +75,15 @@ def _rank_snapshot(rank):
 
 class TestFlavorSelection:
     def test_active_flavor_known(self):
-        assert kernels.active_flavor() in ("numba", "python", "disabled")
+        assert kernels.active_flavor() in ("numba", "python")
 
     def test_describe_nonempty(self):
         assert kernels.describe()
 
-    def test_force_flavor_rejects_unknown(self):
+    @pytest.mark.parametrize("flavor", ["cython", "disabled"])
+    def test_force_flavor_rejects_unknown(self, flavor):
         with pytest.raises(ValueError, match="unknown kernel flavor"):
-            with kernels.force_flavor("cython"):
+            with kernels.force_flavor(flavor):
                 pass
 
     def test_force_numba_without_numba_raises(self):
@@ -92,14 +93,14 @@ class TestFlavorSelection:
             with kernels.force_flavor("numba"):
                 pass
 
-    def test_disabled_flavor_executes_packed_input(self):
+    def test_python_flavor_executes_packed_input(self):
         # No kernel is bound, yet packed input runs -- through the same
         # column loop as objects, bit-identically.
         rng = np.random.default_rng(3)
         instructions = _random_instructions(rng, 60)
         arrivals = np.cumsum(rng.integers(0, 3, size=60))
         config = RankNMPConfig(cache_capacity_bytes=4096)
-        with kernels.force_flavor("disabled"):
+        with kernels.force_flavor("python"):
             objects = RankNMP(config)
             packed = RankNMP(config)
         assert packed._kernel is None
@@ -122,9 +123,9 @@ class TestFlavorSelection:
 
     def test_force_flavor_exit_without_enter_is_noop(self):
         stray = kernels.force_flavor("python")
-        with kernels.force_flavor("disabled"):
+        with kernels.force_flavor("flat-python"):
             stray.__exit__(None, None, None)
-            assert kernels._FORCED_FLAVOR == "disabled"
+            assert kernels._FORCED_FLAVOR == "flat-python"
 
     def test_force_flavor_reentrant_same_instance(self):
         before = kernels._FORCED_FLAVOR
@@ -138,8 +139,8 @@ class TestFlavorSelection:
     def test_force_flavor_nested_distinct_instances(self):
         before = kernels._FORCED_FLAVOR
         with kernels.force_flavor("python"):
-            with kernels.force_flavor("disabled"):
-                assert kernels._FORCED_FLAVOR == "disabled"
+            with kernels.force_flavor("flat-python"):
+                assert kernels._FORCED_FLAVOR == "flat-python"
             assert kernels._FORCED_FLAVOR == "python"
         assert kernels._FORCED_FLAVOR == before
 
@@ -166,8 +167,8 @@ def _run_entry_point(flavor, config, instructions, arrivals, window,
 
 
 class TestRankTriParity:
-    """python / flat-python / disabled agree on randomized streams,
-    through both the object and the packed entry point."""
+    """python and flat-python agree on randomized streams, through both
+    the object and the packed entry point."""
 
     @pytest.mark.parametrize("use_cache", [True, False])
     @pytest.mark.parametrize("seed", range(4))
@@ -182,15 +183,15 @@ class TestRankTriParity:
     @staticmethod
     def _check_tri_parity(seed, use_cache, packed):
         """Every portable flavor's ``packed`` (or object) entry point
-        matches the disabled flavor's object entry point."""
+        matches the python flavor's object entry point."""
         rng = np.random.default_rng(seed)
         instructions = _random_instructions(rng, 120)
         arrivals = np.cumsum(rng.integers(0, 3, size=120)).tolist()
         config = RankNMPConfig(use_cache=use_cache,
                                cache_capacity_bytes=4096)
-        reference = _run_entry_point("disabled", config, instructions,
+        reference = _run_entry_point("python", config, instructions,
                                      arrivals, 8, False, 70)
-        for flavor in ("disabled",) + PORTABLE_FLAVORS:
+        for flavor in PORTABLE_FLAVORS:
             assert _run_entry_point(flavor, config, instructions, arrivals,
                                     8, packed, 70) == reference, flavor
 
@@ -225,15 +226,14 @@ class TestRankTriParity:
         inst = NMPInstruction(ddr_cmd=FULL_CMD, daddr=123, vsize=2,
                               locality_bit=True)
         results = {}
-        for flavor in ("disabled",) + PORTABLE_FLAVORS:
+        for flavor in PORTABLE_FLAVORS:
             with kernels.force_flavor(flavor):
                 rank = RankNMP(RankNMPConfig())
                 completion = rank.execute_instruction(inst)
                 completion2 = rank.execute_instruction(inst)
             results[flavor] = (completion, completion2,
                                _rank_snapshot(rank))
-        assert results["python"] == results["disabled"]
-        assert results["flat-python"] == results["disabled"]
+        assert results["flat-python"] == results["python"]
 
     def test_reset_clears_kernel_state(self):
         rng = np.random.default_rng(7)
@@ -272,7 +272,9 @@ class TestSystemMatrix:
 
     Four paper variants x two vector sizes x two trace localities x both
     rank assignments (including stateful first-touch page colouring),
-    active kernels vs. the legacy object path.
+    every flavor's ``execute_packed`` path vs. the python column loop fed
+    every packet through ``execute_packet`` (the issue order as a
+    permutation).
     """
 
     @pytest.mark.parametrize("rank_assignment", ["address", "page-coloring"])
@@ -296,7 +298,10 @@ class TestSystemMatrix:
                                   compare_baseline=False) as system:
                     return _system_fingerprint(system.run(requests))
 
-        reference = run("disabled")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "packed_dispatch_min_instructions",
+                          lambda flavor=None: sys.maxsize)
+            reference = run("python")
         for flavor in PORTABLE_FLAVORS:
             assert run(flavor) == reference, flavor
         if kernels.KERNEL_FLAVOR == "numba":
@@ -304,8 +309,8 @@ class TestSystemMatrix:
 
 
 class TestForcedFallback:
-    """REPRO_DISABLE_KERNELS=1 and missing numba must both degrade
-    gracefully to bit-identical results."""
+    """Missing numba must degrade gracefully to bit-identical
+    results."""
 
     SNIPPET = """
 import sys
@@ -337,14 +342,11 @@ class _Block(importlib.abc.MetaPathFinder):
 sys.meta_path.insert(0, _Block())
 """
 
-    def _run_subprocess(self, prelude, expected, extra_env=None):
+    def _run_subprocess(self, prelude, expected):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src")]
             + env.get("PYTHONPATH", "").split(os.pathsep))
-        env.pop("REPRO_DISABLE_KERNELS", None)
-        if extra_env:
-            env.update(extra_env)
         script = self.SNIPPET.format(prelude=prelude, expected=expected)
         completed = subprocess.run([sys.executable, "-c", script],
                                    env=env, capture_output=True, text=True,
@@ -364,11 +366,6 @@ sys.meta_path.insert(0, _Block())
                           vector_size_bytes=128,
                           compare_baseline=False) as system:
             return system.run(requests).total_cycles
-
-    def test_env_var_disables_kernels(self):
-        cycles = self._run_subprocess(
-            "", "disabled", extra_env={"REPRO_DISABLE_KERNELS": "1"})
-        assert cycles == self._reference_cycles()
 
     def test_import_without_numba(self):
         # Block numba at import time: the module must import cleanly and
@@ -432,22 +429,19 @@ class TestPackedHelpers:
         # packets than the CPython flavours, which all share one cutover.
         assert kernels.packed_dispatch_min_instructions("numba") < \
             kernels.packed_dispatch_min_instructions("python")
-        for flavor in ("flat-python", "disabled"):
-            assert kernels.packed_dispatch_min_instructions(flavor) == \
-                kernels.packed_dispatch_min_instructions("python")
+        assert kernels.packed_dispatch_min_instructions("flat-python") == \
+            kernels.packed_dispatch_min_instructions("python")
         # Forcing a flavor disables the cutover: every packet goes to
-        # ``execute_packed`` -- except under "disabled", where every
-        # packet goes to ``execute_packet``.
+        # ``execute_packed``.
         for flavor in PORTABLE_FLAVORS:
             with kernels.force_flavor(flavor):
                 assert kernels.packed_dispatch_min_instructions() == 0
-        with kernels.force_flavor("disabled"):
-            assert kernels.packed_dispatch_min_instructions() > 1 << 32
 
     def test_small_packets_fall_back_bit_identically(self):
-        # Built under the ambient (un-forced) flavor, streams below the
-        # cutover take the object path, even with a kernel bound; the
-        # dispatch mix must not disturb the results.
+        # Built under the ambient (un-forced) flavor, packets below the
+        # cutover go to ``execute_packet``, even with a kernel bound;
+        # forced ``python`` sends every packet to ``execute_packed``.
+        # The dispatch mix must not disturb the results.
         requests = _requests_for("random", num_tables=2, batch=2,
                                  pooling=6, seed=3)
 
@@ -459,4 +453,4 @@ class TestPackedHelpers:
                                   compare_baseline=False) as system:
                     return _system_fingerprint(system.run(requests))
 
-        assert run(None) == run("disabled")
+        assert run(None) == run("python")

@@ -166,7 +166,7 @@ class TestPerRankStats:
         expected = {}
         for packet in packets:
             for instruction in packet.instructions:
-                rank = controller.rank_of_instruction(instruction)
+                rank = controller.rank_of_address(instruction.daddr * 64)
                 expected[rank] = expected.get(rank, 0) + 1
         assert controller.stats.per_rank_instructions == expected
         assert sum(expected.values()) == 64

@@ -137,14 +137,3 @@ class TestPacketGeneration:
             _request(batch=1, pooling=3))[0]
         assert all(inst.vsize == 4 for inst in packet.instructions)
 
-
-class TestRankLoad:
-    def test_rank_load_counts_all_instructions(self):
-        generator = PacketGenerator(PacketGeneratorConfig(
-            enable_hot_entry_profiling=False))
-        packets = generator.packets_for_request(_request(batch=4, pooling=8))
-        load = generator.rank_load(packets,
-                                   rank_of_address=lambda a: (a // 64) % 4,
-                                   num_ranks=4)
-        assert load.sum() == 32
-        assert len(load) == 4

@@ -1,9 +1,8 @@
-"""Tests for repro.core.rank_nmp, dimm_nmp and processing_unit."""
+"""Tests for repro.core.rank_nmp and processing_unit."""
 
 import numpy as np
 import pytest
 
-from repro.core.dimm_nmp import DimmNMP
 from repro.core.instruction import (
     DDR_CMD_ACT,
     DDR_CMD_PRE,
@@ -11,7 +10,7 @@ from repro.core.instruction import (
     NMPInstruction,
     NMPPacket,
 )
-from repro.core.processing_unit import RecNMPChannel, RecNMPProcessingUnit
+from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
 from repro.dram.commands import CommandType
 from repro.dram.timing import DDR4_2400
@@ -221,55 +220,42 @@ class TestSchedulerEquivalence:
                 list(reference.cache._entries)
 
 
-class TestDimmNMP:
-    def test_packet_execution_uses_all_ranks(self):
-        dimm = DimmNMP(num_ranks=2,
-                       rank_config=RankNMPConfig(use_cache=False))
-        packet = NMPPacket(instructions=_instructions(16))
-        completion, per_rank = dimm.execute_packet(packet)
-        assert len(per_rank) == 2
-        assert completion >= max(per_rank)
-        assert dimm.stats.instructions_dispatched == 16
-
-    def test_more_ranks_is_faster(self):
-        packet = NMPPacket(instructions=_instructions(64, stride_blocks=997))
-        slow = DimmNMP(num_ranks=1,
-                       rank_config=RankNMPConfig(use_cache=False))
-        fast = DimmNMP(num_ranks=4,
-                       rank_config=RankNMPConfig(use_cache=False))
-        slow_completion, _ = slow.execute_packet(packet)
-        packet2 = NMPPacket(instructions=_instructions(64, stride_blocks=997))
-        fast_completion, _ = fast.execute_packet(packet2)
-        assert fast_completion < slow_completion
-
-    def test_rank_load_distribution(self):
-        dimm = DimmNMP(num_ranks=4)
-        packet = NMPPacket(instructions=_instructions(16, stride_blocks=1))
-        load = dimm.rank_load_distribution(packet)
-        assert sum(load) == 16
-        assert load == [4, 4, 4, 4]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DimmNMP(num_ranks=0)
-        with pytest.raises(ValueError):
-            DimmNMP(dispatch_rate_insts_per_cycle=0)
-
-    def test_reset(self):
-        dimm = DimmNMP(num_ranks=2)
-        dimm.execute_packet(NMPPacket(instructions=_instructions(4)))
-        dimm.reset()
-        assert dimm.stats.packets == 0
-        assert dimm.rank_nmps[0].stats.instructions == 0
-
-
 class TestRecNMPChannel:
     def test_rank_indexing(self):
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
         assert channel.num_ranks == 4
         assert len(channel.all_rank_nmps()) == 4
-        assert channel.rank_nmp(3) is \
-            channel.processing_units[1].rank_nmps[1]
+        assert channel.rank_nmp(3) is channel.all_rank_nmps()[3]
+        assert len({id(rank) for rank in channel.all_rank_nmps()}) == 4
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            RecNMPChannel(num_dimms=0)
+        with pytest.raises(ValueError):
+            RecNMPChannel(ranks_per_dimm=0)
+
+    def test_packet_execution_uses_all_ranks(self):
+        # Default routing is Daddr modulo the rank count, so consecutive
+        # blocks spread evenly over the channel's ranks.
+        channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2,
+                                rank_config=RankNMPConfig(use_cache=False))
+        packet = NMPPacket(instructions=_instructions(16, stride_blocks=1))
+        completion = channel.execute_packet(packet)
+        loads = [rank.stats.instructions
+                 for rank in channel.all_rank_nmps()]
+        assert loads == [4, 4, 4, 4]
+        assert completion >= max(rank.current_cycle
+                                 for rank in channel.all_rank_nmps())
+
+    def test_more_ranks_is_faster(self):
+        def run(ranks_per_dimm):
+            channel = RecNMPChannel(
+                num_dimms=1, ranks_per_dimm=ranks_per_dimm,
+                rank_config=RankNMPConfig(use_cache=False))
+            return channel.execute_packet(NMPPacket(
+                instructions=_instructions(64, stride_blocks=997)))
+
+        assert run(4) < run(1)
 
     def test_packet_execution_scales_with_ranks(self):
         def run(num_dimms, ranks_per_dimm):
@@ -288,7 +274,7 @@ class TestRecNMPChannel:
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2,
                                 rank_config=RankNMPConfig(use_cache=False))
         packet = NMPPacket(instructions=_instructions(8))
-        channel.execute_packet(packet, rank_of_instruction=lambda inst: 1)
+        channel.execute_packet(packet, ranks=[1] * 8)
         stats = channel.aggregate_stats()
         assert stats["instructions"] == 8
         assert channel.rank_nmp(0).stats.instructions == 0
@@ -297,23 +283,8 @@ class TestRecNMPChannel:
     def test_invalid_rank_assignment_rejected(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
         packet = NMPPacket(instructions=_instructions(1))
-        with pytest.raises(ValueError):
-            channel.execute_packet(packet, rank_of_instruction=lambda i: 5)
-
-    def test_rank_load(self):
-        channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
-        packet = NMPPacket(instructions=_instructions(10, stride_blocks=1))
-        load = channel.rank_load(packet)
-        assert sum(load) == 10
-
-    def test_processing_unit_wrapper(self):
-        pu = RecNMPProcessingUnit(num_ranks=2)
-        packet = NMPPacket(instructions=_instructions(8))
-        completion = pu.execute_packet(packet)
-        assert completion > 0
-        assert pu.stats()["instructions_dispatched"] == 8
-        pu.reset()
-        assert pu.stats()["instructions_dispatched"] == 0
+        with pytest.raises(ValueError, match="invalid rank 5"):
+            channel.execute_packet(packet, ranks=[5])
 
     def test_aggregate_stats_hit_rate(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=1)
@@ -326,6 +297,10 @@ class TestRecNMPChannel:
 
     def test_reset(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
-        channel.execute_packet(NMPPacket(instructions=_instructions(4)))
+        packet = NMPPacket(instructions=_instructions(4, stride_blocks=1))
+        first = channel.execute_packet(packet)
         channel.reset()
         assert channel.aggregate_stats()["instructions"] == 0
+        assert all(rank.current_cycle == 0
+                   for rank in channel.all_rank_nmps())
+        assert channel.execute_packet(packet) == first

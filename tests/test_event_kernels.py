@@ -1,16 +1,15 @@
 """Randomized equivalence tests for the serving event-loop kernels.
 
 The compiled FIFO/EDF/admission kernels in
-:mod:`repro.serving.event_kernels` must be *bit-identical* to the legacy
-loops they replace (the ``heapq`` loops in
-:func:`repro.serving.events.simulate_batch_queue` and the per-query
-controller loop in :func:`repro.serving.admission.apply_admission`).
-These tests drive randomized workloads -- with ties, idle gaps,
-missing deadlines and every server count the engines use -- through
-every interpreted flavor against the legacy paths, pin the flavor
-plumbing, and (mirroring ``tests/test_core_kernels.py``) prove in
-subprocesses that a host without numba, or with
-``REPRO_DISABLE_KERNELS=1``, degrades to the same results.
+:mod:`repro.serving.event_kernels` must be *bit-identical* to the
+reference loops they replace (the ``heapq`` dispatch queues in
+``queue_oracles`` and the per-query controller loop in
+:func:`repro.serving.admission.apply_admission`).  These tests drive
+randomized workloads -- with ties, idle gaps, missing deadlines and
+every server count the engines use -- through every interpreted flavor
+against the reference loops, pin the flavor plumbing, and (mirroring
+``tests/test_core_kernels.py``) prove in a subprocess that a host
+without numba degrades to the same results.
 """
 
 import os
@@ -20,6 +19,7 @@ import sys
 import numpy as np
 import pytest
 
+import queue_oracles
 from repro.serving import event_kernels
 from repro.serving.admission import (
     DeadlineAwareAdmission,
@@ -47,6 +47,17 @@ if event_kernels.active_flavor() == "numba":
     FLAVORS.append("numba")
 
 
+def _simulate_on_oracles(*args, **kwargs):
+    """``simulate_batch_queue`` with the ``heapq`` reference loops in
+    place of the event kernels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(event_kernels, "fifo_queue_times",
+                      queue_oracles.fifo_queue_times)
+        patch.setattr(event_kernels, "edf_queue_times",
+                      queue_oracles.edf_queue_times)
+        return simulate_batch_queue(*args, **kwargs)
+
+
 def _random_queue(seed, size):
     """Ready/service vectors with ties, bursts and idle gaps."""
     rng = np.random.default_rng(seed)
@@ -66,20 +77,10 @@ class TestFifoKernels:
     @pytest.mark.parametrize("num_servers", [1, 2, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_heapq_reference(self, seed, num_servers):
-        import heapq
-
         ready, services = _random_queue(seed, 400)
         arrival_order = np.argsort(ready, kind="stable")
-        starts = np.empty_like(ready)
-        completes = np.empty_like(ready)
-        free_at = [float(ready[arrival_order[0]])] * num_servers
-        heapq.heapify(free_at)
-        for index in arrival_order:
-            start = max(float(ready[index]), heapq.heappop(free_at))
-            complete = start + float(services[index])
-            starts[index] = start
-            completes[index] = complete
-            heapq.heappush(free_at, complete)
+        starts, completes = queue_oracles.fifo_queue_times(
+            ready, services, arrival_order, num_servers)
         for flavor in FLAVORS:
             got_starts, got_completes = fifo_queue_times(
                 ready, services, arrival_order, num_servers, flavor=flavor)
@@ -88,11 +89,10 @@ class TestFifoKernels:
 
     @pytest.mark.parametrize("num_servers", [2, 8])
     @pytest.mark.parametrize("seed", [10, 11, 12])
-    def test_simulate_batch_queue_flavors_match_disabled(self, seed,
-                                                         num_servers):
+    def test_simulate_batch_queue_flavors_match_oracle(self, seed,
+                                                       num_servers):
         ready, services = _random_queue(seed, 300)
-        with force_flavor("disabled"):
-            expected = simulate_batch_queue(ready, services, num_servers)
+        expected = _simulate_on_oracles(ready, services, num_servers)
         for flavor in FLAVORS:
             with force_flavor(flavor):
                 got = simulate_batch_queue(ready, services, num_servers)
@@ -121,14 +121,12 @@ class TestEdfKernels:
 
     @pytest.mark.parametrize("num_servers", [1, 2, 8])
     @pytest.mark.parametrize("seed", [20, 21, 22, 23])
-    def test_flavors_match_disabled(self, seed, num_servers):
+    def test_flavors_match_oracle(self, seed, num_servers):
         rng = np.random.default_rng(seed)
         ready, services = _random_queue(seed, 300)
         priorities = self._priorities(rng, ready.size)
-        with force_flavor("disabled"):
-            expected = simulate_batch_queue(ready, services, num_servers,
-                                            order="edf",
-                                            priorities=priorities)
+        expected = _simulate_on_oracles(ready, services, num_servers,
+                                        order="edf", priorities=priorities)
         for flavor in FLAVORS:
             with force_flavor(flavor):
                 got = simulate_batch_queue(ready, services, num_servers,
@@ -236,7 +234,7 @@ class TestAdmissionKernels:
 class TestFlavorPlumbing:
     def test_active_flavor_known(self):
         assert event_kernels.active_flavor() in (
-            "numba", "python", "flat-python", "disabled")
+            "numba", "python", "flat-python")
 
     def test_describe_nonempty(self):
         assert event_kernels.describe()
@@ -252,8 +250,8 @@ class TestFlavorPlumbing:
 
 
 class TestForcedFallback:
-    """Missing numba and REPRO_DISABLE_KERNELS=1 must both degrade to
-    bit-identical event simulations (mirrors the core-kernel test)."""
+    """Missing numba must degrade to bit-identical event simulations
+    (mirrors the core-kernel test)."""
 
     SNIPPET = """
 import sys
@@ -284,14 +282,11 @@ class _Block(importlib.abc.MetaPathFinder):
 sys.meta_path.insert(0, _Block())
 """
 
-    def _run_subprocess(self, prelude, expected, extra_env=None):
+    def _run_subprocess(self, prelude, expected):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src")]
             + env.get("PYTHONPATH", "").split(os.pathsep))
-        env.pop("REPRO_DISABLE_KERNELS", None)
-        if extra_env:
-            env.update(extra_env)
         script = self.SNIPPET.format(prelude=prelude, expected=expected)
         completed = subprocess.run([sys.executable, "-c", script],
                                    env=env, capture_output=True, text=True,
@@ -309,11 +304,6 @@ sys.meta_path.insert(0, _Block())
         services = rng.integers(1, 60, size=500).astype(np.float64)
         starts, completes, depth = simulate_batch_queue(ready, services, 4)
         return (float(starts.sum()), float(completes.sum()), depth)
-
-    def test_env_var_disables_kernels(self):
-        check = self._run_subprocess(
-            "", "disabled", extra_env={"REPRO_DISABLE_KERNELS": "1"})
-        assert check == self._reference()
 
     def test_import_without_numba(self):
         check = self._run_subprocess(self.BLOCK_NUMBA, "python")

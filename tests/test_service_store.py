@@ -90,7 +90,7 @@ class TestServiceTimeStore:
     def test_kernel_flavor_is_part_of_the_key(self, tmp_path):
         with ServiceTimeStore(tmp_path / "store.sqlite") as store:
             store.put(CONFIG, KEY, 5.0)
-            with kernels.force_flavor("disabled"):
+            with kernels.force_flavor("flat-python"):
                 # A different command-issue kernel flavour must miss.
                 assert store.get(CONFIG, KEY) is None
                 store.put(CONFIG, KEY, 6.0)

@@ -8,8 +8,11 @@ the object pipeline for every configuration below -- engines x admission
 that overrides only ``slack_us``) x stateless/stateful sharders --
 recorded with fresh query objects per run before that pipeline was
 deleted.  Every input form (a query list or ``QueryColumns``, one shot
-or chunked) must reproduce it byte for byte, on every kernel flavor: CI
-also runs this module under ``REPRO_DISABLE_KERNELS=1``.
+or chunked) must reproduce it byte for byte, on every kernel flavor, and
+again with the reference loops swapped in: the ``heapq`` dispatch queues
+of ``queue_oracles`` in place of the event kernels, and every admission
+controller on the per-query ``admission_loop`` instead of the vectorised
+mask.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import queue_oracles
 from repro.serving import (
     BatchingFrontend,
     DeadlineAwareAdmission,
@@ -33,6 +37,9 @@ from repro.serving import (
     queries_from_traces,
     query_columns_from_traces,
 )
+from repro.serving import admission as admission_module
+from repro.serving import cluster as cluster_module
+from repro.serving import event_kernels
 from repro.serving.sharding import ReplicatedTableSharder
 from repro.traces import make_production_table_traces
 
@@ -183,6 +190,58 @@ def test_report_matches_object_path_golden(golden, clusters, config, form):
     cluster = clusters[config.rsplit("/", 1)[1]]
     report = run_config(cluster, config, make_input(), stream_chunk)
     assert canonical(report) == json.dumps(golden[config], sort_keys=True)
+
+
+@pytest.fixture
+def reference_loops(monkeypatch):
+    """Run the pipeline on the reference loops; returns per-loop call
+    counts so a test can check that the substitutes actually ran."""
+    calls = {"fifo": 0, "edf": 0, "admission": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(event_kernels, "fifo_queue_times",
+                        counted("fifo", queue_oracles.fifo_queue_times))
+    monkeypatch.setattr(event_kernels, "edf_queue_times",
+                        counted("edf", queue_oracles.edf_queue_times))
+    monkeypatch.setattr(cluster_module, "admission_kernel_spec",
+                        lambda controller, capacity_qps: None)
+    monkeypatch.setattr(cluster_module, "admission_loop",
+                        counted("admission", admission_module.admission_loop))
+    return calls
+
+
+@pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+@pytest.mark.parametrize("config", CONFIGS)
+def test_report_matches_golden_on_reference_loops(golden, clusters,
+                                                  reference_loops, config,
+                                                  form):
+    make_input, stream_chunk = INPUT_FORMS[form]
+    cluster = clusters[config.rsplit("/", 1)[1]]
+    report = run_config(cluster, config, make_input(), stream_chunk)
+    assert canonical(report) == json.dumps(golden[config], sort_keys=True)
+
+
+def test_reference_loops_replace_the_kernels(clusters, reference_loops):
+    """The substitution is live: an EDF run with deadline admission goes
+    through the ``heapq`` EDF loop and the per-query admission loop.
+    (The matrix's clusters have one frontend, where FIFO is a closed
+    form, so the FIFO oracle is checked with two.)"""
+    run_config(clusters["round-robin"], "event-edf/deadline/fixed/"
+               "round-robin", fresh_queries())
+    assert reference_loops["edf"] == 1
+    assert reference_loops["admission"] == 1
+    two_frontends = ShardedServingCluster(
+        num_nodes=2, node_system="recnmp-base", address_of=address_of,
+        vector_size_bytes=VECTOR_BYTES, num_frontends=2)
+    with two_frontends:
+        two_frontends.simulate(fresh_queries(), frontend=frontend(),
+                               engine="event")
+    assert reference_loops["fifo"] == 1
 
 
 def test_matrix_exercises_shedding_and_misses(golden):

@@ -7,7 +7,9 @@ per lookup and the memory controller still dispatched small packets as
 instruction objects: total and per-packet cycles, the per-rank load, the
 channel statistics, the RankCache hit rate, the energy and the DDR4
 baseline cycles.  Every kernel flavor must reproduce each case byte for
-byte; CI also runs this module under ``REPRO_DISABLE_KERNELS=1``.
+byte: the ambient flavor always, and on numba hosts forced ``python``
+too, so the CPython column loop stays pinned where the jitted kernel is
+the default.
 
 Matrix: the four ``recnmp-*`` variants x 64 or 256-byte vectors x
 80-instruction (8 poolings of 10) or 288-instruction (16 poolings of 18)
@@ -16,12 +18,14 @@ plus extra cases for weighted lookups, ragged pooling lengths and 1 or
 16 poolings per packet.
 """
 
+import contextlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.simulator import RecNMPConfig, RecNMPSimulator
 from repro.dlrm.operators import SLSRequest
 from repro.perf.baseline_cache import clear_baseline_cache
@@ -58,6 +62,9 @@ EXTRAS = {
 }
 
 CASES = MATRIX + ["extra/%s" % name for name in EXTRAS]
+
+#: Flavors every case runs under (None = the ambient flavor).
+FLAVORS = [None] + (["python"] if kernels.KERNEL_FLAVOR == "numba" else [])
 
 
 def _parse(case):
@@ -131,8 +138,12 @@ def test_golden_covers_the_matrix(golden):
 
 @pytest.mark.parametrize("case", CASES)
 def test_simulator_matches_golden(golden, case):
-    clear_baseline_cache()
-    assert canonical(run_case(case)) == canonical(golden[case])
+    for flavor in FLAVORS:
+        clear_baseline_cache()
+        with (kernels.force_flavor(flavor) if flavor
+              else contextlib.nullcontext()):
+            record = run_case(case)
+        assert canonical(record) == canonical(golden[case]), flavor
 
 
 def test_matrix_exercises_the_packet_shapes(golden):
