@@ -90,6 +90,8 @@ class Channel:
               cycle):
         """Issue a command on this channel.
 
+        The command is checked once, against the full layered constraint
+        set of :meth:`earliest_issue_cycle`, before any state changes.
         Returns the data-completion cycle for RD commands, else ``None``.
         """
         if self.earliest_issue_cycle(command_type, rank_index, bank_group,
@@ -97,9 +99,8 @@ class Channel:
             raise RuntimeError(
                 "%s not ready on channel %d rank %d at cycle %d"
                 % (command_type.value, self.channel_index, rank_index, cycle))
-        rank = self.rank(rank_index)
-        data_done = rank.issue(command_type, bank_group, bank_index, row,
-                               cycle)
+        data_done = self.ranks[rank_index]._apply(
+            command_type, bank_group, bank_index, row, cycle)
         self.next_ca_free = cycle + 1
         self.commands_issued += 1
         if data_done is not None:

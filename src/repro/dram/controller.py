@@ -15,8 +15,11 @@ from repro.dram.channel import Channel
 from repro.dram.commands import CommandType, MemoryRequest, RequestType
 from repro.dram.timing import DDR4_2400
 
-#: Cycle budget of one drain; exceeding it raises ``RuntimeError``.
+#: Cycle budget of one drain: a command that would issue more than this
+#: many cycles after the drain started raises ``RuntimeError`` instead.
 _MAX_DRAIN_CYCLES = 10_000_000
+#: Larger than any readiness cycle: the empty minimum of a scheduler pass.
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -54,19 +57,17 @@ class _PendingRequest:
     per-pass readiness check never goes through the range-checked lookups.
 
     ``rank_ready``/``is_hit`` cache the bank+rank part of the readiness
-    (:meth:`MemoryController._rank_ready`); they are current while
-    ``version`` equals the controller's issue counter for ``rank_index``.
+    (:meth:`MemoryController._rank_ready`), computed at admission and again
+    after every command to ``rank_index``; ``version`` is the controller's
+    issue counter for that rank when they were computed.
     """
 
-    __slots__ = ("request", "address", "arrival_cycle", "outcome_recorded",
-                 "rank_index", "rank", "bank", "version", "rank_ready",
-                 "is_hit")
+    __slots__ = ("request", "address", "outcome_recorded", "rank_index",
+                 "rank", "bank", "version", "rank_ready", "is_hit")
 
-    def __init__(self, request, address, arrival_cycle, rank_index, rank,
-                 bank):
+    def __init__(self, request, address, rank_index, rank, bank):
         self.request = request
         self.address = address
-        self.arrival_cycle = arrival_cycle
         self.outcome_recorded = False
         self.rank_index = rank_index
         self.rank = rank
@@ -79,16 +80,20 @@ class _PendingRequest:
 class MemoryController:
     """FR-FCFS controller for a single DRAM channel.
 
-    The controller is event-driven: each :meth:`_step` either issues the
-    FR-FCFS pick or, when no queued command is ready, jumps the clock to the
-    earliest cycle one becomes ready.  Between two issues no queue, admission
-    or timing state changes, so the jump lands on exactly the cycle a
-    one-cycle-at-a-time loop would have issued at.
+    The controller is event-driven and makes exactly one :meth:`_step`
+    pass per issued command: the pass finds the earliest cycle any queued
+    command can issue and the FR-FCFS pick at that cycle, jumps the clock
+    there and issues it.  Between two issues no queue, admission or timing
+    state changes, so that is exactly the cycle and the command a
+    one-cycle-at-a-time loop would have issued.
 
     A command changes the state of one rank plus the channel's C/A slot
     and data bus, so each queued request caches the readiness its bank and
-    rank impose and recomputes it only after a command went to that rank;
-    the channel part is two scalars per pass.
+    rank impose, computed at admission and refreshed for that rank's
+    requests after every command to it; the channel part is two scalars
+    per pass.  ``Channel.issue`` then checks the command once against the
+    full layered ``Channel`` -> ``Rank`` -> ``Bank`` constraint set before
+    any state changes.
 
     Parameters
     ----------
@@ -119,6 +124,8 @@ class MemoryController:
         self._waiting = deque()
         # Commands issued to each rank: the readiness cache's version tag.
         self._rank_versions = [0] * self.channel.num_ranks
+        # The queued requests of each rank, refreshed after its commands.
+        self._rank_members = [[] for _ in range(self.channel.num_ranks)]
         self.stats = ControllerStats()
 
     # ------------------------------------------------------------------ #
@@ -149,8 +156,12 @@ class MemoryController:
                                                    address.rank)
             rank = channel.rank(rank_index)
             bank = rank.bank(address.bank_group, address.bank)
-            self._queue.append(_PendingRequest(
-                request, address, self.cycle, rank_index, rank, bank))
+            pending = _PendingRequest(request, address, rank_index, rank,
+                                      bank)
+            pending.rank_ready, pending.is_hit = self._rank_ready(pending)
+            pending.version = self._rank_versions[rank_index]
+            self._queue.append(pending)
+            self._rank_members[rank_index].append(pending)
 
     @property
     def pending_requests(self):
@@ -247,55 +258,59 @@ class MemoryController:
             ready = floor
         return ready, is_hit
 
-    def _step(self):
-        """Admit waiting requests, then issue the FR-FCFS pick (ready row
-        hits first, then the oldest ready request) or, if nothing is ready,
-        advance the clock to the earliest cycle something is.
+    def _step(self, last_cycle):
+        """Admit waiting requests, then issue the FR-FCFS pick at the
+        earliest cycle any queued command is ready: the first ready row hit
+        in arrival order, else the oldest ready request.
 
         Readiness is :meth:`_ready_cycle`'s, with the bank+rank part read
-        from each request's cache while its rank's version is unchanged.
+        from each request's cache.  Returns ``False``, issuing nothing,
+        when that cycle is past ``last_cycle``.
         """
-        self._admit_waiting()
+        if self._waiting:
+            self._admit_waiting()
+        # The clock is the channel's next free C/A slot (both start at 0
+        # and an issue at ``c`` moves both to ``c + 1``), so no readiness
+        # below is earlier than ``cycle``.
         cycle = self.cycle
         ca_free, same_rank, other_rank = self._channel_floors()
         last_data_rank = self.channel._last_data_rank
-        versions = self._rank_versions
-        rank_ready = self._rank_ready
-        best = None
-        earliest = None
+        earliest = _NEVER
+        # The first row hit and the first other request ready at
+        # ``earliest``, in queue (arrival) order.
+        hit = other = None
         for pending in self._queue:
-            rank_index = pending.rank_index
-            version = versions[rank_index]
-            if pending.version != version:
-                pending.rank_ready, pending.is_hit = rank_ready(pending)
-                pending.version = version
             ready = pending.rank_ready
             if pending.is_hit:
-                floor = same_rank if rank_index == last_data_rank \
+                floor = same_rank if pending.rank_index == last_data_rank \
                     else other_rank
                 if floor > ready:
                     ready = floor
-                if ready <= cycle:
-                    # Queue order is arrival order, so the first ready hit
-                    # is already the oldest ready hit.
-                    best = pending
+                if ready < earliest:
+                    earliest = ready
+                    other = None
+                elif ready > earliest or hit is not None:
+                    continue
+                hit = pending
+                if ready == cycle:
+                    # Nothing issues earlier and no hit at ``cycle`` is
+                    # older: this is the pick.
                     break
             else:
                 if ca_free > ready:
                     ready = ca_free
-                if ready <= cycle:
-                    if best is None:
-                        best = pending
-                    continue
-            if earliest is None or ready < earliest:
-                earliest = ready
-        if best is not None:
-            self._issue_for(best)
-            self.cycle = cycle + 1
-        elif earliest is not None:
-            self.cycle = earliest
-        else:
-            self.cycle = cycle + 1
+                if ready < earliest:
+                    earliest = ready
+                    hit = None
+                    other = pending
+                elif ready == earliest and other is None:
+                    other = pending
+        if earliest > last_cycle:
+            return False
+        self.cycle = earliest
+        self._issue_for(hit if hit is not None else other)
+        self.cycle = earliest + 1
+        return True
 
     def _issue_for(self, pending):
         address = pending.address
@@ -318,13 +333,20 @@ class MemoryController:
                 self.stats.row_conflicts += 1
             bank.record_access_outcome(row)
             pending.outcome_recorded = True
-        data_done = self.channel.issue(command, pending.rank_index,
+        rank_index = pending.rank_index
+        data_done = self.channel.issue(command, rank_index,
                                        address.bank_group, address.bank,
                                        row, self.cycle)
-        self._rank_versions[pending.rank_index] += 1
         self.stats.commands_issued += 1
         if command is CommandType.RD:
             self._complete(pending, data_done)
+        # Only this rank's state changed: refresh its requests' caches.
+        version = self._rank_versions[rank_index] + 1
+        self._rank_versions[rank_index] = version
+        rank_ready = self._rank_ready
+        for member in self._rank_members[rank_index]:
+            member.rank_ready, member.is_hit = rank_ready(member)
+            member.version = version
 
     def _complete(self, pending, completion_cycle):
         pending.request.completion_cycle = completion_cycle
@@ -333,24 +355,24 @@ class MemoryController:
         self.stats.total_latency_cycles += latency
         self.stats.latencies.append(latency)
         self._queue.remove(pending)
+        self._rank_members[pending.rank_index].remove(pending)
 
     # ------------------------------------------------------------------ #
     # Simulation loop                                                    #
     # ------------------------------------------------------------------ #
-    def run_until_drained(self, max_cycles=_MAX_DRAIN_CYCLES):
-        """Step until all queued requests complete (or ``max_cycles``)."""
-        start_cycle = self.cycle
-        while self.pending_requests:
-            self._step_within(start_cycle, max_cycles)
+    def run_until_drained(self, max_cycles=None):
+        """Step until all queued requests complete.  Raises
+        ``RuntimeError`` instead of issuing a command more than
+        ``max_cycles`` (default ``_MAX_DRAIN_CYCLES``) after the start."""
+        if max_cycles is None:
+            max_cycles = _MAX_DRAIN_CYCLES
+        last_cycle = self.cycle + max_cycles
+        queue, waiting = self._queue, self._waiting
+        while queue or waiting:
+            if not self._step(last_cycle):
+                _raise_undrained(max_cycles)
         self.stats.cycles_elapsed = self.cycle
         return self.stats
-
-    def _step_within(self, start_cycle, max_cycles):
-        """:meth:`_step`, unless the run has exceeded its cycle budget."""
-        if self.cycle - start_cycle > max_cycles:
-            raise RuntimeError(
-                "controller did not drain within %d cycles" % max_cycles)
-        self._step()
 
     def process_trace(self, physical_addresses, batch_size=None):
         """Convenience helper: enqueue a read for every address and drain.
@@ -373,17 +395,26 @@ class MemoryController:
                 self._submit(MemoryRequest(physical_address=physical_address),
                              address)
             return self.run_until_drained()
-        start_cycle = self.cycle
+        max_cycles = _MAX_DRAIN_CYCLES
+        last_cycle = self.cycle + max_cycles
+        queue, waiting = self._queue, self._waiting
+        total = len(bursts)
         index = 0
-        while index < len(bursts) or self.pending_requests:
-            while index < len(bursts) and self.pending_requests < batch_size:
+        while index < total or queue or waiting:
+            while index < total and len(queue) + len(waiting) < batch_size:
                 physical_address, address = bursts[index]
                 self._submit(MemoryRequest(physical_address=physical_address),
                              address)
                 index += 1
-            self._step_within(start_cycle, _MAX_DRAIN_CYCLES)
+            if not self._step(last_cycle):
+                _raise_undrained(max_cycles)
         self.stats.cycles_elapsed = self.cycle
         return self.stats
+
+
+def _raise_undrained(max_cycles):
+    raise RuntimeError(
+        "controller did not drain within %d cycles" % max_cycles)
 
 
 def check_outstanding_limit(name, limit):

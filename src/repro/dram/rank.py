@@ -115,6 +115,13 @@ class Rank:
                 "%s to rank %d bg %d bank %d not ready at cycle %d"
                 % (command_type.value, self.rank_index, bank_group,
                    bank_index, cycle))
+        return self._apply(command_type, bank_group, bank_index, row, cycle)
+
+    def _apply(self, command_type, bank_group, bank_index, row, cycle):
+        """The state update of :meth:`issue`, for a command its caller has
+        already checked against :meth:`earliest_issue_cycle` (as
+        ``Channel.issue`` does).  The bank's open-row and timing asserts
+        still run."""
         bank = self.bank(bank_group, bank_index)
         if command_type is CommandType.ACT:
             bank.issue_activate(row, cycle)

@@ -152,3 +152,24 @@ def test_throttled_run_has_the_drain_cycle_budget(monkeypatch):
     with pytest.raises(RuntimeError, match="did not drain within 100"):
         controller.process_trace([i * (8 << 20) for i in range(32)],
                                  batch_size=4)
+
+
+@pytest.mark.parametrize("batch_size", [None, 4])
+@pytest.mark.parametrize("budget", [60, 100, 150, 250])
+def test_drain_budget_bounds_the_issue_cycle(monkeypatch, budget,
+                                             batch_size):
+    """One scheduler pass jumps the clock over idle cycles and issues at
+    the cycle it lands on, so the budget is checked against that cycle:
+    the run raises before any command would go out past start + budget.
+
+    Rows of one bank at 8 MiB strides: after the first, every request is
+    a row conflict, and the tRP/tRCD/tRAS waits between its PRE, ACT and
+    RD leave idle gaps for the clock to jump."""
+    monkeypatch.setattr(controller_module, "_MAX_DRAIN_CYCLES", budget)
+    controller = MemoryController()
+    with pytest.raises(RuntimeError,
+                       match="did not drain within %d cycles" % budget):
+        controller.process_trace([i * (8 << 20) for i in range(32)],
+                                 batch_size=batch_size)
+    assert controller.stats.commands_issued > 0
+    assert controller.channel.next_ca_free - 1 <= budget
