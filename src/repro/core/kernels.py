@@ -1,15 +1,17 @@
 """Compiled kernel for the rank-NMP command-issue hot loop.
 
-The DDR command-issue inner loop (windowed FR-FCFS selection plus the
-bank/rank state machine of :meth:`RankNMP._dram_read`) dominates exact
-simulation time.  It exists in two bit-identical implementations:
+The DDR command-issue inner loop (windowed FR-FCFS selection fused with
+the bank/rank DDR4 state machine) dominates exact simulation time.  It
+exists in two bit-identical implementations:
 
-* :meth:`RankNMP._execute_window` -- the readable specification, a
+* :meth:`RankNMP._execute_window` -- the readable specification, one
   CPython loop over per-instruction columns (Daddr, burst count,
   weighted flag, LocalityBit, PsumTag, arrival and decoded bank
-  group / bank / row) that drives the ``Bank`` / ``Rank`` /
-  ``RankCache`` objects directly.  It is what the ``"python"`` flavor
-  (numba not installed) runs, for every entry point.
+  group / bank / row) that drives the ``Bank`` objects and the
+  RankCache's ``OrderedDict`` directly, with the rank scalars, timing
+  parameters and counters held in locals for the whole stream.  It is
+  what the ``"python"`` flavor (numba not installed) runs, for every
+  entry point.
 * :func:`_execute_window_flat` -- the *struct-of-arrays* kernel in this
   module, written in the numba-compilable subset of Python (numpy
   scalars, plain loops, an ``int64 -> int64`` dict for cache residency)
@@ -45,6 +47,8 @@ call, so the object layer stays the source of truth between calls and
 the column loop (or direct object inspection in tests) always sees
 consistent state.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -213,9 +217,9 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
     """Windowed FR-FCFS execution over flat int64 state.
 
     Mirrors ``RankNMP._execute_window`` (selection + memoised
-    rank-part estimates, cache lookup, datapath latency, busy
-    accounting) fused with ``RankNMP._dram_read`` (the bank/rank DDR
-    state machine) -- one loop, no attribute access.
+    rank-part estimates, cache lookup, the inlined bank/rank DDR state
+    machine, datapath latency, busy accounting) -- one loop, no
+    attribute access.
     ``exec_order`` receives the execution permutation so the caller can
     replay LRU effects onto the mirroring ``OrderedDict``.
     """
@@ -397,7 +401,7 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
             data_ready = start + cache_latency
             next_free = data_ready
         else:
-            # ---- _dram_read, inlined over flat bank state ---- #
+            # ---- DDR command issue over flat bank state ---- #
             cycle = start
             commands_issued = 0
             first_issue = -1
@@ -589,22 +593,38 @@ if KERNEL_FLAVOR == "numba":
 
 
 def _reorder_window_python(rows, ranks, window_size, num_ranks):
-    """CPython twin of :func:`_reorder_window_flat` over plain lists."""
+    """CPython twin of :func:`_reorder_window_flat` over plain lists.
+
+    A member can be hoisted only when its row equals the last row issued
+    to its rank: that takes another instruction with the same
+    ``(rank, row)`` key in the packet, or the row ``-1`` every rank's
+    last row starts as.  Only such members are scanned; when none
+    matches, the oldest member goes.
+    """
     count = len(rows)
+    keys = [row * num_ranks + rank for row, rank in zip(rows, ranks)]
+    recurring = Counter(keys)
+    hoistable = [recurring[key] > 1 or row == -1
+                 for key, row in zip(keys, rows)]
     window = list(range(window_size if window_size < count else count))
+    candidates = [index for index in window if hoistable[index]]
     next_index = len(window)
     last = [-1] * num_ranks
     order = []
     append = order.append
     while window:
-        chosen_pos = 0
-        for pos, index in enumerate(window):
-            if last[ranks[index]] == rows[index]:
-                chosen_pos = pos
+        index = window[0]
+        for member in candidates:
+            if last[ranks[member]] == rows[member]:
+                index = member
                 break
-        index = window.pop(chosen_pos)
+        window.remove(index)
+        if hoistable[index]:
+            candidates.remove(index)
         if next_index < count:
             window.append(next_index)
+            if hoistable[next_index]:
+                candidates.append(next_index)
             next_index += 1
         last[ranks[index]] = rows[index]
         append(index)
@@ -769,6 +789,9 @@ class FlatRankKernel:
         count = len(daddrs)
         if count == 0:
             return rank_nmp.current_cycle
+        if rank_nmp.cache is not None and daddrs.min() < 0:
+            raise ValueError("dram_address must be non-negative, got %d"
+                             % daddrs.min())
         self._sync_cache_in()
         flats = bank_groups * self.banks_per_group + banks
         computes = self.adder + self.multiplier * weighted.astype(np.int64)

@@ -80,24 +80,29 @@ class NMPMemoryController:
         self.scheduler.add_source(packets)
         self.stats.packets_received += len(packets)
 
-    def _issue_order(self, packed, reorder=True):
-        """Rank and FR-FCFS issue order of one packet's columns.
+    def _issue_orders(self, packed_list, reorder=True):
+        """Ranks and FR-FCFS issue orders of one dispatch's packets.
 
-        Returns ``(ranks, permutation)``: the int64 channel-rank index of
-        every instruction in packet order, and the issue order as an index
-        array (None when the packet issues in packet order).  Ranks come
-        from the vectorised ``ranks_of_addresses`` hook when available,
-        otherwise from one scalar ``rank_of_address`` call per instruction
-        in packet order -- the first-touch order a stateful mapping (page
-        colouring) depends on.  Within a sliding window, instructions that
-        target an already-open row (same row as the previous instruction
-        to that rank) are hoisted to issue consecutively; ordering across
-        PsumTags is irrelevant for correctness because each accumulates
-        into its own register.  Rows are ``daddr // 128`` (128 columns
-        per row).
+        ``packed_list`` holds the packets' columns in schedule order.
+        Returns ``(ranks, issue)``: ``ranks`` the int64 channel-rank index
+        of every instruction of every packet, concatenated in schedule
+        order, and ``issue`` one ``(packet_ranks, permutation)`` pair per
+        packet -- its slice of ``ranks`` and its issue order as an index
+        array (None when the packet issues in packet order).
+
+        Ranks come from the vectorised ``ranks_of_addresses`` hook when
+        available, otherwise from one scalar ``rank_of_address`` call per
+        instruction in schedule order -- the first-touch order a stateful
+        mapping (page colouring) depends on.  They are validated once, so
+        an invalid rank raises before any packet runs.  Within a sliding
+        window, instructions that target an already-open row (same row as
+        the previous instruction to that rank) are hoisted to issue
+        consecutively; ordering across PsumTags is irrelevant for
+        correctness because each accumulates into its own register.  Rows
+        are ``daddr // 128`` (128 columns per row).
         """
-        daddrs = packed.daddrs
-        count = len(daddrs)
+        daddrs = np.concatenate([packed.daddrs for packed in packed_list]) \
+            if packed_list else np.zeros(0, np.int64)
         if self.ranks_of_addresses is not None:
             ranks = np.asarray(self.ranks_of_addresses(daddrs * 64),
                                dtype=np.int64)
@@ -105,12 +110,22 @@ class NMPMemoryController:
             rank_of_address = self.rank_of_address
             ranks = np.fromiter((rank_of_address(daddr * 64)
                                  for daddr in daddrs.tolist()),
-                                np.int64, count)
+                                np.int64, len(daddrs))
         require_valid_ranks(ranks, self.num_ranks)
-        if not reorder or count <= 2:
-            return ranks, None
-        return ranks, _kernels.reorder_indices(
-            daddrs // 128, ranks, self.reorder_window, self.num_ranks)
+        rows = daddrs // 128
+        issue = []
+        start = 0
+        for packed in packed_list:
+            end = start + len(packed)
+            packet_ranks = ranks[start:end]
+            permutation = None
+            if reorder and end - start > 2:
+                permutation = _kernels.reorder_indices(
+                    rows[start:end], packet_ranks, self.reorder_window,
+                    self.num_ranks)
+            issue.append((packet_ranks, permutation))
+            start = end
+        return ranks, issue
 
     # ------------------------------------------------------------------ #
     def dispatch(self, channel, reorder=True):
@@ -121,43 +136,43 @@ class NMPMemoryController:
         packets are issued back to back (the channel pipeline overlaps the
         rank work of consecutive packets through the rank-NMP state).
 
-        Per packet, the instruction->rank mapping and the FR-FCFS issue
-        order are computed once, on the packet's columns, and threaded
-        through the per-rank statistics and the channel.  Packets below
-        the flavor's packed cutover go to ``channel.execute_packet`` with
-        the issue order as a permutation; larger ones are gathered into
-        issue order and go to ``channel.execute_packed``.  Both entry
-        points run the same column routine, so the choice only moves
-        where the gather happens.
+        The instruction->rank mapping, its validation, the rows and the
+        per-rank counts are computed once for the whole dispatch; each
+        packet's FR-FCFS issue order is computed on its slice of them.
+        Packets below the flavor's packed cutover go to
+        ``channel.execute_packet`` with the issue order as a permutation;
+        larger ones are gathered into issue order and go to
+        ``channel.execute_packed``.  Both entry points run the same column
+        routine, so the choice only moves where the gather happens.
         """
         order = self.scheduler.schedule()
+        packed_list = [packet.packed_arrays() for packet in order]
+        ranks, issue = self._issue_orders(packed_list, reorder)
         per_packet = []
         current_cycle = 0
-        per_rank_counts = self.stats.per_rank_instructions
         packed_min = _kernels.packed_dispatch_min_instructions()
-        for packet in order:
-            packed = packet.packed_arrays()
-            count = len(packed)
-            ranks, permutation = self._issue_order(packed, reorder)
+        for packet, packed, (packet_ranks, permutation) in zip(
+                order, packed_list, issue):
             self.stats.counter_configurations += 1
-            if count >= packed_min:
+            if len(packed) >= packed_min:
                 if permutation is not None:
                     packed = packed.take(permutation)
-                    ranks = ranks[permutation]
+                    packet_ranks = packet_ranks[permutation]
                 completion = channel.execute_packed(
-                    packed, start_cycle=current_cycle, ranks=ranks)
+                    packed, start_cycle=current_cycle, ranks=packet_ranks)
             else:
                 completion = channel.execute_packet(
-                    packet, start_cycle=current_cycle, ranks=ranks,
+                    packet, start_cycle=current_cycle, ranks=packet_ranks,
                     order=permutation)
             per_packet.append(completion - current_cycle)
-            for rank, rank_count in enumerate(np.bincount(ranks).tolist()):
-                if rank_count:
-                    per_rank_counts[rank] = \
-                        per_rank_counts.get(rank, 0) + rank_count
-            self.stats.instructions_issued += count
+            self.stats.instructions_issued += len(packed)
             self.stats.packets_issued += 1
             current_cycle = completion
+        per_rank_counts = self.stats.per_rank_instructions
+        for rank, rank_count in enumerate(np.bincount(ranks).tolist()):
+            if rank_count:
+                per_rank_counts[rank] = \
+                    per_rank_counts.get(rank, 0) + rank_count
         return current_cycle, per_packet
 
     def reset(self):

@@ -17,6 +17,8 @@ arithmetic pipeline (FP32 multipliers and adders, Table I) is overlapped
 with memory reads, so it only contributes when it is the bottleneck.
 """
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,13 @@ from repro.core.instruction import (
 )
 from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2400
+
+#: Stand-in for a rank's "no ACT / column command yet": far enough back
+#: that the tRRD / tCCD constraint derived from it never binds.
+_NEVER = -(1 << 62)
+
+#: Initial best estimate of a window scan, beyond any reachable cycle.
+_UNREACHED = 1 << 62
 
 
 @dataclass
@@ -150,133 +159,6 @@ class RankNMP:
     # ------------------------------------------------------------------ #
     # Execution                                                          #
     # ------------------------------------------------------------------ #
-    def _dram_read(self, bank_group, bank_index, row, vsize, earliest_cycle):
-        """Issue the DDR commands of one instruction.
-
-        The instruction arrives as its decoded Daddr (``bank_group``,
-        ``bank_index``, ``row``) and its burst count ``vsize``.  Returns
-        ``(data_done, next_slot)`` where ``data_done`` is the cycle
-        the last data beat arrives and ``next_slot`` the command-bus cycle
-        from which the *next* instruction's commands may start.  Commands of
-        consecutive instructions are pipelined: the next instruction only
-        waits for the local C/A slots this one consumed, not for its
-        tRP/tRCD/tCL latency chain, while the bank and rank state machines
-        keep every later command legal (tCCD, tRRD, tFAW, data bus).
-
-        The bank/rank state machine of :class:`~repro.dram.rank.Rank` /
-        :class:`~repro.dram.bank.Bank` is inlined here (this is the
-        simulator's hottest function): every command is issued at its
-        ``earliest_issue_cycle``, so the legality re-checks of the generic
-        ``issue`` path are redundant by construction.
-        """
-        rank = self.dram_rank
-        timing = rank.timing
-        bank = rank.banks[bank_group * rank.banks_per_group + bank_index]
-        current = self.current_cycle
-        start = current if current > earliest_cycle else earliest_cycle
-        cycle = start
-        commands_issued = 0
-        first_issue = None
-        # The rank command decoder replays the compressed DDR cmd field; a
-        # conflicting open row forces PRE+ACT even if the tag omitted them
-        # (the host-side tags are hints based on consecutive addresses).
-        if bank.open_row != row:
-            if bank.open_row is not None:
-                ready = bank.next_pre
-                if ready > cycle:
-                    cycle = ready
-                bank.open_row = None
-                bank.precharges += 1
-                value = cycle + timing.tRP
-                if value > bank.next_act:
-                    bank.next_act = value
-                commands_issued = 1
-                first_issue = cycle
-            ready = bank.next_act
-            history = rank._act_history
-            if len(history) >= 4:
-                faw = history[-4] + timing.tFAW
-                if faw > ready:
-                    ready = faw
-            last_act = rank._last_act_cycle
-            if last_act is not None:
-                rrd = last_act + (timing.tRRD_L
-                                  if bank_group == rank._last_act_bank_group
-                                  else timing.tRRD_S)
-                if rrd > ready:
-                    ready = rrd
-            if ready > cycle:
-                cycle = ready
-            bank.open_row = row
-            bank.activations += 1
-            value = cycle + timing.tRCD
-            if value > bank.next_read:
-                bank.next_read = value
-            value = cycle + timing.tRAS
-            if value > bank.next_pre:
-                bank.next_pre = value
-            value = cycle + timing.tRC
-            if value > bank.next_act:
-                bank.next_act = value
-            history.append(cycle)
-            while len(history) > 4:
-                history.popleft()
-            rank._last_act_cycle = cycle
-            rank._last_act_bank_group = bank_group
-            commands_issued += 1
-            if first_issue is None:
-                first_issue = cycle
-            self.stats.activations += 1
-        finish = cycle
-        bursts = vsize if vsize > 1 else 1
-        tCL = timing.tCL
-        tCCD_L = timing.tCCD_L
-        tCCD_S = timing.tCCD_S
-        tBL = timing.tBL
-        tRTP = timing.tRTP
-        next_read = bank.next_read
-        next_pre = bank.next_pre
-        last_col = rank._last_col_cycle
-        last_col_bank_group = rank._last_col_bank_group
-        bus_free = rank.next_data_bus_free
-        for _ in range(bursts):
-            ready = next_read
-            if last_col is not None:
-                ccd = last_col + (tCCD_L if bank_group == last_col_bank_group
-                                  else tCCD_S)
-                if ccd > ready:
-                    ready = ccd
-            bus = bus_free - tCL
-            if bus > ready:
-                ready = bus
-            if ready > cycle:
-                cycle = ready
-            finish = cycle + tCL + tBL
-            value = cycle + tCCD_L
-            if value > next_read:
-                next_read = value
-            value = cycle + tRTP
-            if value > next_pre:
-                next_pre = value
-            last_col = cycle
-            last_col_bank_group = bank_group
-            if finish > bus_free:
-                bus_free = finish
-            if first_issue is None:
-                first_issue = cycle
-        bank.next_read = next_read
-        bank.next_pre = next_pre
-        bank.reads += bursts
-        rank._last_col_cycle = last_col
-        rank._last_col_bank_group = last_col_bank_group
-        rank.next_data_bus_free = bus_free
-        stats = self.stats
-        stats.dram_reads += bursts
-        stats.bytes_from_dram += vsize * 64
-        next_slot = (start if start > first_issue else first_issue) \
-            + commands_issued + bursts
-        return finish, next_slot
-
     def execute_instruction(self, instruction, arrival_cycle=0):
         """Execute one NMP-Inst; returns the cycle its Psum update completes.
 
@@ -351,8 +233,8 @@ class RankNMP:
 
         Each iteration picks one window member, then executes it: a
         RankCache lookup (the LocalityBit decides allocation on a miss),
-        the DDR command sequence of :meth:`_dram_read` unless it hit, and
-        the datapath latency into its PsumTag register.
+        the DDR command sequence unless it hit, and the datapath latency
+        into its PsumTag register.
 
         The selection is cycle-identical to evaluating each window
         member's earliest first-command cycle (the ``estimated_start``
@@ -362,50 +244,86 @@ class RankNMP:
         the rank-level ACT/RD components are memoised per bank group and
         invalidated lazily (only an instruction that touched DRAM can
         change them), and members whose earliest possible start already
-        matches or exceeds the best estimate are skipped outright.  This
-        is the readable specification the flat kernel
+        matches or exceeds the best estimate are skipped outright -- or,
+        when the stream's arrivals never decrease, end the scan, because
+        every later window member starts no earlier.
+
+        The command issue is the bank/rank state machine of
+        :class:`~repro.dram.rank.Rank` / :class:`~repro.dram.bank.Bank`
+        inlined: every command is issued at its earliest legal cycle, so
+        the legality re-checks of the generic ``issue`` path are redundant
+        by construction.  The rank scalars (ACT history, last ACT / column
+        cycle and bank group, data-bus free cycle), the timing parameters
+        and every counter live in locals for the whole stream and are
+        written back once at the end.  This is the readable
+        specification the flat kernel
         (:func:`~repro.core.kernels._execute_window_flat`) is pinned to.
         """
         count = len(daddrs)
-        last_completion = self.current_cycle
-        banks_per_group = self.config.banks_per_group
+        current = self.current_cycle
+        if not count:
+            return current
+        cache = self.cache
+        if cache is not None and min(daddrs) < 0:
+            raise ValueError("dram_address must be non-negative, got %d"
+                             % min(daddrs))
         rank = self.dram_rank
         banks = rank.banks
-        bank_of = [banks[bank_groups[i] * banks_per_group + bank_indices[i]]
-                   for i in range(count)]
-        timing = rank.timing
-        cache = self.cache
-        entries = cache._entries if cache is not None else None
-        tCL = timing.tCL
-        tCCD_L = timing.tCCD_L
-        tCCD_S = timing.tCCD_S
-        tRRD_L = timing.tRRD_L
-        tRRD_S = timing.tRRD_S
-        tFAW = timing.tFAW
-        window_size = reorder_window if reorder_window > 1 else 1
-        window = list(range(window_size if window_size < count else count))
-        next_index = len(window)
-        stats = self.stats
-        psums = self._psum_counts
+        banks_per_group = self.config.banks_per_group
+        bank_of = [banks[bank_group * banks_per_group + bank_index]
+                   for bank_group, bank_index in zip(bank_groups,
+                                                     bank_indices)]
+        (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
+         tRC, tRTP) = rank.timing.kernel_params()
+        # Rank scalars.  An ACT waits for the fourth-last ACT plus tFAW;
+        # "never" is a cycle so far back that the tRRD / tCCD constraint
+        # it yields never binds.
+        history = rank._act_history
+        faw_ready = history[-4] + tFAW if len(history) >= 4 else 0
+        last_act = rank._last_act_cycle
+        if last_act is None:
+            last_act = _NEVER
+        last_act_group = rank._last_act_bank_group
+        last_col = rank._last_col_cycle
+        if last_col is None:
+            last_col = _NEVER
+        last_col_group = rank._last_col_bank_group
+        bus_free = rank.next_data_bus_free
+        if cache is not None:
+            entries = cache._entries
+            capacity = cache.num_entries
+            move_to_end = entries.move_to_end
+            popitem = entries.popitem
+        else:
+            entries = None
         cache_latency = self.config.cache_latency_cycles
         adder = self.config.adder_latency_cycles
         adder_multiplier = adder + self.config.multiplier_latency_cycles
-        dram_read = self._dram_read
+        arrivals_sorted = all(map(operator.le, arrival_cycles,
+                                  itertools.islice(arrival_cycles, 1, None)))
+        hits = misses = bypasses = evictions = 0
+        activations = dram_reads = busy = dram_vsizes = cache_vsizes = 0
+        last_completion = current
+        window_size = reorder_window if reorder_window > 1 else 1
+        window = list(range(window_size if window_size < count else count))
+        next_index = len(window)
         # Rank-level earliest-issue components, memoised per bank group and
         # cleared whenever an executed instruction touched DRAM (cache hits
         # leave both the rank and every bank untouched).
         act_part = {}
         rd_part = {}
         while window:
-            current = self.current_cycle
-            best_pos = 0
-            best_estimate = None
-            for pos, index in enumerate(window):
+            best_index = window[0]
+            best_estimate = _UNREACHED
+            for index in window:
                 arrival = arrival_cycles[index]
                 start = arrival if arrival > current else current
-                if best_estimate is not None and start >= best_estimate:
+                if start >= best_estimate:
                     # estimate >= start, so this member cannot win (ties
-                    # keep the earliest window position).
+                    # keep the earliest window position); with sorted
+                    # arrivals no later member can either.
+                    if arrivals_sorted:
+                        break
                     continue
                 if entries is not None and localities[index] and \
                         daddrs[index] in entries:
@@ -418,14 +336,12 @@ class RankNMP:
                         ready = bank.next_read
                         part = rd_part.get(bank_group)
                         if part is None:
-                            part = rank.next_data_bus_free - tCL
-                            last_col = rank._last_col_cycle
-                            if last_col is not None:
-                                ccd = last_col + (
-                                    tCCD_L if bank_group ==
-                                    rank._last_col_bank_group else tCCD_S)
-                                if ccd > part:
-                                    part = ccd
+                            part = bus_free - tCL
+                            ccd = last_col + (
+                                tCCD_L if bank_group == last_col_group
+                                else tCCD_S)
+                            if ccd > part:
+                                part = ccd
                             rd_part[bank_group] = part
                         if part > ready:
                             ready = part
@@ -433,55 +349,142 @@ class RankNMP:
                         ready = bank.next_act
                         part = act_part.get(bank_group)
                         if part is None:
-                            part = 0
-                            history = rank._act_history
-                            if len(history) >= 4:
-                                part = history[-4] + tFAW
-                            last_act = rank._last_act_cycle
-                            if last_act is not None:
-                                rrd = last_act + (
-                                    tRRD_L if bank_group ==
-                                    rank._last_act_bank_group else tRRD_S)
-                                if rrd > part:
-                                    part = rrd
+                            part = faw_ready
+                            rrd = last_act + (
+                                tRRD_L if bank_group == last_act_group
+                                else tRRD_S)
+                            if rrd > part:
+                                part = rrd
                             act_part[bank_group] = part
                         if part > ready:
                             ready = part
                     else:
                         ready = bank.next_pre
                     estimate = start if start > ready else ready
-                if best_estimate is None or estimate < best_estimate:
+                if estimate < best_estimate:
                     best_estimate = estimate
-                    best_pos = pos
+                    best_index = index
                     if estimate <= current:
                         # estimate >= start >= current for every member
                         # and ties keep the earliest position: already won.
                         break
-            index = window.pop(best_pos)
+            index = best_index
+            window.remove(index)
             if next_index < count:
                 window.append(next_index)
                 next_index += 1
             # Execute the pick: RankCache lookup (LocalityBit decides
             # allocation on a miss), else the DDR command sequence.
             vsize = vsizes[index]
-            locality = localities[index]
             arrival = arrival_cycles[index]
             start = arrival if arrival > current else current
-            stats.instructions += 1
-            if cache is not None and cache.lookup(daddrs[index],
-                                                  locality_hint=locality):
-                stats.cache_hits += 1
-                stats.bytes_from_cache += vsize * 64
+            daddr = daddrs[index]
+            if entries is not None and daddr in entries:
+                move_to_end(daddr)
+                hits += 1
+                cache_vsizes += vsize
                 data_ready = next_free = start + cache_latency
             else:
-                if cache is not None:
-                    if locality:
-                        stats.cache_misses += 1
+                if entries is not None:
+                    if localities[index]:
+                        misses += 1
+                        if len(entries) >= capacity:
+                            popitem(last=False)
+                            evictions += 1
+                        entries[daddr] = None
                     else:
-                        stats.cache_bypasses += 1
-                data_ready, next_free = dram_read(
-                    bank_groups[index], bank_indices[index], rows[index],
-                    vsize, start)
+                        bypasses += 1
+                bank_group = bank_groups[index]
+                bank = bank_of[index]
+                row = rows[index]
+                cycle = start
+                commands = 0
+                first_issue = None
+                # The rank command decoder replays the compressed DDR cmd
+                # field; a conflicting open row forces PRE+ACT even if the
+                # tag omitted them (the host-side tags are hints based on
+                # consecutive addresses).
+                open_row = bank.open_row
+                if open_row != row:
+                    if open_row is not None:
+                        ready = bank.next_pre
+                        if ready > cycle:
+                            cycle = ready
+                        bank.precharges += 1
+                        value = cycle + tRP
+                        if value > bank.next_act:
+                            bank.next_act = value
+                        commands = 1
+                        first_issue = cycle
+                    ready = bank.next_act
+                    if faw_ready > ready:
+                        ready = faw_ready
+                    rrd = last_act + (tRRD_L if bank_group == last_act_group
+                                      else tRRD_S)
+                    if rrd > ready:
+                        ready = rrd
+                    if ready > cycle:
+                        cycle = ready
+                    bank.open_row = row
+                    bank.activations += 1
+                    value = cycle + tRCD
+                    if value > bank.next_read:
+                        bank.next_read = value
+                    value = cycle + tRAS
+                    if value > bank.next_pre:
+                        bank.next_pre = value
+                    value = cycle + tRC
+                    if value > bank.next_act:
+                        bank.next_act = value
+                    history.append(cycle)
+                    while len(history) > 4:
+                        history.popleft()
+                    if len(history) >= 4:
+                        faw_ready = history[-4] + tFAW
+                    last_act = cycle
+                    last_act_group = bank_group
+                    commands += 1
+                    if first_issue is None:
+                        first_issue = cycle
+                    activations += 1
+                bursts = vsize if vsize > 1 else 1
+                next_read = bank.next_read
+                next_pre = bank.next_pre
+                for _ in range(bursts):
+                    ready = next_read
+                    ccd = last_col + (tCCD_L if bank_group == last_col_group
+                                      else tCCD_S)
+                    if ccd > ready:
+                        ready = ccd
+                    bus = bus_free - tCL
+                    if bus > ready:
+                        ready = bus
+                    if ready > cycle:
+                        cycle = ready
+                    value = cycle + tCCD_L
+                    if value > next_read:
+                        next_read = value
+                    value = cycle + tRTP
+                    if value > next_pre:
+                        next_pre = value
+                    last_col = cycle
+                    last_col_group = bank_group
+                    value = cycle + tCL + tBL
+                    if value > bus_free:
+                        bus_free = value
+                    if first_issue is None:
+                        first_issue = cycle
+                bank.next_read = next_read
+                bank.next_pre = next_pre
+                bank.reads += bursts
+                dram_reads += bursts
+                dram_vsizes += vsize
+                data_ready = cycle + tCL + tBL
+                # Memory accesses are pipelined: the next instruction's
+                # commands may start once this one's C/A slots are past
+                # (first_issue >= start); the bank/rank state above keeps
+                # every later command legal (tCCD, tRRD, tFAW, data bus).
+                next_free = first_issue + commands + bursts
                 act_part.clear()
                 rd_part.clear()
             # Datapath: weighted multiply (if any) then accumulate into the
@@ -491,15 +494,34 @@ class RankNMP:
                                        else adder)
             if completion > last_completion:
                 last_completion = completion
-            psum_tag = psum_tags[index]
-            psums[psum_tag] = psums.get(psum_tag, 0) + 1
             if next_free > start:
-                stats.busy_cycles += next_free - start
-            # Memory accesses are pipelined: the next instruction's DDR
-            # commands can be scheduled as soon as this one's last command
-            # slot is past (bank/rank/data-bus legality is enforced by the
-            # DRAM state machine of _dram_read).
-            self.current_cycle = next_free
+                busy += next_free - start
+            current = next_free
+        rank._last_act_cycle = None if last_act == _NEVER else last_act
+        rank._last_act_bank_group = last_act_group
+        rank._last_col_cycle = None if last_col == _NEVER else last_col
+        rank._last_col_bank_group = last_col_group
+        rank.next_data_bus_free = bus_free
+        self.current_cycle = current
+        stats = self.stats
+        stats.instructions += count
+        stats.cache_hits += hits
+        stats.cache_misses += misses
+        stats.cache_bypasses += bypasses
+        stats.dram_reads += dram_reads
+        stats.activations += activations
+        stats.busy_cycles += busy
+        stats.bytes_from_dram += dram_vsizes * 64
+        stats.bytes_from_cache += cache_vsizes * 64
+        if cache is not None:
+            cache_stats = cache.stats
+            cache_stats.hits += hits
+            cache_stats.misses += misses
+            cache_stats.bypasses += bypasses
+            cache_stats.evictions += evictions
+        psums = self._psum_counts
+        for psum_tag in psum_tags:
+            psums[psum_tag] = psums.get(psum_tag, 0) + 1
         return last_completion
 
     # ------------------------------------------------------------------ #

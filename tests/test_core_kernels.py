@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reorder_oracle
 from repro.core import kernels
 from repro.core.instruction import (
     DDR_CMD_ACT,
@@ -415,7 +416,7 @@ class TestPackedHelpers:
             window = int(rng.integers(0, 20))
             rows = rng.integers(0, 6, size=count)
             ranks = rng.integers(0, num_ranks, size=count)
-            expected = kernels._reorder_window_python(
+            expected = reorder_oracle.reorder_window(
                 rows.tolist(), ranks.tolist(), max(window, 1), num_ranks) \
                 if count > 2 else list(range(count))
             with kernels.force_flavor(flavor):

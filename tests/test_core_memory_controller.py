@@ -29,7 +29,8 @@ def _packet(table_id, batch_index, packet_id, count=8, stride=997):
 
 def _reordered(controller, packet):
     """The packet's instructions in the controller's issue order."""
-    _, permutation = controller._issue_order(packet.packed_arrays())
+    _, [(_, permutation)] = controller._issue_orders(
+        [packet.packed_arrays()])
     instructions = packet.instructions
     if permutation is None:
         return list(instructions)
@@ -136,10 +137,28 @@ class TestReordering:
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
         packet = _packet(0, 0, 0, count=8)
         with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
-            controller._issue_order(packet.packed_arrays())
+            controller._issue_orders([packet.packed_arrays()])
         controller.submit([packet])
         with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
             controller.dispatch(channel)
+
+    def test_invalid_rank_rejected_before_any_packet_runs(self):
+        # Ranks are mapped and validated once per dispatch: the valid
+        # packets scheduled ahead of the bad one never reach the channel.
+        controller = NMPMemoryController(
+            num_ranks=4, scheduling_policy="fcfs",
+            rank_of_address=lambda address: 9 if address == 0 else 1)
+        channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
+        controller.submit([_packet(0, 0, 1), _packet(0, 0, 2),
+                           _packet(0, 0, 0)])
+        with pytest.raises(ValueError, match="invalid rank 9"):
+            controller.dispatch(channel)
+        assert controller.stats.packets_issued == 0
+        assert controller.stats.instructions_issued == 0
+        assert controller.stats.per_rank_instructions == {}
+        assert channel.aggregate_stats()["instructions"] == 0
+        assert all(rank.current_cycle == 0
+                   for rank in channel.all_rank_nmps())
 
     def test_dispatch_without_reorder(self):
         controller = NMPMemoryController(num_ranks=2)
@@ -179,9 +198,9 @@ class TestPerRankStats:
         vectorised = NMPMemoryController(num_ranks=4,
                                          ranks_of_addresses=ranks_of)
         packet = _packet(0, 0, 0, count=16)
-        vectorised_ranks, vectorised_order = vectorised._issue_order(
-            packet.packed_arrays())
-        scalar_ranks, scalar_order = scalar._issue_order(
-            packet.packed_arrays())
+        vectorised_ranks, [(_, vectorised_order)] = \
+            vectorised._issue_orders([packet.packed_arrays()])
+        scalar_ranks, [(_, scalar_order)] = scalar._issue_orders(
+            [packet.packed_arrays()])
         assert vectorised_ranks.tolist() == scalar_ranks.tolist()
         assert vectorised_order.tolist() == scalar_order.tolist()

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.instruction import (
     DDR_CMD_ACT,
     DDR_CMD_PRE,
     DDR_CMD_RD,
     NMPInstruction,
     NMPPacket,
+    PackedInstructions,
 )
 from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
@@ -126,6 +128,31 @@ class TestRankNMP:
         completion = rank.execute_instruction(_instructions(1)[0],
                                               arrival_cycle=500)
         assert completion > 500
+
+    @pytest.mark.parametrize("flavor", ["python", "flat-python"])
+    def test_negative_daddr_rejected_before_any_state_changes(self, flavor):
+        # The stream is validated before its first instruction runs, so
+        # the valid Daddrs ahead of the bad one leave no trace either.
+        with kernels.force_flavor(flavor):
+            rank = RankNMP()
+        rank.execute_instructions(_instructions(3))
+        before = _state(rank)
+        packed = PackedInstructions(
+            np.array([5, 4096, -3], dtype=np.int64),
+            np.ones(3, dtype=np.int64), np.zeros(3, dtype=bool),
+            np.ones(3, dtype=bool), np.arange(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="non-negative"):
+            rank.execute_packed(packed, [0, 0, 0])
+        assert _state(rank) == before
+
+
+def _state(rank):
+    """Rank-NMP, bank, rank and cache state, for before/after checks."""
+    dram = rank.dram_rank
+    return (rank.current_cycle, rank.stats.as_dict(),
+            dict(rank._psum_counts), list(rank.cache._entries),
+            rank.cache.stats.as_dict(), dram.kernel_scalars(),
+            [bank.kernel_state() for bank in dram.banks])
 
 
 def _estimated_start(rank, instruction, arrival_cycle):

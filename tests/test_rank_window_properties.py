@@ -1,0 +1,94 @@
+"""The rank-NMP window loop on unsorted arrivals and evicting caches.
+
+``TestSchedulerEquivalence`` (``test_core_rank_dimm_nmp.py``) draws
+sorted arrivals, which end each window scan at the first member that
+cannot win.  These properties draw arbitrary arrivals, so the scan must
+skip such members and keep going, and a RankCache of one to four
+entries, so allocations evict.  The python flavor's column loop and the
+flat-python kernel are both compared with the per-iteration
+``estimated_start`` reference loop.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import kernels
+from repro.core.instruction import NMPInstruction
+from repro.core.rank_nmp import RankNMP, RankNMPConfig
+from test_core_rank_dimm_nmp import FULL_CMD, _reference_execute_instructions
+
+FLAVORS = ("python", "flat-python")
+
+
+def _observed(rank, last):
+    """Everything the window loop decides, after one stream."""
+    return {
+        "last": last,
+        "current_cycle": rank.current_cycle,
+        "stats": rank.stats.as_dict(),
+        "psums": rank._psum_counts,
+        "cache_stats": rank.cache.stats.as_dict(),
+        "lru": list(rank.cache._entries),
+    }
+
+
+def _run_all(instructions, arrivals, window, capacity_bytes):
+    """``{name: observed}`` for the reference loop and every flavor."""
+    config = RankNMPConfig(cache_capacity_bytes=capacity_bytes)
+    with kernels.force_flavor("python"):
+        reference = RankNMP(config)
+    observed = {"reference": _observed(
+        reference, _reference_execute_instructions(
+            reference, instructions, arrivals, reorder_window=window))}
+    for flavor in FLAVORS:
+        with kernels.force_flavor(flavor):
+            rank = RankNMP(config)
+        observed[flavor] = _observed(rank, rank.execute_instructions(
+            instructions, arrival_cycles=arrivals, reorder_window=window))
+    return observed
+
+
+@st.composite
+def streams(draw):
+    """``(instructions, arrivals, window, capacity_bytes)``."""
+    count = draw(st.integers(1, 60), label="count")
+    # A small Daddr pool: repeats hit the cache, neighbours share rows
+    # and banks, distant blocks conflict.
+    daddr = st.one_of(st.integers(0, 40), st.integers(0, 1 << 16))
+    instructions = [
+        NMPInstruction(ddr_cmd=FULL_CMD, daddr=draw(daddr),
+                       vsize=draw(st.integers(1, 3)),
+                       weight=draw(st.sampled_from([1.0, 0.5])),
+                       locality_bit=draw(st.booleans()),
+                       psum_tag=draw(st.integers(0, 7)))
+        for _ in range(count)]
+    arrivals = draw(st.lists(st.integers(0, 300), min_size=count,
+                             max_size=count), label="arrivals")
+    window = draw(st.integers(1, 20), label="window")
+    capacity_bytes = 64 * draw(st.integers(1, 4), label="cache_entries")
+    return instructions, arrivals, window, capacity_bytes
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams())
+def test_unsorted_arrivals_and_small_cache_match_reference(stream):
+    observed = _run_all(*stream)
+    for flavor in FLAVORS:
+        assert observed[flavor] == observed["reference"], flavor
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decreasing_arrivals_evict_and_match_reference(seed):
+    # Arrivals count down, so every member after the first that cannot
+    # win is followed by members that can; a two-entry cache evicts.
+    instructions = [
+        NMPInstruction(ddr_cmd=FULL_CMD, daddr=(i * 7 + seed) % 11 * 4099,
+                       vsize=1 + i % 2, locality_bit=i % 3 != 0,
+                       psum_tag=i % 4)
+        for i in range(40)]
+    arrivals = [400 - 9 * i for i in range(40)]
+    observed = _run_all(instructions, arrivals, 8, 128)
+    assert observed["reference"]["cache_stats"]["evictions"] > 0
+    for flavor in FLAVORS:
+        assert observed[flavor] == observed["reference"], flavor
