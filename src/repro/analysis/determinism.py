@@ -14,11 +14,8 @@ classes of violation:
   ``perf_counter()``, ``datetime.now()`` and friends inside
   ``repro/core``, ``repro/dram``, ``repro/serving`` or ``repro/obs``
   leak host timing into simulated cycles.  Benchmarks measure wall
-  clock legitimately, so the check is scoped to those packages -- with
-  exactly one carve-out: ``repro/obs/profiling.py``, the host-side
-  stage-timer module, whose entire purpose is wall-clock measurement of
-  the simulator itself (its timings are reporting output, never
-  simulation input).
+  clock legitimately, so the check is scoped to those packages, with no
+  carve-out inside them.
 * **Iteration over bare sets** -- set iteration order is salted per
   process, so a ``for`` loop or comprehension over a set literal,
   ``set(...)`` or ``frozenset(...)`` feeds nondeterministic order into
@@ -51,11 +48,6 @@ _WALLCLOCK_ROOTS = {"time", "datetime", "date"}
 #: must never read the host clock.
 _SIM_PACKAGES = {"core", "dram", "serving", "obs"}
 
-#: The one wall-clock-exempt file: host-side stage timers
-#: (:mod:`repro.obs.profiling`) measure the simulator, not the
-#: simulation.
-_WALLCLOCK_EXEMPT = ("obs", "profiling.py")
-
 
 def _call_name(func):
     """Trailing name of a call target (``a.b.c()`` -> ``"c"``)."""
@@ -76,16 +68,10 @@ def _root_name(node):
 
 
 def _in_sim_package(path):
-    """True for files under ``repro/{core,dram,serving,obs}`` -- except
-    the single exempt profiling module."""
+    """True for files under ``repro/{core,dram,serving,obs}``."""
     parts = path.parts
-    for index, part in enumerate(parts[:-1]):
-        if part == "repro" and parts[index + 1] in _SIM_PACKAGES:
-            if parts[index + 1] == _WALLCLOCK_EXEMPT[0] \
-                    and path.name == _WALLCLOCK_EXEMPT[1]:
-                return False
-            return True
-    return False
+    return any(part == "repro" and parts[index + 1] in _SIM_PACKAGES
+               for index, part in enumerate(parts[:-1]))
 
 
 def _is_bare_set(node):

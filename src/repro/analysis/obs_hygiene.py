@@ -3,8 +3,8 @@
 With :mod:`repro.obs` in place, every number a component wants seen has
 a proper sink: counters/gauges/histograms go into a
 :class:`~repro.obs.metrics.MetricsRegistry`, human-readable tables come
-from ``format_metrics_table`` / ``format_trace_summary`` (which *return*
-strings), and traces go through the exporters.  A bare ``print()``
+from ``format_metrics_table`` (which *returns* a string), and traces go
+through the exporters.  A bare ``print()``
 inside ``repro`` library code bypasses all of that -- it interleaves
 with real CLI output, cannot be captured by callers, and silently
 couples library behaviour to a terminal.

@@ -107,6 +107,7 @@ class RegistryConsistencyRule(Rule):
         import repro.serving.slo as slo_mod
 
         _ = events_mod
+        sharder = sharding_mod.ReplicatedTableSharder
         choices = _serve_choices()
         registries = (
             ("backend", backend_mod.BACKENDS, backend_mod,
@@ -117,10 +118,11 @@ class RegistryConsistencyRule(Rule):
              admission_mod.ADMISSION_CONTROLLERS, admission_mod,
              "--admission", True),
             ("SLO policy", slo_mod.SLO_POLICIES, slo_mod, None, False),
-            # Placement policies are plain functions taking
-            # (table_loads, num_nodes) -- inspect, never instantiate.
-            ("placement policy", sharding_mod.PLACEMENT_POLICIES,
-             sharding_mod, "--shard-policy", False),
+            # Placement policies are names ReplicatedTableSharder
+            # dispatches on, documented by the class itself.
+            ("placement policy",
+             dict.fromkeys(sharder.POLICIES, sharder), sharding_mod,
+             "--shard-policy", False),
         )
         for kind, registry, module, flag, instantiate in registries:
             for name in sorted(registry):

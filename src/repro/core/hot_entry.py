@@ -120,49 +120,3 @@ class HotEntryProfiler:
                 start = end
         return profiles, masks
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def sweep_threshold(cls, indices, cache, address_of, thresholds=(1, 2, 3,
-                                                                     4, 6, 8)):
-        """Pick the threshold that maximises RankCache hit rate.
-
-        Replays the index stream through a fresh copy of ``cache`` for every
-        candidate threshold.  ``address_of`` maps a row index to the DRAM
-        address used as the cache key.  Returns ``(best_threshold,
-        {threshold: hit_rate})``.
-        """
-        import copy
-
-        indices = np.asarray(indices, dtype=np.int64)
-        results = {}
-        for threshold in thresholds:
-            profiler = cls(threshold=threshold)
-            profile = profiler.profile(indices)
-            trial_cache = copy.deepcopy(cache)
-            trial_cache.reset_stats()
-            trial_cache.flush()
-            for row in indices:
-                trial_cache.lookup(address_of(int(row)),
-                                   locality_hint=profile.is_hot(row))
-            results[threshold] = trial_cache.hit_rate
-        best = max(results, key=results.get)
-        return best, results
-
-    def profiling_overhead_fraction(self, batch_lookups,
-                                    lookups_per_second=1e9,
-                                    batch_time_seconds=None):
-        """Estimate profiling cost as a fraction of end-to-end time.
-
-        Counting index occurrences is one vectorised pass over the index
-        array (about a nanosecond per index); for realistic end-to-end batch
-        times the cost stays below the 2 % budget quoted in the paper.
-        ``batch_time_seconds`` defaults to a conservative end-to-end model
-        time of 256 B per lookup at 4 GB/s (memory-bound SLS plus the FC and
-        framework time around it).
-        """
-        if batch_lookups < 0:
-            raise ValueError("batch_lookups must be non-negative")
-        profile_time = batch_lookups / lookups_per_second
-        if batch_time_seconds is None:
-            batch_time_seconds = max(batch_lookups * 256 / 4e9, 1e-9)
-        return profile_time / (profile_time + batch_time_seconds)

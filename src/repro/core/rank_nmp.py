@@ -136,27 +136,6 @@ class RankNMP:
         self._kernel = _kernels.make_rank_kernel(self)
 
     # ------------------------------------------------------------------ #
-    # Address decoding                                                   #
-    # ------------------------------------------------------------------ #
-    def decode_bank_row(self, daddr):
-        """Decode (bank_group, bank, row, column) from a 64 B block Daddr.
-
-        The low bits address the column within a row, the next bits pick the
-        bank group and bank, and the remaining bits are the row -- consistent
-        with the channel-level mapping used by the packet generator.
-        """
-        config = self.config
-        block = int(daddr)
-        column = block % config.columns_per_row
-        block //= config.columns_per_row
-        bank_group = block % config.num_bank_groups
-        block //= config.num_bank_groups
-        bank = block % config.banks_per_group
-        block //= config.banks_per_group
-        row = block
-        return bank_group, bank, row, column
-
-    # ------------------------------------------------------------------ #
     # Execution                                                          #
     # ------------------------------------------------------------------ #
     def execute_instruction(self, instruction, arrival_cycle=0):

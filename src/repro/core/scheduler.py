@@ -91,21 +91,3 @@ class PacketScheduler:
             return fcfs_interleaved_order(self._sources)
         return table_aware_order(self._sources)
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def locality_span(order):
-        """Average distance between consecutive packets of the same table.
-
-        A diagnostic for how well a schedule keeps same-table packets
-        together (smaller is better; table-aware ordering gives ~1).
-        """
-        last_position = {}
-        spans = []
-        for position, packet in enumerate(order):
-            key = (packet.model_id, packet.table_id)
-            if key in last_position:
-                spans.append(position - last_position[key])
-            last_position[key] = position
-        if not spans:
-            return 0.0
-        return sum(spans) / len(spans)

@@ -6,8 +6,7 @@ is built on.  It models:
 * DDR4-2400 device timing (Table I of the paper),
 * bank / bank-group / rank / channel state machines,
 * a host-side FR-FCFS memory controller with an open-page policy,
-* Intel Skylake-style physical-to-DRAM address mapping plus the page-colouring
-  variant used for the load-balancing study,
+* Intel Skylake-style physical-to-DRAM address mapping,
 * DRAM access energy.
 """
 
@@ -25,8 +24,6 @@ from repro.dram.address_mapping import (
     DramAddress,
     MemoryGeometry,
     SkylakeAddressMapping,
-    PageColoringMapping,
-    InterleavedVectorMapping,
 )
 from repro.dram.controller import MemoryController, ControllerStats
 from repro.dram.system import DramSystem, DramSystemConfig
@@ -45,8 +42,6 @@ __all__ = [
     "DramAddress",
     "MemoryGeometry",
     "SkylakeAddressMapping",
-    "PageColoringMapping",
-    "InterleavedVectorMapping",
     "MemoryController",
     "ControllerStats",
     "DramSystem",

@@ -1,17 +1,14 @@
 """Physical-address to DRAM-coordinate mapping.
 
-Three mappings are provided:
+:class:`SkylakeAddressMapping` is an Intel Skylake-style mapping (the
+baseline used in Table I): the cacheline-aligned address bits are spread
+over channel, column, bank group, bank, rank and row, with XOR hashing of
+the bank bits to reduce conflicts.  Every :class:`~repro.dram.system
+.DramSystem` channel decodes with it.
 
-* :class:`SkylakeAddressMapping` -- an Intel Skylake-style mapping (the
-  baseline used in Table I): the cacheline-aligned address bits are spread
-  over channel, column, bank group, bank, rank and row with XOR hashing of
-  the bank bits to reduce conflicts.
-* :class:`PageColoringMapping` -- the page-colouring data layout the paper
-  uses to balance NMP load: every OS page (and therefore every embedding
-  table that is allocated with a fixed colour) maps to a single rank.
-* :class:`InterleavedVectorMapping` -- the TensorDIMM-style layout where
-  consecutive 64 B blocks of one embedding vector are interleaved across
-  DIMMs; used by the baseline comparison in Fig. 16.
+The paper's page-colouring layout, which pins each embedding table to one
+rank, lives in the RecNMP model instead:
+``RecNMPConfig(rank_assignment="page-coloring")``.
 """
 
 from dataclasses import dataclass
@@ -28,10 +25,6 @@ class DramAddress:
     bank: int
     row: int
     column: int
-
-    def rank_global(self, ranks_per_dimm):
-        """Channel-wide rank index (dimm * ranks_per_dimm + rank)."""
-        return self.dimm * ranks_per_dimm + self.rank
 
 
 @dataclass(frozen=True)
@@ -129,118 +122,3 @@ class SkylakeAddressMapping(_BaseMapping):
         return DramAddress(channel=channel, dimm=dimm, rank=rank,
                            bank_group=bank_group, bank=bank, row=row,
                            column=column)
-
-
-class PageColoringMapping(_BaseMapping):
-    """Page-colouring mapping: each page is pinned to one rank.
-
-    ``color_of_page`` decides the (channel-local) rank a page maps to.  By
-    default the colour is derived from the page frame number, but callers
-    (the RecNMP load-balancing study) can pass an explicit ``page_colors``
-    dictionary mapping page frame number -> rank index, which is how an
-    embedding table gets allocated entirely on one rank.
-    """
-
-    def __init__(self, geometry=None, page_colors=None):
-        super().__init__(geometry)
-        self.page_colors = dict(page_colors) if page_colors else {}
-
-    def color_of_page(self, page_frame_number):
-        """Rank colour of a page frame (explicit assignment or round-robin)."""
-        if page_frame_number in self.page_colors:
-            return self.page_colors[page_frame_number]
-        return page_frame_number % self.geometry.ranks_per_channel
-
-    def assign_color(self, page_frame_number, rank_index):
-        """Pin a page frame to a specific channel-local rank."""
-        if not 0 <= rank_index < self.geometry.ranks_per_channel:
-            raise ValueError("rank_index out of range: %d" % rank_index)
-        self.page_colors[page_frame_number] = rank_index
-
-    def map(self, physical_address):
-        if physical_address < 0:
-            raise ValueError("physical_address must be non-negative")
-        g = self.geometry
-        page_frame = physical_address // g.page_size_bytes
-        rank_color = self.color_of_page(page_frame)
-        dimm, rank = divmod(rank_color, g.ranks_per_dimm)
-        block = physical_address // g.column_size_bytes
-        rest, channel = self._split(block, g.num_channels)
-        rest, column = self._split(rest, g.columns_per_row)
-        rest, bank_group = self._split(rest, g.bank_groups)
-        rest, bank = self._split(rest, g.banks_per_group)
-        row = rest % g.rows_per_bank
-        return DramAddress(channel=channel, dimm=dimm, rank=rank,
-                           bank_group=bank_group, bank=bank, row=row,
-                           column=column)
-
-
-class InterleavedVectorMapping(_BaseMapping):
-    """TensorDIMM-style mapping: consecutive 64 B blocks go to distinct DIMMs.
-
-    This gives DIMM-level parallelism only for vectors spanning multiple
-    64 B blocks; small (64 B) vectors land on a single DIMM, which is exactly
-    the limitation RecNMP's rank-level design addresses.
-    """
-
-    def map(self, physical_address):
-        if physical_address < 0:
-            raise ValueError("physical_address must be non-negative")
-        g = self.geometry
-        block = physical_address // g.column_size_bytes
-        rest, dimm = self._split(block, g.dimms_per_channel)
-        rest, channel = self._split(rest, g.num_channels)
-        rest, column = self._split(rest, g.columns_per_row)
-        rest, bank_group = self._split(rest, g.bank_groups)
-        rest, bank = self._split(rest, g.banks_per_group)
-        rest, rank = self._split(rest, g.ranks_per_dimm)
-        row = rest % g.rows_per_bank
-        return DramAddress(channel=channel, dimm=dimm, rank=rank,
-                           bank_group=bank_group, bank=bank, row=row,
-                           column=column)
-
-
-class SimplePageMapper:
-    """Simplified OS page mapping: logical pages map to random free frames.
-
-    The paper's methodology ("simplified OS page mapping module") assumes the
-    OS picks a random free physical page for each logical page of an
-    embedding table.  This class reproduces that behaviour deterministically
-    given a seed so traces are repeatable.
-    """
-
-    def __init__(self, geometry=None, seed=0):
-        import random
-
-        self.geometry = geometry or MemoryGeometry()
-        self._rng = random.Random(seed)
-        self._page_table = {}
-        self._allocated_frames = set()
-        total_frames = self.geometry.total_bytes // \
-            self.geometry.page_size_bytes
-        self.total_frames = int(total_frames)
-
-    def translate(self, virtual_address):
-        """Translate a virtual byte address to a physical byte address."""
-        if virtual_address < 0:
-            raise ValueError("virtual_address must be non-negative")
-        page_size = self.geometry.page_size_bytes
-        vpn, offset = divmod(virtual_address, page_size)
-        if vpn not in self._page_table:
-            self._page_table[vpn] = self._allocate_frame()
-        return self._page_table[vpn] * page_size + offset
-
-    def _allocate_frame(self):
-        """Pick an unused physical frame uniformly at random."""
-        if len(self._allocated_frames) >= self.total_frames:
-            raise MemoryError("physical memory exhausted in page mapper")
-        while True:
-            frame = self._rng.randrange(self.total_frames)
-            if frame not in self._allocated_frames:
-                self._allocated_frames.add(frame)
-                return frame
-
-    @property
-    def mapped_pages(self):
-        """Number of virtual pages mapped so far."""
-        return len(self._page_table)

@@ -89,14 +89,9 @@ class DramSystemResult:
 class DramSystem:
     """A multi-channel DDR4 memory system with per-channel FR-FCFS control."""
 
-    def __init__(self, config=None, address_mapping_factory=None,
-                 energy_model=None):
+    def __init__(self, config=None, energy_model=None):
         self.config = config or DramSystemConfig()
         geometry = self.config.geometry()
-        if address_mapping_factory is None:
-            address_mapping_factory = \
-                lambda: SkylakeAddressMapping(geometry)  # noqa: E731
-        self._mapping_factory = address_mapping_factory
         self.geometry = geometry
         self.energy_model = energy_model or DramEnergyModel()
         self.controllers = [
@@ -104,7 +99,7 @@ class DramSystem:
                 timing=self.config.timing,
                 num_dimms=self.config.dimms_per_channel,
                 ranks_per_dimm=self.config.ranks_per_dimm,
-                address_mapping=address_mapping_factory(),
+                address_mapping=SkylakeAddressMapping(geometry),
                 queue_depth=self.config.queue_depth,
                 channel_index=channel,
             )

@@ -17,8 +17,6 @@ completion), built from four pieces:
 * :mod:`repro.obs.exporters` -- Chrome trace-event JSON (Perfetto),
   metrics JSON snapshots, terminal tables, and the checked-in trace
   schema with its dependency-free validator.
-* :mod:`repro.obs.profiling` -- host-side wall-clock stage timers (the
-  only obs file allowed to read the host clock).
 
 Entry points: ``ShardedServingCluster.simulate(..., trace=Tracer(),
 metrics=True)``, the CLI flags ``python -m repro serve --trace out.json
@@ -30,7 +28,6 @@ from repro.obs.exporters import (                         # noqa: F401
     DEFAULT_MAX_QUERY_SPANS,
     chrome_trace,
     format_metrics_table,
-    format_trace_summary,
     load_trace_schema,
     validate_chrome_trace,
     validate_json,
@@ -45,10 +42,6 @@ from repro.obs.metrics import (                           # noqa: F401
     MetricsRegistry,
     observe_finite,
 )
-from repro.obs.profiling import (                         # noqa: F401
-    StageProfiler,
-    format_stage_table,
-)
 from repro.obs.tracing import QUERY_STAGES, Tracer        # noqa: F401
 
 __all__ = [
@@ -60,12 +53,9 @@ __all__ = [
     "MetricsRegistry",
     "QUERY_STAGES",
     "RunCapture",
-    "StageProfiler",
     "Tracer",
     "chrome_trace",
     "format_metrics_table",
-    "format_stage_table",
-    "format_trace_summary",
     "load_trace_schema",
     "observe_finite",
     "validate_chrome_trace",

@@ -11,9 +11,9 @@ Three ways out of the observability layer:
 * :func:`write_metrics_json` -- a :class:`~repro.obs.metrics
   .MetricsRegistry` snapshot as JSON, the input of ``python -m repro
   report``.
-* :func:`format_metrics_table` / :func:`format_trace_summary` --
-  plain-text tables for terminals; they *return* strings (library code
-  never prints -- the ``obs-hygiene`` lint rule enforces exactly that).
+* :func:`format_metrics_table` -- a plain-text table for terminals; it
+  *returns* a string (library code never prints -- the ``obs-hygiene``
+  lint rule enforces exactly that).
 
 Traces can be huge -- a million queries would emit six million span
 events -- so :func:`chrome_trace` caps per-query span emission at
@@ -241,26 +241,6 @@ def format_metrics_table(snapshot):
                 else float("nan")))
     if not lines:
         lines.append("(empty metrics snapshot)")
-    return "\n".join(lines)
-
-
-def format_trace_summary(summary):
-    """A tracer summary as a plain-text stage-attribution table."""
-    lines = ["%s: %d queries, %d batches over %d frontend(s) [%s]"
-             % (summary.get("label") or "trace", summary["num_queries"],
-                summary["num_batches"], summary["num_servers"],
-                summary["engine"])]
-    lines.append("%-10s %12s %12s %12s %12s" % (
-        "stage", "mean_us", "p50_us", "p99_us", "max_us"))
-    for stage in QUERY_STAGES:
-        stats = summary["stages"][stage]
-        lines.append("%-10s %12.2f %12.2f %12.2f %12.2f" % (
-            stage, stats["mean_us"], stats["p50_us"], stats["p99_us"],
-            stats["max_us"]))
-    if "max_queue_depth" in summary:
-        lines.append("max queue depth: %d" % summary["max_queue_depth"])
-    if summary["num_shed"]:
-        lines.append("shed queries: %d" % summary["num_shed"])
     return "\n".join(lines)
 
 

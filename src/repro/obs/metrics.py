@@ -10,9 +10,8 @@ ever formats or copies a stat dict; :meth:`MetricsRegistry.snapshot`
 does all the reading when somebody actually asks.
 
 Everything here is simulation-deterministic: metric values derive only
-from simulated quantities (no wall clock -- host-side timing lives in
-:mod:`repro.obs.profiling`), and snapshots iterate names in sorted
-order so two identical runs serialise byte-identical JSON.
+from simulated quantities (no wall clock), and snapshots iterate names
+in sorted order so two identical runs serialise byte-identical JSON.
 """
 
 import math

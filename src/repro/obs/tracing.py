@@ -105,20 +105,6 @@ class Tracer:
             "batch_index": capture.query_batch_index(),
         }
 
-    def span_durations_us(self):
-        """Per-stage durations, query-indexed: the p99 attribution view.
-
-        ``batching`` is time in the forming batch, ``queue`` time
-        waiting for a frontend, ``service`` the batch execution.  Sums
-        reconcile with ``latency_us`` up to float association.
-        """
-        spans = self.query_spans()
-        return {
-            "batching": spans["formed_us"] - spans["arrival_us"],
-            "queue": spans["start_us"] - spans["formed_us"],
-            "service": spans["complete_us"] - spans["start_us"],
-        }
-
     def queue_depth_series(self):
         """Dispatch-queue depth as a step series ``(times_us, depth)``.
 
@@ -197,54 +183,6 @@ class Tracer:
                      - capture.batch_ready_us.min())
         span = max(span, 1e-9)
         return self.node_busy_us() / span
-
-    def node_batch_counts(self):
-        """Batches each node participated in (routing-replay view)."""
-        capture = self._require_run()
-        if self.batch_nodes is None:
-            raise ValueError("no routing replay recorded; simulate with "
-                             "trace= on a cluster to populate it")
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        for nodes in self.batch_nodes:
-            for node in nodes:
-                counts[node] += 1
-        return counts
-
-    # ------------------------------------------------------------------ #
-    def summary(self):
-        """JSON-safe run summary: the terminal-table data source."""
-        capture = self._require_run()
-        durations = self.span_durations_us()
-        stages = {}
-        for stage in QUERY_STAGES:
-            values = durations[stage]
-            stages[stage] = {
-                "mean_us": float(values.mean()),
-                "p50_us": float(np.percentile(values, 50.0)),
-                "p99_us": float(np.percentile(values, 99.0)),
-                "max_us": float(values.max()),
-            }
-        summary = {
-            "label": self.label,
-            "engine": capture.engine,
-            "approximate": capture.approximate,
-            "num_queries": capture.num_queries,
-            "num_batches": capture.num_batches,
-            "num_shed": int(self.shed_query_id.size),
-            "num_servers": capture.num_servers,
-            "stages": stages,
-            "run_info": dict(self.run_info),
-        }
-        if capture.max_queue_depth is not None:
-            summary["max_queue_depth"] = capture.max_queue_depth
-        if capture.measured_utilization is not None:
-            summary["measured_utilization"] = capture.measured_utilization
-        if self.batch_nodes is not None:
-            summary["node_busy_fraction"] = [
-                float(value) for value in self.node_utilization()]
-            summary["node_batches"] = [
-                int(value) for value in self.node_batch_counts()]
-        return summary
 
     # ------------------------------------------------------------------ #
     def write_chrome_trace(self, path, max_query_spans=None):

@@ -103,14 +103,3 @@ class BandwidthSaturationModel:
             if self.utilization(threads, batch_size) >= threshold:
                 return threads
         return None
-
-    def sweep(self, thread_counts, batch_sizes):
-        """Bandwidth surface over thread counts and batch sizes.
-
-        Returns ``{batch_size: [(threads, achieved_gbps), ...]}``.
-        """
-        return {
-            batch: [(threads, self.achieved_bandwidth_gbps(threads, batch))
-                    for threads in thread_counts]
-            for batch in batch_sizes
-        }

@@ -74,25 +74,6 @@ class EndToEndModel:
             end_to_end_speedup=end_to_end,
         )
 
-    def speedup_sweep(self, configs, batch_sizes, sls_speedup,
-                      colocation_degree=1):
-        """Fig. 18(a)/(b)-style sweep over models and batch sizes."""
-        return [self.speedup(config, batch, sls_speedup, colocation_degree)
-                for config in configs for batch in batch_sizes]
-
-    # ------------------------------------------------------------------ #
-    def rank_config_speedups(self, config, batch_size, rank_speedups):
-        """Speedups for several RecNMP rank configurations.
-
-        ``rank_speedups`` maps a configuration label (e.g. ``"2-rank"``) to
-        its SLS memory-latency speedup; returns a matching dictionary of
-        end-to-end speedups (Fig. 18(a)).
-        """
-        return {
-            label: self.speedup(config, batch_size, sls_speedup)
-            for label, sls_speedup in rank_speedups.items()
-        }
-
 
 def latency_throughput_curve(latency_model, config, batch_size,
                              colocation_degrees, sls_speedup=1.0,

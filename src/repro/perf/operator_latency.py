@@ -138,11 +138,6 @@ class OperatorLatencyModel:
             other_us=self.other_time_us(config, batch_size),
         )
 
-    def breakdown_sweep(self, configs, batch_sizes):
-        """Fig. 4-style sweep: breakdowns for each (config, batch) pair."""
-        return [self.breakdown(config, batch)
-                for config in configs for batch in batch_sizes]
-
     # ------------------------------------------------------------------ #
     def operator_roofline_inputs(self, config, batch_size):
         """FLOPs and bytes of the SLS and FC operators for roofline points.

@@ -7,9 +7,9 @@ pluggable admission control in front of the batcher
 (:mod:`repro.serving.admission`: token-bucket, queue-depth,
 deadline-aware shedding), a size- and deadline-triggered batching
 frontend, deterministic table sharding across serving nodes (single
-placement or replication-aware with load-aware placement and per-node
-capacity budgets), and a pluggable serving *engine* that turns per-batch
-simulated cycles into p50/p95/p99 latency, sustainable QPS and -- when
+placement or replication-aware with load-aware placement), and a
+pluggable serving *engine* that turns per-batch simulated cycles into
+p50/p95/p99 latency, sustainable QPS and -- when
 deadlines are assigned -- goodput/attainment/shed accounting: the
 closed-form M/G/c model (``engine="analytic"``, default) or a
 discrete-event simulation of the multi-frontend dispatch queue
@@ -67,14 +67,12 @@ from repro.serving.admission import (
     resolve_admission,
 )
 from repro.serving.sharding import (
-    PLACEMENT_POLICIES,
     ReplicatedTableSharder,
     TableSharder,
     calibrate_request_overhead_from_queries,
     calibrate_request_overhead_lookups,
     compute_table_loads,
     load_imbalance,
-    place_tables,
     table_loads_from_queries,
 )
 from repro.serving.queueing import (
@@ -134,14 +132,12 @@ __all__ = [
     "apply_admission",
     "available_admission_controllers",
     "resolve_admission",
-    "PLACEMENT_POLICIES",
     "ReplicatedTableSharder",
     "TableSharder",
     "calibrate_request_overhead_from_queries",
     "calibrate_request_overhead_lookups",
     "compute_table_loads",
     "load_imbalance",
-    "place_tables",
     "table_loads_from_queries",
     "ServingReport",
     "erlang_c",

@@ -37,7 +37,11 @@ from repro.serving.admission import (
 )
 from repro.serving.batcher import BatchingFrontend
 from repro.serving.engine import resolve_engine
-from repro.serving.sharding import TableSharder, partition_by_assignment
+from repro.serving.sharding import (
+    ReplicatedTableSharder,
+    TableSharder,
+    partition_by_assignment,
+)
 from repro.systems.registry import build_system
 from repro.utils.lru import LRUCache
 
@@ -132,13 +136,11 @@ class ShardedServingCluster:
         if sharder is None:
             policy = shard_policy or "round-robin"
             if policy not in TableSharder.POLICIES:
-                from repro.serving.sharding import PLACEMENT_POLICIES
-
-                if policy not in PLACEMENT_POLICIES:
+                if policy not in ReplicatedTableSharder.POLICIES:
                     raise ValueError(
                         "unknown shard policy %r; available: %s"
                         % (policy,
-                           ", ".join(sorted(PLACEMENT_POLICIES))))
+                           ", ".join(ReplicatedTableSharder.POLICIES)))
                 raise ValueError(
                     "shard policy %r needs table-load statistics; build a "
                     "ReplicatedTableSharder (e.g. from_traces/from_queries)"
@@ -934,7 +936,7 @@ def build_sweep_cluster(spec):
 
 def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
               service_model=None, slo_policy=None, admission=None,
-              backend=None, jobs=None, profiler=None):
+              backend=None, jobs=None):
     """Latency/throughput curve over offered load.
 
     ``make_queries(qps)`` must return the query stream offered at that rate
@@ -955,22 +957,10 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
     ``cluster``, and the reports are bit-identical to the serial loop.
     A backend passed by name is shut down when the sweep returns; a
     ready instance is left running for the caller to reuse.
-
-    ``profiler`` is an optional host-side
-    :class:`~repro.obs.profiling.StageProfiler`: the sweep times its
-    query generation (``sweep.generate``) and the simulation of all
-    points (``sweep.simulate``) as wall-clock stages.  Purely
-    reporting-side -- the profiler never feeds a simulated quantity, so
-    the reports are identical with or without it.
     """
-    from contextlib import nullcontext
-
     from repro.core.backend import ParallelBackend, resolve_backend
     from repro.perf.service_model import resolve_service_model
     from repro.serving.slo import resolve_slo_policy
-
-    def _stage(name):
-        return nullcontext() if profiler is None else profiler.stage(name)
 
     engine = resolve_engine(engine)
     service_model = resolve_service_model(service_model)
@@ -978,14 +968,12 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
     admission = resolve_admission(admission)
     owns_backend = not isinstance(backend, ParallelBackend)
     sweep_backend = resolve_backend(backend, max_workers=jobs)
-    with _stage("sweep.generate"):
-        point_queries = [list(make_queries(qps)) for qps in qps_points]
+    point_queries = [list(make_queries(qps)) for qps in qps_points]
     try:
-        with _stage("sweep.simulate"):
-            return sweep_backend.run_sweep_points(
-                cluster, point_queries, frontend=frontend, engine=engine,
-                service_model=service_model, slo_policy=slo_policy,
-                admission=admission)
+        return sweep_backend.run_sweep_points(
+            cluster, point_queries, frontend=frontend, engine=engine,
+            service_model=service_model, slo_policy=slo_policy,
+            admission=admission)
     finally:
         if owns_backend:
             sweep_backend.shutdown()

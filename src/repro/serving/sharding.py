@@ -13,13 +13,16 @@ Two sharders implement the same interface
   (``"round-robin"`` / ``"hash"``).  Stateless and content-addressed, so
   the cluster can memoise batch service times by content alone.
 * :class:`ReplicatedTableSharder` -- replication-aware sharding fed by
-  trace statistics.  A *placement policy* (``"round-robin"`` / ``"hash"``
-  / ``"load-aware"``) first bin-packs tables onto nodes by expected lookup
-  load; tables whose load share exceeds ``hot_fraction`` are then
-  replicated onto several nodes (factor proportional to their share,
-  capped by ``max_replicas``), and per-request routing picks the
-  least-loaded replica by a seeded running counter -- deterministic, so
-  every frontend that sees the same request stream routes it identically.
+  trace statistics.  Tables whose load share exceeds ``hot_fraction``
+  get several replicas (factor proportional to their share, capped by
+  ``max_replicas``).  The placement policy is one of
+  :attr:`ReplicatedTableSharder.POLICIES`: ``"load-aware"`` bin-packs
+  the per-replica loads greedily (LPT) onto the least-loaded nodes,
+  while ``"round-robin"`` / ``"hash"`` put each primary where
+  :class:`TableSharder` would and the extra replicas on the following
+  nodes.  Per-request routing picks the least-loaded replica by a
+  seeded running counter -- deterministic, so every frontend that sees
+  the same request stream routes it identically.
 
 On skewed production traces a handful of hot tables dominate per-node
 load; with single placement the slowest shard sets every batch's service
@@ -167,61 +170,6 @@ def calibrate_request_overhead_from_queries(node, queries):
     return calibrate_request_overhead_lookups(node, widest, splits=splits)
 
 
-# --------------------------------------------------------------------- #
-# Placement policies: {table_id: load} -> {table_id: node}.
-# --------------------------------------------------------------------- #
-def _place_round_robin(table_loads, num_nodes):
-    """Table ``t`` on node ``t % num_nodes``, ignoring load."""
-    return {table: table % num_nodes for table in table_loads}
-
-
-def _place_hash(table_loads, num_nodes):
-    """Knuth multiplicative hash of the table id, modulo nodes."""
-    return {table: _knuth_hash(table) % num_nodes for table in table_loads}
-
-
-def _place_load_aware(table_loads, num_nodes):
-    """Greedy LPT bin-packing of tables by load onto nodes."""
-    # Heaviest table first onto the least-loaded node.  Ties break on
-    # (load, node, table) so the packing is a pure function of the load
-    # map -- every frontend computes the same one.
-    node_load = [0.0] * num_nodes
-    placement = {}
-    for table in sorted(table_loads,
-                        key=lambda t: (-table_loads[t], t)):
-        node = min(range(num_nodes), key=lambda n: (node_load[n], n))
-        placement[table] = node
-        node_load[node] += table_loads[table]
-    return placement
-
-
-#: Placement-policy registry: name -> ({table: load}, num_nodes) -> {table:
-#: node}.  ``"load-aware"`` is the only one that reads the loads; the other
-#: two exist so replication composes with the legacy placements.
-PLACEMENT_POLICIES = {
-    "round-robin": _place_round_robin,
-    "hash": _place_hash,
-    "load-aware": _place_load_aware,
-}
-
-
-def place_tables(table_loads, num_nodes, policy="load-aware"):
-    """Deterministic primary placement of tables onto nodes.
-
-    ``table_loads`` maps table id to expected lookup load (from
-    :func:`compute_table_loads` or :func:`table_loads_from_queries`).
-    """
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    try:
-        place = PLACEMENT_POLICIES[policy]
-    except (KeyError, TypeError):
-        raise ValueError("unknown placement policy %r; available: %s"
-                         % (policy, ", ".join(sorted(PLACEMENT_POLICIES))))
-    return place({int(t): float(load) for t, load in table_loads.items()},
-                 int(num_nodes))
-
-
 def partition_by_assignment(requests, assignment, num_nodes):
     """Split requests into per-node lists given one node per request."""
     partitions = [[] for _ in range(num_nodes)]
@@ -324,7 +272,7 @@ class ReplicatedTableSharder:
         ``{table_id: expected lookups}`` from trace statistics
         (:func:`compute_table_loads` / :func:`table_loads_from_queries`).
     policy:
-        Placement policy (:data:`PLACEMENT_POLICIES`).
+        Placement policy, one of :attr:`POLICIES`.
     max_replicas:
         Upper bound on replicas per table (1 disables replication and
         leaves pure placement).
@@ -338,34 +286,20 @@ class ReplicatedTableSharder:
         the running replica-selection counters in the same cost unit the
         placement was computed in.  Hand-set, or measured from the node
         itself via :func:`calibrate_request_overhead_lookups`.
-    table_bytes:
-        ``{table_id: bytes}`` memory footprint of every table in
-        ``table_loads`` (each replica holds a full copy).  Required when
-        ``node_capacity_bytes`` is set.
-    node_capacity_bytes:
-        Per-node memory budget for placed replicas -- a scalar applied
-        to every node or one value per node.  Placement treats the
-        budget as a *hard* constraint with load balance as the
-        objective: replicas only land on nodes with room, replication
-        factors shrink to the feasible node count, and a budget that
-        cannot hold even one copy of every table raises a
-        ``ValueError`` naming the overflowing tables.
     """
 
-    POLICIES = tuple(sorted(PLACEMENT_POLICIES))
+    POLICIES = ("hash", "load-aware", "round-robin")
 
     stateful = True
 
     def __init__(self, num_nodes, table_loads, policy="load-aware",
                  max_replicas=2, hot_fraction=0.1, seed=0,
-                 request_overhead_lookups=0.0, table_bytes=None,
-                 node_capacity_bytes=None):
+                 request_overhead_lookups=0.0):
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
-        if policy not in PLACEMENT_POLICIES:
+        if policy not in self.POLICIES:
             raise ValueError("unknown placement policy %r; available: %s"
-                             % (policy,
-                                ", ".join(sorted(PLACEMENT_POLICIES))))
+                             % (policy, ", ".join(self.POLICIES)))
         if max_replicas < 1:
             raise ValueError("max_replicas must be >= 1")
         if not 0.0 < hot_fraction <= 1.0:
@@ -383,11 +317,12 @@ class ReplicatedTableSharder:
         self.request_overhead_lookups = float(request_overhead_lookups)
         self.table_loads = {int(t): float(load)
                             for t, load in table_loads.items()}
+        negative = sorted(t for t in self.table_loads if t < 0)
+        if negative:
+            raise ValueError("table ids must be non-negative, got %s"
+                             % ", ".join(str(t) for t in negative))
         if any(load < 0 for load in self.table_loads.values()):
             raise ValueError("table loads must be non-negative")
-        self.table_bytes, self.node_capacity_bytes = \
-            self._validate_capacity(table_bytes, node_capacity_bytes)
-        self.node_bytes_used = [0.0] * self.num_nodes
         self.replicas = self._replicate_and_place()
         # Tables the load map never saw fall back to stateless hashing
         # (a single replica on a stable node).
@@ -415,50 +350,6 @@ class ReplicatedTableSharder:
                    **kwargs)
 
     # ------------------------------------------------------------------ #
-    def _validate_capacity(self, table_bytes, node_capacity_bytes):
-        """Normalise the optional per-node byte budget and table sizes."""
-        if node_capacity_bytes is None:
-            if table_bytes is None:
-                return None, None
-            normalised = {int(t): float(b) for t, b in table_bytes.items()}
-            if any(b < 0 for b in normalised.values()):
-                raise ValueError("table byte sizes must be non-negative")
-            return normalised, None
-        if table_bytes is None:
-            raise ValueError("node_capacity_bytes needs table_bytes "
-                             "({table_id: bytes}) to pack against")
-        normalised = {int(t): float(b) for t, b in table_bytes.items()}
-        if any(b < 0 for b in normalised.values()):
-            raise ValueError("table byte sizes must be non-negative")
-        missing = sorted(t for t in self.table_loads if t not in normalised)
-        if missing:
-            raise ValueError(
-                "table_bytes is missing sizes for tables %s; every table "
-                "in the load map needs a byte footprint when a capacity "
-                "budget is set" % ", ".join(str(t) for t in missing))
-        if np.ndim(node_capacity_bytes) == 0:
-            budgets = [float(node_capacity_bytes)] * self.num_nodes
-        else:
-            budgets = [float(b) for b in node_capacity_bytes]
-            if len(budgets) != self.num_nodes:
-                raise ValueError("need one capacity budget per node "
-                                 "(%d nodes, %d budgets)"
-                                 % (self.num_nodes, len(budgets)))
-        if any(b <= 0 for b in budgets):
-            raise ValueError("node capacity budgets must be positive")
-        return normalised, budgets
-
-    def _capacity_error(self, overflow, bytes_free):
-        names = ", ".join(
-            "%d (%.0f bytes)" % (table, self.table_bytes[table])
-            for table in overflow)
-        raise ValueError(
-            "node capacity budget infeasible: no node has room for "
-            "table%s %s; per-node free bytes after packing the rest: %s"
-            % ("s" if len(overflow) > 1 else "", names,
-               ["%.0f" % b for b in bytes_free]))
-
-    # ------------------------------------------------------------------ #
     def replication_factor(self, table_id):
         """Replicas assigned to a table (1 for cold or unknown tables)."""
         nodes = self.replicas.get(int(table_id))
@@ -477,15 +368,13 @@ class ReplicatedTableSharder:
         total = sum(self.table_loads.values())
         factors = {table: self._factor_for(load, total)
                    for table, load in self.table_loads.items()}
-        if self.node_capacity_bytes is None:
-            return self._place_unconstrained(factors)
-        return self._place_with_budget(factors)
-
-    def _place_unconstrained(self, factors):
         replicas = {}
         if self.policy == "load-aware":
             # Bin-pack per-replica loads: heaviest share first, each
-            # table's replicas on its r least-loaded distinct nodes.
+            # table's replicas on its r least-loaded distinct nodes.  Ties
+            # break on (load, node, table), so the packing is a pure
+            # function of the load map -- every frontend computes the
+            # same one.
             node_load = [0.0] * self.num_nodes
             order = sorted(
                 self.table_loads,
@@ -499,83 +388,15 @@ class ReplicatedTableSharder:
                     node_load[node] += share
                 replicas[table] = tuple(sorted(nodes))
         else:
-            primary = place_tables(self.table_loads, self.num_nodes,
-                                   self.policy)
-            for table, node in primary.items():
+            # The primary sits where TableSharder would put the table;
+            # extra replicas take the following nodes.
+            primary = TableSharder(self.num_nodes, self.policy)
+            for table in self.table_loads:
+                node = primary.node_of_table(table)
                 replicas[table] = tuple(sorted(
                     (node + offset) % self.num_nodes
                     for offset in range(factors[table])))
         return replicas
-
-    def _place_with_budget(self, factors):
-        """Capacity-constrained placement: bytes hard, load the objective.
-
-        Two phases so replication never starves mandatory placement:
-        first every table gets exactly one copy (heaviest table first,
-        packed LPT-style onto the least-loaded node with byte headroom
-        -- an infeasible phase raises, naming every unplaced table);
-        then extra replicas of hot tables consume whatever capacity is
-        left, skipped silently where no node has room.  Node load is
-        charged at the table's per-replica share throughout, so phase
-        one already reserves balance headroom for the replicas phase two
-        intends to add.
-        """
-        bytes_free = list(self.node_capacity_bytes)
-        node_load = [0.0] * self.num_nodes
-        placed = {table: [] for table in self.table_loads}
-        primary = None
-        if self.policy != "load-aware":
-            primary = place_tables(self.table_loads, self.num_nodes,
-                                   self.policy)
-
-        def candidates_for(table):
-            need = self.table_bytes[table]
-            if primary is None:
-                nodes = [n for n in range(self.num_nodes)
-                         if bytes_free[n] >= need
-                         and n not in placed[table]]
-                # Least-loaded node first: load balance is the objective.
-                return sorted(nodes, key=lambda n: (node_load[n], n))
-            # Fixed-primary policies walk the ring from the policy's
-            # node, shifting past full nodes (a capacity-induced,
-            # deterministic displacement).
-            anchor = placed[table][0] if placed[table] \
-                else primary[table]
-            ring = [(anchor + offset) % self.num_nodes
-                    for offset in range(self.num_nodes)]
-            return [n for n in ring if bytes_free[n] >= need
-                    and n not in placed[table]]
-
-        def commit(table, node):
-            placed[table].append(node)
-            bytes_free[node] -= self.table_bytes[table]
-            self.node_bytes_used[node] += self.table_bytes[table]
-            node_load[node] += self.table_loads[table] / factors[table]
-
-        # Phase one: a mandatory single copy of every table.
-        overflow = []
-        for table in sorted(self.table_loads,
-                            key=lambda t: (-self.table_bytes[t],
-                                           -self.table_loads[t], t)):
-            nodes = candidates_for(table)
-            if not nodes:
-                overflow.append(table)
-                continue
-            commit(table, nodes[0])
-        if overflow:
-            self._capacity_error(sorted(overflow), bytes_free)
-        # Phase two: optional extra replicas with the leftover capacity.
-        order = sorted((t for t in self.table_loads if factors[t] > 1),
-                       key=lambda t: (-self.table_loads[t] / factors[t],
-                                      t))
-        for table in order:
-            for _ in range(factors[table] - 1):
-                nodes = candidates_for(table)
-                if not nodes:
-                    break
-                commit(table, nodes[0])
-        return {table: tuple(sorted(nodes))
-                for table, nodes in placed.items()}
 
     def placement(self, table_ids):
         """``{table_id: primary node}`` (first replica) for compatibility."""
@@ -658,18 +479,10 @@ class ReplicatedTableSharder:
             load[node] += request.total_lookups
         return load
 
-    def node_bytes(self):
-        """Per-node placed replica bytes (all zeros without table sizes)."""
-        return list(self.node_bytes_used)
-
     def describe(self):
         """Human-readable one-line description of the sharder."""
         replicated = sum(1 for nodes in self.replicas.values()
                          if len(nodes) > 1)
-        budget = ""
-        if self.node_capacity_bytes is not None:
-            budget = ", %.0f-byte node budget" \
-                % max(self.node_capacity_bytes)
-        return ("%s over %d nodes, %d/%d tables replicated (<=%d replicas%s)"
+        return ("%s over %d nodes, %d/%d tables replicated (<=%d replicas)"
                 % (self.policy, self.num_nodes, replicated,
-                   len(self.replicas), self.max_replicas, budget))
+                   len(self.replicas), self.max_replicas))

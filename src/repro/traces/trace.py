@@ -6,7 +6,6 @@ traces the way a co-located production host sees them (Comb-8 / Comb-16 /
 Comb-32 / Comb-64 in the paper's Fig. 7 and Fig. 12).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,61 +45,6 @@ class EmbeddingTrace:
 
     def __len__(self):
         return int(self.indices.shape[0])
-
-    # ------------------------------------------------------------------ #
-    def unique_fraction(self):
-        """Fraction of accesses that touch a distinct row (1.0 = no reuse)."""
-        if not len(self):
-            return 0.0
-        return np.unique(self.indices).size / self.indices.size
-
-    def reuse_histogram(self, max_count=16):
-        """Histogram of per-row access counts, clipped at ``max_count``."""
-        if not len(self):
-            return np.zeros(max_count + 1, dtype=np.int64)
-        counts = np.bincount(
-            np.unique(self.indices, return_counts=True)[1].clip(max=max_count))
-        histogram = np.zeros(max_count + 1, dtype=np.int64)
-        histogram[:counts.size] = counts
-        return histogram
-
-    def slice(self, start, stop):
-        """Return a sub-trace covering accesses ``[start, stop)``."""
-        return EmbeddingTrace(table_id=self.table_id,
-                              indices=self.indices[start:stop],
-                              num_rows=self.num_rows,
-                              name=self.name,
-                              metadata=dict(self.metadata))
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self):
-        """JSON-serialisable representation."""
-        return {
-            "table_id": self.table_id,
-            "indices": self.indices.tolist(),
-            "num_rows": self.num_rows,
-            "name": self.name,
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(table_id=payload["table_id"],
-                   indices=np.asarray(payload["indices"], dtype=np.int64),
-                   num_rows=payload["num_rows"],
-                   name=payload.get("name", ""),
-                   metadata=payload.get("metadata", {}))
-
-    def save(self, path):
-        """Write the trace as JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle)
-
-    @classmethod
-    def load(cls, path):
-        """Load a trace previously written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 class CombinedTrace:

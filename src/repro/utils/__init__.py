@@ -1,18 +1,13 @@
-"""Shared utilities: random distributions, statistics, and unit helpers."""
+"""Shared utilities: an LRU cache, index distributions, speedup composition
+and unit constants."""
 
 from repro.utils.lru import LRUCache
 from repro.utils.distributions import (
     ZipfGenerator,
     HotSetGenerator,
     UniformGenerator,
-    make_index_generator,
 )
-from repro.utils.stats import (
-    RunningStats,
-    percentile,
-    geometric_mean,
-    weighted_harmonic_speedup,
-)
+from repro.utils.stats import weighted_harmonic_speedup
 from repro.utils.units import (
     KB,
     MB,
@@ -20,9 +15,6 @@ from repro.utils.units import (
     GIGA,
     MEGA,
     KILO,
-    ns_to_cycles,
-    cycles_to_ns,
-    bytes_to_mb,
 )
 
 __all__ = [
@@ -30,10 +22,6 @@ __all__ = [
     "ZipfGenerator",
     "HotSetGenerator",
     "UniformGenerator",
-    "make_index_generator",
-    "RunningStats",
-    "percentile",
-    "geometric_mean",
     "weighted_harmonic_speedup",
     "KB",
     "MB",
@@ -41,7 +29,4 @@ __all__ = [
     "GIGA",
     "MEGA",
     "KILO",
-    "ns_to_cycles",
-    "cycles_to_ns",
-    "bytes_to_mb",
 ]

@@ -107,28 +107,3 @@ class HotSetGenerator:
                                         dtype=np.int64)
         result = np.where(is_hot, self._hot_rows[hot_picks], cold_picks)
         return result.astype(np.int64)
-
-
-def make_index_generator(kind, num_rows, seed=None, **kwargs):
-    """Factory for index generators.
-
-    Parameters
-    ----------
-    kind:
-        One of ``"uniform"``, ``"zipf"``, ``"hotset"``.
-    num_rows:
-        Number of rows in the embedding table.
-    seed:
-        Optional RNG seed.
-    kwargs:
-        Extra generator-specific parameters (``alpha``, ``hot_fraction``,
-        ``hot_probability``).
-    """
-    kind = kind.lower()
-    if kind == "uniform":
-        return UniformGenerator(num_rows, seed=seed)
-    if kind == "zipf":
-        return ZipfGenerator(num_rows, seed=seed, **kwargs)
-    if kind == "hotset":
-        return HotSetGenerator(num_rows, seed=seed, **kwargs)
-    raise ValueError("unknown index generator kind: %r" % (kind,))

@@ -1,96 +1,6 @@
-"""Small statistics helpers shared by the performance models and benches."""
+"""Speedup composition shared by the end-to-end performance models."""
 
 import math
-
-
-class RunningStats:
-    """Online mean / variance / min / max accumulator (Welford's algorithm)."""
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value):
-        """Add one observation."""
-        value = float(value)
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    def extend(self, values):
-        """Add an iterable of observations."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self):
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self):
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self):
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self):
-        return self._min if self.count else 0.0
-
-    @property
-    def maximum(self):
-        return self._max if self.count else 0.0
-
-    def as_dict(self):
-        """Return the summary statistics as a plain dictionary."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-
-def percentile(values, q):
-    """Return the ``q``-th percentile (0-100) of ``values`` by linear
-    interpolation.  Implemented locally so the helper has no numpy dependency
-    for callers handing in plain lists."""
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100], got %r" % (q,))
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("cannot take percentile of empty sequence")
-    if len(data) == 1:
-        return data[0]
-    rank = (q / 100.0) * (len(data) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return data[low]
-    frac = rank - low
-    return data[low] * (1.0 - frac) + data[high] * frac
-
-
-def geometric_mean(values):
-    """Geometric mean of a sequence of positive values."""
-    data = [float(v) for v in values]
-    if not data:
-        raise ValueError("cannot take geometric mean of empty sequence")
-    if any(v <= 0 for v in data):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in data) / len(data))
 
 
 def weighted_harmonic_speedup(fractions, speedups):

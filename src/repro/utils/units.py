@@ -1,4 +1,4 @@
-"""Unit constants and conversion helpers used across the simulator."""
+"""Unit constants used across the simulator."""
 
 KILO = 1_000
 MEGA = 1_000_000
@@ -8,32 +8,3 @@ KB = 1024
 MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
 
-
-def ns_to_cycles(time_ns, clock_mhz):
-    """Convert a duration in nanoseconds to (integer, rounded-up) clock cycles.
-
-    Parameters
-    ----------
-    time_ns:
-        Duration in nanoseconds.
-    clock_mhz:
-        Clock frequency in MHz.
-    """
-    if time_ns < 0:
-        raise ValueError("time_ns must be non-negative, got %r" % (time_ns,))
-    if clock_mhz <= 0:
-        raise ValueError("clock_mhz must be positive, got %r" % (clock_mhz,))
-    cycles = time_ns * clock_mhz / 1_000.0
-    return int(-(-cycles // 1))  # ceil for integer cycle counts
-
-
-def cycles_to_ns(cycles, clock_mhz):
-    """Convert clock cycles back to nanoseconds (float)."""
-    if clock_mhz <= 0:
-        raise ValueError("clock_mhz must be positive, got %r" % (clock_mhz,))
-    return cycles * 1_000.0 / clock_mhz
-
-
-def bytes_to_mb(n_bytes):
-    """Convert a byte count to mebibytes (float)."""
-    return n_bytes / float(MB)

@@ -111,21 +111,19 @@ class TestDeterminismRule:
             """, rules=["determinism"])
         assert [f.line for f in findings] == [4]
 
-    def test_wallclock_allowed_in_obs_profiling_only(self, tmp_path):
-        src = """\
+    @pytest.mark.parametrize("path", ["repro/obs/profiling.py",
+                                      "repro/obs/tracing.py",
+                                      "repro/serving/profiling.py",
+                                      "repro/core/profiling.py",
+                                      "repro/dram/profiling.py"])
+    def test_wallclock_has_no_carve_out(self, tmp_path, path):
+        _, findings = lint_snippet(tmp_path, path, """\
             import time
 
             def tick():
                 return time.perf_counter()
-            """
-        _, exempt = lint_snippet(tmp_path, "repro/obs/profiling.py",
-                                 src, rules=["determinism"])
-        assert exempt == []
-        # The carve-out is the file, not the name: a profiling.py in a
-        # sim package is still flagged.
-        _, sim = lint_snippet(tmp_path, "repro/serving/profiling.py",
-                              src, rules=["determinism"])
-        assert [f.line for f in sim] == [4]
+            """, rules=["determinism"])
+        assert [f.line for f in findings] == [4]
 
     def test_bare_set_iteration(self, tmp_path):
         _, findings = lint_snippet(tmp_path, "mod.py", """\
@@ -437,19 +435,26 @@ class TestRegistryConsistencyRule:
         assert findings == []
 
     def test_undocumented_unexposed_entry_fires(self, monkeypatch):
-        from repro.serving import sharding
+        from repro.serving import slo
+        from repro.serving.sharding import ReplicatedTableSharder
 
-        def _place_bogus(table_loads, num_nodes):
-            return {table: 0 for table in table_loads}
+        class BogusPolicy:
+            pass
 
-        monkeypatch.setitem(sharding.PLACEMENT_POLICIES, "bogus",
-                            _place_bogus)
+        # An unexposed placement policy and an undocumented SLO policy:
+        # one finding each.
+        monkeypatch.setattr(ReplicatedTableSharder, "POLICIES",
+                            ReplicatedTableSharder.POLICIES + ("bogus",))
+        monkeypatch.setitem(slo.SLO_POLICIES, "bogus", BogusPolicy)
         findings = lint_paths([self.REGISTRY_FILE],
                               rules=["registry-consistency"])
-        messages = [f.message for f in findings]
-        assert any("no docstring" in m for m in messages)
-        assert any("missing from the CLI --shard-policy choices" in m
-                   for m in messages)
+        messages = sorted(f.message for f in findings)
+        assert len(messages) == 2
+        assert "SLO policy 'bogus' (BogusPolicy) has no docstring" \
+            in messages[0]
+        assert messages[1] == ("placement policy 'bogus' is registered "
+                               "but missing from the CLI --shard-policy "
+                               "choices")
 
 
 # --------------------------------------------------------------------- #

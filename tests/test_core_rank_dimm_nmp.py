@@ -114,15 +114,6 @@ class TestRankNMP:
         assert rank.stats.instructions == 0
         assert rank.cache.occupancy == 0
 
-    def test_decode_bank_row_ranges(self):
-        rank = RankNMP()
-        for daddr in (0, 1, 127, 128, 5000, (1 << 32) - 1):
-            bank_group, bank, row, column = rank.decode_bank_row(daddr)
-            assert 0 <= bank_group < 4
-            assert 0 <= bank < 4
-            assert 0 <= column < 128
-            assert row >= 0
-
     def test_arrival_cycles_respected(self):
         rank = RankNMP(RankNMPConfig(use_cache=False))
         completion = rank.execute_instruction(_instructions(1)[0],
@@ -166,7 +157,8 @@ def _estimated_start(rank, instruction, arrival_cycle):
     if rank.cache is not None and instruction.locality_bit and \
             rank.cache.contains(instruction.daddr):
         return start
-    bank_group, bank_index, row, _ = rank.decode_bank_row(instruction.daddr)
+    bank_group, bank_index, row = kernels.pack_decoded(
+        rank.config, int(instruction.daddr))
     bank = rank.dram_rank.bank(bank_group, bank_index)
     if bank.is_row_hit(row):
         command = CommandType.RD

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.rank_cache import RankCache
 from repro.core.hot_entry import HotEntryProfiler
 from repro.core.instruction import NMPInstruction, NMPPacket
 from repro.core.scheduler import (
@@ -60,22 +61,71 @@ class TestPacketScheduler:
     def test_empty_schedule(self):
         assert PacketScheduler().schedule() == []
 
-    def test_locality_span_smaller_for_table_aware(self):
-        sources = [[_packet(t, 0, t * 10 + i) for i in range(5)]
-                   for t in range(4)]
-        fcfs = PacketScheduler(policy="fcfs")
-        aware = PacketScheduler(policy="table-aware")
-        for source in sources:
-            fcfs.add_source(source)
-            aware.add_source(source)
-        assert PacketScheduler.locality_span(aware.schedule()) < \
-            PacketScheduler.locality_span(fcfs.schedule())
-
     def test_clear(self):
         scheduler = PacketScheduler()
         scheduler.add_source([_packet(0, 0, 0)])
         scheduler.clear()
         assert scheduler.num_sources == 0
+
+    @pytest.mark.parametrize("policy, order", [
+        ("fcfs", fcfs_interleaved_order),
+        ("table-aware", table_aware_order),
+    ])
+    def test_schedule_follows_the_policy(self, policy, order):
+        sources = [[_packet(0, 0, 0), _packet(0, 1, 1)],
+                   [_packet(1, 0, 2)],
+                   [_packet(0, 0, 3), _packet(2, 0, 4), _packet(0, 1, 5)]]
+        scheduler = PacketScheduler(policy=policy)
+        for packets in sources:
+            scheduler.add_source(packets)
+        assert scheduler.num_sources == 3
+        assert scheduler.num_packets == 6
+        assert [p.packet_id for p in scheduler.schedule()] == \
+            [p.packet_id for p in order(sources)]
+
+    def test_add_source_copies_the_list(self):
+        packets = [_packet(0, 0, 0)]
+        scheduler = PacketScheduler()
+        scheduler.add_source(packets)
+        packets.append(_packet(0, 0, 1))
+        assert scheduler.num_packets == 1
+
+    def test_table_aware_keeps_models_apart(self):
+        a = [_packet(0, 0, 0, model_id=0), _packet(0, 0, 1, model_id=1)]
+        b = [_packet(0, 0, 2, model_id=0)]
+        order = table_aware_order([a, b])
+        assert [p.packet_id for p in order] == [0, 2, 1]
+
+    @given(sources=st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                           st.integers(0, 1)), max_size=6),
+        max_size=5),
+        policy=st.sampled_from(PacketScheduler.POLICIES))
+    @settings(max_examples=60, deadline=None)
+    def test_schedule_is_a_permutation(self, sources, policy):
+        """Both policies reorder packets and never drop or repeat one."""
+        packet_id = iter(range(10 ** 6))
+        packet_lists = [[_packet(table, batch, next(packet_id),
+                                 model_id=model)
+                         for table, batch, model in source]
+                        for source in sources]
+        scheduler = PacketScheduler(policy=policy)
+        for packets in packet_lists:
+            scheduler.add_source(packets)
+        issued = [p.packet_id for p in scheduler.schedule()]
+        assert sorted(issued) == list(range(scheduler.num_packets))
+        position = {pid: i for i, pid in enumerate(issued)}
+        for packets in packet_lists:
+            # Within one source, packets of one table/batch group issue
+            # in source order under either policy.
+            for key in sorted({(p.model_id, p.table_id, p.batch_index)
+                               for p in packets}):
+                ids = [position[p.packet_id] for p in packets
+                       if (p.model_id, p.table_id, p.batch_index) == key]
+                assert ids == sorted(ids)
+            if policy == "fcfs":
+                ids = [position[p.packet_id] for p in packets]
+                assert ids == sorted(ids)
 
 
 class TestHotEntryProfiler:
@@ -111,26 +161,51 @@ class TestHotEntryProfiler:
         with pytest.raises(ValueError):
             HotEntryProfiler(threshold=0)
 
-    def test_sweep_threshold_picks_best_hit_rate(self):
-        rng = np.random.default_rng(0)
-        hot = rng.integers(0, 20, size=600)          # heavy reuse of 20 rows
-        cold = rng.integers(20, 100_000, size=400)   # single-use rows
-        indices = np.concatenate([hot, cold])
-        rng.shuffle(indices)
-        cache = RankCache(capacity_bytes=64 * 64, vector_size_bytes=64)
-        best, results = HotEntryProfiler.sweep_threshold(
-            indices, cache, address_of=lambda row: row * 64,
-            thresholds=(1, 2, 4))
-        assert best in results
-        assert results[best] == max(results.values())
-        # Filtering single-use rows must beat caching everything.
-        assert results[best] >= results[1]
+    def test_empty_profile_has_no_hot_accesses(self):
+        profile = HotEntryProfiler(threshold=2).profile([])
+        assert profile.num_hot_rows == 0
+        assert profile.hot_access_fraction == 0.0
+        assert profile.hot_mask([]).shape == (0,)
 
-    def test_profiling_overhead_below_two_percent(self):
-        profiler = HotEntryProfiler()
-        overhead = profiler.profiling_overhead_fraction(batch_lookups=80_000)
-        assert overhead < 0.02
+    def test_profile_records_table_and_threshold(self):
+        profile = HotEntryProfiler(threshold=3).profile([7, 7, 7],
+                                                        table_id=5)
+        assert profile.table_id == 5
+        assert profile.threshold == 3
+        assert profile.access_counts == {7: 3}
 
-    def test_overhead_validation(self):
-        with pytest.raises(ValueError):
-            HotEntryProfiler().profiling_overhead_fraction(-1)
+    @given(indices=st.lists(st.integers(0, 20), max_size=60),
+           threshold=st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_mask_marks_exactly_the_hot_lookups(self, indices, threshold):
+        profile, mask = HotEntryProfiler(threshold).profile_with_mask(
+            indices)
+        expected = [indices.count(row) >= threshold for row in indices]
+        assert mask.dtype == np.bool_
+        assert mask.tolist() == expected
+        assert profile.hot_mask(indices).tolist() == expected
+        assert [profile.is_hot(row) for row in indices] == expected
+
+    @given(indices=st.lists(st.integers(0, 10), min_size=1, max_size=40),
+           threshold=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_higher_threshold_never_adds_hot_rows(self, indices, threshold):
+        lower = HotEntryProfiler(threshold).profile(indices)
+        higher = HotEntryProfiler(threshold + 1).profile(indices)
+        assert higher.hot_rows <= lower.hot_rows
+        assert higher.hot_access_fraction <= lower.hot_access_fraction
+
+    def test_request_masks_use_the_batch_wide_profile(self):
+        """Row 2 repeats only across table 1's two requests; each
+        request's mask is its own slice of the table-wide mask."""
+        requests = [
+            SLSRequest(table_id=1, indices=[2, 3], lengths=[2]),
+            SLSRequest(table_id=0, indices=[2, 9], lengths=[2]),
+            SLSRequest(table_id=1, indices=[4, 2, 2], lengths=[3]),
+        ]
+        profiles, masks = HotEntryProfiler(
+            threshold=2).profile_requests_with_masks(requests)
+        assert sorted(profiles) == [0, 1]
+        assert [mask.tolist() for mask in masks] == [
+            [True, False], [False, False], [False, True, True]]
+        assert profiles[1].access_counts == {2: 3, 3: 1, 4: 1}

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.address_mapping import (
-    InterleavedVectorMapping,
-    MemoryGeometry,
-    PageColoringMapping,
-    SimplePageMapper,
-    SkylakeAddressMapping,
-)
+from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
 
 
 class TestMemoryGeometry:
@@ -68,72 +62,76 @@ class TestSkylakeMapping:
         assert 0 <= decoded.row < g.rows_per_bank
 
 
-class TestPageColoring:
-    def test_explicit_color_pins_rank(self):
-        mapping = PageColoringMapping()
-        mapping.assign_color(0, 1)
-        decoded = mapping.map(100)        # inside page frame 0
-        assert decoded.rank_global(mapping.geometry.ranks_per_dimm) == 1
+#: Small power-of-two geometries (a few thousand 64 B blocks each) whose
+#: whole address space can be enumerated.
+SMALL_GEOMETRIES = {
+    "1ch-1rank": MemoryGeometry(num_channels=1, dimms_per_channel=1,
+                                ranks_per_dimm=1, bank_groups=2,
+                                banks_per_group=2, rows_per_bank=16,
+                                columns_per_row=8),
+    "2ch-2dimm-2rank": MemoryGeometry(num_channels=2, dimms_per_channel=2,
+                                      ranks_per_dimm=2, bank_groups=4,
+                                      banks_per_group=4, rows_per_bank=8,
+                                      columns_per_row=4),
+    "4ch-table1-shape": MemoryGeometry(rows_per_bank=8, columns_per_row=8),
+}
 
-    def test_whole_page_same_rank(self):
-        mapping = PageColoringMapping()
-        mapping.assign_color(3, 0)
-        base = 3 * 4096
-        ranks = {mapping.map(base + offset).rank_global(
-            mapping.geometry.ranks_per_dimm) for offset in range(0, 4096, 64)}
-        assert ranks == {0}
-
-    def test_default_round_robin(self):
-        mapping = PageColoringMapping()
-        colors = {mapping.color_of_page(p) for p in range(8)}
-        assert colors == {0, 1}
-
-    def test_rejects_invalid_rank(self):
-        with pytest.raises(ValueError):
-            PageColoringMapping().assign_color(0, 99)
+GEOMETRY_FIELDS = ("num_channels", "dimms_per_channel", "ranks_per_dimm",
+                   "bank_groups", "banks_per_group", "rows_per_bank",
+                   "columns_per_row", "column_size_bytes", "page_size_bytes")
 
 
-class TestInterleavedVectorMapping:
-    def test_consecutive_blocks_rotate_dimms(self):
-        geometry = MemoryGeometry(dimms_per_channel=4)
-        mapping = InterleavedVectorMapping(geometry)
-        dimms = [mapping.map(64 * i).dimm for i in range(4)]
-        assert dimms == [0, 1, 2, 3]
-
-    def test_small_vector_stays_on_one_dimm(self):
-        geometry = MemoryGeometry(dimms_per_channel=4)
-        mapping = InterleavedVectorMapping(geometry)
-        # A 64 B vector occupies exactly one block and therefore one DIMM --
-        # TensorDIMM's limitation with small embedding vectors.
-        first = mapping.map(0)
-        second = mapping.map(63)
-        assert first.dimm == second.dimm
+def _coordinates(decoded):
+    return (decoded.channel, decoded.dimm, decoded.rank, decoded.bank_group,
+            decoded.bank, decoded.row, decoded.column)
 
 
-class TestSimplePageMapper:
-    def test_deterministic(self):
-        a = SimplePageMapper(seed=3)
-        b = SimplePageMapper(seed=3)
-        addresses = [4096 * i + 7 for i in range(50)]
-        assert [a.translate(x) for x in addresses] == \
-            [b.translate(x) for x in addresses]
+class TestMemoryGeometryDerived:
+    @pytest.mark.parametrize("field", GEOMETRY_FIELDS)
+    def test_every_field_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=field):
+            MemoryGeometry(**{field: 0})
 
-    def test_offset_preserved(self):
-        mapper = SimplePageMapper(seed=0)
-        physical = mapper.translate(4096 + 123)
-        assert physical % 4096 == 123
+    @pytest.mark.parametrize("name", sorted(SMALL_GEOMETRIES))
+    def test_capacity_is_the_product_of_the_fields(self, name):
+        g = SMALL_GEOMETRIES[name]
+        assert g.ranks_per_channel == g.dimms_per_channel * g.ranks_per_dimm
+        assert g.total_ranks == g.num_channels * g.ranks_per_channel
+        assert g.bytes_per_rank == (g.bank_groups * g.banks_per_group
+                                   * g.rows_per_bank * g.row_size_bytes)
+        assert g.total_bytes == g.bytes_per_rank * g.total_ranks
 
-    def test_same_page_same_frame(self):
-        mapper = SimplePageMapper(seed=0)
-        first = mapper.translate(8192)
-        second = mapper.translate(8192 + 100)
-        assert second - first == 100
 
-    def test_distinct_pages_get_distinct_frames(self):
-        mapper = SimplePageMapper(seed=1)
-        frames = {mapper.translate(4096 * i) // 4096 for i in range(200)}
-        assert len(frames) == 200
+class TestSkylakeMappingBijection:
+    @pytest.mark.parametrize("name", sorted(SMALL_GEOMETRIES))
+    def test_blocks_map_one_to_one_onto_coordinates(self, name):
+        """The XOR bank hash permutes banks within a row, so every block
+        of the capacity lands on its own DRAM coordinate."""
+        geometry = SMALL_GEOMETRIES[name]
+        mapping = SkylakeAddressMapping(geometry)
+        num_blocks = geometry.total_bytes // geometry.column_size_bytes
+        seen = {_coordinates(mapping.map(block * geometry.column_size_bytes))
+                for block in range(num_blocks)}
+        assert len(seen) == num_blocks
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SimplePageMapper().translate(-5)
+    @pytest.mark.parametrize("name", sorted(SMALL_GEOMETRIES))
+    def test_addresses_wrap_at_capacity(self, name):
+        geometry = SMALL_GEOMETRIES[name]
+        mapping = SkylakeAddressMapping(geometry)
+        for address in range(0, geometry.total_bytes, 64 * 7 + 64):
+            assert mapping.map(address + geometry.total_bytes) == \
+                mapping.map(address)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GEOMETRIES))
+    def test_channel_stride_stays_in_one_row(self, name):
+        """Blocks ``num_channels`` apart walk the columns of one open row:
+        the row-buffer locality the column-low bit order keeps."""
+        geometry = SMALL_GEOMETRIES[name]
+        mapping = SkylakeAddressMapping(geometry)
+        stride = geometry.num_channels * geometry.column_size_bytes
+        decoded = [mapping.map(column * stride)
+                   for column in range(geometry.columns_per_row)]
+        assert [d.column for d in decoded] == \
+            list(range(geometry.columns_per_row))
+        assert len({(d.channel, d.dimm, d.rank, d.bank_group, d.bank, d.row)
+                    for d in decoded}) == 1

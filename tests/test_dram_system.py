@@ -5,9 +5,7 @@ import random
 
 import pytest
 
-from repro.dram.address_mapping import (InterleavedVectorMapping,
-                                        PageColoringMapping,
-                                        SkylakeAddressMapping)
+from repro.dram.address_mapping import SkylakeAddressMapping
 from repro.dram.controller import MemoryController
 from repro.dram.energy import DramEnergyModel, DramEnergyParameters
 from repro.dram.system import DramSystem, DramSystemConfig
@@ -74,42 +72,17 @@ class TestDramSystemExecution:
         assert result.energy_breakdown["activate_nj"] > 0
 
 
-#: 2 channels x 2 DIMMs x 2 ranks, so every mapping spreads a trace over
-#: channels, DIMMs and ranks.
-DECODE_CONFIG = DramSystemConfig(num_channels=2, dimms_per_channel=2,
-                                 ranks_per_dimm=2)
-
-
-def _page_coloring(geometry):
-    # Pin every third page of the first 4 MiB to the channel's last rank.
-    colors = {frame: geometry.ranks_per_channel - 1
-              for frame in range(0, 1024, 3)}
-    return PageColoringMapping(geometry, page_colors=colors)
-
-
-MAPPINGS = {
-    "skylake": SkylakeAddressMapping,
-    "page-coloring": _page_coloring,
-    "interleaved": InterleavedVectorMapping,
+#: Populations the decode-once handoff must hold on: one rank only, a
+#: trace spread over channels, DIMMs and ranks, the Table I default and an
+#: odd channel count (the channel field is not a power of two).
+DECODE_CONFIGS = {
+    "1ch-1dimm-1rank": DramSystemConfig(num_channels=1, dimms_per_channel=1,
+                                        ranks_per_dimm=1),
+    "2ch-2dimm-2rank": DramSystemConfig(num_channels=2, dimms_per_channel=2,
+                                        ranks_per_dimm=2),
+    "table1": DramSystemConfig(),
+    "3ch-1dimm-2rank": DramSystemConfig(num_channels=3),
 }
-
-
-def _counting_factory(make, calls):
-    """A mapping factory whose mappings count their ``map`` calls."""
-    geometry = DECODE_CONFIG.geometry()
-
-    def factory():
-        mapping = make(geometry)
-        decode = mapping.map
-
-        def counted(physical_address):
-            calls.append(physical_address)
-            return decode(physical_address)
-
-        mapping.map = counted
-        return mapping
-
-    return factory
 
 
 def _decode_trace():
@@ -119,33 +92,37 @@ def _decode_trace():
 
 class TestDecodeOnce:
     @pytest.mark.parametrize("request_bytes", [64, 256])
-    @pytest.mark.parametrize("mapping", sorted(MAPPINGS))
-    def test_run_trace_maps_each_burst_once(self, mapping, request_bytes):
+    @pytest.mark.parametrize("config", sorted(DECODE_CONFIGS))
+    def test_run_trace_maps_each_burst_once(self, monkeypatch, config,
+                                            request_bytes):
         calls = []
-        system = DramSystem(DECODE_CONFIG, address_mapping_factory=(
-            _counting_factory(MAPPINGS[mapping], calls)))
+        decode = SkylakeAddressMapping.map
+
+        def counted(self, physical_address):
+            calls.append(physical_address)
+            return decode(self, physical_address)
+
+        monkeypatch.setattr(SkylakeAddressMapping, "map", counted)
         addresses = _decode_trace()
-        result = system.run_trace(addresses, request_bytes=request_bytes,
-                                  outstanding_per_channel=8)
+        result = DramSystem(DECODE_CONFIGS[config]).run_trace(
+            addresses, request_bytes=request_bytes,
+            outstanding_per_channel=8)
         bursts = [address + 64 * burst for address in addresses
                   for burst in range(request_bytes // 64)]
         assert result.requests == len(bursts)
         assert sorted(calls) == sorted(bursts)
 
     @pytest.mark.parametrize("outstanding", [None, 4])
-    @pytest.mark.parametrize("mapping", ["page-coloring", "interleaved"])
+    @pytest.mark.parametrize("config", sorted(DECODE_CONFIGS))
     def test_decoded_handoff_matches_the_enqueue_path(self, monkeypatch,
-                                                      mapping, outstanding):
+                                                      config, outstanding):
         """Results are those of decoding each burst at admission, as
         ``enqueue`` does, with the channel controller's own mapping."""
-        geometry = DECODE_CONFIG.geometry()
 
         def run():
-            system = DramSystem(
-                DECODE_CONFIG,
-                address_mapping_factory=lambda: MAPPINGS[mapping](geometry))
-            result = system.run_trace(_decode_trace(), request_bytes=128,
-                                      outstanding_per_channel=outstanding)
+            result = DramSystem(DECODE_CONFIGS[config]).run_trace(
+                _decode_trace(), request_bytes=128,
+                outstanding_per_channel=outstanding)
             return (result.as_dict(),
                     [dataclasses.asdict(stats)
                      for stats in result.per_channel_stats])
@@ -156,7 +133,7 @@ class TestDecodeOnce:
             MemoryController, "_submit",
             lambda self, request, address: submit(self, request, None))
         assert run() == decoded_once
-        assert len(decoded_once[1]) == DECODE_CONFIG.num_channels
+        assert len(decoded_once[1]) == DECODE_CONFIGS[config].num_channels
 
 
 class TestDramEnergyModel:

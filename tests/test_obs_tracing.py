@@ -29,7 +29,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     chrome_trace,
-    format_trace_summary,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -71,6 +70,13 @@ def _columns(traces, num_queries=NUM_QUERIES):
 
 def _cluster():
     return ShardedServingCluster(num_nodes=2, node_system="recnmp-opt")
+
+
+def _stage_sum(spans):
+    """Batching + queue + service time of every query."""
+    return ((spans["formed_us"] - spans["arrival_us"])
+            + (spans["start_us"] - spans["formed_us"])
+            + (spans["complete_us"] - spans["start_us"]))
 
 
 def _traced_run(traces, engine, **kwargs):
@@ -127,10 +133,7 @@ class TestSpanReconstruction:
     def test_span_sums_reconcile_with_latencies(self, traces):
         tracer, _ = _traced_run(traces, "event")
         spans = tracer.query_spans()
-        durations = tracer.span_durations_us()
-        total = (durations["batching"] + durations["queue"]
-                 + durations["service"])
-        assert np.allclose(total, spans["latency_us"],
+        assert np.allclose(_stage_sum(spans), spans["latency_us"],
                            rtol=1e-9, atol=1e-6)
 
     def test_timestamps_monotone_through_lifecycle(self, traces):
@@ -163,27 +166,14 @@ class TestSpanReconstruction:
 
     def test_node_accounting_from_routing_replay(self, traces):
         tracer, _ = _traced_run(traces, "event")
-        counts = tracer.node_batch_counts()
-        assert counts.sum() >= tracer.capture.num_batches
         busy = tracer.node_busy_us()
-        assert busy.shape == counts.shape
+        assert busy.shape == (tracer.num_nodes,)
         assert np.all(busy >= 0)
         assert np.all(tracer.node_utilization() >= 0)
-
-    def test_summary_is_json_safe_and_formats(self, traces):
-        tracer, report = _traced_run(traces, "event")
-        summary = tracer.summary()
-        json.dumps(summary, allow_nan=False)
-        assert summary["num_queries"] == report.num_queries
-        assert summary["engine"] == "event"
-        assert not summary["approximate"]
-        text = format_trace_summary(summary)
-        assert "batching" in text and "service" in text
 
     def test_analytic_capture_is_marked_approximate(self, traces):
         tracer, _ = _traced_run(traces, "analytic")
         assert tracer.capture.approximate
-        assert tracer.summary()["approximate"]
         validate_chrome_trace(chrome_trace(tracer))
 
     def test_tracer_is_single_use(self, traces):
@@ -316,11 +306,8 @@ class TestAcceptance100kEDF:
         assert report.num_queries == num_queries
         spans = tracer.query_spans()
         assert spans["query_id"].size == num_queries
-        durations = tracer.span_durations_us()
-        total = (durations["batching"] + durations["queue"]
-                 + durations["service"])
         # Per-query span sums reconcile with the reported latencies.
-        assert np.allclose(total, spans["latency_us"],
+        assert np.allclose(_stage_sum(spans), spans["latency_us"],
                            rtol=1e-9, atol=1e-6)
         # And the aggregate view agrees with the report's percentiles.
         assert np.percentile(spans["latency_us"], 99.0) \

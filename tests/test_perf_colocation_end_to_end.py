@@ -129,18 +129,6 @@ class TestEndToEnd:
         assert result.end_to_end_speedup < 1.0 / (1.0 - result.sls_fraction) \
             + 1e-6
 
-    def test_rank_config_speedups(self):
-        model = EndToEndModel()
-        results = model.rank_config_speedups(
-            RM2_LARGE, 256, {"2-rank": 1.9, "4-rank": 3.8, "8-rank": 9.8})
-        assert results["8-rank"].end_to_end_speedup > \
-            results["2-rank"].end_to_end_speedup
-
-    def test_sweep_shape(self):
-        model = EndToEndModel()
-        rows = model.speedup_sweep([RM1_SMALL, RM2_LARGE], [8, 256], 9.8)
-        assert len(rows) == 4
-
     def test_validation(self):
         with pytest.raises(ValueError):
             EndToEndModel().speedup(RM1_SMALL, 8, sls_speedup=0)

@@ -121,12 +121,6 @@ class TestBandwidthSaturation:
         assert model.achieved_bandwidth_gbps(0, 256) == 0.0
         assert model.access_latency_ns(0, 256) == model.unloaded_latency_ns
 
-    def test_sweep_structure(self):
-        model = BandwidthSaturationModel()
-        surface = model.sweep([1, 10], [8, 256])
-        assert set(surface) == {8, 256}
-        assert len(surface[8]) == 2
-
     def test_validation(self):
         model = BandwidthSaturationModel()
         with pytest.raises(ValueError):
@@ -168,11 +162,6 @@ class TestOperatorLatency:
         model = OperatorLatencyModel()
         assert model.sls_time_us(RM1_LARGE, 64, bandwidth_scale=2.0) == \
             pytest.approx(model.sls_time_us(RM1_LARGE, 64) / 2.0)
-
-    def test_breakdown_sweep_covers_grid(self):
-        model = OperatorLatencyModel()
-        rows = model.breakdown_sweep([RM1_SMALL, RM2_LARGE], [8, 64])
-        assert len(rows) == 4
 
     def test_fractions_sum_to_one(self):
         breakdown = OperatorLatencyModel().breakdown(RM1_LARGE, 64)

@@ -1,11 +1,14 @@
 """Tests for replication-aware sharding and load-aware placement."""
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dlrm.operators import SLSRequest
 from repro.serving import (
-    PLACEMENT_POLICIES,
     BatchingFrontend,
     PoissonArrivalProcess,
     ReplicatedTableSharder,
@@ -13,7 +16,6 @@ from repro.serving import (
     TableSharder,
     compute_table_loads,
     load_imbalance,
-    place_tables,
     queries_from_traces,
     table_loads_from_queries,
 )
@@ -80,38 +82,93 @@ class TestTableLoads:
             load_imbalance([])
 
 
+def lpt_placement(loads, num_nodes):
+    """Longest-processing-time-first oracle: heaviest table (lowest id on
+    ties) onto the least-loaded node (lowest index on ties)."""
+    heap = [(0.0, node) for node in range(num_nodes)]
+    placement = {}
+    for load, table in sorted((-load, table)
+                              for table, load in loads.items()):
+        node_load, node = heapq.heappop(heap)
+        placement[table] = node
+        heapq.heappush(heap, (node_load - load, node))
+    return placement
+
+
+LOAD_MAPS = st.dictionaries(
+    st.integers(0, 200),
+    st.one_of(st.integers(0, 20).map(float),
+              st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=30)
+
+
 class TestPlacementPolicies:
     def test_registry_names(self):
-        assert sorted(PLACEMENT_POLICIES) == ["hash", "load-aware",
-                                              "round-robin"]
-
-    def test_round_robin_and_hash_match_table_sharder(self):
-        sharder = TableSharder(4, policy="hash")
-        placement = place_tables(SKEWED_LOADS, 4, policy="hash")
-        assert placement == sharder.placement(SKEWED_LOADS)
-        placement = place_tables(SKEWED_LOADS, 4, policy="round-robin")
-        assert placement == TableSharder(4).placement(SKEWED_LOADS)
+        assert ReplicatedTableSharder.POLICIES == ("hash", "load-aware",
+                                                   "round-robin")
 
     def test_load_aware_beats_round_robin_on_skew(self):
         for num_nodes in (2, 3, 4):
             nodes_rr = [0.0] * num_nodes
             nodes_la = [0.0] * num_nodes
-            la = place_tables(SKEWED_LOADS, num_nodes, "load-aware")
-            rr = place_tables(SKEWED_LOADS, num_nodes, "round-robin")
+            la = ReplicatedTableSharder(num_nodes, SKEWED_LOADS,
+                                        max_replicas=1)
+            rr = TableSharder(num_nodes)
             for table, load in SKEWED_LOADS.items():
-                nodes_rr[rr[table]] += load
-                nodes_la[la[table]] += load
+                nodes_rr[rr.node_of_table(table)] += load
+                nodes_la[la.replica_nodes(table)[0]] += load
             assert load_imbalance(nodes_la) <= load_imbalance(nodes_rr)
 
     def test_load_aware_is_deterministic(self):
-        first = place_tables(SKEWED_LOADS, 4, "load-aware")
-        second = place_tables(dict(reversed(list(SKEWED_LOADS.items()))),
-                              4, "load-aware")
-        assert first == second
+        first = ReplicatedTableSharder(4, SKEWED_LOADS)
+        second = ReplicatedTableSharder(
+            4, dict(reversed(list(SKEWED_LOADS.items()))))
+        assert first.replicas == second.replicas
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            place_tables(SKEWED_LOADS, 4, "nope")
+    @given(num_nodes=st.integers(1, 9), loads=LOAD_MAPS,
+           policy=st.sampled_from(["round-robin", "hash"]))
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_primaries_equal_table_sharder(self, num_nodes, loads,
+                                                 policy):
+        sharder = ReplicatedTableSharder(num_nodes, loads, policy=policy,
+                                         max_replicas=1)
+        single = TableSharder(num_nodes, policy)
+        assert sharder.replicas == {
+            table: (single.node_of_table(table),) for table in loads}
+
+    @given(num_nodes=st.integers(1, 9), loads=LOAD_MAPS)
+    @settings(max_examples=150, deadline=None)
+    def test_load_aware_equals_lpt(self, num_nodes, loads):
+        sharder = ReplicatedTableSharder(num_nodes, loads,
+                                         policy="load-aware",
+                                         max_replicas=1)
+        assert sharder.replicas == {
+            table: (node,)
+            for table, node in lpt_placement(loads, num_nodes).items()}
+
+    @given(num_nodes=st.integers(1, 9), loads=LOAD_MAPS,
+           policy=st.sampled_from(["round-robin", "hash"]),
+           max_replicas=st.integers(2, 5),
+           hot_fraction=st.floats(0.05, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_replicas_follow_the_primary(self, num_nodes, loads, policy,
+                                         max_replicas, hot_fraction):
+        sharder = ReplicatedTableSharder(
+            num_nodes, loads, policy=policy, max_replicas=max_replicas,
+            hot_fraction=hot_fraction)
+        single = TableSharder(num_nodes, policy)
+        for table in loads:
+            nodes = sharder.replica_nodes(table)
+            assert 1 <= len(nodes) <= min(max_replicas, num_nodes)
+            primary = single.node_of_table(table)
+            assert nodes == tuple(sorted(
+                (primary + offset) % num_nodes
+                for offset in range(len(nodes))))
+
+    @pytest.mark.parametrize("policy", ReplicatedTableSharder.POLICIES)
+    def test_negative_table_id_rejected(self, policy):
+        with pytest.raises(ValueError, match="-1"):
+            ReplicatedTableSharder(2, {-1: 5.0, 0: 1.0}, policy=policy)
 
 
 class TestReplicationFactors:
@@ -284,6 +341,110 @@ class TestSkewedPlacementProperty:
             assert replicated <= round_robin + 1e-9
 
 
+class TestTableSharder:
+    @pytest.mark.parametrize("policy", TableSharder.POLICIES)
+    def test_negative_table_id_rejected(self, policy):
+        with pytest.raises(ValueError, match="non-negative"):
+            TableSharder(3, policy).node_of_table(-1)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            TableSharder(0)
+        with pytest.raises(ValueError, match="round-robin"):
+            TableSharder(2, policy="load-aware")
+
+    @pytest.mark.parametrize("policy", TableSharder.POLICIES)
+    def test_shard_load_and_partition_agree(self, policy):
+        sharder = TableSharder(3, policy)
+        requests = make_requests([0, 5, 5, 9, 12, 1], lookups_per_request=4)
+        partitions = sharder.partition_requests(requests)
+        assert [sum(r.total_lookups for r in part) for part in partitions] \
+            == sharder.shard_load(requests)
+        assert sharder.placement([0, 5]) == {
+            0: sharder.node_of_table(0), 5: sharder.node_of_table(5)}
+        assert sharder.describe() == "%s over 3 nodes" % policy
+
+
+class TestReplicaInvariants:
+    @given(num_nodes=st.integers(1, 9), loads=LOAD_MAPS,
+           policy=st.sampled_from(ReplicatedTableSharder.POLICIES),
+           max_replicas=st.integers(1, 5),
+           hot_fraction=st.floats(0.05, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_replicas_are_distinct_sorted_nodes(self, num_nodes, loads,
+                                                policy, max_replicas,
+                                                hot_fraction):
+        sharder = ReplicatedTableSharder(
+            num_nodes, loads, policy=policy, max_replicas=max_replicas,
+            hot_fraction=hot_fraction)
+        assert set(sharder.replicas) == set(loads)
+        for table, nodes in sharder.replicas.items():
+            assert nodes == tuple(sorted(set(nodes)))
+            assert all(0 <= node < num_nodes for node in nodes)
+            assert sharder.replication_factor(table) == len(nodes)
+            assert len(nodes) <= min(max_replicas, num_nodes)
+        assert sharder.placement(loads) == {
+            table: nodes[0] for table, nodes in sharder.replicas.items()}
+
+    @given(num_nodes=st.integers(1, 6), loads=LOAD_MAPS,
+           policy=st.sampled_from(ReplicatedTableSharder.POLICIES),
+           pattern=st.lists(st.integers(0, 210), min_size=1, max_size=40),
+           seed=st.integers(0, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_routing_stays_on_replicas(self, num_nodes, loads, policy,
+                                       pattern, seed):
+        sharder = ReplicatedTableSharder(num_nodes, loads, policy=policy,
+                                         max_replicas=3, hot_fraction=0.1,
+                                         seed=seed)
+        requests = make_requests(pattern, lookups_per_request=2)
+        preview = sharder.assign_requests(requests, commit=False)
+        assignment = sharder.assign_requests(requests)
+        # A dry run answers exactly what the committed run then does.
+        assert preview == assignment
+        for request, node in zip(requests, assignment):
+            assert node in sharder.replica_nodes(request.table_id)
+        # Every routed lookup is counted once, on the node it went to.
+        assert sum(sharder.routing_state()) == pytest.approx(
+            sum(r.total_lookups for r in requests))
+
+    def test_overhead_is_charged_per_routed_request(self):
+        sharder = ReplicatedTableSharder(2, SKEWED_LOADS,
+                                         request_overhead_lookups=5.0)
+        requests = make_requests([0, 1, 2], lookups_per_request=4)
+        sharder.assign_requests(requests)
+        assert sum(sharder.routing_state()) == pytest.approx(3 * (4 + 5.0))
+
+    def test_zero_loads_never_replicate(self):
+        sharder = ReplicatedTableSharder(4, {0: 0.0, 1: 0.0, 2: 0.0},
+                                         max_replicas=4, hot_fraction=0.05)
+        assert all(len(nodes) == 1 for nodes in sharder.replicas.values())
+
+    def test_negative_load_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ReplicatedTableSharder(2, {0: 1.0, 1: -1.0})
+
+    def test_from_traces_uses_trace_lengths(self):
+        traces = make_production_table_traces(
+            num_lookups_per_table=200, num_rows=NUM_ROWS, num_tables=5,
+            seed=0)
+        built = ReplicatedTableSharder.from_traces(4, traces,
+                                                   max_replicas=3)
+        direct = ReplicatedTableSharder(4, compute_table_loads(traces),
+                                        max_replicas=3)
+        assert built.replicas == direct.replicas
+
+    @pytest.mark.parametrize("policy", ReplicatedTableSharder.POLICIES)
+    def test_describe_counts_replicated_tables(self, policy):
+        sharder = ReplicatedTableSharder(4, SKEWED_LOADS, policy=policy,
+                                         max_replicas=3, hot_fraction=0.2)
+        replicated = sum(1 for nodes in sharder.replicas.values()
+                         if len(nodes) > 1)
+        assert replicated >= 1
+        assert sharder.describe() == (
+            "%s over 4 nodes, %d/8 tables replicated (<=3 replicas)"
+            % (policy, replicated))
+
+
 class TestClusterIntegration:
     def make_cluster(self, sharder=None, **overrides):
         return ShardedServingCluster(
@@ -394,108 +555,6 @@ class TestPerTableQueryShapes:
         with pytest.raises(ValueError):
             queries_from_traces(traces, 2, [0.0, 1.0],
                                 batch_size=[2, 2], pooling_factor=4)
-
-
-class TestCapacityConstrainedReplication:
-    LOADS = {0: 100.0, 1: 50.0, 2: 25.0, 3: 10.0}
-    BYTES = {0: 10.0, 1: 10.0, 2: 10.0, 3: 10.0}
-
-    def build(self, budget, **overrides):
-        kwargs = dict(policy="load-aware", max_replicas=2,
-                      hot_fraction=0.2, table_bytes=self.BYTES,
-                      node_capacity_bytes=budget)
-        kwargs.update(overrides)
-        return ReplicatedTableSharder(2, self.LOADS, **kwargs)
-
-    def test_budget_respected_and_replication_survives(self):
-        sharder = self.build(30.0)
-        for used, budget in zip(sharder.node_bytes(), (30.0, 30.0)):
-            assert used <= budget
-        # Both hot tables (0 and 1 exceed hot_fraction 0.2) keep their
-        # two replicas: the budget holds 3 tables per node.
-        assert sharder.replication_factor(0) == 2
-        assert sharder.replication_factor(1) == 2
-        # Every table is placed exactly once per replica.
-        placed = sorted(sharder.replicas)
-        assert placed == [0, 1, 2, 3]
-
-    def test_tight_budget_shrinks_replication_not_placement(self):
-        # 20 bytes/node holds exactly one copy of every table and
-        # nothing else: replication silently degrades to factor 1.
-        sharder = self.build(20.0)
-        for table in self.LOADS:
-            assert sharder.replication_factor(table) == 1
-        assert sorted(sharder.node_bytes()) == [20.0, 20.0]
-
-    def test_unconstrained_placement_unchanged(self):
-        """Passing table sizes without a budget keeps the legacy path."""
-        legacy = ReplicatedTableSharder(2, self.LOADS, policy="load-aware",
-                                        max_replicas=2, hot_fraction=0.2)
-        sized = ReplicatedTableSharder(2, self.LOADS, policy="load-aware",
-                                       max_replicas=2, hot_fraction=0.2,
-                                       table_bytes=self.BYTES)
-        assert sized.replicas == legacy.replicas
-        # A roomy budget may tie-break differently (two-phase packing)
-        # but must preserve every replication factor.
-        roomy = self.build(1_000_000.0)
-        for table in self.LOADS:
-            assert roomy.replication_factor(table) == \
-                legacy.replication_factor(table)
-
-    def test_infeasible_budget_names_overflowing_tables(self):
-        with pytest.raises(ValueError) as excinfo:
-            self.build(15.0)
-        message = str(excinfo.value)
-        assert "infeasible" in message
-        # 15 bytes/node fits one table per node; the two lightest-byte
-        # tables (processed last) overflow and must both be named.
-        assert "2 (10 bytes)" in message
-        assert "3 (10 bytes)" in message
-
-    def test_budget_requires_table_bytes(self):
-        with pytest.raises(ValueError, match="table_bytes"):
-            ReplicatedTableSharder(2, self.LOADS,
-                                   node_capacity_bytes=100.0)
-
-    def test_missing_table_sizes_are_named(self):
-        with pytest.raises(ValueError, match="missing sizes"):
-            ReplicatedTableSharder(2, self.LOADS,
-                                   table_bytes={0: 10.0, 1: 10.0},
-                                   node_capacity_bytes=100.0)
-
-    def test_per_node_budgets(self):
-        sharder = self.build([10.0, 60.0], max_replicas=1)
-        used = sharder.node_bytes()
-        assert used[0] <= 10.0
-        assert used[1] <= 60.0
-        assert sum(used) == 40.0                      # all four placed
-
-    def test_per_node_budget_count_validated(self):
-        with pytest.raises(ValueError, match="one capacity budget"):
-            self.build([10.0, 20.0, 30.0])
-        with pytest.raises(ValueError, match="positive"):
-            self.build([10.0, 0.0])
-
-    def test_fixed_primary_policies_shift_past_full_nodes(self):
-        # Round-robin wants tables 0 and 2 on node 0, but node 0 only
-        # holds one table: the displaced table ring-shifts to a node
-        # with room instead of overflowing.
-        sharder = ReplicatedTableSharder(
-            2, self.LOADS, policy="round-robin", max_replicas=1,
-            table_bytes=self.BYTES, node_capacity_bytes=20.0)
-        assert sorted(sharder.node_bytes()) == [20.0, 20.0]
-        assert sorted(sharder.replicas) == [0, 1, 2, 3]
-
-    def test_describe_mentions_budget(self):
-        assert "budget" in self.build(30.0).describe()
-
-    def test_routing_still_works_under_budget(self):
-        sharder = self.build(30.0)
-        requests = make_requests([0, 1, 2, 3, 0, 0, 1])
-        assignment = sharder.assign_requests(requests)
-        assert len(assignment) == len(requests)
-        for request, node in zip(requests, assignment):
-            assert node in sharder.replica_nodes(request.table_id)
 
 
 class TestRequestOverheadCalibration:

@@ -25,7 +25,6 @@ class TestEmbeddingTrace:
         trace = EmbeddingTrace(table_id=0, indices=[1, 2, 2, 3],
                                num_rows=10, name="T1")
         assert len(trace) == 4
-        assert trace.unique_fraction() == pytest.approx(0.75)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -33,27 +32,22 @@ class TestEmbeddingTrace:
         with pytest.raises(ValueError):
             EmbeddingTrace(table_id=0, indices=[-1], num_rows=10)
 
-    def test_slice(self):
-        trace = EmbeddingTrace(table_id=1, indices=list(range(10)),
-                               num_rows=10)
-        sub = trace.slice(2, 5)
-        assert list(sub.indices) == [2, 3, 4]
-        assert sub.table_id == 1
+    def test_indices_stored_as_int64(self):
+        trace = EmbeddingTrace(table_id=0, indices=(3, 1, 4), num_rows=5)
+        assert trace.indices.dtype == np.int64
+        assert trace.indices.tolist() == [3, 1, 4]
 
-    def test_reuse_histogram(self):
-        trace = EmbeddingTrace(table_id=0, indices=[0, 0, 0, 1], num_rows=5)
-        histogram = trace.reuse_histogram(max_count=4)
-        assert histogram[1] == 1      # one row accessed once
-        assert histogram[3] == 1      # one row accessed three times
+    def test_rejects_bad_shape_and_row_count(self):
+        with pytest.raises(ValueError, match="1-D"):
+            EmbeddingTrace(table_id=0, indices=[[1, 2]], num_rows=5)
+        with pytest.raises(ValueError, match="num_rows"):
+            EmbeddingTrace(table_id=0, indices=[], num_rows=0)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = random_trace(100, 50, seed=0)
-        path = tmp_path / "trace.json"
-        trace.save(path)
-        loaded = EmbeddingTrace.load(path)
-        np.testing.assert_array_equal(loaded.indices, trace.indices)
-        assert loaded.num_rows == trace.num_rows
-        assert loaded.name == trace.name
+    def test_empty_trace_allowed(self):
+        trace = EmbeddingTrace(table_id=0, indices=[], num_rows=5)
+        assert len(trace) == 0
+        assert EmbeddingTrace(table_id=1, indices=[], num_rows=5).metadata \
+            is not trace.metadata
 
 
 class TestCombinedTrace:
@@ -83,6 +77,40 @@ class TestCombinedTrace:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CombinedTrace([])
+        with pytest.raises(ValueError, match="block_size"):
+            CombinedTrace([random_trace(5, 4, seed=0)], block_size=0)
+
+    def test_blocks_take_turns(self):
+        traces = [
+            EmbeddingTrace(table_id=0, indices=[1, 2, 3], num_rows=5),
+            EmbeddingTrace(table_id=1, indices=[4, 0], num_rows=5),
+        ]
+        combined = CombinedTrace(traces, block_size=2)
+        assert combined.num_tables == 2
+        assert len(combined) == 5
+        assert list(combined.interleaved()) == [
+            (0, 1), (0, 2), (1, 4), (1, 0), (0, 3)]
+
+    def test_all_empty_traces_give_empty_array(self):
+        combined = CombinedTrace(
+            [EmbeddingTrace(table_id=0, indices=[], num_rows=5)])
+        pairs = combined.interleaved_array()
+        assert pairs.shape == (0, 2)
+        assert pairs.dtype == np.int64
+
+    @given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+           block=st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_interleaving_keeps_each_trace_in_order(self, lengths, block):
+        traces = [EmbeddingTrace(table_id=slot,
+                                 indices=np.arange(length) % 16,
+                                 num_rows=16)
+                  for slot, length in enumerate(lengths)]
+        pairs = list(CombinedTrace(traces, block_size=block).interleaved())
+        assert len(pairs) == sum(lengths)
+        for slot, trace in enumerate(traces):
+            assert [row for s, row in pairs if s == slot] == \
+                trace.indices.tolist()
 
 
 class TestSyntheticTraces:

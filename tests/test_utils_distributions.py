@@ -9,7 +9,6 @@ from repro.utils.distributions import (
     HotSetGenerator,
     UniformGenerator,
     ZipfGenerator,
-    make_index_generator,
 )
 
 
@@ -82,21 +81,6 @@ class TestHotSetGenerator:
             HotSetGenerator(100, hot_fraction=0.0)
         with pytest.raises(ValueError):
             HotSetGenerator(100, hot_probability=1.5)
-
-
-class TestFactory:
-    @pytest.mark.parametrize("kind,expected", [
-        ("uniform", UniformGenerator),
-        ("zipf", ZipfGenerator),
-        ("hotset", HotSetGenerator),
-    ])
-    def test_kinds(self, kind, expected):
-        generator = make_index_generator(kind, 100, seed=0)
-        assert isinstance(generator, expected)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_index_generator("gaussian", 100)
 
 
 class TestProperties:

@@ -1,97 +1,10 @@
 """Tests for repro.utils.stats."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.stats import (
-    RunningStats,
-    geometric_mean,
-    percentile,
-    weighted_harmonic_speedup,
-)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.stddev == 0.0
-
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.add(5.0)
-        assert stats.mean == 5.0
-        assert stats.variance == 0.0
-        assert stats.minimum == 5.0
-        assert stats.maximum == 5.0
-
-    def test_known_values(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.mean == pytest.approx(5.0)
-        assert stats.stddev == pytest.approx(2.138, abs=1e-3)
-        assert stats.minimum == 2.0
-        assert stats.maximum == 9.0
-
-    def test_as_dict(self):
-        stats = RunningStats()
-        stats.extend([1.0, 2.0, 3.0])
-        payload = stats.as_dict()
-        assert payload["count"] == 3
-        assert payload["mean"] == pytest.approx(2.0)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False), min_size=2, max_size=100))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_batch_formulas(self, values):
-        stats = RunningStats()
-        stats.extend(values)
-        mean = sum(values) / len(values)
-        assert stats.mean == pytest.approx(mean, rel=1e-6, abs=1e-6)
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3
-
-    def test_interpolation(self):
-        assert percentile([0, 10], 25) == pytest.approx(2.5)
-
-    def test_extremes(self):
-        data = [3, 1, 4, 1, 5]
-        assert percentile(data, 0) == 1
-        assert percentile(data, 100) == 5
-
-    def test_single_element(self):
-        assert percentile([42], 73) == 42
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1, 4, 16]) == pytest.approx(4.0)
-
-    def test_identity(self):
-        assert geometric_mean([7.0]) == pytest.approx(7.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
+from repro.utils.stats import weighted_harmonic_speedup
 
 
 class TestWeightedHarmonicSpeedup:
@@ -126,3 +39,52 @@ class TestWeightedHarmonicSpeedup:
         assert 1.0 <= overall <= speedup + 1e-9
         # Amdahl bound: 1 / (1 - fraction).
         assert overall <= 1.0 / (1.0 - fraction) + 1e-9
+
+    @pytest.mark.parametrize("speedup", [0.5, 1.0, 2.0, 7.5])
+    def test_uniform_speedup_is_the_overall_speedup(self, speedup):
+        assert weighted_harmonic_speedup(
+            [0.2, 0.3, 0.5], [speedup] * 3) == pytest.approx(speedup)
+
+    def test_single_component(self):
+        assert weighted_harmonic_speedup([1.0], [4.0]) == \
+            pytest.approx(4.0)
+
+    def test_rejects_negative_fraction(self):
+        # Sums to one, but a component cannot take negative time.
+        with pytest.raises(ValueError, match="non-negative"):
+            weighted_harmonic_speedup([1.5, -0.5], [2.0, 1.0])
+
+    def test_rejects_negative_speedup(self):
+        with pytest.raises(ValueError, match="positive"):
+            weighted_harmonic_speedup([0.5, 0.5], [2.0, -1.0])
+
+    def test_fraction_sum_tolerance(self):
+        # Rounding noise in the fractions is accepted, a real gap is not.
+        assert weighted_harmonic_speedup([0.5, 0.5 + 5e-7], [1.0, 1.0]) \
+            == pytest.approx(1.0, rel=1e-6)
+        with pytest.raises(ValueError, match="sum to 1.0, got 1.000100"):
+            weighted_harmonic_speedup([0.5, 0.5001], [1.0, 1.0])
+
+    @given(weights=st.lists(st.floats(min_value=0.01, max_value=1.0),
+                            min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_order_invariant(self, weights, data):
+        total = sum(weights)
+        fractions = [w / total for w in weights]
+        speedups = data.draw(st.lists(
+            st.floats(min_value=0.1, max_value=50.0),
+            min_size=len(weights), max_size=len(weights)))
+        order = data.draw(st.permutations(range(len(weights))))
+        assert weighted_harmonic_speedup(
+            [fractions[i] for i in order], [speedups[i] for i in order]) \
+            == pytest.approx(weighted_harmonic_speedup(fractions, speedups))
+
+    @given(weights=st.lists(st.floats(min_value=0.01, max_value=1.0),
+                            min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_unit_speedups_leave_time_unchanged(self, weights):
+        total = sum(weights)
+        assert weighted_harmonic_speedup(
+            [w / total for w in weights], [1.0] * len(weights)) == \
+            pytest.approx(1.0)

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.utils.units import (
-    GB,
-    KB,
-    MB,
-    bytes_to_mb,
-    cycles_to_ns,
-    ns_to_cycles,
-)
+from repro.utils import units
+from repro.utils.units import GB, KB, MB
 
 
 class TestUnitConstants:
@@ -18,37 +12,16 @@ class TestUnitConstants:
         assert MB == 1024 * KB
         assert GB == 1024 * MB
 
-    def test_bytes_to_mb(self):
-        assert bytes_to_mb(MB) == pytest.approx(1.0)
-        assert bytes_to_mb(16 * MB) == pytest.approx(16.0)
-        assert bytes_to_mb(0) == 0.0
+    @pytest.mark.parametrize("name, value", [
+        ("KILO", 10 ** 3), ("MEGA", 10 ** 6), ("GIGA", 10 ** 9),
+        ("KB", 2 ** 10), ("MB", 2 ** 20), ("GB", 2 ** 30),
+    ])
+    def test_constant_value(self, name, value):
+        constant = getattr(units, name)
+        assert constant == value
+        # Exact integers, so byte and cycle arithmetic never rounds.
+        assert type(constant) is int
 
-
-class TestCycleConversions:
-    def test_ns_to_cycles_exact(self):
-        # 1200 MHz -> 1.2 cycles per ns; 10 ns -> 12 cycles.
-        assert ns_to_cycles(10, 1200) == 12
-
-    def test_ns_to_cycles_rounds_up(self):
-        # 1 ns at 1200 MHz is 1.2 cycles -> must round up to 2.
-        assert ns_to_cycles(1, 1200) == 2
-
-    def test_zero_time(self):
-        assert ns_to_cycles(0, 1200) == 0
-
-    def test_cycles_to_ns_roundtrip(self):
-        ns = cycles_to_ns(ns_to_cycles(100, 1200), 1200)
-        assert ns >= 100
-
-    def test_cycles_to_ns_value(self):
-        assert cycles_to_ns(1200, 1200) == pytest.approx(1000.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            ns_to_cycles(-1, 1200)
-
-    def test_nonpositive_clock_rejected(self):
-        with pytest.raises(ValueError):
-            ns_to_cycles(1, 0)
-        with pytest.raises(ValueError):
-            cycles_to_ns(1, -5)
+    def test_decimal_prefixes_step_by_a_thousand(self):
+        assert units.MEGA == 1000 * units.KILO
+        assert units.GIGA == 1000 * units.MEGA
