@@ -237,9 +237,10 @@ class RecNMPRuntime:
             requests)
         counters = {}
         for packet in packets:
-            for psum_tag, instructions in \
-                    packet.instructions_by_psum().items():
-                counters[(packet.packet_id, psum_tag)] = len(instructions)
+            for psum_tag, count in enumerate(
+                    np.bincount(packet.instructions.psum_tags).tolist()):
+                if count:
+                    counters[(packet.packet_id, psum_tag)] = count
         return NMPKernel(requests=requests, packets=packets, opcode=opcode,
                          counter_configuration=counters)
 

@@ -42,12 +42,6 @@ class ProfileResult:
         """True if the row was marked hot by the profiler."""
         return int(row_index) in self.hot_rows
 
-    def hot_mask(self, indices):
-        """Vectorised :meth:`is_hot`: a bool array aligned with ``indices``."""
-        rows = np.asarray(indices, dtype=np.int64).tolist()
-        return np.fromiter(map(self.hot_rows.__contains__, rows), np.bool_,
-                           len(rows))
-
 
 class HotEntryProfiler:
     """Mark embedding rows that repeat within a batch of lookups.

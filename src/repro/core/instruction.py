@@ -16,11 +16,16 @@ PsumTag                 4       which pooling of the packet this belongs to
 
 One NMP-Inst encodes *all* the DDR commands needed to fetch one embedding
 vector, which is how RecNMP compresses C/A bandwidth by up to 8x.
+
+:class:`NMPInstruction` is that record (fields, range checks, 79-bit
+``encode``/``decode``).  The simulator carries the instruction stream as
+columns from the packet generator to the rank-NMPs (:class:`NMPPacket`,
+:class:`PackedInstructions`); ``PackedInstructions.from_instructions``
+turns records into columns.
 """
 
 import enum
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,64 +143,6 @@ class NMPInstruction:
         self.psum_tag = int(self.psum_tag)
         self.locality_bit = bool(self.locality_bit)
 
-    @classmethod
-    def trusted(cls, opcode, ddr_cmd, daddr, vsize, weight, locality_bit,
-                psum_tag, table_id=0, pooling_index=0, row_index=0):
-        """Fast-path constructor for already-validated field values.
-
-        Skips ``__init__``/``__post_init__`` (range checks and enum/int
-        coercion): callers such as the packet generator produce fields
-        that are valid by construction -- ``opcode`` must already be an
-        :class:`NMPOpcode` and the int/bool fields plain Python values.
-        Equality, hashing and every method behave identically to a
-        normally-constructed instruction.
-        """
-        inst = object.__new__(cls)
-        inst.opcode = opcode
-        inst.ddr_cmd = ddr_cmd
-        inst.daddr = daddr
-        inst.vsize = vsize
-        inst.weight = weight
-        inst.locality_bit = locality_bit
-        inst.psum_tag = psum_tag
-        inst.table_id = table_id
-        inst.pooling_index = pooling_index
-        inst.row_index = row_index
-        return inst
-
-    # ------------------------------------------------------------------ #
-    @property
-    def needs_activate(self):
-        return bool(self.ddr_cmd & DDR_CMD_ACT)
-
-    @property
-    def needs_read(self):
-        return bool(self.ddr_cmd & DDR_CMD_RD)
-
-    @property
-    def needs_precharge(self):
-        return bool(self.ddr_cmd & DDR_CMD_PRE)
-
-    @property
-    def vector_bytes(self):
-        """Size of the embedding vector this instruction fetches."""
-        return self.vsize * 64
-
-    def ddr_command_count(self):
-        """Number of DDR commands the rank command decoder will emit.
-
-        A vector of ``vsize`` bursts needs ``vsize`` RD commands (consecutive
-        columns) plus the optional ACT and PRE.
-        """
-        count = 0
-        if self.needs_precharge:
-            count += 1
-        if self.needs_activate:
-            count += 1
-        if self.needs_read:
-            count += self.vsize
-        return count
-
     # ------------------------------------------------------------------ #
     # Hardware bit-level encoding (79 bits packed into an int).
     # ------------------------------------------------------------------ #
@@ -242,9 +189,9 @@ class PackedInstructions:
 
     Carries exactly the fields the timing model consumes -- ``daddrs``,
     ``vsizes``, ``psum_tags`` (int64), ``weighted`` (weight != 1.0) and
-    ``localities`` (bool) -- as flat numpy arrays, so the dispatch path
-    can run without touching instruction objects (see
-    :mod:`repro.core.kernels`).
+    ``localities`` (bool) -- as flat numpy arrays.  The rank-NMPs read
+    all but ``psum_tags``, which counts the packet's poolings for the
+    DIMM.Sum drain and the host's accumulation counters.
     """
 
     __slots__ = ("daddrs", "vsizes", "weighted", "localities", "psum_tags")
@@ -261,6 +208,7 @@ class PackedInstructions:
 
     @classmethod
     def from_instructions(cls, instructions):
+        """The columns of a sequence of :class:`NMPInstruction` records."""
         count = len(instructions)
         return cls(
             np.fromiter((inst.daddr for inst in instructions),
@@ -294,157 +242,38 @@ class NMPPacket:
     of one SLS operator; the packet header configures the accumulation
     counters, the tail returns the final sums to the host.
 
-    A packet holds its instructions in one of two forms.  Built from a list
-    of :class:`NMPInstruction` (``NMPPacket(instructions=[...])``) it keeps
-    that list.  Built by the packet generator (:meth:`from_columns`) it
-    holds only columns: the :class:`PackedInstructions` the timing model
-    runs on plus the remaining ISA fields, and :attr:`instructions` builds
-    instruction objects only when they are read.  Packets are treated as
-    immutable after generation everywhere in the pipeline.
+    The packet holds its NMP-Insts as columns, one row per instruction
+    in packet order.  ``instructions`` is the :class:`PackedInstructions`
+    the timing model runs on; beside it sit ``ddr_cmds``,
+    ``pooling_indices`` and ``row_indices`` (int64), ``weights`` (float,
+    or None for all 1.0) and the ``opcode`` every row shares.  The packet
+    generator builds every field in range (at most 16 PsumTags); packets
+    are immutable after generation.
     """
 
-    __slots__ = ("table_id", "model_id", "batch_index", "packet_id",
-                 "_instructions", "_packed", "_isa")
+    __slots__ = ("instructions", "opcode", "ddr_cmds", "weights",
+                 "pooling_indices", "row_indices", "table_id", "model_id",
+                 "batch_index", "packet_id")
 
-    def __init__(self, instructions=None, table_id=0, model_id=0,
+    def __init__(self, instructions, opcode, ddr_cmds, weights,
+                 pooling_indices, row_indices, table_id=0, model_id=0,
                  batch_index=0, packet_id=0):
-        instructions = [] if instructions is None else instructions
-        if len({inst.psum_tag for inst in instructions}) > 16:
-            raise ValueError(
-                "a packet can carry at most 16 poolings (4-bit PsumTag)")
-        self._instructions = instructions
-        self._packed = self._isa = None
+        self.instructions = instructions
+        self.opcode = opcode
+        self.ddr_cmds = ddr_cmds
+        self.weights = weights
+        self.pooling_indices = pooling_indices
+        self.row_indices = row_indices
         self.table_id = table_id
         self.model_id = model_id
         self.batch_index = batch_index
         self.packet_id = packet_id
 
-    @classmethod
-    def from_columns(cls, packed, opcode, ddr_cmds, weights,
-                     pooling_indices, row_indices, table_id=0, model_id=0,
-                     batch_index=0, packet_id=0):
-        """A packet holding columns only (no instruction objects).
-
-        ``packed`` is the :class:`PackedInstructions` of the packet;
-        ``ddr_cmds``, ``pooling_indices`` and ``row_indices`` are aligned
-        int64 arrays, ``weights`` an aligned float array (or None for all
-        1.0) and ``opcode`` the :class:`NMPOpcode` shared by every
-        instruction, whose ``table_id`` is the packet's.  The caller
-        guarantees every field is in range (at most 16 PsumTags).
-        """
-        packet = cls(table_id=table_id, model_id=model_id,
-                     batch_index=batch_index, packet_id=packet_id)
-        packet._instructions = None
-        packet._packed = packed
-        packet._isa = (opcode, ddr_cmds, weights, pooling_indices,
-                       row_indices)
-        return packet
-
-    @property
-    def instructions(self):
-        """The packet's NMP-Insts, in packet order.
-
-        For a column packet this is a read-only :class:`InstructionColumns`
-        sequence: ``len()`` reads the column length, and instruction
-        objects are built only when items are read.
-        """
-        if self._instructions is not None:
-            return self._instructions
-        return InstructionColumns(self)
-
     def __len__(self):
-        if self._instructions is not None:
-            return len(self._instructions)
-        return len(self._packed)
+        return len(self.instructions)
 
     def __repr__(self):
         return ("NMPPacket(packet_id=%d, table_id=%d, model_id=%d, "
                 "batch_index=%d, instructions=%d)"
                 % (self.packet_id, self.table_id, self.model_id,
                    self.batch_index, len(self)))
-
-    def packed_arrays(self):
-        """The :class:`PackedInstructions` of this packet.
-
-        A column packet returns its own columns.  A packet built from
-        instruction objects packs them on first use and caches the result,
-        keyed on instruction count: replacing the list with one of equal
-        length requires dropping ``_packed`` manually.
-        """
-        if self._instructions is None:
-            return self._packed
-        packed = self._packed
-        if packed is None or len(packed) != len(self._instructions):
-            packed = PackedInstructions.from_instructions(self._instructions)
-            self._packed = packed
-        return packed
-
-    @property
-    def num_poolings(self):
-        """Number of distinct poolings (PsumTags) in the packet."""
-        return self.packed_arrays().num_poolings
-
-    @property
-    def total_vector_bytes(self):
-        """Bytes of embedding data the packet gathers from memory."""
-        return int(self.packed_arrays().vsizes.sum()) * 64
-
-    def instructions_by_psum(self):
-        """Group instructions by PsumTag; returns ``{tag: [insts]}``."""
-        groups = {}
-        for inst in self.instructions:
-            groups.setdefault(inst.psum_tag, []).append(inst)
-        return groups
-
-    def locality_fraction(self):
-        """Fraction of instructions carrying a set LocalityBit."""
-        if not len(self):
-            return 0.0
-        return int(self.packed_arrays().localities.sum()) / len(self)
-
-
-class InstructionColumns(Sequence):
-    """Read-only sequence of a column packet's NMP-Insts.
-
-    ``len()`` reads the column length; reading items builds fresh
-    :class:`NMPInstruction` objects from the columns, all of them in one
-    pass (read ``list(...)`` once for repeated access).  Compares equal
-    to any sequence holding equal instructions in the same order.
-    """
-
-    __slots__ = ("_packet",)
-
-    def __init__(self, packet):
-        self._packet = packet
-
-    def __len__(self):
-        return len(self._packet._packed)
-
-    def __iter__(self):
-        packet = self._packet
-        packed = packet._packed
-        opcode, ddr_cmds, weights, pooling_indices, row_indices = packet._isa
-        weights = [1.0] * len(packed) if weights is None \
-            else weights.tolist()
-        trusted = NMPInstruction.trusted
-        table_id = packet.table_id
-        return iter([trusted(opcode, ddr_cmd, daddr, vsize, weight, locality,
-                             psum_tag, table_id, pooling_index, row_index)
-                     for ddr_cmd, daddr, vsize, weight, locality, psum_tag,
-                     pooling_index, row_index in zip(
-                         ddr_cmds.tolist(), packed.daddrs.tolist(),
-                         packed.vsizes.tolist(), weights,
-                         packed.localities.tolist(),
-                         packed.psum_tags.tolist(),
-                         pooling_indices.tolist(), row_indices.tolist())])
-
-    def __getitem__(self, index):
-        return list(self)[index]
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self):
-        return repr(list(self))

@@ -6,8 +6,8 @@ exists in two bit-identical implementations:
 
 * :meth:`RankNMP._execute_window` -- the readable specification, one
   CPython loop over per-instruction columns (Daddr, burst count,
-  weighted flag, LocalityBit, PsumTag, arrival and decoded bank
-  group / bank / row) that drives the ``Bank`` objects and the
+  weighted flag, LocalityBit, arrival and decoded bank group / bank /
+  row) that drives the ``Bank`` objects and the
   RankCache's ``OrderedDict`` directly, with the rank scalars, timing
   parameters and counters held in locals for the whole stream.  It is
   what the ``"python"`` flavor (numba not installed) runs, for every
@@ -754,9 +754,9 @@ class FlatRankKernel:
                     popitem(last=False)
                 entries[daddr] = None
 
-    def _apply_stats(self, st, psum_tags):
-        """Add one call's statistics deltas and PsumTag counts to the
-        rank-NMP and its cache."""
+    def _apply_stats(self, st):
+        """Add one call's statistics deltas to the rank-NMP and its
+        cache."""
         rank_nmp = self.rank_nmp
         stats = rank_nmp.stats
         stats.instructions += int(st[ST_INSTRUCTIONS])
@@ -775,14 +775,9 @@ class FlatRankKernel:
             cache_stats.misses += int(st[ST_MISSES])
             cache_stats.bypasses += int(st[ST_BYPASSES])
             cache_stats.evictions += int(st[ST_EVICTIONS])
-        psums = rank_nmp._psum_counts
-        tags, counts = np.unique(psum_tags, return_counts=True)
-        for tag, tag_count in zip(tags.tolist(), counts.tolist()):
-            psums[tag] = psums.get(tag, 0) + tag_count
 
     def execute_arrays(self, daddrs, vsizes, weighted, localities,
-                       psum_tags, arrivals, bank_groups, banks, rows,
-                       reorder_window):
+                       arrivals, bank_groups, banks, rows, reorder_window):
         """Run one aligned int64/bool column stream through the kernel;
         returns the last completion cycle."""
         rank_nmp = self.rank_nmp
@@ -846,7 +841,7 @@ class FlatRankKernel:
         rank.set_kernel_scalars(rs)
         rank_nmp.current_cycle = int(rs[RS_CURRENT])
         self._replay_cache_out(exec_order, daddrs, localities)
-        self._apply_stats(st, psum_tags)
+        self._apply_stats(st)
         return int(last)
 
 

@@ -146,7 +146,7 @@ class NMPMemoryController:
         routine, so the choice only moves where the gather happens.
         """
         order = self.scheduler.schedule()
-        packed_list = [packet.packed_arrays() for packet in order]
+        packed_list = [packet.instructions for packet in order]
         ranks, issue = self._issue_orders(packed_list, reorder)
         per_packet = []
         current_cycle = 0

@@ -9,9 +9,8 @@ packets of a configurable number of poolings (bounded by the 4-bit PsumTag).
 
 Each request is turned into columns in one array pass -- Daddrs, DDR
 command tags, LocalityBits, PsumTag slots and weights -- and every packet
-is a column slice of them (see :meth:`NMPPacket.from_columns`): no
-instruction object is built unless a caller reads
-:attr:`NMPPacket.instructions`.
+is a column slice of them (see :class:`NMPPacket`): no instruction object
+is built.
 """
 
 from dataclasses import dataclass
@@ -107,22 +106,14 @@ class PacketGenerator:
         # (key, columns) of the last request shape (see _shape_columns).
         self._shape = None
         self._packet_counter = 0
-        self._last_profiles = {}
-
-    @property
-    def last_profiles(self):
-        """Per-table :class:`ProfileResult` of the most recent batch."""
-        return dict(self._last_profiles)
 
     def reset(self):
-        """Clear cross-run state (packet ids and retained hot-entry profiles).
+        """Restart packet ids from zero.
 
         Without this, a reused generator keeps numbering packets from where
-        the previous run stopped and keeps serving the previous batch's
-        locality profiles through :attr:`last_profiles`.
+        the previous run stopped.
         """
         self._packet_counter = 0
-        self._last_profiles = {}
 
     # ------------------------------------------------------------------ #
     def _addresses(self, table_id, indices):
@@ -157,33 +148,17 @@ class PacketGenerator:
         return scalar
 
     # ------------------------------------------------------------------ #
-    def packets_for_request(self, request, model_id=0, batch_index=0,
-                            profile=None):
-        """Generate the NMP packets for one :class:`SLSRequest`.
-
-        ``profile`` optionally passes a pre-computed
-        :class:`~repro.core.hot_entry.ProfileResult`; otherwise the profiler
-        runs on the request's own indices when profiling is enabled.
-        """
-        hot = None
-        if self.config.enable_hot_entry_profiling:
-            if profile is None:
-                _, hot = HotEntryProfiler(
-                    threshold=self.config.hot_entry_threshold
-                ).profile_with_mask(request.indices,
-                                    table_id=request.table_id)
-            else:
-                hot = profile.hot_mask(request.indices)
-        return self._packets(request, hot, model_id, batch_index)
-
     def packets_for_requests(self, requests, model_id=0):
-        """Generate packets for a list of SLS requests (one batch)."""
+        """Generate packets for a list of SLS requests (one batch).
+
+        With profiling enabled, requests that read the same table share
+        one hot-entry profile of the whole batch's lookups of it.
+        """
         masks = [None] * len(requests)
         if self.config.enable_hot_entry_profiling:
             profiler = HotEntryProfiler(
                 threshold=self.config.hot_entry_threshold)
-            self._last_profiles, masks = \
-                profiler.profile_requests_with_masks(requests)
+            _, masks = profiler.profile_requests_with_masks(requests)
         packets = []
         for batch_index, request in enumerate(requests):
             packets.extend(self._packets(request, masks[batch_index],
@@ -222,7 +197,7 @@ class PacketGenerator:
             packed = PackedInstructions(
                 daddrs[start:end], vsizes[start:end], weighted[start:end],
                 localities[start:end], psum_tags[start:end])
-            packets.append(NMPPacket.from_columns(
+            packets.append(NMPPacket(
                 packed, config.opcode, ddr_cmds[start:end],
                 None if weights is None else weights[start:end],
                 pooling_indices[start:end], indices[start:end],

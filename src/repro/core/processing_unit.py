@@ -10,7 +10,10 @@ ranks_per_dimm`` concurrently active rank-NMPs.
 
 :class:`RecNMPChannel` models that population directly: it holds the
 channel's rank-NMPs in channel-rank order and runs one packet's columns
-across them.  The DIMM-NMP layer contributes only timing -- the C/A
+across them.  Each rank-NMP receives its instructions' Daddrs, burst
+counts, weighted flags and LocalityBits, with their arrival cycles and
+decoded bank / row; the packet's PsumTags only count the pooled outputs
+the DIMM returns.  The DIMM-NMP layer contributes only timing -- the C/A
 delivery rate of the compressed instructions and the adder-tree plus
 DIMM.Sum drain after the slowest rank -- which the module constants below
 fix at the paper's values.
@@ -90,7 +93,7 @@ class RecNMPChannel:
         instructions (the controller's FR-FCFS reorder); by default they
         issue in packet order.  Returns the packet completion cycle.
         """
-        packed = packet.packed_arrays()
+        packed = packet.instructions
         if ranks is None:
             ranks = packed.daddrs % self.num_ranks
         return self._execute_columns(packed, ranks, order, start_cycle)
@@ -117,13 +120,17 @@ class RecNMPChannel:
         contiguous span: array slices for a bound kernel, otherwise slices
         of the columns' ``tolist()``.  The packet completes when the
         slowest rank finishes and the adder tree plus one DIMM.Sum
-        transfer per pooled output drain.
+        transfer per pooled output drain.  ``ranks`` must hold exactly one
+        entry per instruction.
         """
         count = len(packed)
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if len(ranks) != count:
+            raise ValueError("ranks has %d entries for a %d-instruction "
+                             "packet" % (len(ranks), count))
         if count == 0:
             return start_cycle
         num_ranks = self.num_ranks
-        ranks = np.asarray(ranks, dtype=np.int64)
         require_valid_ranks(ranks, num_ranks)
         if order is not None:
             ranks = ranks[order]
@@ -131,7 +138,7 @@ class RecNMPChannel:
         gather = by_rank if order is None else order[by_rank]
         daddrs = packed.daddrs[gather]
         columns = [daddrs, packed.vsizes[gather], packed.weighted[gather],
-                   packed.localities[gather], packed.psum_tags[gather],
+                   packed.localities[gather],
                    start_cycle + by_rank // INSTRUCTIONS_PER_CYCLE]
         columns.extend(_kernels.pack_decoded(self.rank_config, daddrs))
         rank_nmps = self._rank_nmps

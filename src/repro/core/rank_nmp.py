@@ -15,6 +15,10 @@ either the RankCache access latency (on a hit) or the DRAM access latency
 derived from the rank's DDR4 timing state (on a miss / bypass).  The
 arithmetic pipeline (FP32 multipliers and adders, Table I) is overlapped
 with memory reads, so it only contributes when it is the bottleneck.
+
+The stream arrives as columns, never as instruction objects.  PsumTag
+accumulation is modelled by its latency only; the pooled values are the
+functional operators' (:mod:`repro.dlrm.operators`).
 """
 
 import itertools
@@ -25,10 +29,7 @@ import numpy as np
 
 from repro.cache.rank_cache import RankCache
 from repro.core import kernels as _kernels
-from repro.core.instruction import (
-    PackedInstructions,
-    check_vector_size_bytes,
-)
+from repro.core.instruction import check_vector_size_bytes
 from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2400
 
@@ -126,8 +127,6 @@ class RankNMP:
             access_latency_cycles=self.config.cache_latency_cycles,
         ) if self.config.use_cache else None
         self.stats = RankNMPStats()
-        # Partial-sum register file: PsumTag -> accumulated vector count.
-        self._psum_counts = {}
         self.current_cycle = 0
         # Flat command-issue kernel for the numba and flat-python
         # flavors; None otherwise, in which case every stream runs the
@@ -138,19 +137,10 @@ class RankNMP:
     # ------------------------------------------------------------------ #
     # Execution                                                          #
     # ------------------------------------------------------------------ #
-    def execute_instruction(self, instruction, arrival_cycle=0):
-        """Execute one NMP-Inst; returns the cycle its Psum update completes.
-
-        A one-instruction :meth:`execute_instructions`: the completion never
-        precedes the entry ``current_cycle``, so the stream's last
-        completion is this instruction's.
-        """
-        return self.execute_instructions((instruction,), (arrival_cycle,),
-                                         reorder_window=1)
-
-    def execute_instructions(self, instructions, arrival_cycles=None,
-                             reorder_window=16):
-        """Execute a list of instructions; returns the last completion cycle.
+    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
+        """Execute one instruction stream (a
+        :class:`~repro.core.instruction.PackedInstructions` plus each
+        instruction's arrival cycle); returns the last completion cycle.
 
         Instructions are issued FR-FCFS-style within a small reorder window
         (the host-side memory controller performs this reordering inside a
@@ -158,29 +148,14 @@ class RankNMP:
         instructions, the one whose bank can accept a command earliest goes
         first.  Correctness is unaffected because each pooling accumulates
         into its own PsumTag register.
-
-        The instruction objects are read once, into the columns
-        :meth:`execute_packed` runs on.
-        """
-        count = len(instructions)
-        if arrival_cycles is None:
-            arrival_cycles = [0] * count
-        if len(arrival_cycles) != count:
-            raise ValueError("arrival_cycles must match instructions")
-        return self.execute_packed(
-            PackedInstructions.from_instructions(instructions),
-            arrival_cycles, reorder_window)
-
-    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
-        """:meth:`execute_instructions` over a
-        :class:`~repro.core.instruction.PackedInstructions` (flat numpy
-        arrays, no NMPInstruction objects); bit-identical to it.
         """
         daddrs = packed.daddrs
+        if len(arrival_cycles) != len(daddrs):
+            raise ValueError("arrival_cycles must match instructions")
         if not len(daddrs):
             return self.current_cycle
         columns = [daddrs, packed.vsizes, packed.weighted, packed.localities,
-                   packed.psum_tags, np.asarray(arrival_cycles, np.int64)]
+                   np.asarray(arrival_cycles, np.int64)]
         columns.extend(_kernels.pack_decoded(self.config, daddrs))
         if not self.takes_arrays:
             columns = [column.tolist() for column in columns]
@@ -193,10 +168,10 @@ class RankNMP:
         return self._kernel is not None
 
     def execute_columns(self, columns, reorder_window=16):
-        """Run one instruction stream given as nine aligned columns.
+        """Run one instruction stream given as eight aligned columns.
 
         The columns are, in order: Daddr, burst count, weighted flag,
-        LocalityBit, PsumTag, arrival cycle, and the decoded bank group,
+        LocalityBit, arrival cycle, and the decoded bank group,
         bank and row.  They are int64/bool arrays for the bound flat
         kernel, or plain lists for the column window loop -- see
         :attr:`takes_arrays`.  Returns the last completion cycle.
@@ -206,8 +181,8 @@ class RankNMP:
         return self._execute_window(*columns, reorder_window)
 
     def _execute_window(self, daddrs, vsizes, weighted, localities,
-                        psum_tags, arrival_cycles, bank_groups, bank_indices,
-                        rows, reorder_window):
+                        arrival_cycles, bank_groups, bank_indices, rows,
+                        reorder_window):
         """The FR-FCFS window loop over aligned per-instruction columns.
 
         Each iteration picks one window member, then executes it: a
@@ -498,20 +473,9 @@ class RankNMP:
             cache_stats.misses += misses
             cache_stats.bypasses += bypasses
             cache_stats.evictions += evictions
-        psums = self._psum_counts
-        for psum_tag in psum_tags:
-            psums[psum_tag] = psums.get(psum_tag, 0) + 1
         return last_completion
 
     # ------------------------------------------------------------------ #
-    def psum_count(self, psum_tag):
-        """Number of vectors accumulated into a PsumTag so far."""
-        return self._psum_counts.get(psum_tag, 0)
-
-    def reset_psums(self):
-        """Clear the partial-sum register file (between packets)."""
-        self._psum_counts.clear()
-
     def reset(self):
         """Reset timing state, cache contents and statistics."""
         self.dram_rank = Rank(self.config.timing,
@@ -522,7 +486,6 @@ class RankNMP:
             self.cache.flush()
             self.cache.reset_stats()
         self.stats = RankNMPStats()
-        self._psum_counts.clear()
         self.current_cycle = 0
         if self._kernel is not None:
             self._kernel.reset()

@@ -269,7 +269,7 @@ class RecNMPSimulator:
         configuration replay the stored baseline instead of re-simulating it.
         """
         addresses = (np.concatenate(
-            [packet.packed_arrays().daddrs for packet in packets]
+            [packet.instructions.daddrs for packet in packets]
             or [np.empty(0, np.int64)]) * 64).tolist()
         baseline_config = DramSystemConfig(
             timing=self.config.timing,

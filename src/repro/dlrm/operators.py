@@ -35,10 +35,24 @@ class SLSRequest:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        indices = np.asarray(self.indices)
         self.lengths = np.asarray(self.lengths, dtype=np.int64)
-        if self.indices.ndim != 1:
+        if indices.ndim != 1:
             raise ValueError("indices must be a 1-D vector")
+        # Row indices are non-negative integers: a negative one would wrap
+        # to the top of the address space (and to the table's last row in
+        # the NumPy reference), a fractional one would be truncated.
+        if indices.dtype.kind in "biu":
+            bad = None if indices.min(initial=0) >= 0 else indices < 0
+        else:
+            bad = ((indices < 0) | ~np.isfinite(indices)
+                   | (indices != np.trunc(indices)))
+        if bad is not None and bad.any():
+            position = int(np.argmax(bad))
+            raise ValueError(
+                "indices must be non-negative integers, got indices[%d]=%r"
+                % (position, indices[position].item()))
+        self.indices = indices.astype(np.int64, copy=False)
         if self.lengths.ndim != 1:
             raise ValueError("lengths must be a 1-D vector")
         if self.lengths.sum() != self.indices.shape[0]:

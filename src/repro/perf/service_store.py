@@ -143,7 +143,7 @@ class ServiceTimeStore:
         row = con.execute("SELECT value FROM meta WHERE key = "
                           "'schema_version'").fetchone()
         if row is not None and int(row[0]) != SCHEMA_VERSION:
-            # Version bump: the stored entries are no longer trusted.
+            # Version bump: the stored entries are stale.
             con.execute("DROP TABLE IF EXISTS service_times")
         con.execute(
             "CREATE TABLE IF NOT EXISTS service_times ("

@@ -129,6 +129,7 @@ class TestRuntime:
         kernel = runtime.compile_kernel([request])
         # One counter per (packet, pooling); counts sum to the lookup total.
         assert sum(kernel.counter_configuration.values()) == 12
+        assert list(kernel.counter_configuration.values()) == [3, 4, 5]
         assert kernel.num_poolings == 3
 
     def test_multi_request_kernel(self, runtime):

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from repro.core.instruction import (
     DDR_CMD_ACT,
-    DDR_CMD_PRE,
     DDR_CMD_RD,
     NMPInstruction,
     NMPOpcode,
-    NMPPacket,
     TOTAL_INSTRUCTION_BITS,
 )
 from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
 from repro.core.rank_nmp import RankNMPConfig
 from repro.core.simulator import RecNMPConfig
 from repro.dlrm.operators import SLSRequest
+
+from nmp_packets import instructions_of, packet_of
 
 
 class TestInstructionFormat:
@@ -31,23 +31,6 @@ class TestInstructionFormat:
     def test_fits_standard_ca_dq_interface(self):
         # The paper notes the format fits the 84-pin C/A + DQ interface.
         assert TOTAL_INSTRUCTION_BITS <= 84
-
-    def test_ddr_cmd_flags(self):
-        inst = NMPInstruction(ddr_cmd=DDR_CMD_ACT | DDR_CMD_RD)
-        assert inst.needs_activate
-        assert inst.needs_read
-        assert not inst.needs_precharge
-
-    def test_vector_bytes(self):
-        assert NMPInstruction(vsize=1).vector_bytes == 64
-        assert NMPInstruction(vsize=4).vector_bytes == 256
-
-    def test_ddr_command_count(self):
-        full = NMPInstruction(ddr_cmd=DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE,
-                              vsize=2)
-        assert full.ddr_command_count() == 4    # PRE + ACT + 2 x RD
-        hit = NMPInstruction(ddr_cmd=DDR_CMD_RD, vsize=1)
-        assert hit.ddr_command_count() == 1
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -118,34 +101,73 @@ class TestNMPPacket:
     def test_counts(self):
         instructions = [NMPInstruction(psum_tag=i % 4, daddr=i)
                         for i in range(12)]
-        packet = NMPPacket(instructions=instructions, table_id=2)
+        packet = packet_of(instructions, table_id=2)
         assert len(packet) == 12
-        assert packet.num_poolings == 4
-        assert packet.total_vector_bytes == 12 * 64
-
-    def test_groups_by_psum(self):
-        instructions = [NMPInstruction(psum_tag=i % 2, daddr=i)
-                        for i in range(6)]
-        groups = NMPPacket(instructions=instructions).instructions_by_psum()
-        assert set(groups) == {0, 1}
-        assert len(groups[0]) == 3
-
-    def test_locality_fraction(self):
-        instructions = [NMPInstruction(locality_bit=(i < 3), daddr=i)
-                        for i in range(6)]
-        packet = NMPPacket(instructions=instructions)
-        assert packet.locality_fraction() == pytest.approx(0.5)
+        assert packet.instructions.num_poolings == 4
+        assert instructions_of(packet) == instructions
 
     def test_empty_packet(self):
-        packet = NMPPacket()
+        packet = packet_of([])
         assert len(packet) == 0
-        assert packet.locality_fraction() == 0.0
+        assert packet.instructions.num_poolings == 0
 
     def test_too_many_poolings_rejected(self):
         # PsumTag is 4 bits -> max 16 poolings; NMPInstruction rejects larger
         # tags so a >16-pooling packet cannot even be constructed.
         with pytest.raises(ValueError):
             [NMPInstruction(psum_tag=tag) for tag in range(17)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+       poolings_per_packet=st.integers(1, 16),
+       opcode=st.sampled_from(list(NMPOpcode)),
+       vector_bytes=st.sampled_from([64, 128, 256, 960]),
+       profiling=st.booleans(),
+       base_block=st.integers(0, 1 << 34)
+       | st.integers((1 << 32) - 4000, (1 << 32) + 100),
+       data=st.data())
+def test_generated_rows_are_isa_instructions(lengths, poolings_per_packet,
+                                             opcode, vector_bytes, profiling,
+                                             base_block, data):
+    """Every row of a generated column packet is a valid NMP-Inst (the
+    record's range checks accept it) and survives the 79-bit
+    ``encode``/``decode`` round trip field for field."""
+    total = sum(lengths)
+    indices = data.draw(st.lists(st.integers(0, 300), min_size=total,
+                                 max_size=total), label="indices")
+    weights = data.draw(st.none() | st.lists(
+        st.just(1.0) | st.floats(-4.0, 4.0, width=32), min_size=total,
+        max_size=total), label="weights")
+    request = SLSRequest(table_id=3, indices=indices, lengths=lengths,
+                         weights=weights)
+    config = PacketGeneratorConfig(
+        poolings_per_packet=poolings_per_packet,
+        vector_size_bytes=vector_bytes, enable_hot_entry_profiling=profiling,
+        opcode=opcode)
+    # Addresses run past 2**38 bytes, where Daddr (64 B blocks) wraps
+    # at its 32 bits.
+    generator = PacketGenerator(config, lambda table_id, row:
+                                (base_block + row * (vector_bytes // 64))
+                                * 64)
+    packets = generator.packets_for_requests([request])
+    assert sum(len(packet) for packet in packets) == total
+    for packet in packets:
+        records = instructions_of(packet)
+        assert len({record.psum_tag for record in records}) \
+            <= poolings_per_packet
+        for record in records:
+            decoded = NMPInstruction.decode(record.encode())
+            assert (decoded.opcode, decoded.ddr_cmd, decoded.daddr,
+                    decoded.vsize, decoded.weight, decoded.locality_bit,
+                    decoded.psum_tag) == \
+                (opcode, record.ddr_cmd, record.daddr,
+                 vector_bytes // 64, record.weight, record.locality_bit,
+                 record.psum_tag)
+    weights_out = [record.weight for packet in packets
+                   for record in instructions_of(packet)]
+    assert weights_out == (request.weights.tolist() if weights is not None
+                           else [1.0] * total)
 
 
 @pytest.mark.parametrize("config_class", [PacketGeneratorConfig,
@@ -170,6 +192,7 @@ def test_largest_vector_encodes_in_packets():
         vector_size_bytes=960, enable_hot_entry_profiling=False))
     request = SLSRequest(table_id=0, indices=np.arange(4),
                          lengths=np.array([4]))
-    instruction = generator.packets_for_request(request)[0].instructions[0]
+    instruction = instructions_of(
+        generator.packets_for_requests([request])[0])[0]
     assert instruction.vsize == 15
     assert NMPInstruction.decode(instruction.encode()).vsize == 15

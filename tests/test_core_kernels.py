@@ -4,8 +4,7 @@ The contract of :mod:`repro.core.kernels` is that every flavour --
 ``numba`` (jitted flat arrays), ``flat-python`` (the same flat-array
 source, un-jitted), and ``python`` (the column window loop of
 :class:`~repro.core.rank_nmp.RankNMP`, the readable spec) --
-produces *identical* cycles, statistics, cache contents and bank state,
-whether a stream arrives as instruction objects or as packed arrays.
+produces *identical* cycles, statistics, cache contents and bank state.
 These tests pin that contract at two levels: randomized instruction
 streams on a single rank-NMP (down to the per-bank timing state), and
 full-system runs over the RecNMP variant matrix of the paper.
@@ -30,10 +29,13 @@ from repro.core.instruction import (
     NMPInstruction,
     PackedInstructions,
 )
+from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
 from repro.dlrm.operators import SLSRequest
 from repro.systems import build_system
 from repro.traces import make_production_table_traces, random_trace
+
+from nmp_packets import run_instruction, run_instructions
 
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 
@@ -67,7 +69,6 @@ def _rank_snapshot(rank):
     return {
         "current_cycle": rank.current_cycle,
         "stats": rank.stats.as_dict(),
-        "psums": dict(rank._psum_counts),
         "cache_order": list(rank.cache._entries) if rank.cache else None,
         "rank_scalars": list(rank.dram_rank.kernel_scalars()),
         "banks": [bank.kernel_state() for bank in rank.dram_rank.banks],
@@ -93,26 +94,6 @@ class TestFlavorSelection:
         with pytest.raises(RuntimeError, match="numba"):
             with kernels.force_flavor("numba"):
                 pass
-
-    def test_python_flavor_executes_packed_input(self):
-        # No kernel is bound, yet packed input runs -- through the same
-        # column loop as objects, bit-identically.
-        rng = np.random.default_rng(3)
-        instructions = _random_instructions(rng, 60)
-        arrivals = np.cumsum(rng.integers(0, 3, size=60))
-        config = RankNMPConfig(cache_capacity_bytes=4096)
-        with kernels.force_flavor("python"):
-            objects = RankNMP(config)
-            packed = RankNMP(config)
-        assert packed._kernel is None
-        last = objects.execute_instructions(
-            instructions, arrival_cycles=arrivals.tolist(),
-            reorder_window=8)
-        packed_last = packed.execute_packed(
-            PackedInstructions.from_instructions(instructions), arrivals,
-            reorder_window=8)
-        assert (packed_last, _rank_snapshot(packed)) == \
-            (last, _rank_snapshot(objects))
 
     def test_force_flavor_restores_after_body_exception(self):
         before = kernels._FORCED_FLAVOR
@@ -146,61 +127,62 @@ class TestFlavorSelection:
         assert kernels._FORCED_FLAVOR == before
 
 
-def _run_entry_point(flavor, config, instructions, arrivals, window,
-                     packed, split):
+def _run_split(flavor, config, instructions, arrivals, window, split):
     """Run ``instructions`` on a fresh rank-NMP of ``flavor`` in two
-    calls (split at ``split``, so state carries across a call boundary)
-    through one entry point; returns ``(last, snapshot)``."""
+    calls (split at ``split``, so state carries across a call boundary);
+    returns ``(last, snapshot)``."""
     with kernels.force_flavor(flavor):
         rank = RankNMP(config)
     last = None
     for part in (slice(0, split), slice(split, None)):
-        chunk = instructions[part]
-        if packed:
-            last = rank.execute_packed(
-                PackedInstructions.from_instructions(chunk),
-                np.asarray(arrivals[part], dtype=np.int64),
-                reorder_window=window)
-        else:
-            last = rank.execute_instructions(
-                chunk, arrival_cycles=arrivals[part], reorder_window=window)
+        last = rank.execute_packed(
+            PackedInstructions.from_instructions(instructions[part]),
+            np.asarray(arrivals[part], dtype=np.int64),
+            reorder_window=window)
     return last, _rank_snapshot(rank)
 
 
 class TestRankTriParity:
-    """python and flat-python agree on randomized streams, through both
-    the object and the packed entry point."""
+    """python and flat-python agree on randomized streams."""
 
     @pytest.mark.parametrize("use_cache", [True, False])
     @pytest.mark.parametrize("seed", range(4))
     def test_tri_parity(self, seed, use_cache):
-        self._check_tri_parity(seed, use_cache, packed=False)
-
-    @pytest.mark.parametrize("use_cache", [True, False])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_tri_parity_packed(self, seed, use_cache):
-        self._check_tri_parity(seed, use_cache, packed=True)
-
-    @staticmethod
-    def _check_tri_parity(seed, use_cache, packed):
-        """Every portable flavor's ``packed`` (or object) entry point
-        matches the python flavor's object entry point."""
         rng = np.random.default_rng(seed)
         instructions = _random_instructions(rng, 120)
         arrivals = np.cumsum(rng.integers(0, 3, size=120)).tolist()
         config = RankNMPConfig(use_cache=use_cache,
                                cache_capacity_bytes=4096)
-        reference = _run_entry_point("python", config, instructions,
-                                     arrivals, 8, False, 70)
+        reference = _run_split("python", config, instructions, arrivals, 8,
+                               70)
+        assert _run_split("flat-python", config, instructions, arrivals, 8,
+                          70) == reference
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tri_parity_packed(self, seed, use_cache):
+        """The same through a four-rank channel's ``execute_packed``:
+        the per-rank gather and decode feed every flavor alike."""
+        rng = np.random.default_rng(seed)
+        packed = PackedInstructions.from_instructions(
+            _random_instructions(rng, 120))
+        config = RankNMPConfig(use_cache=use_cache,
+                               cache_capacity_bytes=4096)
+        observed = {}
         for flavor in PORTABLE_FLAVORS:
-            assert _run_entry_point(flavor, config, instructions, arrivals,
-                                    8, packed, 70) == reference, flavor
+            with kernels.force_flavor(flavor):
+                channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2,
+                                        rank_config=config)
+            completions = [channel.execute_packed(packed, start_cycle=start)
+                           for start in (0, 500)]
+            observed[flavor] = (completions, [
+                _rank_snapshot(rank) for rank in channel.all_rank_nmps()])
+        assert observed["flat-python"] == observed["python"]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_entry_points_agree(self, data):
-        """Objects under ``python``, packed under ``python`` and packed
-        under ``flat-python`` leave identical rank-NMP state."""
+    def test_flavors_agree(self, data):
+        """``python`` and ``flat-python`` leave identical rank-NMP state."""
         count = data.draw(st.integers(0, 60), label="count")
         daddr = st.one_of(st.integers(0, 63), st.integers(0, 1 << 20))
         instructions = [
@@ -216,12 +198,10 @@ class TestRankTriParity:
         config = RankNMPConfig(use_cache=data.draw(st.booleans()),
                                cache_capacity_bytes=1024)
         split = data.draw(st.integers(0, count), label="split")
-        objects = _run_entry_point("python", config, instructions, arrivals,
-                                   window, False, split)
-        assert _run_entry_point("python", config, instructions, arrivals,
-                                window, True, split) == objects
-        assert _run_entry_point("flat-python", config, instructions,
-                                arrivals, window, True, split) == objects
+        assert _run_split("flat-python", config, instructions, arrivals,
+                          window, split) == \
+            _run_split("python", config, instructions, arrivals, window,
+                       split)
 
     def test_single_instruction_path(self):
         inst = NMPInstruction(ddr_cmd=FULL_CMD, daddr=123, vsize=2,
@@ -230,8 +210,8 @@ class TestRankTriParity:
         for flavor in PORTABLE_FLAVORS:
             with kernels.force_flavor(flavor):
                 rank = RankNMP(RankNMPConfig())
-                completion = rank.execute_instruction(inst)
-                completion2 = rank.execute_instruction(inst)
+                completion = run_instruction(rank, inst)
+                completion2 = run_instruction(rank, inst)
             results[flavor] = (completion, completion2,
                                _rank_snapshot(rank))
         assert results["flat-python"] == results["python"]
@@ -240,10 +220,10 @@ class TestRankTriParity:
         rng = np.random.default_rng(7)
         instructions = _random_instructions(rng, 40)
         rank = RankNMP(RankNMPConfig(use_cache=True))
-        rank.execute_instructions(list(instructions))
+        run_instructions(rank, instructions)
         first = _rank_snapshot(rank)
         rank.reset()
-        rank.execute_instructions(list(instructions))
+        run_instructions(rank, instructions)
         assert _rank_snapshot(rank) == first
 
 

@@ -7,11 +7,12 @@ from repro.core.instruction import (
     DDR_CMD_PRE,
     DDR_CMD_RD,
     NMPInstruction,
-    NMPPacket,
 )
 from repro.core.memory_controller import NMPMemoryController
 from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMPConfig
+
+from nmp_packets import instructions_of, packet_of
 
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 
@@ -23,17 +24,16 @@ def _packet(table_id, batch_index, packet_id, count=8, stride=997):
                        psum_tag=i % 4, table_id=table_id)
         for i in range(count)
     ]
-    return NMPPacket(instructions=instructions, table_id=table_id,
+    return packet_of(instructions, table_id=table_id,
                      batch_index=batch_index, packet_id=packet_id)
 
 
 def _reordered(controller, packet):
     """The packet's instructions in the controller's issue order."""
-    _, [(_, permutation)] = controller._issue_orders(
-        [packet.packed_arrays()])
-    instructions = packet.instructions
+    _, [(_, permutation)] = controller._issue_orders([packet.instructions])
+    instructions = instructions_of(packet)
     if permutation is None:
-        return list(instructions)
+        return instructions
     return [instructions[i] for i in permutation.tolist()]
 
 
@@ -93,7 +93,7 @@ class TestReordering:
         instructions = [NMPInstruction(ddr_cmd=FULL_CMD,
                                        daddr=(i % 2) * 128 * 64 + i)
                         for i in range(8)]
-        packet = NMPPacket(instructions=instructions)
+        packet = packet_of(instructions)
         reordered = _reordered(controller, packet)
         rows = [inst.daddr // 128 for inst in reordered]
         transitions = sum(1 for a, b in zip(rows, rows[1:]) if a != b)
@@ -111,7 +111,7 @@ class TestReordering:
         packet = _packet(0, 0, 0, count=12)
         reordered = _reordered(controller, packet)
         assert sorted(i.daddr for i in reordered) == \
-            sorted(i.daddr for i in packet.instructions)
+            sorted(packet.instructions.daddrs.tolist())
 
     def test_reorder_permutation_is_fr_fcfs(self):
         # One rank, rows [A, B, A, B, C, A], window 4: with no open row
@@ -122,7 +122,7 @@ class TestReordering:
         instructions = [NMPInstruction(ddr_cmd=FULL_CMD, daddr=row * 128)
                         for row in rows]
         reordered = _reordered(controller,
-                               NMPPacket(instructions=instructions))
+                               packet_of(instructions))
         assert [inst.daddr // 128 for inst in reordered] == \
             [3, 3, 3, 7, 7, 9]
 
@@ -137,7 +137,7 @@ class TestReordering:
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
         packet = _packet(0, 0, 0, count=8)
         with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
-            controller._issue_orders([packet.packed_arrays()])
+            controller._issue_orders([packet.instructions])
         controller.submit([packet])
         with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
             controller.dispatch(channel)
@@ -184,8 +184,8 @@ class TestPerRankStats:
         controller.dispatch(channel, reorder=reorder)
         expected = {}
         for packet in packets:
-            for instruction in packet.instructions:
-                rank = controller.rank_of_address(instruction.daddr * 64)
+            for daddr in packet.instructions.daddrs.tolist():
+                rank = controller.rank_of_address(daddr * 64)
                 expected[rank] = expected.get(rank, 0) + 1
         assert controller.stats.per_rank_instructions == expected
         assert sum(expected.values()) == 64
@@ -199,8 +199,8 @@ class TestPerRankStats:
                                          ranks_of_addresses=ranks_of)
         packet = _packet(0, 0, 0, count=16)
         vectorised_ranks, [(_, vectorised_order)] = \
-            vectorised._issue_orders([packet.packed_arrays()])
+            vectorised._issue_orders([packet.instructions])
         scalar_ranks, [(_, scalar_order)] = scalar._issue_orders(
-            [packet.packed_arrays()])
+            [packet.instructions])
         assert vectorised_ranks.tolist() == scalar_ranks.tolist()
         assert vectorised_order.tolist() == scalar_order.tolist()

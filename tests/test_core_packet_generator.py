@@ -7,6 +7,8 @@ from repro.core.instruction import DDR_CMD_ACT, DDR_CMD_PRE, DDR_CMD_RD
 from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
 from repro.dlrm.operators import SLSRequest
 
+from nmp_packets import instructions_of
+
 
 def _request(table_id=0, batch=4, pooling=8, num_rows=1000, seed=0,
              weights=False):
@@ -38,32 +40,36 @@ class TestPacketGeneration:
         generator = PacketGenerator(PacketGeneratorConfig(
             poolings_per_packet=4, enable_hot_entry_profiling=False))
         request = _request(batch=8, pooling=10)
-        packets = generator.packets_for_request(request)
+        packets = generator.packets_for_requests([request])
         assert sum(len(p) for p in packets) == 80
         assert len(packets) == 2                  # 8 poolings / 4 per packet
 
     def test_psum_tags_within_packet(self):
         generator = PacketGenerator(PacketGeneratorConfig(
             poolings_per_packet=4, enable_hot_entry_profiling=False))
-        packets = generator.packets_for_request(_request(batch=8, pooling=5))
+        packets = generator.packets_for_requests(
+            [_request(batch=8, pooling=5)])
         for packet in packets:
-            assert packet.num_poolings == 4
-            assert all(inst.psum_tag < 4 for inst in packet.instructions)
+            assert packet.instructions.num_poolings == 4
+            assert all(inst.psum_tag < 4
+                       for inst in instructions_of(packet))
 
     def test_addresses_use_address_of(self):
         config = PacketGeneratorConfig(enable_hot_entry_profiling=False)
         generator = PacketGenerator(
             config, address_of=lambda table, row: 1_000_000 + row * 64)
-        packets = generator.packets_for_request(_request(batch=1, pooling=4))
-        for inst in packets[0].instructions:
+        packets = generator.packets_for_requests(
+            [_request(batch=1, pooling=4)])
+        for inst in instructions_of(packets[0]):
             assert inst.daddr * 64 >= 1_000_000
 
     def test_weights_propagated(self):
         generator = PacketGenerator(PacketGeneratorConfig(
             enable_hot_entry_profiling=False))
         request = _request(batch=2, pooling=3, weights=True)
-        packets = generator.packets_for_request(request)
-        weights = [inst.weight for p in packets for inst in p.instructions]
+        packets = generator.packets_for_requests([request])
+        weights = [inst.weight for p in packets
+                   for inst in instructions_of(p)]
         assert weights == pytest.approx(request.weights.tolist(), rel=1e-6)
 
     def test_ddr_cmd_tags_reflect_row_locality(self):
@@ -73,8 +79,8 @@ class TestPacketGeneration:
                                     address_of=lambda t, row: row * 64)
         request = SLSRequest(table_id=0, indices=[0, 1, 2, 1000],
                              lengths=[4])
-        packet = generator.packets_for_request(request)[0]
-        tags = [inst.ddr_cmd for inst in packet.instructions]
+        packet = generator.packets_for_requests([request])[0]
+        tags = [inst.ddr_cmd for inst in instructions_of(packet)]
         assert tags[0] == DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
         assert tags[1] == DDR_CMD_RD
         assert tags[2] == DDR_CMD_RD
@@ -89,8 +95,8 @@ class TestPacketGeneration:
         request = SLSRequest(table_id=0,
                              indices=[5, 10, 5, 11, 5, 12, 5, 13],
                              lengths=[4, 4])
-        packet = generator.packets_for_request(request)[0]
-        for inst in packet.instructions:
+        packet = generator.packets_for_requests([request])[0]
+        for inst in instructions_of(packet):
             if inst.row_index == 5:
                 assert inst.locality_bit
             else:
@@ -98,9 +104,9 @@ class TestPacketGeneration:
 
     def test_profiling_disabled_marks_everything_cacheable(self):
         config = PacketGeneratorConfig(enable_hot_entry_profiling=False)
-        packet = PacketGenerator(config).packets_for_request(
-            _request(batch=1, pooling=6))[0]
-        assert packet.locality_fraction() == 1.0
+        packet = PacketGenerator(config).packets_for_requests([
+            _request(batch=1, pooling=6)])[0]
+        assert packet.instructions.localities.all()
 
     def test_packet_metadata(self):
         generator = PacketGenerator(PacketGeneratorConfig(
@@ -113,27 +119,26 @@ class TestPacketGeneration:
     def test_packet_ids_unique(self):
         generator = PacketGenerator(PacketGeneratorConfig(
             poolings_per_packet=1, enable_hot_entry_profiling=False))
-        packets = generator.packets_for_request(_request(batch=6, pooling=2))
+        packets = generator.packets_for_requests(
+            [_request(batch=6, pooling=2)])
         ids = [p.packet_id for p in packets]
         assert len(set(ids)) == len(ids)
 
-    def test_reset_clears_counter_and_profiles(self):
+    def test_reset_restarts_packet_ids(self):
         generator = PacketGenerator(PacketGeneratorConfig(
             poolings_per_packet=1))
         generator.packets_for_requests([_request(batch=4, pooling=2)])
         assert generator._packet_counter > 0
-        assert generator.last_profiles
         generator.reset()
         assert generator._packet_counter == 0
-        assert generator.last_profiles == {}
-        # Packet ids restart from zero after a reset.
-        packets = generator.packets_for_request(_request(batch=2, pooling=2))
+        packets = generator.packets_for_requests(
+            [_request(batch=2, pooling=2)])
         assert packets[0].packet_id == 0
 
     def test_vsize_stamped_from_config(self):
         config = PacketGeneratorConfig(vector_size_bytes=256,
                                        enable_hot_entry_profiling=False)
-        packet = PacketGenerator(config).packets_for_request(
-            _request(batch=1, pooling=3))[0]
-        assert all(inst.vsize == 4 for inst in packet.instructions)
+        packet = PacketGenerator(config).packets_for_requests([
+            _request(batch=1, pooling=3)])[0]
+        assert packet.instructions.vsizes.tolist() == [4, 4, 4]
 

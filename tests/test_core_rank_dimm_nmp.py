@@ -9,7 +9,6 @@ from repro.core.instruction import (
     DDR_CMD_PRE,
     DDR_CMD_RD,
     NMPInstruction,
-    NMPPacket,
     PackedInstructions,
 )
 from repro.core.processing_unit import RecNMPChannel
@@ -17,14 +16,14 @@ from repro.core.rank_nmp import RankNMP, RankNMPConfig
 from repro.dram.commands import CommandType
 from repro.dram.timing import DDR4_2400
 
+from nmp_packets import packet_of, run_instruction, run_instructions
+
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 
 
-def _instructions(count, stride_blocks=1000, vsize=1, locality=True,
-                  psum_tags=1):
+def _instructions(count, stride_blocks=1000, vsize=1, locality=True):
     return [NMPInstruction(ddr_cmd=FULL_CMD, daddr=i * stride_blocks,
-                           vsize=vsize, locality_bit=locality,
-                           psum_tag=i % psum_tags)
+                           vsize=vsize, locality_bit=locality)
             for i in range(count)]
 
 
@@ -44,14 +43,13 @@ class TestRankNMPConfig:
     def test_zero_latencies_accepted(self):
         config = RankNMPConfig(adder_latency_cycles=0,
                                multiplier_latency_cycles=0)
-        assert RankNMP(config).execute_instruction(
-            _instructions(1)[0]) > 0
+        assert run_instruction(RankNMP(config), _instructions(1)[0]) > 0
 
 
 class TestRankNMP:
     def test_single_miss_latency(self):
         rank = RankNMP(RankNMPConfig(use_cache=False))
-        completion = rank.execute_instruction(_instructions(1)[0])
+        completion = run_instruction(rank, _instructions(1)[0])
         minimum = DDR4_2400.tRCD + DDR4_2400.tCL + DDR4_2400.tBL
         assert completion >= minimum
 
@@ -59,9 +57,9 @@ class TestRankNMP:
         config = RankNMPConfig(use_cache=True, cache_capacity_bytes=4096)
         rank = RankNMP(config)
         inst = _instructions(1)[0]
-        rank.execute_instruction(inst)
+        run_instruction(rank, inst)
         start = rank.current_cycle
-        completion = rank.execute_instruction(inst)
+        completion = run_instruction(rank, inst)
         assert rank.stats.cache_hits == 1
         assert completion - start <= (config.cache_latency_cycles
                                       + config.adder_latency_cycles)
@@ -69,8 +67,8 @@ class TestRankNMP:
     def test_bypass_skips_cache(self):
         rank = RankNMP(RankNMPConfig(use_cache=True))
         inst = NMPInstruction(ddr_cmd=FULL_CMD, daddr=10, locality_bit=False)
-        rank.execute_instruction(inst)
-        rank.execute_instruction(inst)
+        run_instruction(rank, inst)
+        run_instruction(rank, inst)
         assert rank.stats.cache_hits == 0
         assert rank.stats.cache_bypasses == 2
 
@@ -79,36 +77,28 @@ class TestRankNMP:
         # PRE+ACT+RD latency chains thanks to bank-level pipelining.
         rank = RankNMP(RankNMPConfig(use_cache=False))
         instructions = _instructions(64, stride_blocks=997)
-        last = rank.execute_instructions(instructions)
+        last = run_instructions(rank, instructions)
         serialized = 64 * (DDR4_2400.tRP + DDR4_2400.tRCD + DDR4_2400.tCL)
         assert last < serialized * 0.5
 
     def test_weighted_instruction_uses_multiplier(self):
         config = RankNMPConfig(use_cache=False)
         rank = RankNMP(config)
-        unweighted = rank.execute_instruction(
-            NMPInstruction(ddr_cmd=FULL_CMD, daddr=1, weight=1.0))
+        unweighted = run_instruction(
+            rank, NMPInstruction(ddr_cmd=FULL_CMD, daddr=1, weight=1.0))
         rank2 = RankNMP(config)
-        weighted = rank2.execute_instruction(
-            NMPInstruction(ddr_cmd=FULL_CMD, daddr=1, weight=0.5))
+        weighted = run_instruction(
+            rank2, NMPInstruction(ddr_cmd=FULL_CMD, daddr=1, weight=0.5))
         assert weighted == unweighted + config.multiplier_latency_cycles
-
-    def test_psum_counts(self):
-        rank = RankNMP(RankNMPConfig(use_cache=False))
-        rank.execute_instructions(_instructions(8, psum_tags=4))
-        assert rank.psum_count(0) == 2
-        assert rank.psum_count(3) == 2
-        rank.reset_psums()
-        assert rank.psum_count(0) == 0
 
     def test_stats_bytes(self):
         rank = RankNMP(RankNMPConfig(use_cache=False, vector_size_bytes=256))
-        rank.execute_instructions(_instructions(4, vsize=4))
+        run_instructions(rank, _instructions(4, vsize=4))
         assert rank.stats.bytes_from_dram == 4 * 256
 
     def test_reset(self):
         rank = RankNMP()
-        rank.execute_instructions(_instructions(4))
+        run_instructions(rank, _instructions(4))
         rank.reset()
         assert rank.current_cycle == 0
         assert rank.stats.instructions == 0
@@ -116,9 +106,16 @@ class TestRankNMP:
 
     def test_arrival_cycles_respected(self):
         rank = RankNMP(RankNMPConfig(use_cache=False))
-        completion = rank.execute_instruction(_instructions(1)[0],
-                                              arrival_cycle=500)
+        completion = run_instruction(rank, _instructions(1)[0],
+                                     arrival_cycle=500)
         assert completion > 500
+
+    def test_arrival_cycles_must_match_stream(self):
+        rank = RankNMP()
+        packed = PackedInstructions.from_instructions(_instructions(3))
+        with pytest.raises(ValueError, match="arrival_cycles"):
+            rank.execute_packed(packed, [0, 0])
+        assert rank.stats.instructions == 0
 
     @pytest.mark.parametrize("flavor", ["python", "flat-python"])
     def test_negative_daddr_rejected_before_any_state_changes(self, flavor):
@@ -126,7 +123,7 @@ class TestRankNMP:
         # the valid Daddrs ahead of the bad one leave no trace either.
         with kernels.force_flavor(flavor):
             rank = RankNMP()
-        rank.execute_instructions(_instructions(3))
+        run_instructions(rank, _instructions(3))
         before = _state(rank)
         packed = PackedInstructions(
             np.array([5, 4096, -3], dtype=np.int64),
@@ -141,7 +138,7 @@ def _state(rank):
     """Rank-NMP, bank, rank and cache state, for before/after checks."""
     dram = rank.dram_rank
     return (rank.current_cycle, rank.stats.as_dict(),
-            dict(rank._psum_counts), list(rank.cache._entries),
+            list(rank.cache._entries),
             rank.cache.stats.as_dict(), dram.kernel_scalars(),
             [bank.kernel_state() for bank in dram.banks])
 
@@ -175,7 +172,7 @@ def _reference_execute_instructions(rank, instructions, arrival_cycles,
     """The pre-optimisation windowed scheduler, verbatim.
 
     ``_estimated_start`` is the readable specification of what the
-    memoised fast path in ``execute_instructions`` must compute; this
+    memoised fast path in ``RankNMP.execute_packed`` must compute; this
     reference loop re-evaluates it for every window member on every
     iteration exactly like the original code, so the randomized
     equivalence test below keeps the two from silently diverging.
@@ -194,7 +191,7 @@ def _reference_execute_instructions(rank, instructions, arrival_cycles,
         instruction, arrival = pending.pop(best_index)
         last_completion = max(
             last_completion,
-            rank.execute_instruction(instruction, arrival_cycle=arrival))
+            run_instruction(rank, instruction, arrival_cycle=arrival))
     return last_completion
 
 
@@ -222,8 +219,8 @@ class TestSchedulerEquivalence:
         window = int(rng.choice([1, 4, 16]))
 
         fast = RankNMP(config)
-        fast_last = fast.execute_instructions(
-            list(instructions), arrival_cycles=list(arrivals),
+        fast_last = run_instructions(
+            fast, list(instructions), arrival_cycles=list(arrivals),
             reorder_window=window)
         reference = RankNMP(config)
         reference_last = _reference_execute_instructions(
@@ -233,7 +230,6 @@ class TestSchedulerEquivalence:
         assert fast_last == reference_last
         assert fast.current_cycle == reference.current_cycle
         assert fast.stats.as_dict() == reference.stats.as_dict()
-        assert fast._psum_counts == reference._psum_counts
         if use_cache:
             assert list(fast.cache._entries) == \
                 list(reference.cache._entries)
@@ -258,7 +254,7 @@ class TestRecNMPChannel:
         # blocks spread evenly over the channel's ranks.
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2,
                                 rank_config=RankNMPConfig(use_cache=False))
-        packet = NMPPacket(instructions=_instructions(16, stride_blocks=1))
+        packet = packet_of(_instructions(16, stride_blocks=1))
         completion = channel.execute_packet(packet)
         loads = [rank.stats.instructions
                  for rank in channel.all_rank_nmps()]
@@ -271,8 +267,8 @@ class TestRecNMPChannel:
             channel = RecNMPChannel(
                 num_dimms=1, ranks_per_dimm=ranks_per_dimm,
                 rank_config=RankNMPConfig(use_cache=False))
-            return channel.execute_packet(NMPPacket(
-                instructions=_instructions(64, stride_blocks=997)))
+            return channel.execute_packet(packet_of(
+                _instructions(64, stride_blocks=997)))
 
         assert run(4) < run(1)
 
@@ -281,8 +277,8 @@ class TestRecNMPChannel:
             channel = RecNMPChannel(
                 num_dimms=num_dimms, ranks_per_dimm=ranks_per_dimm,
                 rank_config=RankNMPConfig(use_cache=False))
-            packet = NMPPacket(
-                instructions=_instructions(128, stride_blocks=997))
+            packet = packet_of(
+                _instructions(128, stride_blocks=997))
             return channel.execute_packet(packet)
 
         two_ranks = run(1, 2)
@@ -292,23 +288,38 @@ class TestRecNMPChannel:
     def test_custom_rank_assignment(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2,
                                 rank_config=RankNMPConfig(use_cache=False))
-        packet = NMPPacket(instructions=_instructions(8))
+        packet = packet_of(_instructions(8))
         channel.execute_packet(packet, ranks=[1] * 8)
         stats = channel.aggregate_stats()
         assert stats["instructions"] == 8
         assert channel.rank_nmp(0).stats.instructions == 0
         assert channel.rank_nmp(1).stats.instructions == 8
 
+    @pytest.mark.parametrize("num_ranks_given", [2, 9])
+    def test_rank_count_must_match_packet(self, num_ranks_given):
+        # Too few ranks used to drop the unmatched instructions silently
+        # (2 of 8 ran); too many raised a bare IndexError.
+        channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
+        packet = packet_of(_instructions(8))
+        ranks = [0] * num_ranks_given
+        message = "ranks has %d entries for a 8-instruction packet" \
+            % num_ranks_given
+        with pytest.raises(ValueError, match=message):
+            channel.execute_packet(packet, ranks=ranks)
+        with pytest.raises(ValueError, match=message):
+            channel.execute_packed(packet.instructions, ranks=ranks)
+        assert channel.aggregate_stats()["instructions"] == 0
+
     def test_invalid_rank_assignment_rejected(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
-        packet = NMPPacket(instructions=_instructions(1))
+        packet = packet_of(_instructions(1))
         with pytest.raises(ValueError, match="invalid rank 5"):
             channel.execute_packet(packet, ranks=[5])
 
     def test_aggregate_stats_hit_rate(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=1)
         instructions = _instructions(4, stride_blocks=0)  # same address
-        packet = NMPPacket(instructions=instructions)
+        packet = packet_of(instructions)
         channel.execute_packet(packet)
         stats = channel.aggregate_stats()
         assert stats["cache_hits"] == 3
@@ -316,7 +327,7 @@ class TestRecNMPChannel:
 
     def test_reset(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
-        packet = NMPPacket(instructions=_instructions(4, stride_blocks=1))
+        packet = packet_of(_instructions(4, stride_blocks=1))
         first = channel.execute_packet(packet)
         channel.reset()
         assert channel.aggregate_stats()["instructions"] == 0

@@ -138,14 +138,12 @@ class TestSimulation:
         assert stats["instructions"] == 0
 
     def test_reset_clears_packet_generator_state(self):
-        """reset() must also clear the generator's profiling/id state."""
+        """reset() must also restart the generator's packet ids."""
         simulator = _simulator()
         simulator.run_requests(_requests(seed=7), compare_baseline=False)
         assert simulator.packet_generator._packet_counter > 0
-        assert simulator.packet_generator.last_profiles
         simulator.reset()
         assert simulator.packet_generator._packet_counter == 0
-        assert simulator.packet_generator.last_profiles == {}
 
     def test_reset_makes_runs_reproducible(self):
         """A reset simulator reproduces a fresh simulator's result."""

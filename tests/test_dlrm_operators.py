@@ -42,6 +42,23 @@ class TestSLSRequest:
             SLSRequest(table_id=0, indices=[1, 2], lengths=[2],
                        weights=[1.0])
 
+    @pytest.mark.parametrize("indices, message", [
+        # -1 used to become Daddr 0xFFFFFFFF and read the table's last row.
+        ([3, -1, 2], r"indices\[1\]=-1"),
+        # 1.7 used to be truncated to row 1.
+        ([1.7, 2.2, 3.0], r"indices\[0\]=1.7"),
+        ([1.0, 2.0, float("nan")], r"indices\[2\]=nan"),
+    ], ids=["negative", "fractional", "nan"])
+    def test_bad_indices_rejected(self, indices, message):
+        with pytest.raises(ValueError, match="non-negative integers, got "
+                           + message):
+            SLSRequest(table_id=0, indices=indices, lengths=[3])
+
+    def test_integral_float_indices_accepted(self):
+        request = SLSRequest(table_id=0, indices=[1.0, 2.0], lengths=[2])
+        assert request.indices.dtype == np.int64
+        assert request.indices.tolist() == [1, 2]
+
     def test_pooling_slices(self):
         request = SLSRequest(table_id=0, indices=[5, 6, 7], lengths=[1, 2])
         slices = list(request.pooling_slices())

@@ -225,8 +225,8 @@ class TestFunctionalCorrectness:
         assert np.isfinite(output.predictions).all()
 
     def test_psum_accumulation_counts_match_pooling_sizes(self):
-        # The rank-NMP PsumTag bookkeeping must account for every vector of
-        # every pooling exactly once.
+        # Every vector of every pooling carries its pooling's PsumTag and
+        # reaches a rank-NMP exactly once.
         from repro.core.packet_generator import (
             PacketGenerator,
             PacketGeneratorConfig,
@@ -241,14 +241,11 @@ class TestFunctionalCorrectness:
             PacketGeneratorConfig(poolings_per_packet=8,
                                   enable_hot_entry_profiling=False),
             address_of=_address_of)
-        packets = generator.packets_for_request(request)
+        [packet] = generator.packets_for_requests([request])
+        assert np.bincount(packet.instructions.psum_tags).tolist() == [8] * 6
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
-        for packet in packets:
-            channel.execute_packet(packet)
-        accumulated = sum(
-            sum(rank._psum_counts.values())
-            for rank in channel.all_rank_nmps())
-        assert accumulated == 48
+        channel.execute_packet(packet)
+        assert channel.aggregate_stats()["instructions"] == 48
 
     def test_embedding_bag_lookup_equals_reference(self):
         bag = EmbeddingBag(num_tables=1, num_rows=64, embedding_dim=8, seed=5)

@@ -7,14 +7,14 @@ lookup's DDR commands from the previous lookup's row and looks its row up
 in a :class:`collections.Counter` profile.  The columnar
 :class:`PacketGenerator` must produce the same packets field for field,
 including the simulation-side metadata (``table_id``, ``pooling_index``,
-``row_index``) that instruction equality ignores, the same packet ids,
-the same packed timing columns and the same hot-entry profiles.
+``row_index``) that instruction equality ignores, the same packet ids
+and the same packed timing columns; the LocalityBits carry the
+hot-entry profiles.
 
 The last test checks that the cycle-simulated serving path builds no
 instruction object at all.
 """
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -30,7 +30,6 @@ from repro.core.instruction import (
     DDR_CMD_RD,
     NMPInstruction,
     NMPOpcode,
-    NMPPacket,
     PackedInstructions,
 )
 from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
@@ -44,6 +43,8 @@ from repro.serving import (
 from repro.systems.base import TableLayout
 from repro.traces import make_production_table_traces
 
+from nmp_packets import instructions_of, packet_of
+
 NUM_ROWS = 64
 NUM_TABLES = 3
 
@@ -55,7 +56,6 @@ class ReferencePacketGenerator:
         self.config = config
         self.address_of = address_of
         self.packet_counter = 0
-        self.last_profiles = {}
 
     def profile(self, indices, table_id):
         counts = Counter(int(i) for i in np.asarray(indices, np.int64))
@@ -79,11 +79,8 @@ class ReferencePacketGenerator:
             previous_row = row
         return tags
 
-    def packets_for_request(self, request, model_id=0, batch_index=0,
-                            profile=None):
+    def request_packets(self, request, model_id, batch_index, profile):
         config = self.config
-        if config.enable_hot_entry_profiling and profile is None:
-            profile = self.profile(request.indices, request.table_id)
         packets = []
         pooling_groups = list(request.pooling_slices())
         for start in range(0, len(pooling_groups),
@@ -109,7 +106,7 @@ class ReferencePacketGenerator:
                     weight=weight, locality_bit=locality, psum_tag=tag_slot,
                     table_id=request.table_id, pooling_index=pooling_index,
                     row_index=row))
-            packets.append(NMPPacket(instructions=instructions,
+            packets.append(packet_of(instructions,
                                      table_id=request.table_id,
                                      model_id=model_id,
                                      batch_index=batch_index,
@@ -127,12 +124,11 @@ class ReferencePacketGenerator:
             profiles = {table_id: self.profile(np.concatenate(parts),
                                                table_id)
                         for table_id, parts in per_table.items()}
-            self.last_profiles = profiles
         packets = []
         for batch_index, request in enumerate(requests):
-            packets.extend(self.packets_for_request(
-                request, model_id=model_id, batch_index=batch_index,
-                profile=profiles[request.table_id] if profiles else None))
+            packets.extend(self.request_packets(
+                request, model_id, batch_index,
+                profiles[request.table_id] if profiles else None))
         return packets
 
 
@@ -145,12 +141,12 @@ def _instruction_fields(instruction):
 
 
 def _packet_record(packet):
-    packed = packet.packed_arrays()
+    packed = packet.instructions
     return {
         "header": (packet.packet_id, packet.table_id, packet.model_id,
                    packet.batch_index, len(packet)),
         "instructions": [_instruction_fields(inst)
-                         for inst in packet.instructions],
+                         for inst in instructions_of(packet)],
         "packed": [getattr(packed, name).tolist()
                    for name in PackedInstructions.__slots__],
         "packed_dtypes": [getattr(packed, name).dtype.str
@@ -203,11 +199,10 @@ def _requests(draw):
        vector_bytes=st.sampled_from([64, 128, 256]),
        row_buffer_bytes=st.sampled_from([256, 8192]),
        scalar_only=st.booleans(),
-       entry=st.sampled_from(["batch", "request", "request-profiled"]),
        opcode=st.sampled_from(list(NMPOpcode)))
 def test_columns_match_the_per_lookup_reference(
         requests, poolings_per_packet, threshold, profiling, vector_bytes,
-        row_buffer_bytes, scalar_only, entry, opcode):
+        row_buffer_bytes, scalar_only, opcode):
     config = PacketGeneratorConfig(
         poolings_per_packet=poolings_per_packet,
         vector_size_bytes=vector_bytes, row_buffer_bytes=row_buffer_bytes,
@@ -221,28 +216,8 @@ def test_columns_match_the_per_lookup_reference(
     # Two batches through one generator: packet ids carry over and the
     # address-map probe result is reused.
     for batch in (requests, requests[::-1]):
-        if entry != "batch":
-            # "request-profiled" hands both generators one profile of the
-            # whole batch instead of letting each profile its request.
-            profile = reference.profile(
-                np.concatenate([request.indices for request in batch]),
-                table_id=0) if entry == "request-profiled" else None
-            packets = [packet for index, request in enumerate(batch)
-                       for packet in generator.packets_for_request(
-                           request, model_id=1, batch_index=index,
-                           profile=profile)]
-            expected = [packet for index, request in enumerate(batch)
-                        for packet in reference.packets_for_request(
-                            request, model_id=1, batch_index=index,
-                            profile=profile)]
-        else:
-            packets = generator.packets_for_requests(batch, model_id=1)
-            expected = reference.packets_for_requests(batch, model_id=1)
-            assert {table_id: dataclasses.asdict(profile)
-                    for table_id, profile in
-                    generator.last_profiles.items()} == \
-                {table_id: dataclasses.asdict(profile)
-                 for table_id, profile in reference.last_profiles.items()}
+        packets = generator.packets_for_requests(batch, model_id=1)
+        expected = reference.packets_for_requests(batch, model_id=1)
         assert [_packet_record(packet) for packet in packets] == \
             [_packet_record(packet) for packet in expected]
 
@@ -255,22 +230,6 @@ def test_scalar_only_address_map_rejects_arrays():
         address_of(1, np.arange(4))
 
 
-def test_column_packet_instruction_sequence():
-    config = PacketGeneratorConfig(enable_hot_entry_profiling=False)
-    request = SLSRequest(table_id=0, indices=np.arange(6),
-                         lengths=np.array([3, 3]))
-    packet = PacketGenerator(config).packets_for_request(request)[0]
-    expected = ReferencePacketGenerator(
-        config, lambda table_id, row: row * 64).packets_for_request(
-            request)[0].instructions
-    view = packet.instructions
-    assert len(view) == 6
-    assert view == expected and expected == list(view)
-    assert view[-1] == expected[-1] and view[1:4] == expected[1:4]
-    with pytest.raises(IndexError):
-        view[6]
-
-
 def test_serving_path_builds_no_instruction_objects(monkeypatch):
     """A serve-exact-cold-shaped run (two 4-channel recnmp-opt nodes,
     8 tables, 8 x 10 lookups per table per query, every batch
@@ -279,7 +238,6 @@ def test_serving_path_builds_no_instruction_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an NMPInstruction was built")
 
-    monkeypatch.setattr(NMPInstruction, "trusted", classmethod(refuse))
     monkeypatch.setattr(NMPInstruction, "__init__", refuse)
     vector_bytes = 128
     traces = make_production_table_traces(

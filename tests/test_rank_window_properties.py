@@ -18,6 +18,8 @@ from repro.core.instruction import NMPInstruction
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
 from test_core_rank_dimm_nmp import FULL_CMD, _reference_execute_instructions
 
+from nmp_packets import run_instructions
+
 FLAVORS = ("python", "flat-python")
 
 
@@ -27,7 +29,6 @@ def _observed(rank, last):
         "last": last,
         "current_cycle": rank.current_cycle,
         "stats": rank.stats.as_dict(),
-        "psums": rank._psum_counts,
         "cache_stats": rank.cache.stats.as_dict(),
         "lru": list(rank.cache._entries),
     }
@@ -44,8 +45,9 @@ def _run_all(instructions, arrivals, window, capacity_bytes):
     for flavor in FLAVORS:
         with kernels.force_flavor(flavor):
             rank = RankNMP(config)
-        observed[flavor] = _observed(rank, rank.execute_instructions(
-            instructions, arrival_cycles=arrivals, reorder_window=window))
+        observed[flavor] = _observed(rank, run_instructions(
+            rank, instructions, arrival_cycles=arrivals,
+            reorder_window=window))
     return observed
 
 
