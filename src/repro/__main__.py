@@ -79,6 +79,7 @@ import argparse
 import cProfile
 import io
 import json
+import math
 import pstats
 import sys
 
@@ -243,8 +244,8 @@ def _format_tier_stats(stats):
 
 
 def cmd_serve(args):
-    if args.slo_us is not None and args.slo_us <= 0:
-        raise SystemExit("error: --slo-us must be positive")
+    if args.slo_us is not None and not 0.0 < args.slo_us < math.inf:
+        raise SystemExit("error: --slo-us must be positive and finite")
     if args.admission == "deadline" and args.slo_us is None:
         raise SystemExit("error: --admission deadline sheds by deadline "
                          "slack; pass --slo-us to assign one")

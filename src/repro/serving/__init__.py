@@ -39,7 +39,6 @@ from repro.serving.batcher import BatchingFrontend, QueryBatch
 from repro.serving.query_columns import (
     BatchColumns,
     ColumnBatch,
-    ColumnQueryView,
     QueryColumns,
     QueryStream,
     form_batch_columns,
@@ -53,7 +52,6 @@ from repro.serving.slo import (
     SLOPolicy,
     available_slo_policies,
     resolve_slo_policy,
-    summarize_slo,
 )
 from repro.serving.admission import (
     ADMISSION_CONTROLLERS,
@@ -62,7 +60,6 @@ from repro.serving.admission import (
     NoAdmission,
     QueueDepthAdmission,
     TokenBucketAdmission,
-    apply_admission,
     available_admission_controllers,
     resolve_admission,
 )
@@ -110,7 +107,6 @@ __all__ = [
     "QueryBatch",
     "BatchColumns",
     "ColumnBatch",
-    "ColumnQueryView",
     "QueryColumns",
     "QueryStream",
     "form_batch_columns",
@@ -122,14 +118,12 @@ __all__ = [
     "ServicePercentileSLOPolicy",
     "available_slo_policies",
     "resolve_slo_policy",
-    "summarize_slo",
     "ADMISSION_CONTROLLERS",
     "AdmissionController",
     "NoAdmission",
     "TokenBucketAdmission",
     "QueueDepthAdmission",
     "DeadlineAwareAdmission",
-    "apply_admission",
     "available_admission_controllers",
     "resolve_admission",
     "ReplicatedTableSharder",

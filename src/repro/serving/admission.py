@@ -16,12 +16,14 @@ the drain rate.  The estimate comes from the cluster's own service model
 (:meth:`ShardedServingCluster.estimate_query_service_us`), so the
 controller's view of capacity tracks the simulated hardware.
 
-The model exists twice: :func:`admission_loop` calls any controller's
-``admit`` per query (custom controllers and :func:`apply_admission`),
-and :func:`repro.serving.event_kernels.admission_mask` runs the four
-built-ins as one compiled pass (:func:`admission_kernel_spec`).  Both
-carry their state in one vector, so chunked runs continue it across
-chunk boundaries.
+Every controller decides over columns:
+:meth:`AdmissionController.admit_mask` takes one chunk's arrival and
+slack vectors plus a carried state and returns the chunk's admit mask,
+so chunked runs continue one model across chunk boundaries.  The four
+built-ins are modes of the compiled
+:func:`repro.serving.event_kernels.admission_mask`; a custom controller
+implements ``admit_mask`` (and ``new_state`` if it carries more than the
+fluid backlog).
 
 Registry (``ADMISSION_CONTROLLERS`` / :func:`resolve_admission`):
 
@@ -38,36 +40,30 @@ Registry (``ADMISSION_CONTROLLERS`` / :func:`resolve_admission`):
 import abc
 
 from repro.serving import event_kernels
+from repro.serving.arrival import _require_finite
 
 
 class AdmissionController(abc.ABC):
-    """Strategy interface: admit or shed one arriving query.
-
-    Subclasses read the shared capacity estimates installed by
-    :meth:`configure` (called once per run, before the first decision)
-    and keep any per-run state reset by :meth:`reset`.
-    """
+    """Strategy interface: admit or shed the queries of one chunk."""
 
     #: Registry name of the controller (also recorded in report extras).
     name = "admission"
 
-    def configure(self, capacity_qps, est_query_us, est_batch_us,
-                  num_servers):
-        """Install the run's capacity estimates (once, before reset)."""
-        self._capacity_qps = float(capacity_qps)
-        self._est_query_us = float(est_query_us)
-        self._est_batch_us = float(est_batch_us)
-        self._num_servers = int(num_servers)
-
-    def reset(self):
-        """Forget per-run state (token levels, counters); default none."""
+    def new_state(self, first_arrival_us):
+        """Fresh carried state of one run, starting at its first arrival
+        (default: the kernel's vector, which holds the fluid backlog)."""
+        return event_kernels.new_admission_state(first_arrival_us)
 
     @abc.abstractmethod
-    def admit(self, query, now_us, predicted_wait_us):
-        """True to admit ``query`` arriving at ``now_us``.
+    def admit_mask(self, arrivals_us, slacks_us, state, num_servers,
+                   est_query_us, est_batch_us):
+        """Boolean admit mask of one chunk.
 
-        ``predicted_wait_us`` is the fluid-model dispatch wait the query
-        would see if admitted (0 when the virtual queue is empty).
+        ``arrivals_us`` are the chunk's sorted arrival times and
+        ``slacks_us`` its deadline slacks (NaN = no deadline); ``state``
+        comes from :meth:`new_state` and is updated in place.
+        ``num_servers`` frontends drain the admitted work, estimated at
+        ``est_query_us`` per query and ``est_batch_us`` per batch.
         """
 
     def describe(self):
@@ -82,8 +78,11 @@ class NoAdmission(AdmissionController):
 
     name = "none"
 
-    def admit(self, query, now_us, predicted_wait_us):
-        return True
+    def admit_mask(self, arrivals_us, slacks_us, state, num_servers,
+                   est_query_us, est_batch_us):
+        return event_kernels.admission_mask(
+            arrivals_us, slacks_us, state, num_servers, est_query_us,
+            est_batch_us, event_kernels.ADMISSION_MODE_NONE)
 
 
 class TokenBucketAdmission(AdmissionController):
@@ -91,46 +90,37 @@ class TokenBucketAdmission(AdmissionController):
 
     ``rate_qps`` tokens accrue per second (capped at ``burst``); each
     admission spends one.  ``rate_qps=None`` (the default) uses the
-    cluster's estimated sustainable query rate, so the bucket passes
-    everything below capacity and clips sustained overload to it --
-    bursts shorter than ``burst`` queries still pass untouched.
+    cluster's estimated sustainable query rate, ``num_servers /
+    est_query_us``, so the bucket passes everything below capacity and
+    clips sustained overload to it -- bursts shorter than ``burst``
+    queries still pass untouched.  The bucket starts full.
     """
 
     name = "token-bucket"
 
     def __init__(self, rate_qps=None, burst=32):
-        if rate_qps is not None and rate_qps <= 0:
-            raise ValueError("rate_qps must be positive")
+        if rate_qps is not None:
+            _require_finite(rate_qps=rate_qps)
+            if rate_qps <= 0:
+                raise ValueError("rate_qps must be positive")
+        _require_finite(burst=burst)
         if burst < 1:
             raise ValueError("burst must be >= 1")
         self.rate_qps = None if rate_qps is None else float(rate_qps)
         self.burst = float(burst)
 
-    def configure(self, capacity_qps, est_query_us, est_batch_us,
-                  num_servers):
-        super().configure(capacity_qps, est_query_us, est_batch_us,
-                          num_servers)
-        self._rate_qps = self.rate_qps if self.rate_qps is not None \
-            else capacity_qps
-        if self._rate_qps <= 0:
-            raise ValueError("token refill rate must be positive; pass "
-                             "rate_qps explicitly")
+    def new_state(self, first_arrival_us):
+        return event_kernels.new_admission_state(first_arrival_us,
+                                                 self.burst)
 
-    def reset(self):
-        self._tokens = self.burst
-        self._last_us = None
-
-    def admit(self, query, now_us, predicted_wait_us):
-        if self._last_us is not None and now_us > self._last_us:
-            self._tokens = min(
-                self.burst,
-                self._tokens + (now_us - self._last_us) * self._rate_qps
-                / 1e6)
-        self._last_us = now_us
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
+    def admit_mask(self, arrivals_us, slacks_us, state, num_servers,
+                   est_query_us, est_batch_us):
+        rate_qps = self.rate_qps if self.rate_qps is not None \
+            else num_servers / est_query_us * 1e6
+        return event_kernels.admission_mask(
+            arrivals_us, slacks_us, state, num_servers, est_query_us,
+            est_batch_us, event_kernels.ADMISSION_MODE_TOKEN_BUCKET,
+            rate_qps, self.burst)
 
     def describe(self):
         rate = "auto" if self.rate_qps is None else "%.0f QPS" \
@@ -150,13 +140,20 @@ class QueueDepthAdmission(AdmissionController):
     name = "queue-depth"
 
     def __init__(self, max_depth=64):
+        _require_finite(max_depth=max_depth)
+        if max_depth != int(max_depth):
+            raise ValueError("max_depth must be an integer, got %r"
+                             % (max_depth,))
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = int(max_depth)
 
-    def admit(self, query, now_us, predicted_wait_us):
-        depth = predicted_wait_us * self._num_servers / self._est_query_us
-        return depth < self.max_depth
+    def admit_mask(self, arrivals_us, slacks_us, state, num_servers,
+                   est_query_us, est_batch_us):
+        return event_kernels.admission_mask(
+            arrivals_us, slacks_us, state, num_servers, est_query_us,
+            est_batch_us, event_kernels.ADMISSION_MODE_QUEUE_DEPTH,
+            float(self.max_depth))
 
     def describe(self):
         return "queue-depth (max %d queries)" % self.max_depth
@@ -183,17 +180,17 @@ class DeadlineAwareAdmission(AdmissionController):
     name = "deadline"
 
     def __init__(self, margin=1.5):
+        _require_finite(margin=margin)
         if margin <= 0:
             raise ValueError("margin must be positive")
         self.margin = float(margin)
 
-    def admit(self, query, now_us, predicted_wait_us):
-        slack = query.slack_us
-        if slack is None:
-            return True
-        predicted_latency = predicted_wait_us \
-            + self.margin * self._est_batch_us
-        return predicted_latency <= slack
+    def admit_mask(self, arrivals_us, slacks_us, state, num_servers,
+                   est_query_us, est_batch_us):
+        return event_kernels.admission_mask(
+            arrivals_us, slacks_us, state, num_servers, est_query_us,
+            est_batch_us, event_kernels.ADMISSION_MODE_DEADLINE,
+            self.margin)
 
     def describe(self):
         return "deadline-aware (margin %.1fx batch service)" % self.margin
@@ -236,95 +233,3 @@ def resolve_admission(admission):
             "unknown admission controller %r; available: %s"
             % (admission, ", ".join(available_admission_controllers())))
     return factory()
-
-
-def admission_kernel_spec(controller, capacity_qps):
-    """Kernel parameters for a built-in controller, None for customs.
-
-    Returns ``(mode, param0, param1, initial_tokens)`` consumable by
-    :func:`repro.serving.event_kernels.admission_mask`, or ``None`` when
-    ``controller`` is not an *exact* instance of one of the four
-    built-in classes -- subclasses may override ``admit``/``reset``
-    arbitrarily, so they run through :func:`admission_loop`.
-    ``capacity_qps`` resolves the token bucket's default refill rate,
-    mirroring :meth:`TokenBucketAdmission.configure`.
-    """
-    kind = type(controller)
-    if kind is NoAdmission:
-        return (event_kernels.ADMISSION_MODE_NONE, 0.0, 0.0, 0.0)
-    if kind is TokenBucketAdmission:
-        rate_qps = controller.rate_qps if controller.rate_qps is not None \
-            else float(capacity_qps)
-        if rate_qps <= 0:
-            raise ValueError("token refill rate must be positive; pass "
-                             "rate_qps explicitly")
-        return (event_kernels.ADMISSION_MODE_TOKEN_BUCKET, rate_qps,
-                controller.burst, controller.burst)
-    if kind is QueueDepthAdmission:
-        return (event_kernels.ADMISSION_MODE_QUEUE_DEPTH,
-                float(controller.max_depth), 0.0, 0.0)
-    if kind is DeadlineAwareAdmission:
-        return (event_kernels.ADMISSION_MODE_DEADLINE, controller.margin,
-                0.0, 0.0)
-    return None
-
-
-def admission_loop(queries, controller, num_servers, est_query_us, state):
-    """The fluid backlog model, one ``controller.admit`` call per query.
-
-    ``queries`` (objects or ``ColumnQueryView`` rows) arrive in order;
-    admitted queries add ``est_query_us`` of work, ``num_servers``
-    frontends drain it in parallel, and each decision sees the predicted
-    wait at its arrival.  ``state`` is the carried vector of
-    :func:`~repro.serving.event_kernels.new_admission_state`; its
-    backlog and last-arrival slots are updated in place, so consecutive
-    chunks continue one model.  Returns one admit flag per query.  The
-    built-in controllers run the same model as the
-    :func:`~repro.serving.event_kernels.admission_mask` kernel.
-    """
-    backlog_us = float(state[event_kernels.ADM_BACKLOG_US])
-    last_us = float(state[event_kernels.ADM_LAST_US])
-    admitted = []
-    for query in queries:
-        now_us = query.arrival_us
-        backlog_us = max(0.0, backlog_us - (now_us - last_us) * num_servers)
-        last_us = now_us
-        admit = bool(controller.admit(query, now_us,
-                                      backlog_us / num_servers))
-        admitted.append(admit)
-        if admit:
-            backlog_us += est_query_us
-    state[event_kernels.ADM_BACKLOG_US] = backlog_us
-    state[event_kernels.ADM_LAST_US] = last_us
-    return admitted
-
-
-def apply_admission(queries, controller, num_servers, est_query_us,
-                    est_batch_us=None):
-    """Filter a query stream through an admission controller.
-
-    Configures and resets ``controller``, then runs
-    :func:`admission_loop` over the queries in arrival order (ties
-    broken by query id).  Returns ``(admitted, shed)`` -- two lists
-    partitioning the input, in arrival order.
-    """
-    if num_servers < 1:
-        raise ValueError("num_servers must be >= 1")
-    if est_query_us <= 0:
-        raise ValueError("est_query_us must be positive")
-    if est_batch_us is None:
-        est_batch_us = est_query_us
-    if est_batch_us <= 0:
-        raise ValueError("est_batch_us must be positive")
-    ordered = sorted(queries, key=lambda q: (q.arrival_us, q.query_id))
-    capacity_qps = num_servers / est_query_us * 1e6
-    controller.configure(capacity_qps, est_query_us, est_batch_us,
-                         num_servers)
-    controller.reset()
-    state = event_kernels.new_admission_state(
-        ordered[0].arrival_us if ordered else 0.0)
-    flags = admission_loop(ordered, controller, num_servers, est_query_us,
-                           state)
-    admitted = [query for query, admit in zip(ordered, flags) if admit]
-    shed = [query for query, admit in zip(ordered, flags) if not admit]
-    return admitted, shed

@@ -49,13 +49,6 @@ class ServingQuery:
     def num_tables(self):
         return len(self.requests)
 
-    @property
-    def slack_us(self):
-        """Time budget from arrival to deadline (None without a deadline)."""
-        if self.deadline_us is None:
-            return None
-        return self.deadline_us - self.arrival_us
-
     def fingerprint(self):
         """Content digest of the query's lookups (arrival-independent).
 
@@ -74,10 +67,11 @@ class ServingQuery:
 
 
 def _require_finite(**values):
-    """Reject NaN and infinite arrival parameters by name.
+    """Reject NaN and infinite parameters by name.
 
     A NaN slips past every ``<= 0`` guard (all its comparisons are
-    false), so each process checks finiteness before its range checks.
+    false), so arrival processes, SLO policies and admission controllers
+    check finiteness before their range checks.
     """
     for name, value in values.items():
         if not math.isfinite(value):

@@ -30,11 +30,7 @@ from repro.perf.service_store import (
     resolve_service_store,
     stable_fingerprint,
 )
-from repro.serving.admission import (
-    admission_kernel_spec,
-    admission_loop,
-    resolve_admission,
-)
+from repro.serving.admission import resolve_admission
 from repro.serving.batcher import BatchingFrontend
 from repro.serving.engine import resolve_engine
 from repro.serving.sharding import (
@@ -197,13 +193,9 @@ class ShardedServingCluster:
         -- their assignment is a pure function of content, so a cache
         hit needs no assignment pass at all.
         """
-        fingerprints = getattr(batch, "query_fingerprints", None)
-        if fingerprints is not None:
-            # Batch-level digests: QueryBatch walks its queries once,
-            # ColumnBatch answers from the provider's residue memo.
-            key = tuple(fingerprints())
-        else:
-            key = tuple(query.fingerprint() for query in batch.queries)
+        # Batch-level digests: QueryBatch walks its queries once,
+        # ColumnBatch answers from the provider's residue memo.
+        key = tuple(batch.query_fingerprints())
         if self.sharder.stateful:
             # Routing state must advance for every batch, cached or not,
             # and the assignment is part of the key.
@@ -503,7 +495,10 @@ class ShardedServingCluster:
         places an admission controller in front of the batcher (``None``
         for no admission stage, a registered name such as
         ``"token-bucket"`` or ``"deadline"``, or an
-        :class:`~repro.serving.admission.AdmissionController`); shed
+        :class:`~repro.serving.admission.AdmissionController`).  Both
+        decide over columns: the policy writes each chunk's deadline
+        column, and the controller answers one ``admit_mask`` call per
+        chunk from a state it started with ``new_state``.  Shed
         queries never enter a batch, and the report's percentiles are
         conditioned on the admitted stream with the shed/goodput
         accounting in ``extras["slo"]``.  Every run starts from fresh
@@ -543,7 +538,6 @@ class ShardedServingCluster:
         (the report object itself never carries the tracer).
         """
         from repro.perf.service_model import resolve_service_model
-        from repro.serving import event_kernels
         from repro.serving.query_columns import (
             BatchColumns,
             QueryColumns,
@@ -574,7 +568,6 @@ class ShardedServingCluster:
         # sees the whole run -- so the report is byte-identical whatever
         # the chunk size, including the one-shot stream_chunk=None.
         est_query_us = est_batch_us = None
-        kernel_spec = None
         admission_state = None
         num_offered = 0
         num_admitted = 0
@@ -600,15 +593,7 @@ class ShardedServingCluster:
                 est_query_us = self.estimate_query_service_us(
                     chunk, frontend=frontend, service_model=model)
                 est_batch_us = est_query_us * frontend.max_queries
-                capacity_qps = self.num_frontends / est_query_us * 1e6
-                controller.configure(capacity_qps, est_query_us,
-                                     est_batch_us, self.num_frontends)
-                controller.reset()
-                kernel_spec = admission_kernel_spec(controller,
-                                                    capacity_qps)
-                admission_state = event_kernels.new_admission_state(
-                    first_arrival,
-                    0.0 if kernel_spec is None else kernel_spec[3])
+                admission_state = controller.new_state(first_arrival)
             if not routing_reset:
                 # After the probe (which advances stateful routing),
                 # before the first real batch.
@@ -619,17 +604,15 @@ class ShardedServingCluster:
                 admitted = chunk
                 num_admitted += len(chunk)
             else:
-                if kernel_spec is not None:
-                    mode, param0, param1, _ = kernel_spec
-                    slacks = chunk.deadline_us - chunk.arrival_us
-                    mask = event_kernels.admission_mask(
-                        chunk.arrival_us, slacks, admission_state,
-                        self.num_frontends, est_query_us, est_batch_us,
-                        mode, param0, param1)
-                else:
-                    mask = np.asarray(admission_loop(
-                        chunk.views(), controller, self.num_frontends,
-                        est_query_us, admission_state), dtype=bool)
+                mask = np.asarray(controller.admit_mask(
+                    chunk.arrival_us, chunk.deadline_us - chunk.arrival_us,
+                    admission_state, self.num_frontends, est_query_us,
+                    est_batch_us), dtype=bool)
+                if mask.shape != chunk.arrival_us.shape:
+                    raise ValueError(
+                        "admission controller %r returned %d flags for "
+                        "%d queries" % (controller.describe(), mask.size,
+                                        len(chunk)))
                 admitted = chunk if mask.all() \
                     else chunk.take(np.flatnonzero(mask))
                 num_admitted += len(admitted)
@@ -945,7 +928,7 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
     every :meth:`ShardedServingCluster.simulate` call; all are resolved
     *once* -- stateful engines see the whole sweep, a string-specified
     service model is not re-instantiated at every QPS point, and
-    admission controllers reset their per-run state at each point.
+    every point starts from a fresh admission state.
     Returns the list of :class:`ServingReport`, one per point, in order.
 
     ``backend``/``jobs`` select the *sweep-level* execution backend

@@ -4,10 +4,11 @@ Three loops dominate long event-engine runs once service times come from
 the interpolating model: the multi-server FIFO dispatch queue and the
 EDF dispatch queue of :func:`repro.serving.events.simulate_batch_queue`
 (both ``heapq`` loops in their reference form), and the admission
-layer's fluid-backlog filter (the per-query
-:func:`repro.serving.admission.admission_loop`).  This module holds each
-loop once, as a ``_*_flat`` struct-of-arrays kernel written in the
-numba-compilable subset of Python, and runs it three ways:
+layer's fluid-backlog filter, which every built-in
+:class:`~repro.serving.admission.AdmissionController` runs as one mode
+of :func:`admission_mask`.  This module holds each loop once, as a
+``_*_flat`` struct-of-arrays kernel written in the numba-compilable
+subset of Python, and runs it three ways:
 
 * ``"numba"`` -- ``@njit``-compiled, when :mod:`numba` is importable;
 * ``"flat-python"`` -- the un-jitted source over preallocated
@@ -19,11 +20,10 @@ numba-compilable subset of Python, and runs it three ways:
 
 Flavor selection and ``force_flavor`` are shared with
 :mod:`repro.core.kernels` -- one switch governs every compiled kernel in
-the tree.  The readable ``heapq`` specifications of the two queue loops
-live in the test suite as reference oracles, and the per-query
-:func:`~repro.serving.admission.admission_loop` stays in the tree for
-custom admission controllers; the tests pin every flavor against them
-byte for byte.
+the tree.  The readable specifications of all three loops -- the
+``heapq`` dispatch queues and the per-query admission rules -- live in
+the test suite as reference oracles (``tests/queue_oracles.py``); the
+tests pin every flavor against them byte for byte.
 
 Bit-identity argument
 ---------------------
@@ -35,9 +35,10 @@ which are ties between equal floats.  The EDF pending heap orders
 ``(priority, ready, index)`` lexicographically; the index is unique, so
 the order is total and the popped element is layout-independent there
 too.  The admission kernel performs the same float arithmetic in the
-same order as the controller loop.  Randomized equivalence tests
-(``tests/test_event_kernels.py``) pin all three against the reference
-loops.
+same order as the per-query oracle.  Randomized equivalence tests
+(``tests/test_event_kernels.py``) and a hypothesis property
+(``tests/test_admission_properties.py``) pin all three against the
+reference loops.
 """
 
 import numpy as np
@@ -361,8 +362,7 @@ def edf_queue_times(ready, services, priorities, arrival_order, num_servers,
 
 
 def new_admission_state(first_arrival_us, initial_tokens=0.0):
-    """Fresh carried-state vector for :func:`admission_mask` and
-    :func:`repro.serving.admission.admission_loop`.
+    """Fresh carried-state vector for :func:`admission_mask`.
 
     ``first_arrival_us`` seeds the fluid model's last-arrival clock (so
     the first gap is zero); ``initial_tokens`` seeds the token bucket
@@ -382,8 +382,11 @@ def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
     ``arrivals`` are the sorted arrival times, ``slacks`` the per-query
     deadline slacks (NaN = no deadline), ``state`` the carried vector
     from :func:`new_admission_state` (mutated in place, so consecutive
-    chunks continue the same fluid model).  Returns a boolean admit
-    mask, bit-identical to the per-query controller loop.
+    chunks continue the same fluid model).  ``mode`` picks the rule
+    (the ``ADMISSION_MODE_*`` codes) and ``param0``/``param1`` its
+    parameters: the token bucket's refill rate (QPS) and burst, the
+    queue-depth bound, or the deadline margin.  Returns a boolean admit
+    mask, bit-identical to the per-query oracle.
     """
     if flavor is None:
         flavor = active_flavor()

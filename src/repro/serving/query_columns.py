@@ -4,18 +4,16 @@
 numpy columns of this module: a :class:`QueryStream` produces them
 chunk by chunk, a :class:`QueryColumns` is used as given, and a list of
 :class:`~repro.serving.arrival.ServingQuery` objects is converted once
-(:meth:`QueryColumns.from_queries`).  Objects materialise only where a
-caller actually needs one:
+(:meth:`QueryColumns.from_queries`).  No stage reads a per-query
+object: SLO policies and admission controllers decide over whole
+columns (:meth:`~repro.serving.slo.SLOPolicy.slack_column`,
+:meth:`~repro.serving.admission.AdmissionController.admit_mask`), and
+only the exact service path resolves a batch's SLS requests:
 
 * :class:`QueryColumns` -- the per-query arrays (ids, arrivals,
   deadlines, per-query lookup/pooling counts) plus a *request provider*
   that lazily resolves each query's SLS requests and content
   fingerprint.  Slicing, sorting and concatenation are array ops.
-* :class:`ColumnQueryView` -- a zero-copy view of one row that quacks
-  like a ``ServingQuery`` (``arrival_us``, ``deadline_us``,
-  ``slack_us``, ``requests``, ``fingerprint()``), so per-query
-  consumers (custom SLO policies, admission controllers, the exact
-  service path) work unchanged.
 * :func:`form_batch_columns` -- the two-trigger batcher
   (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as one
   whole-chunk ``searchsorted`` plus a walk over per-position batch
@@ -23,8 +21,8 @@ caller actually needs one:
   chunked streaming reproduces the one-shot batching byte for byte.
 * :class:`BatchColumns` / :class:`ColumnBatch` -- the formed batches as
   arrays (formation times, sizes, triggers, per-batch deadline minima
-  and request/pooling/lookup totals) plus per-batch views compatible
-  with :class:`~repro.serving.batcher.QueryBatch`.
+  and request/pooling/lookup totals) plus per-batch views for the
+  exact service path.
   :func:`as_batch_columns` is the one conversion for entry points that
   are handed a ``QueryBatch`` list instead.
 * :class:`QueryStream` -- a resumable generator of ``QueryColumns``
@@ -155,69 +153,6 @@ class _ExplicitRequests:
         return [self.queries[int(row)].fingerprint() for row in rows]
 
 
-class ColumnQueryView:
-    """One row of a :class:`QueryColumns`, quacking like a ServingQuery.
-
-    Attribute reads resolve against the backing arrays, so views are
-    cheap to create and always current; assigning ``deadline_us`` writes
-    through to the column (the array is the source of truth -- the
-    originating ``ServingQuery`` object, if any, is *not* updated).
-    """
-
-    __slots__ = ("_columns", "_position")
-
-    def __init__(self, columns, position):
-        self._columns = columns
-        self._position = position
-
-    @property
-    def query_id(self):
-        return int(self._columns.query_id[self._position])
-
-    @property
-    def arrival_us(self):
-        return float(self._columns.arrival_us[self._position])
-
-    @property
-    def deadline_us(self):
-        deadline = self._columns.deadline_us[self._position]
-        return None if deadline != deadline else float(deadline)
-
-    @deadline_us.setter
-    def deadline_us(self, value):
-        self._columns.deadline_us[self._position] = \
-            np.nan if value is None else float(value)
-
-    @property
-    def requests(self):
-        return self._columns.provider.row_requests(
-            int(self._columns.rows[self._position]))
-
-    @property
-    def total_lookups(self):
-        return int(self._columns.lookups[self._position])
-
-    @property
-    def num_tables(self):
-        return int(self._columns.num_requests[self._position])
-
-    @property
-    def slack_us(self):
-        deadline = self._columns.deadline_us[self._position]
-        if deadline != deadline:
-            return None
-        return float(deadline) - float(
-            self._columns.arrival_us[self._position])
-
-    def fingerprint(self):
-        return self._columns.provider.row_fingerprint(
-            int(self._columns.rows[self._position]))
-
-    def __repr__(self):
-        return ("ColumnQueryView(query_id=%d, arrival_us=%s)"
-                % (self.query_id, self.arrival_us))
-
-
 class QueryColumns:
     """A query stream as flat per-query arrays plus a request provider.
 
@@ -280,15 +215,6 @@ class QueryColumns:
     # ------------------------------------------------------------------ #
     def __len__(self):
         return self.query_id.shape[0]
-
-    def view(self, position):
-        """A :class:`ColumnQueryView` of one row."""
-        return ColumnQueryView(self, position)
-
-    def views(self):
-        """Lazy per-row views (materialised on call, not stored)."""
-        return [ColumnQueryView(self, position)
-                for position in range(len(self))]
 
     def take(self, indices):
         """Row subset by index array (shares the provider)."""
@@ -477,15 +403,14 @@ class QueryStream:
 class ColumnBatch:
     """One dispatched batch as a row range of a :class:`QueryColumns`.
 
-    Interface-compatible with :class:`~repro.serving.batcher.QueryBatch`
-    (``queries``, ``requests()``, the aggregate properties,
-    ``batching_delay_us``), with the aggregates answered from array
-    slices instead of object walks and ``query_fingerprints()`` served
-    straight from the provider's digest memo.
+    Answers what the exact service path and the service cache ask of a
+    :class:`~repro.serving.batcher.QueryBatch` (``requests()``, the
+    aggregate properties, ``query_fingerprints()``) from array slices
+    and the provider's digest memo, without per-query objects.
     """
 
     __slots__ = ("columns", "start", "stop", "open_us", "formed_us",
-                 "trigger", "_queries")
+                 "trigger")
 
     def __init__(self, columns, start, stop, open_us, formed_us, trigger):
         self.columns = columns
@@ -494,14 +419,6 @@ class ColumnBatch:
         self.open_us = open_us
         self.formed_us = formed_us
         self.trigger = trigger
-        self._queries = None
-
-    @property
-    def queries(self):
-        if self._queries is None:
-            self._queries = [ColumnQueryView(self.columns, position)
-                             for position in range(self.start, self.stop)]
-        return self._queries
 
     @property
     def size(self):
@@ -545,9 +462,6 @@ class ColumnBatch:
         """Per-query digests of the batch (the service-cache key body)."""
         return self.columns.provider.fingerprints_for(
             self.columns.rows[self.start:self.stop])
-
-    def batching_delay_us(self, query):
-        return self.formed_us - query.arrival_us
 
 
 class BatchColumns:
@@ -646,10 +560,10 @@ class BatchColumns:
         """Batch columns over a dispatched batch list.
 
         ``batches`` are :class:`~repro.serving.batcher.QueryBatch`
-        objects (or :class:`ColumnBatch` views); queries keep their
-        order, batch after batch.  Views of columns sharing one request
-        provider are sliced straight from those columns; anything else
-        goes through :meth:`QueryColumns.from_queries`.
+        objects, or :class:`ColumnBatch` views of columns sharing one
+        request provider; queries keep their order, batch after batch.
+        Views are sliced straight from their columns, query objects go
+        through :meth:`QueryColumns.from_queries`.
         """
         batches = list(batches)
         sizes = np.asarray([batch.size for batch in batches],

@@ -245,10 +245,10 @@ def summarize_serving(system_name, batches, service_times_us,
 
     When ``slo_info`` is given -- or any query carries a deadline --
     ``extras["slo"]`` gains the deadline accounting of
-    :func:`repro.serving.slo.summarize_slo`, using the analytic per-query
-    latency approximation (batching delay + service + mean wait) in place
-    of measured completions; quote attainment from the event engine where
-    the tail matters.
+    :func:`repro.serving.slo.summarize_slo_arrays`, using the analytic
+    per-query latency approximation (batching delay + service + mean
+    wait) in place of measured completions; quote attainment from the
+    event engine where the tail matters.
 
     ``capture`` is an optional :class:`~repro.obs.capture.RunCapture`
     the observability layer passes through ``simulate(trace=/metrics=)``.

@@ -7,8 +7,9 @@ deadline and the system is scored on *goodput* (deadline-meeting
 completions per second) and *SLO attainment* (the fraction of admitted
 queries that met their deadline).  This module provides:
 
-* :class:`SLOPolicy` -- assigns a deadline to every query of a stream.
-  Three implementations: a fixed per-query budget
+* :class:`SLOPolicy` -- assigns a deadline to every query of a stream,
+  one column at a time (:meth:`SLOPolicy.slack_column`).  Three
+  implementations: a fixed per-query budget
   (:class:`FixedSLOPolicy`), a budget scaling with the number of tables a
   query touches (:class:`PerTableSLOPolicy`), and a budget derived from a
   percentile of observed service times
@@ -16,7 +17,6 @@ queries that met their deadline).  This module provides:
 * :func:`summarize_slo_arrays` -- the shared deadline bookkeeping both
   serving engines attach to their reports (``extras["slo"]``):
   attainment, goodput, shed rate, and the admission counts.
-  :func:`summarize_slo` is the same record for a query list.
 
 Deadlines are *absolute* times (``arrival_us + slack``), so a query's
 latency meets its SLO exactly when ``complete_us <= deadline_us``.
@@ -30,58 +30,33 @@ import abc
 
 import numpy as np
 
+from repro.serving.arrival import _require_finite
 from repro.serving.queueing import percentile
 
 
 class SLOPolicy(abc.ABC):
-    """Strategy interface: assign a completion deadline to each query."""
+    """Strategy interface: assign a completion deadline to each query.
+
+    A policy implements :meth:`slack_column`; deadlines are the arrival
+    column plus that slack, written for a whole chunk at once.
+    """
 
     #: Registry name of the policy (also recorded in report extras).
     name = "slo-policy"
 
     @abc.abstractmethod
-    def slack_us(self, query):
-        """Time budget (us) from the query's arrival to its deadline."""
-
-    def assign_deadlines(self, queries):
-        """Set ``deadline_us = arrival_us + slack`` on every query.
-
-        Mutates the queries in place and returns them (assignment is
-        idempotent for deterministic policies).
-        """
-        for query in queries:
-            query.deadline_us = query.arrival_us + self.slack_us(query)
-        return queries
+    def slack_column(self, columns):
+        """Time budget (us) from arrival to deadline of every row of a
+        :class:`~repro.serving.query_columns.QueryColumns`: a float64
+        vector, or one scalar shared by every row."""
 
     def assign_deadlines_columns(self, columns):
-        """Deadline assignment over a
-        :class:`~repro.serving.query_columns.QueryColumns` (the step
-        ``ShardedServingCluster.simulate`` runs).
-
-        A built-in policy writes the whole column at once from its
-        ``_slack_column``, but only while that class's own
-        :meth:`slack_us` is in force: a subclass that overrides
-        ``slack_us`` alone gets :meth:`slack_us` evaluated per row view,
-        like any custom policy.  Mutates the deadline column in place
-        and returns the columns.
-        """
-        if self._slack_column_applies():
-            columns.deadline_us[:] = columns.arrival_us \
-                + self._slack_column(columns)
-            return columns
-        deadline = columns.deadline_us
-        for position in range(len(columns)):
-            deadline[position] = columns.arrival_us[position] \
-                + self.slack_us(columns.view(position))
+        """Write ``deadline_us = arrival_us + slack`` into the columns'
+        deadline column (the step ``ShardedServingCluster.simulate``
+        runs on each chunk) and return the columns."""
+        columns.deadline_us[:] = columns.arrival_us \
+            + self.slack_column(columns)
         return columns
-
-    def _slack_column_applies(self):
-        """True when the class defining the effective ``slack_us`` also
-        defines ``_slack_column`` (so the two agree by construction)."""
-        for klass in type(self).__mro__:
-            if "slack_us" in vars(klass):
-                return "_slack_column" in vars(klass)
-        return False
 
     def describe(self):
         """Human-readable one-line description of the policy."""
@@ -94,14 +69,12 @@ class FixedSLOPolicy(SLOPolicy):
     name = "fixed"
 
     def __init__(self, slo_us):
+        _require_finite(slo_us=slo_us)
         if slo_us <= 0:
             raise ValueError("slo_us must be positive")
         self.slo_us = float(slo_us)
 
-    def slack_us(self, query):
-        return self.slo_us
-
-    def _slack_column(self, columns):
+    def slack_column(self, columns):
         return self.slo_us
 
     def describe(self):
@@ -119,6 +92,7 @@ class PerTableSLOPolicy(SLOPolicy):
     name = "per-table"
 
     def __init__(self, base_us, per_table_us):
+        _require_finite(base_us=base_us, per_table_us=per_table_us)
         if base_us < 0 or per_table_us < 0:
             raise ValueError("budgets must be non-negative")
         if base_us + per_table_us <= 0:
@@ -126,13 +100,9 @@ class PerTableSLOPolicy(SLOPolicy):
         self.base_us = float(base_us)
         self.per_table_us = float(per_table_us)
 
-    def slack_us(self, query):
-        return self.base_us + self.per_table_us * query.num_tables
-
-    def _slack_column(self, columns):
-        # num_requests holds the per-query table count; int64 -> float64
-        # is exact for any realistic fan-out, so the vectorised slack
-        # matches the scalar ``base + per_table * num_tables`` bitwise.
+    def slack_column(self, columns):
+        # num_requests holds the per-query table count (int64 -> float64
+        # is exact for any realistic fan-out).
         return self.base_us \
             + self.per_table_us * columns.num_requests.astype(np.float64)
 
@@ -153,8 +123,11 @@ class ServicePercentileSLOPolicy(SLOPolicy):
     name = "service-percentile"
 
     def __init__(self, service_times_us, p=99.0, multiplier=3.0):
+        _require_finite(multiplier=multiplier)
         if multiplier <= 0:
             raise ValueError("multiplier must be positive")
+        if not np.isfinite(service_times_us).all():
+            raise ValueError("service_times_us must be finite")
         reference = percentile(service_times_us, p)
         if reference <= 0:
             raise ValueError("service-time percentile must be positive")
@@ -162,10 +135,7 @@ class ServicePercentileSLOPolicy(SLOPolicy):
         self.multiplier = float(multiplier)
         self._slack_us = self.multiplier * reference
 
-    def slack_us(self, query):
-        return self._slack_us
-
-    def _slack_column(self, columns):
+    def slack_column(self, columns):
         return self._slack_us
 
     def describe(self):
@@ -206,37 +176,6 @@ def resolve_slo_policy(policy):
         "slo_policy must be None, a number of microseconds, or an "
         "SLOPolicy instance (available classes: %s)"
         % ", ".join(available_slo_policies()))
-
-
-def _query_arrays(queries):
-    """``(arrival_us, slack_us)`` float64 vectors of a query list, with
-    NaN slack for deadline-free queries."""
-    arrivals = np.asarray([query.arrival_us for query in queries],
-                          dtype=np.float64)
-    slack = [getattr(query, "slack_us", None) for query in queries]
-    slack = np.asarray([np.nan if value is None else value
-                        for value in slack], dtype=np.float64)
-    return arrivals, slack
-
-
-def maybe_summarize_slo(queries, latencies_us, slo_info=None):
-    """:func:`summarize_slo` when the run carries SLO context, else None
-    (:func:`maybe_summarize_slo_arrays` over a query list)."""
-    arrivals, slack = _query_arrays(queries)
-    return maybe_summarize_slo_arrays(arrivals, slack, latencies_us,
-                                      slo_info)
-
-
-def summarize_slo(queries, latencies_us, slo_info=None):
-    """Deadline bookkeeping for one serving run (``extras["slo"]``).
-
-    ``queries`` are the *admitted* queries in the engine's sample order
-    and ``latencies_us`` their per-query latencies; see
-    :func:`summarize_slo_arrays`, which this calls on the queries'
-    arrival and slack vectors.
-    """
-    arrivals, slack = _query_arrays(queries)
-    return summarize_slo_arrays(arrivals, slack, latencies_us, slo_info)
 
 
 def maybe_summarize_slo_arrays(arrival_us, slack_us, latencies_us,

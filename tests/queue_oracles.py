@@ -1,19 +1,25 @@
-"""Reference ``heapq`` loops for the multi-server dispatch queues.
+"""Reference loops for the serving event kernels.
 
 These are the readable specifications of
 :func:`repro.serving.event_kernels.fifo_queue_times` and
-:func:`~repro.serving.event_kernels.edf_queue_times`: a min-heap of
+:func:`~repro.serving.event_kernels.edf_queue_times` -- a min-heap of
 server next-free times and, for EDF, a heap of waiting batches keyed by
-``(priority, ready, index)``.  They share no code with the kernels, take
-the same arguments and return the same ``(starts, completes)`` arrays, so
-tests can compare them directly or substitute them for the kernels
+``(priority, ready, index)`` -- and of
+:func:`~repro.serving.event_kernels.admission_mask`: the fluid backlog
+model (:func:`fluid_admission`) with each built-in controller's rule
+decided one query at a time.  They share no code with the kernels, take
+the same arguments and return the same arrays, so tests can compare them
+directly or substitute them for the kernels
 (``monkeypatch.setattr(event_kernels, "fifo_queue_times", ...)``) and
 rerun whole serving pipelines.
 """
 
 import heapq
+import math
 
 import numpy as np
+
+from repro.serving import event_kernels
 
 
 def fifo_queue_times(ready, services, arrival_order, num_servers):
@@ -61,3 +67,69 @@ def edf_queue_times(ready, services, priority, arrival_order, num_servers):
         completes[index] = complete
         heapq.heappush(free_at, complete)
     return starts, completes
+
+
+def fluid_admission(arrivals, state, num_servers, est_query_us, decide):
+    """The fluid backlog model, one ``decide`` call per query.
+
+    Queries arrive at ``arrivals`` (sorted); admitted ones add
+    ``est_query_us`` of work, which ``num_servers`` frontends drain in
+    parallel.  ``decide(position, now_us, wait_us)`` sees the predicted
+    wait at the arrival and returns True to admit.  The backlog and
+    last-arrival slots of ``state`` (the kernel's carried vector) are
+    updated in place, so consecutive chunks continue one model.
+    """
+    backlog_us = float(state[event_kernels.ADM_BACKLOG_US])
+    last_us = float(state[event_kernels.ADM_LAST_US])
+    admitted = np.zeros(len(arrivals), dtype=bool)
+    for position, now_us in enumerate(arrivals):
+        now_us = float(now_us)
+        backlog_us = max(0.0, backlog_us - (now_us - last_us) * num_servers)
+        last_us = now_us
+        if decide(position, now_us, backlog_us / num_servers):
+            admitted[position] = True
+            backlog_us += est_query_us
+    state[event_kernels.ADM_BACKLOG_US] = backlog_us
+    state[event_kernels.ADM_LAST_US] = last_us
+    return admitted
+
+
+def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
+                   est_batch_us, mode, param0=0.0, param1=0.0,
+                   flavor=None):
+    """The built-in admission rules, one query at a time.
+
+    ``mode`` and the parameters mean what they mean to the kernel: the
+    token bucket refills ``param0`` tokens per second up to ``param1``
+    (its level and last-refill time live in ``state``, NaN before the
+    first arrival); queue-depth sheds at ``param0`` queued queries;
+    deadline sheds a query whose predicted wait plus ``param0`` batch
+    services exceeds its slack (NaN: no deadline, always admitted).
+    ``flavor`` is accepted for signature parity and ignored.
+    """
+    def token_bucket(position, now_us, wait_us):
+        tokens = float(state[event_kernels.ADM_TOKENS])
+        last_us = float(state[event_kernels.ADM_TOKEN_LAST_US])
+        if not math.isnan(last_us) and now_us > last_us:
+            tokens = min(param1, tokens + (now_us - last_us) * param0 / 1e6)
+        state[event_kernels.ADM_TOKEN_LAST_US] = now_us
+        admit = tokens >= 1.0
+        state[event_kernels.ADM_TOKENS] = tokens - 1.0 if admit else tokens
+        return admit
+
+    def queue_depth(position, now_us, wait_us):
+        return wait_us * num_servers / est_query_us < param0
+
+    def deadline(position, now_us, wait_us):
+        slack_us = float(slacks[position])
+        return math.isnan(slack_us) \
+            or wait_us + param0 * est_batch_us <= slack_us
+
+    rules = {
+        event_kernels.ADMISSION_MODE_NONE: lambda *_: True,
+        event_kernels.ADMISSION_MODE_TOKEN_BUCKET: token_bucket,
+        event_kernels.ADMISSION_MODE_QUEUE_DEPTH: queue_depth,
+        event_kernels.ADMISSION_MODE_DEADLINE: deadline,
+    }
+    return fluid_admission(arrivals, state, num_servers, est_query_us,
+                           rules[mode])

@@ -203,6 +203,13 @@ class TestParseErrors:
         with pytest.raises(SystemExit, match="positive"):
             main(SERVE_ARGS + ["--slo-us", "0"])
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_slo_rejected(self, budget):
+        # NaN passed the ``<= 0`` check and ran without deadlines.
+        with pytest.raises(SystemExit, match="finite") as excinfo:
+            main(SERVE_ARGS + ["--slo-us", budget])
+        assert excinfo.value.code not in (None, 0)
+
     def test_negative_request_overhead_rejected(self):
         with pytest.raises(SystemExit, match="non-negative"):
             main(SERVE_ARGS + ["--request-overhead", "-1"])

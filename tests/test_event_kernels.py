@@ -2,9 +2,9 @@
 
 The compiled FIFO/EDF/admission kernels in
 :mod:`repro.serving.event_kernels` must be *bit-identical* to the
-reference loops they replace (the ``heapq`` dispatch queues in
-``queue_oracles`` and the per-query controller loop in
-:func:`repro.serving.admission.apply_admission`).  These tests drive
+reference loops they replace (the ``heapq`` dispatch queues and the
+per-query admission rules in ``queue_oracles``; the admission property
+lives in ``tests/test_admission_properties.py``).  These tests drive
 randomized workloads -- with ties, idle gaps, missing deadlines and
 every server count the engines use -- through every interpreted flavor
 against the reference loops, pin the flavor plumbing, and (mirroring
@@ -21,21 +21,11 @@ import pytest
 
 import queue_oracles
 from repro.serving import event_kernels
-from repro.serving.admission import (
-    DeadlineAwareAdmission,
-    NoAdmission,
-    QueueDepthAdmission,
-    TokenBucketAdmission,
-    admission_kernel_spec,
-    apply_admission,
-)
-from repro.serving.arrival import ServingQuery
+from repro.serving.admission import TokenBucketAdmission
 from repro.serving.event_kernels import (
-    admission_mask,
     edf_queue_times,
     fifo_queue_times,
     force_flavor,
-    new_admission_state,
 )
 from repro.serving.events import simulate_batch_queue
 
@@ -150,56 +140,6 @@ class TestEdfKernels:
 
 
 class TestAdmissionKernels:
-    CONTROLLERS = [
-        NoAdmission(),
-        TokenBucketAdmission(burst=8),
-        TokenBucketAdmission(rate_qps=40_000.0, burst=4),
-        QueueDepthAdmission(max_depth=16),
-        DeadlineAwareAdmission(margin=1.2),
-    ]
-
-    def _queries(self, seed, size, with_deadlines):
-        rng = np.random.default_rng(seed)
-        gaps = rng.choice([0.0, 3.0, 9.0, 40.0], size=size)
-        arrivals = np.cumsum(gaps)
-        queries = []
-        for index in range(size):
-            deadline = None
-            if with_deadlines and rng.random() < 0.8:
-                deadline = float(arrivals[index]) \
-                    + float(rng.integers(20, 400))
-            queries.append(ServingQuery(query_id=index,
-                                        arrival_us=float(arrivals[index]),
-                                        deadline_us=deadline))
-        return queries
-
-    @pytest.mark.parametrize("controller", CONTROLLERS)
-    @pytest.mark.parametrize("seed", [30, 31])
-    def test_mask_matches_apply_admission(self, seed, controller):
-        num_servers, est_query_us, est_batch_us = 3, 25.0, 200.0
-        queries = self._queries(seed, 500, with_deadlines=True)
-        admitted, shed = apply_admission(queries, controller, num_servers,
-                                         est_query_us, est_batch_us)
-        admitted_ids = {query.query_id for query in admitted}
-
-        arrivals = np.array([q.arrival_us for q in queries])
-        slacks = np.array([np.nan if q.deadline_us is None
-                           else q.deadline_us - q.arrival_us
-                           for q in queries])
-        capacity_qps = num_servers / est_query_us * 1e6
-        spec = admission_kernel_spec(controller, capacity_qps)
-        assert spec is not None
-        mode, param0, param1, initial_tokens = spec
-        for flavor in FLAVORS:
-            state = new_admission_state(arrivals[0], initial_tokens)
-            mask = admission_mask(arrivals, slacks, state, num_servers,
-                                  est_query_us, est_batch_us, mode, param0,
-                                  param1, flavor=flavor)
-            got_ids = {queries[i].query_id
-                       for i in np.flatnonzero(mask)}
-            assert got_ids == admitted_ids, flavor
-        assert len(admitted) + len(shed) == len(queries)
-
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_chunked_state_carry_matches_oneshot(self, chunk):
         rng = np.random.default_rng(99)
@@ -208,27 +148,17 @@ class TestAdmissionKernels:
         slacks = np.where(rng.random(size) < 0.3, np.nan,
                           rng.integers(10, 300, size).astype(np.float64))
         controller = TokenBucketAdmission(burst=6)
-        mode, param0, param1, initial_tokens = admission_kernel_spec(
-            controller, capacity_qps=3 / 25.0 * 1e6)
         for flavor in FLAVORS:
-            state = new_admission_state(arrivals[0], initial_tokens)
-            oneshot = admission_mask(arrivals, slacks, state, 3, 25.0,
-                                     200.0, mode, param0, param1,
-                                     flavor=flavor)
-            state = new_admission_state(arrivals[0], initial_tokens)
-            pieces = []
-            for start in range(0, size, chunk):
-                pieces.append(admission_mask(
+            with force_flavor(flavor):
+                state = controller.new_state(arrivals[0])
+                oneshot = controller.admit_mask(arrivals, slacks, state,
+                                                3, 25.0, 200.0)
+                state = controller.new_state(arrivals[0])
+                pieces = [controller.admit_mask(
                     arrivals[start:start + chunk],
-                    slacks[start:start + chunk], state, 3, 25.0, 200.0,
-                    mode, param0, param1, flavor=flavor))
+                    slacks[start:start + chunk], state, 3, 25.0, 200.0)
+                    for start in range(0, size, chunk)]
             assert np.array_equal(np.concatenate(pieces), oneshot), flavor
-
-    def test_custom_subclass_has_no_kernel_spec(self):
-        class Tighter(TokenBucketAdmission):
-            pass
-
-        assert admission_kernel_spec(Tighter(), 1e6) is None
 
 
 class TestFlavorPlumbing:

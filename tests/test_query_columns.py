@@ -54,13 +54,18 @@ def columns(traces):
 class TestConstruction:
     def test_matches_object_queries(self, object_queries, columns):
         assert len(columns) == len(object_queries)
-        for query, view in zip(object_queries, columns.views()):
-            assert view.query_id == query.query_id
-            assert view.arrival_us == query.arrival_us
-            assert view.deadline_us is None and query.deadline_us is None
-            assert view.fingerprint() == query.fingerprint()
-            assert view.total_lookups == query.total_lookups
-            assert view.num_tables == query.num_tables
+        assert columns.query_id.tolist() == \
+            [query.query_id for query in object_queries]
+        assert columns.arrival_us.tolist() == \
+            [query.arrival_us for query in object_queries]
+        assert np.isnan(columns.deadline_us).all()
+        assert all(query.deadline_us is None for query in object_queries)
+        assert list(columns.fingerprints()) == \
+            [query.fingerprint() for query in object_queries]
+        assert columns.lookups.tolist() == \
+            [query.total_lookups for query in object_queries]
+        assert columns.num_requests.tolist() == \
+            [query.num_tables for query in object_queries]
 
     def test_from_queries_round_trip(self, object_queries):
         columns = QueryColumns.from_queries(object_queries)
@@ -70,22 +75,20 @@ class TestConstruction:
         assert list(columns.fingerprints()) == \
             [q.fingerprint() for q in object_queries]
 
-    def test_materialized_views_serve_requests(self, object_queries,
-                                               columns):
-        view = columns.view(7)
-        requests = view.requests
+    def test_provider_serves_row_requests(self, object_queries,
+                                          columns):
+        requests = columns.provider.row_requests(int(columns.rows[7]))
         assert len(requests) == object_queries[7].num_tables
         assert [r.table_id for r in requests] == \
             [r.table_id for r in object_queries[7].requests]
 
     def test_take_and_slice(self, columns):
         picked = columns.take(np.array([3, 5, 11]))
-        assert [v.query_id for v in picked.views()] == [
-            columns.view(3).query_id, columns.view(5).query_id,
-            columns.view(11).query_id]
+        assert picked.query_id.tolist() == \
+            columns.query_id[[3, 5, 11]].tolist()
         window = columns.slice(10, 20)
         assert len(window) == 10
-        assert window.view(0).query_id == columns.view(10).query_id
+        assert window.query_id[0] == columns.query_id[10]
 
     def test_concat_preserves_order_and_fingerprints(self, columns):
         merged = QueryColumns.concat([columns.slice(0, 100),
@@ -113,7 +116,8 @@ class TestBatching:
                 tuple(object_batch.query_fingerprints())
             assert column_batch.total_poolings == \
                 object_batch.total_poolings
-            assert [v.query_id for v in column_batch.queries] == \
+            assert column_batch.columns.query_id[
+                column_batch.start:column_batch.stop].tolist() == \
                 [q.query_id for q in object_batch.queries]
 
     def test_carry_plus_final_matches_oneshot(self, columns):

@@ -5,14 +5,15 @@
 ``golden/serving_reports.json`` holds ``dataclasses.asdict(report)`` of
 the object pipeline for every configuration below -- engines x admission
 (built-ins plus a custom subclass) x SLO policy (including a subclass
-that overrides only ``slack_us``) x stateless/stateful sharders --
+that overrides ``slack_column``) x stateless/stateful sharders --
 recorded with fresh query objects per run before that pipeline was
 deleted.  Every input form (a query list or ``QueryColumns``, one shot
 or chunked) must reproduce it byte for byte, on every kernel flavor, and
 again with the reference loops swapped in: the ``heapq`` dispatch queues
-of ``queue_oracles`` in place of the event kernels, and every admission
-controller on the per-query ``admission_loop`` instead of the vectorised
-mask.
+and the per-query admission rules of ``queue_oracles`` in place of the
+event kernels.  (The fixture predates the column-only policy interfaces:
+the custom controller and the slack subclass then decided per query
+object, and their column rewrites below reproduce those decisions.)
 """
 
 import dataclasses
@@ -37,8 +38,6 @@ from repro.serving import (
     queries_from_traces,
     query_columns_from_traces,
 )
-from repro.serving import admission as admission_module
-from repro.serving import cluster as cluster_module
 from repro.serving import event_kernels
 from repro.serving.sharding import ReplicatedTableSharder
 from repro.traces import make_production_table_traces
@@ -90,19 +89,25 @@ class DeadlineFirstDepthAdmission(QueueDepthAdmission):
 
     name = "deadline-first-depth"
 
-    def admit(self, query, now_us, predicted_wait_us):
-        depth = predicted_wait_us * self._num_servers / self._est_query_us
-        limit = self.max_depth
-        if query.deadline_us is not None:
-            limit = self.max_depth / 2
-        return depth < limit
+    def admit_mask(self, arrivals_us, slacks_us, state, num_servers,
+                   est_query_us, est_batch_us):
+        def decide(position, now_us, wait_us):
+            depth = wait_us * num_servers / est_query_us
+            limit = self.max_depth
+            if not np.isnan(slacks_us[position]):
+                limit = self.max_depth / 2
+            return depth < limit
+
+        return queue_oracles.fluid_admission(arrivals_us, state,
+                                             num_servers, est_query_us,
+                                             decide)
 
 
 class OddQueriesSlackSLO(FixedSLOPolicy):
-    """Overrides only ``slack_us``: odd query ids get twice the budget."""
+    """Overrides ``slack_column``: odd query ids get twice the budget."""
 
-    def slack_us(self, query):
-        return self.slo_us * (2.0 if query.query_id % 2 else 1.0)
+    def slack_column(self, columns):
+        return self.slo_us * np.where(columns.query_id % 2, 2.0, 1.0)
 
 
 ENGINES = ("analytic", "event", "event-edf")
@@ -208,10 +213,8 @@ def reference_loops(monkeypatch):
                         counted("fifo", queue_oracles.fifo_queue_times))
     monkeypatch.setattr(event_kernels, "edf_queue_times",
                         counted("edf", queue_oracles.edf_queue_times))
-    monkeypatch.setattr(cluster_module, "admission_kernel_spec",
-                        lambda controller, capacity_qps: None)
-    monkeypatch.setattr(cluster_module, "admission_loop",
-                        counted("admission", admission_module.admission_loop))
+    monkeypatch.setattr(event_kernels, "admission_mask",
+                        counted("admission", queue_oracles.admission_mask))
     return calls
 
 
@@ -228,7 +231,7 @@ def test_report_matches_golden_on_reference_loops(golden, clusters,
 
 def test_reference_loops_replace_the_kernels(clusters, reference_loops):
     """The substitution is live: an EDF run with deadline admission goes
-    through the ``heapq`` EDF loop and the per-query admission loop.
+    through the ``heapq`` EDF loop and the per-query admission rules.
     (The matrix's clusters have one frontend, where FIFO is a closed
     form, so the FIFO oracle is checked with two.)"""
     run_config(clusters["round-robin"], "event-edf/deadline/fixed/"
@@ -254,10 +257,10 @@ def test_matrix_exercises_shedding_and_misses(golden):
 
 
 class TestSlackOverride:
-    """Regression: the vectorised deadline write ignored subclasses that
-    override only ``slack_us``."""
+    """A policy subclass that overrides ``slack_column`` sets the
+    deadlines of every run, chunked or not."""
 
-    def test_subclass_deadlines_follow_slack_us(self):
+    def test_subclass_deadlines_follow_slack_column(self):
         columns = fresh_columns()
         OddQueriesSlackSLO(SLO_US).assign_deadlines_columns(columns)
         slack = np.where(columns.query_id % 2, 2 * SLO_US, SLO_US)

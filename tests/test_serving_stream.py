@@ -143,8 +143,7 @@ class TestQueryStream:
         rest = stream.take(64)
         assert len(rest) == 36 and stream.remaining == 0
         assert len(stream.take(10)) == 0
-        ids = [v.query_id for v in first.views()] \
-            + [v.query_id for v in rest.views()]
+        ids = first.query_id.tolist() + rest.query_id.tolist()
         assert ids == list(range(100))
 
     def test_default_chunk_applies_to_streams(self, traces):
@@ -224,8 +223,8 @@ class TestValidation:
 
     def test_all_shed_raises(self, traces):
         class ShedAll(TokenBucketAdmission):
-            def admit(self, query, now_us, wait_us):
-                return False
+            def admit_mask(self, arrivals_us, *_):
+                return np.zeros(arrivals_us.shape, dtype=bool)
 
         columns = query_columns_from_traces(traces, 64, _arrivals())
         with ShardedServingCluster(num_nodes=2,
@@ -233,3 +232,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="shed every query"):
                 cluster.simulate(columns, admission=ShedAll(),
                                  stream_chunk=64)
+
+    def test_mask_of_wrong_length_raises(self, traces):
+        class Short(TokenBucketAdmission):
+            def admit_mask(self, arrivals_us, *_):
+                return np.ones(arrivals_us.size - 1, dtype=bool)
+
+        columns = query_columns_from_traces(traces, 64, _arrivals())
+        with ShardedServingCluster(num_nodes=2,
+                                   node_system="recnmp-opt") as cluster:
+            with pytest.raises(ValueError, match="31 flags for 32"):
+                cluster.simulate(columns, admission=Short(),
+                                 stream_chunk=32)

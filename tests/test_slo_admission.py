@@ -15,12 +15,12 @@ from repro.serving import (
     PerTableSLOPolicy,
     PoissonArrivalProcess,
     QueueDepthAdmission,
+    QueryColumns,
     ServicePercentileSLOPolicy,
     ServingQuery,
     ShardedServingCluster,
     TokenBucketAdmission,
     TraceReplayArrivalProcess,
-    apply_admission,
     available_admission_controllers,
     available_slo_policies,
     qps_sweep,
@@ -29,9 +29,9 @@ from repro.serving import (
     resolve_slo_policy,
     simulate_batch_queue,
     simulate_fifo_queue,
-    summarize_slo,
 )
 from repro.serving.batcher import QueryBatch
+from repro.serving.slo import summarize_slo_arrays
 from repro.traces import make_production_table_traces
 
 NUM_ROWS = 512
@@ -53,26 +53,29 @@ def make_query(query_id, arrival_us, num_tables=1, lookups=8,
                         requests=requests, deadline_us=deadline_us)
 
 
+def columns_of(*queries):
+    return QueryColumns.from_queries(queries)
+
+
 class TestSLOPolicies:
     def test_fixed_policy_assigns_absolute_deadlines(self):
-        queries = [make_query(i, arrival_us=10.0 * i) for i in range(3)]
-        FixedSLOPolicy(500.0).assign_deadlines(queries)
-        for query in queries:
-            assert query.deadline_us == query.arrival_us + 500.0
-            assert query.slack_us == 500.0
+        columns = columns_of(*[make_query(i, arrival_us=10.0 * i)
+                               for i in range(3)])
+        FixedSLOPolicy(500.0).assign_deadlines_columns(columns)
+        assert columns.deadline_us.tolist() == [500.0, 510.0, 520.0]
 
     def test_per_table_policy_scales_with_fanout(self):
         policy = PerTableSLOPolicy(base_us=100.0, per_table_us=50.0)
-        narrow = make_query(0, 0.0, num_tables=1)
-        wide = make_query(1, 0.0, num_tables=4)
-        assert policy.slack_us(narrow) == 150.0
-        assert policy.slack_us(wide) == 300.0
+        columns = columns_of(make_query(0, 0.0, num_tables=1),
+                             make_query(1, 0.0, num_tables=4))
+        assert policy.slack_column(columns).tolist() == [150.0, 300.0]
 
     def test_service_percentile_policy(self):
         services = [10.0] * 99 + [100.0]
         policy = ServicePercentileSLOPolicy(services, p=50.0,
                                             multiplier=3.0)
-        assert policy.slack_us(make_query(0, 0.0)) == pytest.approx(30.0)
+        columns = columns_of(make_query(0, 0.0))
+        assert policy.slack_column(columns) == pytest.approx(30.0)
         assert "p50" in policy.describe()
 
     def test_validation(self):
@@ -84,6 +87,24 @@ class TestSLOPolicies:
             PerTableSLOPolicy(0.0, 0.0)
         with pytest.raises(ValueError):
             ServicePercentileSLOPolicy([10.0], multiplier=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build, field", [
+        (lambda bad: FixedSLOPolicy(bad), "slo_us"),
+        (lambda bad: PerTableSLOPolicy(bad, 1.0), "base_us"),
+        (lambda bad: PerTableSLOPolicy(1.0, bad), "per_table_us"),
+        (lambda bad: ServicePercentileSLOPolicy([bad] * 3),
+         "service_times_us"),
+        (lambda bad: ServicePercentileSLOPolicy([10.0], p=bad), "p"),
+        (lambda bad: ServicePercentileSLOPolicy([10.0], multiplier=bad),
+         "multiplier"),
+    ], ids=["fixed", "per-table-base", "per-table-slope",
+            "percentile-services", "percentile-p", "percentile-multiplier"])
+    def test_non_finite_budgets_rejected(self, build, field, bad):
+        # A NaN budget passed every ``<= 0`` check and meant "no
+        # deadlines": attainment None, "fixed nan us" in the report.
+        with pytest.raises(ValueError, match=field + " must"):
+            build(bad)
 
     def test_resolution(self):
         assert resolve_slo_policy(None) is None
@@ -100,20 +121,23 @@ class TestSLOPolicies:
                                             "service-percentile"]
 
     def test_deadline_never_changes_fingerprint(self):
-        query = make_query(0, 0.0)
-        before = query.fingerprint()
-        FixedSLOPolicy(100.0).assign_deadlines([query])
-        assert query.fingerprint() == before
+        columns = columns_of(make_query(0, 0.0))
+        before = list(columns.fingerprints())
+        FixedSLOPolicy(100.0).assign_deadlines_columns(columns)
+        assert list(columns.fingerprints()) == before
+
+
+def summarize_slo(arrivals, slacks, latencies, slo_info=None):
+    return summarize_slo_arrays(np.asarray(arrivals, dtype=np.float64),
+                                np.asarray(slacks, dtype=np.float64),
+                                latencies, slo_info)
 
 
 class TestSummarizeSLO:
     def test_attainment_and_goodput(self):
-        queries = [make_query(i, arrival_us=100.0 * i, deadline_us=None)
-                   for i in range(4)]
-        for query in queries:
-            query.deadline_us = query.arrival_us + 50.0
+        arrivals = 100.0 * np.arange(4)
         latencies = [10.0, 60.0, 50.0, 10.0]     # one miss, one exact hit
-        record = summarize_slo(queries, latencies,
+        record = summarize_slo(arrivals, [50.0] * 4, latencies,
                                {"num_offered": 6, "num_shed": 2,
                                 "offered_span_us": 500.0,
                                 "admission": "deadline"})
@@ -125,9 +149,8 @@ class TestSummarizeSLO:
         assert record["goodput_qps"] == pytest.approx(2 / 500.0 * 1e6)
 
     def test_no_deadlines_means_null_attainment(self):
-        queries = [make_query(i, arrival_us=float(i)) for i in range(3)]
-        record = summarize_slo(queries, [1.0, 1.0, 1.0],
-                               {"offered_span_us": 2.0})
+        record = summarize_slo([0.0, 1.0, 2.0], [np.nan] * 3,
+                               [1.0, 1.0, 1.0], {"offered_span_us": 2.0})
         assert record["attainment"] is None
         # Goodput degrades to net throughput: all admitted count,
         # interval rate form (N-1)/span.
@@ -136,26 +159,36 @@ class TestSummarizeSLO:
     def test_goodput_never_exceeds_offered_rate(self):
         """Both rates use the interval form, so zero shed at 100%
         attainment reports goodput == offered, never above it."""
-        queries = [make_query(i, arrival_us=10.0 * i) for i in range(10)]
-        for query in queries:
-            query.deadline_us = query.arrival_us + 1e6
         span = 90.0
-        record = summarize_slo(queries, [1.0] * 10,
-                               {"offered_span_us": span})
+        record = summarize_slo(10.0 * np.arange(10), [1e6] * 10,
+                               [1.0] * 10, {"offered_span_us": span})
         offered_qps = (10 - 1) / span * 1e6
         assert record["goodput_qps"] == pytest.approx(offered_qps)
 
     def test_single_completion_carries_no_rate(self):
-        record = summarize_slo([make_query(0, 0.0)], [1.0],
+        record = summarize_slo([0.0], [np.nan], [1.0],
                                {"offered_span_us": 10.0})
         assert record["goodput_qps"] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            summarize_slo([make_query(0, 0.0)], [])
+            summarize_slo([0.0], [np.nan], [])
         with pytest.raises(ValueError):
-            summarize_slo([make_query(0, 0.0)], [1.0],
+            summarize_slo([0.0], [np.nan], [1.0],
                           {"num_offered": 0, "num_shed": 5})
+
+
+def admit(controller, arrivals, num_servers, est_query_us,
+          est_batch_us=None, slacks=None):
+    """One-shot admit mask of an arrival list (NaN slacks by default)."""
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    if slacks is None:
+        slacks = np.full(arrivals.shape, np.nan)
+    state = controller.new_state(arrivals[0])
+    return controller.admit_mask(
+        arrivals, np.asarray(slacks, dtype=np.float64), state, num_servers,
+        est_query_us, est_query_us if est_batch_us is None
+        else est_batch_us)
 
 
 class TestAdmissionControllers:
@@ -172,67 +205,62 @@ class TestAdmissionControllers:
             resolve_admission("drop-everything")
 
     def test_none_admits_everything(self):
-        queries = [make_query(i, arrival_us=0.0) for i in range(8)]
-        admitted, shed = apply_admission(queries, NoAdmission(),
-                                         num_servers=1, est_query_us=10.0)
-        assert len(admitted) == 8 and not shed
+        mask = admit(NoAdmission(), [0.0] * 8, num_servers=1,
+                     est_query_us=10.0)
+        assert mask.all() and mask.size == 8
 
     def test_token_bucket_clips_sustained_overload(self):
         # 1000 queries arriving at 1 us gaps = 1M QPS against a 100k QPS
         # bucket with burst 10: ~burst + rate * span admitted.
-        queries = [make_query(i, arrival_us=float(i)) for i in range(1000)]
         controller = TokenBucketAdmission(rate_qps=100_000.0, burst=10)
-        admitted, shed = apply_admission(queries, controller,
-                                         num_servers=1, est_query_us=1.0)
+        mask = admit(controller, np.arange(1000.0), num_servers=1,
+                     est_query_us=1.0)
         expected = 10 + 999 * 100_000.0 / 1e6
-        assert len(admitted) == pytest.approx(expected, abs=2)
-        assert len(admitted) + len(shed) == 1000
+        assert mask.sum() == pytest.approx(expected, abs=2)
+        assert mask.size == 1000
 
     def test_token_bucket_passes_bursts_within_burst_budget(self):
-        queries = [make_query(i, arrival_us=0.0) for i in range(8)]
         controller = TokenBucketAdmission(rate_qps=1.0, burst=32)
-        admitted, shed = apply_admission(queries, controller,
-                                         num_servers=1, est_query_us=1.0)
-        assert len(admitted) == 8 and not shed
+        mask = admit(controller, [0.0] * 8, num_servers=1,
+                     est_query_us=1.0)
+        assert mask.all()
 
     def test_queue_depth_bounds_backlog(self):
         # Simultaneous arrivals: the fluid queue grows one query per
         # admission, so exactly max_depth are admitted.
-        queries = [make_query(i, arrival_us=0.0) for i in range(50)]
-        admitted, shed = apply_admission(
-            queries, QueueDepthAdmission(max_depth=16),
-            num_servers=2, est_query_us=10.0)
-        assert len(admitted) == 16
-        assert len(shed) == 34
+        mask = admit(QueueDepthAdmission(max_depth=16), [0.0] * 50,
+                     num_servers=2, est_query_us=10.0)
+        assert mask.sum() == 16
+        assert (~mask).sum() == 34
 
     def test_deadline_sheds_doomed_queries_only(self):
         # est 10 us, 1 server, margin 1, batch estimate 10 us: a query
         # with slack s admits while predicted wait + 10 <= s.
-        queries = [make_query(i, arrival_us=0.0,
-                              deadline_us=45.0) for i in range(10)]
-        admitted, shed = apply_admission(
-            queries, DeadlineAwareAdmission(margin=1.0),
-            num_servers=1, est_query_us=10.0, est_batch_us=10.0)
+        mask = admit(DeadlineAwareAdmission(margin=1.0), [0.0] * 10,
+                     num_servers=1, est_query_us=10.0, est_batch_us=10.0,
+                     slacks=[45.0] * 10)
         # Waits at admission: 0, 10, 20, 30 -> +10 <= 45 ok; 40 -> 50 no.
-        assert len(admitted) == 4
-        assert len(shed) == 6
+        assert mask.tolist() == [True] * 4 + [False] * 6
+
+    def test_deadline_admits_a_predicted_exact_hit(self):
+        # Predicted latency 0 + 10 equals the slack: admitted; the next
+        # query (wait 10) would finish at 20 > 19.5: shed.
+        mask = admit(DeadlineAwareAdmission(margin=1.0), [0.0, 0.0],
+                     num_servers=1, est_query_us=10.0, est_batch_us=10.0,
+                     slacks=[10.0, 19.5])
+        assert mask.tolist() == [True, False]
 
     def test_deadline_admits_queries_without_deadline(self):
-        queries = [make_query(i, arrival_us=0.0) for i in range(20)]
-        admitted, shed = apply_admission(
-            queries, DeadlineAwareAdmission(), num_servers=1,
-            est_query_us=10.0)
-        assert len(admitted) == 20 and not shed
+        mask = admit(DeadlineAwareAdmission(), [0.0] * 20, num_servers=1,
+                     est_query_us=10.0)
+        assert mask.all()
 
     def test_backlog_drains_between_arrivals(self):
         # Two bursts far apart: the second burst sees an empty queue.
-        first = [make_query(i, arrival_us=0.0) for i in range(16)]
-        second = [make_query(100 + i, arrival_us=10_000.0)
-                  for i in range(16)]
-        admitted, _ = apply_admission(
-            first + second, QueueDepthAdmission(max_depth=8),
-            num_servers=1, est_query_us=10.0)
-        assert len(admitted) == 16                  # 8 per burst
+        mask = admit(QueueDepthAdmission(max_depth=8),
+                     [0.0] * 16 + [10_000.0] * 16, num_servers=1,
+                     est_query_us=10.0)
+        assert mask.sum() == 16                     # 8 per burst
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -243,12 +271,29 @@ class TestAdmissionControllers:
             QueueDepthAdmission(max_depth=0)
         with pytest.raises(ValueError):
             DeadlineAwareAdmission(margin=0.0)
-        with pytest.raises(ValueError):
-            apply_admission([], NoAdmission(), num_servers=0,
-                            est_query_us=1.0)
-        with pytest.raises(ValueError):
-            apply_admission([], NoAdmission(), num_servers=1,
-                            est_query_us=0.0)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: DeadlineAwareAdmission(margin=np.nan), "margin"),
+        (lambda: DeadlineAwareAdmission(margin=np.inf), "margin"),
+        (lambda: TokenBucketAdmission(rate_qps=np.nan), "rate_qps"),
+        (lambda: TokenBucketAdmission(rate_qps=np.inf), "rate_qps"),
+        (lambda: TokenBucketAdmission(burst=np.nan), "burst"),
+        (lambda: TokenBucketAdmission(burst=np.inf), "burst"),
+        (lambda: QueueDepthAdmission(max_depth=np.nan), "max_depth"),
+        (lambda: QueueDepthAdmission(max_depth=np.inf), "max_depth"),
+        (lambda: QueueDepthAdmission(max_depth=2.7), "max_depth"),
+    ], ids=["margin-nan", "margin-inf", "rate-nan", "rate-inf",
+            "burst-nan", "burst-inf", "depth-nan", "depth-inf",
+            "depth-fractional"])
+    def test_bad_parameters_rejected(self, build, field):
+        # NaN passed every ``<= 0`` check and the controller then shed
+        # nothing; max_depth=inf raised a bare OverflowError and 2.7
+        # silently became 2.
+        with pytest.raises(ValueError, match=field + " must"):
+            build()
+
+    def test_integral_float_depth_accepted(self):
+        assert QueueDepthAdmission(max_depth=3.0).max_depth == 3
 
 
 class TestMMPPArrivals:
