@@ -61,14 +61,3 @@ class Chameleon:
         speedup = self.memory_latency_speedup(vector_bytes=vector_bytes,
                                               trace_kind=trace_kind)
         return int(round(baseline_cycles / speedup))
-
-    def speedup_by_config(self, configs):
-        """Speedups over several (num_dimms x ranks_per_dimm) configs."""
-        results = {}
-        for num_dimms, ranks_per_dimm in configs:
-            model = Chameleon(
-                num_dimms=num_dimms, ranks_per_dimm=ranks_per_dimm,
-                multiplexing_efficiency=self.multiplexing_efficiency)
-            label = "%dx%d" % (num_dimms, ranks_per_dimm)
-            results[label] = model.memory_latency_speedup()
-        return results

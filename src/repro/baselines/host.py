@@ -2,18 +2,15 @@
 
 Every embedding vector crosses the pin-limited memory interface, the cores
 perform the pooling additions, and the achievable throughput is bounded by
-the channel bandwidth (Section II).  The baseline can be evaluated two ways:
-
-* trace-driven, through the cycle-level :class:`~repro.dram.system.DramSystem`
-  (used when comparing against the RecNMP cycle simulator), or
-* analytically, from the bandwidth-saturation model (used by the end-to-end
-  and co-location studies where full traces would be prohibitively long).
+the channel bandwidth (Section II).  The baseline is trace-driven, through
+the cycle-level :class:`~repro.dram.system.DramSystem` (the normalisation
+point of the RecNMP cycle simulator); the end-to-end and co-location
+studies use the analytical :mod:`repro.perf.bandwidth` model instead.
 """
 
 from dataclasses import dataclass
 
 from repro.dram.system import DramSystemConfig
-from repro.perf.bandwidth import BandwidthSaturationModel
 from repro.perf.baseline_cache import run_baseline_trace
 
 
@@ -42,9 +39,8 @@ class HostBaselineResult:
 class HostBaseline:
     """CPU + conventional DDR4 execution of SLS workloads."""
 
-    def __init__(self, dram_config=None, bandwidth_model=None):
+    def __init__(self, dram_config=None):
         self.dram_config = dram_config or DramSystemConfig(num_channels=1)
-        self.bandwidth_model = bandwidth_model or BandwidthSaturationModel()
 
     # ------------------------------------------------------------------ #
     def run_trace(self, physical_addresses, vector_bytes=64,
@@ -82,20 +78,3 @@ class HostBaseline:
                      for row in request.indices]
         return self.run_trace(addresses, vector_bytes=vector_bytes,
                               outstanding=outstanding, use_cache=use_cache)
-
-    # ------------------------------------------------------------------ #
-    def analytical_sls_time_us(self, num_lookups, vector_bytes=64,
-                               num_threads=30, batch_size=256):
-        """Analytical SLS execution time from the saturation model."""
-        if num_lookups < 0:
-            raise ValueError("num_lookups must be non-negative")
-        bandwidth = self.bandwidth_model.achieved_bandwidth_gbps(
-            num_threads, batch_size)
-        if bandwidth <= 0:
-            raise ValueError("achieved bandwidth must be positive")
-        return num_lookups * vector_bytes / (bandwidth * 1e9) * 1e6
-
-    @staticmethod
-    def memory_latency_speedup():
-        """The baseline's speedup over itself (the normalisation point)."""
-        return 1.0

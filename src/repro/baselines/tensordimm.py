@@ -81,14 +81,3 @@ class TensorDIMM:
                                               trace_kind=trace_kind,
                                               batch_parallel=batch_parallel)
         return int(round(baseline_cycles / speedup))
-
-    def speedup_by_config(self, configs, vector_bytes=256):
-        """Speedups over several (num_dimms x ranks_per_dimm) configs."""
-        results = {}
-        for num_dimms, ranks_per_dimm in configs:
-            model = TensorDIMM(num_dimms=num_dimms,
-                               ranks_per_dimm=ranks_per_dimm,
-                               dimm_efficiency=self.dimm_efficiency)
-            label = "%dx%d" % (num_dimms, ranks_per_dimm)
-            results[label] = model.memory_latency_speedup(vector_bytes)
-        return results

@@ -44,13 +44,6 @@ from repro.core.backend import (
     resolve_backend,
 )
 from repro.core.multi_channel import MultiChannelRecNMP, MultiChannelResult
-from repro.core.host_interface import (
-    MemoryRegion,
-    NMPMemoryAllocator,
-    NMPKernel,
-    RecNMPRuntime,
-    SLSExecution,
-)
 from repro.core.ca_bandwidth import CABandwidthModel
 from repro.core.energy import RecNMPEnergyModel, NMPEnergyParameters
 from repro.core.area_power import AreaPowerModel, OverheadReport
@@ -83,11 +76,6 @@ __all__ = [
     "resolve_backend",
     "MultiChannelRecNMP",
     "MultiChannelResult",
-    "MemoryRegion",
-    "NMPMemoryAllocator",
-    "NMPKernel",
-    "RecNMPRuntime",
-    "SLSExecution",
     "CABandwidthModel",
     "RecNMPEnergyModel",
     "NMPEnergyParameters",

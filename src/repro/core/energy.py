@@ -117,11 +117,3 @@ class RecNMPEnergyModel:
         report.background_nj = (dram.background_mw_per_rank * active_ranks *
                                 elapsed_ns) / 1_000_000.0
         return report
-
-    # ------------------------------------------------------------------ #
-    def savings_fraction(self, baseline_report, recnmp_report):
-        """Relative memory-energy saving of RecNMP vs the baseline."""
-        baseline = baseline_report.total_nj
-        if baseline <= 0:
-            raise ValueError("baseline energy must be positive")
-        return 1.0 - recnmp_report.total_nj / baseline

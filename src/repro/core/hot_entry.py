@@ -9,6 +9,7 @@ picks the value with the highest cache hit rate; profiling costs < 2 % of
 end-to-end execution time.
 """
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -23,20 +24,6 @@ class ProfileResult:
     threshold: int
     hot_rows: set = field(default_factory=set)
     access_counts: dict = field(default_factory=dict)
-
-    @property
-    def num_hot_rows(self):
-        return len(self.hot_rows)
-
-    @property
-    def hot_access_fraction(self):
-        """Fraction of accesses that land on hot rows."""
-        total = sum(self.access_counts.values())
-        if not total:
-            return 0.0
-        hot = sum(count for row, count in self.access_counts.items()
-                  if row in self.hot_rows)
-        return hot / total
 
     def is_hot(self, row_index):
         """True if the row was marked hot by the profiler."""
@@ -54,8 +41,9 @@ class HotEntryProfiler:
     """
 
     def __init__(self, threshold=2):
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        if not isinstance(threshold, numbers.Integral) or threshold < 1:
+            raise ValueError("threshold must be an integer >= 1, got %r"
+                             % (threshold,))
         self.threshold = int(threshold)
 
     def profile(self, indices, table_id=0):
@@ -81,20 +69,14 @@ class HotEntryProfiler:
         return profile, np.fromiter(map(hot_rows.__contains__, rows),
                                     np.bool_, len(rows))
 
-    def profile_requests(self, requests):
+    def profile_requests_with_masks(self, requests):
         """Profile a list of :class:`~repro.dlrm.operators.SLSRequest`.
 
         Indices of requests targeting the same table are profiled together
-        (they execute within the same batch window).  Returns a dictionary
-        mapping table id to :class:`ProfileResult`.
-        """
-        return self.profile_requests_with_masks(requests)[0]
-
-    def profile_requests_with_masks(self, requests):
-        """:meth:`profile_requests` plus every request's LocalityBits.
-
-        Returns ``(profiles, masks)``: ``masks[i]`` is the hot mask of
-        ``requests[i]``'s indices under its table's batch-wide profile.
+        (they execute within the same batch window).  Returns ``(profiles,
+        masks)``: ``profiles`` maps table id to :class:`ProfileResult`,
+        ``masks[i]`` is the hot mask of ``requests[i]``'s indices under its
+        table's batch-wide profile.
         """
         per_table = {}
         for position, request in enumerate(requests):

@@ -175,8 +175,3 @@ class NMPMemoryController:
                     per_rank_counts.get(rank, 0) + rank_count
         return current_cycle, per_packet
 
-    def reset(self):
-        """Clear queued packets and statistics."""
-        self.scheduler.clear()
-        self.stats = NMPControllerStats()
-

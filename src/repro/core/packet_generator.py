@@ -13,6 +13,7 @@ is a column slice of them (see :class:`NMPPacket`): no instruction object
 is built.
 """
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -63,9 +64,8 @@ class PacketGeneratorConfig:
     opcode: NMPOpcode = NMPOpcode.SUM
 
     def __post_init__(self):
-        if not 1 <= self.poolings_per_packet <= 16:
-            raise ValueError("poolings_per_packet must be in [1, 16] "
-                             "(4-bit PsumTag)")
+        check_generator_fields(self.poolings_per_packet,
+                               self.hot_entry_threshold)
         check_vector_size_bytes(self.vector_size_bytes)
         if self.row_buffer_bytes <= 0:
             raise ValueError("row_buffer_bytes must be positive")
@@ -75,6 +75,24 @@ class PacketGeneratorConfig:
     def vsize(self):
         """Vector size in 64 B bursts."""
         return self.vector_size_bytes // 64
+
+
+def check_generator_fields(poolings_per_packet, hot_entry_threshold):
+    """Raise unless both fields are integers in range, naming the field.
+
+    ``poolings_per_packet`` must be in [1, 16] (the 4-bit PsumTag) and
+    ``hot_entry_threshold`` at least 1.  Numpy integers are accepted;
+    floats are not, even integral ones: the packet slices and the
+    profiler's repetition counts are integers.
+    """
+    if not (isinstance(poolings_per_packet, numbers.Integral)
+            and 1 <= poolings_per_packet <= 16):
+        raise ValueError("poolings_per_packet must be an integer in [1, 16] "
+                         "(4-bit PsumTag), got %r" % (poolings_per_packet,))
+    if not (isinstance(hot_entry_threshold, numbers.Integral)
+            and hot_entry_threshold >= 1):
+        raise ValueError("hot_entry_threshold must be an integer >= 1, "
+                         "got %r" % (hot_entry_threshold,))
 
 
 class PacketGenerator:

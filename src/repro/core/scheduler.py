@@ -71,18 +71,6 @@ class PacketScheduler:
         """Register the packet list of one SLS thread / operator."""
         self._sources.append(list(packets))
 
-    def clear(self):
-        """Drop all registered sources."""
-        self._sources = []
-
-    @property
-    def num_sources(self):
-        return len(self._sources)
-
-    @property
-    def num_packets(self):
-        return sum(len(source) for source in self._sources)
-
     def schedule(self):
         """Return the packets in issue order according to the policy."""
         if not self._sources:

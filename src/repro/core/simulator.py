@@ -21,7 +21,11 @@ import numpy as np
 from repro.core import kernels as _kernels
 from repro.core.instruction import NMPOpcode, check_vector_size_bytes
 from repro.core.memory_controller import NMPMemoryController
-from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
+from repro.core.packet_generator import (
+    PacketGenerator,
+    PacketGeneratorConfig,
+    check_generator_fields,
+)
 from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMPConfig
 from repro.core.energy import RecNMPEnergyModel
@@ -84,6 +88,8 @@ class RecNMPConfig:
         if self.rank_cache_kb <= 0 and self.use_rank_cache:
             raise ValueError("rank_cache_kb must be positive when the cache "
                              "is enabled")
+        check_generator_fields(self.poolings_per_packet,
+                               self.hot_entry_threshold)
         check_vector_size_bytes(self.vector_size_bytes)
 
     @property
@@ -120,28 +126,6 @@ class RecNMPResult:
     baseline_energy_nj: float = 0.0
     energy_savings_fraction: float = 0.0
     channel_stats: dict = field(default_factory=dict)
-
-    @property
-    def average_packet_cycles(self):
-        if not self.per_packet_cycles:
-            return 0.0
-        return float(np.mean(self.per_packet_cycles))
-
-    def as_dict(self):
-        return {
-            "total_cycles": self.total_cycles,
-            "average_packet_cycles": self.average_packet_cycles,
-            "num_packets": self.num_packets,
-            "num_instructions": self.num_instructions,
-            "cache_hit_rate": self.cache_hit_rate,
-            "load_imbalance": self.load_imbalance,
-            "baseline_cycles": self.baseline_cycles,
-            "speedup_vs_baseline": self.speedup_vs_baseline,
-            "energy_nj": self.energy_nj,
-            "baseline_energy_nj": self.baseline_energy_nj,
-            "energy_savings_fraction": self.energy_savings_fraction,
-            "kernel_flavor": self.kernel_flavor,
-        }
 
 
 class RecNMPSimulator:

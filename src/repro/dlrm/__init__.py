@@ -13,7 +13,6 @@ from repro.dlrm.config import (
     RM2_SMALL,
     RM2_LARGE,
     MODEL_CONFIGS,
-    get_model_config,
 )
 from repro.dlrm.embedding import EmbeddingTable, EmbeddingBag
 from repro.dlrm.operators import (
@@ -35,7 +34,6 @@ __all__ = [
     "RM2_SMALL",
     "RM2_LARGE",
     "MODEL_CONFIGS",
-    "get_model_config",
     "EmbeddingTable",
     "EmbeddingBag",
     "SLSRequest",

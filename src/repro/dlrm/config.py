@@ -64,16 +64,6 @@ class ModelConfig:
         """Bytes of one FP32 embedding vector."""
         return self.embedding_dim * 4
 
-    @property
-    def embedding_table_bytes(self):
-        """Bytes of one embedding table."""
-        return self.rows_per_table * self.embedding_vector_bytes
-
-    @property
-    def total_embedding_bytes(self):
-        """Bytes of all embedding tables of one model instance."""
-        return self.num_embedding_tables * self.embedding_table_bytes
-
     def lookups_per_sample(self):
         """Embedding rows gathered for one input sample."""
         return self.num_embedding_tables * self.pooling_factor
@@ -178,17 +168,6 @@ MODEL_CONFIGS = {
     config.name: config
     for config in (RM1_SMALL, RM1_LARGE, RM2_SMALL, RM2_LARGE)
 }
-
-
-def get_model_config(name):
-    """Look up a model configuration by name (case-insensitive)."""
-    key = name.strip()
-    for config_name, config in MODEL_CONFIGS.items():
-        if config_name.lower() == key.lower():
-            return config
-    raise KeyError(
-        "unknown model config %r; available: %s"
-        % (name, ", ".join(sorted(MODEL_CONFIGS))))
 
 
 def scaled_config(base, **overrides):

@@ -88,24 +88,6 @@ class EmbeddingTable:
                 % (row_index, self.num_rows))
         return self.base_address + row_index * self.bytes_per_row
 
-    def row_addresses(self, row_indices):
-        """Vectorised :meth:`row_address` for an array of indices."""
-        rows = np.asarray(row_indices, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
-            raise IndexError("row index out of range")
-        return self.base_address + rows * self.bytes_per_row
-
-    def dense_weights(self):
-        """Return the FP32 view of the table (dequantising if needed)."""
-        if self.lazy:
-            raise RuntimeError("lazy table has no weight data")
-        if self.quantized:
-            from repro.dlrm.operators import dequantize_rowwise_8bit
-
-            return dequantize_rowwise_8bit(self.quantized_rows, self.scale,
-                                           self.bias)
-        return self.weights
-
     # ------------------------------------------------------------------ #
     def lookup(self, indices, lengths, weights=None, mode="sum"):
         """Execute an SLS-family pooling over this table."""
@@ -158,30 +140,8 @@ class EmbeddingBag:
                 address += self.page_size - remainder
         self.total_bytes = address - int(base_address)
 
-    def __len__(self):
-        return len(self.tables)
-
     def __getitem__(self, table_id):
         return self.tables[table_id]
-
-    def __iter__(self):
-        return iter(self.tables)
-
-    @classmethod
-    def from_config(cls, config, base_address=0, lazy=True, seed=0,
-                    rows_override=None):
-        """Build the bag described by a :class:`ModelConfig`.
-
-        ``rows_override`` lets tests shrink the 1M-row production tables.
-        """
-        return cls(
-            num_tables=config.num_embedding_tables,
-            num_rows=rows_override or config.rows_per_table,
-            embedding_dim=config.embedding_dim,
-            base_address=base_address,
-            lazy=lazy,
-            seed=seed,
-        )
 
     def forward(self, requests, mode="sum"):
         """Execute one SLS request per table; returns a list of outputs."""

@@ -86,23 +86,3 @@ class MLP:
         return activation
 
     __call__ = forward
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_parameters(self):
-        """Total number of weight + bias parameters."""
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    @property
-    def weight_bytes(self):
-        """Bytes of FP32 parameters."""
-        return self.num_parameters * 4
-
-    def flops_per_sample(self):
-        """Multiply-accumulate FLOPs (2 * MACs) for one input sample."""
-        flops = 0
-        prev = self.input_dim
-        for width in self.layer_widths:
-            flops += 2 * prev * width
-            prev = width
-        return flops

@@ -128,9 +128,3 @@ class DLRMModel:
                           interaction=interaction)
 
     __call__ = forward
-
-    # ------------------------------------------------------------------ #
-    def run_random_batch(self, batch_size, pooling_factor=None):
-        """Convenience wrapper: random inputs + forward pass."""
-        dense, requests = self.random_inputs(batch_size, pooling_factor)
-        return self.forward(dense, requests)

@@ -76,15 +76,6 @@ class SLSRequest:
         """Total number of embedding rows gathered."""
         return int(self.indices.shape[0])
 
-    def pooling_slices(self):
-        """Yield ``(pooling_index, indices_slice, weights_slice)`` tuples."""
-        offsets = np.concatenate(([0], np.cumsum(self.lengths)))
-        for i in range(self.batch_size):
-            start, stop = offsets[i], offsets[i + 1]
-            weights = (self.weights[start:stop]
-                       if self.weights is not None else None)
-            yield i, self.indices[start:stop], weights
-
 
 def _check_table(table):
     table = np.asarray(table)

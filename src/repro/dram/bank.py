@@ -134,17 +134,6 @@ class Bank:
                 self.next_act, self.next_read, self.next_pre,
                 self.activations, self.reads, self.precharges)
 
-    def set_kernel_state(self, open_row, next_act, next_read, next_pre,
-                         activations, reads, precharges):
-        """Write back state mutated by a kernel call."""
-        self.open_row = None if open_row < 0 else int(open_row)
-        self.next_act = int(next_act)
-        self.next_read = int(next_read)
-        self.next_pre = int(next_pre)
-        self.activations = int(activations)
-        self.reads = int(reads)
-        self.precharges = int(precharges)
-
     def record_access_outcome(self, row):
         """Update hit/miss/conflict statistics for an access to ``row``."""
         if self.is_row_hit(row):

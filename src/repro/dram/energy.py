@@ -89,13 +89,3 @@ class DramEnergyModel:
         breakdown.background_nj = (p.background_mw_per_rank * active_ranks *
                                    elapsed_ns) / 1_000_000.0
         return breakdown
-
-    def energy_from_stats(self, stats, timing, bytes_read, bytes_to_host,
-                          active_ranks=1):
-        """Compute energy from :class:`ControllerStats` and timing."""
-        elapsed_ns = stats.cycles_elapsed * timing.cycle_time_ns
-        return self.energy(activations=stats.row_misses + stats.row_conflicts,
-                           bytes_read=bytes_read,
-                           bytes_to_host=bytes_to_host,
-                           elapsed_ns=elapsed_ns,
-                           active_ranks=active_ranks)

@@ -35,16 +35,6 @@ class ColocationResult:
             return 0.0
         return 1.0 - self.recnmp_slowdown / self.baseline_slowdown
 
-    def as_dict(self):
-        return {
-            "fc_name": self.fc_name,
-            "colocation_degree": self.colocation_degree,
-            "pooling_factor": self.pooling_factor,
-            "baseline_slowdown": self.baseline_slowdown,
-            "recnmp_slowdown": self.recnmp_slowdown,
-            "recnmp_improvement": self.recnmp_improvement,
-        }
-
 
 @dataclass
 class ColocationModel:

@@ -85,10 +85,6 @@ class RooflineModel:
                 / self.attainable_flops(operational_intensity))
 
     # ------------------------------------------------------------------ #
-    def curve(self, intensities):
-        """Roofline curve samples: list of (intensity, attainable FLOP/s)."""
-        return [(oi, self.attainable_flops(oi)) for oi in intensities]
-
     def operator_point(self, name, flops, bytes_moved, time_seconds,
                        batch_size=0):
         """Build a :class:`RooflinePoint` from operator characteristics."""

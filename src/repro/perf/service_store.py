@@ -181,10 +181,6 @@ class ServiceTimeStore:
         self._hits += 1
         return float(row[0])
 
-    def put(self, config_fingerprint, batch_key, service_us):
-        """Record one batch's service time (idempotent)."""
-        self.put_many(config_fingerprint, [(batch_key, service_us)])
-
     def put_many(self, config_fingerprint, pairs):
         """Record ``(batch_key, service_us)`` pairs in one transaction."""
         if self._broken:

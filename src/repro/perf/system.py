@@ -35,15 +35,6 @@ class SystemParameters:
             raise ValueError("measured bandwidth cannot exceed the peak")
 
     @property
-    def machine_balance(self):
-        """Operational intensity (FLOP/byte) at the roofline ridge point."""
-        return self.peak_flops / (self.peak_bandwidth_gbps * 1e9)
-
-    @property
-    def per_core_flops(self):
-        return self.peak_flops / self.num_cores
-
-    @property
     def llc_bytes(self):
         return int(self.llc_mb * 1024 * 1024)
 

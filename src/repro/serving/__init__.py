@@ -75,9 +75,6 @@ from repro.serving.sharding import (
 from repro.serving.queueing import (
     ServingReport,
     erlang_c,
-    latency_percentiles,
-    mg1_mean_wait_us,
-    mg1_utilization,
     mgc_mean_wait_us,
     mgc_utilization,
     percentile,
@@ -93,7 +90,6 @@ from repro.serving.engine import (
 from repro.serving.events import (
     EventEngine,
     simulate_batch_queue,
-    simulate_fifo_queue,
 )
 from repro.serving.cluster import ShardedServingCluster, qps_sweep
 
@@ -135,9 +131,6 @@ __all__ = [
     "table_loads_from_queries",
     "ServingReport",
     "erlang_c",
-    "latency_percentiles",
-    "mg1_mean_wait_us",
-    "mg1_utilization",
     "mgc_mean_wait_us",
     "mgc_utilization",
     "percentile",
@@ -149,7 +142,6 @@ __all__ = [
     "available_engines",
     "resolve_engine",
     "simulate_batch_queue",
-    "simulate_fifo_queue",
     "ShardedServingCluster",
     "qps_sweep",
 ]

@@ -45,10 +45,6 @@ class ServingQuery:
     def total_lookups(self):
         return sum(request.total_lookups for request in self.requests)
 
-    @property
-    def num_tables(self):
-        return len(self.requests)
-
     def fingerprint(self):
         """Content digest of the query's lookups (arrival-independent).
 

@@ -336,10 +336,6 @@ class ShardedServingCluster:
             self._dedup_counter.inc(dedup_hits)
         return results
 
-    def service_cache_stats(self):
-        """Hit/miss/occupancy snapshot of the service-time cache."""
-        return self._service_cache.stats()
-
     def service_stats(self):
         """Cache, store and simulation accounting for this cluster.
 
@@ -820,6 +816,18 @@ def _check_finite_arrivals(arrivals, offset):
                          % (offset + index, float(arrivals[index])))
 
 
+def _check_has_requests(columns):
+    """Reject queries without SLS requests, naming the first one.
+
+    Such a query gives its batch no work: alone it fails deep in
+    dispatch, and batched with real queries it is served and counted.
+    """
+    empty = columns.num_requests == 0
+    if empty.any():
+        raise ValueError("query_id %d has no SLS requests"
+                         % int(columns.query_id[np.argmax(empty)]))
+
+
 def _require_valid_service_times(model, times, offset):
     """Reject NaN, infinite or negative service times from ``model``,
     naming the first bad batch.
@@ -849,7 +857,8 @@ def _column_chunks(queries, stream_chunk):
     non-decreasing arrival order -- every built-in arrival process
     generates monotone times -- because carried batching state is only
     meaningful over a globally sorted stream.  Non-finite arrival times
-    are rejected in both forms.  Materialised input gets a private
+    and queries without SLS requests are rejected in both forms, a
+    stream's chunk by chunk.  Materialised input gets a private
     deadline column, so deadline assignment never writes into the
     caller's queries.
     """
@@ -867,6 +876,7 @@ def _column_chunks(queries, stream_chunk):
                 break
             arrivals = chunk.arrival_us
             _check_finite_arrivals(arrivals, taken)
+            _check_has_requests(chunk)
             taken += len(chunk)
             if arrivals[0] < last_arrival \
                     or np.any(np.diff(arrivals) < 0.0):
@@ -884,6 +894,7 @@ def _column_chunks(queries, stream_chunk):
     else:
         columns = QueryColumns.from_queries(list(queries))
     _check_finite_arrivals(columns.arrival_us, 0)
+    _check_has_requests(columns)
     columns = columns.sorted_by_arrival()
     size = len(columns)
     if stream_chunk is None:

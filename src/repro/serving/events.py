@@ -121,12 +121,6 @@ def simulate_batch_queue(ready_times_us, service_times_us, num_servers=1,
     return starts, completes, max_depth
 
 
-def simulate_fifo_queue(ready_times_us, service_times_us, num_servers=1):
-    """FIFO specialisation of :func:`simulate_batch_queue` (legacy API)."""
-    return simulate_batch_queue(ready_times_us, service_times_us,
-                                num_servers, order="fifo")
-
-
 class EventEngine(ServingEngine):
     """Measured-percentile serving engine.
 

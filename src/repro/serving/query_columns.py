@@ -240,10 +240,6 @@ class QueryColumns:
             return self
         return self.take(order)
 
-    def fingerprints(self):
-        """Per-row content digests (provider-memoised)."""
-        return self.provider.fingerprints_for(self.rows)
-
     @classmethod
     def concat(cls, parts):
         """Concatenate column chunks sharing one provider."""
@@ -404,9 +400,10 @@ class ColumnBatch:
     """One dispatched batch as a row range of a :class:`QueryColumns`.
 
     Answers what the exact service path and the service cache ask of a
-    :class:`~repro.serving.batcher.QueryBatch` (``requests()``, the
-    aggregate properties, ``query_fingerprints()``) from array slices
-    and the provider's digest memo, without per-query objects.
+    :class:`~repro.serving.batcher.QueryBatch` (``size``,
+    ``earliest_deadline_us``, ``requests()``, ``query_fingerprints()``)
+    from array slices and the provider's digest memo, without per-query
+    objects.  Per-batch sums come from :meth:`BatchColumns.totals`.
     """
 
     __slots__ = ("columns", "start", "stop", "open_us", "formed_us",
@@ -423,27 +420,6 @@ class ColumnBatch:
     @property
     def size(self):
         return self.stop - self.start
-
-    @property
-    def total_lookups(self):
-        return int(self.columns.lookups[self.start:self.stop].sum())
-
-    @property
-    def total_poolings(self):
-        return int(self.columns.poolings[self.start:self.stop].sum())
-
-    @property
-    def num_pooling_ops(self):
-        return self.total_poolings
-
-    @property
-    def num_requests(self):
-        return int(self.columns.num_requests[self.start:self.stop].sum())
-
-    @property
-    def mean_pooling_factor(self):
-        poolings = self.total_poolings
-        return self.total_lookups / poolings if poolings else 0.0
 
     @property
     def earliest_deadline_us(self):
@@ -534,10 +510,6 @@ class BatchColumns:
     def __iter__(self):
         for index in range(len(self)):
             yield self[index]
-
-    def batches(self):
-        """All batches as :class:`ColumnBatch` views, in dispatch order."""
-        return list(self)
 
     @classmethod
     def concat(cls, parts):

@@ -35,16 +35,6 @@ def percentile(samples, p):
     return float(np.percentile(array, p))
 
 
-def latency_percentiles(samples, ps=(50.0, 95.0, 99.0)):
-    """``{"p50": ..., "p95": ..., "p99": ...}`` for a sample vector."""
-    return {"p%g" % p: percentile(samples, p) for p in ps}
-
-
-def mg1_utilization(arrival_rate_per_us, service_times_us):
-    """Offered load rho = lambda * E[S] of a single-server batch queue."""
-    return mgc_utilization(arrival_rate_per_us, service_times_us, 1)
-
-
 def mgc_utilization(arrival_rate_per_us, service_times_us, num_servers):
     """Per-server utilisation ``rho = lambda * E[S] / c`` of the queue."""
     if num_servers < 1:
@@ -78,15 +68,6 @@ def erlang_c(num_servers, offered_load):
         erlang_b = offered_load * erlang_b / (k + offered_load * erlang_b)
     rho = offered_load / num_servers
     return erlang_b / (1.0 - rho + rho * erlang_b)
-
-
-def mg1_mean_wait_us(arrival_rate_per_us, service_times_us):
-    """Mean queueing delay of an M/G/1 queue (Pollaczek-Khinchine).
-
-    ``W = lambda * E[S^2] / (2 * (1 - rho))``; returns ``inf`` when the
-    queue is unstable (rho >= 1).
-    """
-    return mgc_mean_wait_us(arrival_rate_per_us, service_times_us, 1)
 
 
 def mgc_mean_wait_us(arrival_rate_per_us, service_times_us, num_servers):

@@ -6,7 +6,7 @@ its tables.  Placement must be *deterministic* (every frontend replica must
 agree where a table lives).
 
 Two sharders implement the same interface
-(``assign_requests`` / ``partition_requests`` / ``shard_load``):
+(``assign_requests`` / ``shard_load``):
 
 * :class:`TableSharder` -- the single-placement sharder: every table lives
   on exactly one node, chosen as a pure function of the table id
@@ -217,19 +217,10 @@ class TableSharder:
             return table_id % self.num_nodes
         return _knuth_hash(table_id) % self.num_nodes
 
-    def placement(self, table_ids):
-        """``{table_id: node}`` for a collection of tables."""
-        return {int(t): self.node_of_table(t) for t in table_ids}
-
     def assign_requests(self, requests, commit=True):
         """One node index per request (``commit`` is a no-op here)."""
         return [self.node_of_table(request.table_id)
                 for request in requests]
-
-    def partition_requests(self, requests):
-        """Split SLS requests into per-node lists by table placement."""
-        return partition_by_assignment(
-            requests, self.assign_requests(requests), self.num_nodes)
 
     def shard_load(self, requests):
         """Per-node lookup counts for a request list (balance diagnostics)."""
@@ -350,11 +341,6 @@ class ReplicatedTableSharder:
                    **kwargs)
 
     # ------------------------------------------------------------------ #
-    def replication_factor(self, table_id):
-        """Replicas assigned to a table (1 for cold or unknown tables)."""
-        nodes = self.replicas.get(int(table_id))
-        return len(nodes) if nodes is not None else 1
-
     def _factor_for(self, load, total):
         if total <= 0.0 or load <= 0.0:
             return 1
@@ -398,10 +384,6 @@ class ReplicatedTableSharder:
                     for offset in range(factors[table])))
         return replicas
 
-    def placement(self, table_ids):
-        """``{table_id: primary node}`` (first replica) for compatibility."""
-        return {int(t): self.replica_nodes(t)[0] for t in table_ids}
-
     def replica_nodes(self, table_id):
         """All nodes holding a table, sorted (one for unknown tables)."""
         table_id = int(table_id)
@@ -419,10 +401,6 @@ class ReplicatedTableSharder:
         """Forget routed load (a fresh frontend's view of the cluster)."""
         self._routed_load = [0.0] * self.num_nodes
         self._route_counts = {}
-
-    def routing_state(self):
-        """Snapshot of the per-node routed-lookup counters."""
-        return tuple(self._routed_load)
 
     def _pick_replica(self, table_id, routed_load, route_counts):
         nodes = self.replica_nodes(table_id)
@@ -460,11 +438,6 @@ class ReplicatedTableSharder:
             route_counts[table] = route_counts.get(table, 0) + 1
             assignment.append(node)
         return assignment
-
-    def partition_requests(self, requests):
-        """Split SLS requests into per-node lists (advances routing)."""
-        return partition_by_assignment(
-            requests, self.assign_requests(requests), self.num_nodes)
 
     def shard_load(self, requests):
         """Per-node lookup counts a request list *would* route to.

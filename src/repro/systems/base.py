@@ -159,22 +159,3 @@ class EmbeddingSystem(abc.ABC):
         interpolators) may override it without touching ``run()``.
         """
         return self.run(requests).latency_ns / 1e3
-
-    # ------------------------------------------------------------------ #
-    def run_trace(self, trace, batch_size=8, pooling_factor=40,
-                  max_requests=None):
-        """Convenience: batch an :class:`EmbeddingTrace` and run it.
-
-        Slices the trace into SLS requests (``batch_size`` poolings of
-        ``pooling_factor`` lookups each) and executes them in one call.
-        """
-        from repro.traces.synthetic import batched_requests_from_trace
-
-        requests = batched_requests_from_trace(trace, batch_size,
-                                               pooling_factor)
-        if max_requests is not None:
-            requests = requests[:max_requests]
-        if not requests:
-            raise ValueError("trace too short for one %dx%d request"
-                             % (batch_size, pooling_factor))
-        return self.run(requests)

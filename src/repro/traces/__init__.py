@@ -9,8 +9,6 @@ synthesises statistically equivalent ones (documented in DESIGN.md).
 from repro.traces.trace import EmbeddingTrace, CombinedTrace
 from repro.traces.synthetic import (
     random_trace,
-    zipf_trace,
-    hotset_trace,
     batched_requests_from_trace,
 )
 from repro.traces.production import (
@@ -23,8 +21,6 @@ __all__ = [
     "EmbeddingTrace",
     "CombinedTrace",
     "random_trace",
-    "zipf_trace",
-    "hotset_trace",
     "batched_requests_from_trace",
     "ProductionTraceGenerator",
     "make_production_table_traces",

@@ -1,14 +1,10 @@
-"""Synthetic trace generators: random, Zipfian and hot-set traces."""
+"""Synthetic traces: a fully random trace and request batching."""
 
 import numpy as np
 
 from repro.dlrm.operators import SLSRequest
 from repro.traces.trace import EmbeddingTrace
-from repro.utils.distributions import (
-    HotSetGenerator,
-    UniformGenerator,
-    ZipfGenerator,
-)
+from repro.utils.distributions import UniformGenerator
 
 
 def random_trace(num_rows, num_lookups, table_id=0, seed=None, name="random"):
@@ -18,29 +14,6 @@ def random_trace(num_rows, num_lookups, table_id=0, seed=None, name="random"):
     return EmbeddingTrace(table_id=table_id, indices=indices,
                           num_rows=num_rows, name=name,
                           metadata={"kind": "random"})
-
-
-def zipf_trace(num_rows, num_lookups, alpha=1.05, table_id=0, seed=None,
-               name="zipf"):
-    """Zipf-distributed lookup trace (power-law item popularity)."""
-    generator = ZipfGenerator(num_rows, alpha=alpha, seed=seed)
-    indices = generator.sample(num_lookups)
-    return EmbeddingTrace(table_id=table_id, indices=indices,
-                          num_rows=num_rows, name=name,
-                          metadata={"kind": "zipf", "alpha": alpha})
-
-
-def hotset_trace(num_rows, num_lookups, hot_fraction=0.001,
-                 hot_probability=0.5, table_id=0, seed=None, name="hotset"):
-    """Hot-set mixture trace with controllable temporal locality."""
-    generator = HotSetGenerator(num_rows, hot_fraction=hot_fraction,
-                                hot_probability=hot_probability, seed=seed)
-    indices = generator.sample(num_lookups)
-    return EmbeddingTrace(table_id=table_id, indices=indices,
-                          num_rows=num_rows, name=name,
-                          metadata={"kind": "hotset",
-                                    "hot_fraction": hot_fraction,
-                                    "hot_probability": hot_probability})
 
 
 def batched_requests_from_trace(trace, batch_size, pooling_factor):

@@ -67,10 +67,6 @@ class CombinedTrace:
     def __len__(self):
         return sum(len(trace) for trace in self.traces)
 
-    @property
-    def num_tables(self):
-        return len(self.traces)
-
     def interleaved(self):
         """Yield ``(table_id, row_index)`` pairs in interleaved order."""
         positions = [0] * len(self.traces)
@@ -90,10 +86,3 @@ class CombinedTrace:
                 progressed = True
             if not progressed:
                 break
-
-    def interleaved_array(self):
-        """Return the interleaving as an (N, 2) array of (slot, row)."""
-        pairs = list(self.interleaved())
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(pairs, dtype=np.int64)

@@ -297,10 +297,10 @@ class TestNodeLevelServiceJobs:
         batch = self._batch()
         with self._cluster("process") as cluster:
             first = cluster.service_time_us(batch)
-            stats = cluster.service_cache_stats()
+            stats = cluster.service_stats()["cache"]
             assert stats["misses"] == 1
             assert cluster.service_time_us(batch) == first
-            assert cluster.service_cache_stats()["hits"] == 1
+            assert cluster.service_stats()["cache"]["hits"] == 1
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_unpicklable_node_override_named(self, backend):

@@ -72,13 +72,6 @@ class TestSubmissionAndDispatch:
         order = controller.scheduler.schedule()
         assert [p.table_id for p in order] == [0, 1, 0, 1]
 
-    def test_reset(self):
-        controller = NMPMemoryController(num_ranks=2)
-        controller.submit([_packet(0, 0, 0)])
-        controller.reset()
-        assert controller.scheduler.num_packets == 0
-        assert controller.stats.packets_received == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NMPMemoryController(num_ranks=0)

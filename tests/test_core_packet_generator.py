@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.instruction import DDR_CMD_ACT, DDR_CMD_PRE, DDR_CMD_RD
 from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
+from repro.core.simulator import RecNMPConfig
 from repro.dlrm.operators import SLSRequest
 
 from nmp_packets import instructions_of
@@ -26,6 +27,24 @@ class TestConfigValidation:
             PacketGeneratorConfig(poolings_per_packet=17)
         with pytest.raises(ValueError):
             PacketGeneratorConfig(poolings_per_packet=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("poolings_per_packet", 2.5), ("poolings_per_packet", 8.0),
+        ("poolings_per_packet", 16.0), ("poolings_per_packet", "4"),
+        ("hot_entry_threshold", 1.5), ("hot_entry_threshold", 0),
+        ("hot_entry_threshold", 2.0), ("hot_entry_threshold", -1)])
+    def test_non_integral_or_zero_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PacketGeneratorConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            RecNMPConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = PacketGeneratorConfig(poolings_per_packet=np.int64(2),
+                                       hot_entry_threshold=np.int32(3))
+        packets = PacketGenerator(config).packets_for_requests(
+            [_request(batch=4, pooling=3)])
+        assert len(packets) == 2
 
     def test_vector_size_multiple_of_64(self):
         with pytest.raises(ValueError):

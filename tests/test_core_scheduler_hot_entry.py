@@ -57,17 +57,10 @@ class TestPacketScheduler:
         scheduler = PacketScheduler(policy="table-aware")
         scheduler.add_source([_packet(0, 0, i) for i in range(4)])
         scheduler.add_source([_packet(1, 0, 10 + i) for i in range(4)])
-        assert scheduler.num_packets == 8
         assert len(scheduler.schedule()) == 8
 
     def test_empty_schedule(self):
         assert PacketScheduler().schedule() == []
-
-    def test_clear(self):
-        scheduler = PacketScheduler()
-        scheduler.add_source([_packet(0, 0, 0)])
-        scheduler.clear()
-        assert scheduler.num_sources == 0
 
     @pytest.mark.parametrize("policy, order", [
         ("fcfs", fcfs_interleaved_order),
@@ -80,8 +73,6 @@ class TestPacketScheduler:
         scheduler = PacketScheduler(policy=policy)
         for packets in sources:
             scheduler.add_source(packets)
-        assert scheduler.num_sources == 3
-        assert scheduler.num_packets == 6
         assert [p.packet_id for p in scheduler.schedule()] == \
             [p.packet_id for p in order(sources)]
 
@@ -90,7 +81,7 @@ class TestPacketScheduler:
         scheduler = PacketScheduler()
         scheduler.add_source(packets)
         packets.append(_packet(0, 0, 1))
-        assert scheduler.num_packets == 1
+        assert scheduler.schedule() == packets[:1]
 
     def test_table_aware_keeps_models_apart(self):
         a = [_packet(0, 0, 0, model_id=0), _packet(0, 0, 1, model_id=1)]
@@ -115,7 +106,7 @@ class TestPacketScheduler:
         for packets in packet_lists:
             scheduler.add_source(packets)
         issued = [p.packet_id for p in scheduler.schedule()]
-        assert sorted(issued) == list(range(scheduler.num_packets))
+        assert sorted(issued) == list(range(sum(map(len, packet_lists))))
         position = {pid: i for i, pid in enumerate(issued)}
         for packets in packet_lists:
             # Within one source, packets of one table/batch group issue
@@ -140,11 +131,7 @@ class TestHotEntryProfiler:
 
     def test_threshold_one_marks_everything(self):
         profile = HotEntryProfiler(threshold=1).profile([4, 5, 6])
-        assert profile.num_hot_rows == 3
-
-    def test_hot_access_fraction(self):
-        profile = HotEntryProfiler(threshold=2).profile([1, 1, 1, 2])
-        assert profile.hot_access_fraction == pytest.approx(0.75)
+        assert profile.hot_rows == {4, 5, 6}
 
     def test_profile_requests_groups_by_table(self):
         profiler = HotEntryProfiler(threshold=2)
@@ -153,7 +140,7 @@ class TestHotEntryProfiler:
             SLSRequest(table_id=1, indices=[2, 3], lengths=[2]),
             SLSRequest(table_id=1, indices=[2, 4], lengths=[2]),
         ]
-        results = profiler.profile_requests(requests)
+        results, _ = profiler.profile_requests_with_masks(requests)
         assert results[0].is_hot(1)
         # Row 2 appears twice for table 1 across the two requests.
         assert results[1].is_hot(2)
@@ -162,11 +149,21 @@ class TestHotEntryProfiler:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             HotEntryProfiler(threshold=0)
+        # Rejected, not truncated to 1 (which marks every row hot).
+        with pytest.raises(ValueError, match="integer"):
+            HotEntryProfiler(threshold=1.5)
+
+    @pytest.mark.parametrize("threshold", [2.0, np.float64(3.0)],
+                             ids=["float", "numpy-float"])
+    def test_integral_float_threshold_rejected(self, threshold):
+        # Floats are not thresholds even when integral, as in the
+        # generator's config.
+        with pytest.raises(ValueError, match="integer"):
+            HotEntryProfiler(threshold=threshold)
 
     def test_empty_profile_has_no_hot_accesses(self):
         profile = HotEntryProfiler(threshold=2).profile([])
-        assert profile.num_hot_rows == 0
-        assert profile.hot_access_fraction == 0.0
+        assert profile.hot_rows == set()
 
     def test_profile_records_table_and_threshold(self):
         profile = HotEntryProfiler(threshold=3).profile([7, 7, 7],
@@ -193,7 +190,6 @@ class TestHotEntryProfiler:
         lower = HotEntryProfiler(threshold).profile(indices)
         higher = HotEntryProfiler(threshold + 1).profile(indices)
         assert higher.hot_rows <= lower.hot_rows
-        assert higher.hot_access_fraction <= lower.hot_access_fraction
 
     def test_request_masks_use_the_batch_wide_profile(self):
         """Row 2 repeats only across table 1's two requests; each

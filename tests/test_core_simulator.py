@@ -53,6 +53,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             RecNMPConfig(num_dimms=0)
 
+    def test_numpy_integer_fields_simulate_like_python_ints(self):
+        plain = _simulator(poolings_per_packet=4, hot_entry_threshold=2)
+        numpy = _simulator(poolings_per_packet=np.int64(4),
+                           hot_entry_threshold=np.int32(2))
+        requests = _requests(hot=True)
+        expected = plain.run_requests(requests, compare_baseline=False)
+        result = numpy.run_requests(requests, compare_baseline=False)
+        assert result.num_packets == expected.num_packets
+        assert result.total_cycles == expected.total_cycles
+        assert result.per_packet_cycles == expected.per_packet_cycles
+
 
 class TestSimulation:
     def test_result_accounting(self):
@@ -62,14 +73,14 @@ class TestSimulation:
         assert result.total_cycles > 0
         assert sum(result.rank_load) == result.num_instructions
         assert 0 < result.load_imbalance <= 1.0
-        assert result.average_packet_cycles > 0
+        assert len(result.per_packet_cycles) == result.num_packets
+        assert min(result.per_packet_cycles) > 0
 
     def test_result_records_kernel_flavor(self):
         from repro.core import kernels
         simulator = _simulator()
         result = simulator.run_requests(_requests(), compare_baseline=False)
         assert result.kernel_flavor == kernels.active_flavor()
-        assert result.as_dict()["kernel_flavor"] == result.kernel_flavor
 
     def test_speedup_vs_baseline_positive(self):
         simulator = _simulator()
@@ -120,15 +131,6 @@ class TestSimulation:
         assert result.energy_nj > 0
         assert result.baseline_energy_nj > 0
         assert result.energy_savings_fraction > 0
-
-    def test_as_dict_keys(self):
-        simulator = _simulator()
-        result = simulator.run_requests(_requests(seed=6),
-                                        compare_baseline=False)
-        payload = result.as_dict()
-        for key in ("total_cycles", "num_packets", "cache_hit_rate",
-                    "load_imbalance"):
-            assert key in payload
 
     def test_reset_clears_state(self):
         simulator = _simulator()

@@ -9,7 +9,6 @@ from repro.dlrm.config import (
     RM2_LARGE,
     RM2_SMALL,
     ModelConfig,
-    get_model_config,
     scaled_config,
 )
 
@@ -33,14 +32,6 @@ class TestModelConfigs:
         # The paper quotes 64-256 B embedding vectors.
         for config in MODEL_CONFIGS.values():
             assert 64 <= config.embedding_vector_bytes <= 256
-
-    def test_table_size_order_of_magnitude(self):
-        # 1M rows x 256 B = 256 MB per table.
-        assert RM1_SMALL.embedding_table_bytes == pytest.approx(256e6, rel=0.1)
-
-    def test_total_embedding_bytes_grow_with_tables(self):
-        assert RM2_LARGE.total_embedding_bytes > RM2_SMALL.total_embedding_bytes \
-            > RM1_LARGE.total_embedding_bytes > RM1_SMALL.total_embedding_bytes
 
     def test_lookups_per_sample(self):
         assert RM1_SMALL.lookups_per_sample() == 8 * 80
@@ -75,14 +66,6 @@ class TestModelConfigs:
 
 
 class TestLookupHelpers:
-    def test_get_by_name(self):
-        assert get_model_config("RM1-small") is RM1_SMALL
-        assert get_model_config("rm2-LARGE") is RM2_LARGE
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            get_model_config("RM3")
-
     def test_scaled_config_overrides(self):
         small = scaled_config(RM1_SMALL, rows_per_table=1024)
         assert small.rows_per_table == 1024

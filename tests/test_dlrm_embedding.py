@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dlrm.config import RM1_SMALL, scaled_config
 from repro.dlrm.embedding import EmbeddingBag, EmbeddingTable
 from repro.dlrm.operators import SLSRequest, sparse_lengths_sum
 
@@ -14,16 +13,12 @@ class TestEmbeddingTable:
                                base_address=1 << 20, lazy=True)
         assert table.row_address(0) == 1 << 20
         assert table.row_address(1) == (1 << 20) + 64
-        np.testing.assert_array_equal(
-            table.row_addresses([0, 2]),
-            np.array([1 << 20, (1 << 20) + 128]))
+        assert table.row_address(2) == (1 << 20) + 128
 
     def test_row_address_bounds(self):
         table = EmbeddingTable(num_rows=10, embedding_dim=4, lazy=True)
         with pytest.raises(IndexError):
             table.row_address(10)
-        with pytest.raises(IndexError):
-            table.row_addresses([0, 10])
 
     def test_bytes_per_row(self):
         assert EmbeddingTable(10, 16, lazy=True).bytes_per_row == 64
@@ -76,20 +71,10 @@ class TestEmbeddingBag:
         bag = EmbeddingBag(num_tables=4, num_rows=33, embedding_dim=16,
                            lazy=True)
         previous_end = 0
-        for table in bag:
+        for table in bag.tables:
             assert table.base_address % 4096 == 0
             assert table.base_address >= previous_end
             previous_end = table.base_address + table.table_bytes
-
-    def test_from_config(self):
-        bag = EmbeddingBag.from_config(RM1_SMALL, lazy=True)
-        assert len(bag) == RM1_SMALL.num_embedding_tables
-        assert bag[0].num_rows == RM1_SMALL.rows_per_table
-
-    def test_from_config_with_row_override(self):
-        bag = EmbeddingBag.from_config(scaled_config(RM1_SMALL),
-                                       rows_override=128, lazy=True)
-        assert bag[0].num_rows == 128
 
     def test_forward_runs_requests(self):
         bag = EmbeddingBag(num_tables=2, num_rows=20, embedding_dim=4, seed=0)

@@ -45,14 +45,11 @@ class TestMLP:
         output = mlp(np.random.default_rng(0).standard_normal((10, 8)))
         assert (output >= 0).all() and (output <= 1).all()
 
-    def test_parameter_count(self):
+    def test_layer_shapes_chain_from_input(self):
         mlp = MLP(8, (4, 2), seed=0)
-        assert mlp.num_parameters == 8 * 4 + 4 + 4 * 2 + 2
-        assert mlp.weight_bytes == mlp.num_parameters * 4
-
-    def test_flops_per_sample(self):
-        mlp = MLP(8, (4, 2), seed=0)
-        assert mlp.flops_per_sample() == 2 * (8 * 4 + 4 * 2)
+        assert [w.shape for w in mlp.weights] == [(8, 4), (4, 2)]
+        assert [b.shape for b in mlp.biases] == [(4,), (2,)]
+        assert all(w.dtype == np.float32 for w in mlp.weights)
 
     def test_relu_layers_nonnegative(self):
         mlp = MLP(8, (8, 8), final_activation="relu", seed=2)
@@ -76,14 +73,16 @@ def tiny_model():
 
 class TestDLRMModel:
     def test_forward_shapes(self, tiny_model):
-        output = tiny_model.run_random_batch(batch_size=6, pooling_factor=10)
+        output = tiny_model.forward(
+            *tiny_model.random_inputs(6, pooling_factor=10))
         assert output.predictions.shape == (6,)
         assert output.bottom_output.shape == (6, 64)
         assert len(output.embedding_outputs) == 4
         assert output.interaction.shape[0] == 6
 
     def test_predictions_are_probabilities(self, tiny_model):
-        output = tiny_model.run_random_batch(batch_size=16, pooling_factor=5)
+        output = tiny_model.forward(
+            *tiny_model.random_inputs(16, pooling_factor=5))
         assert (output.predictions >= 0).all()
         assert (output.predictions <= 1).all()
 
@@ -94,7 +93,8 @@ class TestDLRMModel:
         np.testing.assert_allclose(first.predictions, second.predictions)
 
     def test_interaction_width_matches_config(self, tiny_model):
-        output = tiny_model.run_random_batch(batch_size=2, pooling_factor=3)
+        output = tiny_model.forward(
+            *tiny_model.random_inputs(2, pooling_factor=3))
         assert output.interaction.shape[1] == \
             tiny_model.config.top_mlp_input_width()
 

@@ -59,13 +59,6 @@ class TestSLSRequest:
         assert request.indices.dtype == np.int64
         assert request.indices.tolist() == [1, 2]
 
-    def test_pooling_slices(self):
-        request = SLSRequest(table_id=0, indices=[5, 6, 7], lengths=[1, 2])
-        slices = list(request.pooling_slices())
-        assert len(slices) == 2
-        assert list(slices[0][1]) == [5]
-        assert list(slices[1][1]) == [6, 7]
-
 
 class TestSparseLengthsSum:
     def test_matches_manual(self, table):

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hot_entry import ProfileResult
-from repro.core.host_interface import NMPMemoryAllocator
 from repro.core.instruction import (
     DDR_CMD_ACT,
     DDR_CMD_PRE,
@@ -33,7 +32,6 @@ from repro.core.instruction import (
     PackedInstructions,
 )
 from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
-from repro.dlrm.operators import SLSRequest
 from repro.serving import (
     BatchingFrontend,
     PoissonArrivalProcess,
@@ -44,9 +42,7 @@ from repro.systems.base import TableLayout
 from repro.traces import make_production_table_traces
 
 from nmp_packets import instructions_of, packet_of
-
-NUM_ROWS = 64
-NUM_TABLES = 3
+from sls_strategies import array_address_of, scalar_address_of, sls_requests
 
 
 class ReferencePacketGenerator:
@@ -82,7 +78,13 @@ class ReferencePacketGenerator:
     def request_packets(self, request, model_id, batch_index, profile):
         config = self.config
         packets = []
-        pooling_groups = list(request.pooling_slices())
+        offsets = np.cumsum(request.lengths) - request.lengths
+        pooling_groups = [
+            (pooling_index, request.indices[start:start + length],
+             None if request.weights is None
+             else request.weights[start:start + length])
+            for pooling_index, (start, length) in enumerate(
+                zip(offsets.tolist(), request.lengths.tolist()))]
         for start in range(0, len(pooling_groups),
                            config.poolings_per_packet):
             group = pooling_groups[start:start + config.poolings_per_packet]
@@ -154,45 +156,8 @@ def _packet_record(packet):
     }
 
 
-def _host_interface_address_of(vector_bytes):
-    """Bounds-checked ``Allocation.row_address``: raises on index arrays."""
-    allocator = NMPMemoryAllocator()
-    tables = [allocator.allocate_table("emb_%d" % table_id, NUM_ROWS,
-                                       vector_bytes)
-              for table_id in range(NUM_TABLES)]
-    return lambda table_id, row: tables[table_id].row_address(row)
-
-
-def _array_address_of(vector_bytes):
-    return TableLayout(num_rows=NUM_ROWS, vector_bytes=vector_bytes) \
-        .address_of
-
-
-@st.composite
-def _requests(draw):
-    requests = []
-    for _ in range(draw(st.integers(1, 4), label="requests")):
-        lengths = draw(st.lists(st.integers(1, 12), min_size=1,
-                                max_size=20), label="lengths")
-        total = sum(lengths)
-        indices = draw(st.lists(st.integers(0, NUM_ROWS - 1),
-                                min_size=total, max_size=total),
-                       label="indices")
-        weights = None
-        if draw(st.booleans(), label="weighted"):
-            weights = draw(st.lists(
-                st.sampled_from([1.0, 0.5, 0.25, 1.5]) | st.floats(
-                    0.0, 4.0, width=32),
-                min_size=total, max_size=total), label="weights")
-        requests.append(SLSRequest(
-            table_id=draw(st.integers(0, NUM_TABLES - 1), label="table"),
-            indices=np.asarray(indices, dtype=np.int64),
-            lengths=np.asarray(lengths), weights=weights))
-    return requests
-
-
 @settings(max_examples=150, deadline=None)
-@given(requests=_requests(),
+@given(requests=sls_requests(),
        poolings_per_packet=st.integers(1, 16),
        threshold=st.integers(1, 4),
        profiling=st.booleans(),
@@ -208,8 +173,8 @@ def test_columns_match_the_per_lookup_reference(
         vector_size_bytes=vector_bytes, row_buffer_bytes=row_buffer_bytes,
         enable_hot_entry_profiling=profiling, hot_entry_threshold=threshold,
         opcode=opcode)
-    make_address_of = _host_interface_address_of if scalar_only \
-        else _array_address_of
+    make_address_of = scalar_address_of if scalar_only \
+        else array_address_of
     generator = PacketGenerator(config, make_address_of(vector_bytes))
     reference = ReferencePacketGenerator(config,
                                          make_address_of(vector_bytes))
@@ -223,9 +188,12 @@ def test_columns_match_the_per_lookup_reference(
 
 
 def test_scalar_only_address_map_rejects_arrays():
-    """The oracle's scalar-only map really does raise on index arrays."""
-    address_of = _host_interface_address_of(64)
+    """The oracle's scalar-only map really does raise on index arrays,
+    and it places its tables page-aligned."""
+    address_of = scalar_address_of(64)
     assert address_of(1, 3) == address_of(1, 0) + 3 * 64
+    assert [address_of(table, 0) % 4096 for table in range(3)] == [0] * 3
+    assert address_of(1, 0) >= address_of(0, 63) + 64
     with pytest.raises(ValueError):
         address_of(1, np.arange(4))
 

@@ -61,8 +61,7 @@ class TestColocationModel:
                                  RM2_LARGE.fc_weight_bytes(), [1, 2, 4, 8])
         assert len(results) == 4
         assert results[-1].recnmp_improvement >= results[0].recnmp_improvement
-        assert all(r.as_dict()["fc_name"] == "RM2-large TopFC"
-                   for r in results)
+        assert all(r.fc_name == "RM2-large TopFC" for r in results)
 
     def test_pooling_increases_pressure(self):
         model = ColocationModel()

@@ -16,10 +16,6 @@ class TestSystemParameters:
         assert SKYLAKE_SYSTEM.measured_bandwidth_gbps == pytest.approx(62.1)
         assert SKYLAKE_SYSTEM.llc_mb == pytest.approx(24.75)
 
-    def test_machine_balance(self):
-        balance = SKYLAKE_SYSTEM.machine_balance
-        assert 10 < balance < 15      # ~12.8 FLOP/byte ridge point
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SystemParameters(num_cores=0)
@@ -67,10 +63,19 @@ class TestRoofline:
                               performance_flops=0.5 * 76.8e9 * 0.25)
         assert roofline.efficiency(point) == pytest.approx(0.5)
 
-    def test_curve_monotone(self):
+    def test_ridge_point_is_the_machine_balance(self):
         roofline = RooflineModel()
-        curve = roofline.curve([0.1, 1.0, 10.0, 100.0])
-        values = [v for _, v in curve]
+        # ~12.8 FLOP/byte: 980 GFLOP/s over 76.8 GB/s on Skylake.
+        assert 10 < roofline.ridge_point < 15
+        assert roofline.attainable_flops(roofline.ridge_point) == \
+            pytest.approx(SKYLAKE_SYSTEM.peak_flops)
+        assert roofline.is_memory_bound(0.99 * roofline.ridge_point)
+        assert not roofline.is_memory_bound(roofline.ridge_point)
+
+    def test_attainable_flops_monotone(self):
+        roofline = RooflineModel()
+        values = [roofline.attainable_flops(intensity)
+                  for intensity in (0.1, 1.0, 10.0, 100.0)]
         assert values == sorted(values)
 
     def test_operator_point_constructor(self):

@@ -60,25 +60,25 @@ class TestConstruction:
             [query.arrival_us for query in object_queries]
         assert np.isnan(columns.deadline_us).all()
         assert all(query.deadline_us is None for query in object_queries)
-        assert list(columns.fingerprints()) == \
+        assert list(columns.provider.fingerprints_for(columns.rows)) == \
             [query.fingerprint() for query in object_queries]
         assert columns.lookups.tolist() == \
             [query.total_lookups for query in object_queries]
         assert columns.num_requests.tolist() == \
-            [query.num_tables for query in object_queries]
+            [len(query.requests) for query in object_queries]
 
     def test_from_queries_round_trip(self, object_queries):
         columns = QueryColumns.from_queries(object_queries)
         assert np.array_equal(
             columns.arrival_us,
             np.array([q.arrival_us for q in object_queries]))
-        assert list(columns.fingerprints()) == \
+        assert list(columns.provider.fingerprints_for(columns.rows)) == \
             [q.fingerprint() for q in object_queries]
 
     def test_provider_serves_row_requests(self, object_queries,
                                           columns):
         requests = columns.provider.row_requests(int(columns.rows[7]))
-        assert len(requests) == object_queries[7].num_tables
+        assert len(requests) == len(object_queries[7].requests)
         assert [r.table_id for r in requests] == \
             [r.table_id for r in object_queries[7].requests]
 
@@ -94,7 +94,7 @@ class TestConstruction:
         merged = QueryColumns.concat([columns.slice(0, 100),
                                       columns.slice(100, len(columns))])
         assert np.array_equal(merged.arrival_us, columns.arrival_us)
-        assert list(merged.fingerprints()) == list(columns.fingerprints())
+        assert list(merged.provider.fingerprints_for(merged.rows)) == list(columns.provider.fingerprints_for(columns.rows))
 
 
 class TestBatching:
@@ -107,6 +107,10 @@ class TestBatching:
         batch_columns, carry = frontend.form_batch_columns(columns)
         assert carry is None
         assert len(batch_columns) == len(object_batches)
+        assert [column.tolist() for column in batch_columns.totals()] == [
+            [batch.num_requests for batch in object_batches],
+            [batch.total_poolings for batch in object_batches],
+            [batch.total_lookups for batch in object_batches]]
         for object_batch, column_batch in zip(object_batches,
                                               batch_columns):
             assert column_batch.size == object_batch.size
@@ -114,8 +118,6 @@ class TestBatching:
             assert column_batch.trigger == object_batch.trigger
             assert tuple(column_batch.query_fingerprints()) == \
                 tuple(object_batch.query_fingerprints())
-            assert column_batch.total_poolings == \
-                object_batch.total_poolings
             assert column_batch.columns.query_id[
                 column_batch.start:column_batch.stop].tolist() == \
                 [q.query_id for q in object_batch.queries]

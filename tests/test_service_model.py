@@ -78,7 +78,7 @@ class TestServiceCacheBound:
             batch_size=2, pooling_factor=4)
         frontend = BatchingFrontend(max_queries=1)
         cluster.simulate(queries, frontend=frontend)   # 6 distinct batches
-        stats = cluster.service_cache_stats()
+        stats = cluster.service_stats()["cache"]
         assert stats["entries"] <= 2
         assert stats["misses"] == 6
 
@@ -88,9 +88,9 @@ class TestServiceCacheBound:
             make_traces(), 4, [float(i) for i in range(4)],
             batch_size=2, pooling_factor=4)
         cluster.simulate(queries)
-        assert cluster.service_cache_stats()["entries"] > 0
+        assert cluster.service_stats()["cache"]["entries"] > 0
         cluster.reset()
-        assert cluster.service_cache_stats()["entries"] == 0
+        assert cluster.service_stats()["cache"]["entries"] == 0
 
 
 class TestResolution:

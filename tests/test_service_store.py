@@ -63,7 +63,7 @@ class TestServiceTimeStore:
     def test_round_trip_and_counters(self, tmp_path):
         with ServiceTimeStore(tmp_path / "store.sqlite") as store:
             assert store.get(CONFIG, KEY) is None          # miss
-            store.put(CONFIG, KEY, 123.5)
+            store.put_many(CONFIG, [(KEY, 123.5)])
             assert store.get(CONFIG, KEY) == 123.5         # hit
             assert len(store) == 1
             stats = store.stats()
@@ -74,13 +74,13 @@ class TestServiceTimeStore:
     def test_entries_survive_reopen(self, tmp_path):
         path = tmp_path / "store.sqlite"
         with ServiceTimeStore(path) as store:
-            store.put(CONFIG, KEY, 7.0)
+            store.put_many(CONFIG, [(KEY, 7.0)])
         with ServiceTimeStore(path) as store:
             assert store.get(CONFIG, KEY) == 7.0
 
     def test_config_namespaces_are_disjoint(self, tmp_path):
         with ServiceTimeStore(tmp_path / "store.sqlite") as store:
-            store.put("config-a", KEY, 1.0)
+            store.put_many("config-a", [(KEY, 1.0)])
             assert store.get("config-b", KEY) is None
             store.invalidate("config-b")
             assert store.get("config-a", KEY) == 1.0
@@ -89,11 +89,11 @@ class TestServiceTimeStore:
 
     def test_kernel_flavor_is_part_of_the_key(self, tmp_path):
         with ServiceTimeStore(tmp_path / "store.sqlite") as store:
-            store.put(CONFIG, KEY, 5.0)
+            store.put_many(CONFIG, [(KEY, 5.0)])
             with kernels.force_flavor("flat-python"):
                 # A different command-issue kernel flavour must miss.
                 assert store.get(CONFIG, KEY) is None
-                store.put(CONFIG, KEY, 6.0)
+                store.put_many(CONFIG, [(KEY, 6.0)])
             assert store.get(CONFIG, KEY) == 5.0
             assert len(store) == 2
 
@@ -108,7 +108,7 @@ class TestServiceTimeStore:
                                                monkeypatch):
         path = tmp_path / "store.sqlite"
         with ServiceTimeStore(path) as store:
-            store.put(CONFIG, KEY, 9.0)
+            store.put_many(CONFIG, [(KEY, 9.0)])
         monkeypatch.setattr(service_store, "SCHEMA_VERSION", 999)
         with ServiceTimeStore(path) as store:
             assert len(store) == 0
@@ -119,7 +119,7 @@ class TestServiceTimeStore:
         # and every operation must be a quiet no-op / miss.
         store = ServiceTimeStore(tmp_path)
         assert store.get(CONFIG, KEY) is None
-        store.put(CONFIG, KEY, 1.0)
+        store.put_many(CONFIG, [(KEY, 1.0)])
         store.invalidate()
         assert len(store) == 0
         assert "broken" in store.describe()
@@ -127,14 +127,14 @@ class TestServiceTimeStore:
 
     def test_closed_store_is_a_miss(self, tmp_path):
         store = ServiceTimeStore(tmp_path / "store.sqlite")
-        store.put(CONFIG, KEY, 1.0)
+        store.put_many(CONFIG, [(KEY, 1.0)])
         store.close()
         assert store.get(CONFIG, KEY) is None
 
     def test_pickles_as_path(self, tmp_path):
         path = tmp_path / "store.sqlite"
         with ServiceTimeStore(path) as store:
-            store.put(CONFIG, KEY, 3.0)
+            store.put_many(CONFIG, [(KEY, 3.0)])
             clone = pickle.loads(pickle.dumps(store))
         # The clone reopened its own connection from the path and sees
         # the original's entries, but starts with fresh counters.

@@ -16,13 +16,12 @@ from repro.serving import (
     ShardedServingCluster,
     available_engines,
     erlang_c,
-    mg1_mean_wait_us,
     mgc_mean_wait_us,
     mgc_utilization,
     qps_sweep,
     queries_from_traces,
     resolve_engine,
-    simulate_fifo_queue,
+    simulate_batch_queue,
     summarize_serving,
     wait_quantile_us,
 )
@@ -84,8 +83,10 @@ class TestMGcFormulas:
         rng = np.random.default_rng(0)
         services = rng.exponential(10.0, size=200)
         rate = 0.04
-        assert mgc_mean_wait_us(rate, services, 1) == \
-            pytest.approx(mg1_mean_wait_us(rate, services))
+        # Pollaczek-Khinchine: W = lambda * E[S^2] / (2 * (1 - rho)).
+        rho = rate * services.mean()
+        assert mgc_mean_wait_us(rate, services, 1) == pytest.approx(
+            rate * (services ** 2).mean() / (2.0 * (1.0 - rho)))
         assert mgc_utilization(rate, services, 1) == \
             pytest.approx(rate * services.mean())
 
@@ -126,32 +127,32 @@ class TestMGcFormulas:
 
 class TestFifoSimulation:
     def test_two_servers_serve_concurrently(self):
-        starts, completes, depth = simulate_fifo_queue(
+        starts, completes, depth = simulate_batch_queue(
             [0.0, 0.0, 0.0], [10.0, 10.0, 10.0], num_servers=2)
         assert starts.tolist() == [0.0, 0.0, 10.0]
         assert completes.tolist() == [10.0, 10.0, 20.0]
         assert depth == 1
 
     def test_fifo_order_respects_ready_times(self):
-        starts, completes, depth = simulate_fifo_queue(
+        starts, completes, depth = simulate_batch_queue(
             [0.0, 1.0, 2.0], [5.0, 5.0, 5.0], num_servers=1)
         assert starts.tolist() == [0.0, 5.0, 10.0]
         assert completes.tolist() == [5.0, 10.0, 15.0]
         assert depth == 2
 
     def test_idle_server_starts_immediately(self):
-        starts, _, depth = simulate_fifo_queue(
+        starts, _, depth = simulate_batch_queue(
             [0.0, 100.0], [10.0, 10.0], num_servers=1)
         assert starts.tolist() == [0.0, 100.0]
         assert depth == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_fifo_queue([], [], 1)
+            simulate_batch_queue([], [], 1)
         with pytest.raises(ValueError):
-            simulate_fifo_queue([0.0], [1.0, 2.0], 1)
+            simulate_batch_queue([0.0], [1.0, 2.0], 1)
         with pytest.raises(ValueError):
-            simulate_fifo_queue([0.0], [1.0], 0)
+            simulate_batch_queue([0.0], [1.0], 0)
 
 
 def fifo_recurrence(ready, services):
@@ -194,7 +195,7 @@ class TestVectorisedFifo:
             n = int(rng.integers(1, 200))
             ready = rng.integers(0, 500, size=n).astype(np.float64)
             services = rng.integers(1, 50, size=n).astype(np.float64)
-            starts, completes, _ = simulate_fifo_queue(ready, services,
+            starts, completes, _ = simulate_batch_queue(ready, services,
                                                        num_servers=1)
             ref_starts, ref_completes = fifo_recurrence(ready, services)
             assert starts.tolist() == ref_starts.tolist(), trial
@@ -207,7 +208,7 @@ class TestVectorisedFifo:
             ready = np.sort(rng.exponential(10.0, size=n))
             rng.shuffle(ready)                # exercise unsorted input
             services = rng.exponential(5.0, size=n) + 1e-9
-            starts, completes, _ = simulate_fifo_queue(ready, services,
+            starts, completes, _ = simulate_batch_queue(ready, services,
                                                        num_servers=1)
             ref_starts, ref_completes = fifo_recurrence(ready, services)
             np.testing.assert_allclose(starts, ref_starts, rtol=1e-12)
@@ -215,8 +216,6 @@ class TestVectorisedFifo:
                                        rtol=1e-12)
 
     def test_queue_depth_matches_event_replay(self):
-        from repro.serving.events import simulate_batch_queue
-
         rng = np.random.default_rng(2)
         for trial in range(20):
             n = int(rng.integers(1, 120))
@@ -236,14 +235,14 @@ class TestVectorisedFifo:
     def test_queue_depth_fixtures(self):
         # The documented fixture values must survive the accounting
         # rewrite (computed from start times, not an event list).
-        _, _, depth = simulate_fifo_queue([0.0, 1.0, 2.0],
+        _, _, depth = simulate_batch_queue([0.0, 1.0, 2.0],
                                           [5.0, 5.0, 5.0], num_servers=1)
         assert depth == 2
-        _, _, depth = simulate_fifo_queue([0.0, 0.0, 0.0],
+        _, _, depth = simulate_batch_queue([0.0, 0.0, 0.0],
                                           [10.0, 10.0, 10.0],
                                           num_servers=2)
         assert depth == 1
-        _, _, depth = simulate_fifo_queue([0.0, 100.0], [10.0, 10.0],
+        _, _, depth = simulate_batch_queue([0.0, 100.0], [10.0, 10.0],
                                           num_servers=1)
         assert depth == 0
 
@@ -305,6 +304,37 @@ class TestEngineAgreement:
             # batching delay here, so per-query latency is the sojourn.
             expected_p99 = -math.log(0.01) * mean_service / (1.0 - rho)
             assert report.p99_us == pytest.approx(expected_p99, rel=0.10)
+
+    @pytest.mark.parametrize("queue, rho", [
+        ("M/D/1", 0.3), ("M/D/1", 0.5), ("M/M/2", 0.3), ("M/M/2", 0.6)])
+    def test_event_engine_mean_wait_matches_closed_form(self, queue, rho):
+        """Mean wait on 40k batches against the exact closed forms,
+        written here rather than taken from repro.serving.queueing."""
+        mean_service = 10.0
+        servers = 2 if queue == "M/M/2" else 1
+        rate_per_us = servers * rho / mean_service
+        batches = poisson_batches(40_000, rate_per_us, seed=1)
+        if queue == "M/D/1":
+            services = np.full(len(batches), mean_service)
+            # Pollaczek-Khinchine with E[S^2] = S^2.
+            expected_wait = rho * mean_service / (2.0 * (1.0 - rho))
+        else:
+            services = np.random.default_rng(2).exponential(
+                mean_service, size=len(batches))
+            # Erlang C: the probability an arrival waits, then
+            # W = C * E[S] / (c (1 - rho)).
+            offered = servers * rho
+            tail = offered ** servers / math.factorial(servers) \
+                / (1.0 - rho)
+            wait_probability = tail / (sum(
+                offered ** k / math.factorial(k) for k in range(servers))
+                + tail)
+            expected_wait = wait_probability * mean_service \
+                / (servers * (1.0 - rho))
+        report = EventEngine().summarize("unit", batches, services,
+                                         num_servers=servers)
+        assert report.mean_wait_us == pytest.approx(expected_wait,
+                                                    rel=0.10)
 
     def test_event_engine_reports_measured_extras(self):
         batches = poisson_batches(200, 0.05, seed=3)

@@ -165,7 +165,10 @@ def _reference_pf_rows(observed, pooling_factors):
 
 
 def _reference_service_times(batches, pooling_factors):
-    """Per-batch loop: (service times, calibrated rows, extrapolated)."""
+    """Per-batch loop: (service times, calibrated rows, extrapolated).
+
+    ``batches`` are the drawn batches, lists of ``(num_requests,
+    poolings, lookups)`` query shapes."""
     rows, calibrated, out, extrapolated = {}, [], [], 0
 
     def row(poolings, pf):
@@ -179,9 +182,10 @@ def _reference_service_times(batches, pooling_factors):
         return rows[(poolings, pf)]
 
     for batch in batches:
-        total = batch.total_poolings
-        poolings = max(int(round(total / batch.num_requests)), 1)
-        observed = max(int(round(batch.total_lookups / total)), 1)
+        num_requests, total, lookups = (sum(column)
+                                        for column in zip(*batch))
+        poolings = max(int(round(total / num_requests)), 1)
+        observed = max(int(round(lookups / total)), 1)
         pf_rows = _reference_pf_rows(observed, pooling_factors)
         values, beyond = [], False
         for pf in pf_rows:
@@ -229,9 +233,9 @@ def _batch_columns(batches):
 @given(batches=batch_lists)
 def test_interp_matches_per_batch_reference(pooling_factors, batches):
     batch_columns = _batch_columns(batches)
-    views = batch_columns.batches()
+    views = list(batch_columns)
     expected, calibrated, extrapolated = _reference_service_times(
-        views, pooling_factors)
+        batches, pooling_factors)
     answers = {
         "columns": lambda model, cluster: model.service_times_us(
             cluster, batch_columns),

@@ -19,7 +19,9 @@ from repro.serving import (
     FixedSLOPolicy,
     MMPPArrivalProcess,
     PoissonArrivalProcess,
+    QueryColumns,
     QueryStream,
+    ServingQuery,
     ShardedServingCluster,
     TokenBucketAdmission,
     query_columns_from_traces,
@@ -220,6 +222,70 @@ class TestValidation:
                                    node_system="recnmp-opt") as cluster:
             with pytest.raises(ValueError, match="query 11 of the input"):
                 cluster.simulate(queries, stream_chunk=8)
+
+    @pytest.mark.parametrize("form", ["list", "columns", "stream"])
+    def test_query_without_requests_rejected(self, traces, form):
+        """A request-less query among eight real ones is named, not
+        served and counted; a stream is checked chunk by chunk."""
+        queries = queries_from_traces(traces, 8, _arrivals()) + [
+            ServingQuery(query_id=70, arrival_us=1e6, requests=[])]
+        if form == "columns":
+            queries = QueryColumns.from_queries(queries)
+        elif form == "stream":
+            class Replay(QueryStream):
+                def __init__(self, queries):
+                    self.queries = queries
+                    self.num_queries = len(queries)
+                    self._position = 0
+
+                def take(self, count):
+                    chunk = self.queries[self._position:
+                                         self._position + count]
+                    self._position += len(chunk)
+                    return QueryColumns.from_queries(chunk)
+
+            queries = Replay(queries)
+        with ShardedServingCluster(num_nodes=2,
+                                   node_system="recnmp-opt") as cluster:
+            with pytest.raises(ValueError,
+                               match="query_id 70 has no SLS requests"):
+                cluster.simulate(queries, stream_chunk=8)
+
+    def test_lone_query_without_requests_rejected(self):
+        with ShardedServingCluster(num_nodes=2,
+                                   node_system="recnmp-opt") as cluster:
+            with pytest.raises(ValueError,
+                               match="query_id 7 has no SLS requests"):
+                cluster.simulate([ServingQuery(query_id=7, arrival_us=0.0,
+                                               requests=[])])
+
+    def test_first_query_without_requests_is_named(self, traces):
+        """The first request-less query in input order is named, not the
+        first to arrive."""
+        queries = queries_from_traces(traces, 8, _arrivals()) + [
+            ServingQuery(query_id=71, arrival_us=2e6, requests=[]),
+            ServingQuery(query_id=72, arrival_us=1e6, requests=[])]
+        with ShardedServingCluster(num_nodes=2,
+                                   node_system="recnmp-opt") as cluster:
+            with pytest.raises(ValueError,
+                               match="query_id 71 has no SLS requests"):
+                cluster.simulate(queries)
+
+    @pytest.mark.parametrize("form", ["list", "columns"])
+    def test_query_without_requests_rejected_before_any_stage(self, traces,
+                                                              form):
+        """A materialised input is checked whole: no batch of it is
+        simulated before the error."""
+        queries = queries_from_traces(traces, 8, _arrivals()) + [
+            ServingQuery(query_id=70, arrival_us=1e6, requests=[])]
+        if form == "columns":
+            queries = QueryColumns.from_queries(queries)
+        with ShardedServingCluster(num_nodes=2,
+                                   node_system="recnmp-opt") as cluster:
+            with pytest.raises(ValueError, match="query_id 70"):
+                cluster.simulate(queries, stream_chunk=8)
+            assert cluster.service_stats()["exact_simulations"] == 0
+            assert cluster.service_stats()["cache"]["misses"] == 0
 
     def test_all_shed_raises(self, traces):
         class ShedAll(TokenBucketAdmission):

@@ -19,6 +19,7 @@ from repro.serving import (
     queries_from_traces,
     table_loads_from_queries,
 )
+from repro.serving.sharding import partition_by_assignment
 from repro.traces import make_production_table_traces
 
 NUM_ROWS = 512
@@ -176,24 +177,24 @@ class TestReplicationFactors:
         sharder = ReplicatedTableSharder(
             4, {t: 100 for t in range(8)}, max_replicas=3,
             hot_fraction=0.2)
-        assert all(sharder.replication_factor(t) == 1 for t in range(8))
+        assert all(len(sharder.replica_nodes(t)) == 1 for t in range(8))
 
     def test_hot_table_replicates_proportionally(self):
         sharder = ReplicatedTableSharder(4, SKEWED_LOADS, max_replicas=4,
                                          hot_fraction=0.2)
         # Table 0 carries ~57% of the load: ceil(0.57 / 0.2) = 3 replicas.
-        assert sharder.replication_factor(0) == 3
-        assert sharder.replication_factor(1) == 1
+        assert len(sharder.replica_nodes(0)) == 3
+        assert len(sharder.replica_nodes(1)) == 1
         nodes = sharder.replica_nodes(0)
         assert len(nodes) == len(set(nodes)) == 3
 
     def test_factor_caps(self):
         capped = ReplicatedTableSharder(4, SKEWED_LOADS, max_replicas=2,
                                         hot_fraction=0.2)
-        assert capped.replication_factor(0) == 2
+        assert len(capped.replica_nodes(0)) == 2
         few_nodes = ReplicatedTableSharder(2, SKEWED_LOADS, max_replicas=8,
                                            hot_fraction=0.05)
-        assert few_nodes.replication_factor(0) == 2    # <= num_nodes
+        assert len(few_nodes.replica_nodes(0)) == 2    # <= num_nodes
 
     def test_max_replicas_one_is_pure_placement(self):
         sharder = ReplicatedTableSharder(4, SKEWED_LOADS, max_replicas=1,
@@ -253,7 +254,7 @@ class TestRouting:
             # zero, so the first pick is a pure tie among the replicas.
             sharder = ReplicatedTableSharder(2, loads, max_replicas=2,
                                              hot_fraction=0.2, seed=seed)
-            assert sharder.replication_factor(0) == 2
+            assert len(sharder.replica_nodes(0)) == 2
             return sharder.assign_requests(requests, commit=False)
 
         assert first_picks(0) == first_picks(0)
@@ -283,22 +284,28 @@ class TestRouting:
         assert sharder.replica_nodes(99) == (assignment[0],)
 
     def test_shard_load_does_not_commit(self):
-        sharder = ReplicatedTableSharder(4, SKEWED_LOADS, max_replicas=3,
-                                         hot_fraction=0.2)
+        def make():
+            return ReplicatedTableSharder(4, SKEWED_LOADS, max_replicas=3,
+                                          hot_fraction=0.2)
+
         requests = make_requests([0, 0, 1, 2])
-        before = sharder.routing_state()
+        fresh = make().assign_requests(requests)
+        sharder = make()
         sharder.shard_load(requests)
-        assert sharder.routing_state() == before
-        sharder.assign_requests(requests)
-        assert sharder.routing_state() != before
+        assert sharder.assign_requests(requests) == fresh
+        # The committed pass moved the counters: the hot table's
+        # replicas are picked in a different order the second time ...
+        assert sharder.assign_requests(requests) != fresh
+        # ... until a reset forgets them.
         sharder.reset_routing()
-        assert sharder.routing_state() == before
+        assert sharder.assign_requests(requests) == fresh
 
     def test_partition_preserves_requests(self):
         sharder = ReplicatedTableSharder(4, SKEWED_LOADS, max_replicas=3,
                                          hot_fraction=0.2)
         requests = make_requests([0, 0, 1, 2, 3, 4, 5, 6, 7])
-        partitions = sharder.partition_requests(requests)
+        partitions = partition_by_assignment(
+            requests, sharder.assign_requests(requests), 4)
         flattened = [r for part in partitions for r in part]
         assert sorted(r.table_id for r in flattened) == \
             sorted(r.table_id for r in requests)
@@ -357,11 +364,10 @@ class TestTableSharder:
     def test_shard_load_and_partition_agree(self, policy):
         sharder = TableSharder(3, policy)
         requests = make_requests([0, 5, 5, 9, 12, 1], lookups_per_request=4)
-        partitions = sharder.partition_requests(requests)
+        partitions = partition_by_assignment(
+            requests, sharder.assign_requests(requests), 3)
         assert [sum(r.total_lookups for r in part) for part in partitions] \
             == sharder.shard_load(requests)
-        assert sharder.placement([0, 5]) == {
-            0: sharder.node_of_table(0), 5: sharder.node_of_table(5)}
         assert sharder.describe() == "%s over 3 nodes" % policy
 
 
@@ -381,10 +387,8 @@ class TestReplicaInvariants:
         for table, nodes in sharder.replicas.items():
             assert nodes == tuple(sorted(set(nodes)))
             assert all(0 <= node < num_nodes for node in nodes)
-            assert sharder.replication_factor(table) == len(nodes)
+            assert sharder.replica_nodes(table) == nodes
             assert len(nodes) <= min(max_replicas, num_nodes)
-        assert sharder.placement(loads) == {
-            table: nodes[0] for table, nodes in sharder.replicas.items()}
 
     @given(num_nodes=st.integers(1, 6), loads=LOAD_MAPS,
            policy=st.sampled_from(ReplicatedTableSharder.POLICIES),
@@ -403,16 +407,23 @@ class TestReplicaInvariants:
         assert preview == assignment
         for request, node in zip(requests, assignment):
             assert node in sharder.replica_nodes(request.table_id)
-        # Every routed lookup is counted once, on the node it went to.
-        assert sum(sharder.routing_state()) == pytest.approx(
-            sum(r.total_lookups for r in requests))
 
-    def test_overhead_is_charged_per_routed_request(self):
-        sharder = ReplicatedTableSharder(2, SKEWED_LOADS,
-                                         request_overhead_lookups=5.0)
-        requests = make_requests([0, 1, 2], lookups_per_request=4)
-        sharder.assign_requests(requests)
-        assert sum(sharder.routing_state()) == pytest.approx(3 * (4 + 5.0))
+    @pytest.mark.parametrize("overhead, last_goes_to_first",
+                             [(0.0, False), (5.0, True)])
+    def test_overhead_is_charged_per_routed_request(self, overhead,
+                                                     last_goes_to_first):
+        """Table 0 on both nodes: one 10-lookup request on one replica,
+        three 2-lookup requests on the other.  The counters then read
+        10 + o against 6 + 3o, so the next request goes back to the
+        first replica only when the per-request overhead o is charged."""
+        sharder = ReplicatedTableSharder(2, SKEWED_LOADS, max_replicas=2,
+                                         request_overhead_lookups=overhead)
+        assert sharder.replica_nodes(0) == (0, 1)
+        requests = (make_requests([0], lookups_per_request=10)
+                    + make_requests([0] * 4, lookups_per_request=2))
+        first, *rest, last = sharder.assign_requests(requests)
+        assert rest == [1 - first] * 3
+        assert (last == first) == last_goes_to_first
 
     def test_zero_loads_never_replicate(self):
         sharder = ReplicatedTableSharder(4, {0: 0.0, 1: 0.0, 2: 0.0},
@@ -508,16 +519,19 @@ class TestClusterIntegration:
         # The hot table's replica choice shifted with the counters ...
         assert first_assignment != second_assignment
         # ... so the second pass must be a distinct cache entry.
-        assert cluster.service_cache_stats()["misses"] == 2
+        assert cluster.service_stats()["cache"]["misses"] == 2
 
     def test_reset_clears_routing_state(self):
         queries = make_skewed_queries(num_queries=8)
         sharder = self.make_replicated(queries)
         cluster = self.make_cluster(sharder)
+        probe = [r for query in queries for r in query.requests]
+        fresh = self.make_replicated(queries).assign_requests(probe,
+                                                              commit=False)
         cluster.simulate(queries)
-        assert sharder.routing_state() != (0.0,) * 4
+        assert sharder.assign_requests(probe, commit=False) != fresh
         cluster.reset()
-        assert sharder.routing_state() == (0.0,) * 4
+        assert sharder.assign_requests(probe, commit=False) == fresh
 
     def test_shard_policy_constructor_parameter(self):
         cluster = self.make_cluster(shard_policy="hash")

@@ -28,7 +28,6 @@ from repro.serving import (
     resolve_admission,
     resolve_slo_policy,
     simulate_batch_queue,
-    simulate_fifo_queue,
 )
 from repro.serving.batcher import QueryBatch
 from repro.serving.slo import summarize_slo_arrays
@@ -122,9 +121,9 @@ class TestSLOPolicies:
 
     def test_deadline_never_changes_fingerprint(self):
         columns = columns_of(make_query(0, 0.0))
-        before = list(columns.fingerprints())
+        before = list(columns.provider.fingerprints_for(columns.rows))
         FixedSLOPolicy(100.0).assign_deadlines_columns(columns)
-        assert list(columns.fingerprints()) == before
+        assert list(columns.provider.fingerprints_for(columns.rows)) == before
 
 
 def summarize_slo(arrivals, slacks, latencies, slo_info=None):
@@ -380,12 +379,6 @@ class TestEDFQueue:
             priorities=[1.0, 0.0])
         assert starts.tolist() == [0.0, 100.0]
         assert depth == 0
-
-    def test_fifo_wrapper_unchanged(self):
-        starts, completes, depth = simulate_fifo_queue(
-            [0.0, 1.0, 2.0], [5.0, 5.0, 5.0], num_servers=1)
-        assert starts.tolist() == [0.0, 5.0, 10.0]
-        assert depth == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

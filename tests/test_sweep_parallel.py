@@ -154,8 +154,8 @@ class TestBatchedDedup:
             assert batched.service_stats()["dedup_hits"] == len(batches)
             # Counter parity with the one-at-a-time path: collapsed
             # duplicates count as cache hits.
-            assert batched.service_cache_stats() == \
-                serial.service_cache_stats()
+            assert batched.service_stats()["cache"] == \
+                serial.service_stats()["cache"]
 
     def test_export_merge_round_trip(self):
         traces = make_traces()
@@ -164,8 +164,8 @@ class TestBatchedDedup:
             worker.service_times_us(batches)
             state = worker.export_service_state()
             parent.merge_service_state(state)
-            assert parent.service_cache_stats() == \
-                worker.service_cache_stats()
+            assert parent.service_stats()["cache"] == \
+                worker.service_stats()["cache"]
             assert parent.service_stats()["exact_simulations"] == \
                 worker.service_stats()["exact_simulations"]
             # Merged entries answer without new simulations.

@@ -193,10 +193,3 @@ class TestSystemBehaviour:
         with pytest.raises(ValueError):
             TableLayout(vector_bytes=100)
 
-    def test_run_trace_convenience(self):
-        from repro.traces import random_trace
-        trace = random_trace(NUM_ROWS, 64, table_id=0, seed=0)
-        result = build("recnmp-base").run_trace(trace, batch_size=2,
-                                                pooling_factor=4)
-        assert result.num_requests == 8
-        assert result.total_cycles > 0

@@ -13,9 +13,7 @@ from repro.traces.production import (
 )
 from repro.traces.synthetic import (
     batched_requests_from_trace,
-    hotset_trace,
     random_trace,
-    zipf_trace,
 )
 from repro.traces.trace import CombinedTrace, EmbeddingTrace
 
@@ -54,24 +52,24 @@ class TestCombinedTrace:
     def test_interleaving_preserves_all_accesses(self):
         traces = [random_trace(50, 10, table_id=i, seed=i) for i in range(3)]
         combined = CombinedTrace(traces)
-        pairs = combined.interleaved_array()
-        assert pairs.shape == (30, 2)
-        assert set(pairs[:, 0].tolist()) == {0, 1, 2}
+        pairs = list(combined.interleaved())
+        assert len(pairs) == 30
+        assert {slot for slot, _ in pairs} == {0, 1, 2}
 
     def test_round_robin_order(self):
         traces = [
             EmbeddingTrace(table_id=0, indices=[1, 2], num_rows=5),
             EmbeddingTrace(table_id=1, indices=[3, 4], num_rows=5),
         ]
-        pairs = CombinedTrace(traces, block_size=1).interleaved_array()
-        assert pairs[:, 0].tolist() == [0, 1, 0, 1]
+        pairs = CombinedTrace(traces, block_size=1).interleaved()
+        assert [slot for slot, _ in pairs] == [0, 1, 0, 1]
 
     def test_uneven_lengths(self):
         traces = [
             EmbeddingTrace(table_id=0, indices=[1], num_rows=5),
             EmbeddingTrace(table_id=1, indices=[2, 3, 4], num_rows=5),
         ]
-        pairs = CombinedTrace(traces).interleaved_array()
+        pairs = list(CombinedTrace(traces).interleaved())
         assert len(pairs) == 4
 
     def test_rejects_empty(self):
@@ -86,17 +84,15 @@ class TestCombinedTrace:
             EmbeddingTrace(table_id=1, indices=[4, 0], num_rows=5),
         ]
         combined = CombinedTrace(traces, block_size=2)
-        assert combined.num_tables == 2
+        assert len(combined.traces) == 2
         assert len(combined) == 5
         assert list(combined.interleaved()) == [
             (0, 1), (0, 2), (1, 4), (1, 0), (0, 3)]
 
-    def test_all_empty_traces_give_empty_array(self):
+    def test_all_empty_traces_interleave_to_nothing(self):
         combined = CombinedTrace(
             [EmbeddingTrace(table_id=0, indices=[], num_rows=5)])
-        pairs = combined.interleaved_array()
-        assert pairs.shape == (0, 2)
-        assert pairs.dtype == np.int64
+        assert list(combined.interleaved()) == []
 
     @given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
            block=st.integers(1, 5))
@@ -120,18 +116,6 @@ class TestSyntheticTraces:
         cache.access_many(trace.indices * 64)
         # The paper: random traces see <5% hit rate.
         assert cache.hit_rate < 0.05
-
-    def test_hotset_trace_has_locality(self):
-        trace = hotset_trace(1_000_000, 20_000, hot_fraction=0.0005,
-                             hot_probability=0.6, seed=1)
-        cache = SetAssociativeCache(8 * 1024 * 1024, associativity=4)
-        cache.access_many(trace.indices * 64)
-        assert cache.hit_rate > 0.3
-
-    def test_zipf_trace_metadata(self):
-        trace = zipf_trace(1000, 100, alpha=1.2, seed=0)
-        assert trace.metadata["kind"] == "zipf"
-        assert trace.metadata["alpha"] == 1.2
 
     def test_batched_requests(self):
         trace = random_trace(100, 100, table_id=3, seed=0)
@@ -179,7 +163,7 @@ class TestProductionTraces:
         traces = make_production_table_traces(num_lookups_per_table=100,
                                               seed=0)
         combined = make_combined_trace(traces, multiplier=2)
-        assert combined.num_tables == 16
+        assert len(combined.traces) == 16
         assert len(combined) == 1600
 
     def test_table_parameters_monotone(self):
@@ -218,4 +202,4 @@ class TestTraceProperties:
         combined = make_combined_trace(traces, multiplier=multiplier,
                                        block_size=block)
         assert len(combined) == 4 * 50 * multiplier
-        assert len(combined.interleaved_array()) == len(combined)
+        assert len(list(combined.interleaved())) == len(combined)
