@@ -99,8 +99,7 @@ def compute_validation():
     start = time.perf_counter()
     exact_times = [cluster.service_time_us(batch) for batch in sample]
     exact_seconds_per_batch = (time.perf_counter() - start) / len(sample)
-    approx_times = [model.service_time_us(cluster, batch)
-                    for batch in sample]
+    approx_times = model.service_times_us(cluster, sample)
     errors = [abs(relative_error(a, e))
               for a, e in zip(approx_times, exact_times)]
     accuracy = {
@@ -179,8 +178,7 @@ def compute_validation():
     long_batches = frontend.form_batches(long_queries)
     assert len(long_batches) == long_report.num_batches
     distinct_batches = len({
-        tuple(query.fingerprint() for query in batch.queries)
-        for batch in long_batches})
+        tuple(batch.query_fingerprints()) for batch in long_batches})
     exact_mode_seconds = exact_seconds_per_batch * distinct_batches
     long_run = {
         "num_queries": LONG_RUN_QUERIES,

@@ -195,8 +195,8 @@ def _baseline_comparison():
 
 def _node_batch():
     """One batch spanning all the 8-node cluster's tables."""
+    from repro.serving import BatchingFrontend
     from repro.serving.arrival import queries_from_traces
-    from repro.serving.batcher import QueryBatch
     from repro.traces import random_trace
 
     pooling = smoke_scaled(24, 8)
@@ -207,7 +207,9 @@ def _node_batch():
     queries = queries_from_traces(traces, queries_count,
                                   [0.0] * queries_count,
                                   batch_size=2, pooling_factor=pooling)
-    return QueryBatch(queries=queries, open_us=0.0, formed_us=0.0)
+    [batch] = BatchingFrontend(max_queries=queries_count).form_batches(
+        queries)
+    return batch
 
 
 def _timed_service(cluster, batch, repeats=REPEATS):

@@ -5,16 +5,16 @@ composition costs a full RecNMP simulation.  The closed-form engine only
 ever needed a few dozen batches, but the event engine
 (:mod:`repro.serving.events`) is cheap enough to replay hundreds of
 thousands of batches -- if their service times do not each cost a cycle
-simulation.  A :class:`ServiceTimeModel` decides how a batch's service
-time is obtained:
+simulation.  A :class:`ServiceTimeModel` decides how the service times
+of a :class:`~repro.serving.query_columns.BatchColumns` are obtained:
 
-* :class:`ExactServiceModel` -- call
-  :meth:`ShardedServingCluster.service_time_us` for every batch, exactly
-  as before (memoised by batch content).
+* :class:`ExactServiceModel` -- resolve every batch through
+  :meth:`ShardedServingCluster.service_times_us` (memoised by batch
+  content).
 * :class:`InterpolatingServiceModel` -- calibrate a (poolings x
   pooling-factor) grid of simulated service times *once* per cluster,
-  then answer every batch by bilinear interpolation on its
-  ``total_poolings`` and ``mean_pooling_factor``.  Turns an O(batches)
+  then answer every batch by bilinear interpolation on its total
+  poolings and mean pooling factor.  Turns an O(batches)
   number of cycle simulations into O(grid), which is what makes
   million-query event runs tractable.
 
@@ -30,18 +30,19 @@ from repro.utils.lru import LRUCache
 
 
 class ServiceTimeModel(abc.ABC):
-    """Strategy interface: (cluster, batch) -> service time in us."""
+    """Strategy interface: (cluster, batches) -> service times in us."""
 
     #: Registry name of the model (``"exact"`` / ``"interp"``).
     name = "service-model"
 
     @abc.abstractmethod
-    def service_time_us(self, cluster, batch):
-        """Service time of ``batch`` on ``cluster``, in microseconds."""
-
     def service_times_us(self, cluster, batches):
-        """Vector of per-batch service times (the engine-facing call)."""
-        return [self.service_time_us(cluster, batch) for batch in batches]
+        """Per-batch service times of ``batches`` on ``cluster``, in
+        microseconds (the engine-facing call).
+
+        ``batches`` is a
+        :class:`~repro.serving.query_columns.BatchColumns`.
+        """
 
     def describe(self):
         """Human-readable one-line description of the model."""
@@ -64,24 +65,17 @@ class ExactServiceModel(ServiceTimeModel):
 
     name = "exact"
 
-    def service_time_us(self, cluster, batch):
-        return cluster.service_time_us(batch)
-
     def service_times_us(self, cluster, batches):
-        """Resolve the whole batch list through the cluster in one call.
+        """Resolve every batch through the cluster in one call.
 
         The cluster's batched path fingerprints every batch up front,
         collapses duplicate compositions, answers cache/store hits in
         place and fans only the unique misses out through its node-level
         backend as one flat job list -- bit-identical to the
         one-batch-at-a-time loop, without serialising the event engine
-        on each simulation in turn.  Cluster-likes without the batched
-        entry point fall back to the base-class loop.
+        on each simulation in turn.
         """
-        batched = getattr(cluster, "service_times_us", None)
-        if batched is None:
-            return super().service_times_us(cluster, batches)
-        return batched(batches)
+        return cluster.service_times_us(batches)
 
 
 class InterpolatingServiceModel(ServiceTimeModel):
@@ -137,8 +131,10 @@ class InterpolatingServiceModel(ServiceTimeModel):
     # ------------------------------------------------------------------ #
     def _calibration_row(self, cluster, poolings, pooling_factor):
         """Simulated service times over the batch-size grid at one shape."""
-        from repro.serving.arrival import queries_from_traces
-        from repro.serving.batcher import QueryBatch
+        from repro.serving.query_columns import (
+            BatchColumns,
+            query_columns_from_traces,
+        )
 
         shortest = min(len(trace) for trace in self.traces)
         if poolings * pooling_factor > shortest:
@@ -149,12 +145,12 @@ class InterpolatingServiceModel(ServiceTimeModel):
                    shortest))
         xs, values = [], []
         for batch_size in self.batch_sizes:
-            queries = queries_from_traces(
-                self.traces, batch_size, [0.0] * batch_size,
+            columns = query_columns_from_traces(
+                self.traces, batch_size, np.zeros(batch_size),
                 batch_size=poolings, pooling_factor=pooling_factor)
-            batch = QueryBatch(queries=queries, open_us=0.0, formed_us=0.0)
-            xs.append(float(batch.total_poolings))
-            values.append(cluster.service_time_us(batch))
+            batch = BatchColumns(columns, [0], [0.0], [0.0], [0])
+            xs.append(float(columns.poolings.sum()))
+            values.append(cluster.service_time_us(batch[0]))
             self._exact_calls += 1
         return np.asarray(xs), np.asarray(values)
 
@@ -215,24 +211,17 @@ class InterpolatingServiceModel(ServiceTimeModel):
             return (below[-1],)
         return tuple(sorted({below[-1], above[0]}))
 
-    def service_time_us(self, cluster, batch):
-        return self.service_times_us(cluster, [batch])[0]
-
     def service_times_us(self, cluster, batches):
         """Whole-chunk batch answering (the engine-facing call).
 
         Per-batch request, pooling and lookup totals come from
-        :meth:`BatchColumns.totals` (a batch list is converted once by
-        :func:`~repro.serving.query_columns.as_batch_columns`).  Each
+        :meth:`~repro.serving.query_columns.BatchColumns.totals`.  Each
         batch's shape is its per-request poolings and mean pooling
         factor, rounded half-to-even like ``round``.  Shape groups
         calibrate their missing grid rows in first-encounter order --
         the calibration sequence of a one-batch-at-a-time loop -- and
         are answered with one vectorised row interpolation each.
         """
-        from repro.serving.query_columns import as_batch_columns
-
-        batches = as_batch_columns(batches)
         count = len(batches)
         if not count:
             return []

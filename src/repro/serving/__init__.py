@@ -35,7 +35,7 @@ from repro.serving.arrival import (
     TraceReplayArrivalProcess,
     queries_from_traces,
 )
-from repro.serving.batcher import BatchingFrontend, QueryBatch
+from repro.serving.batcher import BatchingFrontend
 from repro.serving.query_columns import (
     BatchColumns,
     ColumnBatch,
@@ -100,7 +100,6 @@ __all__ = [
     "TraceReplayArrivalProcess",
     "queries_from_traces",
     "BatchingFrontend",
-    "QueryBatch",
     "BatchColumns",
     "ColumnBatch",
     "QueryColumns",

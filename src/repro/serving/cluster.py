@@ -193,8 +193,7 @@ class ShardedServingCluster:
         -- their assignment is a pure function of content, so a cache
         hit needs no assignment pass at all.
         """
-        # Batch-level digests: QueryBatch walks its queries once,
-        # ColumnBatch answers from the provider's residue memo.
+        # Batch-level digests from the provider's residue memo.
         key = tuple(batch.query_fingerprints())
         if self.sharder.stateful:
             # Routing state must advance for every batch, cached or not,
@@ -458,7 +457,7 @@ class ShardedServingCluster:
         queries -- independent of whatever ran on the cluster before.
         """
         from repro.perf.service_model import resolve_service_model
-        from repro.serving.query_columns import ColumnBatch, QueryColumns
+        from repro.serving.query_columns import BatchColumns, QueryColumns
 
         if not len(queries):
             raise ValueError("need at least one query to estimate from")
@@ -470,9 +469,10 @@ class ShardedServingCluster:
             queries = QueryColumns.from_queries(queries)
         columns = queries.sorted_by_arrival()
         count = min(len(columns), frontend.max_queries)
-        open_us = float(columns.arrival_us[0])
-        batch = ColumnBatch(columns, 0, count, open_us, open_us, "size")
-        return model.service_time_us(self, batch) / count
+        open_us = columns.arrival_us[:1]
+        batch = BatchColumns(columns.slice(0, count), [0], open_us, open_us,
+                             [0])
+        return model.service_times_us(self, batch)[0] / count
 
     def simulate(self, queries, frontend=None, engine=None,
                  service_model=None, slo_policy=None, admission=None,
@@ -933,8 +933,10 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
               backend=None, jobs=None):
     """Latency/throughput curve over offered load.
 
-    ``make_queries(qps)`` must return the query stream offered at that rate
-    (typically the same queries with arrival times rescaled).  ``engine``,
+    ``make_queries(qps)`` must return the queries offered at that rate
+    (typically the same queries with arrival times rescaled): an
+    iterable of :class:`~repro.serving.arrival.ServingQuery` objects or
+    a :class:`~repro.serving.query_columns.QueryColumns`.  ``engine``,
     ``service_model``, ``slo_policy`` and ``admission`` are forwarded to
     every :meth:`ShardedServingCluster.simulate` call; all are resolved
     *once* -- stateful engines see the whole sweep, a string-specified
@@ -954,6 +956,7 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
     """
     from repro.core.backend import ParallelBackend, resolve_backend
     from repro.perf.service_model import resolve_service_model
+    from repro.serving.query_columns import QueryColumns
     from repro.serving.slo import resolve_slo_policy
 
     engine = resolve_engine(engine)
@@ -962,7 +965,14 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
     admission = resolve_admission(admission)
     owns_backend = not isinstance(backend, ParallelBackend)
     sweep_backend = resolve_backend(backend, max_workers=jobs)
-    point_queries = [list(make_queries(qps)) for qps in qps_points]
+    point_queries = []
+    for qps in qps_points:
+        # Columns pass through (they pickle with their provider); any
+        # other query source is materialised here in the parent.
+        queries = make_queries(qps)
+        if not isinstance(queries, QueryColumns):
+            queries = list(queries)
+        point_queries.append(queries)
     try:
         return sweep_backend.run_sweep_points(
             cluster, point_queries, frontend=frontend, engine=engine,

@@ -23,9 +23,8 @@ through their ``engine=`` parameter, with the analytic engine as the
 backward-compatible default.
 
 Engines consume the *whole* run in one ``summarize`` call: the batches
-as :class:`~repro.serving.query_columns.BatchColumns` (the one
-representation ``simulate`` runs on; a hand-built ``QueryBatch`` list is
-converted once) and the per-batch service-time vector -- they never
+as :class:`~repro.serving.query_columns.BatchColumns` (the one batch
+representation) and the per-batch service-time vector -- they never
 resolve service times themselves.  The
 cluster produces that vector through
 :meth:`ServiceTimeModel.service_times_us`, whose exact mode
@@ -55,12 +54,9 @@ class ServingEngine(abc.ABC):
                   slo_info=None, capture=None):
         """Produce a :class:`ServingReport` for one serving run.
 
-        ``batches`` are the dispatched batches in dispatch order -- the
-        :class:`~repro.serving.query_columns.BatchColumns` the cluster
-        forms, or a list of :class:`~repro.serving.batcher.QueryBatch`
-        objects, which built-in engines convert once with
-        :func:`~repro.serving.query_columns.as_batch_columns`.
-        ``service_times_us`` are the per-batch execution times on the
+        ``batches`` are the dispatched batches in dispatch order, as the
+        :class:`~repro.serving.query_columns.BatchColumns` the batcher
+        forms.  ``service_times_us`` are the per-batch execution times on the
         cluster, and ``num_servers`` the number of concurrent dispatch
         frontends draining the batch queue.  ``slo_info`` is the
         admission context from the cluster (offered/shed counts, policy

@@ -24,11 +24,11 @@ cycle simulations.  The multi-server loops run as the kernels of
 specification lives in the test suite as the reference oracle they are
 pinned against.
 
-The engine works on :class:`~repro.serving.query_columns.BatchColumns`
-(a ``QueryBatch`` list is converted once), turning per-batch times into
-per-query latencies with array passes.  When queries carry deadlines
-(assigned by an :class:`~repro.serving.slo.SLOPolicy`) or the run went
-through admission control, the engine attaches the measured SLO
+The engine works on :class:`~repro.serving.query_columns.BatchColumns`,
+turning per-batch times into per-query latencies with array passes.
+When queries carry deadlines (assigned by an
+:class:`~repro.serving.slo.SLOPolicy`) or the run went through
+admission control, the engine attaches the measured SLO
 accounting -- goodput, attainment, shed rate -- to ``extras["slo"]``
 (:func:`repro.serving.slo.summarize_slo_arrays`).  The reported
 percentiles are always conditioned on *admitted* queries; shed queries
@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.serving import event_kernels
 from repro.serving.engine import ENGINES, ServingEngine
-from repro.serving.query_columns import as_batch_columns
 from repro.serving.queueing import (
     ServingReport,
     mgc_utilization,
@@ -148,7 +147,6 @@ class EventEngine(ServingEngine):
     def summarize(self, system_name, batches, service_times_us,
                   num_servers=1, trigger_counts=None, extras=None,
                   slo_info=None, capture=None):
-        batches = as_batch_columns(batches)
         services = np.asarray(service_times_us, dtype=np.float64)
         if len(batches) != services.size:
             raise ValueError("need one service time per batch")

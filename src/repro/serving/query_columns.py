@@ -22,20 +22,19 @@ only the exact service path resolves a batch's SLS requests:
 * :class:`BatchColumns` / :class:`ColumnBatch` -- the formed batches as
   arrays (formation times, sizes, triggers, per-batch deadline minima
   and request/pooling/lookup totals) plus per-batch views for the
-  exact service path.
-  :func:`as_batch_columns` is the one conversion for entry points that
-  are handed a ``QueryBatch`` list instead.
+  exact service path.  They are the one batch form: the batcher
+  returns them, and service models and engines take nothing else.
 * :class:`QueryStream` -- a resumable generator of ``QueryColumns``
   chunks from traces plus an arrival process, the O(chunk)-memory
   source behind ``ShardedServingCluster.simulate(stream_chunk=N)``.
 
-Everything here is representation, not policy: batch boundaries,
-formation times, aggregates and fingerprints are defined by
-``ServingQuery``, ``QueryBatch`` and
-:meth:`~repro.serving.batcher.BatchingFrontend.form_batches` and
-reproduced exactly (pinned by ``tests/test_query_columns.py``,
-``tests/test_serving_properties.py`` and the object-pipeline goldens of
-``tests/test_serving_golden.py``).
+Everything here is representation, not policy: fingerprints and
+aggregates are defined by ``ServingQuery``, and batch boundaries,
+formation times and triggers by the per-query two-trigger loop that
+``tests/queue_oracles.py`` keeps as the batching specification
+(``form_batches``).  Both are reproduced exactly (pinned by
+``tests/test_query_columns.py``, ``tests/test_serving_properties.py``
+and the object-pipeline goldens of ``tests/test_serving_golden.py``).
 """
 
 import hashlib
@@ -400,10 +399,10 @@ class ColumnBatch:
     """One dispatched batch as a row range of a :class:`QueryColumns`.
 
     Answers what the exact service path and the service cache ask of a
-    :class:`~repro.serving.batcher.QueryBatch` (``size``,
-    ``earliest_deadline_us``, ``requests()``, ``query_fingerprints()``)
-    from array slices and the provider's digest memo, without per-query
-    objects.  Per-batch sums come from :meth:`BatchColumns.totals`.
+    batch (``size``, ``requests()``, ``query_fingerprints()``) from
+    array slices and the provider's digest memo, without per-query
+    objects.  Per-batch sums and deadline minima come from
+    :class:`BatchColumns`.
     """
 
     __slots__ = ("columns", "start", "stop", "open_us", "formed_us",
@@ -420,12 +419,6 @@ class ColumnBatch:
     @property
     def size(self):
         return self.stop - self.start
-
-    @property
-    def earliest_deadline_us(self):
-        deadlines = self.columns.deadline_us[self.start:self.stop]
-        earliest = np.fmin.reduce(deadlines)
-        return None if earliest != earliest else float(earliest)
 
     def requests(self):
         provider = self.columns.provider
@@ -527,48 +520,12 @@ class BatchColumns:
                    np.concatenate([part.open_us for part in parts]),
                    np.concatenate([part.triggers for part in parts]))
 
-    @classmethod
-    def from_batches(cls, batches):
-        """Batch columns over a dispatched batch list.
-
-        ``batches`` are :class:`~repro.serving.batcher.QueryBatch`
-        objects, or :class:`ColumnBatch` views of columns sharing one
-        request provider; queries keep their order, batch after batch.
-        Views are sliced straight from their columns, query objects go
-        through :meth:`QueryColumns.from_queries`.
-        """
-        batches = list(batches)
-        sizes = np.asarray([batch.size for batch in batches],
-                           dtype=np.int64)
-        if not sizes.all():
-            raise ValueError("every batch needs at least one query")
-        if batches and all(
-                isinstance(batch, ColumnBatch)
-                and batch.columns.provider is batches[0].columns.provider
-                for batch in batches):
-            columns = QueryColumns.concat(
-                [batch.columns.slice(batch.start, batch.stop)
-                 for batch in batches])
-        else:
-            columns = QueryColumns.from_queries(
-                [query for batch in batches for query in batch.queries])
-        return cls(columns, np.cumsum(sizes) - sizes,
-                   [batch.formed_us for batch in batches],
-                   [batch.open_us for batch in batches],
-                   [batch.trigger == "deadline" for batch in batches])
-
-
-def as_batch_columns(batches):
-    """``batches`` as :class:`BatchColumns` (converted once if needed)."""
-    if isinstance(batches, BatchColumns):
-        return batches
-    return BatchColumns.from_batches(batches)
-
 
 def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     """Two-trigger batch formation over sorted query columns.
 
-    Reproduces :meth:`BatchingFrontend.form_batches` exactly -- same
+    Reproduces the per-query two-trigger loop (the batching
+    specification kept in ``tests/queue_oracles.py``) exactly -- same
     batch boundaries, formation times and trigger labels -- from whole-
     chunk array passes: one ``searchsorted`` gives every position's
     deadline window, hence the batch length a batch opened there would

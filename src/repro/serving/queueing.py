@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serving.query_columns import as_batch_columns
-
 
 def percentile(samples, p):
     """The ``p``-th percentile with linear interpolation (0 <= p <= 100)."""
@@ -213,11 +211,9 @@ def summarize_serving(system_name, batches, service_times_us,
                       slo_info=None, capture=None):
     """Turn per-batch service times into a :class:`ServingReport`.
 
-    ``batches`` are the dispatched batches -- a
-    :class:`~repro.serving.query_columns.BatchColumns`, or a list of
-    :class:`~repro.serving.batcher.QueryBatch` objects converted once by
-    ``BatchColumns.from_batches``; ``service_times_us`` the simulated
-    execution time of each.  A
+    ``batches`` are the dispatched batches, a
+    :class:`~repro.serving.query_columns.BatchColumns`;
+    ``service_times_us`` the simulated execution time of each.  A
     per-query latency percentile combines the exact batching-delay-plus-
     service distribution with the M/G/c waiting-time quantile at the same
     percentile (:func:`wait_quantile_us`), so the tail reflects queueing
@@ -240,7 +236,6 @@ def summarize_serving(system_name, batches, service_times_us,
     """
     if num_servers < 1:
         raise ValueError("num_servers must be >= 1")
-    batches = as_batch_columns(batches)
     services = np.asarray(service_times_us, dtype=np.float64)
     if len(batches) != services.size:
         raise ValueError("need one service time per batch")

@@ -1,25 +1,93 @@
-"""Reference loops for the serving event kernels.
+"""Reference loops for the serving batcher and event kernels.
 
 These are the readable specifications of
-:func:`repro.serving.event_kernels.fifo_queue_times` and
+:func:`repro.serving.query_columns.form_batch_columns` -- the per-query
+two-trigger loop :func:`form_batches` over :class:`QueryBatch` objects
+-- of :func:`repro.serving.event_kernels.fifo_queue_times` and
 :func:`~repro.serving.event_kernels.edf_queue_times` -- a min-heap of
 server next-free times and, for EDF, a heap of waiting batches keyed by
 ``(priority, ready, index)`` -- and of
 :func:`~repro.serving.event_kernels.admission_mask`: the fluid backlog
 model (:func:`fluid_admission`) with each built-in controller's rule
-decided one query at a time.  They share no code with the kernels, take
-the same arguments and return the same arrays, so tests can compare them
-directly or substitute them for the kernels
-(``monkeypatch.setattr(event_kernels, "fifo_queue_times", ...)``) and
-rerun whole serving pipelines.
+decided one query at a time.  They share no code with what they
+specify.  The kernel oracles take the same arguments and return the
+same arrays, so tests can compare them directly or substitute them for
+the kernels (``monkeypatch.setattr(event_kernels, "fifo_queue_times",
+...)``) and rerun whole serving pipelines.  :func:`batch_columns` turns
+hand-built :class:`QueryBatch` lists into the
+:class:`~repro.serving.query_columns.BatchColumns` that engines and
+service models take.
 """
 
 import heapq
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.serving import event_kernels
+from repro.serving.query_columns import BatchColumns, QueryColumns
+
+
+@dataclass
+class QueryBatch:
+    """One dispatched batch of :class:`~repro.serving.arrival
+    .ServingQuery` objects."""
+
+    queries: list = field(default_factory=list)
+    open_us: float = 0.0
+    formed_us: float = 0.0
+    trigger: str = "size"
+
+
+def form_batches(queries, max_queries, max_delay_us):
+    """Size- and deadline-triggered batching, one query at a time.
+
+    Queries are processed in arrival order (ties broken by query id):
+    a batch dispatches when it holds ``max_queries`` queries, or
+    ``max_delay_us`` after its first query arrived.  The final partial
+    batch dispatches at its deadline.
+    """
+    ordered = sorted(queries, key=lambda q: (q.arrival_us, q.query_id))
+    batches = []
+    open_batch = None
+    for query in ordered:
+        # >=: a batch expires *at* open + max_delay, so a query
+        # arriving exactly then must open the next batch -- it cannot
+        # join a batch that dispatched the instant it arrived.
+        if open_batch is not None and \
+                query.arrival_us >= open_batch.open_us \
+                + max_delay_us:
+            open_batch.formed_us = open_batch.open_us + max_delay_us
+            open_batch.trigger = "deadline"
+            batches.append(open_batch)
+            open_batch = None
+        if open_batch is None:
+            open_batch = QueryBatch(open_us=query.arrival_us)
+        open_batch.queries.append(query)
+        if len(open_batch.queries) >= max_queries:
+            open_batch.formed_us = query.arrival_us
+            open_batch.trigger = "size"
+            batches.append(open_batch)
+            open_batch = None
+    if open_batch is not None:
+        open_batch.formed_us = open_batch.open_us + max_delay_us
+        open_batch.trigger = "deadline"
+        batches.append(open_batch)
+    return batches
+
+
+def batch_columns(batches):
+    """:class:`BatchColumns` over a :class:`QueryBatch` list, queries in
+    batch order."""
+    sizes = np.array([len(batch.queries) for batch in batches],
+                     dtype=np.int64)
+    return BatchColumns(
+        QueryColumns.from_queries(
+            [query for batch in batches for query in batch.queries]),
+        np.cumsum(sizes) - sizes, [batch.formed_us for batch in batches],
+        [batch.open_us for batch in batches],
+        [batch.trigger == "deadline" for batch in batches])
 
 
 def fifo_queue_times(ready, services, arrival_order, num_servers):

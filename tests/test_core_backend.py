@@ -275,15 +275,16 @@ class TestNodeLevelServiceJobs:
 
     @staticmethod
     def _batch():
+        from repro.serving import BatchingFrontend
         from repro.serving.arrival import queries_from_traces
-        from repro.serving.batcher import QueryBatch
         from repro.traces import random_trace
 
         traces = [random_trace(NUM_ROWS, 400, table_id=t, seed=t)
                   for t in range(4)]
         queries = queries_from_traces(traces, 4, [0.0] * 4,
                                       batch_size=2, pooling_factor=10)
-        return QueryBatch(queries=queries, open_us=0.0, formed_us=0.0)
+        [batch] = BatchingFrontend(max_queries=4).form_batches(queries)
+        return batch
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_service_time_matches_serial(self, backend):

@@ -1,9 +1,10 @@
 """The array-backed query path must mirror the object path exactly.
 
-:mod:`repro.serving.query_columns` re-expresses ``ServingQuery`` lists,
-``QueryBatch`` lists and the batching frontend as struct-of-arrays; the
-contract is *byte identity* -- same ids, arrivals, fingerprints, batch
-boundaries and, end to end, the same ``ServingReport`` out of
+:mod:`repro.serving.query_columns` re-expresses ``ServingQuery`` lists
+and the per-query batching loop (``queue_oracles.form_batches``) as
+struct-of-arrays; the contract is *byte identity* -- same ids, arrivals,
+fingerprints, batch boundaries and, end to end, the same
+``ServingReport`` out of
 ``ShardedServingCluster.simulate`` -- because every consumer (service
 cache keys, SLO accounting, the event engines) is keyed on those values.
 """
@@ -13,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import queue_oracles
 from repro.perf.service_model import InterpolatingServiceModel
 from repro.serving import (
     BatchingFrontend,
@@ -99,25 +101,34 @@ class TestConstruction:
 
 class TestBatching:
     @pytest.mark.parametrize("max_delay_us", [0.0, 100.0, 1e9])
-    def test_batch_boundaries_match_object_frontend(
-            self, object_queries, columns, max_delay_us):
+    @pytest.mark.parametrize("source", ["columns", "list"])
+    def test_batch_boundaries_match_oracle(
+            self, object_queries, columns, max_delay_us, source):
         frontend = BatchingFrontend(max_queries=8,
                                     max_delay_us=max_delay_us)
-        object_batches = frontend.form_batches(object_queries)
-        batch_columns, carry = frontend.form_batch_columns(columns)
-        assert carry is None
+        object_batches = queue_oracles.form_batches(
+            object_queries, 8, max_delay_us)
+        if source == "columns":
+            batch_columns, carry = frontend.form_batch_columns(columns)
+            assert carry is None
+        else:
+            batch_columns = frontend.form_batches(object_queries[::-1])
         assert len(batch_columns) == len(object_batches)
         assert [column.tolist() for column in batch_columns.totals()] == [
-            [batch.num_requests for batch in object_batches],
-            [batch.total_poolings for batch in object_batches],
-            [batch.total_lookups for batch in object_batches]]
+            [sum(len(q.requests) for q in batch.queries)
+             for batch in object_batches],
+            [sum(len(r.lengths) for q in batch.queries for r in q.requests)
+             for batch in object_batches],
+            [sum(q.total_lookups for q in batch.queries)
+             for batch in object_batches]]
         for object_batch, column_batch in zip(object_batches,
                                               batch_columns):
-            assert column_batch.size == object_batch.size
+            assert column_batch.size == len(object_batch.queries)
+            assert column_batch.open_us == object_batch.open_us
             assert column_batch.formed_us == object_batch.formed_us
             assert column_batch.trigger == object_batch.trigger
-            assert tuple(column_batch.query_fingerprints()) == \
-                tuple(object_batch.query_fingerprints())
+            assert column_batch.query_fingerprints() == \
+                [q.fingerprint() for q in object_batch.queries]
             assert column_batch.columns.query_id[
                 column_batch.start:column_batch.stop].tolist() == \
                 [q.query_id for q in object_batch.queries]

@@ -16,7 +16,6 @@ from repro.serving import (
     qps_sweep,
     queries_from_traces,
 )
-from repro.serving.batcher import QueryBatch
 from repro.traces import make_production_table_traces
 from repro.utils.lru import LRUCache
 
@@ -120,10 +119,9 @@ class TestExactModel:
             make_traces(), 4, [float(i) for i in range(4)],
             batch_size=2, pooling_factor=4)
         batches = BatchingFrontend(max_queries=2).form_batches(queries)
-        model = ExactServiceModel()
-        for batch in batches:
-            assert model.service_time_us(cluster, batch) == \
-                pytest.approx(cluster.service_time_us(batch))
+        assert ExactServiceModel().service_times_us(cluster, batches) == \
+            pytest.approx([cluster.service_time_us(batch)
+                           for batch in batches])
 
 
 class TestInterpolatingModel:
@@ -138,10 +136,9 @@ class TestInterpolatingModel:
                                    max_delay_us=100.0).form_batches(queries)
         model = InterpolatingServiceModel(
             traces, batch_sizes=(1, 2, 4, 8, 16))
-        for batch in batches:
-            exact = cluster.service_time_us(batch)
-            approx = model.service_time_us(cluster, batch)
-            assert approx == pytest.approx(exact, rel=0.15)
+        approx = model.service_times_us(cluster, batches)
+        exact = [cluster.service_time_us(batch) for batch in batches]
+        assert approx == pytest.approx(exact, rel=0.15)
 
     def test_calibration_is_amortised(self):
         """Many batches cost only the fixed calibration simulations."""
@@ -171,13 +168,13 @@ class TestInterpolatingModel:
         # A 12-query batch; the batch-size grid stops at 4 queries.
         model = InterpolatingServiceModel(traces,
                                           batch_sizes=(1, 2, 4))
-        approx = model.service_time_us(cluster, batches[0])
+        [approx] = model.service_times_us(cluster, batches)
         exact = cluster.service_time_us(batches[0])
         assert approx == pytest.approx(exact, rel=0.35)
         assert model.stats()["extrapolated_batches"] == 1
-        assert approx > model.service_time_us(
+        assert approx > model.service_times_us(
             cluster, BatchingFrontend(max_queries=2).form_batches(
-                queries[:2])[0])
+                queries[:2]))[0]
         # The 2-query batch lies inside the grid: not counted.
         assert model.stats()["extrapolated_batches"] == 1
 
@@ -195,9 +192,9 @@ class TestInterpolatingModel:
         cluster = make_cluster()
         queries = queries_from_traces(make_traces(), 1, [0.0],
                                       batch_size=2, pooling_factor=8)
-        batch = BatchingFrontend().form_batches(queries)[0]
+        batches = BatchingFrontend().form_batches(queries)
         with pytest.raises(ValueError):
-            model.service_time_us(cluster, batch)
+            model.service_times_us(cluster, batches)
 
     def test_pooling_factor_grid_clamps_out_of_range(self):
         """An off-grid pooling factor uses the nearest row, not a global
@@ -206,34 +203,32 @@ class TestInterpolatingModel:
         cluster = make_cluster()
         queries = queries_from_traces(traces, 2, [0.0, 0.0],
                                       batch_size=2, pooling_factor=4)
-        batch = BatchingFrontend(max_queries=2).form_batches(queries)[0]
+        batches = BatchingFrontend(max_queries=2).form_batches(queries)
         clamped = InterpolatingServiceModel(
             traces, batch_sizes=(1, 2, 4), pooling_factors=(8, 16))
         nearest_only = InterpolatingServiceModel(
             traces, batch_sizes=(1, 2, 4), pooling_factors=(8,))
-        assert clamped.service_time_us(cluster, batch) == \
-            pytest.approx(nearest_only.service_time_us(cluster, batch))
+        assert clamped.service_times_us(cluster, batches) == \
+            pytest.approx(nearest_only.service_times_us(cluster, batches))
         # Only the pf=8 row was calibrated (3 grid points), not pf=16.
         assert clamped.stats()["exact_calls"] == 3
         # Above the grid clamps to the last row symmetrically.
         high = queries_from_traces(traces, 2, [0.0, 0.0],
                                    batch_size=2, pooling_factor=20)
-        high_batch = BatchingFrontend(max_queries=2).form_batches(high)[0]
+        high_batches = BatchingFrontend(max_queries=2).form_batches(high)
         top_only = InterpolatingServiceModel(
             traces, batch_sizes=(1, 2, 4), pooling_factors=(16,))
-        assert clamped.service_time_us(cluster, high_batch) == \
-            pytest.approx(top_only.service_time_us(cluster, high_batch))
+        assert clamped.service_times_us(cluster, high_batches) == \
+            pytest.approx(top_only.service_times_us(cluster, high_batches))
 
     def test_empty_request_batch_raises_value_error(self):
         """Regression: a batch whose queries carry no requests raised a
         bare ZeroDivisionError from the shape derivation."""
-        batch = QueryBatch(
-            queries=[ServingQuery(query_id=0, arrival_us=0.0,
-                                  requests=[])],
-            open_us=0.0, formed_us=1.0)
+        batches = BatchingFrontend().form_batches(
+            [ServingQuery(query_id=0, arrival_us=0.0, requests=[])])
         model = InterpolatingServiceModel(make_traces())
         with pytest.raises(ValueError, match="no SLS requests"):
-            model.service_time_us(make_cluster(), batch)
+            model.service_times_us(make_cluster(), batches)
 
     def test_qps_sweep_resolves_model_once(self):
         """A model passed by name/class is instantiated once per sweep,
@@ -284,9 +279,12 @@ class TestServiceTimeValidation:
             def __init__(self):
                 self.calls = 0
 
-            def service_time_us(self, cluster, batch):
-                self.calls += 1
-                return bad if self.calls == 3 else 10.0
+            def service_times_us(self, cluster, batches):
+                times = []
+                for _ in range(len(batches)):
+                    self.calls += 1
+                    times.append(bad if self.calls == 3 else 10.0)
+                return times
 
         queries = queries_from_traces(
             make_traces(), 12, PoissonArrivalProcess(rate_qps=30_000,

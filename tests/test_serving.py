@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from queue_oracles import QueryBatch, batch_columns
 from repro.dlrm.operators import SLSRequest
 from repro.serving import (
     BatchingFrontend,
@@ -21,7 +22,6 @@ from repro.serving import (
     summarize_serving,
     wait_quantile_us,
 )
-from repro.serving.batcher import QueryBatch
 from repro.serving.sharding import partition_by_assignment
 from repro.traces import make_production_table_traces
 
@@ -110,8 +110,9 @@ class TestBatcher:
         batches = frontend.form_batches(queries)
         assert [b.trigger for b in batches] == ["size", "deadline"]
         first = batches[0]
-        assert first.batching_delay_us(first.queries[0]) == pytest.approx(3.0)
-        assert first.batching_delay_us(first.queries[-1]) == 0.0
+        # Batching delays: formation time minus each query's arrival.
+        assert first.formed_us - arrivals[0] == pytest.approx(3.0)
+        assert first.formed_us - arrivals[3] == 0.0
         counts = frontend.trigger_counts(batches)
         assert counts == {"size": 1, "deadline": 1}
 
@@ -125,12 +126,12 @@ class TestBatcher:
         batches = frontend.form_batches(queries)
         assert [b.size for b in batches] == [1, 1]
         assert batches[0].formed_us == pytest.approx(100.0)
-        assert batches[0].queries[0].query_id == 0
+        assert batches.columns.query_id.tolist() == [0, 1]
         # The boundary query opens the next batch instead of riding a
         # batch that dispatched the instant it arrived.
         assert batches[1].open_us == pytest.approx(100.0)
         assert batches[1].formed_us == pytest.approx(200.0)
-        assert batches[1].batching_delay_us(queries[1]) == \
+        assert batches[1].formed_us - queries[1].arrival_us == \
             pytest.approx(100.0)
 
     def test_validation(self):
@@ -223,7 +224,8 @@ class TestQueueingMath:
                               formed_us=q.arrival_us + 5.0,
                               trigger="deadline")
                    for q in queries]
-        report = summarize_serving("unit", batches, [10.0, 10.0, 10.0, 10.0])
+        report = summarize_serving("unit", batch_columns(batches),
+                                   [10.0, 10.0, 10.0, 10.0])
         assert report.num_queries == 4
         assert report.num_batches == 4
         assert report.mean_service_us == pytest.approx(10.0)
@@ -250,18 +252,19 @@ class TestQueueingMath:
         # One query: no interval to estimate a rate from.
         lone = QueryBatch(queries=[make_query(0, 5.0)], open_us=5.0,
                           formed_us=10.0)
-        report = summarize_serving("unit", [lone], [10.0])
+        report = summarize_serving("unit", batch_columns([lone]), [10.0])
         assert report.offered_qps == 0.0
         assert math.isfinite(report.p99_us)
         # Many queries at one instant: still no arrival span.
         burst = QueryBatch(queries=[make_query(i, 5.0) for i in range(4)],
                            open_us=5.0, formed_us=10.0)
-        report = summarize_serving("unit", [burst], [10.0])
+        report = summarize_serving("unit", batch_columns([burst]), [10.0])
         assert report.offered_qps == 0.0
         # Batches all formed at one instant: no dispatch span either.
         twins = [QueryBatch(queries=[make_query(i, 5.0)], open_us=5.0,
                             formed_us=10.0) for i in range(2)]
-        report = summarize_serving("unit", twins, [10.0, 10.0])
+        report = summarize_serving("unit", batch_columns(twins),
+                                   [10.0, 10.0])
         assert report.utilization == 0.0
         assert math.isfinite(report.p99_us)
 
@@ -271,7 +274,8 @@ class TestQueueingMath:
         batches = [QueryBatch(queries=[q], open_us=q.arrival_us,
                               formed_us=q.arrival_us + 5.0)
                    for q in queries]
-        report = summarize_serving("unit", batches, [10.0] * 4)
+        report = summarize_serving("unit", batch_columns(batches),
+                                   [10.0] * 4)
         # 3 inter-arrival gaps over 300us -> 0.01 queries/us.
         assert report.offered_qps == pytest.approx(0.01 * 1e6)
 
@@ -280,7 +284,7 @@ class TestQueueingMath:
         queries = [make_query(i, arrival_us=0.1 * i) for i in range(3)]
         batch = QueryBatch(queries=queries, open_us=0.0, formed_us=1.0,
                            trigger="size")
-        report = summarize_serving("unit", [batch], [10.0])
+        report = summarize_serving("unit", batch_columns([batch]), [10.0])
         assert report.utilization == 0.0
         assert report.mean_wait_us == 0.0
         assert math.isfinite(report.p99_us)
@@ -291,9 +295,9 @@ class TestQueueingMath:
         queries = [make_query(0, 0.0)]
         batch = QueryBatch(queries=queries, open_us=0.0, formed_us=1.0)
         with pytest.raises(ValueError):
-            summarize_serving("unit", [batch], [1.0, 2.0])
+            summarize_serving("unit", batch_columns([batch]), [1.0, 2.0])
         with pytest.raises(ValueError):
-            summarize_serving("unit", [], [])
+            summarize_serving("unit", batch_columns([]), [])
 
 
 class TestCluster:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from queue_oracles import QueryBatch, batch_columns
 from repro.dlrm.operators import SLSRequest
 from repro.serving import (
     AnalyticEngine,
@@ -25,7 +26,7 @@ from repro.serving import (
     summarize_serving,
     wait_quantile_us,
 )
-from repro.serving.batcher import QueryBatch
+from repro.serving.query_columns import BatchColumns, QueryColumns
 from repro.traces import make_production_table_traces
 
 NUM_ROWS = 512
@@ -53,10 +54,11 @@ def poisson_batches(num_batches, rate_per_us, seed=1):
     """
     rng = np.random.default_rng(seed)
     ready = np.cumsum(rng.exponential(1.0 / rate_per_us, size=num_batches))
-    return [QueryBatch(queries=[ServingQuery(query_id=i,
-                                             arrival_us=float(t))],
-                       open_us=float(t), formed_us=float(t))
-            for i, t in enumerate(ready)]
+    ids = np.arange(num_batches)
+    zeros = np.zeros(num_batches, dtype=np.int64)
+    columns = QueryColumns(ids, ready, np.full(num_batches, np.nan), zeros,
+                           zeros, zeros, ids, provider=None)
+    return BatchColumns(columns, ids, ready, ready, zeros)
 
 
 class TestErlangC:
@@ -111,10 +113,10 @@ class TestMGcFormulas:
     def test_summarize_sustainable_qps_scales_with_servers(self):
         """Regression: sustainable_qps assumed a single dispatch server."""
         queries = [make_query(i, arrival_us=100.0 * i) for i in range(4)]
-        batches = [QueryBatch(queries=[q], open_us=q.arrival_us,
-                              formed_us=q.arrival_us + 5.0,
-                              trigger="deadline")
-                   for q in queries]
+        batches = batch_columns([
+            QueryBatch(queries=[q], open_us=q.arrival_us,
+                       formed_us=q.arrival_us + 5.0, trigger="deadline")
+            for q in queries])
         services = [10.0] * 4
         one = summarize_serving("unit", batches, services)
         four = summarize_serving("unit", batches, services, num_servers=4)

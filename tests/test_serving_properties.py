@@ -2,9 +2,9 @@
 
 The column batcher (:func:`form_batch_columns`) and the grouped
 interpolating service model answer whole chunks with array passes.  The
-references here share no code with them: the object frontend's per-query
-loop (:meth:`BatchingFrontend.form_batches`) and a per-batch
-interpolation loop written out below.  The pipeline properties run
+references here share no code with them: the per-query batching loop
+(``queue_oracles.form_batches``) and a per-batch interpolation loop
+written out below.  The pipeline properties run
 ``ShardedServingCluster.simulate(trace=Tracer())`` end to end and check
 invariants no implementation detail can satisfy by accident:
 conservation, per-query causality and chunk-size invariance.
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import queue_oracles
 from repro.obs import Tracer
 from repro.perf.service_model import InterpolatingServiceModel
 from repro.serving import (
@@ -66,11 +67,11 @@ max_queries = st.integers(1, 9)
 
 
 def _object_batches(arrivals, max_queries, max_delay_us):
-    """(starts, formed_us, triggers) from the per-query object loop."""
+    """(starts, formed_us, triggers) from the per-query oracle loop."""
     queries = [ServingQuery(query_id=index, arrival_us=arrival)
                for index, arrival in enumerate(arrivals)]
-    batches = BatchingFrontend(max_queries, max_delay_us).form_batches(
-        queries)
+    batches = queue_oracles.form_batches(queries, max_queries,
+                                         max_delay_us)
     starts = [batch.queries[0].query_id for batch in batches]
     return (starts, [batch.formed_us for batch in batches],
             [int(batch.trigger == "deadline") for batch in batches])
@@ -144,12 +145,13 @@ class ClosedFormCluster:
         self.calibrated = []
 
     def service_time_us(self, batch):
-        shape = (batch.total_poolings // batch.num_requests,
-                 batch.total_lookups // batch.total_poolings)
+        requests = batch.requests()
+        poolings = sum(len(request.lengths) for request in requests)
+        lookups = sum(request.total_lookups for request in requests)
+        shape = (poolings // len(requests), lookups // poolings)
         if not self.calibrated or self.calibrated[-1] != shape:
             self.calibrated.append(shape)
-        return _closed_form_us(batch.size, batch.total_poolings,
-                               batch.total_lookups)
+        return _closed_form_us(batch.size, poolings, lookups)
 
 
 def _reference_pf_rows(observed, pooling_factors):
@@ -232,28 +234,18 @@ def _batch_columns(batches):
 @settings(max_examples=60, deadline=None)
 @given(batches=batch_lists)
 def test_interp_matches_per_batch_reference(pooling_factors, batches):
-    batch_columns = _batch_columns(batches)
-    views = list(batch_columns)
     expected, calibrated, extrapolated = _reference_service_times(
         batches, pooling_factors)
-    answers = {
-        "columns": lambda model, cluster: model.service_times_us(
-            cluster, batch_columns),
-        "list": lambda model, cluster: model.service_times_us(cluster,
-                                                              views),
-        "scalar": lambda model, cluster: [
-            model.service_time_us(cluster, view) for view in views],
-    }
-    for answer in answers.values():
-        model = InterpolatingServiceModel(TRACES, batch_sizes=BATCH_SIZES,
-                                          pooling_factors=pooling_factors)
-        cluster = ClosedFormCluster()
-        assert answer(model, cluster) == expected
-        assert cluster.calibrated == calibrated
-        stats = model.stats()
-        assert stats["interpolated_calls"] == len(views)
-        assert stats["extrapolated_batches"] == extrapolated
-        assert stats["exact_calls"] == len(calibrated) * len(BATCH_SIZES)
+    model = InterpolatingServiceModel(TRACES, batch_sizes=BATCH_SIZES,
+                                      pooling_factors=pooling_factors)
+    cluster = ClosedFormCluster()
+    assert model.service_times_us(cluster, _batch_columns(batches)) \
+        == expected
+    assert cluster.calibrated == calibrated
+    stats = model.stats()
+    assert stats["interpolated_calls"] == len(batches)
+    assert stats["extrapolated_batches"] == extrapolated
+    assert stats["exact_calls"] == len(calibrated) * len(BATCH_SIZES)
 
 
 def test_zero_request_batch_columns_raise_value_error():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from queue_oracles import QueryBatch, batch_columns
 from repro.dlrm.operators import SLSRequest
 from repro.serving import (
     AnalyticEngine,
@@ -29,7 +30,6 @@ from repro.serving import (
     resolve_slo_policy,
     simulate_batch_queue,
 )
-from repro.serving.batcher import QueryBatch
 from repro.serving.slo import summarize_slo_arrays
 from repro.traces import make_production_table_traces
 
@@ -393,10 +393,12 @@ class TestEDFQueue:
         queries = [make_query(0, 0.0, deadline_us=500.0),
                    make_query(1, 1.0, deadline_us=300.0),
                    make_query(2, 2.0)]
-        batch = QueryBatch(queries=queries)
-        assert batch.earliest_deadline_us == 300.0
-        assert QueryBatch(queries=[make_query(3, 0.0)]) \
-            .earliest_deadline_us is None
+        earliest = batch_columns([
+            QueryBatch(queries=queries),
+            QueryBatch(queries=[make_query(3, 0.0)])]).earliest_deadline_us()
+        assert earliest[0] == 300.0
+        # NaN: no query of the batch carries a deadline.
+        assert np.isnan(earliest[1])
 
     def test_edf_engine_prioritises_urgent_batches(self):
         # Two batches ready at once behind a busy server; the urgent one
@@ -409,7 +411,7 @@ class TestEDFQueue:
         urgent = QueryBatch(queries=[make_query(2, 2.0,
                                                 deadline_us=30.0)],
                             open_us=2.0, formed_us=2.0)
-        batches = [blocker, loose, urgent]
+        batches = batch_columns([blocker, loose, urgent])
         services = [20.0, 10.0, 10.0]
         fifo = EventEngine().summarize("unit", batches, services)
         edf = EventEngine(order="edf").summarize("unit", batches,
@@ -547,8 +549,8 @@ class TestClusterSLOIntegration:
             assert slo["attainment"] is not None
 
     def test_engine_summarize_signature_accepts_slo_info(self):
-        batches = [QueryBatch(queries=[make_query(0, 0.0)],
-                              open_us=0.0, formed_us=0.0)]
+        batches = batch_columns([QueryBatch(queries=[make_query(0, 0.0)],
+                                            open_us=0.0, formed_us=0.0)])
         info = {"num_offered": 2, "num_shed": 1, "offered_span_us": 10.0,
                 "admission": "unit"}
         for engine in (AnalyticEngine(), EventEngine()):

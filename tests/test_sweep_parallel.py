@@ -15,6 +15,7 @@ from repro.serving import (
     ShardedServingCluster,
     qps_sweep,
     queries_from_traces,
+    query_columns_from_traces,
 )
 from repro.serving.cluster import build_sweep_cluster
 from repro.serving.sharding import ReplicatedTableSharder
@@ -46,12 +47,13 @@ def make_cluster(**overrides):
 
 
 def run_sweep(backend, engine=None, sharder=None, service_store=None,
-              traces=None):
+              traces=None, make_queries=None):
     traces = traces if traces is not None else make_traces()
     with make_cluster(sharder=sharder,
                       service_store=service_store) as cluster:
         reports = qps_sweep(
-            cluster, make_query_factory(traces), QPS_POINTS,
+            cluster, make_queries or make_query_factory(traces),
+            QPS_POINTS,
             frontend=BatchingFrontend(max_queries=4, max_delay_us=200.0),
             engine=engine, service_model="exact", backend=backend)
         stats = cluster.service_stats()
@@ -87,6 +89,22 @@ class TestParallelSweepIdentity:
             parallel, _ = run_sweep(backend, sharder=sharder(),
                                     traces=traces)
             assert parallel == serial, backend
+
+    def test_query_columns_points_match_query_lists(self):
+        """``make_queries`` may return ``QueryColumns``: they reach every
+        backend unchanged and report like the same queries as a list."""
+        traces = make_traces()
+        expected, _ = run_sweep("serial", traces=traces)
+
+        def make_columns(qps):
+            return query_columns_from_traces(
+                traces, 8, PoissonArrivalProcess(rate_qps=qps, seed=1),
+                batch_size=2, pooling_factor=4)
+
+        for backend in ("serial",) + PARALLEL_BACKENDS:
+            reports, _ = run_sweep(backend, traces=traces,
+                                   make_queries=make_columns)
+            assert reports == expected, backend
 
     def test_parallel_state_merges_back(self):
         # Worker deltas must land in the parent cluster: every point ran
