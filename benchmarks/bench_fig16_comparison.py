@@ -30,13 +30,13 @@ def compute_fig16():
     for num_dimms, ranks_per_dimm in CONFIGS:
         label = "%dx%d" % (num_dimms, ranks_per_dimm)
         population = dict(num_dimms=num_dimms, ranks_per_dimm=ranks_per_dimm)
-        for trace_kind, requests in workloads.items():
+        for trace, requests in workloads.items():
             speedups = {
                 name: run_system(name, requests,
                                  **population).speedup_vs_baseline
                 for name in ("recnmp-opt", "tensordimm", "chameleon")
             }
-            rows.append((label, trace_kind,
+            rows.append((label, trace,
                          round(speedups["recnmp-opt"], 2),
                          round(speedups["tensordimm"], 2),
                          round(speedups["chameleon"], 2)))

@@ -15,15 +15,14 @@ system described in the paper:
   the cycle simulator, and the energy/area models),
 * :mod:`repro.perf` -- the analytical CPU/system performance models used for
   the characterization and the end-to-end evaluation,
-* :mod:`repro.baselines` -- the host CPU, TensorDIMM and Chameleon baselines,
-* :mod:`repro.systems` -- the unified ``EmbeddingSystem`` interface and the
-  string-keyed registry every compared system plugs into,
+* :mod:`repro.systems` -- the unified ``EmbeddingSystem`` interface, the
+  string-keyed registry, and one class per compared system: the host CPU
+  over DDR4, TensorDIMM, Chameleon and the RecNMP configurations,
 * :mod:`repro.serving` -- request-level traffic serving (arrivals, batching,
   table sharding, queueing) on top of the system interface.
 """
 
 from repro import (
-    baselines,
     cache,
     core,
     dlrm,
@@ -38,7 +37,6 @@ from repro import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "baselines",
     "cache",
     "core",
     "dlrm",

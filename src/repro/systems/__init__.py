@@ -11,8 +11,8 @@ constructed by name through the registry::
     result = system.run(requests)
     print(result.speedup_vs_baseline, result.latency_us)
 
-The comparison glue that used to be re-implemented by every benchmark lives
-here once.
+The built-in implementations live in :mod:`repro.systems.adapters`, one
+class per compared system.
 """
 
 from repro.systems.base import EmbeddingSystem, SystemResult, TableLayout

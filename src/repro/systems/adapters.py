@@ -1,6 +1,6 @@
-"""Adapters plugging the legacy system APIs into :class:`EmbeddingSystem`.
+"""The built-in :class:`EmbeddingSystem` implementations.
 
-One adapter per system family:
+One class per compared system:
 
 * :class:`HostSystem` -- the CPU + DDR4 baseline (cycle-level, memoised),
 * :class:`TensorDIMMSystem` / :class:`ChameleonSystem` -- the analytical
@@ -12,18 +12,16 @@ One adapter per system family:
 Importing this module registers the built-in system names with the
 registry (``host``, ``tensordimm``, ``chameleon``, ``recnmp-base``,
 ``recnmp-cache``, ``recnmp-sched``, ``recnmp-opt``, ``recnmp-opt-4ch``).
-All adapters share one keyword vocabulary (``num_dimms``,
+All systems share one keyword vocabulary (``num_dimms``,
 ``ranks_per_dimm``, ``vector_size_bytes``, ``address_of`` ...), so
 ``build_system(name, **overrides)`` works uniformly across families.
 """
 
-from repro.baselines.chameleon import Chameleon
-from repro.baselines.host import HostBaseline
-from repro.baselines.tensordimm import TensorDIMM
 from repro.core.multi_channel import MultiChannelRecNMP
 from repro.core.simulator import RecNMPConfig, RecNMPSimulator
 from repro.dram.system import DramSystemConfig
 from repro.dram.timing import DDR4_2400
+from repro.perf.baseline_cache import run_baseline_trace
 from repro.systems.base import EmbeddingSystem, SystemResult, TableLayout
 from repro.systems.registry import register_system
 
@@ -41,7 +39,18 @@ def _workload_size(requests):
 
 
 class HostSystem(EmbeddingSystem):
-    """Host CPU executing SLS over the conventional DDR4 channel."""
+    """Host CPU executing SLS over the conventional DDR4 channel.
+
+    Every embedding vector crosses the pin-limited memory interface and
+    the cores perform the pooling additions, so throughput is bounded by
+    the channel bandwidth (Section II).  ``run`` flattens the requests'
+    lookups into a physical-address trace via ``address_of`` and runs it
+    through the cycle-level DDR4 model, memoised process-wide
+    (:mod:`repro.perf.baseline_cache`) -- the same trace the RecNMP
+    simulator's baseline comparison uses, so the two normalisation
+    points agree.  ``SystemResult.raw`` is the
+    :class:`~repro.dram.system.DramSystemResult`.
+    """
 
     def __init__(self, name="host", num_dimms=4, ranks_per_dimm=2,
                  vector_size_bytes=64, address_of=None, table_rows=100_000,
@@ -59,30 +68,36 @@ class HostSystem(EmbeddingSystem):
         self.dram_config = DramSystemConfig(
             timing=self.timing, num_channels=1,
             dimms_per_channel=num_dimms, ranks_per_dimm=ranks_per_dimm)
-        self.baseline = HostBaseline(dram_config=self.dram_config)
+
+    def _run_baseline(self, requests):
+        """The requests' lookup trace on the host DDR4 channel."""
+        address_of = self.address_of
+        addresses = [address_of(request.table_id, int(row))
+                     for request in requests
+                     for row in request.indices]
+        return run_baseline_trace(self.dram_config, addresses,
+                                  request_bytes=self.vector_size_bytes,
+                                  outstanding_per_channel=self.outstanding)
 
     def run(self, requests):
-        result = self.baseline.run_requests(
-            requests, self.address_of,
-            vector_bytes=self.vector_size_bytes,
-            outstanding=self.outstanding)
+        baseline = self._run_baseline(requests)
         num_requests, num_lookups = _workload_size(requests)
         return SystemResult(
             system=self.name,
-            total_cycles=result.cycles,
-            latency_ns=result.latency_ns,
+            total_cycles=baseline.cycles,
+            latency_ns=baseline.cycles * self.timing.cycle_time_ns,
             num_requests=num_requests,
             num_lookups=num_lookups,
-            baseline_cycles=result.cycles,
+            baseline_cycles=baseline.cycles,
             speedup_vs_baseline=1.0,
-            energy_nj=result.energy_nj,
-            baseline_energy_nj=result.energy_nj,
+            energy_nj=baseline.energy_nj,
+            baseline_energy_nj=baseline.energy_nj,
             energy_savings_fraction=0.0,
             extras={
-                "achieved_bandwidth_gbps": result.achieved_bandwidth_gbps,
-                "row_hit_rate": result.row_hit_rate,
+                "achieved_bandwidth_gbps": baseline.achieved_bandwidth_gbps,
+                "row_hit_rate": baseline.row_hit_rate,
             },
-            raw=result,
+            raw=baseline,
         )
 
     def describe(self):
@@ -91,44 +106,28 @@ class HostSystem(EmbeddingSystem):
             self.dram_config.ranks_per_dimm)
 
 
-class _AnalyticalNMPSystem(EmbeddingSystem):
-    """Shared adapter for the analytical DIMM-level NMP baselines.
+def _require_population(num_dimms, ranks_per_dimm):
+    if num_dimms <= 0 or ranks_per_dimm <= 0:
+        raise ValueError("num_dimms and ranks_per_dimm must be positive")
 
-    Both TensorDIMM and Chameleon are modelled as speedups over the host
-    DDR4 system, so the adapter simulates the host trace (memoised) and
-    scales its cycle count by the model's speedup.
+
+class _AnalyticalNMPSystem(HostSystem):
+    """The analytical DIMM-level NMP baselines of Fig. 16.
+
+    TensorDIMM and Chameleon are modelled as memory-latency speedups over
+    the host DDR4 system: ``run`` simulates the host trace (memoised) and
+    divides its cycle count by :meth:`speedup`.  Neither design has a
+    memory-side cache, so trace locality does not change the speedup.
     """
 
-    def __init__(self, name, model, num_dimms, ranks_per_dimm,
-                 vector_size_bytes, address_of, table_rows, timing,
-                 outstanding, compare_baseline=True):
-        del compare_baseline  # the baseline run is what grounds the model
-        self.name = name
-        self.model = model
-        self.timing = timing or DDR4_2400
-        self.vector_size_bytes = vector_size_bytes
-        self.outstanding = outstanding
-        self.address_of = _resolve_address_of(address_of, vector_size_bytes,
-                                              table_rows)
-        self.dram_config = DramSystemConfig(
-            timing=self.timing, num_channels=1,
-            dimms_per_channel=num_dimms, ranks_per_dimm=ranks_per_dimm)
-        self.baseline = HostBaseline(dram_config=self.dram_config)
-
-    def _speedup(self):
-        raise NotImplementedError
-
-    def _cycles_estimate(self, baseline_cycles):
-        """The model's cycle estimate for a given host baseline."""
+    def speedup(self):
+        """Memory-latency speedup over the host baseline."""
         raise NotImplementedError
 
     def run(self, requests):
-        baseline = self.baseline.run_requests(
-            requests, self.address_of,
-            vector_bytes=self.vector_size_bytes,
-            outstanding=self.outstanding)
-        speedup = self._speedup()
-        total_cycles = self._cycles_estimate(baseline.cycles)
+        baseline = self._run_baseline(requests)
+        speedup = self.speedup()
+        total_cycles = int(round(baseline.cycles / speedup))
         num_requests, num_lookups = _workload_size(requests)
         return SystemResult(
             system=self.name,
@@ -144,61 +143,89 @@ class _AnalyticalNMPSystem(EmbeddingSystem):
 
 
 class TensorDIMMSystem(_AnalyticalNMPSystem):
-    """TensorDIMM (DIMM-level NMP, rank-interleaved vectors, no cache)."""
+    """TensorDIMM (Kwon et al., MICRO 2019).
+
+    NMP cores in custom DIMMs; consecutive 64 B blocks of each vector are
+    interleaved across the DIMMs of a channel, so performance scales with
+    the DIMM count (ranks do not contribute).  ``dimm_efficiency`` is the
+    fraction of ideal DIMM-level parallelism realised (scheduling and
+    reduction overheads).  With ``batch_parallel`` the independent
+    poolings of a batch keep all DIMMs busy even when one vector does not
+    span them (the configuration the paper's comparison assumes);
+    without it the per-vector limit of :meth:`effective_parallelism`
+    applies.
+    """
 
     def __init__(self, name="tensordimm", num_dimms=4, ranks_per_dimm=2,
                  vector_size_bytes=64, address_of=None, table_rows=100_000,
                  timing=None, outstanding=32, dimm_efficiency=1.0,
                  batch_parallel=True, compare_baseline=True):
-        model = TensorDIMM(num_dimms=num_dimms,
-                           ranks_per_dimm=ranks_per_dimm,
-                           dimm_efficiency=dimm_efficiency)
+        _require_population(num_dimms, ranks_per_dimm)
+        if not 0 < dimm_efficiency <= 1:
+            raise ValueError("dimm_efficiency must be in (0, 1]")
+        super().__init__(name, num_dimms, ranks_per_dimm, vector_size_bytes,
+                         address_of, table_rows, timing, outstanding,
+                         compare_baseline)
+        self.num_dimms = num_dimms
+        self.dimm_efficiency = dimm_efficiency
         self.batch_parallel = batch_parallel
-        super().__init__(name, model, num_dimms, ranks_per_dimm,
-                         vector_size_bytes, address_of, table_rows, timing,
-                         outstanding, compare_baseline)
 
-    def _speedup(self):
-        return self.model.memory_latency_speedup(
-            vector_bytes=max(self.vector_size_bytes, 64),
-            batch_parallel=self.batch_parallel)
+    def effective_parallelism(self, vector_bytes=256):
+        """DIMMs that can work on one vector concurrently.
 
-    def _cycles_estimate(self, baseline_cycles):
-        return self.model.cycles_estimate(
-            baseline_cycles, vector_bytes=max(self.vector_size_bytes, 64),
-            batch_parallel=self.batch_parallel)
+        The rank-interleaved layout splits a vector into 64 B blocks across
+        DIMMs, so a vector only spans ``min(num_dimms, vector_bytes / 64)``
+        DIMMs -- the reason TensorDIMM cannot accelerate small (64 B)
+        vectors, as the paper points out.
+        """
+        if vector_bytes <= 0 or vector_bytes % 64:
+            raise ValueError("vector_bytes must be a positive multiple of 64")
+        return min(self.num_dimms, vector_bytes // 64)
+
+    def speedup(self):
+        if self.batch_parallel:
+            parallelism = self.num_dimms
+        else:
+            parallelism = self.effective_parallelism(
+                max(self.vector_size_bytes, 64))
+        return parallelism * self.dimm_efficiency
 
     def describe(self):
         return "%s: analytical, %d DIMMs, efficiency %.2f" % (
-            self.name, self.model.num_dimms, self.model.dimm_efficiency)
+            self.name, self.num_dimms, self.dimm_efficiency)
 
 
 class ChameleonSystem(_AnalyticalNMPSystem):
-    """Chameleon (CGRA in the LRDIMM data buffers, multiplexed buses)."""
+    """Chameleon (Asghari-Moghaddam et al., MICRO 2016).
+
+    CGRA accelerators in the data-buffer devices of an LRDIMM: DIMM-level
+    like TensorDIMM, but the accelerators share the conventional C/A and
+    DQ pins through temporal/spatial multiplexing.
+    ``multiplexing_efficiency`` is the fraction of ideal DIMM-level
+    parallelism that multiplexing leaves.  Vector size has no first-order
+    effect: the accelerators sit at the data buffers and see whole
+    bursts.
+    """
 
     def __init__(self, name="chameleon", num_dimms=4, ranks_per_dimm=2,
                  vector_size_bytes=64, address_of=None, table_rows=100_000,
                  timing=None, outstanding=32, multiplexing_efficiency=0.7,
                  compare_baseline=True):
-        model = Chameleon(num_dimms=num_dimms,
-                          ranks_per_dimm=ranks_per_dimm,
-                          multiplexing_efficiency=multiplexing_efficiency)
-        super().__init__(name, model, num_dimms, ranks_per_dimm,
-                         vector_size_bytes, address_of, table_rows, timing,
-                         outstanding, compare_baseline)
+        _require_population(num_dimms, ranks_per_dimm)
+        if not 0 < multiplexing_efficiency <= 1:
+            raise ValueError("multiplexing_efficiency must be in (0, 1]")
+        super().__init__(name, num_dimms, ranks_per_dimm, vector_size_bytes,
+                         address_of, table_rows, timing, outstanding,
+                         compare_baseline)
+        self.num_dimms = num_dimms
+        self.multiplexing_efficiency = multiplexing_efficiency
 
-    def _speedup(self):
-        return self.model.memory_latency_speedup(
-            vector_bytes=self.vector_size_bytes)
-
-    def _cycles_estimate(self, baseline_cycles):
-        return self.model.cycles_estimate(
-            baseline_cycles, vector_bytes=self.vector_size_bytes)
+    def speedup(self):
+        return self.num_dimms * self.multiplexing_efficiency
 
     def describe(self):
         return "%s: analytical, %d DIMMs, multiplexing %.2f" % (
-            self.name, self.model.num_dimms,
-            self.model.multiplexing_efficiency)
+            self.name, self.num_dimms, self.multiplexing_efficiency)
 
 
 def _recnmp_system_result(name, result, cycle_time_ns, num_requests,
@@ -246,9 +273,9 @@ class RecNMPSystem(EmbeddingSystem):
         self.simulator = RecNMPSimulator(self.config, address_of=resolved)
 
     def run(self, requests):
-        # Each run() is independent (the legacy contract: one fresh
-        # simulator per workload); reset clears channel timing, caches and
-        # the packet generator so results do not depend on call order.
+        # Each run() is independent (as if on a fresh simulator); reset
+        # clears channel timing, caches and the packet generator so
+        # results do not depend on call order.
         self.simulator.reset()
         result = self.simulator.run_requests(
             requests, compare_baseline=self.compare_baseline)

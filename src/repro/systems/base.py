@@ -2,14 +2,12 @@
 
 Every system the paper compares -- the host DDR4 baseline, TensorDIMM,
 Chameleon, and the RecNMP variants -- answers the same question: *how fast
-(and at what energy) does it execute a batch of SLS requests?*  Historically
-each exposed a different ad-hoc API, so every benchmark re-implemented the
-comparison glue.  :class:`EmbeddingSystem` is the single interface they all
-implement now: ``run(requests)`` returns a canonical :class:`SystemResult`
-that subsumes the legacy per-system result types.
+(and at what energy) does it execute a batch of SLS requests?*
+:class:`EmbeddingSystem` is the one interface they all implement:
+``run(requests)`` returns a canonical :class:`SystemResult`.
 
-This module is dependency-free within :mod:`repro` so any layer (baselines,
-core, serving) can import it without cycles.
+This module is dependency-free within :mod:`repro` so any layer (core,
+serving) can import it without cycles.
 """
 
 import abc
@@ -43,10 +41,10 @@ class TableLayout:
 class SystemResult:
     """Canonical result of running one SLS workload on any embedding system.
 
-    Subsumes the legacy ``HostBaselineResult`` / ``RecNMPResult`` /
-    ``MultiChannelResult`` types: adapters map their fields onto this one
-    shape so benchmarks and the serving layer can compare systems without
-    per-system glue.
+    Each system maps its native result (the host's
+    :class:`~repro.dram.system.DramSystemResult`, a ``RecNMPResult`` or a
+    ``MultiChannelResult``) onto this one shape, so benchmarks and the
+    serving layer compare systems without per-system glue.
 
     Attributes
     ----------
@@ -69,7 +67,7 @@ class SystemResult:
     extras:
         System-specific metrics that have no canonical slot.
     raw:
-        The legacy result object the adapter translated, for callers that
+        The native result object the system translated, for callers that
         need the full detail.
     """
 
@@ -116,9 +114,9 @@ class EmbeddingSystem(abc.ABC):
 
     Implementations wrap one of the simulated or analytical systems and
     translate its native result into a :class:`SystemResult`.  ``run()``
-    calls are independent: adapters reset per-run simulator state first, so
-    results never depend on call order (the legacy contract of one fresh
-    simulator per workload).  :meth:`reset` restores the post-construction
+    calls are independent: implementations reset per-run simulator state
+    first, so results never depend on call order (as if each workload ran
+    on a fresh simulator).  :meth:`reset` restores the post-construction
     state explicitly.
     """
 

@@ -10,8 +10,6 @@ speedup composition.
 import numpy as np
 import pytest
 
-from repro.baselines.chameleon import Chameleon
-from repro.baselines.tensordimm import TensorDIMM
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.simulator import RecNMPConfig, RecNMPSimulator
 from repro.dlrm.config import RM2_LARGE
@@ -20,6 +18,7 @@ from repro.dlrm.model import DLRMModel
 from repro.dlrm.config import scaled_config, RM1_SMALL
 from repro.dlrm.operators import SLSRequest, sparse_lengths_sum
 from repro.perf.end_to_end import EndToEndModel
+from repro.systems import build_system
 from repro.traces.production import (
     make_combined_trace,
     make_production_table_traces,
@@ -127,13 +126,20 @@ class TestBaselineOrdering:
     def test_ordering_at_4x2(self):
         # Use a full-size packet (8 poolings x 40 lookups) so the per-packet
         # overheads are amortised the way the paper's workloads amortise them.
-        recnmp = _run(dict(num_dimms=4, ranks_per_dimm=2),
-                      _production_requests(seed=6, batch=8, pooling=40))
-        tensordimm = TensorDIMM(num_dimms=4,
-                                ranks_per_dimm=2).memory_latency_speedup()
-        chameleon = Chameleon(num_dimms=4,
-                              ranks_per_dimm=2).memory_latency_speedup()
-        assert recnmp.speedup_vs_baseline > tensordimm > chameleon > 1.0
+        requests = _production_requests(seed=6, batch=8, pooling=40)
+        recnmp = _run(dict(num_dimms=4, ranks_per_dimm=2), requests)
+        tensordimm, chameleon = (
+            build_system(name, num_dimms=4, ranks_per_dimm=2,
+                         vector_size_bytes=VECTOR_BYTES,
+                         address_of=_address_of).run(requests)
+            for name in ("tensordimm", "chameleon"))
+        assert recnmp.speedup_vs_baseline > \
+            tensordimm.speedup_vs_baseline > \
+            chameleon.speedup_vs_baseline > 1.0
+        # Both are grounded on the DDR4 baseline the RecNMP run compares
+        # against.
+        assert tensordimm.baseline_cycles == chameleon.baseline_cycles == \
+            recnmp.baseline_cycles
 
     def test_rank_level_scaling_beats_dimm_level(self):
         # Increasing ranks per DIMM helps RecNMP but not the DIMM-level
@@ -143,9 +149,14 @@ class TestBaselineOrdering:
         recnmp_1x4 = _run(dict(num_dimms=1, ranks_per_dimm=4),
                           _production_requests(seed=7, pooling=32))
         assert recnmp_1x4.total_cycles < recnmp_1x2.total_cycles
-        assert TensorDIMM(num_dimms=1, ranks_per_dimm=4). \
-            memory_latency_speedup() == \
-            TensorDIMM(num_dimms=1, ranks_per_dimm=2).memory_latency_speedup()
+        requests = _production_requests(seed=7, pooling=32)
+        tensordimm_1x2, tensordimm_1x4 = (
+            build_system("tensordimm", num_dimms=1, ranks_per_dimm=ranks,
+                         vector_size_bytes=VECTOR_BYTES,
+                         address_of=_address_of).run(requests)
+            for ranks in (2, 4))
+        assert tensordimm_1x4.speedup_vs_baseline == \
+            tensordimm_1x2.speedup_vs_baseline
 
 
 class TestEnergyAndEndToEnd:

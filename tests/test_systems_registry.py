@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines.host import HostBaseline
 from repro.core.multi_channel import MultiChannelRecNMP
 from repro.core.simulator import RecNMPConfig, RecNMPSimulator
 from repro.dlrm.operators import SLSRequest
 from repro.dram.system import DramSystemConfig
+from repro.perf.baseline_cache import run_baseline_trace
 from repro.systems import (
     SystemResult,
     TableLayout,
@@ -94,7 +94,7 @@ class TestRegistry:
 
 
 class TestLegacyEquivalence:
-    """Registry-built systems reproduce the legacy per-system APIs."""
+    """Registry-built systems reproduce the simulators they wrap."""
 
     def test_recnmp_matches_legacy_simulator(self):
         requests = tiny_requests()
@@ -113,17 +113,21 @@ class TestLegacyEquivalence:
         assert result.energy_nj == pytest.approx(legacy_result.energy_nj)
         assert result.raw.num_packets == legacy_result.num_packets
 
-    def test_host_matches_legacy_run_trace(self):
+    def test_host_matches_ddr4_trace(self):
         requests = tiny_requests()
         addresses = [address_of(r.table_id, int(row))
                      for r in requests for row in r.indices]
-        legacy = HostBaseline(dram_config=DramSystemConfig(
-            num_channels=1, dimms_per_channel=4, ranks_per_dimm=2))
-        legacy_result = legacy.run_trace(addresses,
-                                         vector_bytes=VECTOR_BYTES)
+        config = DramSystemConfig(num_channels=1, dimms_per_channel=4,
+                                  ranks_per_dimm=2)
+        trace_result = run_baseline_trace(config, addresses,
+                                          request_bytes=VECTOR_BYTES,
+                                          use_cache=False)
         result = build("host").run(requests)
-        assert result.total_cycles == legacy_result.cycles
-        assert result.latency_ns == pytest.approx(legacy_result.latency_ns)
+        assert result.total_cycles == trace_result.cycles
+        assert result.latency_ns == pytest.approx(
+            trace_result.cycles * config.timing.cycle_time_ns)
+        assert result.energy_nj == pytest.approx(trace_result.energy_nj)
+        assert result.raw.as_dict() == trace_result.as_dict()
         assert result.speedup_vs_baseline == 1.0
 
     def test_multichannel_matches_legacy_coordinator(self):
