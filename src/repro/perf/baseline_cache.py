@@ -17,18 +17,13 @@ by callers, which all current callers honour.
 
 import dataclasses
 import hashlib
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.dram.system import DramSystem
+from repro.utils.lru import LRUCache
 
-_LOCK = threading.Lock()
-_CACHE = OrderedDict()
-_MAX_ENTRIES = 128
-_HITS = 0
-_MISSES = 0
+_CACHE = LRUCache(128)
 
 
 def trace_fingerprint(physical_addresses):
@@ -77,31 +72,21 @@ def run_baseline_trace(config, physical_addresses, request_bytes=64,
     ``config`` is the :class:`~repro.dram.system.DramSystemConfig`.  With
     ``use_cache`` (the default) the simulation result is memoised.
     """
-    global _HITS, _MISSES
     key = None
     if use_cache:
         key = baseline_cache_key(config, physical_addresses, request_bytes,
                                  outstanding_per_channel)
-    if key is None:
-        return DramSystem(config).run_trace(
-            physical_addresses, request_bytes=request_bytes,
-            outstanding_per_channel=outstanding_per_channel)
-    with _LOCK:
-        if key in _CACHE:
-            _HITS += 1
-            _CACHE.move_to_end(key)
-            return _CACHE[key]
-    # Simulate outside the lock: two threads racing on the same key at most
-    # duplicate the work, they never corrupt the cache.
+    if key is not None:
+        result = _CACHE.get(key)
+        if result is not None:
+            return result
+    # Simulate outside the cache lock: two threads racing on the same key
+    # at most duplicate the work, they never corrupt the cache.
     result = DramSystem(config).run_trace(
         physical_addresses, request_bytes=request_bytes,
         outstanding_per_channel=outstanding_per_channel)
-    with _LOCK:
-        _MISSES += 1
-        _CACHE[key] = result
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > _MAX_ENTRIES:
-            _CACHE.popitem(last=False)
+    if key is not None:
+        _CACHE.put(key, result)
     return result
 
 
@@ -113,8 +98,7 @@ def export_baseline_entries():
     channel simulation produced so the parent can merge them back and
     later dispatches (on any backend) replay the stored baselines.
     """
-    with _LOCK:
-        return list(_CACHE.items())
+    return _CACHE.export_entries()
 
 
 def merge_baseline_entries(pairs, hits=0, misses=0):
@@ -127,28 +111,15 @@ def merge_baseline_entries(pairs, hits=0, misses=0):
     into the process-wide statistics so cache-effectiveness reports stay
     meaningful under the process backend.
     """
-    global _HITS, _MISSES
-    with _LOCK:
-        for key, result in pairs:
-            if key not in _CACHE:
-                _CACHE[key] = result
-            _CACHE.move_to_end(key)
-        while len(_CACHE) > _MAX_ENTRIES:
-            _CACHE.popitem(last=False)
-        _HITS += int(hits)
-        _MISSES += int(misses)
+    _CACHE.merge_entries(pairs, hits=hits, misses=misses)
 
 
 def clear_baseline_cache():
     """Drop every memoised baseline result and zero the hit counters."""
-    global _HITS, _MISSES
-    with _LOCK:
-        _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
+    _CACHE.clear()
 
 
 def baseline_cache_stats():
     """Return ``{"entries", "hits", "misses"}`` for the process-wide cache."""
-    with _LOCK:
-        return {"entries": len(_CACHE), "hits": _HITS, "misses": _MISSES}
+    stats = _CACHE.stats()
+    return {name: stats[name] for name in ("entries", "hits", "misses")}

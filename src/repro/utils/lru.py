@@ -1,12 +1,12 @@
 """A small thread-safe LRU mapping with hit/miss accounting.
 
-Factored out of the memoisation pattern in
-:mod:`repro.perf.baseline_cache`: an :class:`collections.OrderedDict`
-bounded to ``max_entries``, least-recently-used eviction, and hit/miss
-counters for diagnostics.  Used to bound the serving cluster's per-batch
-service-time cache and the interpolating service model's calibration
-grids, both of which would otherwise grow without limit on long trace
-replays.
+An :class:`collections.OrderedDict` bounded to ``max_entries``,
+least-recently-used eviction, and hit/miss counters for diagnostics.
+It is the process-wide DDR4 baseline memo of
+:mod:`repro.perf.baseline_cache`, and it bounds the serving cluster's
+per-batch service-time cache and the interpolating service model's
+calibration grids, which would otherwise grow without limit on long
+trace replays.
 """
 
 import threading
@@ -72,8 +72,8 @@ class LRUCache:
         """Snapshot the cache as ``(key, value)`` pairs, LRU first.
 
         The worker-to-parent merge primitive of the parallel serving
-        paths (mirroring
-        :func:`repro.perf.baseline_cache.export_baseline_entries`): a
+        paths and of
+        :func:`repro.perf.baseline_cache.export_baseline_entries`: a
         worker exports the entries its simulations produced so the
         parent can fold them back with :meth:`merge_entries`.
         """
