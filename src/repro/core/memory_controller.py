@@ -38,37 +38,30 @@ class NMPMemoryController:
         Channel-wide rank count of the attached RecNMP channel.
     scheduling_policy:
         ``"fcfs"`` or ``"table-aware"`` (Section III-D).
-    rank_of_address:
-        Callable mapping a physical byte address to a channel-wide rank
-        index; defaults to 64 B-block interleaving across ranks.
+    ranks_of_addresses:
+        Callable mapping a numpy array of physical byte addresses, in
+        schedule order, to an array of channel-wide rank indices; called
+        once per dispatch.  Defaults to 64 B-block interleaving across
+        ranks.  A stateful mapping (first-touch page colouring) sees the
+        addresses in the order their instructions issue.
     reorder_window:
         FR-FCFS reordering window *within* a packet: instructions to the
         same DRAM row within the window are grouped to increase row-buffer
         hits (the host-side controller does the heavy lifting of request
         reordering per the paper).
-    ranks_of_addresses:
-        Optional vectorised counterpart of ``rank_of_address``: a callable
-        mapping a numpy array of physical byte addresses to a numpy array
-        of rank indices.  When given, the per-packet rank computation runs
-        as one array operation instead of one Python call per instruction.
-        Only valid for *stateless* mappings (a stateful mapping such as
-        first-touch page colouring depends on call order and must come in
-        as the scalar ``rank_of_address``).
     """
 
     def __init__(self, num_ranks=8, scheduling_policy="table-aware",
-                 rank_of_address=None, reorder_window=16,
-                 ranks_of_addresses=None):
+                 ranks_of_addresses=None, reorder_window=16):
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
         if reorder_window < 1:
             raise ValueError("reorder_window must be >= 1")
         self.num_ranks = int(num_ranks)
         self.scheduler = PacketScheduler(policy=scheduling_policy)
-        if rank_of_address is None:
-            rank_of_address = lambda address: \
-                (address // 64) % self.num_ranks  # noqa: E731
-        self.rank_of_address = rank_of_address
+        if ranks_of_addresses is None:
+            ranks_of_addresses = lambda addresses: \
+                (addresses // 64) % self.num_ranks  # noqa: E731
         self.ranks_of_addresses = ranks_of_addresses
         self.reorder_window = int(reorder_window)
         self.stats = NMPControllerStats()
@@ -90,11 +83,10 @@ class NMPMemoryController:
         packet -- its slice of ``ranks`` and its issue order as an index
         array (None when the packet issues in packet order).
 
-        Ranks come from the vectorised ``ranks_of_addresses`` hook when
-        available, otherwise from one scalar ``rank_of_address`` call per
-        instruction in schedule order -- the first-touch order a stateful
-        mapping (page colouring) depends on.  They are validated once, so
-        an invalid rank raises before any packet runs.  Within a sliding
+        Ranks come from one ``ranks_of_addresses`` call over the
+        dispatch's addresses in schedule order -- the first-touch order a
+        stateful mapping (page colouring) depends on.  They are validated
+        once, so an invalid rank raises before any packet runs.  Within a sliding
         window, instructions that target an already-open row (same row as
         the previous instruction to that rank) are hoisted to issue
         consecutively; ordering across PsumTags is irrelevant for
@@ -103,14 +95,8 @@ class NMPMemoryController:
         """
         daddrs = np.concatenate([packed.daddrs for packed in packed_list]) \
             if packed_list else np.zeros(0, np.int64)
-        if self.ranks_of_addresses is not None:
-            ranks = np.asarray(self.ranks_of_addresses(daddrs * 64),
-                               dtype=np.int64)
-        else:
-            rank_of_address = self.rank_of_address
-            ranks = np.fromiter((rank_of_address(daddr * 64)
-                                 for daddr in daddrs.tolist()),
-                                np.int64, len(daddrs))
+        ranks = np.asarray(self.ranks_of_addresses(daddrs * 64),
+                           dtype=np.int64)
         require_valid_ranks(ranks, self.num_ranks)
         rows = daddrs // 128
         issue = []

@@ -159,33 +159,31 @@ class RecNMPSimulator:
     # ------------------------------------------------------------------ #
     # Rank assignment                                                    #
     # ------------------------------------------------------------------ #
-    def _rank_of_address(self, physical_address):
-        num_ranks = self.config.num_ranks
-        if self.config.rank_assignment == "page-coloring":
-            # Whole 4 KB pages (and therefore whole tables allocated with a
-            # single colour) are pinned to a rank; colours are assigned
-            # round-robin in first-touch order which balances the load of
-            # concurrently-running SLS operators.
-            page = physical_address // 4096
-            if page not in self._page_rank_cache:
-                self._page_rank_cache[page] = \
-                    len(self._page_rank_cache) % num_ranks
-            return self._page_rank_cache[page]
-        # Address-hash assignment: the OS's random page mapping spreads 64 B
-        # blocks over ranks quasi-randomly.
-        block = physical_address // 64
-        return (block ^ (block >> 7) ^ (block >> 13)) % num_ranks
+    def _ranks_of_addresses(self, addresses):
+        """Channel-rank index of each physical byte address (numpy array).
 
-    def _ranks_of_byte_addresses(self, addresses):
-        """Vectorised address-hash assignment over a numpy address array.
-
-        Only valid for ``rank_assignment="address"`` (stateless hash);
-        page colouring is first-touch-order dependent and keeps the scalar
-        path.
+        Page colouring pins whole 4 KB pages (and therefore whole tables
+        allocated with a single colour) to a rank; colours go round-robin
+        to pages in first-touch order across every dispatch since the
+        last reset, which balances the load of concurrently-running SLS
+        operators.  Address hashing models the OS's random page mapping,
+        which spreads 64 B blocks over ranks quasi-randomly.
         """
-        blocks = addresses // 64
-        return (blocks ^ (blocks >> 7) ^ (blocks >> 13)) \
-            % self.config.num_ranks
+        num_ranks = self.config.num_ranks
+        if self.config.rank_assignment == "address":
+            blocks = addresses // 64
+            return (blocks ^ (blocks >> 7) ^ (blocks >> 13)) % num_ranks
+        pages, first, inverse = np.unique(addresses // 4096,
+                                          return_index=True,
+                                          return_inverse=True)
+        known = self._page_rank_cache
+        colours = np.array([known.get(page, -1) for page in pages.tolist()],
+                           dtype=np.int64)
+        new = np.flatnonzero(colours < 0)
+        new = new[np.argsort(first[new], kind="stable")]
+        colours[new] = (len(known) + np.arange(new.size)) % num_ranks
+        known.update(zip(pages[new].tolist(), colours[new].tolist()))
+        return colours[inverse]
 
     # ------------------------------------------------------------------ #
     # Execution                                                          #
@@ -201,10 +199,7 @@ class RecNMPSimulator:
         controller = NMPMemoryController(
             num_ranks=self.config.num_ranks,
             scheduling_policy=self.config.scheduling_policy,
-            rank_of_address=self._rank_of_address,
-            ranks_of_addresses=(
-                self._ranks_of_byte_addresses
-                if self.config.rank_assignment == "address" else None),
+            ranks_of_addresses=self._ranks_of_addresses,
         )
         if per_source_submission is None:
             per_source_submission = [[request] for request in requests]

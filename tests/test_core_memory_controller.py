@@ -1,5 +1,6 @@
 """Tests for repro.core.memory_controller (the NMP extension)."""
 
+import numpy as np
 import pytest
 
 from repro.core.instruction import (
@@ -11,6 +12,7 @@ from repro.core.instruction import (
 from repro.core.memory_controller import NMPMemoryController
 from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMPConfig
+from repro.core.simulator import RecNMPConfig, RecNMPSimulator
 
 from nmp_packets import instructions_of, packet_of
 
@@ -125,8 +127,8 @@ class TestReordering:
         # negative rank would silently wrap around if not caught first.
         controller = NMPMemoryController(
             num_ranks=4,
-            rank_of_address=lambda address: bad_rank
-            if address == 0 else 1)
+            ranks_of_addresses=lambda addresses: np.where(
+                addresses == 0, bad_rank, 1))
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
         packet = _packet(0, 0, 0, count=8)
         with pytest.raises(ValueError, match="invalid rank %d" % bad_rank):
@@ -140,7 +142,8 @@ class TestReordering:
         # packets scheduled ahead of the bad one never reach the channel.
         controller = NMPMemoryController(
             num_ranks=4, scheduling_policy="fcfs",
-            rank_of_address=lambda address: 9 if address == 0 else 1)
+            ranks_of_addresses=lambda addresses: np.where(
+                addresses == 0, 9, 1))
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
         controller.submit([_packet(0, 0, 1), _packet(0, 0, 2),
                            _packet(0, 0, 0)])
@@ -178,22 +181,35 @@ class TestPerRankStats:
         expected = {}
         for packet in packets:
             for daddr in packet.instructions.daddrs.tolist():
-                rank = controller.rank_of_address(daddr * 64)
+                rank = daddr % 4     # 64 B blocks interleaved over ranks
                 expected[rank] = expected.get(rank, 0) + 1
         assert controller.stats.per_rank_instructions == expected
         assert sum(expected.values()) == 64
 
     def test_vectorised_rank_mapping_matches_scalar(self):
-        def ranks_of(addresses):
-            return (addresses // 64) % 4
-
-        scalar = NMPMemoryController(num_ranks=4)
-        vectorised = NMPMemoryController(num_ranks=4,
-                                         ranks_of_addresses=ranks_of)
-        packet = _packet(0, 0, 0, count=16)
-        vectorised_ranks, [(_, vectorised_order)] = \
-            vectorised._issue_orders([packet.instructions])
-        scalar_ranks, [(_, scalar_order)] = scalar._issue_orders(
-            [packet.instructions])
-        assert vectorised_ranks.tolist() == scalar_ranks.tolist()
-        assert vectorised_order.tolist() == scalar_order.tolist()
+        """Page colouring maps a dispatch's addresses in one array pass;
+        it must colour pages exactly like a scalar first-touch loop,
+        across dispatches (colours persist until reset)."""
+        config = RecNMPConfig(num_dimms=2, ranks_per_dimm=2,
+                              rank_assignment="page-coloring")
+        simulator = RecNMPSimulator(config)
+        controller = NMPMemoryController(
+            num_ranks=config.num_ranks,
+            ranks_of_addresses=simulator._ranks_of_addresses)
+        colours = {}
+        rng = np.random.default_rng(3)
+        for dispatch in range(4):
+            packet = _packet(0, 0, dispatch, count=int(rng.integers(3, 40)),
+                             stride=int(rng.integers(1, 200)))
+            ranks, _ = controller._issue_orders([packet.instructions])
+            expected = []
+            for daddr in packet.instructions.daddrs.tolist():
+                page = daddr * 64 // 4096
+                if page not in colours:
+                    colours[page] = len(colours) % config.num_ranks
+                expected.append(colours[page])
+            assert ranks.tolist() == expected
+        assert len(colours) > config.num_ranks
+        simulator.reset()
+        assert simulator._ranks_of_addresses(
+            np.array([4096 * 999], dtype=np.int64)).tolist() == [0]
