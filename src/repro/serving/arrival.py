@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.traces.synthetic import batched_requests_from_trace
+from repro.serving.query_columns import query_columns_from_traces
 
 
 @dataclass
@@ -218,10 +218,7 @@ class PoissonArrivalProcess:
         """Cumulative arrival times (us) of ``num_queries`` queries."""
         if num_queries < 0:
             raise ValueError("num_queries must be non-negative")
-        rng = np.random.default_rng(self.seed)
-        mean_gap_us = 1e6 / self.rate_qps
-        gaps = rng.exponential(mean_gap_us, size=num_queries)
-        return np.cumsum(gaps)
+        return self.stream().take(num_queries)
 
     def stream(self):
         """Resumable arrival stream: ``take(a)`` then ``take(b)`` equals
@@ -376,17 +373,6 @@ class MMPPArrivalProcess:
         return _MMPPArrivalStream(self)
 
 
-def _per_table(value, num_tables, name):
-    """Broadcast a scalar (or validate a sequence of) per-table values."""
-    if np.ndim(value) == 0:
-        return [int(value)] * num_tables
-    values = [int(v) for v in value]
-    if len(values) != num_tables:
-        raise ValueError("need one %s per trace (%d traces, %d values)"
-                         % (name, num_tables, len(values)))
-    return values
-
-
 def queries_from_traces(traces, num_queries, arrivals, batch_size=4,
                         pooling_factor=20, start_id=0):
     """Materialise serving queries from per-table embedding traces.
@@ -399,32 +385,14 @@ def queries_from_traces(traces, num_queries, arrivals, batch_size=4,
     requests per table produce the skewed table loads that
     replication-aware sharding targets.  ``arrivals`` is an arrival
     process or a precomputed array of arrival times in microseconds.
+    The queries are read off :func:`query_columns_from_traces`, so the
+    object and column forms of a stream are row-for-row identical.
     """
-    if num_queries <= 0:
-        raise ValueError("num_queries must be positive")
-    if hasattr(arrivals, "arrival_times_us"):
-        arrival_times = arrivals.arrival_times_us(num_queries)
-    else:
-        arrival_times = np.asarray(arrivals, dtype=np.float64)
-        if arrival_times.size != num_queries:
-            raise ValueError("need one arrival time per query")
-    batch_sizes = _per_table(batch_size, len(traces), "batch size")
-    pooling_factors = _per_table(pooling_factor, len(traces),
-                                 "pooling factor")
-    per_table_requests = []
-    for trace, table_batch, table_pooling in zip(traces, batch_sizes,
-                                                 pooling_factors):
-        requests = batched_requests_from_trace(trace, table_batch,
-                                               table_pooling)
-        if not requests:
-            raise ValueError("trace %r too short for one %dx%d request"
-                             % (trace.name, table_batch, table_pooling))
-        per_table_requests.append(requests)
-    queries = []
-    for i in range(num_queries):
-        requests = [candidates[i % len(candidates)]
-                    for candidates in per_table_requests]
-        queries.append(ServingQuery(query_id=start_id + i,
-                                    arrival_us=float(arrival_times[i]),
-                                    requests=requests))
-    return queries
+    columns = query_columns_from_traces(traces, num_queries, arrivals,
+                                        batch_size, pooling_factor, start_id)
+    row_requests = columns.provider.row_requests
+    return [ServingQuery(query_id=query_id, arrival_us=arrival_us,
+                         requests=row_requests(row))
+            for query_id, arrival_us, row in zip(
+                columns.query_id.tolist(), columns.arrival_us.tolist(),
+                columns.rows.tolist())]

@@ -42,7 +42,6 @@ import math
 
 import numpy as np
 
-from repro.serving.arrival import _per_table
 from repro.traces.synthetic import batched_requests_from_trace
 
 #: Residue-pattern periods above this fall back to a per-pattern dict;
@@ -50,13 +49,25 @@ from repro.traces.synthetic import batched_requests_from_trace
 _MAX_DIGEST_PERIOD = 1 << 16
 
 
+def _per_table(value, num_tables, name):
+    """Broadcast a scalar (or validate a sequence of) per-table values."""
+    if np.ndim(value) == 0:
+        return [int(value)] * num_tables
+    values = [int(v) for v in value]
+    if len(values) != num_tables:
+        raise ValueError("need one %s per trace (%d traces, %d values)"
+                         % (name, num_tables, len(values)))
+    return values
+
+
 class _CycledRequests:
     """Request provider cycling per-table candidate requests by row id.
 
     The provider behind :func:`query_columns_from_traces` and
-    :class:`QueryStream`: row ``r`` carries request
-    ``candidates[r % len(candidates)]`` from every table, exactly like
-    :func:`repro.serving.arrival.queries_from_traces`.  Fingerprints are
+    :class:`QueryStream` (and so of
+    :func:`repro.serving.arrival.queries_from_traces`): row ``r``
+    carries request ``candidates[r % len(candidates)]`` from every
+    table.  Fingerprints are
     memoised per *residue pattern*: the request content of row ``r``
     repeats with period lcm(candidate counts), so a million-query stream
     usually needs only a handful of distinct digests.
@@ -76,6 +87,25 @@ class _CycledRequests:
         self.period = period if period <= _MAX_DIGEST_PERIOD else 0
         self._content = [[None] * count for count in self._counts]
         self._digests = {}
+
+    @classmethod
+    def from_traces(cls, traces, batch_size, pooling_factor):
+        """Cut each trace into ``batch_size`` x ``pooling_factor``
+        requests, in order; both accept a per-trace sequence."""
+        batch_sizes = _per_table(batch_size, len(traces), "batch size")
+        pooling_factors = _per_table(pooling_factor, len(traces),
+                                     "pooling factor")
+        per_table_requests = []
+        for trace, table_batch, table_pooling in zip(traces, batch_sizes,
+                                                     pooling_factors):
+            requests = batched_requests_from_trace(trace, table_batch,
+                                                   table_pooling)
+            if not requests:
+                raise ValueError(
+                    "trace %r too short for one %dx%d request"
+                    % (trace.name, table_batch, table_pooling))
+            per_table_requests.append(requests)
+        return cls(per_table_requests)
 
     def row_requests(self, row):
         """The SLS requests of row ``row`` (shared candidate objects)."""
@@ -262,14 +292,14 @@ class QueryColumns:
 
 def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
                               pooling_factor=20, start_id=0):
-    """Array-path equivalent of
-    :func:`repro.serving.arrival.queries_from_traces`.
+    """Serving queries from per-table embedding traces, as columns.
 
-    Same request recipe -- query ``i`` carries candidate ``i % len``
-    from every table -- but per-query lookup/pooling counts come from a
-    vectorised pass over the candidate statistics and no query objects
-    are built.  Row-for-row identical to the object path (ids, arrivals,
-    request content, fingerprints).
+    The one query recipe: query ``i`` carries candidate ``i % len`` of
+    every table's requests (see
+    :func:`repro.serving.arrival.queries_from_traces`, which builds its
+    ``ServingQuery`` objects from these columns).  Per-query
+    lookup/pooling counts come from a vectorised pass over the candidate
+    statistics.
     """
     if num_queries <= 0:
         raise ValueError("num_queries must be positive")
@@ -279,19 +309,8 @@ def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
         arrival_times = np.asarray(arrivals, dtype=np.float64)
         if arrival_times.size != num_queries:
             raise ValueError("need one arrival time per query")
-    batch_sizes = _per_table(batch_size, len(traces), "batch size")
-    pooling_factors = _per_table(pooling_factor, len(traces),
-                                 "pooling factor")
-    per_table_requests = []
-    for trace, table_batch, table_pooling in zip(traces, batch_sizes,
-                                                 pooling_factors):
-        requests = batched_requests_from_trace(trace, table_batch,
-                                               table_pooling)
-        if not requests:
-            raise ValueError("trace %r too short for one %dx%d request"
-                             % (trace.name, table_batch, table_pooling))
-        per_table_requests.append(requests)
-    provider = _CycledRequests(per_table_requests)
+    provider = _CycledRequests.from_traces(traces, batch_size,
+                                           pooling_factor)
     rows = np.arange(num_queries, dtype=np.int64)
     return _columns_for_rows(provider, rows, arrival_times,
                              start_id + rows)
@@ -337,20 +356,8 @@ class QueryStream:
                  pooling_factor=20, start_id=0):
         if num_queries is not None and num_queries <= 0:
             raise ValueError("num_queries must be positive (or None)")
-        batch_sizes = _per_table(batch_size, len(traces), "batch size")
-        pooling_factors = _per_table(pooling_factor, len(traces),
-                                     "pooling factor")
-        per_table_requests = []
-        for trace, table_batch, table_pooling in zip(traces, batch_sizes,
-                                                     pooling_factors):
-            requests = batched_requests_from_trace(trace, table_batch,
-                                                   table_pooling)
-            if not requests:
-                raise ValueError(
-                    "trace %r too short for one %dx%d request"
-                    % (trace.name, table_batch, table_pooling))
-            per_table_requests.append(requests)
-        self.provider = _CycledRequests(per_table_requests)
+        self.provider = _CycledRequests.from_traces(traces, batch_size,
+                                                    pooling_factor)
         if hasattr(arrivals, "stream"):
             self._arrivals = arrivals.stream()
         elif hasattr(arrivals, "take"):
