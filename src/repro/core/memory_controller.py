@@ -86,9 +86,9 @@ class NMPMemoryController:
         Ranks come from one ``ranks_of_addresses`` call over the
         dispatch's addresses in schedule order -- the first-touch order a
         stateful mapping (page colouring) depends on.  They are validated
-        once, so an invalid rank raises before any packet runs.  Within a sliding
-        window, instructions that target an already-open row (same row as
-        the previous instruction to that rank) are hoisted to issue
+        once, so an invalid rank raises before any packet runs.  Within a
+        sliding window, instructions that target an already-open row (same
+        row as the previous instruction to that rank) are hoisted to issue
         consecutively; ordering across PsumTags is irrelevant for
         correctness because each accumulates into its own register.  Rows
         are ``daddr // 128`` (128 columns per row).
