@@ -26,17 +26,21 @@ SCALES = (0.5, 2.0, 4.0)
 def runs(draw):
     """Arrivals on a 12.5 us lattice (ties and exact deadline hits),
     absolute deadlines with NaN for none, batcher triggers and one
-    service time per query (enough for any batching)."""
+    service time per query (enough for any batching).  Times are normal
+    floats: a mean of subnormal times loses bits, so scaling it is not
+    exact."""
     ticks = sorted(draw(st.lists(st.integers(0, 400), min_size=1,
                                  max_size=60)))
     arrivals = 12.5 * np.array(ticks, dtype=np.float64)
     size = arrivals.size
     slacks = draw(st.lists(
-        st.one_of(st.just(math.nan), st.floats(0.0, 2_000.0)),
+        st.one_of(st.just(math.nan),
+                  st.floats(0.0, 2_000.0, allow_subnormal=False)),
         min_size=size, max_size=size))
     max_queries = draw(st.integers(1, 8))
-    max_delay_us = draw(st.one_of(st.sampled_from([0.0, 12.5, 50.0]),
-                                  st.floats(0.0, 500.0)))
+    max_delay_us = draw(st.one_of(
+        st.sampled_from([0.0, 12.5, 50.0]),
+        st.floats(0.0, 500.0, allow_subnormal=False)))
     services = draw(st.lists(st.floats(0.5, 400.0), min_size=size,
                              max_size=size))
     return (arrivals, arrivals + np.array(slacks), max_queries,
