@@ -4,22 +4,27 @@ This subpackage is the Ramulator-equivalent substrate the RecNMP evaluation
 is built on.  It models:
 
 * DDR4-2400 device timing (Table I of the paper),
-* bank / bank-group / rank / channel state machines,
-* a host-side FR-FCFS memory controller with an open-page policy,
+* bank and rank state machines (:class:`Bank`, :class:`Rank`), which the
+  rank-NMP units issue their commands through,
+* the host-side FR-FCFS memory controller with an open-page policy, the
+  DDR4 baseline every speedup is normalised against,
 * Intel Skylake-style physical-to-DRAM address mapping,
 * DRAM access energy.
+
+The :class:`MemoryController` holds its channel's bank, rank and bus state
+as flat lists, not as ``Bank``/``Rank`` objects, and runs each drain as one
+loop over them.  It schedules from a per-rank readiness cache, and checks
+every command it issues against a fresh computation from that flat state
+(bank timing, tRRD, tFAW, tCCD, the rank and channel data buses with the
+rank-switch penalty, the C/A slot) before the command changes any state.
+:class:`DramSystem` decodes a whole trace at once and hands each channel's
+controller its bursts as int columns.
 """
 
 from repro.dram.timing import DDR4Timing, DDR4_2400
-from repro.dram.commands import (
-    CommandType,
-    DramCommand,
-    MemoryRequest,
-    RequestType,
-)
+from repro.dram.commands import CommandType, MemoryRequest, RequestType
 from repro.dram.bank import Bank
 from repro.dram.rank import Rank
-from repro.dram.channel import Channel
 from repro.dram.address_mapping import (
     DramAddress,
     MemoryGeometry,
@@ -33,12 +38,10 @@ __all__ = [
     "DDR4Timing",
     "DDR4_2400",
     "CommandType",
-    "DramCommand",
     "MemoryRequest",
     "RequestType",
     "Bank",
     "Rank",
-    "Channel",
     "DramAddress",
     "MemoryGeometry",
     "SkylakeAddressMapping",

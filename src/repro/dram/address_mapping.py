@@ -13,6 +13,8 @@ rank, lives in the RecNMP model instead:
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class DramAddress:
@@ -76,22 +78,7 @@ class MemoryGeometry:
         return self.bytes_per_rank * self.total_ranks
 
 
-class _BaseMapping:
-    """Common helpers for the concrete address mappings."""
-
-    def __init__(self, geometry=None):
-        self.geometry = geometry or MemoryGeometry()
-
-    def map(self, physical_address):
-        """Return the :class:`DramAddress` for a physical byte address."""
-        raise NotImplementedError
-
-    def _split(self, value, modulus):
-        """Return (value // modulus is next, value % modulus is field)."""
-        return value // modulus, value % modulus
-
-
-class SkylakeAddressMapping(_BaseMapping):
+class SkylakeAddressMapping:
     """Skylake-style open-page-friendly mapping with bank XOR hashing.
 
     Bit allocation (on the 64-byte block address, low to high):
@@ -101,17 +88,28 @@ class SkylakeAddressMapping(_BaseMapping):
     bits decorrelates conflicts for strided access.
     """
 
+    def __init__(self, geometry=None):
+        self.geometry = geometry or MemoryGeometry()
+
     def map(self, physical_address):
-        if physical_address < 0:
+        """Return the :class:`DramAddress` for a physical byte address."""
+        return DramAddress(*(int(field[0]) for field in
+                             self.map_array([physical_address])))
+
+    def map_array(self, physical_addresses):
+        """:meth:`map` over a sequence of byte addresses at once: one int64
+        array per :class:`DramAddress` field, in field order."""
+        addresses = np.asarray(physical_addresses, dtype=np.int64)
+        if addresses.size and addresses.min() < 0:
             raise ValueError("physical_address must be non-negative")
         g = self.geometry
-        block = physical_address // g.column_size_bytes
-        rest, channel = self._split(block, g.num_channels)
-        rest, column = self._split(rest, g.columns_per_row)
-        rest, bank_group = self._split(rest, g.bank_groups)
-        rest, bank = self._split(rest, g.banks_per_group)
-        rest, rank = self._split(rest, g.ranks_per_dimm)
-        rest, dimm = self._split(rest, g.dimms_per_channel)
+        rest = addresses // g.column_size_bytes
+        rest, channel = np.divmod(rest, g.num_channels)
+        rest, column = np.divmod(rest, g.columns_per_row)
+        rest, bank_group = np.divmod(rest, g.bank_groups)
+        rest, bank = np.divmod(rest, g.banks_per_group)
+        rest, rank = np.divmod(rest, g.ranks_per_dimm)
+        rest, dimm = np.divmod(rest, g.dimms_per_channel)
         row = rest % g.rows_per_bank
         # XOR hash: fold the low row bits into the bank/bank-group selection
         # to spread row-conflicts (mirrors the behaviour of the Skylake
@@ -119,6 +117,4 @@ class SkylakeAddressMapping(_BaseMapping):
         bank_group = (bank_group ^ (row & (g.bank_groups - 1))) % g.bank_groups
         bank = (bank ^ ((row >> 2) & (g.banks_per_group - 1))) \
             % g.banks_per_group
-        return DramAddress(channel=channel, dimm=dimm, rank=rank,
-                           bank_group=bank_group, bank=bank, row=row,
-                           column=column)
+        return channel, dimm, rank, bank_group, bank, row, column

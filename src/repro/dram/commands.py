@@ -26,25 +26,6 @@ _request_counter = itertools.count()
 
 
 @dataclass
-class DramCommand:
-    """One DDR command bound for a specific bank.
-
-    Attributes
-    ----------
-    command_type:
-        The :class:`CommandType`.
-    address:
-        The decoded :class:`~repro.dram.address_mapping.DramAddress`.
-    issue_cycle:
-        Cycle at which the controller placed the command on the C/A bus.
-    """
-
-    command_type: CommandType
-    address: object
-    issue_cycle: int = 0
-
-
-@dataclass
 class MemoryRequest:
     """A host-visible memory request (a cacheline-sized read or write).
 

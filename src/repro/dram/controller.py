@@ -1,25 +1,48 @@
-"""Host-side FR-FCFS memory controller.
+"""Host-side FR-FCFS memory controller over flat DDR4 channel state.
 
-The controller owns one channel.  Requests arrive as
-:class:`~repro.dram.commands.MemoryRequest` objects; each 64-byte burst is
-scheduled with the First-Ready, First-Come-First-Served policy: among queued
-requests whose next DDR command is ready to issue, row-buffer hits win, ties
-broken by age.  An open-page policy keeps rows open after a read.
+The controller owns one channel.  Each 64-byte read burst is scheduled with
+the First-Ready, First-Come-First-Served policy: among queued requests whose
+next DDR command is ready to issue, row-buffer hits win, ties broken by
+age.  An open-page policy keeps rows open after a read.
+
+The channel's DDR4 state is flat lists and scalars, not objects:
+
+* per bank, its open row (``-1`` when closed) and the earliest cycle an
+  ACT, a RD and a PRE may issue to it;
+* per rank, its last four ACT cycles (the tFAW ring), the cycle and bank
+  group of its last ACT and of its last column command, and the cycle its
+  data bus frees;
+* per channel, the C/A slot (the controller's clock), the data bus and
+  the rank that sent the last burst.
+
+:meth:`MemoryController._drain` runs a whole schedule as one loop with
+that state loaded into locals and written back at the end, so it persists
+from one drain to the next.  Each queued request caches the readiness its
+bank and rank impose, and each rank the earliest of its row hits and of
+its other requests, refreshed after every command to that rank; the
+scheduler picks from that cache.  Every command it issues is then checked
+once more against a fresh computation from the flat state -- the bank's
+timing, tRRD, tFAW, tCCD, the rank's data bus, the channel's data bus with
+the rank-switch penalty and the C/A slot -- and a command that is not
+legal at its cycle raises ``RuntimeError`` before any state changes.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.dram.address_mapping import SkylakeAddressMapping
-from repro.dram.channel import Channel
-from repro.dram.commands import CommandType, MemoryRequest, RequestType
-from repro.dram.timing import DDR4_2400
+from repro.dram.commands import RequestType
+from repro.dram.timing import DDR4_2400, DDR4Timing
 
 #: Cycle budget of one drain: a command that would issue more than this
 #: many cycles after the drain started raises ``RuntimeError`` instead.
 _MAX_DRAIN_CYCLES = 10_000_000
 #: Larger than any readiness cycle: the empty minimum of a scheduler pass.
 _NEVER = 1 << 62
+#: The cycle of a command that never issued: so far back that the tRRD,
+#: tCCD and tFAW constraints it yields never bind.
+_LONG_AGO = -(1 << 62)
+#: Extra cycles a burst waits for the data bus after another rank's burst.
+_RANK_SWITCH_PENALTY = 1
 
 
 @dataclass
@@ -49,51 +72,15 @@ class ControllerStats:
         return self.row_hits / total
 
 
-class _PendingRequest:
-    """Book-keeping wrapper around a queued memory request.
-
-    The request is decoded once, at admission: the channel-wide rank index
-    and the ``Rank``/``Bank`` objects it targets are cached here so the
-    per-pass readiness check never goes through the range-checked lookups.
-
-    ``rank_ready``/``is_hit`` cache the bank+rank part of the readiness
-    (:meth:`MemoryController._rank_ready`), computed at admission and again
-    after every command to ``rank_index``; ``version`` is the controller's
-    issue counter for that rank when they were computed.
-    """
-
-    __slots__ = ("request", "address", "outcome_recorded", "rank_index",
-                 "rank", "bank", "version", "rank_ready", "is_hit")
-
-    def __init__(self, request, address, rank_index, rank, bank):
-        self.request = request
-        self.address = address
-        self.outcome_recorded = False
-        self.rank_index = rank_index
-        self.rank = rank
-        self.bank = bank
-        self.version = -1
-        self.rank_ready = None
-        self.is_hit = False
-
-
 class MemoryController:
     """FR-FCFS controller for a single DRAM channel.
 
-    The controller is event-driven and makes exactly one :meth:`_step`
-    pass per issued command: the pass finds the earliest cycle any queued
+    The controller is event-driven and makes exactly one scheduler pass
+    per issued command: the pass finds the earliest cycle any queued
     command can issue and the FR-FCFS pick at that cycle, jumps the clock
     there and issues it.  Between two issues no queue, admission or timing
     state changes, so that is exactly the cycle and the command a
     one-cycle-at-a-time loop would have issued.
-
-    A command changes the state of one rank plus the channel's C/A slot
-    and data bus, so each queued request caches the readiness its bank and
-    rank impose, computed at admission and refreshed for that rank's
-    requests after every command to it; the channel part is two scalars
-    per pass.  ``Channel.issue`` then checks the command once against the
-    full layered ``Channel`` -> ``Rank`` -> ``Bank`` constraint set before
-    any state changes.
 
     Parameters
     ----------
@@ -102,8 +89,8 @@ class MemoryController:
     num_dimms, ranks_per_dimm:
         Channel population.
     address_mapping:
-        An address-mapping object with a ``map(physical_address)`` method.
-        Defaults to the Skylake-style mapping.
+        A :class:`~repro.dram.address_mapping.SkylakeAddressMapping` (the
+        default); its geometry gives the banks of each rank.
     queue_depth:
         Read-queue capacity (Table I: 32 entries).
     """
@@ -111,310 +98,410 @@ class MemoryController:
     def __init__(self, timing=None, num_dimms=1, ranks_per_dimm=2,
                  address_mapping=None, queue_depth=32, channel_index=0):
         self.timing = timing or DDR4_2400
-        self.channel = Channel(self.timing, num_dimms=num_dimms,
-                               ranks_per_dimm=ranks_per_dimm,
-                               channel_index=channel_index)
+        if not isinstance(self.timing, DDR4Timing):
+            raise TypeError("timing must be a DDR4Timing instance")
+        if num_dimms <= 0 or ranks_per_dimm <= 0:
+            raise ValueError("num_dimms and ranks_per_dimm must be positive")
         self.address_mapping = address_mapping or SkylakeAddressMapping()
         self.queue_depth = int(queue_depth)
         if self.queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
+        self.num_dimms = num_dimms
+        self.ranks_per_dimm = ranks_per_dimm
+        self.num_ranks = num_dimms * ranks_per_dimm
+        self.channel_index = channel_index
+        geometry = self.address_mapping.geometry
+        banks = self.num_ranks * geometry.bank_groups \
+            * geometry.banks_per_group
+        # Per bank: open row (-1 = closed), earliest ACT / RD / PRE cycle.
+        self._open_row = [-1] * banks
+        self._next_act = [0] * banks
+        self._next_read = [0] * banks
+        self._next_pre = [0] * banks
+        # Per rank: the last four ACT cycles, oldest at ``_faw_slot``; the
+        # last ACT and column command and their bank groups; the data bus.
+        ranks = self.num_ranks
+        self._faw_ring = [_LONG_AGO] * (4 * ranks)
+        self._faw_slot = [0] * ranks
+        self._last_act = [_LONG_AGO] * ranks
+        self._last_act_group = [-1] * ranks
+        self._last_col = [_LONG_AGO] * ranks
+        self._last_col_group = [-1] * ranks
+        self._rank_bus = [0] * ranks
+        # Per channel: the clock is the next free C/A slot; the data bus
+        # and the rank of its last burst (-1 = none yet).
         self.cycle = 0
-        self._queue = []
-        # (request, decoded address or None) pairs not yet admitted.
-        self._waiting = deque()
-        # Commands issued to each rank: the readiness cache's version tag.
-        self._rank_versions = [0] * self.channel.num_ranks
-        # The queued requests of each rank, refreshed after its commands.
-        self._rank_members = [[] for _ in range(self.channel.num_ranks)]
+        self._data_bus = 0
+        self._last_data_rank = -1
+        # Requests submitted with :meth:`enqueue` and not yet drained.
+        self._requests = []
+        #: Completion cycle of every burst of the last drain, in
+        #: submission order.
+        self.completion_cycles = []
         self.stats = ControllerStats()
 
     # ------------------------------------------------------------------ #
-    # Request admission                                                  #
+    # Request submission                                                 #
     # ------------------------------------------------------------------ #
     def enqueue(self, request):
-        """Submit a memory request; it is admitted when queue space allows."""
-        self._submit(request, None)
-
-    def _submit(self, request, address):
-        """Queue ``request`` for admission.  ``address`` is its
-        :class:`~repro.dram.address_mapping.DramAddress` when the caller
-        already decoded it, else ``None`` (decoded at admission)."""
+        """Submit a :class:`~repro.dram.commands.MemoryRequest`: it arrives
+        now and is admitted, in submission order, as the next drain finds
+        queue space; the drain fills in its ``completion_cycle``."""
         if request.request_type is not RequestType.READ:
             raise NotImplementedError(
                 "the RecNMP study only exercises read traffic")
         request.arrival_cycle = self.cycle
-        self._waiting.append((request, address))
-        self._admit_waiting()
-
-    def _admit_waiting(self):
-        channel = self.channel
-        while self._waiting and len(self._queue) < self.queue_depth:
-            request, address = self._waiting.popleft()
-            if address is None:
-                address = self.address_mapping.map(request.physical_address)
-            rank_index = channel.global_rank_index(address.dimm,
-                                                   address.rank)
-            rank = channel.rank(rank_index)
-            bank = rank.bank(address.bank_group, address.bank)
-            pending = _PendingRequest(request, address, rank_index, rank,
-                                      bank)
-            pending.rank_ready, pending.is_hit = self._rank_ready(pending)
-            pending.version = self._rank_versions[rank_index]
-            self._queue.append(pending)
-            self._rank_members[rank_index].append(pending)
+        self._requests.append(request)
 
     @property
     def pending_requests(self):
-        """Number of requests still queued or waiting for admission."""
-        return len(self._queue) + len(self._waiting)
+        """Number of submitted requests not yet drained."""
+        return len(self._requests)
 
-    # ------------------------------------------------------------------ #
-    # Scheduling                                                         #
-    # ------------------------------------------------------------------ #
-    def _rank_ready(self, pending):
-        """Earliest issue cycle of ``pending``'s next command under its
-        bank's and rank's constraints, and whether that command is a
-        row-hit RD.
-
-        The next command is RD on a row hit, ACT on a closed bank and PRE
-        on a row conflict.  The result reads only the state of
-        ``pending``'s rank, so it stays valid until a command issues to
-        that rank.  It is not clamped to the current cycle.
-        """
-        bank = pending.bank
-        open_row = bank.open_row
-        if open_row == pending.address.row:
-            timing = self.timing
-            rank = pending.rank
-            ready = bank.next_read
-            last_col = rank._last_col_cycle
-            if last_col is not None:
-                ccd = last_col + (
-                    timing.tCCD_L
-                    if pending.address.bank_group == rank._last_col_bank_group
-                    else timing.tCCD_S)
-                if ccd > ready:
-                    ready = ccd
-            # The burst must find the rank's data bus free.
-            bus = rank.next_data_bus_free - timing.tCL
-            if bus > ready:
-                ready = bus
-            return ready, True
-        if open_row is None:
-            timing = self.timing
-            rank = pending.rank
-            ready = bank.next_act
-            history = rank._act_history
-            if len(history) >= 4:
-                faw = history[-4] + timing.tFAW
-                if faw > ready:
-                    ready = faw
-            last_act = rank._last_act_cycle
-            if last_act is not None:
-                rrd = last_act + (
-                    timing.tRRD_L
-                    if pending.address.bank_group == rank._last_act_bank_group
-                    else timing.tRRD_S)
-                if rrd > ready:
-                    ready = rrd
-            return ready, False
-        return bank.next_pre, False
-
-    def _channel_floors(self):
-        """The channel part of every request's readiness: the earliest
-        cycle the channel lets an ACT or PRE issue (the C/A slot), and a
-        RD whose burst comes from the rank that sent the last one or from
-        any other rank (which also pays the rank-to-rank switch penalty;
-        both RD floors include the C/A slot)."""
-        channel = self.channel
-        ca_free = channel.next_ca_free
-        same_rank = channel.next_data_free - self.timing.tCL
-        other_rank = same_rank
-        if channel._last_data_rank is not None:
-            other_rank += channel.rank_to_rank_penalty
-        if ca_free > same_rank:
-            same_rank = ca_free
-        if ca_free > other_rank:
-            other_rank = ca_free
-        return ca_free, same_rank, other_rank
-
-    def _ready_cycle(self, pending):
-        """Earliest issue cycle of ``pending``'s next command, and whether
-        that command is a row-hit RD.
-
-        The bank+rank part (:meth:`_rank_ready`, recomputed here) combined
-        with the channel part (:meth:`_channel_floors`): the same
-        constraint set ``Channel.earliest_issue_cycle`` and the
-        ``Rank``/``Bank`` checks under it apply, not clamped to the
-        current cycle.
-        """
-        ready, is_hit = self._rank_ready(pending)
-        floor, same_rank, other_rank = self._channel_floors()
-        if is_hit:
-            floor = (same_rank
-                     if pending.rank_index == self.channel._last_data_rank
-                     else other_rank)
-        if floor > ready:
-            ready = floor
-        return ready, is_hit
-
-    def _step(self, last_cycle):
-        """Admit waiting requests, then issue the FR-FCFS pick at the
-        earliest cycle any queued command is ready: the first ready row hit
-        in arrival order, else the oldest ready request.
-
-        Readiness is :meth:`_ready_cycle`'s, with the bank+rank part read
-        from each request's cache.  Returns ``False``, issuing nothing,
-        when that cycle is past ``last_cycle``.
-        """
-        if self._waiting:
-            self._admit_waiting()
-        # The clock is the channel's next free C/A slot (both start at 0
-        # and an issue at ``c`` moves both to ``c + 1``), so no readiness
-        # below is earlier than ``cycle``.
-        cycle = self.cycle
-        ca_free, same_rank, other_rank = self._channel_floors()
-        last_data_rank = self.channel._last_data_rank
-        earliest = _NEVER
-        # The first row hit and the first other request ready at
-        # ``earliest``, in queue (arrival) order.
-        hit = other = None
-        for pending in self._queue:
-            ready = pending.rank_ready
-            if pending.is_hit:
-                floor = same_rank if pending.rank_index == last_data_rank \
-                    else other_rank
-                if floor > ready:
-                    ready = floor
-                if ready < earliest:
-                    earliest = ready
-                    other = None
-                elif ready > earliest or hit is not None:
-                    continue
-                hit = pending
-                if ready == cycle:
-                    # Nothing issues earlier and no hit at ``cycle`` is
-                    # older: this is the pick.
-                    break
-            else:
-                if ca_free > ready:
-                    ready = ca_free
-                if ready < earliest:
-                    earliest = ready
-                    hit = None
-                    other = pending
-                elif ready == earliest and other is None:
-                    other = pending
-        if earliest > last_cycle:
-            return False
-        self.cycle = earliest
-        self._issue_for(hit if hit is not None else other)
-        self.cycle = earliest + 1
-        return True
-
-    def _issue_for(self, pending):
-        address = pending.address
-        bank = pending.bank
-        row = address.row
-        if bank.open_row == row:
-            command = CommandType.RD
-        elif bank.open_row is None:
-            command = CommandType.ACT
-        else:
-            command = CommandType.PRE
-        if not pending.outcome_recorded:
-            # Record hit/miss/conflict once, at the first command issued on
-            # behalf of this request.
-            if command is CommandType.RD:
-                self.stats.row_hits += 1
-            elif command is CommandType.ACT:
-                self.stats.row_misses += 1
-            else:
-                self.stats.row_conflicts += 1
-            bank.record_access_outcome(row)
-            pending.outcome_recorded = True
-        rank_index = pending.rank_index
-        data_done = self.channel.issue(command, rank_index,
-                                       address.bank_group, address.bank,
-                                       row, self.cycle)
-        self.stats.commands_issued += 1
-        if command is CommandType.RD:
-            self._complete(pending, data_done)
-        # Only this rank's state changed: refresh its requests' caches.
-        version = self._rank_versions[rank_index] + 1
-        self._rank_versions[rank_index] = version
-        rank_ready = self._rank_ready
-        for member in self._rank_members[rank_index]:
-            member.rank_ready, member.is_hit = rank_ready(member)
-            member.version = version
-
-    def _complete(self, pending, completion_cycle):
-        pending.request.completion_cycle = completion_cycle
-        latency = completion_cycle - pending.request.arrival_cycle
-        self.stats.requests_completed += 1
-        self.stats.total_latency_cycles += latency
-        self.stats.latencies.append(latency)
-        self._queue.remove(pending)
-        self._rank_members[pending.rank_index].remove(pending)
-
-    # ------------------------------------------------------------------ #
-    # Simulation loop                                                    #
-    # ------------------------------------------------------------------ #
     def run_until_drained(self, max_cycles=None):
-        """Step until all queued requests complete.  Raises
-        ``RuntimeError`` instead of issuing a command more than
-        ``max_cycles`` (default ``_MAX_DRAIN_CYCLES``) after the start."""
-        if max_cycles is None:
-            max_cycles = _MAX_DRAIN_CYCLES
-        last_cycle = self.cycle + max_cycles
-        queue, waiting = self._queue, self._waiting
-        while queue or waiting:
-            if not self._step(last_cycle):
-                _raise_undrained(max_cycles)
-        self.stats.cycles_elapsed = self.cycle
-        return self.stats
+        """Drain every submitted request.  Raises ``RuntimeError`` instead
+        of issuing a command more than ``max_cycles`` (default
+        ``_MAX_DRAIN_CYCLES``) after the start."""
+        return self._run((), None, max_cycles)
 
     def process_trace(self, physical_addresses, batch_size=None):
-        """Convenience helper: enqueue a read for every address and drain.
+        """Convenience helper: read every address and drain.
 
-        ``batch_size`` optionally throttles admission so that at most that
+        ``batch_size`` optionally throttles arrivals so that at most that
         many requests are outstanding at once (mimicking a core's MSHR
-        limit); ``None`` enqueues everything up front.
+        limit); ``None`` submits everything up front.
         """
         check_outstanding_limit("batch_size", batch_size)
-        return self._process_bursts(
-            [(int(address), None) for address in physical_addresses],
-            batch_size)
+        return self._run(physical_addresses, batch_size, None)
 
-    def _process_bursts(self, bursts, batch_size):
-        """:meth:`process_trace` over ``(physical_address, decoded)``
-        pairs, ``decoded`` being the burst's ``DramAddress`` or ``None``
-        to decode it at admission.  ``batch_size`` is already checked."""
-        if batch_size is None:
-            for physical_address, address in bursts:
-                self._submit(MemoryRequest(physical_address=physical_address),
-                             address)
-            return self.run_until_drained()
-        max_cycles = _MAX_DRAIN_CYCLES
-        last_cycle = self.cycle + max_cycles
-        queue, waiting = self._queue, self._waiting
-        total = len(bursts)
-        index = 0
-        while index < total or queue or waiting:
-            while index < total and len(queue) + len(waiting) < batch_size:
-                physical_address, address = bursts[index]
-                self._submit(MemoryRequest(physical_address=physical_address),
-                             address)
-                index += 1
-            if not self._step(last_cycle):
-                _raise_undrained(max_cycles)
-        self.stats.cycles_elapsed = self.cycle
-        return self.stats
+    def _run(self, physical_addresses, cap, max_cycles):
+        """Drain the enqueued requests, then ``physical_addresses``
+        arriving under the outstanding cap ``cap``."""
+        requests, self._requests = self._requests, []
+        decoded = self.address_mapping.map_array(
+            [request.physical_address for request in requests]
+            + list(physical_addresses))
+        stats = self._drain(self._columns(decoded), cap, len(requests),
+                            max_cycles)
+        for request, done in zip(requests, self.completion_cycles):
+            request.completion_cycle = done
+        return stats
 
+    def _columns(self, decoded):
+        """The drain's per-burst int lists -- channel-wide rank, bank
+        group, channel-wide bank and row -- from the arrays of
+        :meth:`~repro.dram.address_mapping.SkylakeAddressMapping.map_array`
+        (the channel and column fields pick no state of this channel)."""
+        _, dimm, rank, bank_group, bank, row, _ = decoded
+        if dimm.size and (dimm.max() >= self.num_dimms
+                          or rank.max() >= self.ranks_per_dimm):
+            raise IndexError("address maps past the channel's %d DIMM(s) "
+                             "x %d rank(s)"
+                             % (self.num_dimms, self.ranks_per_dimm))
+        geometry = self.address_mapping.geometry
+        rank_index = dimm * self.ranks_per_dimm + rank
+        flat_bank = (rank_index * geometry.bank_groups + bank_group) \
+            * geometry.banks_per_group + bank
+        return (rank_index.tolist(), bank_group.tolist(), flat_bank.tolist(),
+                row.tolist())
 
-def _raise_undrained(max_cycles):
-    raise RuntimeError(
-        "controller did not drain within %d cycles" % max_cycles)
+    # ------------------------------------------------------------------ #
+    # The drain                                                          #
+    # ------------------------------------------------------------------ #
+    def _drain(self, columns, cap, submitted=0, max_cycles=None):
+        """Run every burst of ``columns`` (see :meth:`_columns`) to
+        completion and return the cumulative :class:`ControllerStats`.
+
+        The first ``submitted`` bursts arrived before the drain; the rest
+        arrive, in order, whenever fewer than ``cap`` (``None``: no limit)
+        are outstanding.  Arrived bursts are admitted first come first
+        served while the read queue has room.  Each pass then issues the
+        FR-FCFS pick at the earliest cycle any queued command is ready:
+        the first ready row hit in arrival order, else the oldest ready
+        request; the next command is RD on a row hit, ACT on a closed bank
+        and PRE on a row conflict.  Raises ``RuntimeError`` instead of
+        issuing a command more than ``max_cycles`` (default
+        ``_MAX_DRAIN_CYCLES``) after the start, or one the fresh legality
+        check rejects.
+        """
+        rank_of, group_of, bank_of, row_of = columns
+        total = len(row_of)
+        if cap is None:
+            cap = total
+        if max_cycles is None:
+            max_cycles = _MAX_DRAIN_CYCLES
+        (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
+         tRC, tRTP) = self.timing.kernel_params()
+        depth = self.queue_depth
+        open_row = self._open_row
+        next_act = self._next_act
+        next_read = self._next_read
+        next_pre = self._next_pre
+        faw_ring = self._faw_ring
+        faw_slot = self._faw_slot
+        last_act = self._last_act
+        last_act_group = self._last_act_group
+        last_col = self._last_col
+        last_col_group = self._last_col_group
+        rank_bus = self._rank_bus
+        cycle = self.cycle
+        data_bus = self._data_bus
+        last_data_rank = self._last_data_rank
+        last_cycle = cycle + max_cycles
+        arrival = [cycle] * total
+        done = [-1] * total
+        # The readiness cache: the bank+rank part of each queued burst's
+        # next command and whether it is a row-hit RD, plus each rank's
+        # earliest such cycle over its row hits and over its other bursts.
+        ready = [0] * total
+        is_hit = [False] * total
+        recorded = [False] * total
+        ranks = range(self.num_ranks)
+        members = [[] for _ in ranks]
+        hit_min = [_NEVER] * len(ranks)
+        other_min = [_NEVER] * len(ranks)
+        stale = set()
+        latencies = self.stats.latencies
+        hits = misses = conflicts = commands = latency_sum = 0
+        arrived = submitted
+        admitted = completed = queued = 0
+        refill = True
+        failure = None
+        while True:
+            if refill:
+                while arrived < total and arrived - completed < cap:
+                    arrival[arrived] = cycle
+                    arrived += 1
+                while admitted < arrived and queued < depth:
+                    rank = rank_of[admitted]
+                    members[rank].append(admitted)
+                    stale.add(rank)
+                    admitted += 1
+                    queued += 1
+                if not queued:
+                    break
+                refill = False
+            # Refresh the cache of every rank a command went to or a
+            # request joined: a command changes the state of one rank.
+            for rank in stale:
+                faw = faw_ring[4 * rank + faw_slot[rank]] + tFAW
+                act_group = last_act_group[rank]
+                act_same = last_act[rank] + tRRD_L
+                act_other = last_act[rank] + tRRD_S
+                if faw > act_same:
+                    act_same = faw
+                if faw > act_other:
+                    act_other = faw
+                bus = rank_bus[rank] - tCL
+                col_group = last_col_group[rank]
+                col_same = last_col[rank] + tCCD_L
+                col_other = last_col[rank] + tCCD_S
+                if bus > col_same:
+                    col_same = bus
+                if bus > col_other:
+                    col_other = bus
+                first_hit = first_other = _NEVER
+                for index in members[rank]:
+                    bank = bank_of[index]
+                    row = open_row[bank]
+                    if row == row_of[index]:
+                        value = next_read[bank]
+                        floor = col_same if group_of[index] == col_group \
+                            else col_other
+                        if floor > value:
+                            value = floor
+                        ready[index] = value
+                        is_hit[index] = True
+                        if value < first_hit:
+                            first_hit = value
+                        continue
+                    if row < 0:
+                        value = next_act[bank]
+                        floor = act_same if group_of[index] == act_group \
+                            else act_other
+                        if floor > value:
+                            value = floor
+                    else:
+                        value = next_pre[bank]
+                    ready[index] = value
+                    is_hit[index] = False
+                    if value < first_other:
+                        first_other = value
+                hit_min[rank] = first_hit
+                other_min[rank] = first_other
+            stale.clear()
+            # The scheduler pass.  Every command waits for the C/A slot,
+            # ``cycle``; a RD also waits for the channel's data bus, plus
+            # the switch penalty after another rank's burst.
+            same_rank = data_bus - tCL
+            other_rank = same_rank + _RANK_SWITCH_PENALTY \
+                if last_data_rank >= 0 else same_rank
+            if cycle > same_rank:
+                same_rank = cycle
+            if cycle > other_rank:
+                other_rank = cycle
+            if last_data_rank >= 0:
+                own = hit_min[last_data_rank]
+                hit_min[last_data_rank] = _NEVER
+                earliest_hit = min(hit_min)
+                hit_min[last_data_rank] = own
+                if other_rank > earliest_hit:
+                    earliest_hit = other_rank
+                if same_rank > own:
+                    own = same_rank
+                if own < earliest_hit:
+                    earliest_hit = own
+            else:
+                earliest_hit = min(hit_min)
+                if other_rank > earliest_hit:
+                    earliest_hit = other_rank
+            earliest = min(other_min)
+            if cycle > earliest:
+                earliest = cycle
+            # The pick: the first row hit in arrival order ready at the
+            # earliest cycle, else the first other request ready then.
+            # Each rank's members are in arrival order.
+            index = _NEVER
+            if earliest_hit <= earliest:
+                earliest = earliest_hit
+                for rank in ranks:
+                    if hit_min[rank] > earliest or (
+                            same_rank if rank == last_data_rank
+                            else other_rank) > earliest:
+                        continue
+                    for member in members[rank]:
+                        if member > index:
+                            break
+                        if is_hit[member] and ready[member] <= earliest:
+                            index = member
+                            break
+            else:
+                for rank in ranks:
+                    if other_min[rank] > earliest:
+                        continue
+                    for member in members[rank]:
+                        if member > index:
+                            break
+                        if not is_hit[member] and ready[member] <= earliest:
+                            index = member
+                            break
+            if earliest > last_cycle:
+                failure = "controller did not drain within %d cycles" \
+                    % max_cycles
+                break
+            at = earliest
+            rank = rank_of[index]
+            group = group_of[index]
+            bank = bank_of[index]
+            row = row_of[index]
+            # The fresh legality check, from the flat state alone.
+            open_now = open_row[bank]
+            if open_now == row:
+                command = "RD"
+                legal = next_read[bank]
+                value = last_col[rank] + (
+                    tCCD_L if group == last_col_group[rank] else tCCD_S)
+                if value > legal:
+                    legal = value
+                value = rank_bus[rank] - tCL
+                if value > legal:
+                    legal = value
+                value = data_bus - tCL
+                if last_data_rank >= 0 and last_data_rank != rank:
+                    value += _RANK_SWITCH_PENALTY
+                if value > legal:
+                    legal = value
+            elif open_now < 0:
+                command = "ACT"
+                legal = next_act[bank]
+                value = last_act[rank] + (
+                    tRRD_L if group == last_act_group[rank] else tRRD_S)
+                if value > legal:
+                    legal = value
+                value = faw_ring[4 * rank + faw_slot[rank]] + tFAW
+                if value > legal:
+                    legal = value
+            else:
+                command = "PRE"
+                legal = next_pre[bank]
+            if cycle > legal:
+                legal = cycle
+            if legal > at:
+                failure = "%s not ready on channel %d rank %d at cycle %d" \
+                    % (command, self.channel_index, rank, at)
+                break
+            # Issue.  The row outcome counts once, at a request's first
+            # command.
+            if command == "RD":
+                if not recorded[index]:
+                    hits += 1
+                value = at + tCCD_L
+                if value > next_read[bank]:
+                    next_read[bank] = value
+                value = at + tRTP
+                if value > next_pre[bank]:
+                    next_pre[bank] = value
+                last_col[rank] = at
+                last_col_group[rank] = group
+                finish = at + tCL + tBL
+                if finish > rank_bus[rank]:
+                    rank_bus[rank] = finish
+                if finish > data_bus:
+                    data_bus = finish
+                last_data_rank = rank
+                done[index] = finish
+                latency = finish - arrival[index]
+                latency_sum += latency
+                latencies.append(latency)
+                completed += 1
+                queued -= 1
+                members[rank].remove(index)
+                refill = True
+            elif command == "ACT":
+                if not recorded[index]:
+                    misses += 1
+                    recorded[index] = True
+                open_row[bank] = row
+                value = at + tRCD
+                if value > next_read[bank]:
+                    next_read[bank] = value
+                value = at + tRAS
+                if value > next_pre[bank]:
+                    next_pre[bank] = value
+                value = at + tRC
+                if value > next_act[bank]:
+                    next_act[bank] = value
+                slot = faw_slot[rank]
+                faw_ring[4 * rank + slot] = at
+                faw_slot[rank] = (slot + 1) & 3
+                last_act[rank] = at
+                last_act_group[rank] = group
+            else:
+                if not recorded[index]:
+                    conflicts += 1
+                    recorded[index] = True
+                open_row[bank] = -1
+                value = at + tRP
+                if value > next_act[bank]:
+                    next_act[bank] = value
+            commands += 1
+            stale.add(rank)
+            cycle = at + 1
+        self.cycle = cycle
+        self._data_bus = data_bus
+        self._last_data_rank = last_data_rank
+        self.completion_cycles = done
+        stats = self.stats
+        stats.requests_completed += completed
+        stats.total_latency_cycles += latency_sum
+        stats.row_hits += hits
+        stats.row_misses += misses
+        stats.row_conflicts += conflicts
+        stats.commands_issued += commands
+        if failure is not None:
+            raise RuntimeError(failure)
+        stats.cycles_elapsed = cycle
+        return stats
 
 
 def check_outstanding_limit(name, limit):

@@ -119,9 +119,9 @@ class Rank:
 
     def _apply(self, command_type, bank_group, bank_index, row, cycle):
         """The state update of :meth:`issue`, for a command its caller has
-        already checked against :meth:`earliest_issue_cycle` (as
-        ``Channel.issue`` does).  The bank's open-row and timing asserts
-        still run."""
+        already checked against :meth:`earliest_issue_cycle` together with
+        its channel's own constraints.  The bank's open-row and timing
+        asserts still run."""
         bank = self.bank(bank_group, bank_index)
         if command_type is CommandType.ACT:
             bank.issue_activate(row, cycle)

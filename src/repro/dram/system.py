@@ -8,6 +8,8 @@ latency, bandwidth and energy.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
 from repro.dram.controller import MemoryController, check_outstanding_limit
 from repro.dram.energy import DramEnergyModel
@@ -123,23 +125,20 @@ class DramSystem:
         outstanding_per_channel:
             Optional cap (at least 1) on in-flight requests per channel.
 
-        Each burst is decoded once, here, with the first channel's mapping
-        (which picks its channel), and handed to that channel's controller
-        already decoded.
+        The whole burst trace is decoded once, here, with the first
+        channel's mapping (which picks its channel), and each channel's
+        controller drains its bursts as int columns.
         """
         if request_bytes <= 0 or request_bytes % 64:
             raise ValueError("request_bytes must be a positive multiple of 64")
         check_outstanding_limit("outstanding_per_channel",
                                 outstanding_per_channel)
+        addresses = np.fromiter(physical_addresses, dtype=np.int64)
         bursts_per_request = request_bytes // 64
-        mapping = self.controllers[0].address_mapping
-        per_channel = [[] for _ in range(self.config.num_channels)]
-        for address in physical_addresses:
-            base = int(address)
-            for burst in range(bursts_per_request):
-                burst_address = base + 64 * burst
-                decoded = mapping.map(burst_address)
-                per_channel[decoded.channel].append((burst_address, decoded))
+        if bursts_per_request > 1:
+            addresses = (addresses[:, None]
+                         + 64 * np.arange(bursts_per_request)).ravel()
+        decoded = self.controllers[0].address_mapping.map_array(addresses)
 
         per_channel_stats = []
         max_cycles = 0
@@ -148,11 +147,13 @@ class DramSystem:
         row_hits = 0
         row_outcomes = 0
         activations = 0
-        for controller, channel_trace in zip(self.controllers, per_channel):
-            if not channel_trace:
+        for index, controller in enumerate(self.controllers):
+            mine = decoded[0] == index
+            if not mine.any():
                 continue
-            stats = controller._process_bursts(channel_trace,
-                                               outstanding_per_channel)
+            fields = [field[mine] for field in decoded]
+            stats = controller._drain(controller._columns(fields),
+                                      outstanding_per_channel)
             per_channel_stats.append(stats)
             max_cycles = max(max_cycles, stats.cycles_elapsed)
             total_latency += stats.total_latency_cycles

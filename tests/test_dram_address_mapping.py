@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddr4_reference import skylake_decode
 from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
 
 
@@ -135,3 +136,21 @@ class TestSkylakeMappingBijection:
             list(range(geometry.columns_per_row))
         assert len({(d.channel, d.dimm, d.rank, d.bank_group, d.bank, d.row)
                     for d in decoded}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=st.builds(
+    MemoryGeometry, num_channels=st.integers(1, 4),
+    dimms_per_channel=st.integers(1, 4), ranks_per_dimm=st.integers(1, 2),
+    bank_groups=st.sampled_from([2, 4]), banks_per_group=st.integers(1, 4),
+    rows_per_bank=st.sampled_from([8, 1000, 65536]),
+    columns_per_row=st.sampled_from([8, 128])),
+    addresses=st.lists(st.integers(0, 2 ** 40), max_size=64))
+def test_array_decode_matches_the_per_address_reference(geometry, addresses):
+    """``map_array`` (numpy, one call per trace) gives every field of the
+    one-address-at-a-time reference decode, for any population."""
+    fields = SkylakeAddressMapping(geometry).map_array(addresses)
+    assert [tuple(int(field[index]) for field in fields)
+            for index in range(len(addresses))] == \
+        [_coordinates(skylake_decode(geometry, address))
+         for address in addresses]

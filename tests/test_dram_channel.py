@@ -1,8 +1,8 @@
-"""Tests for repro.dram.channel."""
+"""Tests for the reference DDR4 channel model in ``ddr4_reference``."""
 
 import pytest
 
-from repro.dram.channel import Channel
+from ddr4_reference import Channel
 from repro.dram.commands import CommandType
 from repro.dram.timing import DDR4_2400
 

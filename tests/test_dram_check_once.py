@@ -1,8 +1,9 @@
 """Each DDR4 command is checked once, against the full layered set.
 
-``Channel.issue`` evaluates ``Channel.earliest_issue_cycle`` (the shared
-C/A slot and data bus over ``Rank`` over ``Bank``) and then applies the
-command without re-checking it at the rank.  These properties drive a
+The reference channel's ``Channel.issue`` (``tests/ddr4_reference.py``)
+evaluates ``Channel.earliest_issue_cycle`` (the shared C/A slot and data
+bus over ``Rank`` over ``Bank``) and then applies the command without
+re-checking it at the rank.  These properties drive a
 channel through random legal ACT/RD/PRE prefixes and then try one more
 command at a random cycle:
 
@@ -16,7 +17,7 @@ command at a random cycle:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.channel import Channel
+from ddr4_reference import Channel
 from repro.dram.commands import CommandType
 from repro.dram.timing import DDR4_2400
 

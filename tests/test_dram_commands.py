@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.dram.commands import (
-    CommandType,
-    DramCommand,
-    MemoryRequest,
-    RequestType,
-)
+from repro.dram.commands import CommandType, MemoryRequest, RequestType
 
 
 class TestMemoryRequest:
@@ -58,9 +53,3 @@ class TestCommands:
         assert CommandType.ACT.value == "ACT"
         assert CommandType.RD.value == "RD"
         assert CommandType.PRE.value == "PRE"
-
-    def test_dram_command_holds_fields(self):
-        command = DramCommand(command_type=CommandType.ACT, address=None,
-                              issue_cycle=12)
-        assert command.command_type is CommandType.ACT
-        assert command.issue_cycle == 12

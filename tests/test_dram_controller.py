@@ -2,6 +2,7 @@
 
 import pytest
 
+from ddr4_reference import PerCycleController
 from repro.dram import controller as controller_module
 from repro.dram.commands import MemoryRequest, RequestType
 from repro.dram.controller import MemoryController
@@ -94,15 +95,19 @@ class TestFRFCFS:
         assert stats.requests_completed == 50
 
     def test_channel_row_outcomes_match_controller_stats(self):
+        """The drain counts each request's row outcome once, at its first
+        command, as the reference's banks record it."""
         import random
 
         controller = MemoryController()
+        reference = PerCycleController()
         rng = random.Random(1)
         # A 16 MiB window: reused rows (hits), fresh banks (misses) and
         # rows evicting each other (conflicts).
         addresses = [rng.randrange(0, 1 << 24) // 64 * 64 for _ in range(300)]
         stats = controller.process_trace(addresses, batch_size=16)
-        totals = controller.channel.stats()
+        reference.process_trace(addresses, batch_size=16)
+        totals = reference.channel.stats()
         assert stats.row_hits and stats.row_misses and stats.row_conflicts
         assert (totals["row_hits"], totals["row_misses"],
                 totals["row_conflicts"]) == (
@@ -172,4 +177,36 @@ def test_drain_budget_bounds_the_issue_cycle(monkeypatch, budget,
         controller.process_trace([i * (8 << 20) for i in range(32)],
                                  batch_size=batch_size)
     assert controller.stats.commands_issued > 0
-    assert controller.channel.next_ca_free - 1 <= budget
+    # The clock is the next free C/A slot: one past the last issue.
+    assert controller.cycle - 1 <= budget
+
+
+def test_enqueued_requests_arrive_before_a_trace():
+    """Requests enqueued before ``process_trace`` arrived already: they
+    are first in line and count against the trace's outstanding cap."""
+    addresses = [index * (8 << 20) + 64 * (index % 3) for index in range(9)]
+    controller = MemoryController(queue_depth=2)
+    early = [MemoryRequest(physical_address=address)
+             for address in addresses[:2]]
+    for request in early:
+        controller.enqueue(request)
+    stats = controller.process_trace(addresses[2:], batch_size=3)
+    whole = MemoryController(queue_depth=2)
+    assert stats == whole.process_trace(addresses, batch_size=3)
+    assert controller.completion_cycles == whole.completion_cycles
+    assert [request.completion_cycle for request in early] == \
+        whole.completion_cycles[:2]
+
+
+def test_address_outside_the_channel_population_is_rejected():
+    from repro.dram.address_mapping import (MemoryGeometry,
+                                            SkylakeAddressMapping)
+
+    mapping = SkylakeAddressMapping(MemoryGeometry(num_channels=1,
+                                                   dimms_per_channel=2))
+    address = next(address for address in range(0, 1 << 30, 1 << 12)
+                   if mapping.map(address).dimm == 1)
+    controller = MemoryController(num_dimms=1, address_mapping=mapping)
+    with pytest.raises(IndexError, match="1 DIMM"):
+        controller.process_trace([address])
+    assert controller.cycle == 0

@@ -1,205 +1,175 @@
-"""The event-skipping FR-FCFS controller against a per-cycle reference.
+"""The FR-FCFS drain against the per-cycle layered reference.
 
-``PerCycleController`` is the controller's original loop: every memory
-cycle it rescans the read queue and asks the layered
-``Channel.can_issue`` -> ``Rank`` -> ``Bank`` checks whether each
+``PerCycleController`` (``tests/ddr4_reference.py``) is the controller's
+original loop: every memory cycle it rescans the read queue and asks the
+layered ``Channel.can_issue`` -> ``Rank`` -> ``Bank`` checks whether each
 request's next command may issue, then issues the FR-FCFS pick.  The
-production controller instead reads each request's readiness in one fused
-pass and jumps idle cycles.  Both must produce identical completion
-cycles, ``ControllerStats`` and elapsed cycles on any trace, and the fused
-readiness must equal the layered earliest issue cycle for every queued
-request at every cycle the reference visits.
+production controller runs one drain over flat state, jumps idle cycles
+and reads readiness from a per-rank cache.  Both must produce identical
+completion cycles, ``ControllerStats`` and elapsed cycles on any trace:
+one channel or several, any population and queue depth, any outstanding
+cap (above the queue depth too, where arrivals wait for admission), and
+over two drains in a row, where the open rows and timing state of the
+first carry into the second.
 """
 
 import dataclasses
 import random
-from contextlib import contextmanager
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dram import controller as controller_module
+from ddr4_reference import PerCycleController, skylake_decode
 from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
-from repro.dram.commands import CommandType, MemoryRequest
 from repro.dram.controller import MemoryController
+from repro.dram.system import DramSystem, DramSystemConfig
 
 
-class PerCycleController(MemoryController):
-    """One memory cycle per ``tick``, readiness from the layered checks.
-
-    Admission (and the decode it caches) is the production one; selection,
-    issue and both drain loops are the reference's own.
-    """
-
-    def _next_command(self, pending):
-        return pending.bank.required_commands(pending.address.row)[0]
-
-    def _layered_ready(self, pending):
-        address = pending.address
-        return self.channel.earliest_issue_cycle(
-            self._next_command(pending), pending.rank_index,
-            address.bank_group, address.bank, 0)
-
-    def _check_fused_readiness(self):
-        for pending in self._queue:
-            command = self._next_command(pending)
-            assert self._ready_cycle(pending) == (
-                self._layered_ready(pending), command is CommandType.RD)
-
-    def _select_request(self):
-        best = None
-        best_is_hit = False
-        for pending in self._queue:
-            address = pending.address
-            if not self.channel.can_issue(
-                    self._next_command(pending), pending.rank_index,
-                    address.bank_group, address.bank, self.cycle):
-                continue
-            is_hit = pending.bank.is_row_hit(address.row)
-            if best is None or (is_hit and not best_is_hit):
-                best = pending
-                best_is_hit = is_hit
-                if best_is_hit:
-                    break
-        return best
-
-    def tick(self):
-        self._admit_waiting()
-        self._check_fused_readiness()
-        if not self.channel.ca_bus_free(self.cycle):
-            self.cycle += 1
-            return
-        pending = self._select_request()
-        if pending is not None:
-            self._issue(pending)
-        self.cycle += 1
-
-    def _issue(self, pending):
-        address = pending.address
-        bank = pending.bank
-        if not pending.outcome_recorded:
-            if bank.is_row_hit(address.row):
-                self.stats.row_hits += 1
-            elif bank.is_row_closed():
-                self.stats.row_misses += 1
-            else:
-                self.stats.row_conflicts += 1
-            bank.record_access_outcome(address.row)
-            pending.outcome_recorded = True
-        command = self._next_command(pending)
-        data_done = self.channel.issue(command, pending.rank_index,
-                                       address.bank_group, address.bank,
-                                       address.row, self.cycle)
-        self.stats.commands_issued += 1
-        if command is CommandType.RD:
-            self._complete(pending, data_done)
-
-    def run_until_drained(self, max_cycles=10_000_000):
-        while self.pending_requests:
-            self.tick()
-        self.stats.cycles_elapsed = self.cycle
-        return self.stats
-
-    def process_trace(self, physical_addresses, batch_size=None):
-        # Requests come from the controller module's name so that
-        # ``recorded_requests`` sees both controllers' requests.
-        request = controller_module.MemoryRequest
-        addresses = list(physical_addresses)
-        if batch_size is None:
-            for address in addresses:
-                self.enqueue(request(physical_address=int(address)))
-            return self.run_until_drained()
-        index = 0
-        while index < len(addresses) or self.pending_requests:
-            while (index < len(addresses)
-                   and self.pending_requests < batch_size):
-                self.enqueue(request(physical_address=int(addresses[index])))
-                index += 1
-            self.tick()
-        self.stats.cycles_elapsed = self.cycle
-        return self.stats
+def geometry(num_dimms, ranks_per_dimm):
+    return MemoryGeometry(num_channels=1, dimms_per_channel=num_dimms,
+                          ranks_per_dimm=ranks_per_dimm)
 
 
-@contextmanager
-def recorded_requests():
-    """Requests the controller module creates, in creation order."""
-    created = []
-
-    class RecordedRequest(MemoryRequest):
-        def __post_init__(self):
-            super().__post_init__()
-            created.append(self)
-
-    with mock.patch.object(controller_module, "MemoryRequest",
-                           RecordedRequest):
-        yield created
+def build(num_dimms, ranks_per_dimm, queue_depth):
+    """A production and a reference controller for one channel."""
+    shape = geometry(num_dimms, ranks_per_dimm)
+    return (MemoryController(num_dimms=num_dimms,
+                             ranks_per_dimm=ranks_per_dimm,
+                             address_mapping=SkylakeAddressMapping(shape),
+                             queue_depth=queue_depth),
+            PerCycleController(num_dimms=num_dimms,
+                               ranks_per_dimm=ranks_per_dimm,
+                               geometry=shape, queue_depth=queue_depth))
 
 
-def build(cls, num_dimms, ranks_per_dimm, queue_depth):
-    geometry = MemoryGeometry(num_channels=1, dimms_per_channel=num_dimms,
-                              ranks_per_dimm=ranks_per_dimm)
-    return cls(num_dimms=num_dimms, ranks_per_dimm=ranks_per_dimm,
-               address_mapping=SkylakeAddressMapping(geometry),
-               queue_depth=queue_depth)
+def observed(controller, stats):
+    """What the two controllers must agree on after a drain."""
+    return (controller.completion_cycles, dataclasses.asdict(stats),
+            stats.cycles_elapsed, controller.cycle)
 
 
-def run_both(addresses, num_dimms, ranks_per_dimm, queue_depth, batch_size):
-    """Run the production and reference controllers on one trace."""
-    runs = []
-    for cls in (MemoryController, PerCycleController):
-        controller = build(cls, num_dimms, ranks_per_dimm, queue_depth)
-        with recorded_requests() as made:
-            stats = controller.process_trace(addresses,
-                                             batch_size=batch_size)
-        runs.append((controller, stats,
-                     [request.completion_cycle for request in made]))
-    return runs
+def run_both(traces, num_dimms, ranks_per_dimm, queue_depth):
+    """Drain each ``(addresses, cap)`` of ``traces`` in turn on one
+    production and one reference controller; returns both controllers."""
+    fast, ref = build(num_dimms, ranks_per_dimm, queue_depth)
+    for addresses, cap in traces:
+        assert observed(fast, fast.process_trace(addresses, cap)) == \
+            observed(ref, ref.process_trace(addresses, cap))
+        assert len(fast.completion_cycles) == len(addresses)
+    return fast, ref
 
 
-def assert_identical(runs):
-    (fast, fast_stats, fast_done), (ref, ref_stats, ref_done) = runs
-    assert fast_done == ref_done
-    assert dataclasses.asdict(fast_stats) == dataclasses.asdict(ref_stats)
-    assert fast.cycle == ref.cycle == fast_stats.cycles_elapsed
-    assert fast.channel.stats() == ref.channel.stats()
+def reference_run_trace(config, addresses, request_bytes, outstanding):
+    """``DramSystem.run_trace`` from the reference: each burst decoded on
+    its own, every channel's bursts through its own per-cycle
+    controller.  Returns the per-channel stats and the completion cycles
+    in channel order."""
+    shape = config.geometry()
+    per_channel = [[] for _ in range(config.num_channels)]
+    for address in addresses:
+        for burst in range(request_bytes // 64):
+            burst_address = address + 64 * burst
+            per_channel[skylake_decode(shape, burst_address).channel].append(
+                burst_address)
+    stats, done = [], []
+    for bursts in per_channel:
+        if not bursts:
+            continue
+        controller = PerCycleController(
+            num_dimms=config.dimms_per_channel,
+            ranks_per_dimm=config.ranks_per_dimm, geometry=shape,
+            queue_depth=config.queue_depth, timing=config.timing)
+        stats.append(dataclasses.asdict(
+            controller.process_trace(bursts, outstanding)))
+        done.extend(controller.completion_cycles)
+    return stats, done
 
 
-#: Block addresses anywhere in 1 GiB, or a few rows' worth of blocks at
-#: 8 MiB strides (same banks, different rows: hits and conflicts).
+#: Block addresses anywhere in 1 GiB; a few rows' worth of blocks at
+#: 8 MiB strides (same banks, different rows: hits and conflicts); or
+#: blocks in the first 256 KiB, which spread over every bank of the first
+#: ranks, so back-to-back ACTs meet tRRD and tFAW.
 ADDRESSES = st.one_of(
     st.integers(0, (1 << 30) // 64 - 1).map(lambda block: block * 64),
     st.tuples(st.integers(0, 3), st.integers(0, 511)).map(
-        lambda pair: pair[0] * (8 << 20) + pair[1] * 64))
+        lambda pair: pair[0] * (8 << 20) + pair[1] * 64),
+    st.integers(0, (1 << 18) // 64 - 1).map(lambda block: block * 64))
+TRACES = st.lists(ADDRESSES, min_size=1, max_size=48)
 
 
 @settings(max_examples=60, deadline=None)
-@given(addresses=st.lists(ADDRESSES, min_size=1, max_size=48),
+@given(addresses=TRACES,
        num_dimms=st.integers(1, 4),
        ranks_per_dimm=st.integers(1, 2),
        queue_depth=st.integers(1, 32),
        batch_size=st.one_of(st.none(), st.integers(1, 40)))
 def test_event_skipping_matches_per_cycle_reference(
         addresses, num_dimms, ranks_per_dimm, queue_depth, batch_size):
-    assert_identical(run_both(addresses, num_dimms, ranks_per_dimm,
-                              queue_depth, batch_size))
+    run_both([(addresses, batch_size)], num_dimms, ranks_per_dimm,
+             queue_depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       num_channels=st.sampled_from([1, 4]),
+       num_dimms=st.integers(1, 4),
+       ranks_per_dimm=st.integers(1, 2),
+       queue_depth=st.sampled_from([2, 32]),
+       request_bytes=st.sampled_from([64, 128]))
+def test_drain_matches_reference_across_channels_and_drains(
+        data, num_channels, num_dimms, ranks_per_dimm, queue_depth,
+        request_bytes):
+    """The whole system on one or four channels, then two drains in a row
+    on one controller; each cap is none, one, or above the queue depth."""
+    caps = st.sampled_from([None, 1, queue_depth + 3])
+    addresses = data.draw(TRACES, label="addresses")
+    outstanding = data.draw(caps, label="outstanding")
+    config = DramSystemConfig(num_channels=num_channels,
+                              dimms_per_channel=num_dimms,
+                              ranks_per_dimm=ranks_per_dimm,
+                              queue_depth=queue_depth)
+    system = DramSystem(config)
+    result = system.run_trace(addresses, request_bytes=request_bytes,
+                              outstanding_per_channel=outstanding)
+    stats, done = reference_run_trace(config, addresses, request_bytes,
+                                      outstanding)
+    assert [dataclasses.asdict(channel)
+            for channel in result.per_channel_stats] == stats
+    assert [cycle for controller in system.controllers
+            for cycle in controller.completion_cycles] == done
+    assert result.cycles == max(channel["cycles_elapsed"]
+                                for channel in stats)
+
+    second = data.draw(TRACES, label="second drain")
+    run_both([(addresses, outstanding),
+              (second, data.draw(caps, label="second cap"))],
+             num_dimms, ranks_per_dimm, queue_depth)
 
 
 def test_reference_agrees_on_a_long_random_trace():
     rng = random.Random(3)
     addresses = [rng.randrange(0, 1 << 30) // 64 * 64 for _ in range(400)]
-    assert_identical(run_both(addresses, 2, 2, 32, 32))
+    run_both([(addresses, 32)], 2, 2, 32)
 
 
-def test_readiness_is_checked_against_layered_channel():
-    """The reference really visits queued entries with the fused check."""
-    controller = build(PerCycleController, 1, 2, 32)
-    calls = []
-    original = controller._ready_cycle
+def test_waiting_requests_are_admitted_before_new_arrivals():
+    """With more requests outstanding than queue slots, a completion frees
+    one slot and the next arrival joins behind the requests already
+    waiting for it: admission stays in arrival order."""
+    rng = random.Random(8)
+    addresses = [rng.randrange(0, 1 << 24) // 64 * 64 for _ in range(120)]
+    run_both([(addresses, 12)], 1, 2, 4)
 
-    def counting(pending):
-        calls.append(pending)
-        return original(pending)
 
-    controller._ready_cycle = counting
-    controller.process_trace([index * 4096 for index in range(16)])
-    assert len(calls) > controller.stats.commands_issued
+def test_alternating_ranks_pay_the_switch_penalty():
+    """Row hits alternating between the two ranks of one DIMM: every RD
+    switches the data bus to the other rank and pays the rank-to-rank
+    penalty, in the drain as in the reference."""
+    shape = geometry(1, 2)
+    blocks_per_rank = shape.columns_per_row * shape.bank_groups \
+        * shape.banks_per_group
+    addresses = [((index % 2) * blocks_per_rank + index // 2) * 64
+                 for index in range(64)]
+    assert [skylake_decode(shape, address).rank
+            for address in addresses] == [index % 2 for index in range(64)]
+    _, ref = run_both([(addresses, None)], 1, 2, 32)
+    assert ref.rank_switches > 32

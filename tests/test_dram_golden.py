@@ -4,8 +4,10 @@
 what ``DramSystem.run_trace`` produced when the controller still stepped
 one memory cycle at a time: ``DramSystemResult.as_dict()``, every
 ``ControllerStats`` field of every channel (including the per-request
-latency list) and every request's ``completion_cycle`` in creation order.
-The event-skipping controller must reproduce each case byte for byte.
+latency list) and every burst's completion cycle, channel by channel in
+submission order -- read from each controller's ``completion_cycles``,
+the drain's own per-burst output.  The drain must reproduce each case
+byte for byte.
 
 Matrix: four traces (Fig. 16's production shape, random addresses in
 1 GiB, sequential row hits, same-bank row conflicts) x 1 or 4 channels x
@@ -20,9 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dram import controller as controller_module
 from repro.dram.address_mapping import SkylakeAddressMapping
-from repro.dram.commands import MemoryRequest
 from repro.dram.system import DramSystem, DramSystemConfig
 from repro.traces import make_production_table_traces
 
@@ -101,41 +101,28 @@ def _parse(case):
             int(request_bytes[len("req"):]), int(depth[len("qd"):]))
 
 
-def run_case(case, made):
-    """Run one case; ``made`` collects the requests the run creates."""
+def run_case(case):
+    """Run one case."""
     trace, channels, outstanding, request_bytes, depth = _parse(case)
     build, dimms, ranks = TRACES[trace]
     config = DramSystemConfig(num_channels=channels, dimms_per_channel=dimms,
                               ranks_per_dimm=ranks, queue_depth=depth)
     addresses = build(config.geometry())
-    del made[:]
-    result = DramSystem(config).run_trace(
+    system = DramSystem(config)
+    result = system.run_trace(
         addresses, request_bytes=request_bytes,
         outstanding_per_channel=outstanding)
     return {
         "result": result.as_dict(),
         "channels": [dataclasses.asdict(stats)
                      for stats in result.per_channel_stats],
-        "completion_cycles": [request.completion_cycle for request in made],
+        "completion_cycles": [cycle for controller in system.controllers
+                              for cycle in controller.completion_cycles],
     }
 
 
 def canonical(record):
     return json.dumps(record, sort_keys=True)
-
-
-@pytest.fixture
-def made(monkeypatch):
-    """Requests the controller creates, in creation order."""
-    created = []
-
-    class RecordedRequest(MemoryRequest):
-        def __post_init__(self):
-            super().__post_init__()
-            created.append(self)
-
-    monkeypatch.setattr(controller_module, "MemoryRequest", RecordedRequest)
-    return created
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +135,8 @@ def test_golden_covers_the_matrix(golden):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_baseline_matches_golden(golden, made, case):
-    record = run_case(case, made)
+def test_baseline_matches_golden(golden, case):
+    record = run_case(case)
     assert len(record["completion_cycles"]) == record["result"]["requests"]
     assert canonical(record) == canonical(golden[case])
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.dram.address_mapping import SkylakeAddressMapping
+from repro.dram.commands import MemoryRequest
 from repro.dram.controller import MemoryController
 from repro.dram.energy import DramEnergyModel, DramEnergyParameters
 from repro.dram.system import DramSystem, DramSystemConfig
@@ -95,14 +96,16 @@ class TestDecodeOnce:
     @pytest.mark.parametrize("config", sorted(DECODE_CONFIGS))
     def test_run_trace_maps_each_burst_once(self, monkeypatch, config,
                                             request_bytes):
+        """One array decode of every burst, in trace order, each request
+        expanded into its consecutive 64 B bursts."""
         calls = []
-        decode = SkylakeAddressMapping.map
+        decode = SkylakeAddressMapping.map_array
 
-        def counted(self, physical_address):
-            calls.append(physical_address)
-            return decode(self, physical_address)
+        def counted(self, physical_addresses):
+            calls.append(list(physical_addresses))
+            return decode(self, physical_addresses)
 
-        monkeypatch.setattr(SkylakeAddressMapping, "map", counted)
+        monkeypatch.setattr(SkylakeAddressMapping, "map_array", counted)
         addresses = _decode_trace()
         result = DramSystem(DECODE_CONFIGS[config]).run_trace(
             addresses, request_bytes=request_bytes,
@@ -110,30 +113,45 @@ class TestDecodeOnce:
         bursts = [address + 64 * burst for address in addresses
                   for burst in range(request_bytes // 64)]
         assert result.requests == len(bursts)
-        assert sorted(calls) == sorted(bursts)
+        assert calls == [bursts]
 
     @pytest.mark.parametrize("outstanding", [None, 4])
     @pytest.mark.parametrize("config", sorted(DECODE_CONFIGS))
-    def test_decoded_handoff_matches_the_enqueue_path(self, monkeypatch,
-                                                      config, outstanding):
-        """Results are those of decoding each burst at admission, as
-        ``enqueue`` does, with the channel controller's own mapping."""
-
-        def run():
-            result = DramSystem(DECODE_CONFIGS[config]).run_trace(
-                _decode_trace(), request_bytes=128,
-                outstanding_per_channel=outstanding)
-            return (result.as_dict(),
-                    [dataclasses.asdict(stats)
-                     for stats in result.per_channel_stats])
-
-        decoded_once = run()
-        submit = MemoryController._submit
-        monkeypatch.setattr(
-            MemoryController, "_submit",
-            lambda self, request, address: submit(self, request, None))
-        assert run() == decoded_once
-        assert len(decoded_once[1]) == DECODE_CONFIGS[config].num_channels
+    def test_decoded_handoff_matches_the_enqueue_path(self, config,
+                                                      outstanding):
+        """Results are those of each channel's controller decoding its
+        own bursts with its own mapping: ``enqueue`` then a drain without
+        a cap, ``process_trace`` with one."""
+        config = DECODE_CONFIGS[config]
+        system = DramSystem(config)
+        result = system.run_trace(_decode_trace(), request_bytes=128,
+                                  outstanding_per_channel=outstanding)
+        mapping = system.controllers[0].address_mapping
+        per_channel = [[] for _ in range(config.num_channels)]
+        for address in _decode_trace():
+            for burst_address in (address, address + 64):
+                per_channel[mapping.map(burst_address).channel].append(
+                    burst_address)
+        expected = []
+        for bursts in per_channel:
+            controller = MemoryController(
+                timing=config.timing, num_dimms=config.dimms_per_channel,
+                ranks_per_dimm=config.ranks_per_dimm,
+                address_mapping=mapping, queue_depth=config.queue_depth)
+            if outstanding is None:
+                requests = [MemoryRequest(physical_address=address)
+                            for address in bursts]
+                for request in requests:
+                    controller.enqueue(request)
+                stats = controller.run_until_drained()
+                assert [request.completion_cycle for request in requests] \
+                    == controller.completion_cycles
+            else:
+                stats = controller.process_trace(bursts, outstanding)
+            expected.append(dataclasses.asdict(stats))
+        assert [dataclasses.asdict(stats)
+                for stats in result.per_channel_stats] == expected
+        assert len(expected) == config.num_channels
 
 
 class TestDramEnergyModel:
