@@ -16,7 +16,9 @@ as flat lists, not as ``Bank``/``Rank`` objects, and runs each drain as one
 loop over them.  It schedules from a per-rank readiness cache, and checks
 every command it issues against a fresh computation from that flat state
 (bank timing, tRRD, tFAW, tCCD, the rank and channel data buses with the
-rank-switch penalty, the C/A slot) before the command changes any state.
+rank-switch penalty, the C/A slot) before the command changes any state,
+and raises unless that computation gives exactly the cycle the command was
+picked for.
 :class:`DramSystem` decodes a whole trace at once and hands each channel's
 controller its bursts as int columns.
 """

@@ -23,8 +23,10 @@ its other requests, refreshed after every command to that rank; the
 scheduler picks from that cache.  Every command it issues is then checked
 once more against a fresh computation from the flat state -- the bank's
 timing, tRRD, tFAW, tCCD, the rank's data bus, the channel's data bus with
-the rank-switch penalty and the C/A slot -- and a command that is not
-legal at its cycle raises ``RuntimeError`` before any state changes.
+the rank-switch penalty and the C/A slot.  With an exact cache the fresh
+cycle is the one the command was picked for, so any other cycle, earlier
+(a late cache) or later (an early one), raises ``RuntimeError`` before any
+state changes.
 """
 
 from dataclasses import dataclass, field
@@ -136,7 +138,7 @@ class MemoryController:
         # Requests submitted with :meth:`enqueue` and not yet drained.
         self._requests = []
         #: Completion cycle of every burst of the last drain, in
-        #: submission order.
+        #: submission order (-1 for one a failed drain did not complete).
         self.completion_cycles = []
         self.stats = ControllerStats()
 
@@ -176,16 +178,22 @@ class MemoryController:
 
     def _run(self, physical_addresses, cap, max_cycles):
         """Drain the enqueued requests, then ``physical_addresses``
-        arriving under the outstanding cap ``cap``."""
-        requests, self._requests = self._requests, []
-        decoded = self.address_mapping.map_array(
+        arriving under the outstanding cap ``cap``.  A trace that does not
+        decode leaves the enqueued requests pending, and so does a drain
+        that raises for the ones it did not complete."""
+        requests = self._requests
+        columns = self._columns(self.address_mapping.map_array(
             [request.physical_address for request in requests]
-            + list(physical_addresses))
-        stats = self._drain(self._columns(decoded), cap, len(requests),
-                            max_cycles)
-        for request, done in zip(requests, self.completion_cycles):
-            request.completion_cycle = done
-        return stats
+            + list(physical_addresses)))
+        self._requests = []
+        try:
+            return self._drain(columns, cap, len(requests), max_cycles)
+        finally:
+            for request, done in zip(requests, self.completion_cycles):
+                if done < 0:
+                    self._requests.append(request)
+                else:
+                    request.completion_cycle = done
 
     def _columns(self, decoded):
         """The drain's per-burst int lists -- channel-wide rank, bank
@@ -221,8 +229,8 @@ class MemoryController:
         request; the next command is RD on a row hit, ACT on a closed bank
         and PRE on a row conflict.  Raises ``RuntimeError`` instead of
         issuing a command more than ``max_cycles`` (default
-        ``_MAX_DRAIN_CYCLES``) after the start, or one the fresh legality
-        check rejects.
+        ``_MAX_DRAIN_CYCLES``) after the start, or one whose fresh legal
+        cycle is not the cycle it was picked for.
         """
         rank_of, group_of, bank_of, row_of = columns
         total = len(row_of)
@@ -249,7 +257,7 @@ class MemoryController:
         last_data_rank = self._last_data_rank
         last_cycle = cycle + max_cycles
         arrival = [cycle] * total
-        done = [-1] * total
+        self.completion_cycles = done = [-1] * total
         # The readiness cache: the bank+rank part of each queued burst's
         # next command and whether it is a row-hit RD, plus each rank's
         # earliest such cycle over its row hits and over its other bursts.
@@ -426,9 +434,13 @@ class MemoryController:
                 legal = next_pre[bank]
             if cycle > legal:
                 legal = cycle
-            if legal > at:
-                failure = "%s not ready on channel %d rank %d at cycle %d" \
-                    % (command, self.channel_index, rank, at)
+            # With an exact cache the pick is legal at exactly its cycle:
+            # a later legal cycle means the cache ran early, an earlier
+            # one that it ran late.
+            if legal != at:
+                failure = "%s picked for cycle %d on channel %d rank %d " \
+                    "is legal at cycle %d" \
+                    % (command, at, self.channel_index, rank, legal)
                 break
             # Issue.  The row outcome counts once, at a request's first
             # command.
@@ -490,7 +502,6 @@ class MemoryController:
         self.cycle = cycle
         self._data_bus = data_bus
         self._last_data_rank = last_data_rank
-        self.completion_cycles = done
         stats = self.stats
         stats.requests_completed += completed
         stats.total_latency_cycles += latency_sum

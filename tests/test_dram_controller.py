@@ -181,6 +181,26 @@ def test_drain_budget_bounds_the_issue_cycle(monkeypatch, budget,
     assert controller.cycle - 1 <= budget
 
 
+def test_a_drain_over_budget_leaves_its_unfinished_requests_pending():
+    """Requests a drain completed before it ran out of cycles have their
+    completion cycle; the others stay pending for the next drain."""
+    controller = MemoryController()
+    requests = [MemoryRequest(physical_address=index * (8 << 20))
+                for index in range(8)]
+    for request in requests:
+        controller.enqueue(request)
+    with pytest.raises(RuntimeError, match="did not drain within 100"):
+        controller.run_until_drained(max_cycles=100)
+    finished = [request for request in requests
+                if request.completion_cycle >= 0]
+    assert 0 < len(finished) == controller.stats.requests_completed < 8
+    assert controller.pending_requests == 8 - len(finished)
+    controller.run_until_drained()
+    assert controller.pending_requests == 0
+    assert all(request.completion_cycle >= 0 for request in requests)
+    assert controller.stats.requests_completed == 8
+
+
 def test_enqueued_requests_arrive_before_a_trace():
     """Requests enqueued before ``process_trace`` arrived already: they
     are first in line and count against the trace's outstanding cap."""
@@ -207,6 +227,12 @@ def test_address_outside_the_channel_population_is_rejected():
     address = next(address for address in range(0, 1 << 30, 1 << 12)
                    if mapping.map(address).dimm == 1)
     controller = MemoryController(num_dimms=1, address_mapping=mapping)
+    controller.enqueue(MemoryRequest(physical_address=0))
     with pytest.raises(IndexError, match="1 DIMM"):
         controller.process_trace([address])
     assert controller.cycle == 0
+    # The rejected trace leaves the enqueued request pending.
+    assert controller.pending_requests == 1
+    controller.run_until_drained()
+    assert controller.pending_requests == 0
+    assert controller.stats.requests_completed == 1
