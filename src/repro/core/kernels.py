@@ -2,20 +2,20 @@
 
 The DDR command-issue inner loop (windowed FR-FCFS selection fused with
 the bank/rank DDR4 state machine) dominates exact simulation time.  It
-exists in two bit-identical implementations:
+exists in two bit-identical implementations over one flat state layout
+(:class:`~repro.core.rank_nmp.RankState`):
 
-* :meth:`RankNMP._execute_window` -- the readable specification, one
-  CPython loop over per-instruction columns (Daddr, burst count,
-  weighted flag, LocalityBit, arrival and decoded bank group / bank /
-  row) that drives the ``Bank`` objects and the
-  RankCache's ``OrderedDict`` directly, with the rank scalars, timing
-  parameters and counters held in locals for the whole stream.  It is
-  what the ``"python"`` flavor (numba not installed) runs, for every
-  entry point.
-* :func:`_execute_window_flat` -- the *struct-of-arrays* kernel in this
-  module, written in the numba-compilable subset of Python (numpy
-  scalars, plain loops, an ``int64 -> int64`` dict for cache residency)
-  over flat ``int64`` state.  When :mod:`numba` is importable it is
+* :func:`~repro.core.rank_nmp.execute_segments` -- the readable loop,
+  CPython over plain lists: per-instruction columns (Daddr, burst
+  count, datapath latency, LocalityBit, arrival, decoded bank group,
+  flat bank and row) and the state's per-bank and per-rank lists, with
+  each RankCache's ``OrderedDict`` updated in place.  It is what the
+  ``"python"`` flavor (numba not installed) runs, for every entry
+  point, and it covers every rank of a packet in one pass.
+* :func:`_execute_window_flat` -- the same loop for one rank's stream
+  in the numba-compilable subset of Python (numpy scalars, plain loops,
+  an ``int64 -> int64`` dict for cache residency) over the same state
+  held as int64 arrays.  When :mod:`numba` is importable it is
   ``@njit``-compiled and selected as the ``"numba"`` flavor; the
   un-jitted source stays importable everywhere as the ``"flat-python"``
   flavor, so its semantics are pinned by tests even on hosts without
@@ -25,30 +25,23 @@ Flavor selection happens once at import: numba is tried and
 ``"python"`` is the fallback.  Tests can override the selection with
 :func:`force_flavor`.
 
-State layout conventions
-------------------------
-Bank state is seven parallel arrays indexed by flat bank id
-(``bank_group * banks_per_group + bank_index``): ``open_row`` (-1 when
-closed / precharged), ``next_act`` / ``next_read`` / ``next_pre`` ready
-cycles, and the ``activations`` / ``reads`` / ``precharges`` counters.
-Rank-level scalars live in an ``RS_SIZE``-slot vector (`RS_*` indices):
-a four-slot ring buffer of recent ACT cycles (for tFAW -- slot
-``act_count % 4`` holds ``history[-4]`` once four ACTs happened), the
-last-ACT / last-column cycle and bank group (-1 for "never"), the
-data-bus free cycle and the rank-NMP ``current_cycle``.  Timing
-parameters arrive as a ``TP_SIZE`` vector (`TP_*` indices, see
-:meth:`DDR4Timing.kernel_params`) and statistics deltas leave through an
-``ST_SIZE`` vector (`ST_*` indices).
+State layout
+------------
+Per bank, indexed ``rank * banks_per_rank + bank_group *
+banks_per_group + bank``: the open row (-1 when closed), the earliest
+ACT / RD / PRE cycles and the activation / read / precharge counters.
+Per rank: a four-slot ring of the last ACT cycles with the slot of the
+oldest (the tFAW reference), the last ACT and column cycle (far in the
+past before the first) with their bank groups, the data-bus free cycle
+and the rank-NMP's current cycle.  Timing parameters arrive as the
+tuple of :meth:`DDR4Timing.kernel_params` and statistics deltas leave
+the kernel through an ``ST_SIZE`` vector (``ST_*`` indices).
 
-The kernel mutates those vectors in place and returns the last
-completion cycle; :class:`FlatRankKernel` syncs them with the
-authoritative ``Bank`` / ``Rank`` / ``RankCache`` objects around every
-call, so the object layer stays the source of truth between calls and
-the column loop (or direct object inspection in tests) always sees
-consistent state.
+The kernel mutates the state arrays in place and returns the last
+completion cycle.  :class:`FlatRankKernel` keeps, per rank, a flat LRU
+mirroring the RankCache's ``OrderedDict`` and replays each call's LRU
+effects onto it, so the cache object stays authoritative.
 """
-
-from collections import Counter
 
 import numpy as np
 
@@ -63,25 +56,6 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # Flat-state layout indices                                             #
 # --------------------------------------------------------------------- #
-#: Rank scalar state (int64): ACT ring buffer + rank-level last/next state.
-RS_RING0 = 0
-RS_RING1 = 1
-RS_RING2 = 2
-RS_RING3 = 3
-RS_ACT_COUNT = 4
-RS_LAST_ACT = 5
-RS_LAST_ACT_BG = 6
-RS_LAST_COL = 7
-RS_LAST_COL_BG = 8
-RS_BUS_FREE = 9
-RS_CURRENT = 10
-RS_SIZE = 11
-
-#: Timing parameter order (matches DDR4Timing.kernel_params()).
-(TP_TRP, TP_TRCD, TP_TCL, TP_TBL, TP_TCCD_S, TP_TCCD_L, TP_TRRD_S,
- TP_TRRD_L, TP_TFAW, TP_TRAS, TP_TRC, TP_TRTP) = range(12)
-TP_SIZE = 12
-
 #: Statistics deltas produced by one kernel call.
 (ST_INSTRUCTIONS, ST_HITS, ST_MISSES, ST_BYPASSES, ST_DRAM_READS,
  ST_ACTIVATIONS, ST_BUSY, ST_BYTES_DRAM, ST_BYTES_CACHE,
@@ -205,44 +179,49 @@ class force_flavor:
 # --------------------------------------------------------------------- #
 # Canonical struct-of-arrays kernel (numba-compilable subset)           #
 # --------------------------------------------------------------------- #
-def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
-                         arrivals, flats, bank_groups, rows,
-                         window_size, num_bank_groups,
-                         b_open, b_next_act, b_next_read, b_next_pre,
-                         b_activations, b_reads, b_precharges,
-                         rs, tp, st,
-                         use_cache, cache_slot, lru_prev, lru_next,
+def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
+                         bank_groups, flats, rows, begin, end, base,
+                         window_size, num_bank_groups, rank,
+                         open_rows, next_acts, next_reads, next_pres,
+                         activations, reads, precharges,
+                         faw_ring, faw_slots, last_acts, last_act_groups,
+                         last_cols, last_col_groups, bus_frees, currents,
+                         tp, st, use_cache, cache_slot, lru_prev, lru_next,
                          lru_key, cs, cache_capacity, cache_latency,
                          exec_order):
-    """Windowed FR-FCFS execution over flat int64 state.
+    """Windowed FR-FCFS execution of rank ``rank``'s stream, the column
+    rows ``begin`` to ``end`` (arrival ``base + offsets[i]``), over the
+    flat int64 state arrays.
 
-    Mirrors ``RankNMP._execute_window`` (selection + memoised
-    rank-part estimates, cache lookup, the inlined bank/rank DDR state
+    Mirrors :func:`~repro.core.rank_nmp.execute_segments` (selection +
+    memoised rank-part estimates, cache lookup, the bank/rank DDR state
     machine, datapath latency, busy accounting) -- one loop, no
-    attribute access.
-    ``exec_order`` receives the execution permutation so the caller can
-    replay LRU effects onto the mirroring ``OrderedDict``.
+    attribute access.  ``exec_order`` receives the execution order so
+    the caller can replay LRU effects onto the mirroring ``OrderedDict``.
     """
-    count = len(daddrs)
-    tRP = tp[TP_TRP]
-    tRCD = tp[TP_TRCD]
-    tCL = tp[TP_TCL]
-    tBL = tp[TP_TBL]
-    tCCD_S = tp[TP_TCCD_S]
-    tCCD_L = tp[TP_TCCD_L]
-    tRRD_S = tp[TP_TRRD_S]
-    tRRD_L = tp[TP_TRRD_L]
-    tFAW = tp[TP_TFAW]
-    tRAS = tp[TP_TRAS]
-    tRC = tp[TP_TRC]
-    tRTP = tp[TP_TRTP]
-    act_count = rs[RS_ACT_COUNT]
-    last_act = rs[RS_LAST_ACT]
-    last_act_bg = rs[RS_LAST_ACT_BG]
-    last_col = rs[RS_LAST_COL]
-    last_col_bg = rs[RS_LAST_COL_BG]
-    bus_free = rs[RS_BUS_FREE]
-    current = rs[RS_CURRENT]
+    count = end - begin
+    tRP = tp[0]
+    tRCD = tp[1]
+    tCL = tp[2]
+    tBL = tp[3]
+    tCCD_S = tp[4]
+    tCCD_L = tp[5]
+    tRRD_S = tp[6]
+    tRRD_L = tp[7]
+    tFAW = tp[8]
+    tRAS = tp[9]
+    tRC = tp[10]
+    tRTP = tp[11]
+    burst_step = tCCD_L if tCCD_L > tBL else tBL
+    ring = 4 * rank
+    faw_slot = faw_slots[rank]
+    faw_ready = faw_ring[ring + faw_slot] + tFAW
+    last_act = last_acts[rank]
+    last_act_bg = last_act_groups[rank]
+    last_col = last_cols[rank]
+    last_col_bg = last_col_groups[rank]
+    bus_free = bus_frees[rank]
+    current = currents[rank]
     head = cs[CS_HEAD]
     tail = cs[CS_TAIL]
     used = cs[CS_USED]
@@ -260,8 +239,8 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
     window = np.empty(window_size, np.int64)
     win_len = window_size if window_size < count else count
     for i in range(win_len):
-        window[i] = i
-    next_index = win_len
+        window[i] = begin + i
+    next_index = begin + win_len
     # Rank-level earliest-issue components, memoised per bank group and
     # invalidated only when an executed instruction touched DRAM.
     act_part = np.empty(num_bank_groups, np.int64)
@@ -276,7 +255,7 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
         have_best = False
         for pos in range(win_len):
             index = window[pos]
-            arrival = arrivals[index]
+            arrival = base + offsets[index]
             start = arrival if arrival > current else current
             if have_best and start >= best_estimate:
                 # estimate >= start, so this member cannot win (ties
@@ -287,44 +266,38 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
                 estimate = start
             else:
                 flat = flats[index]
-                open_row = b_open[flat]
+                open_row = open_rows[flat]
                 bg = bank_groups[index]
                 if open_row == rows[index]:
-                    ready = b_next_read[flat]
+                    ready = next_reads[flat]
                     part = rd_part[bg]
                     if part == _PART_UNSET:
                         part = bus_free - tCL
-                        if last_col >= 0:
-                            if bg == last_col_bg:
-                                ccd = last_col + tCCD_L
-                            else:
-                                ccd = last_col + tCCD_S
-                            if ccd > part:
-                                part = ccd
+                        if bg == last_col_bg:
+                            ccd = last_col + tCCD_L
+                        else:
+                            ccd = last_col + tCCD_S
+                        if ccd > part:
+                            part = ccd
                         rd_part[bg] = part
                     if part > ready:
                         ready = part
                 elif open_row == -1:
-                    ready = b_next_act[flat]
+                    ready = next_acts[flat]
                     part = act_part[bg]
                     if part == _PART_UNSET:
-                        part = 0
-                        if act_count >= 4:
-                            faw = rs[act_count % 4] + tFAW
-                            if faw > part:
-                                part = faw
-                        if last_act >= 0:
-                            if bg == last_act_bg:
-                                rrd = last_act + tRRD_L
-                            else:
-                                rrd = last_act + tRRD_S
-                            if rrd > part:
-                                part = rrd
+                        part = faw_ready
+                        if bg == last_act_bg:
+                            rrd = last_act + tRRD_L
+                        else:
+                            rrd = last_act + tRRD_S
+                        if rrd > part:
+                            part = rrd
                         act_part[bg] = part
                     if part > ready:
                         ready = part
                 else:
-                    ready = b_next_pre[flat]
+                    ready = next_pres[flat]
                 estimate = start if start > ready else ready
             if not have_best or estimate < best_estimate:
                 best_estimate = estimate
@@ -338,7 +311,7 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
         index = window[best_pos]
         for pos in range(best_pos, win_len - 1):
             window[pos] = window[pos + 1]
-        if next_index < count:
+        if next_index < end:
             window[win_len - 1] = next_index
             next_index += 1
         else:
@@ -348,7 +321,7 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
         daddr = daddrs[index]
         resident = use_cache != 0 and daddr in cache_slot
         # ---- execute (cache lookup + datapath + DDR state machine) ---- #
-        arrival = arrivals[index]
+        arrival = base + offsets[index]
         start = arrival if arrival > current else current
         st_instructions += 1
         hit = False
@@ -397,7 +370,7 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
                 st_bypasses += 1
         if hit:
             st_hits += 1
-            st_bytes_cache += vbytes[index]
+            st_bytes_cache += vsizes[index] * 64
             data_ready = start + cache_latency
             next_free = data_ready
         else:
@@ -408,88 +381,82 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
             row = rows[index]
             flat = flats[index]
             bg = bank_groups[index]
-            open_row = b_open[flat]
+            open_row = open_rows[flat]
             if open_row != row:
                 if open_row != -1:
-                    ready = b_next_pre[flat]
+                    ready = next_pres[flat]
                     if ready > cycle:
                         cycle = ready
-                    b_open[flat] = -1
-                    b_precharges[flat] += 1
+                    open_rows[flat] = -1
+                    precharges[flat] += 1
                     value = cycle + tRP
-                    if value > b_next_act[flat]:
-                        b_next_act[flat] = value
+                    if value > next_acts[flat]:
+                        next_acts[flat] = value
                     commands_issued = 1
                     first_issue = cycle
-                ready = b_next_act[flat]
-                if act_count >= 4:
-                    faw = rs[act_count % 4] + tFAW
-                    if faw > ready:
-                        ready = faw
-                if last_act >= 0:
-                    if bg == last_act_bg:
-                        rrd = last_act + tRRD_L
-                    else:
-                        rrd = last_act + tRRD_S
-                    if rrd > ready:
-                        ready = rrd
+                ready = next_acts[flat]
+                if faw_ready > ready:
+                    ready = faw_ready
+                if bg == last_act_bg:
+                    rrd = last_act + tRRD_L
+                else:
+                    rrd = last_act + tRRD_S
+                if rrd > ready:
+                    ready = rrd
                 if ready > cycle:
                     cycle = ready
-                b_open[flat] = row
-                b_activations[flat] += 1
+                open_rows[flat] = row
+                activations[flat] += 1
                 value = cycle + tRCD
-                if value > b_next_read[flat]:
-                    b_next_read[flat] = value
+                if value > next_reads[flat]:
+                    next_reads[flat] = value
                 value = cycle + tRAS
-                if value > b_next_pre[flat]:
-                    b_next_pre[flat] = value
+                if value > next_pres[flat]:
+                    next_pres[flat] = value
                 value = cycle + tRC
-                if value > b_next_act[flat]:
-                    b_next_act[flat] = value
-                rs[act_count % 4] = cycle
-                act_count += 1
+                if value > next_acts[flat]:
+                    next_acts[flat] = value
+                faw_ring[ring + faw_slot] = cycle
+                faw_slot = (faw_slot + 1) % 4
+                faw_ready = faw_ring[ring + faw_slot] + tFAW
                 last_act = cycle
                 last_act_bg = bg
                 commands_issued += 1
                 if first_issue == -1:
                     first_issue = cycle
                 st_activations += 1
-            finish = cycle
+            # First burst: bank, tCCD and data-bus waits; each further
+            # burst of the vector follows by max(tCCD_L, tBL).
+            ready = next_reads[flat]
+            if bg == last_col_bg:
+                ccd = last_col + tCCD_L
+            else:
+                ccd = last_col + tCCD_S
+            if ccd > ready:
+                ready = ccd
+            bus = bus_free - tCL
+            if bus > ready:
+                ready = bus
+            if ready > cycle:
+                cycle = ready
+            if first_issue == -1:
+                first_issue = cycle
             bursts = vsizes[index]
             if bursts < 1:
                 bursts = 1
-            for _ in range(bursts):
-                ready = b_next_read[flat]
-                if last_col >= 0:
-                    if bg == last_col_bg:
-                        ccd = last_col + tCCD_L
-                    else:
-                        ccd = last_col + tCCD_S
-                    if ccd > ready:
-                        ready = ccd
-                bus = bus_free - tCL
-                if bus > ready:
-                    ready = bus
-                if ready > cycle:
-                    cycle = ready
-                b_reads[flat] += 1
-                finish = cycle + tCL + tBL
-                value = cycle + tCCD_L
-                if value > b_next_read[flat]:
-                    b_next_read[flat] = value
-                value = cycle + tRTP
-                if value > b_next_pre[flat]:
-                    b_next_pre[flat] = value
-                last_col = cycle
-                last_col_bg = bg
-                if finish > bus_free:
-                    bus_free = finish
-                commands_issued += 1
-                if first_issue == -1:
-                    first_issue = cycle
-                st_dram_reads += 1
-            st_bytes_dram += vbytes[index]
-            data_ready = finish
+            cycle += (bursts - 1) * burst_step
+            reads[flat] += bursts
+            next_reads[flat] = cycle + tCCD_L
+            value = cycle + tRTP
+            if value > next_pres[flat]:
+                next_pres[flat] = value
+            last_col = cycle
+            last_col_bg = bg
+            bus_free = cycle + tCL + tBL
+            commands_issued += bursts
+            st_dram_reads += bursts
+            st_bytes_dram += vsizes[index] * 64
+            data_ready = bus_free
             next_free = (start if start > first_issue else first_issue) \
                 + commands_issued
         completion = data_ready + computes[index]
@@ -502,13 +469,13 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
             for g in range(num_bank_groups):
                 act_part[g] = _PART_UNSET
                 rd_part[g] = _PART_UNSET
-    rs[RS_ACT_COUNT] = act_count
-    rs[RS_LAST_ACT] = last_act
-    rs[RS_LAST_ACT_BG] = last_act_bg
-    rs[RS_LAST_COL] = last_col
-    rs[RS_LAST_COL_BG] = last_col_bg
-    rs[RS_BUS_FREE] = bus_free
-    rs[RS_CURRENT] = current
+    faw_slots[rank] = faw_slot
+    last_acts[rank] = last_act
+    last_act_groups[rank] = last_act_bg
+    last_cols[rank] = last_col
+    last_col_groups[rank] = last_col_bg
+    bus_frees[rank] = bus_free
+    currents[rank] = current
     cs[CS_HEAD] = head
     cs[CS_TAIL] = tail
     cs[CS_USED] = used
@@ -526,8 +493,8 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
 
 
 def _reorder_window_flat(rows, ranks, window_size, num_ranks):
-    """FR-FCFS permutation of :func:`reorder_indices` over flat int64
-    arrays (numba-compilable): within the sliding window
+    """FR-FCFS permutation of one packet (see :func:`reorder_packets`)
+    over flat int64 arrays (numba-compilable): within the sliding window
     the first member whose row matches the last row issued to its rank
     is hoisted; otherwise the oldest member goes."""
     count = len(rows)
@@ -592,25 +559,23 @@ if KERNEL_FLAVOR == "numba":
     _reorder_window_flat = _njit(cache=True)(_reorder_window_flat)
 
 
-def _reorder_window_python(rows, ranks, window_size, num_ranks):
+def _reorder_window_python(rows, ranks, hoistable, begin, end,
+                           window_size, num_ranks, order):
     """CPython twin of :func:`_reorder_window_flat` over plain lists.
 
-    A member can be hoisted only when its row equals the last row issued
-    to its rank: that takes another instruction with the same
+    Reorders the packet held in rows ``begin`` to ``end`` of the
+    dispatch-wide lists and appends its indices to ``order`` in issue
+    order.  A member can be hoisted only when its row equals the last
+    row issued to its rank: that takes another instruction with the same
     ``(rank, row)`` key in the packet, or the row ``-1`` every rank's
-    last row starts as.  Only such members are scanned; when none
+    last row starts as -- ``hoistable`` flags them (see
+    :func:`_hoistable`).  Only such members are scanned; when none
     matches, the oldest member goes.
     """
-    count = len(rows)
-    keys = [row * num_ranks + rank for row, rank in zip(rows, ranks)]
-    recurring = Counter(keys)
-    hoistable = [recurring[key] > 1 or row == -1
-                 for key, row in zip(keys, rows)]
-    window = list(range(window_size if window_size < count else count))
+    window = list(range(begin, min(begin + window_size, end)))
     candidates = [index for index in window if hoistable[index]]
-    next_index = len(window)
+    next_index = begin + len(window)
     last = [-1] * num_ranks
-    order = []
     append = order.append
     while window:
         index = window[0]
@@ -621,43 +586,68 @@ def _reorder_window_python(rows, ranks, window_size, num_ranks):
         window.remove(index)
         if hoistable[index]:
             candidates.remove(index)
-        if next_index < count:
+        if next_index < end:
             window.append(next_index)
             if hoistable[next_index]:
                 candidates.append(next_index)
             next_index += 1
         last[ranks[index]] = rows[index]
         append(index)
-    return order
 
 
-def reorder_indices(rows, ranks, window_size, num_ranks):
-    """FR-FCFS permutation using the active flavor.
+def _hoistable(rows, ranks, packets):
+    """Per instruction (int64 arrays): True when its ``(packet, rank,
+    row)`` key recurs in the dispatch or its row is ``-1``."""
+    keyed = np.lexsort((rows, ranks, packets))
+    rows, ranks, packets = rows[keyed], ranks[keyed], packets[keyed]
+    repeats = ((rows[1:] == rows[:-1]) & (ranks[1:] == ranks[:-1])
+               & (packets[1:] == packets[:-1]))
+    recurring = np.zeros(len(rows), dtype=bool)
+    recurring[1:] = repeats
+    recurring[:-1] |= repeats
+    hoistable = np.empty_like(recurring)
+    hoistable[keyed] = recurring | (rows == -1)
+    return hoistable
 
-    ``rows``/``ranks`` are aligned int64 arrays or int lists (the list
-    twin runs on lists; arrays are converted once);
-    every rank must be in ``[0, num_ranks)`` (callers validate -- the
-    per-rank open-row table is indexed by rank).  Within a sliding
-    window of ``window_size`` pending instructions, the oldest one whose
-    row matches the last row issued to its rank is hoisted; otherwise
-    the oldest goes.  Returns an int64 index array.
+
+def reorder_packets(rows, ranks, bounds, window_size, num_ranks):
+    """FR-FCFS issue order of a dispatch's packets, using the active
+    flavor.
+
+    ``rows``/``ranks`` are aligned int64 arrays over the instructions of
+    every packet, back to back: packet ``p`` holds the rows
+    ``bounds[p]`` to ``bounds[p + 1]`` (``bounds`` an int list).  Every
+    rank must be in ``[0, num_ranks)`` (callers validate -- the per-rank
+    open-row table is indexed by rank).  Within a sliding window of
+    ``window_size`` pending instructions of one packet, the oldest one
+    whose row matches the last row issued to its rank is hoisted;
+    otherwise the oldest goes.  Packets of at most two instructions
+    issue in packet order.  Returns the int64 array of instruction
+    indices in issue order; each packet keeps its own span.
     """
-    count = len(rows)
-    if count <= 2:
-        return np.arange(count, dtype=np.int64)
     window_size = window_size if window_size > 1 else 1
+    spans = list(zip(bounds[:-1], bounds[1:]))
     flavor = active_flavor()
     if flavor in ("numba", "flat-python"):
         kernel = _reorder_window_flat if flavor == "numba" \
             else _reorder_window_flat_py
-        return kernel(np.asarray(rows, dtype=np.int64),
-                      np.asarray(ranks, dtype=np.int64), window_size,
-                      num_ranks)
-    if isinstance(rows, np.ndarray):
-        rows, ranks = rows.tolist(), ranks.tolist()
-    return np.asarray(
-        _reorder_window_python(rows, ranks, window_size, num_ranks),
-        dtype=np.int64)
+        parts = [begin + kernel(rows[begin:end], ranks[begin:end],
+                                window_size, num_ranks)
+                 if end - begin > 2 else np.arange(begin, end)
+                 for begin, end in spans]
+        return np.concatenate(parts).astype(np.int64) if parts \
+            else np.zeros(0, np.int64)
+    packets = np.repeat(np.arange(len(spans)), np.diff(bounds))
+    hoistable = _hoistable(rows, ranks, packets).tolist()
+    rows, ranks = rows.tolist(), ranks.tolist()
+    order = []
+    for begin, end in spans:
+        if end - begin > 2:
+            _reorder_window_python(rows, ranks, hoistable, begin, end,
+                                   window_size, num_ranks, order)
+        else:
+            order.extend(range(begin, end))
+    return np.array(order, dtype=np.int64)
 
 
 # --------------------------------------------------------------------- #
@@ -674,30 +664,25 @@ def pack_decoded(config, daddrs):
 
 
 # --------------------------------------------------------------------- #
-# Wrapper class: sync object state around each kernel call              #
+# Per-rank LRU mirror around each kernel call                           #
 # --------------------------------------------------------------------- #
 class FlatRankKernel:
-    """Struct-of-arrays kernel wrapper (numba-jitted or un-jitted).
+    """Struct-of-arrays kernel binding of one rank (numba-jitted or
+    un-jitted).
 
-    Keeps a persistent flat LRU (``int64 -> slot`` dict plus linked-list
-    arrays) mirroring the RankCache's ``OrderedDict``; after every call
-    the LRU effects are replayed onto the OrderedDict so the object
-    layer stays authoritative, and the flat side is rebuilt from the
-    OrderedDict whenever the two disagree on occupancy (e.g. after an
-    external ``flush()``).
+    The kernel reads and writes the rank's bank and rank state in the
+    shared :class:`~repro.core.rank_nmp.RankState` arrays directly.  For
+    the RankCache it keeps a persistent flat LRU (``int64 -> slot`` dict
+    plus linked-list arrays) mirroring the cache's ``OrderedDict``;
+    after every call the LRU effects are replayed onto the OrderedDict
+    so the cache object stays authoritative, and the flat side is
+    rebuilt from the OrderedDict whenever the two disagree on occupancy
+    (e.g. after an external ``flush()``).
     """
 
-    def __init__(self, rank_nmp, flavor):
-        self.rank_nmp = rank_nmp
-        config = rank_nmp.config
-        self.adder = config.adder_latency_cycles
-        self.multiplier = config.multiplier_latency_cycles
-        self.cache_latency = config.cache_latency_cycles
-        self.banks_per_group = config.banks_per_group
-        self.num_bank_groups = config.num_bank_groups
-        self.capacity = (rank_nmp.cache.num_entries
-                         if rank_nmp.cache is not None else 0)
-        self.timing_params = config.timing.kernel_params()
+    def __init__(self, cache, flavor):
+        self.cache = cache
+        self.capacity = cache.num_entries if cache is not None else 0
         if flavor == "numba":
             self.fn = _execute_window_flat
             self.rebuild_fn = _rebuild_lru_flat
@@ -717,7 +702,7 @@ class FlatRankKernel:
         self._cs[CS_TAIL] = -1
 
     def reset(self):
-        """Drop kernel-side state (after RankNMP.reset / cache flush)."""
+        """Drop the flat LRU (after a cache flush)."""
         self._cache_slot = self.dict_factory()
         self._cs[CS_HEAD] = -1
         self._cs[CS_TAIL] = -1
@@ -725,7 +710,7 @@ class FlatRankKernel:
 
     def _sync_cache_in(self):
         """Rebuild the flat LRU when the OrderedDict mirror diverged."""
-        cache = self.rank_nmp.cache
+        cache = self.cache
         if cache is None:
             return
         entries = cache._entries
@@ -738,7 +723,7 @@ class FlatRankKernel:
 
     def _replay_cache_out(self, exec_order, daddrs, localities):
         """Replay LRU effects of one call onto the OrderedDict mirror."""
-        cache = self.rank_nmp.cache
+        cache = self.cache
         if cache is None:
             return
         entries = cache._entries
@@ -754,11 +739,33 @@ class FlatRankKernel:
                     popitem(last=False)
                 entries[daddr] = None
 
-    def _apply_stats(self, st):
-        """Add one call's statistics deltas to the rank-NMP and its
-        cache."""
-        rank_nmp = self.rank_nmp
-        stats = rank_nmp.stats
+    def execute(self, state, columns, rank, begin, end, base, window_size):
+        """Run rank ``rank``'s stream -- the rows ``begin`` to ``end`` of
+        the int64 ``columns`` (see
+        :func:`~repro.core.rank_nmp.execute_segments`), arriving at
+        ``base`` plus their offsets -- on ``state``'s arrays.  Adds the
+        statistics to the rank-NMP and its cache; returns the last
+        completion cycle."""
+        (daddrs, vsizes, computes, localities, offsets, bank_groups,
+         flats, rows) = columns
+        self._sync_cache_in()
+        st = np.zeros(ST_SIZE, np.int64)
+        exec_order = np.empty(end - begin, np.int64)
+        last = self.fn(
+            daddrs, vsizes, computes, localities, offsets, bank_groups,
+            flats, rows, begin, end, base, window_size,
+            state.num_bank_groups, rank,
+            state.open_row, state.next_act, state.next_read,
+            state.next_pre, state.activations, state.reads,
+            state.precharges, state.faw_ring, state.faw_slot,
+            state.last_act, state.last_act_group, state.last_col,
+            state.last_col_group, state.bus_free, state.current,
+            state.timing_array, st, 1 if self.cache is not None else 0,
+            self._cache_slot, self._lru_prev, self._lru_next,
+            self._lru_key, self._cs, max(1, self.capacity),
+            state.cache_latency, exec_order)
+        self._replay_cache_out(exec_order, daddrs, localities)
+        stats = state.stats[rank]
         stats.instructions += int(st[ST_INSTRUCTIONS])
         stats.cache_hits += int(st[ST_HITS])
         stats.cache_misses += int(st[ST_MISSES])
@@ -768,90 +775,22 @@ class FlatRankKernel:
         stats.busy_cycles += int(st[ST_BUSY])
         stats.bytes_from_dram += int(st[ST_BYTES_DRAM])
         stats.bytes_from_cache += int(st[ST_BYTES_CACHE])
-        cache = rank_nmp.cache
-        if cache is not None:
-            cache_stats = cache.stats
+        if self.cache is not None:
+            cache_stats = self.cache.stats
             cache_stats.hits += int(st[ST_HITS])
             cache_stats.misses += int(st[ST_MISSES])
             cache_stats.bypasses += int(st[ST_BYPASSES])
             cache_stats.evictions += int(st[ST_EVICTIONS])
-
-    def execute_arrays(self, daddrs, vsizes, weighted, localities,
-                       arrivals, bank_groups, banks, rows, reorder_window):
-        """Run one aligned int64/bool column stream through the kernel;
-        returns the last completion cycle."""
-        rank_nmp = self.rank_nmp
-        count = len(daddrs)
-        if count == 0:
-            return rank_nmp.current_cycle
-        if rank_nmp.cache is not None and daddrs.min() < 0:
-            raise ValueError("dram_address must be non-negative, got %d"
-                             % daddrs.min())
-        self._sync_cache_in()
-        flats = bank_groups * self.banks_per_group + banks
-        computes = self.adder + self.multiplier * weighted.astype(np.int64)
-        vbytes = vsizes * 64
-        locality_ints = localities.astype(np.uint8)
-        rank = rank_nmp.dram_rank
-        bank_objs = rank.banks
-        num_banks = len(bank_objs)
-        b_open = np.empty(num_banks, np.int64)
-        b_next_act = np.empty(num_banks, np.int64)
-        b_next_read = np.empty(num_banks, np.int64)
-        b_next_pre = np.empty(num_banks, np.int64)
-        b_activations = np.empty(num_banks, np.int64)
-        b_reads = np.empty(num_banks, np.int64)
-        b_precharges = np.empty(num_banks, np.int64)
-        for i, bank in enumerate(bank_objs):
-            open_row = bank.open_row
-            b_open[i] = -1 if open_row is None else open_row
-            b_next_act[i] = bank.next_act
-            b_next_read[i] = bank.next_read
-            b_next_pre[i] = bank.next_pre
-            b_activations[i] = bank.activations
-            b_reads[i] = bank.reads
-            b_precharges[i] = bank.precharges
-        scalars = rank.kernel_scalars()
-        scalars.append(rank_nmp.current_cycle)
-        rs = np.asarray(scalars, dtype=np.int64)
-        tp = np.asarray(self.timing_params, dtype=np.int64)
-        st = np.zeros(ST_SIZE, np.int64)
-        exec_order = np.empty(count, np.int64)
-        use_cache = 1 if rank_nmp.cache is not None else 0
-        window_size = reorder_window if reorder_window > 1 else 1
-        last = self.fn(
-            daddrs, vsizes, computes, vbytes, locality_ints,
-            arrivals, flats, bank_groups, rows,
-            window_size, self.num_bank_groups,
-            b_open, b_next_act, b_next_read, b_next_pre,
-            b_activations, b_reads, b_precharges,
-            rs, tp, st,
-            use_cache, self._cache_slot, self._lru_prev, self._lru_next,
-            self._lru_key, self._cs, max(1, self.capacity),
-            self.cache_latency, exec_order)
-        for i, bank in enumerate(bank_objs):
-            open_row = int(b_open[i])
-            bank.open_row = None if open_row < 0 else open_row
-            bank.next_act = int(b_next_act[i])
-            bank.next_read = int(b_next_read[i])
-            bank.next_pre = int(b_next_pre[i])
-            bank.activations = int(b_activations[i])
-            bank.reads = int(b_reads[i])
-            bank.precharges = int(b_precharges[i])
-        rank.set_kernel_scalars(rs)
-        rank_nmp.current_cycle = int(rs[RS_CURRENT])
-        self._replay_cache_out(exec_order, daddrs, localities)
-        self._apply_stats(st)
         return int(last)
 
 
-def make_rank_kernel(rank_nmp):
-    """Flat kernel wrapper for one RankNMP under the ``numba`` and
-    ``flat-python`` flavors; None under ``python``, where RankNMP runs
-    its own column window loop."""
+def make_rank_kernel(cache):
+    """Flat kernel binding for one rank (its RankCache or None) under
+    the ``numba`` and ``flat-python`` flavors; None under ``python``,
+    where the rank runs the list loop."""
     flavor = active_flavor()
     if flavor in ("numba", "flat-python"):
-        return FlatRankKernel(rank_nmp, flavor)
+        return FlatRankKernel(cache, flavor)
     return None
 
 
@@ -862,5 +801,5 @@ def describe():
         return "numba-jitted bank state machine"
     if flavor == "flat-python":
         return "un-jitted flat kernel source"
-    return "RankNMP column loop (numba not installed)"
+    return "rank-NMP list loop (numba not installed)"
 

@@ -74,14 +74,14 @@ class NMPMemoryController:
         self.stats.packets_received += len(packets)
 
     def _issue_orders(self, packed_list, reorder=True):
-        """Ranks and FR-FCFS issue orders of one dispatch's packets.
+        """Ranks and FR-FCFS issue order of one dispatch's packets.
 
         ``packed_list`` holds the packets' columns in schedule order.
-        Returns ``(ranks, issue)``: ``ranks`` the int64 channel-rank index
+        Returns ``(ranks, order)``: ``ranks`` the int64 channel-rank index
         of every instruction of every packet, concatenated in schedule
-        order, and ``issue`` one ``(packet_ranks, permutation)`` pair per
-        packet -- its slice of ``ranks`` and its issue order as an index
-        array (None when the packet issues in packet order).
+        order, and ``order`` every instruction's index in issue order
+        (None when every packet issues in packet order) -- each packet's
+        indices stay within its own span.
 
         Ranks come from one ``ranks_of_addresses`` call over the
         dispatch's addresses in schedule order -- the first-touch order a
@@ -91,27 +91,23 @@ class NMPMemoryController:
         row as the previous instruction to that rank) are hoisted to issue
         consecutively; ordering across PsumTags is irrelevant for
         correctness because each accumulates into its own register.  Rows
-        are ``daddr // 128`` (128 columns per row).
+        are ``daddr // 128`` (128 columns per row); the rows, ranks and
+        which of their keys recur are computed once for the dispatch
+        (:func:`~repro.core.kernels.reorder_packets`).
         """
         daddrs = np.concatenate([packed.daddrs for packed in packed_list]) \
             if packed_list else np.zeros(0, np.int64)
         ranks = np.asarray(self.ranks_of_addresses(daddrs * 64),
                            dtype=np.int64)
         require_valid_ranks(ranks, self.num_ranks)
-        rows = daddrs // 128
-        issue = []
-        start = 0
+        if not reorder:
+            return ranks, None
+        bounds = [0]
         for packed in packed_list:
-            end = start + len(packed)
-            packet_ranks = ranks[start:end]
-            permutation = None
-            if reorder and end - start > 2:
-                permutation = _kernels.reorder_indices(
-                    rows[start:end], packet_ranks, self.reorder_window,
-                    self.num_ranks)
-            issue.append((packet_ranks, permutation))
-            start = end
-        return ranks, issue
+            bounds.append(bounds[-1] + len(packed))
+        return ranks, _kernels.reorder_packets(
+            daddrs // 128, ranks, bounds, self.reorder_window,
+            self.num_ranks)
 
     # ------------------------------------------------------------------ #
     def dispatch(self, channel, reorder=True):
@@ -119,37 +115,39 @@ class NMPMemoryController:
 
         Returns ``(total_cycles, per_packet_completions)`` where completions
         are measured relative to each packet's own start (latency), and the
-        packets are issued back to back (the channel pipeline overlaps the
-        rank work of consecutive packets through the rank-NMP state).
+        packets are issued back to back: each starts when the previous one
+        completed, and the rank-NMP state carries over.
 
-        The instruction->rank mapping, its validation, the rows and the
-        per-rank counts are computed once for the whole dispatch; each
-        packet's FR-FCFS issue order is computed on its slice of them.
-        Packets below the flavor's packed cutover go to
-        ``channel.execute_packet`` with the issue order as a permutation;
-        larger ones are gathered into issue order and go to
-        ``channel.execute_packed``.  Both entry points run the same column
-        routine, so the choice only moves where the gather happens.
+        Everything that does not depend on a packet's start cycle is
+        computed once for the whole dispatch: the instruction->rank
+        mapping and its validation, the FR-FCFS issue orders, the
+        per-rank counts and the channel's column layout
+        (``channel._prepare``: the per-rank split, the bank decode and
+        the per-packet PsumTag counts).  Each packet then enters the
+        channel once, with its slice of that layout as the private
+        ``_prepared`` argument: packets below the flavor's packed cutover
+        through ``channel.execute_packet``, larger ones through
+        ``channel.execute_packed``.  Both run the same loop, so the
+        choice only names the entry point.
         """
         order = self.scheduler.schedule()
         packed_list = [packet.instructions for packet in order]
         ranks, issue = self._issue_orders(packed_list, reorder)
         per_packet = []
         current_cycle = 0
+        if packed_list:
+            prepared = channel._prepare(packed_list, ranks, issue)
         packed_min = _kernels.packed_dispatch_min_instructions()
-        for packet, packed, (packet_ranks, permutation) in zip(
-                order, packed_list, issue):
+        for index, (packet, packed) in enumerate(zip(order, packed_list)):
             self.stats.counter_configurations += 1
             if len(packed) >= packed_min:
-                if permutation is not None:
-                    packed = packed.take(permutation)
-                    packet_ranks = packet_ranks[permutation]
                 completion = channel.execute_packed(
-                    packed, start_cycle=current_cycle, ranks=packet_ranks)
+                    packed, start_cycle=current_cycle,
+                    _prepared=(prepared, index))
             else:
                 completion = channel.execute_packet(
-                    packet, start_cycle=current_cycle, ranks=packet_ranks,
-                    order=permutation)
+                    packet, start_cycle=current_cycle,
+                    _prepared=(prepared, index))
             per_packet.append(completion - current_cycle)
             self.stats.instructions_issued += len(packed)
             self.stats.packets_issued += 1
@@ -160,4 +158,3 @@ class NMPMemoryController:
                 per_rank_counts[rank] = \
                     per_rank_counts.get(rank, 0) + rank_count
         return current_cycle, per_packet
-

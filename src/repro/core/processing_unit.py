@@ -9,20 +9,26 @@ with ``num_dimms`` RecNMP DIMMs therefore exposes ``num_dimms *
 ranks_per_dimm`` concurrently active rank-NMPs.
 
 :class:`RecNMPChannel` models that population directly: it holds the
-channel's rank-NMPs in channel-rank order and runs one packet's columns
-across them.  Each rank-NMP receives its instructions' Daddrs, burst
-counts, weighted flags and LocalityBits, with their arrival cycles and
-decoded bank / row; the packet's PsumTags only count the pooled outputs
-the DIMM returns.  The DIMM-NMP layer contributes only timing -- the C/A
-delivery rate of the compressed instructions and the adder-tree plus
-DIMM.Sum drain after the slowest rank -- which the module constants below
-fix at the paper's values.
+DDR4 state of every rank of the channel in one flat
+:class:`~repro.core.rank_nmp.RankState` and runs each packet's columns
+across the ranks in one pass.  Each rank-NMP receives its instructions'
+Daddrs, burst counts, weighted flags and LocalityBits, with their arrival
+cycles and decoded bank / row; the packet's PsumTags only count the
+pooled outputs the DIMM returns.  The DIMM-NMP layer contributes only
+timing -- the C/A delivery rate of the compressed instructions and the
+adder-tree plus DIMM.Sum drain after the slowest rank -- which the module
+constants below fix at the paper's values.
 """
 
 import numpy as np
 
 from repro.core import kernels as _kernels
-from repro.core.rank_nmp import RankNMP, RankNMPConfig
+from repro.core.rank_nmp import (
+    RankNMP,
+    RankNMPConfig,
+    RankState,
+    execute_segments,
+)
 
 #: NMP-Insts the host memory controller pushes over the channel per DRAM
 #: cycle: the compressed format sustains two (double data rate on the
@@ -64,7 +70,8 @@ class RecNMPChannel:
         self.num_dimms = int(num_dimms)
         self.ranks_per_dimm = int(ranks_per_dimm)
         self.rank_config = rank_config or RankNMPConfig()
-        self._rank_nmps = [RankNMP(self.rank_config, rank_index=r)
+        self._state = RankState(self.rank_config, self.num_ranks)
+        self._rank_nmps = [RankNMP._view(self._state, r)
                            for r in range(self.num_ranks)]
 
     # ------------------------------------------------------------------ #
@@ -82,79 +89,150 @@ class RecNMPChannel:
         return list(self._rank_nmps)
 
     # ------------------------------------------------------------------ #
-    def execute_packet(self, packet, start_cycle=0, ranks=None, order=None):
+    def execute_packet(self, packet, start_cycle=0, ranks=None, order=None,
+                       _prepared=None):
         """Execute one packet across all ranks of the channel.
 
         ``ranks`` optionally carries the per-instruction channel-rank
-        indices, aligned with the packet's instructions (the memory
-        controller computes them once per packet); by default an
+        indices, aligned with the packet's instructions; by default an
         instruction goes to rank ``Daddr % num_ranks``.  ``order``
         optionally gives the issue order as a permutation of the packet's
         instructions (the controller's FR-FCFS reorder); by default they
         issue in packet order.  Returns the packet completion cycle.
-        """
-        packed = packet.instructions
-        if ranks is None:
-            ranks = packed.daddrs % self.num_ranks
-        return self._execute_columns(packed, ranks, order, start_cycle)
 
-    def execute_packed(self, packed, start_cycle=0, ranks=None):
+        ``_prepared`` is the memory controller's private hand-off: a
+        ``(prepared, packet_index)`` pair from :meth:`_prepare` that
+        already holds this packet's ranks and issue order, so only
+        ``start_cycle`` is read besides it.
+        """
+        if _prepared is not None:
+            return self._run(_prepared, start_cycle)
+        return self._execute(packet.instructions, ranks, order, start_cycle)
+
+    def execute_packed(self, packed, start_cycle=0, ranks=None,
+                       _prepared=None):
         """:meth:`execute_packet` over a
         :class:`~repro.core.instruction.PackedInstructions` already in
         issue order; ``ranks`` the aligned per-instruction channel-rank
         indices (default: Daddr modulo rank count).
         """
+        if _prepared is not None:
+            return self._run(_prepared, start_cycle)
+        return self._execute(packed, ranks, None, start_cycle)
+
+    def _execute(self, packed, ranks, order, start_cycle):
+        """One packet from the public entry points: check its ranks and
+        issue order, prepare its columns and run it."""
+        count = len(packed)
         if ranks is None:
             ranks = packed.daddrs % self.num_ranks
-        return self._execute_columns(packed, ranks, None, start_cycle)
-
-    def _execute_columns(self, packed, ranks, order, start_cycle):
-        """Split one packet's columns over the ranks and run them.
-
-        The instruction at issue position ``i`` (``order[i]`` of the packet
-        when reordered) reaches its rank over the shared C/A interface at
-        ``start_cycle + i // INSTRUCTIONS_PER_CYCLE``.  One stable argsort
-        groups the issue sequence by rank, keeping issue order within each
-        rank; every column is gathered in that order once, decoded into
-        bank group / bank / row once, and each rank-NMP runs its
-        contiguous span: array slices for a bound kernel, otherwise slices
-        of the columns' ``tolist()``.  The packet completes when the
-        slowest rank finishes and the adder tree plus one DIMM.Sum
-        transfer per pooled output drain.  ``ranks`` must hold exactly one
-        entry per instruction.
-        """
-        count = len(packed)
         ranks = np.asarray(ranks, dtype=np.int64)
         if len(ranks) != count:
             raise ValueError("ranks has %d entries for a %d-instruction "
                              "packet" % (len(ranks), count))
+        if order is not None:
+            order = np.asarray(order, dtype=np.int64)
+            if order.shape != (count,) or not np.array_equal(
+                    np.sort(order), np.arange(count)):
+                raise ValueError(
+                    "order %s is not a permutation of the packet's %d "
+                    "instructions" % (order.tolist(), count))
         if count == 0:
             return start_cycle
+        require_valid_ranks(ranks, self.num_ranks)
+        return self._run((self._prepare([packed], ranks, order), 0),
+                         start_cycle)
+
+    def _prepare(self, packed_list, ranks, order=None):
+        """The columns of a dispatch's packets, laid out for
+        :func:`~repro.core.rank_nmp.execute_segments`.
+
+        ``packed_list`` holds the packets' columns in schedule order,
+        ``ranks`` the validated channel-rank index of each of their
+        instructions, concatenated, and ``order`` (None: packet order)
+        every instruction's index in issue order, each packet's within
+        its own span.
+
+        The instruction at issue position ``i`` of its packet reaches its
+        rank over the shared C/A interface at the packet's start cycle
+        plus ``i // INSTRUCTIONS_PER_CYCLE``.  One stable argsort by
+        (packet, rank) groups each packet's issue sequence by rank,
+        keeping issue order within each rank; every column is gathered in
+        that order, decoded into bank group / flat bank / row and (for
+        the list loop) turned into a list once for the whole dispatch.
+        Returns ``(columns, segments, poolings)``: ``segments[p]`` lists
+        packet ``p``'s ``(rank, begin, end)`` spans of the columns and
+        ``poolings[p]`` its number of distinct PsumTags.
+        """
+        state = self._state
+        config = self.rank_config
         num_ranks = self.num_ranks
-        require_valid_ranks(ranks, num_ranks)
+        num_packets = len(packed_list)
+        sizes = [len(packed) for packed in packed_list]
+        packets = np.repeat(np.arange(num_packets), sizes)
+        starts = np.cumsum(sizes) - sizes
         if order is not None:
             ranks = ranks[order]
-        by_rank = np.argsort(ranks, kind="stable")
+        keys = packets * num_ranks + ranks
+        by_rank = np.argsort(keys, kind="stable")
         gather = by_rank if order is None else order[by_rank]
-        daddrs = packed.daddrs[gather]
-        columns = [daddrs, packed.vsizes[gather], packed.weighted[gather],
-                   packed.localities[gather],
-                   start_cycle + by_rank // INSTRUCTIONS_PER_CYCLE]
-        columns.extend(_kernels.pack_decoded(self.rank_config, daddrs))
-        rank_nmps = self._rank_nmps
-        if not rank_nmps[0].takes_arrays:
-            columns = [column.tolist() for column in columns]
-        per_rank_last = []
-        start = 0
-        for rank_index, rank_count in enumerate(
-                np.bincount(ranks, minlength=num_ranks).tolist()):
-            if rank_count:
-                end = start + rank_count
-                per_rank_last.append(rank_nmps[rank_index].execute_columns(
-                    [column[start:end] for column in columns]))
-                start = end
-        return (max(per_rank_last) + ADDER_TREE_LATENCY_CYCLES
-                + SUM_TRANSFER_CYCLES * packed.num_poolings)
+
+        def column(name):
+            return np.concatenate(
+                [getattr(packed, name) for packed in packed_list])[gather]
+
+        daddrs = column("daddrs")
+        if len(daddrs) and int(daddrs.min()) < 0:
+            raise ValueError("dram_address must be non-negative, got %d"
+                             % int(daddrs.min()))
+        bank_groups, banks, rows = _kernels.pack_decoded(config, daddrs)
+        flats = (ranks[by_rank] * config.num_bank_groups + bank_groups) \
+            * config.banks_per_group + banks
+        computes = config.adder_latency_cycles \
+            + config.multiplier_latency_cycles \
+            * column("weighted").astype(np.int64)
+        offsets = (np.arange(len(keys)) - starts[packets])[by_rank] \
+            // INSTRUCTIONS_PER_CYCLE
+        columns = [daddrs, column("vsizes"), computes,
+                   column("localities").astype(np.int64), offsets,
+                   bank_groups, flats, rows]
+        if not state.takes_arrays:
+            columns = [values.tolist() for values in columns]
+        per_segment = np.bincount(keys, minlength=num_packets * num_ranks)
+        used = np.flatnonzero(per_segment)
+        ends = np.cumsum(per_segment[used])
+        spans = list(zip((used % num_ranks).tolist(),
+                         (ends - per_segment[used]).tolist(),
+                         ends.tolist()))
+        firsts = np.searchsorted(used // num_ranks,
+                                 np.arange(num_packets + 1)).tolist()
+        segments = [spans[first:last]
+                    for first, last in zip(firsts, firsts[1:])]
+        tags = np.concatenate([packed.psum_tags for packed in packed_list])
+        poolings = [0] * num_packets
+        if len(tags):
+            tags = tags - tags.min()
+            span = int(tags.max()) + 1
+            tags = np.sort(packets * span + tags)
+            distinct = np.ones(len(tags), dtype=bool)
+            distinct[1:] = tags[1:] != tags[:-1]
+            poolings = np.bincount(tags[distinct] // span,
+                                   minlength=num_packets).tolist()
+        return columns, segments, poolings
+
+    def _run(self, prepared, start_cycle):
+        """Run packet ``packet`` of ``(prepared, packet) = prepared`` (see
+        :meth:`_prepare`) from ``start_cycle``: every rank it touches in
+        one pass.  The packet completes when the slowest rank finishes
+        and the adder tree plus one DIMM.Sum transfer per pooled output
+        drain."""
+        (columns, segments, poolings), packet = prepared
+        spans = segments[packet]
+        if not spans:
+            return start_cycle
+        return (execute_segments(self._state, columns, spans, start_cycle)
+                + ADDER_TREE_LATENCY_CYCLES
+                + SUM_TRANSFER_CYCLES * poolings[packet])
 
     def aggregate_stats(self):
         """Aggregate statistics across all rank-NMPs of the channel."""
@@ -168,8 +246,7 @@ class RecNMPChannel:
             "bytes_from_dram": 0,
             "bytes_from_cache": 0,
         }
-        for rank_nmp in self._rank_nmps:
-            stats = rank_nmp.stats
+        for stats in self._state.stats:
             totals["instructions"] += stats.instructions
             totals["cache_hits"] += stats.cache_hits
             totals["cache_misses"] += stats.cache_misses
@@ -185,5 +262,6 @@ class RecNMPChannel:
         return totals
 
     def reset(self):
-        for rank_nmp in self._rank_nmps:
-            rank_nmp.reset()
+        """Reset every rank's timing state, cache and statistics."""
+        for rank in range(self.num_ranks):
+            self._state.reset(rank)

@@ -19,6 +19,13 @@ with memory reads, so it only contributes when it is the bottleneck.
 The stream arrives as columns, never as instruction objects.  PsumTag
 accumulation is modelled by its latency only; the pooled values are the
 functional operators' (:mod:`repro.dlrm.operators`).
+
+The DDR4 state of the ranks is not held in objects: a
+:class:`RankState` keeps the bank and rank timing state of one rank
+(a standalone :class:`RankNMP`) or of every rank of a channel (a
+:class:`~repro.core.processing_unit.RecNMPChannel`) as flat lists, and
+:func:`execute_segments` runs any number of rank streams over it in one
+loop.
 """
 
 import itertools
@@ -30,15 +37,24 @@ import numpy as np
 from repro.cache.rank_cache import RankCache
 from repro.core import kernels as _kernels
 from repro.core.instruction import check_vector_size_bytes
-from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2400
 
 #: Stand-in for a rank's "no ACT / column command yet": far enough back
-#: that the tRRD / tCCD constraint derived from it never binds.
+#: that the tRRD / tCCD / tFAW constraint derived from it never binds.
 _NEVER = -(1 << 62)
 
 #: Initial best estimate of a window scan, beyond any reachable cycle.
 _UNREACHED = 1 << 62
+
+#: The per-bank and per-rank lists of a :class:`RankState`, with the
+#: value each starts and resets to (besides ``faw_ring``, four entries
+#: per rank, all ``_NEVER``).
+_BANK_STATE = (("open_row", -1), ("next_act", 0), ("next_read", 0),
+               ("next_pre", 0), ("activations", 0), ("reads", 0),
+               ("precharges", 0))
+_RANK_STATE = (("faw_slot", 0), ("last_act", _NEVER),
+               ("last_act_group", -1), ("last_col", _NEVER),
+               ("last_col_group", -1), ("bus_free", 0), ("current", 0))
 
 
 @dataclass
@@ -111,138 +127,171 @@ class RankNMPStats:
         }
 
 
-class RankNMP:
-    """Cycle-approximate model of one rank-NMP module."""
+class RankState:
+    """DDR4 timing state, caches and counters of ``num_ranks`` rank-NMPs.
 
-    def __init__(self, config=None, rank_index=0):
-        self.config = config or RankNMPConfig()
-        self.rank_index = rank_index
-        self.dram_rank = Rank(self.config.timing,
-                              num_bank_groups=self.config.num_bank_groups,
-                              banks_per_group=self.config.banks_per_group,
-                              rank_index=rank_index)
-        self.cache = RankCache(
-            capacity_bytes=self.config.cache_capacity_bytes,
-            vector_size_bytes=self.config.vector_size_bytes,
-            access_latency_cycles=self.config.cache_latency_cycles,
-        ) if self.config.use_cache else None
-        self.stats = RankNMPStats()
-        self.current_cycle = 0
-        # Flat command-issue kernel for the numba and flat-python
-        # flavors; None otherwise, in which case every stream runs the
-        # column window loop below (the readable spec the kernel is
-        # tested against).
-        self._kernel = _kernels.make_rank_kernel(self)
+    The lists are the state; nothing mirrors them.  Per bank, indexed
+    ``rank * banks_per_rank + bank_group * banks_per_group + bank``:
+    ``open_row`` (-1 when closed), the earliest ``next_act`` /
+    ``next_read`` / ``next_pre`` cycles and the ``activations`` /
+    ``reads`` / ``precharges`` counters.  Per rank: a ring of its last
+    four ACT cycles (``faw_ring[4 * rank:4 * rank + 4]``) with the slot
+    of the oldest (``faw_slot``), the last ACT and column cycle with
+    their bank groups (``last_act`` / ``last_act_group``, ``last_col`` /
+    ``last_col_group``), the data-bus free cycle (``bus_free``) and the
+    rank-NMP's ``current`` cycle.  A rank that has issued no ACT or
+    column command holds ``_NEVER`` in those cycles, which no tRRD /
+    tCCD / tFAW window reaches.  Also
+    per rank: the RankCache (None without one), the
+    :class:`RankNMPStats` and, under the flat kernel flavors, the kernel
+    binding (:class:`~repro.core.kernels.FlatRankKernel`), in which case
+    the per-bank and per-rank state are int64 arrays instead of lists.
+    """
 
-    # ------------------------------------------------------------------ #
-    # Execution                                                          #
-    # ------------------------------------------------------------------ #
-    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
-        """Execute one instruction stream (a
-        :class:`~repro.core.instruction.PackedInstructions` plus each
-        instruction's arrival cycle); returns the last completion cycle.
-
-        Instructions are issued FR-FCFS-style within a small reorder window
-        (the host-side memory controller performs this reordering inside a
-        packet per the paper): among the ``reorder_window`` oldest pending
-        instructions, the one whose bank can accept a command earliest goes
-        first.  Correctness is unaffected because each pooling accumulates
-        into its own PsumTag register.
-        """
-        daddrs = packed.daddrs
-        if len(arrival_cycles) != len(daddrs):
-            raise ValueError("arrival_cycles must match instructions")
-        if not len(daddrs):
-            return self.current_cycle
-        columns = [daddrs, packed.vsizes, packed.weighted, packed.localities,
-                   np.asarray(arrival_cycles, np.int64)]
-        columns.extend(_kernels.pack_decoded(self.config, daddrs))
-        if not self.takes_arrays:
-            columns = [column.tolist() for column in columns]
-        return self.execute_columns(columns, reorder_window)
+    def __init__(self, config, num_ranks):
+        self.config = config
+        self.num_ranks = num_ranks
+        self.num_bank_groups = config.num_bank_groups
+        self.banks_per_rank = config.num_bank_groups * config.banks_per_group
+        self.timing_params = config.timing.kernel_params()
+        self.cache_latency = config.cache_latency_cycles
+        self.caches = [
+            RankCache(capacity_bytes=config.cache_capacity_bytes,
+                      vector_size_bytes=config.vector_size_bytes,
+                      access_latency_cycles=config.cache_latency_cycles)
+            if config.use_cache else None
+            for _ in range(num_ranks)]
+        self.stats = [RankNMPStats() for _ in range(num_ranks)]
+        # Flat command-issue kernels for the numba and flat-python
+        # flavors; None under python, where execute_segments runs the
+        # list loop.
+        kernels = [_kernels.make_rank_kernel(cache)
+                   for cache in self.caches]
+        self.kernels = kernels if kernels[0] is not None else None
+        make = list if self.kernels is None \
+            else (lambda values: np.array(values, dtype=np.int64))
+        self.timing_array = np.array(self.timing_params, dtype=np.int64)
+        for name, fill in _BANK_STATE:
+            setattr(self, name,
+                    make([fill] * (num_ranks * self.banks_per_rank)))
+        for name, fill in _RANK_STATE:
+            setattr(self, name, make([fill] * num_ranks))
+        self.faw_ring = make([_NEVER] * (4 * num_ranks))
 
     @property
     def takes_arrays(self):
-        """True when :meth:`execute_columns` wants numpy arrays (a flat
-        kernel is bound), False when it wants plain lists."""
-        return self._kernel is not None
+        """True when :func:`execute_segments` wants int64 array columns
+        (a flat kernel is bound), False when it wants plain lists."""
+        return self.kernels is not None
 
-    def execute_columns(self, columns, reorder_window=16):
-        """Run one instruction stream given as eight aligned columns.
+    def reset(self, rank):
+        """Refill rank ``rank``'s timing state, empty its cache and zero
+        its statistics."""
+        low = rank * self.banks_per_rank
+        for name, fill in _BANK_STATE:
+            getattr(self, name)[low:low + self.banks_per_rank] = \
+                [fill] * self.banks_per_rank
+        for name, fill in _RANK_STATE:
+            getattr(self, name)[rank] = fill
+        self.faw_ring[4 * rank:4 * rank + 4] = [_NEVER] * 4
+        cache = self.caches[rank]
+        if cache is not None:
+            cache.flush()
+            cache.reset_stats()
+        self.stats[rank] = RankNMPStats()
+        if self.kernels is not None:
+            self.kernels[rank].reset()
 
-        The columns are, in order: Daddr, burst count, weighted flag,
-        LocalityBit, arrival cycle, and the decoded bank group,
-        bank and row.  They are int64/bool arrays for the bound flat
-        kernel, or plain lists for the column window loop -- see
-        :attr:`takes_arrays`.  Returns the last completion cycle.
-        """
-        if self._kernel is not None:
-            return self._kernel.execute_arrays(*columns, reorder_window)
-        return self._execute_window(*columns, reorder_window)
 
-    def _execute_window(self, daddrs, vsizes, weighted, localities,
-                        arrival_cycles, bank_groups, bank_indices, rows,
-                        reorder_window):
-        """The FR-FCFS window loop over aligned per-instruction columns.
+def execute_segments(state, columns, segments, base, arrivals_sorted=True,
+                     reorder_window=16):
+    """Run rank streams over ``state``; returns the largest last
+    completion cycle among them.
 
-        Each iteration picks one window member, then executes it: a
-        RankCache lookup (the LocalityBit decides allocation on a miss),
-        the DDR command sequence unless it hit, and the datapath latency
-        into its PsumTag register.
+    ``columns`` are eight aligned per-instruction columns: Daddr, burst
+    count, datapath latency (adder, plus the multiplier when weighted),
+    LocalityBit, arrival offset, bank group, flat bank (indexed as the
+    state's banks) and row -- plain lists, or int64 arrays when
+    ``state.takes_arrays``.  ``segments`` lists ``(rank, begin, end)``
+    triples: rank ``rank`` runs the column rows ``begin`` to ``end`` in
+    that order, each arriving at ``base`` plus its offset.  Every
+    segment must name a different rank (the ranks run concurrently,
+    each from its own current cycle).  ``arrivals_sorted`` promises that
+    each segment's offsets never decrease.
 
-        The selection is cycle-identical to evaluating each window
-        member's earliest first-command cycle (the ``estimated_start``
-        spec in ``tests/test_core_rank_dimm_nmp.py``) on every
-        iteration, but avoids that quadratic re-computation: per-bank
-        command/readiness is read once per member from the live bank state,
-        the rank-level ACT/RD components are memoised per bank group and
-        invalidated lazily (only an instruction that touched DRAM can
-        change them), and members whose earliest possible start already
-        matches or exceeds the best estimate are skipped outright -- or,
-        when the stream's arrivals never decrease, end the scan, because
-        every later window member starts no earlier.
+    Each rank-NMP issues its stream FR-FCFS-style within a
+    ``reorder_window``: among the oldest pending instructions, the one
+    whose first command can issue earliest goes first (ties keep the
+    oldest).  Each iteration picks one window member, then executes it:
+    a RankCache lookup (the LocalityBit decides allocation on a miss),
+    the DDR command sequence unless it hit, and the datapath latency
+    into its PsumTag register.
 
-        The command issue is the bank/rank state machine of
-        :class:`~repro.dram.rank.Rank` / :class:`~repro.dram.bank.Bank`
-        inlined: every command is issued at its earliest legal cycle, so
-        the legality re-checks of the generic ``issue`` path are redundant
-        by construction.  The rank scalars (ACT history, last ACT / column
-        cycle and bank group, data-bus free cycle), the timing parameters
-        and every counter live in locals for the whole stream and are
-        written back once at the end.  This is the readable
-        specification the flat kernel
-        (:func:`~repro.core.kernels._execute_window_flat`) is pinned to.
-        """
-        count = len(daddrs)
-        current = self.current_cycle
-        if not count:
-            return current
-        cache = self.cache
-        if cache is not None and min(daddrs) < 0:
-            raise ValueError("dram_address must be non-negative, got %d"
-                             % min(daddrs))
-        rank = self.dram_rank
-        banks = rank.banks
-        banks_per_group = self.config.banks_per_group
-        bank_of = [banks[bank_group * banks_per_group + bank_index]
-                   for bank_group, bank_index in zip(bank_groups,
-                                                     bank_indices)]
-        (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
-         tRC, tRTP) = rank.timing.kernel_params()
-        # Rank scalars.  An ACT waits for the fourth-last ACT plus tFAW;
-        # "never" is a cycle so far back that the tRRD / tCCD constraint
-        # it yields never binds.
-        history = rank._act_history
-        faw_ready = history[-4] + tFAW if len(history) >= 4 else 0
-        last_act = rank._last_act_cycle
-        if last_act is None:
-            last_act = _NEVER
-        last_act_group = rank._last_act_bank_group
-        last_col = rank._last_col_cycle
-        if last_col is None:
-            last_col = _NEVER
-        last_col_group = rank._last_col_bank_group
-        bus_free = rank.next_data_bus_free
+    The selection is cycle-identical to evaluating each window member's
+    earliest first-command cycle (the ``estimated_start`` spec in
+    ``tests/test_core_rank_dimm_nmp.py``) on every iteration, but avoids
+    that quadratic re-computation: per-bank readiness is read once per
+    member from the state lists, the rank-level ACT/RD components are
+    memoised per bank group and invalidated lazily (only an instruction
+    that touched DRAM can change them), and members whose earliest
+    possible start already matches or exceeds the best estimate are
+    skipped outright -- or, when arrivals are sorted, end the scan,
+    because every later window member starts no earlier.
+
+    Every command issues at its earliest legal cycle under the bank
+    (tRCD, tRAS, tRC, tRP, tRTP, tCCD_L) and rank (tRRD_S/L, tFAW,
+    tCCD_S/L, the rank's data bus) constraints, so no legality re-check
+    is needed.  Each rank's scalars, the timing parameters and the
+    counters live in locals for the whole segment and are written back
+    once at its end.  ``tests/rank_nmp_reference.py`` keeps the per-rank
+    loop over ``Rank``/``Bank`` objects this replaced, as the oracle.
+    """
+    if state.kernels is not None:
+        window_size = reorder_window if reorder_window > 1 else 1
+        last = None
+        for rank, begin, end in segments:
+            completion = state.kernels[rank].execute(
+                state, columns, rank, begin, end, base, window_size)
+            if last is None or completion > last:
+                last = completion
+        return last
+    (daddrs, vsizes, computes, localities, offsets, bank_groups, flats,
+     rows) = columns
+    open_rows = state.open_row
+    next_acts = state.next_act
+    next_reads = state.next_read
+    next_pres = state.next_pre
+    bank_activations = state.activations
+    bank_reads = state.reads
+    bank_precharges = state.precharges
+    faw_ring = state.faw_ring
+    faw_slots = state.faw_slot
+    last_acts = state.last_act
+    last_act_groups = state.last_act_group
+    last_cols = state.last_col
+    last_col_groups = state.last_col_group
+    bus_frees = state.bus_free
+    currents = state.current
+    caches = state.caches
+    all_stats = state.stats
+    (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
+     tRC, tRTP) = state.timing_params
+    cache_latency = state.cache_latency
+    burst_step = tCCD_L if tCCD_L > tBL else tBL
+    window_size = reorder_window if reorder_window > 1 else 1
+    packet_last = None
+    for rank, begin, end in segments:
+        # Rank scalars.  An ACT waits for the fourth-last ACT plus tFAW.
+        ring = 4 * rank
+        faw_slot = faw_slots[rank]
+        faw_ready = faw_ring[ring + faw_slot] + tFAW
+        last_act = last_acts[rank]
+        last_act_group = last_act_groups[rank]
+        last_col = last_cols[rank]
+        last_col_group = last_col_groups[rank]
+        bus_free = bus_frees[rank]
+        current = currents[rank]
+        cache = caches[rank]
         if cache is not None:
             entries = cache._entries
             capacity = cache.num_entries
@@ -250,27 +299,21 @@ class RankNMP:
             popitem = entries.popitem
         else:
             entries = None
-        cache_latency = self.config.cache_latency_cycles
-        adder = self.config.adder_latency_cycles
-        adder_multiplier = adder + self.config.multiplier_latency_cycles
-        arrivals_sorted = all(map(operator.le, arrival_cycles,
-                                  itertools.islice(arrival_cycles, 1, None)))
         hits = misses = bypasses = evictions = 0
         activations = dram_reads = busy = dram_vsizes = cache_vsizes = 0
         last_completion = current
-        window_size = reorder_window if reorder_window > 1 else 1
-        window = list(range(window_size if window_size < count else count))
-        next_index = len(window)
-        # Rank-level earliest-issue components, memoised per bank group and
-        # cleared whenever an executed instruction touched DRAM (cache hits
-        # leave both the rank and every bank untouched).
+        window = list(range(begin, min(begin + window_size, end)))
+        next_index = begin + len(window)
+        # Rank-level earliest-issue components, memoised per bank group
+        # and cleared whenever an executed instruction touched DRAM
+        # (cache hits leave both the rank and every bank untouched).
         act_part = {}
         rd_part = {}
         while window:
             best_index = window[0]
             best_estimate = _UNREACHED
             for index in window:
-                arrival = arrival_cycles[index]
+                arrival = base + offsets[index]
                 start = arrival if arrival > current else current
                 if start >= best_estimate:
                     # estimate >= start, so this member cannot win (ties
@@ -283,11 +326,11 @@ class RankNMP:
                         daddrs[index] in entries:
                     estimate = start
                 else:
-                    bank_group = bank_groups[index]
-                    bank = bank_of[index]
-                    open_row = bank.open_row
+                    flat = flats[index]
+                    open_row = open_rows[flat]
                     if open_row == rows[index]:
-                        ready = bank.next_read
+                        ready = next_reads[flat]
+                        bank_group = bank_groups[index]
                         part = rd_part.get(bank_group)
                         if part is None:
                             part = bus_free - tCL
@@ -299,8 +342,9 @@ class RankNMP:
                             rd_part[bank_group] = part
                         if part > ready:
                             ready = part
-                    elif open_row is None:
-                        ready = bank.next_act
+                    elif open_row < 0:
+                        ready = next_acts[flat]
+                        bank_group = bank_groups[index]
                         part = act_part.get(bank_group)
                         if part is None:
                             part = faw_ready
@@ -313,24 +357,25 @@ class RankNMP:
                         if part > ready:
                             ready = part
                     else:
-                        ready = bank.next_pre
+                        ready = next_pres[flat]
                     estimate = start if start > ready else ready
                 if estimate < best_estimate:
                     best_estimate = estimate
                     best_index = index
                     if estimate <= current:
                         # estimate >= start >= current for every member
-                        # and ties keep the earliest position: already won.
+                        # and ties keep the earliest position: already
+                        # won.
                         break
             index = best_index
             window.remove(index)
-            if next_index < count:
+            if next_index < end:
                 window.append(next_index)
                 next_index += 1
             # Execute the pick: RankCache lookup (LocalityBit decides
             # allocation on a miss), else the DDR command sequence.
             vsize = vsizes[index]
-            arrival = arrival_cycles[index]
+            arrival = base + offsets[index]
             start = arrival if arrival > current else current
             daddr = daddrs[index]
             if entries is not None and daddr in entries:
@@ -349,28 +394,28 @@ class RankNMP:
                     else:
                         bypasses += 1
                 bank_group = bank_groups[index]
-                bank = bank_of[index]
+                flat = flats[index]
                 row = rows[index]
                 cycle = start
                 commands = 0
                 first_issue = None
                 # The rank command decoder replays the compressed DDR cmd
-                # field; a conflicting open row forces PRE+ACT even if the
-                # tag omitted them (the host-side tags are hints based on
-                # consecutive addresses).
-                open_row = bank.open_row
+                # field; a conflicting open row forces PRE+ACT even if
+                # the tag omitted them (the host-side tags are hints
+                # based on consecutive addresses).
+                open_row = open_rows[flat]
                 if open_row != row:
-                    if open_row is not None:
-                        ready = bank.next_pre
+                    if open_row >= 0:
+                        ready = next_pres[flat]
                         if ready > cycle:
                             cycle = ready
-                        bank.precharges += 1
+                        bank_precharges[flat] += 1
                         value = cycle + tRP
-                        if value > bank.next_act:
-                            bank.next_act = value
+                        if value > next_acts[flat]:
+                            next_acts[flat] = value
                         commands = 1
                         first_issue = cycle
-                    ready = bank.next_act
+                    ready = next_acts[flat]
                     if faw_ready > ready:
                         ready = faw_ready
                     rrd = last_act + (tRRD_L if bank_group == last_act_group
@@ -379,61 +424,61 @@ class RankNMP:
                         ready = rrd
                     if ready > cycle:
                         cycle = ready
-                    bank.open_row = row
-                    bank.activations += 1
+                    open_rows[flat] = row
+                    bank_activations[flat] += 1
                     value = cycle + tRCD
-                    if value > bank.next_read:
-                        bank.next_read = value
+                    if value > next_reads[flat]:
+                        next_reads[flat] = value
                     value = cycle + tRAS
-                    if value > bank.next_pre:
-                        bank.next_pre = value
+                    if value > next_pres[flat]:
+                        next_pres[flat] = value
                     value = cycle + tRC
-                    if value > bank.next_act:
-                        bank.next_act = value
-                    history.append(cycle)
-                    while len(history) > 4:
-                        history.popleft()
-                    if len(history) >= 4:
-                        faw_ready = history[-4] + tFAW
+                    if value > next_acts[flat]:
+                        next_acts[flat] = value
+                    faw_ring[ring + faw_slot] = cycle
+                    faw_slot = (faw_slot + 1) & 3
+                    faw_ready = faw_ring[ring + faw_slot] + tFAW
                     last_act = cycle
                     last_act_group = bank_group
                     commands += 1
                     if first_issue is None:
                         first_issue = cycle
                     activations += 1
-                bursts = vsize if vsize > 1 else 1
-                next_read = bank.next_read
-                next_pre = bank.next_pre
-                for _ in range(bursts):
-                    ready = next_read
-                    ccd = last_col + (tCCD_L if bank_group == last_col_group
-                                      else tCCD_S)
-                    if ccd > ready:
-                        ready = ccd
-                    bus = bus_free - tCL
-                    if bus > ready:
-                        ready = bus
-                    if ready > cycle:
-                        cycle = ready
-                    value = cycle + tCCD_L
-                    if value > next_read:
-                        next_read = value
-                    value = cycle + tRTP
-                    if value > next_pre:
-                        next_pre = value
-                    last_col = cycle
-                    last_col_group = bank_group
-                    value = cycle + tCL + tBL
-                    if value > bus_free:
-                        bus_free = value
-                    if first_issue is None:
-                        first_issue = cycle
-                bank.next_read = next_read
-                bank.next_pre = next_pre
-                bank.reads += bursts
+                # The first burst waits for the bank (tRCD after an ACT,
+                # tCCD_L after its last read), tCCD after the rank's last
+                # column command and the rank's data bus.  Each further
+                # burst of the vector follows the previous one by tCCD_L
+                # (same bank group) or tBL (the data bus it just took),
+                # whichever is longer: every other constraint is already
+                # met at the first burst's cycle.
+                ready = next_reads[flat]
+                ccd = last_col + (tCCD_L if bank_group == last_col_group
+                                  else tCCD_S)
+                if ccd > ready:
+                    ready = ccd
+                bus = bus_free - tCL
+                if bus > ready:
+                    ready = bus
+                if ready > cycle:
+                    cycle = ready
+                if first_issue is None:
+                    first_issue = cycle
+                if vsize > 1:
+                    bursts = vsize
+                    cycle += (vsize - 1) * burst_step
+                else:
+                    bursts = 1
+                next_reads[flat] = cycle + tCCD_L
+                value = cycle + tRTP
+                if value > next_pres[flat]:
+                    next_pres[flat] = value
+                last_col = cycle
+                last_col_group = bank_group
+                bus_free = cycle + tCL + tBL
+                bank_reads[flat] += bursts
                 dram_reads += bursts
                 dram_vsizes += vsize
-                data_ready = cycle + tCL + tBL
+                data_ready = bus_free
                 # Memory accesses are pipelined: the next instruction's
                 # commands may start once this one's C/A slots are past
                 # (first_issue >= start); the bank/rank state above keeps
@@ -441,24 +486,25 @@ class RankNMP:
                 next_free = first_issue + commands + bursts
                 act_part.clear()
                 rd_part.clear()
-            # Datapath: weighted multiply (if any) then accumulate into the
-            # PsumTag's register.  The pipeline overlaps with the next
-            # memory access, so only its depth shows up in the completion.
-            completion = data_ready + (adder_multiplier if weighted[index]
-                                       else adder)
+            # Datapath: weighted multiply (if any) then accumulate into
+            # the PsumTag's register.  The pipeline overlaps with the
+            # next memory access, so only its depth shows up in the
+            # completion.
+            completion = data_ready + computes[index]
             if completion > last_completion:
                 last_completion = completion
             if next_free > start:
                 busy += next_free - start
             current = next_free
-        rank._last_act_cycle = None if last_act == _NEVER else last_act
-        rank._last_act_bank_group = last_act_group
-        rank._last_col_cycle = None if last_col == _NEVER else last_col
-        rank._last_col_bank_group = last_col_group
-        rank.next_data_bus_free = bus_free
-        self.current_cycle = current
-        stats = self.stats
-        stats.instructions += count
+        faw_slots[rank] = faw_slot
+        last_acts[rank] = last_act
+        last_act_groups[rank] = last_act_group
+        last_cols[rank] = last_col
+        last_col_groups[rank] = last_col_group
+        bus_frees[rank] = bus_free
+        currents[rank] = current
+        stats = all_stats[rank]
+        stats.instructions += end - begin
         stats.cache_hits += hits
         stats.cache_misses += misses
         stats.cache_bypasses += bypasses
@@ -473,19 +519,126 @@ class RankNMP:
             cache_stats.misses += misses
             cache_stats.bypasses += bypasses
             cache_stats.evictions += evictions
-        return last_completion
+        if packet_last is None or last_completion > packet_last:
+            packet_last = last_completion
+    return packet_last
+
+
+class RankNMP:
+    """Cycle-approximate model of one rank-NMP module.
+
+    A standalone rank-NMP owns a one-rank :class:`RankState`; the ones a
+    :class:`~repro.core.processing_unit.RecNMPChannel` hands out are
+    views of its rank in the channel's state.
+    """
+
+    def __init__(self, config=None, rank_index=0):
+        self.config = config or RankNMPConfig()
+        self.rank_index = rank_index
+        self._state = RankState(self.config, 1)
+        self._slot = 0
+
+    @classmethod
+    def _view(cls, state, slot):
+        """The rank-NMP of rank ``slot`` of a shared ``state``."""
+        rank_nmp = cls.__new__(cls)
+        rank_nmp.config = state.config
+        rank_nmp.rank_index = slot
+        rank_nmp._state = state
+        rank_nmp._slot = slot
+        return rank_nmp
+
+    @property
+    def cache(self):
+        """The rank's RankCache, or None when the config disables it."""
+        return self._state.caches[self._slot]
+
+    @property
+    def stats(self):
+        """The rank's :class:`RankNMPStats`."""
+        return self._state.stats[self._slot]
+
+    @property
+    def current_cycle(self):
+        """The cycle from which the rank's next instruction can issue."""
+        return int(self._state.current[self._slot])
+
+    # ------------------------------------------------------------------ #
+    # Execution                                                          #
+    # ------------------------------------------------------------------ #
+    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
+        """Execute one instruction stream (a
+        :class:`~repro.core.instruction.PackedInstructions` plus each
+        instruction's arrival cycle); returns the last completion cycle.
+
+        Instructions are issued FR-FCFS-style within a small reorder window
+        (the host-side memory controller performs this reordering inside a
+        packet per the paper): among the ``reorder_window`` oldest pending
+        instructions, the one whose bank can accept a command earliest goes
+        first.  Correctness is unaffected because each pooling accumulates
+        into its own PsumTag register.  Arrivals may come in any order.
+        """
+        daddrs = packed.daddrs
+        if len(arrival_cycles) != len(daddrs):
+            raise ValueError("arrival_cycles must match instructions")
+        if not len(daddrs):
+            return self.current_cycle
+        columns = [daddrs, packed.vsizes, packed.weighted, packed.localities,
+                   np.asarray(arrival_cycles, np.int64)]
+        columns.extend(_kernels.pack_decoded(self.config, daddrs))
+        if not self.takes_arrays:
+            columns = [column.tolist() for column in columns]
+        return self.execute_columns(columns, reorder_window)
+
+    @property
+    def takes_arrays(self):
+        """True when :meth:`execute_columns` wants numpy arrays (a flat
+        kernel is bound), False when it wants plain lists."""
+        return self._state.takes_arrays
+
+    def execute_columns(self, columns, reorder_window=16):
+        """Run one instruction stream given as eight aligned columns.
+
+        The columns are, in order: Daddr, burst count, weighted flag,
+        LocalityBit, arrival cycle, and the decoded bank group,
+        bank and row.  They are int64/bool arrays for the bound flat
+        kernel, or plain lists for the list loop -- see
+        :attr:`takes_arrays`.  Arrivals may come in any order.  Runs
+        :func:`execute_segments` on the rank's state; returns the last
+        completion cycle.
+        """
+        (daddrs, vsizes, weighted, localities, arrivals, bank_groups,
+         banks, rows) = columns
+        if not len(daddrs):
+            return self.current_cycle
+        if min(daddrs) < 0:
+            raise ValueError("dram_address must be non-negative, got %d"
+                             % min(daddrs))
+        config = self.config
+        adder = config.adder_latency_cycles
+        multiplier = config.multiplier_latency_cycles
+        first_bank = self._slot * self._state.banks_per_rank
+        per_group = config.banks_per_group
+        if self.takes_arrays:
+            computes = adder + multiplier * np.asarray(weighted, np.int64)
+            flats = first_bank + bank_groups * per_group + banks
+            localities = np.asarray(localities, np.int64)
+            arrivals_sorted = bool(np.all(arrivals[1:] >= arrivals[:-1]))
+        else:
+            computes = [adder + multiplier if flag else adder
+                        for flag in weighted]
+            flats = [first_bank + group * per_group + bank
+                     for group, bank in zip(bank_groups, banks)]
+            arrivals_sorted = all(map(operator.le, arrivals,
+                                      itertools.islice(arrivals, 1, None)))
+        return execute_segments(
+            self._state,
+            (daddrs, vsizes, computes, localities, arrivals, bank_groups,
+             flats, rows),
+            [(self._slot, 0, len(daddrs))], 0, arrivals_sorted,
+            reorder_window)
 
     # ------------------------------------------------------------------ #
     def reset(self):
         """Reset timing state, cache contents and statistics."""
-        self.dram_rank = Rank(self.config.timing,
-                              num_bank_groups=self.config.num_bank_groups,
-                              banks_per_group=self.config.banks_per_group,
-                              rank_index=self.rank_index)
-        if self.cache is not None:
-            self.cache.flush()
-            self.cache.reset_stats()
-        self.stats = RankNMPStats()
-        self.current_cycle = 0
-        if self._kernel is not None:
-            self._kernel.reset()
+        self._state.reset(self._slot)

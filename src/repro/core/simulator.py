@@ -10,7 +10,7 @@ reported exactly as the paper does.
 
 The command-issue inner loop runs on one of its bit-identical
 implementations (see :mod:`repro.core.kernels`: the numba-jitted flat
-kernel when available, the rank-NMP column loop otherwise); each result
+kernel when available, the rank-NMP list loop otherwise); each result
 records which flavor produced it in :attr:`RecNMPResult.kernel_flavor`.
 """
 

@@ -96,12 +96,16 @@ class DramSystem:
         geometry = self.config.geometry()
         self.geometry = geometry
         self.energy_model = energy_model or DramEnergyModel()
-        self.controllers = [
+        self.controllers = self._new_controllers()
+
+    def _new_controllers(self):
+        """One idle FR-FCFS controller per channel, at cycle 0."""
+        return [
             MemoryController(
                 timing=self.config.timing,
                 num_dimms=self.config.dimms_per_channel,
                 ranks_per_dimm=self.config.ranks_per_dimm,
-                address_mapping=SkylakeAddressMapping(geometry),
+                address_mapping=SkylakeAddressMapping(self.geometry),
                 queue_depth=self.config.queue_depth,
                 channel_index=channel,
             )
@@ -127,7 +131,9 @@ class DramSystem:
 
         The whole burst trace is decoded once, here, with the first
         channel's mapping (which picks its channel), and each channel's
-        controller drains its bursts as int columns.
+        controller drains its bursts as int columns.  Every call starts
+        from idle controllers at cycle 0, so its result covers its own
+        trace only; ``controllers`` then holds that call's controllers.
         """
         if request_bytes <= 0 or request_bytes % 64:
             raise ValueError("request_bytes must be a positive multiple of 64")
@@ -138,6 +144,7 @@ class DramSystem:
         if bursts_per_request > 1:
             addresses = (addresses[:, None]
                          + 64 * np.arange(bursts_per_request)).ravel()
+        self.controllers = self._new_controllers()
         decoded = self.controllers[0].address_mapping.map_array(addresses)
 
         per_channel_stats = []

@@ -89,8 +89,9 @@ class DDR4Timing:
         return 1_000.0 / self.clock_mhz
 
     def kernel_params(self):
-        """Flat parameter tuple in the ``TP_*`` order expected by
-        :mod:`repro.core.kernels`: ``(tRP, tRCD, tCL, tBL, tCCD_S,
+        """Flat parameter tuple in the order the DDR4 loops unpack
+        (:mod:`repro.core.rank_nmp`, :mod:`repro.core.kernels`,
+        :mod:`repro.dram.controller`): ``(tRP, tRCD, tCL, tBL, tCCD_S,
         tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS, tRC, tRTP)``."""
         return (self.tRP, self.tRCD, self.tCL, self.tBL, self.tCCD_S,
                 self.tCCD_L, self.tRRD_S, self.tRRD_L, self.tFAW,

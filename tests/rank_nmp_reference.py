@@ -1,0 +1,461 @@
+"""The per-rank, per-packet rank-NMP model the channel loop is checked
+against.
+
+Before the channel ran every rank of a packet in one pass over flat
+state, each rank-NMP ran its own stream in a method of its own,
+``_execute_window``, over the ``Rank`` and ``Bank`` objects of
+``tests/ddr4_reference.py``, and the channel split each packet over its
+ranks and called each rank in turn.  This module keeps that design as the
+oracle:
+
+- :class:`ReferenceRankNMP` is one rank-NMP with that window loop;
+- :class:`ReferenceChannel` splits one packet at a time over its ranks;
+- :func:`reference_dispatch` runs a packet list through it packet by
+  packet, with the full-scan reorder of :mod:`reorder_oracle`.
+
+It shares no code with :func:`repro.core.rank_nmp.execute_segments` or
+:meth:`repro.core.processing_unit.RecNMPChannel._prepare`: only the
+configuration, the RankCache and the statistics records.
+:func:`timing_state` reads either model's DDR4 state in one form, and
+:func:`reference_rank` loads a production rank's state into a ``Rank``.
+"""
+
+import itertools
+import operator
+
+import numpy as np
+
+import reorder_oracle
+from ddr4_reference import Rank
+from repro.cache.rank_cache import RankCache
+from repro.core.processing_unit import (
+    ADDER_TREE_LATENCY_CYCLES,
+    INSTRUCTIONS_PER_CYCLE,
+    SUM_TRANSFER_CYCLES,
+)
+from repro.core.rank_nmp import RankNMPConfig, RankNMPStats
+
+#: Stand-in for a rank's "no ACT / column command yet".
+_NEVER = -(1 << 62)
+
+#: Initial best estimate of a window scan, beyond any reachable cycle.
+_UNREACHED = 1 << 62
+
+
+def _decode(config, daddr):
+    """``(bank_group, bank, row)`` of one Daddr."""
+    block = daddr // config.columns_per_row
+    block, bank_group = divmod(block, config.num_bank_groups)
+    row, bank = divmod(block, config.banks_per_group)
+    return bank_group, bank, row
+
+
+class ReferenceRankNMP:
+    """One rank-NMP over ``Rank``/``Bank`` objects and a RankCache."""
+
+    def __init__(self, config=None, rank_index=0):
+        self.config = config or RankNMPConfig()
+        self.rank_index = rank_index
+        self.dram_rank = Rank(self.config.timing,
+                              num_bank_groups=self.config.num_bank_groups,
+                              banks_per_group=self.config.banks_per_group,
+                              rank_index=rank_index)
+        self.cache = RankCache(
+            capacity_bytes=self.config.cache_capacity_bytes,
+            vector_size_bytes=self.config.vector_size_bytes,
+            access_latency_cycles=self.config.cache_latency_cycles,
+        ) if self.config.use_cache else None
+        self.stats = RankNMPStats()
+        self.current_cycle = 0
+
+    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
+        """One stream of a ``PackedInstructions`` with each instruction's
+        arrival cycle; returns the last completion cycle."""
+        daddrs = packed.daddrs.tolist()
+        decoded = [_decode(self.config, daddr) for daddr in daddrs]
+        return self._execute_window(
+            daddrs, packed.vsizes.tolist(), packed.weighted.tolist(),
+            packed.localities.tolist(), list(arrival_cycles),
+            [bank_group for bank_group, _, _ in decoded],
+            [bank for _, bank, _ in decoded],
+            [row for _, _, row in decoded], reorder_window)
+
+    def _execute_window(self, daddrs, vsizes, weighted, localities,
+                        arrival_cycles, bank_groups, bank_indices, rows,
+                        reorder_window):
+        """The FR-FCFS window loop over aligned per-instruction columns,
+        driving the ``Bank`` objects and the rank scalars directly."""
+        count = len(daddrs)
+        current = self.current_cycle
+        if not count:
+            return current
+        cache = self.cache
+        if min(daddrs) < 0:
+            raise ValueError("dram_address must be non-negative, got %d"
+                             % min(daddrs))
+        rank = self.dram_rank
+        banks = rank.banks
+        banks_per_group = self.config.banks_per_group
+        bank_of = [banks[bank_group * banks_per_group + bank_index]
+                   for bank_group, bank_index in zip(bank_groups,
+                                                     bank_indices)]
+        (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
+         tRC, tRTP) = rank.timing.kernel_params()
+        history = rank._act_history
+        faw_ready = history[-4] + tFAW if len(history) >= 4 else 0
+        last_act = rank._last_act_cycle
+        if last_act is None:
+            last_act = _NEVER
+        last_act_group = rank._last_act_bank_group
+        last_col = rank._last_col_cycle
+        if last_col is None:
+            last_col = _NEVER
+        last_col_group = rank._last_col_bank_group
+        bus_free = rank.next_data_bus_free
+        if cache is not None:
+            entries = cache._entries
+            capacity = cache.num_entries
+            move_to_end = entries.move_to_end
+            popitem = entries.popitem
+        else:
+            entries = None
+        cache_latency = self.config.cache_latency_cycles
+        adder = self.config.adder_latency_cycles
+        adder_multiplier = adder + self.config.multiplier_latency_cycles
+        arrivals_sorted = all(map(operator.le, arrival_cycles,
+                                  itertools.islice(arrival_cycles, 1, None)))
+        hits = misses = bypasses = evictions = 0
+        activations = dram_reads = busy = dram_vsizes = cache_vsizes = 0
+        last_completion = current
+        window_size = reorder_window if reorder_window > 1 else 1
+        window = list(range(window_size if window_size < count else count))
+        next_index = len(window)
+        act_part = {}
+        rd_part = {}
+        while window:
+            best_index = window[0]
+            best_estimate = _UNREACHED
+            for index in window:
+                arrival = arrival_cycles[index]
+                start = arrival if arrival > current else current
+                if start >= best_estimate:
+                    if arrivals_sorted:
+                        break
+                    continue
+                if entries is not None and localities[index] and \
+                        daddrs[index] in entries:
+                    estimate = start
+                else:
+                    bank_group = bank_groups[index]
+                    bank = bank_of[index]
+                    open_row = bank.open_row
+                    if open_row == rows[index]:
+                        ready = bank.next_read
+                        part = rd_part.get(bank_group)
+                        if part is None:
+                            part = bus_free - tCL
+                            ccd = last_col + (
+                                tCCD_L if bank_group == last_col_group
+                                else tCCD_S)
+                            if ccd > part:
+                                part = ccd
+                            rd_part[bank_group] = part
+                        if part > ready:
+                            ready = part
+                    elif open_row is None:
+                        ready = bank.next_act
+                        part = act_part.get(bank_group)
+                        if part is None:
+                            part = faw_ready
+                            rrd = last_act + (
+                                tRRD_L if bank_group == last_act_group
+                                else tRRD_S)
+                            if rrd > part:
+                                part = rrd
+                            act_part[bank_group] = part
+                        if part > ready:
+                            ready = part
+                    else:
+                        ready = bank.next_pre
+                    estimate = start if start > ready else ready
+                if estimate < best_estimate:
+                    best_estimate = estimate
+                    best_index = index
+                    if estimate <= current:
+                        break
+            index = best_index
+            window.remove(index)
+            if next_index < count:
+                window.append(next_index)
+                next_index += 1
+            vsize = vsizes[index]
+            arrival = arrival_cycles[index]
+            start = arrival if arrival > current else current
+            daddr = daddrs[index]
+            if entries is not None and daddr in entries:
+                move_to_end(daddr)
+                hits += 1
+                cache_vsizes += vsize
+                data_ready = next_free = start + cache_latency
+            else:
+                if entries is not None:
+                    if localities[index]:
+                        misses += 1
+                        if len(entries) >= capacity:
+                            popitem(last=False)
+                            evictions += 1
+                        entries[daddr] = None
+                    else:
+                        bypasses += 1
+                bank_group = bank_groups[index]
+                bank = bank_of[index]
+                row = rows[index]
+                cycle = start
+                commands = 0
+                first_issue = None
+                open_row = bank.open_row
+                if open_row != row:
+                    if open_row is not None:
+                        ready = bank.next_pre
+                        if ready > cycle:
+                            cycle = ready
+                        bank.precharges += 1
+                        value = cycle + tRP
+                        if value > bank.next_act:
+                            bank.next_act = value
+                        commands = 1
+                        first_issue = cycle
+                    ready = bank.next_act
+                    if faw_ready > ready:
+                        ready = faw_ready
+                    rrd = last_act + (tRRD_L if bank_group == last_act_group
+                                      else tRRD_S)
+                    if rrd > ready:
+                        ready = rrd
+                    if ready > cycle:
+                        cycle = ready
+                    bank.open_row = row
+                    bank.activations += 1
+                    value = cycle + tRCD
+                    if value > bank.next_read:
+                        bank.next_read = value
+                    value = cycle + tRAS
+                    if value > bank.next_pre:
+                        bank.next_pre = value
+                    value = cycle + tRC
+                    if value > bank.next_act:
+                        bank.next_act = value
+                    history.append(cycle)
+                    while len(history) > 4:
+                        history.popleft()
+                    if len(history) >= 4:
+                        faw_ready = history[-4] + tFAW
+                    last_act = cycle
+                    last_act_group = bank_group
+                    commands += 1
+                    if first_issue is None:
+                        first_issue = cycle
+                    activations += 1
+                bursts = vsize if vsize > 1 else 1
+                next_read = bank.next_read
+                next_pre = bank.next_pre
+                for _ in range(bursts):
+                    ready = next_read
+                    ccd = last_col + (tCCD_L if bank_group == last_col_group
+                                      else tCCD_S)
+                    if ccd > ready:
+                        ready = ccd
+                    bus = bus_free - tCL
+                    if bus > ready:
+                        ready = bus
+                    if ready > cycle:
+                        cycle = ready
+                    value = cycle + tCCD_L
+                    if value > next_read:
+                        next_read = value
+                    value = cycle + tRTP
+                    if value > next_pre:
+                        next_pre = value
+                    last_col = cycle
+                    last_col_group = bank_group
+                    value = cycle + tCL + tBL
+                    if value > bus_free:
+                        bus_free = value
+                    if first_issue is None:
+                        first_issue = cycle
+                bank.next_read = next_read
+                bank.next_pre = next_pre
+                bank.reads += bursts
+                dram_reads += bursts
+                dram_vsizes += vsize
+                data_ready = cycle + tCL + tBL
+                next_free = first_issue + commands + bursts
+                act_part.clear()
+                rd_part.clear()
+            completion = data_ready + (adder_multiplier if weighted[index]
+                                       else adder)
+            if completion > last_completion:
+                last_completion = completion
+            if next_free > start:
+                busy += next_free - start
+            current = next_free
+        rank._last_act_cycle = None if last_act == _NEVER else last_act
+        rank._last_act_bank_group = last_act_group
+        rank._last_col_cycle = None if last_col == _NEVER else last_col
+        rank._last_col_bank_group = last_col_group
+        rank.next_data_bus_free = bus_free
+        self.current_cycle = current
+        stats = self.stats
+        stats.instructions += count
+        stats.cache_hits += hits
+        stats.cache_misses += misses
+        stats.cache_bypasses += bypasses
+        stats.dram_reads += dram_reads
+        stats.activations += activations
+        stats.busy_cycles += busy
+        stats.bytes_from_dram += dram_vsizes * 64
+        stats.bytes_from_cache += cache_vsizes * 64
+        if cache is not None:
+            cache_stats = cache.stats
+            cache_stats.hits += hits
+            cache_stats.misses += misses
+            cache_stats.bypasses += bypasses
+            cache_stats.evictions += evictions
+        return last_completion
+
+
+class ReferenceChannel:
+    """The channel of ``num_dimms * ranks_per_dimm`` reference rank-NMPs,
+    one packet and one rank at a time."""
+
+    def __init__(self, num_dimms=4, ranks_per_dimm=2, rank_config=None):
+        self.num_ranks = num_dimms * ranks_per_dimm
+        self.rank_config = rank_config or RankNMPConfig()
+        self.rank_nmps = [ReferenceRankNMP(self.rank_config, rank_index=r)
+                          for r in range(self.num_ranks)]
+
+    def execute_packet(self, packet, start_cycle=0, ranks=None, order=None):
+        """Run one packet; returns its completion cycle.
+
+        The instruction at issue position ``i`` arrives at its rank at
+        ``start_cycle + i // INSTRUCTIONS_PER_CYCLE``; each rank runs its
+        instructions in issue order; the packet completes when the
+        slowest rank has, plus the adder tree and one DIMM.Sum per
+        distinct PsumTag.
+        """
+        packed = packet.instructions
+        count = len(packed)
+        if ranks is None:
+            ranks = (packed.daddrs % self.num_ranks).tolist()
+        ranks = [int(rank) for rank in ranks]
+        issue = list(range(count)) if order is None else \
+            [int(index) for index in order]
+        if not count:
+            return start_cycle
+        per_rank = {}
+        for position, index in enumerate(issue):
+            per_rank.setdefault(ranks[index], []).append(
+                (index, start_cycle + position // INSTRUCTIONS_PER_CYCLE))
+        lasts = []
+        for rank in sorted(per_rank):
+            indices = [index for index, _ in per_rank[rank]]
+            lasts.append(self.rank_nmps[rank].execute_packed(
+                packed.take(np.array(indices, dtype=np.int64)),
+                [arrival for _, arrival in per_rank[rank]]))
+        poolings = len(set(packed.psum_tags.tolist()))
+        return (max(lasts) + ADDER_TREE_LATENCY_CYCLES
+                + SUM_TRANSFER_CYCLES * poolings)
+
+
+def reference_dispatch(channel, packets, reorder_window=16, reorder=True):
+    """Run ``packets`` in order through ``channel`` back to back, from
+    cycle 0, with the default rank mapping (Daddr modulo the rank count)
+    and, if ``reorder``, the full-scan FR-FCFS reorder of each packet.
+    Returns ``(total_cycles, per_packet_latencies)``."""
+    current = 0
+    per_packet = []
+    for packet in packets:
+        daddrs = packet.instructions.daddrs.tolist()
+        ranks = [daddr % channel.num_ranks for daddr in daddrs]
+        order = None
+        if reorder and len(daddrs) > 2:
+            order = reorder_oracle.reorder_window(
+                [daddr // 128 for daddr in daddrs], ranks,
+                max(1, reorder_window), channel.num_ranks)
+        completion = channel.execute_packet(packet, current, ranks, order)
+        per_packet.append(completion - current)
+        current = completion
+    return current, per_packet
+
+
+def timing_state(rank_nmp):
+    """A rank-NMP's DDR4 state, either model's, as plain values.
+
+    ``(current_cycle, last four ACT cycles oldest first, last ACT cycle,
+    its bank group, last column cycle, its bank group, data-bus free
+    cycle, banks)`` with None for "none yet" and one ``(open row or
+    None, next ACT, next RD, next PRE, activations, reads, precharges)``
+    tuple per bank.
+    """
+    if isinstance(rank_nmp, ReferenceRankNMP):
+        rank = rank_nmp.dram_rank
+        return (rank_nmp.current_cycle, tuple(rank._act_history),
+                rank._last_act_cycle, rank._last_act_bank_group,
+                rank._last_col_cycle, rank._last_col_bank_group,
+                rank.next_data_bus_free,
+                [(bank.open_row, bank.next_act, bank.next_read,
+                  bank.next_pre, bank.activations, bank.reads,
+                  bank.precharges) for bank in rank.banks])
+    state = rank_nmp._state
+    slot = rank_nmp._slot
+
+    def value(values, index):
+        return int(values[index])
+
+    def cycle(values, index):
+        found = value(values, index)
+        return None if found == _NEVER else found
+
+    first = value(state.faw_slot, slot)
+    ring = [cycle(state.faw_ring, 4 * slot + (first + i) % 4)
+            for i in range(4)]
+    low = slot * state.banks_per_rank
+    banks = []
+    for flat in range(low, low + state.banks_per_rank):
+        open_row = value(state.open_row, flat)
+        banks.append((None if open_row < 0 else open_row,
+                      value(state.next_act, flat),
+                      value(state.next_read, flat),
+                      value(state.next_pre, flat),
+                      value(state.activations, flat),
+                      value(state.reads, flat),
+                      value(state.precharges, flat)))
+    last_act = cycle(state.last_act, slot)
+    last_col = cycle(state.last_col, slot)
+    return (rank_nmp.current_cycle,
+            tuple(found for found in ring if found is not None),
+            last_act, None if last_act is None
+            else value(state.last_act_group, slot),
+            last_col, None if last_col is None
+            else value(state.last_col_group, slot),
+            value(state.bus_free, slot), banks)
+
+
+def reference_rank(rank_nmp):
+    """A ``Rank`` holding a production rank-NMP's current DDR4 state."""
+    (_, history, last_act, last_act_group, last_col, last_col_group,
+     bus_free, banks) = timing_state(rank_nmp)
+    config = rank_nmp.config
+    rank = Rank(config.timing, num_bank_groups=config.num_bank_groups,
+                banks_per_group=config.banks_per_group,
+                rank_index=rank_nmp.rank_index)
+    rank._act_history.extend(history)
+    rank._last_act_cycle = last_act
+    rank._last_act_bank_group = last_act_group
+    rank._last_col_cycle = last_col
+    rank._last_col_bank_group = last_col_group
+    rank.next_data_bus_free = bus_free
+    for bank, values in zip(rank.banks, banks):
+        (bank.open_row, bank.next_act, bank.next_read, bank.next_pre,
+         bank.activations, bank.reads, bank.precharges) = values
+    return rank

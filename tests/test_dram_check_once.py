@@ -62,8 +62,11 @@ def snapshot(channel):
     """Every piece of channel, rank and bank state, statistics included."""
     return (channel.next_ca_free, channel.next_data_free,
             channel._last_data_rank, channel.commands_issued,
-            [(rank.kernel_scalars(),
-              [bank.kernel_state() + tuple(bank.stats().values())
+            [(tuple(rank._act_history), rank._last_act_cycle,
+              rank._last_act_bank_group, rank._last_col_cycle,
+              rank._last_col_bank_group, rank.next_data_bus_free,
+              [(bank.open_row, bank.next_act, bank.next_read,
+                bank.next_pre) + tuple(bank.stats().values())
                for bank in rank.banks])
              for rank in channel.ranks])
 

@@ -1,9 +1,9 @@
-"""Tests for repro.dram.rank."""
+"""Tests for the reference DDR4 rank of tests/ddr4_reference.py."""
 
 import pytest
 
+from ddr4_reference import Rank
 from repro.dram.commands import CommandType
-from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2400
 
 

@@ -72,6 +72,25 @@ class TestDramSystemExecution:
         assert result.energy_nj > 0
         assert result.energy_breakdown["activate_nj"] > 0
 
+    @pytest.mark.parametrize("num_channels", [1, 2])
+    def test_each_trace_reports_only_itself(self, num_channels):
+        # A reused system used to carry each controller's statistics and
+        # clock into the next call: the second of two identical 16-request
+        # traces reported 32 requests and about twice the cycles.
+        config = DramSystemConfig(num_channels=num_channels)
+        trace = [i * 4096 for i in range(16)]
+        reference = DramSystem(config)
+        fresh = reference.run_trace(trace)
+        system = DramSystem(config)
+        first = system.run_trace(trace)
+        second = system.run_trace(trace)
+        assert first.requests == second.requests == 16
+        assert first == second == fresh
+        assert [controller.completion_cycles
+                for controller in system.controllers] == \
+            [controller.completion_cycles
+             for controller in reference.controllers]
+
 
 #: Populations the decode-once handoff must hold on: one rank only, a
 #: trace spread over channels, DIMMs and ranks, the Table I default and an
