@@ -66,10 +66,6 @@ ST_SIZE = 10
 CS_HEAD, CS_TAIL, CS_USED = range(3)
 CS_SIZE = 3
 
-#: A part-memo value below any reachable cycle (parts can be negative:
-#: ``next_data_bus_free - tCL`` starts at ``-tCL``).
-_PART_UNSET = -(1 << 62)
-
 
 # --------------------------------------------------------------------- #
 # Flavor selection                                                      #
@@ -181,7 +177,7 @@ class force_flavor:
 # --------------------------------------------------------------------- #
 def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
                          bank_groups, flats, rows, begin, end, base,
-                         window_size, num_bank_groups, rank,
+                         window_size, rank,
                          open_rows, next_acts, next_reads, next_pres,
                          activations, reads, precharges,
                          faw_ring, faw_slots, last_acts, last_act_groups,
@@ -193,8 +189,8 @@ def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
     rows ``begin`` to ``end`` (arrival ``base + offsets[i]``), over the
     flat int64 state arrays.
 
-    Mirrors :func:`~repro.core.rank_nmp.execute_segments` (selection +
-    memoised rank-part estimates, cache lookup, the bank/rank DDR state
+    Mirrors :func:`~repro.core.rank_nmp.execute_segments` (selection
+    over the rank-level floors, cache lookup, the bank/rank DDR state
     machine, datapath latency, busy accounting) -- one loop, no
     attribute access.  ``exec_order`` receives the execution order so
     the caller can replay LRU effects onto the mirroring ``OrderedDict``.
@@ -241,15 +237,27 @@ def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
     for i in range(win_len):
         window[i] = begin + i
     next_index = begin + win_len
-    # Rank-level earliest-issue components, memoised per bank group and
-    # invalidated only when an executed instruction touched DRAM.
-    act_part = np.empty(num_bank_groups, np.int64)
-    rd_part = np.empty(num_bank_groups, np.int64)
-    for g in range(num_bank_groups):
-        act_part[g] = _PART_UNSET
-        rd_part[g] = _PART_UNSET
     executed = 0
+    act_same = act_other = rd_same = rd_other = current
+    stale = True
     while win_len > 0:
+        if stale:
+            # Rank-level ACT / RD floors for the last command's bank group
+            # and for any other; only a DRAM access changes them.
+            act_same = last_act + tRRD_L
+            act_other = last_act + tRRD_S
+            if faw_ready > act_same:
+                act_same = faw_ready
+            if faw_ready > act_other:
+                act_other = faw_ready
+            rd_same = last_col + tCCD_L
+            rd_other = last_col + tCCD_S
+            bus = bus_free - tCL
+            if bus > rd_same:
+                rd_same = bus
+            if bus > rd_other:
+                rd_other = bus
+            stale = False
         best_pos = 0
         best_estimate = 0
         have_best = False
@@ -270,32 +278,20 @@ def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
                 bg = bank_groups[index]
                 if open_row == rows[index]:
                     ready = next_reads[flat]
-                    part = rd_part[bg]
-                    if part == _PART_UNSET:
-                        part = bus_free - tCL
-                        if bg == last_col_bg:
-                            ccd = last_col + tCCD_L
-                        else:
-                            ccd = last_col + tCCD_S
-                        if ccd > part:
-                            part = ccd
-                        rd_part[bg] = part
-                    if part > ready:
-                        ready = part
+                    if bg == last_col_bg:
+                        floor = rd_same
+                    else:
+                        floor = rd_other
+                    if floor > ready:
+                        ready = floor
                 elif open_row == -1:
                     ready = next_acts[flat]
-                    part = act_part[bg]
-                    if part == _PART_UNSET:
-                        part = faw_ready
-                        if bg == last_act_bg:
-                            rrd = last_act + tRRD_L
-                        else:
-                            rrd = last_act + tRRD_S
-                        if rrd > part:
-                            part = rrd
-                        act_part[bg] = part
-                    if part > ready:
-                        ready = part
+                    if bg == last_act_bg:
+                        floor = act_same
+                    else:
+                        floor = act_other
+                    if floor > ready:
+                        ready = floor
                 else:
                     ready = next_pres[flat]
                 estimate = start if start > ready else ready
@@ -395,14 +391,12 @@ def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
                     commands_issued = 1
                     first_issue = cycle
                 ready = next_acts[flat]
-                if faw_ready > ready:
-                    ready = faw_ready
                 if bg == last_act_bg:
-                    rrd = last_act + tRRD_L
+                    floor = act_same
                 else:
-                    rrd = last_act + tRRD_S
-                if rrd > ready:
-                    ready = rrd
+                    floor = act_other
+                if floor > ready:
+                    ready = floor
                 if ready > cycle:
                     cycle = ready
                 open_rows[flat] = row
@@ -429,14 +423,11 @@ def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
             # burst of the vector follows by max(tCCD_L, tBL).
             ready = next_reads[flat]
             if bg == last_col_bg:
-                ccd = last_col + tCCD_L
+                floor = rd_same
             else:
-                ccd = last_col + tCCD_S
-            if ccd > ready:
-                ready = ccd
-            bus = bus_free - tCL
-            if bus > ready:
-                ready = bus
+                floor = rd_other
+            if floor > ready:
+                ready = floor
             if ready > cycle:
                 cycle = ready
             if first_issue == -1:
@@ -466,9 +457,7 @@ def _execute_window_flat(daddrs, vsizes, computes, localities, offsets,
         if completion > last_completion:
             last_completion = completion
         if not resident:
-            for g in range(num_bank_groups):
-                act_part[g] = _PART_UNSET
-                rd_part[g] = _PART_UNSET
+            stale = True
     faw_slots[rank] = faw_slot
     last_acts[rank] = last_act
     last_act_groups[rank] = last_act_bg
@@ -753,8 +742,7 @@ class FlatRankKernel:
         exec_order = np.empty(end - begin, np.int64)
         last = self.fn(
             daddrs, vsizes, computes, localities, offsets, bank_groups,
-            flats, rows, begin, end, base, window_size,
-            state.num_bank_groups, rank,
+            flats, rows, begin, end, base, window_size, rank,
             state.open_row, state.next_act, state.next_read,
             state.next_pre, state.activations, state.reads,
             state.precharges, state.faw_ring, state.faw_slot,

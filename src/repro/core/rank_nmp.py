@@ -151,7 +151,6 @@ class RankState:
     def __init__(self, config, num_ranks):
         self.config = config
         self.num_ranks = num_ranks
-        self.num_bank_groups = config.num_bank_groups
         self.banks_per_rank = config.num_bank_groups * config.banks_per_group
         self.timing_params = config.timing.kernel_params()
         self.cache_latency = config.cache_latency_cycles
@@ -231,12 +230,13 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
     earliest first-command cycle (the ``estimated_start`` spec in
     ``tests/test_core_rank_dimm_nmp.py``) on every iteration, but avoids
     that quadratic re-computation: per-bank readiness is read once per
-    member from the state lists, the rank-level ACT/RD components are
-    memoised per bank group and invalidated lazily (only an instruction
-    that touched DRAM can change them), and members whose earliest
-    possible start already matches or exceeds the best estimate are
-    skipped outright -- or, when arrivals are sorted, end the scan,
-    because every later window member starts no earlier.
+    member from the state lists, the rank-level ACT and RD floors are
+    computed for the last command's bank group and for any other one
+    only after an instruction that touched DRAM (nothing else changes
+    them), and members whose earliest possible start already matches or
+    exceeds the best estimate are skipped outright -- or, when arrivals
+    are sorted, end the scan, because every later window member starts
+    no earlier.
 
     Every command issues at its earliest legal cycle under the bank
     (tRCD, tRAS, tRC, tRP, tRTP, tCCD_L) and rank (tRRD_S/L, tFAW,
@@ -304,12 +304,28 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
         last_completion = current
         window = list(range(begin, min(begin + window_size, end)))
         next_index = begin + len(window)
-        # Rank-level earliest-issue components, memoised per bank group
-        # and cleared whenever an executed instruction touched DRAM
-        # (cache hits leave both the rank and every bank untouched).
-        act_part = {}
-        rd_part = {}
+        stale = True
         while window:
+            if stale:
+                # The rank-level floors of a command's earliest cycle, for
+                # a bank group equal to / other than that of the rank's
+                # last ACT or column command: tFAW and tRRD for an ACT,
+                # tCCD and the data bus for a RD.  Only an instruction
+                # that touched DRAM changes them.
+                act_same = last_act + tRRD_L
+                act_other = last_act + tRRD_S
+                if faw_ready > act_same:
+                    act_same = faw_ready
+                if faw_ready > act_other:
+                    act_other = faw_ready
+                rd_same = last_col + tCCD_L
+                rd_other = last_col + tCCD_S
+                bus = bus_free - tCL
+                if bus > rd_same:
+                    rd_same = bus
+                if bus > rd_other:
+                    rd_other = bus
+                stale = False
             best_index = window[0]
             best_estimate = _UNREACHED
             for index in window:
@@ -330,32 +346,18 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
                     open_row = open_rows[flat]
                     if open_row == rows[index]:
                         ready = next_reads[flat]
-                        bank_group = bank_groups[index]
-                        part = rd_part.get(bank_group)
-                        if part is None:
-                            part = bus_free - tCL
-                            ccd = last_col + (
-                                tCCD_L if bank_group == last_col_group
-                                else tCCD_S)
-                            if ccd > part:
-                                part = ccd
-                            rd_part[bank_group] = part
-                        if part > ready:
-                            ready = part
+                        floor = rd_same \
+                            if bank_groups[index] == last_col_group \
+                            else rd_other
+                        if floor > ready:
+                            ready = floor
                     elif open_row < 0:
                         ready = next_acts[flat]
-                        bank_group = bank_groups[index]
-                        part = act_part.get(bank_group)
-                        if part is None:
-                            part = faw_ready
-                            rrd = last_act + (
-                                tRRD_L if bank_group == last_act_group
-                                else tRRD_S)
-                            if rrd > part:
-                                part = rrd
-                            act_part[bank_group] = part
-                        if part > ready:
-                            ready = part
+                        floor = act_same \
+                            if bank_groups[index] == last_act_group \
+                            else act_other
+                        if floor > ready:
+                            ready = floor
                     else:
                         ready = next_pres[flat]
                     estimate = start if start > ready else ready
@@ -416,12 +418,10 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
                         commands = 1
                         first_issue = cycle
                     ready = next_acts[flat]
-                    if faw_ready > ready:
-                        ready = faw_ready
-                    rrd = last_act + (tRRD_L if bank_group == last_act_group
-                                      else tRRD_S)
-                    if rrd > ready:
-                        ready = rrd
+                    floor = act_same if bank_group == last_act_group \
+                        else act_other
+                    if floor > ready:
+                        ready = floor
                     if ready > cycle:
                         cycle = ready
                     open_rows[flat] = row
@@ -452,13 +452,10 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
                 # whichever is longer: every other constraint is already
                 # met at the first burst's cycle.
                 ready = next_reads[flat]
-                ccd = last_col + (tCCD_L if bank_group == last_col_group
-                                  else tCCD_S)
-                if ccd > ready:
-                    ready = ccd
-                bus = bus_free - tCL
-                if bus > ready:
-                    ready = bus
+                floor = rd_same if bank_group == last_col_group \
+                    else rd_other
+                if floor > ready:
+                    ready = floor
                 if ready > cycle:
                     cycle = ready
                 if first_issue is None:
@@ -484,8 +481,7 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
                 # (first_issue >= start); the bank/rank state above keeps
                 # every later command legal (tCCD, tRRD, tFAW, data bus).
                 next_free = first_issue + commands + bursts
-                act_part.clear()
-                rd_part.clear()
+                stale = True
             # Datapath: weighted multiply (if any) then accumulate into
             # the PsumTag's register.  The pipeline overlaps with the
             # next memory access, so only its depth shows up in the
