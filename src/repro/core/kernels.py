@@ -33,9 +33,10 @@ ACT / RD / PRE cycles and the activation / read / precharge counters.
 Per rank: a four-slot ring of the last ACT cycles with the slot of the
 oldest (the tFAW reference), the last ACT and column cycle (far in the
 past before the first) with their bank groups, the data-bus free cycle
-and the rank-NMP's current cycle.  Timing parameters arrive as the
-tuple of :meth:`DDR4Timing.kernel_params` and statistics deltas leave
-the kernel through an ``ST_SIZE`` vector (``ST_*`` indices).
+and the rank-NMP's current cycle.  Timing parameters arrive as an int64
+array in the order of :meth:`DDR4Timing.kernel_params` and statistics
+deltas leave the kernel through an ``ST_SIZE`` vector (``ST_*``
+indices).
 
 The kernel mutates the state arrays in place and returns the last
 completion cycle.  :class:`FlatRankKernel` keeps, per rank, a flat LRU

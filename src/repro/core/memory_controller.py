@@ -133,10 +133,10 @@ class NMPMemoryController:
         order = self.scheduler.schedule()
         packed_list = [packet.instructions for packet in order]
         ranks, issue = self._issue_orders(packed_list, reorder)
+        prepared = channel._prepare(packed_list, ranks, issue) \
+            if packed_list else None
         per_packet = []
         current_cycle = 0
-        if packed_list:
-            prepared = channel._prepare(packed_list, ranks, issue)
         packed_min = _kernels.packed_dispatch_min_instructions()
         for index, (packet, packed) in enumerate(zip(order, packed_list)):
             self.stats.counter_configurations += 1

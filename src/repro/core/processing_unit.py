@@ -221,11 +221,11 @@ class RecNMPChannel:
         return columns, segments, poolings
 
     def _run(self, prepared, start_cycle):
-        """Run packet ``packet`` of ``(prepared, packet) = prepared`` (see
-        :meth:`_prepare`) from ``start_cycle``: every rank it touches in
-        one pass.  The packet completes when the slowest rank finishes
-        and the adder tree plus one DIMM.Sum transfer per pooled output
-        drain."""
+        """Run one packet of a prepared dispatch, given as ``(prepared,
+        packet_index)`` (see :meth:`_prepare`), from ``start_cycle``:
+        every rank it touches in one pass.  The packet completes when the
+        slowest rank finishes and the adder tree plus one DIMM.Sum
+        transfer per pooled output drain."""
         (columns, segments, poolings), packet = prepared
         spans = segments[packet]
         if not spans:

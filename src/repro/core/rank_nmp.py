@@ -213,10 +213,10 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
     state's banks) and row -- plain lists, or int64 arrays when
     ``state.takes_arrays``.  ``segments`` lists ``(rank, begin, end)``
     triples: rank ``rank`` runs the column rows ``begin`` to ``end`` in
-    that order, each arriving at ``base`` plus its offset.  Every
-    segment must name a different rank (the ranks run concurrently,
-    each from its own current cycle).  ``arrivals_sorted`` promises that
-    each segment's offsets never decrease.
+    that order, each arriving at ``base`` plus its offset; the ranks
+    of a packet's segments run concurrently, each from its own current
+    cycle.  ``arrivals_sorted`` promises that each segment's offsets
+    never decrease.
 
     Each rank-NMP issues its stream FR-FCFS-style within a
     ``reorder_window``: among the oldest pending instructions, the one
