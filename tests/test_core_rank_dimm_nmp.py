@@ -134,6 +134,27 @@ class TestRankNMP:
             rank.execute_packed(packed, [0, 0, 0])
         assert _state(rank) == before
 
+    @pytest.mark.parametrize("flavor", ["python", "flat-python"])
+    def test_negative_daddr_rejected_without_cache(self, flavor):
+        # Row -1 marks a closed bank in the flat state, and a negative
+        # Daddr decodes to a negative row: it is refused with or without
+        # a RankCache, by a rank and by a channel, before anything runs.
+        config = RankNMPConfig(use_cache=False)
+        with kernels.force_flavor(flavor):
+            rank = RankNMP(config)
+            channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2,
+                                    rank_config=config)
+        packed = PackedInstructions(
+            np.array([5, -3], dtype=np.int64), np.ones(2, dtype=np.int64),
+            np.zeros(2, dtype=bool), np.ones(2, dtype=bool),
+            np.arange(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="non-negative, got -3"):
+            rank.execute_packed(packed, [0, 0])
+        with pytest.raises(ValueError, match="non-negative, got -3"):
+            channel.execute_packed(packed, ranks=[0, 1])
+        assert rank.stats.instructions == 0
+        assert channel.aggregate_stats()["instructions"] == 0
+
 
 def _state(rank):
     """Rank-NMP, bank, rank and cache state, for before/after checks."""
@@ -171,7 +192,7 @@ def _reference_execute_instructions(rank, instructions, arrival_cycles,
     """The pre-optimisation windowed scheduler, verbatim.
 
     ``_estimated_start`` is the readable specification of what the
-    memoised fast path in ``RankNMP.execute_packed`` must compute; this
+    fast path in ``RankNMP.execute_packed`` must compute; this
     reference loop re-evaluates it for every window member on every
     iteration exactly like the original code, so the randomized
     equivalence test below keeps the two from silently diverging.
@@ -339,6 +360,25 @@ class TestRecNMPChannel:
         stats = channel.aggregate_stats()
         assert stats["cache_hits"] == 3
         assert stats["cache_hit_rate"] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("flavor", ["python", "flat-python"])
+    def test_rank_reset_refills_only_its_slice(self, flavor):
+        # The ranks of a channel share one flat state: resetting one
+        # rank-NMP refills its banks and scalars and leaves the others.
+        with kernels.force_flavor(flavor):
+            channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
+            fresh = RecNMPChannel(num_dimms=2, ranks_per_dimm=2).rank_nmp(2)
+        channel.execute_packet(packet_of(_instructions(32, stride_blocks=5)))
+        before = [(timing_state(rank), rank.stats.as_dict(),
+                   list(rank.cache._entries))
+                  for rank in channel.all_rank_nmps()]
+        assert all(state[0][0] > 0 for state in before)
+        channel.rank_nmp(2).reset()
+        after = [(timing_state(rank), rank.stats.as_dict(),
+                  list(rank.cache._entries))
+                 for rank in channel.all_rank_nmps()]
+        assert after[2] == (timing_state(fresh), fresh.stats.as_dict(), [])
+        assert after[:2] + after[3:] == before[:2] + before[3:]
 
     def test_reset(self):
         channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2)
