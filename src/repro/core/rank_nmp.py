@@ -246,8 +246,8 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
     once at its end.  ``tests/rank_nmp_reference.py`` keeps the per-rank
     loop over ``Rank``/``Bank`` objects this replaced, as the oracle.
     """
+    window_size = reorder_window if reorder_window > 1 else 1
     if state.kernels is not None:
-        window_size = reorder_window if reorder_window > 1 else 1
         last = None
         for rank, begin, end in segments:
             completion = state.kernels[rank].execute(
@@ -278,7 +278,6 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
      tRC, tRTP) = state.timing_params
     cache_latency = state.cache_latency
     burst_step = tCCD_L if tCCD_L > tBL else tBL
-    window_size = reorder_window if reorder_window > 1 else 1
     packet_last = None
     for rank, begin, end in segments:
         # Rank scalars.  An ACT waits for the fourth-last ACT plus tFAW.
@@ -619,14 +618,13 @@ class RankNMP:
             computes = adder + multiplier * np.asarray(weighted, np.int64)
             flats = first_bank + bank_groups * per_group + banks
             localities = np.asarray(localities, np.int64)
-            arrivals_sorted = bool(np.all(arrivals[1:] >= arrivals[:-1]))
         else:
             computes = [adder + multiplier if flag else adder
                         for flag in weighted]
             flats = [first_bank + group * per_group + bank
                      for group, bank in zip(bank_groups, banks)]
-            arrivals_sorted = all(map(operator.le, arrivals,
-                                      itertools.islice(arrivals, 1, None)))
+        arrivals_sorted = all(map(operator.le, arrivals,
+                                  itertools.islice(arrivals, 1, None)))
         return execute_segments(
             self._state,
             (daddrs, vsizes, computes, localities, arrivals, bank_groups,
