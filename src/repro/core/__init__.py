@@ -6,8 +6,10 @@ This package contains the near-memory processing architecture itself:
 * the packet generator (SLS operator -> NMP-Insts),
 * the HW/SW co-optimisations (table-aware packet scheduling, hot-entry
   profiling),
-* the rank-NMP modules and the RecNMP channel that runs packets across them,
-* the cycle-level RecNMP simulator and the NMP-extended memory controller,
+* the rank-NMP modules' flat state and window loop, and the RecNMP channel
+  that runs each packet across its ranks in one pass,
+* the cycle-level RecNMP simulator and the NMP-extended memory controller
+  that queues, schedules and dispatches the packets,
 * the execution backends (serial / process) running multi-channel
   simulations in parallel,
 * the C/A-bandwidth expansion analysis,
@@ -23,13 +25,9 @@ from repro.core.instruction import (
     DDR_CMD_PRE,
 )
 from repro.core.packet_generator import PacketGenerator, PacketGeneratorConfig
-from repro.core.scheduler import (
-    PacketScheduler,
-    fcfs_interleaved_order,
-    table_aware_order,
-)
+from repro.core.scheduler import fcfs_interleaved_order, table_aware_order
 from repro.core.hot_entry import HotEntryProfiler, ProfileResult
-from repro.core.rank_nmp import RankNMP, RankNMPConfig, RankNMPStats
+from repro.core.rank_nmp import RankNMPConfig, RankNMPStats
 from repro.core.simulator import (
     RecNMPSimulator,
     RecNMPConfig,
@@ -57,12 +55,10 @@ __all__ = [
     "DDR_CMD_PRE",
     "PacketGenerator",
     "PacketGeneratorConfig",
-    "PacketScheduler",
     "fcfs_interleaved_order",
     "table_aware_order",
     "HotEntryProfiler",
     "ProfileResult",
-    "RankNMP",
     "RankNMPConfig",
     "RankNMPStats",
     "RecNMPSimulator",

@@ -229,11 +229,6 @@ class PackedInstructions:
             self.weighted[indices], self.localities[indices],
             self.psum_tags[indices])
 
-    @property
-    def num_poolings(self):
-        """Number of distinct PsumTags (poolings)."""
-        return int(np.count_nonzero(np.bincount(self.psum_tags)))
-
 
 class NMPPacket:
     """A packet of NMP-Insts offloaded to one RecNMP processing unit.
@@ -271,9 +266,3 @@ class NMPPacket:
 
     def __len__(self):
         return len(self.instructions)
-
-    def __repr__(self):
-        return ("NMPPacket(packet_id=%d, table_id=%d, model_id=%d, "
-                "batch_index=%d, instructions=%d)"
-                % (self.packet_id, self.table_id, self.model_id,
-                   self.batch_index, len(self)))

@@ -92,7 +92,8 @@ _KNOWN_FLAVORS = ("numba", "python", "flat-python")
 
 
 def active_flavor():
-    """The kernel flavor new :class:`RankNMP` instances will bind to."""
+    """The kernel flavor a :class:`~repro.core.rank_nmp.RankState`
+    constructed now binds to."""
     if _FORCED_FLAVOR is not None:
         return _FORCED_FLAVOR
     return KERNEL_FLAVOR
@@ -141,8 +142,10 @@ def packed_dispatch_min_instructions(flavor=None):
 class force_flavor:
     """Context manager overriding the kernel flavor (for tests).
 
-    Only affects :class:`RankNMP` objects *constructed inside* the
-    context: the kernel binding happens at construction time.
+    Only affects the :class:`~repro.core.rank_nmp.RankState` (and so
+    the :class:`~repro.core.processing_unit.RecNMPChannel`) *constructed
+    inside* the context: the kernel binding happens when the
+    ``RankState`` is constructed.
     ``force_flavor("numba")`` raises on hosts without numba.
 
     Exception-safe: the previous flavor is restored even when the body

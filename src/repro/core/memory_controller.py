@@ -15,7 +15,11 @@ import numpy as np
 
 from repro.core import kernels as _kernels
 from repro.core.processing_unit import require_valid_ranks
-from repro.core.scheduler import PacketScheduler
+from repro.core.scheduler import fcfs_interleaved_order, table_aware_order
+
+#: The packet order of each scheduling policy (Section III-D).
+_SCHEDULES = {"fcfs": fcfs_interleaved_order,
+              "table-aware": table_aware_order}
 
 
 @dataclass
@@ -57,8 +61,13 @@ class NMPMemoryController:
             raise ValueError("num_ranks must be positive")
         if reorder_window < 1:
             raise ValueError("reorder_window must be >= 1")
+        if scheduling_policy not in _SCHEDULES:
+            raise ValueError("unknown scheduling policy %r; expected one of %s"
+                             % (scheduling_policy, tuple(_SCHEDULES)))
         self.num_ranks = int(num_ranks)
-        self.scheduler = PacketScheduler(policy=scheduling_policy)
+        self._schedule = _SCHEDULES[scheduling_policy]
+        # The packet list of each submitted source, until a dispatch.
+        self._sources = []
         if ranks_of_addresses is None:
             ranks_of_addresses = lambda addresses: \
                 (addresses // 64) % self.num_ranks  # noqa: E731
@@ -70,8 +79,14 @@ class NMPMemoryController:
     def submit(self, packets):
         """Submit the packet stream of one core / SLS thread."""
         packets = list(packets)
-        self.scheduler.add_source(packets)
+        self._sources.append(packets)
         self.stats.packets_received += len(packets)
+
+    def _take_schedule(self):
+        """Every packet submitted since the last dispatch, in issue order
+        under the scheduling policy; empties the queue."""
+        sources, self._sources = self._sources, []
+        return self._schedule(sources)
 
     def _issue_orders(self, packed_list, reorder=True):
         """Ranks and FR-FCFS issue order of one dispatch's packets.
@@ -111,7 +126,8 @@ class NMPMemoryController:
 
     # ------------------------------------------------------------------ #
     def dispatch(self, channel, reorder=True):
-        """Schedule all submitted packets and execute them on ``channel``.
+        """Schedule the packets submitted since the last dispatch and
+        execute them on ``channel``; the queue is empty afterwards.
 
         Returns ``(total_cycles, per_packet_completions)`` where completions
         are measured relative to each packet's own start (latency), and the
@@ -130,7 +146,7 @@ class NMPMemoryController:
         ``channel.execute_packed``.  Both run the same loop, so the
         choice only names the entry point.
         """
-        order = self.scheduler.schedule()
+        order = self._take_schedule()
         packed_list = [packet.instructions for packet in order]
         ranks, issue = self._issue_orders(packed_list, reorder)
         prepared = channel._prepare(packed_list, ranks, issue) \

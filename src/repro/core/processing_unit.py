@@ -23,12 +23,7 @@ constants below fix at the paper's values.
 import numpy as np
 
 from repro.core import kernels as _kernels
-from repro.core.rank_nmp import (
-    RankNMP,
-    RankNMPConfig,
-    RankState,
-    execute_segments,
-)
+from repro.core.rank_nmp import RankNMPConfig, RankState, execute_segments
 
 #: NMP-Insts the host memory controller pushes over the channel per DRAM
 #: cycle: the compressed format sustains two (double data rate on the
@@ -71,22 +66,12 @@ class RecNMPChannel:
         self.ranks_per_dimm = int(ranks_per_dimm)
         self.rank_config = rank_config or RankNMPConfig()
         self._state = RankState(self.rank_config, self.num_ranks)
-        self._rank_nmps = [RankNMP._view(self._state, r)
-                           for r in range(self.num_ranks)]
 
     # ------------------------------------------------------------------ #
     @property
     def num_ranks(self):
         """Total concurrently-activatable ranks on the channel."""
         return self.num_dimms * self.ranks_per_dimm
-
-    def rank_nmp(self, channel_rank_index):
-        """Rank-NMP module for a channel-wide rank index."""
-        return self._rank_nmps[channel_rank_index]
-
-    def all_rank_nmps(self):
-        """All rank-NMP modules of the channel, in channel-rank order."""
-        return list(self._rank_nmps)
 
     # ------------------------------------------------------------------ #
     def execute_packet(self, packet, start_cycle=0, ranks=None, order=None,

@@ -20,16 +20,13 @@ The stream arrives as columns, never as instruction objects.  PsumTag
 accumulation is modelled by its latency only; the pooled values are the
 functional operators' (:mod:`repro.dlrm.operators`).
 
-The DDR4 state of the ranks is not held in objects: a
-:class:`RankState` keeps the bank and rank timing state of one rank
-(a standalone :class:`RankNMP`) or of every rank of a channel (a
+The rank-NMPs are not objects: a :class:`RankState` keeps the bank and
+rank timing state, RankCache and counters of every rank of a channel (a
 :class:`~repro.core.processing_unit.RecNMPChannel`) as flat lists, and
 :func:`execute_segments` runs any number of rank streams over it in one
 loop.
 """
 
-import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,8 +199,7 @@ class RankState:
             self.kernels[rank].reset()
 
 
-def execute_segments(state, columns, segments, base, arrivals_sorted=True,
-                     reorder_window=16):
+def execute_segments(state, columns, segments, base, reorder_window=16):
     """Run rank streams over ``state``; returns the largest last
     completion cycle among them.
 
@@ -215,8 +211,8 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
     triples: rank ``rank`` runs the column rows ``begin`` to ``end`` in
     that order, each arriving at ``base`` plus its offset; the ranks
     of a packet's segments run concurrently, each from its own current
-    cycle.  ``arrivals_sorted`` promises that each segment's offsets
-    never decrease.
+    cycle.  Each segment's offsets never decrease: an instruction reaches
+    its rank no earlier than the one issued before it.
 
     Each rank-NMP issues its stream FR-FCFS-style within a
     ``reorder_window``: among the oldest pending instructions, the one
@@ -233,10 +229,9 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
     member from the state lists, the rank-level ACT and RD floors are
     computed for the last command's bank group and for any other one
     only after an instruction that touched DRAM (nothing else changes
-    them), and members whose earliest possible start already matches or
-    exceeds the best estimate are skipped outright -- or, when arrivals
-    are sorted, end the scan, because every later window member starts
-    no earlier.
+    them), and the first member whose earliest possible start already
+    matches or exceeds the best estimate ends the scan, because every
+    later window member starts no earlier.
 
     Every command issues at its earliest legal cycle under the bank
     (tRCD, tRAS, tRC, tRP, tRTP, tCCD_L) and rank (tRRD_S/L, tFAW,
@@ -332,11 +327,9 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
                 start = arrival if arrival > current else current
                 if start >= best_estimate:
                     # estimate >= start, so this member cannot win (ties
-                    # keep the earliest window position); with sorted
-                    # arrivals no later member can either.
-                    if arrivals_sorted:
-                        break
-                    continue
+                    # keep the earliest window position); with arrivals
+                    # that never decrease, no later member can either.
+                    break
                 if entries is not None and localities[index] and \
                         daddrs[index] in entries:
                     estimate = start
@@ -518,121 +511,3 @@ def execute_segments(state, columns, segments, base, arrivals_sorted=True,
             packet_last = last_completion
     return packet_last
 
-
-class RankNMP:
-    """Cycle-approximate model of one rank-NMP module.
-
-    A standalone rank-NMP owns a one-rank :class:`RankState`; the ones a
-    :class:`~repro.core.processing_unit.RecNMPChannel` hands out are
-    views of its rank in the channel's state.
-    """
-
-    def __init__(self, config=None, rank_index=0):
-        self.config = config or RankNMPConfig()
-        self.rank_index = rank_index
-        self._state = RankState(self.config, 1)
-        self._slot = 0
-
-    @classmethod
-    def _view(cls, state, slot):
-        """The rank-NMP of rank ``slot`` of a shared ``state``."""
-        rank_nmp = cls.__new__(cls)
-        rank_nmp.config = state.config
-        rank_nmp.rank_index = slot
-        rank_nmp._state = state
-        rank_nmp._slot = slot
-        return rank_nmp
-
-    @property
-    def cache(self):
-        """The rank's RankCache, or None when the config disables it."""
-        return self._state.caches[self._slot]
-
-    @property
-    def stats(self):
-        """The rank's :class:`RankNMPStats`."""
-        return self._state.stats[self._slot]
-
-    @property
-    def current_cycle(self):
-        """The cycle from which the rank's next instruction can issue."""
-        return int(self._state.current[self._slot])
-
-    # ------------------------------------------------------------------ #
-    # Execution                                                          #
-    # ------------------------------------------------------------------ #
-    def execute_packed(self, packed, arrival_cycles, reorder_window=16):
-        """Execute one instruction stream (a
-        :class:`~repro.core.instruction.PackedInstructions` plus each
-        instruction's arrival cycle); returns the last completion cycle.
-
-        Instructions are issued FR-FCFS-style within a small reorder window
-        (the host-side memory controller performs this reordering inside a
-        packet per the paper): among the ``reorder_window`` oldest pending
-        instructions, the one whose bank can accept a command earliest goes
-        first.  Correctness is unaffected because each pooling accumulates
-        into its own PsumTag register.  Arrivals may come in any order.
-        """
-        daddrs = packed.daddrs
-        if len(arrival_cycles) != len(daddrs):
-            raise ValueError("arrival_cycles must match instructions")
-        if not len(daddrs):
-            return self.current_cycle
-        columns = [daddrs, packed.vsizes, packed.weighted, packed.localities,
-                   np.asarray(arrival_cycles, np.int64)]
-        columns.extend(_kernels.pack_decoded(self.config, daddrs))
-        if not self.takes_arrays:
-            columns = [column.tolist() for column in columns]
-        return self.execute_columns(columns, reorder_window)
-
-    @property
-    def takes_arrays(self):
-        """True when :meth:`execute_columns` wants numpy arrays (a flat
-        kernel is bound), False when it wants plain lists."""
-        return self._state.takes_arrays
-
-    def execute_columns(self, columns, reorder_window=16):
-        """Run one instruction stream given as eight aligned columns.
-
-        The columns are, in order: Daddr, burst count, weighted flag,
-        LocalityBit, arrival cycle, and the decoded bank group,
-        bank and row.  They are int64/bool arrays for the bound flat
-        kernel, or plain lists for the list loop -- see
-        :attr:`takes_arrays`.  Arrivals may come in any order.  Runs
-        :func:`execute_segments` on the rank's state; returns the last
-        completion cycle.
-        """
-        (daddrs, vsizes, weighted, localities, arrivals, bank_groups,
-         banks, rows) = columns
-        if not len(daddrs):
-            return self.current_cycle
-        if min(daddrs) < 0:
-            raise ValueError("dram_address must be non-negative, got %d"
-                             % min(daddrs))
-        config = self.config
-        adder = config.adder_latency_cycles
-        multiplier = config.multiplier_latency_cycles
-        first_bank = self._slot * self._state.banks_per_rank
-        per_group = config.banks_per_group
-        if self.takes_arrays:
-            computes = adder + multiplier * np.asarray(weighted, np.int64)
-            flats = first_bank + bank_groups * per_group + banks
-            localities = np.asarray(localities, np.int64)
-        else:
-            computes = [adder + multiplier if flag else adder
-                        for flag in weighted]
-            flats = [first_bank + group * per_group + bank
-                     for group, bank in zip(bank_groups, banks)]
-        arrivals_sorted = all(map(operator.le, arrivals,
-                                  itertools.islice(arrivals, 1, None)))
-        return execute_segments(
-            self._state,
-            (daddrs, vsizes, computes, localities, arrivals, bank_groups,
-             flats, rows),
-            [(self._slot, 0, len(daddrs))], 0, arrivals_sorted,
-            reorder_window)
-
-    # ------------------------------------------------------------------ #
-    def reset(self):
-        """Reset timing state, cache contents and statistics."""
-        self._state.reset(self._slot)

@@ -6,6 +6,8 @@ priority.  Interleaving them destroys the intra-table temporal locality the
 RankCache could otherwise exploit.  The *table-aware* scheduling policy
 reorders the packet queue so that all packets of one (model, table, batch)
 group issue back to back, preserving the reuse within a batch.
+:class:`~repro.core.memory_controller.NMPMemoryController` orders each
+dispatch's queued packets with one of the two functions below.
 """
 
 from collections import OrderedDict
@@ -47,35 +49,4 @@ def table_aware_order(packet_lists):
     for group_packets in groups.values():
         order.extend(group_packets)
     return order
-
-
-class PacketScheduler:
-    """Queue of NMP packets with selectable scheduling policy.
-
-    Parameters
-    ----------
-    policy:
-        ``"fcfs"`` (baseline interleaving) or ``"table-aware"``.
-    """
-
-    POLICIES = ("fcfs", "table-aware")
-
-    def __init__(self, policy="table-aware"):
-        if policy not in self.POLICIES:
-            raise ValueError("unknown scheduling policy %r; expected one of %s"
-                             % (policy, self.POLICIES))
-        self.policy = policy
-        self._sources = []
-
-    def add_source(self, packets):
-        """Register the packet list of one SLS thread / operator."""
-        self._sources.append(list(packets))
-
-    def schedule(self):
-        """Return the packets in issue order according to the policy."""
-        if not self._sources:
-            return []
-        if self.policy == "fcfs":
-            return fcfs_interleaved_order(self._sources)
-        return table_aware_order(self._sources)
 

@@ -19,16 +19,14 @@ the rank and channel data buses with the rank-switch penalty, the C/A
 slot) before the command changes any state, and raises unless that
 computation gives exactly the cycle the command was picked for.
 :class:`DramSystem` decodes a whole trace at once and hands each channel's
-controller its bursts as int columns.
+controller its bursts as int columns; a single channel takes a trace of
+byte addresses through :meth:`MemoryController.process_trace`.  Requests
+and commands are never objects: a burst is a row of those columns, and
+each command is issued inside the drain loop.
 """
 
 from repro.dram.timing import DDR4Timing, DDR4_2400
-from repro.dram.commands import CommandType, MemoryRequest, RequestType
-from repro.dram.address_mapping import (
-    DramAddress,
-    MemoryGeometry,
-    SkylakeAddressMapping,
-)
+from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
 from repro.dram.controller import MemoryController, ControllerStats
 from repro.dram.system import DramSystem, DramSystemConfig
 from repro.dram.energy import DramEnergyModel, DramEnergyParameters
@@ -36,10 +34,6 @@ from repro.dram.energy import DramEnergyModel, DramEnergyParameters
 __all__ = [
     "DDR4Timing",
     "DDR4_2400",
-    "CommandType",
-    "MemoryRequest",
-    "RequestType",
-    "DramAddress",
     "MemoryGeometry",
     "SkylakeAddressMapping",
     "MemoryController",

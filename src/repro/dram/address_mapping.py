@@ -17,19 +17,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class DramAddress:
-    """A fully decoded DRAM coordinate."""
-
-    channel: int
-    dimm: int
-    rank: int
-    bank_group: int
-    bank: int
-    row: int
-    column: int
-
-
-@dataclass(frozen=True)
 class MemoryGeometry:
     """Geometry of the memory system being addressed.
 
@@ -91,14 +78,10 @@ class SkylakeAddressMapping:
     def __init__(self, geometry=None):
         self.geometry = geometry or MemoryGeometry()
 
-    def map(self, physical_address):
-        """Return the :class:`DramAddress` for a physical byte address."""
-        return DramAddress(*(int(field[0]) for field in
-                             self.map_array([physical_address])))
-
     def map_array(self, physical_addresses):
-        """:meth:`map` over a sequence of byte addresses at once: one int64
-        array per :class:`DramAddress` field, in field order."""
+        """Decode a sequence of byte addresses at once: one int64 array
+        per DRAM coordinate, in the order ``(channel, dimm, rank,
+        bank_group, bank, row, column)``."""
         addresses = np.asarray(physical_addresses, dtype=np.int64)
         if addresses.size and addresses.min() < 0:
             raise ValueError("physical_address must be non-negative")

@@ -32,7 +32,6 @@ state changes.
 from dataclasses import dataclass, field
 
 from repro.dram.address_mapping import SkylakeAddressMapping
-from repro.dram.commands import RequestType
 from repro.dram.timing import DDR4_2400, DDR4Timing
 
 #: Cycle budget of one drain: a command that would issue more than this
@@ -59,19 +58,6 @@ class ControllerStats:
     commands_issued: int = 0
     cycles_elapsed: int = 0
     latencies: list = field(default_factory=list)
-
-    @property
-    def average_latency_cycles(self):
-        if not self.requests_completed:
-            return 0.0
-        return self.total_latency_cycles / self.requests_completed
-
-    @property
-    def row_hit_rate(self):
-        total = self.row_hits + self.row_misses + self.row_conflicts
-        if not total:
-            return 0.0
-        return self.row_hits / total
 
 
 class MemoryController:
@@ -135,65 +121,27 @@ class MemoryController:
         self.cycle = 0
         self._data_bus = 0
         self._last_data_rank = -1
-        # Requests submitted with :meth:`enqueue` and not yet drained.
-        self._requests = []
         #: Completion cycle of every burst of the last drain, in
         #: submission order (-1 for one a failed drain did not complete).
         self.completion_cycles = []
         self.stats = ControllerStats()
 
     # ------------------------------------------------------------------ #
-    # Request submission                                                 #
+    # Trace submission                                                   #
     # ------------------------------------------------------------------ #
-    def enqueue(self, request):
-        """Submit a :class:`~repro.dram.commands.MemoryRequest`: it arrives
-        now and is admitted, in submission order, as the next drain finds
-        queue space; the drain fills in its ``completion_cycle``."""
-        if request.request_type is not RequestType.READ:
-            raise NotImplementedError(
-                "the RecNMP study only exercises read traffic")
-        request.arrival_cycle = self.cycle
-        self._requests.append(request)
-
-    @property
-    def pending_requests(self):
-        """Number of submitted requests not yet drained."""
-        return len(self._requests)
-
-    def run_until_drained(self, max_cycles=None):
-        """Drain every submitted request.  Raises ``RuntimeError`` instead
-        of issuing a command more than ``max_cycles`` (default
-        ``_MAX_DRAIN_CYCLES``) after the start."""
-        return self._run((), None, max_cycles)
-
     def process_trace(self, physical_addresses, batch_size=None):
-        """Convenience helper: read every address and drain.
+        """Read every address, in order, and drain.
 
         ``batch_size`` optionally throttles arrivals so that at most that
         many requests are outstanding at once (mimicking a core's MSHR
-        limit); ``None`` submits everything up front.
+        limit); ``None`` submits everything up front.  Returns the
+        cumulative :class:`ControllerStats`; :attr:`completion_cycles`
+        holds each address's completion cycle.
         """
         check_outstanding_limit("batch_size", batch_size)
-        return self._run(physical_addresses, batch_size, None)
-
-    def _run(self, physical_addresses, cap, max_cycles):
-        """Drain the enqueued requests, then ``physical_addresses``
-        arriving under the outstanding cap ``cap``.  A trace that does not
-        decode leaves the enqueued requests pending, and so does a drain
-        that raises for the ones it did not complete."""
-        requests = self._requests
         columns = self._columns(self.address_mapping.map_array(
-            [request.physical_address for request in requests]
-            + list(physical_addresses)))
-        self._requests = []
-        try:
-            return self._drain(columns, cap, len(requests), max_cycles)
-        finally:
-            for request, done in zip(requests, self.completion_cycles):
-                if done < 0:
-                    self._requests.append(request)
-                else:
-                    request.completion_cycle = done
+            list(physical_addresses)))
+        return self._drain(columns, batch_size)
 
     def _columns(self, decoded):
         """The drain's per-burst int lists -- channel-wide rank, bank
@@ -216,28 +164,24 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # The drain                                                          #
     # ------------------------------------------------------------------ #
-    def _drain(self, columns, cap, submitted=0, max_cycles=None):
+    def _drain(self, columns, cap):
         """Run every burst of ``columns`` (see :meth:`_columns`) to
         completion and return the cumulative :class:`ControllerStats`.
 
-        The first ``submitted`` bursts arrived before the drain; the rest
-        arrive, in order, whenever fewer than ``cap`` (``None``: no limit)
-        are outstanding.  Arrived bursts are admitted first come first
-        served while the read queue has room.  Each pass then issues the
+        The bursts arrive, in order, whenever fewer than ``cap`` (``None``:
+        no limit) are outstanding.  Arrived bursts are admitted first come
+        first served while the read queue has room.  Each pass then issues the
         FR-FCFS pick at the earliest cycle any queued command is ready:
         the first ready row hit in arrival order, else the oldest ready
         request; the next command is RD on a row hit, ACT on a closed bank
         and PRE on a row conflict.  Raises ``RuntimeError`` instead of
-        issuing a command more than ``max_cycles`` (default
-        ``_MAX_DRAIN_CYCLES``) after the start, or one whose fresh legal
-        cycle is not the cycle it was picked for.
+        issuing a command more than ``_MAX_DRAIN_CYCLES`` after the start,
+        or one whose fresh legal cycle is not the cycle it was picked for.
         """
         rank_of, group_of, bank_of, row_of = columns
         total = len(row_of)
         if cap is None:
             cap = total
-        if max_cycles is None:
-            max_cycles = _MAX_DRAIN_CYCLES
         (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
          tRC, tRTP) = self.timing.kernel_params()
         depth = self.queue_depth
@@ -255,7 +199,7 @@ class MemoryController:
         cycle = self.cycle
         data_bus = self._data_bus
         last_data_rank = self._last_data_rank
-        last_cycle = cycle + max_cycles
+        last_cycle = cycle + _MAX_DRAIN_CYCLES
         arrival = [cycle] * total
         self.completion_cycles = done = [-1] * total
         # The readiness cache: the bank+rank part of each queued burst's
@@ -271,7 +215,7 @@ class MemoryController:
         stale = set()
         latencies = self.stats.latencies
         hits = misses = conflicts = commands = latency_sum = 0
-        arrived = submitted
+        arrived = 0
         admitted = completed = queued = 0
         refill = True
         failure = None
@@ -395,7 +339,7 @@ class MemoryController:
                             break
             if earliest > last_cycle:
                 failure = "controller did not drain within %d cycles" \
-                    % max_cycles
+                    % _MAX_DRAIN_CYCLES
                 break
             at = earliest
             rank = rank_of[index]

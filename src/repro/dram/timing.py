@@ -6,7 +6,7 @@ the data rate is 2400 MT/s).  The default values reproduce Table I of the
 RecNMP paper, which in turn follows a Micron 8 Gb DDR4 datasheet.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -97,28 +97,7 @@ class DDR4Timing:
                 self.tCCD_L, self.tRRD_S, self.tRRD_L, self.tFAW,
                 self.tRAS, self.tRC, self.tRTP)
 
-    def read_latency_cycles(self):
-        """Idle-bank read latency (ACT + CAS + burst) in cycles."""
-        return self.tRCD + self.tCL + self.tBL
-
-    def row_miss_penalty_cycles(self):
-        """Extra cycles for a row-buffer miss (precharge + activate)."""
-        return self.tRP + self.tRCD
-
 
 #: The DDR4-2400 configuration used throughout the paper (Table I).
 DDR4_2400 = DDR4Timing()
 
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Per-channel peak bandwidth helper for DDR4 configurations."""
-
-    timing: DDR4Timing = field(default_factory=lambda: DDR4_2400)
-    bus_width_bits: int = 64
-
-    @property
-    def peak_bandwidth_gbps(self):
-        """Theoretical peak bandwidth of one channel in GB/s."""
-        return (self.timing.data_rate_mts * 1e6 *
-                self.bus_width_bits / 8) / 1e9

@@ -2,10 +2,11 @@
 checked against.
 
 :func:`skylake_decode` is the Skylake address mapping one address at a
-time, in Python integers.  :class:`Bank` and :class:`Rank` are the
-per-object DDR4 state machines: a bank's open row and ACT / RD / PRE
-ready cycles, and a rank's tRRD, tFAW, tCCD and data-bus constraints
-over its banks, each command checked against them.  :class:`Channel` is
+time, in Python integers, giving a :class:`DramAddress`.  :class:`Bank`
+and :class:`Rank` are the per-object DDR4 state machines: a bank's open
+row and ACT / RD / PRE ready cycles, and a rank's tRRD, tFAW, tCCD and
+data-bus constraints over its banks, each command checked against them;
+:class:`CommandType` names their commands.  :class:`Channel` is
 the layered per-command model: the shared C/A slot and data bus of one
 channel over those ranks, each command checked once against the whole
 set.  :class:`PerCycleController` runs FR-FCFS on
@@ -16,12 +17,26 @@ agree on every completion cycle, every ``ControllerStats`` field and the
 elapsed cycles of any trace.
 """
 
-from collections import deque
+import enum
+from collections import deque, namedtuple
 
-from repro.dram.address_mapping import DramAddress, MemoryGeometry
-from repro.dram.commands import CommandType
+from repro.dram.address_mapping import MemoryGeometry
 from repro.dram.controller import ControllerStats
 from repro.dram.timing import DDR4_2400, DDR4Timing
+
+#: A decoded DRAM coordinate, its fields in the order
+#: ``SkylakeAddressMapping.map_array`` returns them.
+DramAddress = namedtuple(
+    "DramAddress", "channel dimm rank bank_group bank row column")
+
+
+class CommandType(enum.Enum):
+    """Low-level DDR commands issued on the C/A bus."""
+
+    ACT = "ACT"
+    PRE = "PRE"
+    RD = "RD"
+    WR = "WR"
 
 
 def skylake_decode(geometry, physical_address):

@@ -8,8 +8,9 @@ generated packet back as records, go through these helpers:
 - :func:`packet_of` builds a column :class:`NMPPacket` from records;
 - :func:`instructions_of` reads a packet's rows back as records, through
   the record's constructor, so every range check applies;
-- :func:`run_instructions` / :func:`run_instruction` drive one
-  :class:`~repro.core.rank_nmp.RankNMP` with records.
+- :func:`run_instructions` / :func:`run_instruction` drive the one
+  rank-NMP of a one-rank :class:`~repro.core.processing_unit
+  .RecNMPChannel` with records, at arrival cycles of the test's choice.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from repro.core.instruction import (
     NMPPacket,
     PackedInstructions,
 )
+from repro.core.processing_unit import RecNMPChannel
+from repro.core.rank_nmp import execute_segments
 
 
 def packet_of(instructions, table_id=0, model_id=0, batch_index=0,
@@ -66,17 +69,41 @@ def instructions_of(packet):
             packet.row_indices.tolist())]
 
 
-def run_instructions(rank, instructions, arrival_cycles=None,
+def single_rank(config=None):
+    """A one-DIMM, one-rank channel: rank 0 is the rank-NMP the
+    ``run_*`` helpers drive."""
+    return RecNMPChannel(num_dimms=1, ranks_per_dimm=1, rank_config=config)
+
+
+def run_instructions(channel, instructions, arrival_cycles=None,
                      reorder_window=16):
-    """Execute records on one rank-NMP; returns the last completion."""
+    """Execute records on rank 0 of ``channel``, a :func:`single_rank`;
+    returns the last completion (the rank's current cycle when there are
+    none).
+
+    The columns are the channel's own (``RecNMPChannel._prepare``, the
+    dispatch path); only the arrival offsets are swapped for
+    ``arrival_cycles`` (default: all 0), which must never decrease, as
+    the C/A interface delivers them.
+    """
+    state = channel._state
     if arrival_cycles is None:
         arrival_cycles = [0] * len(instructions)
-    return rank.execute_packed(
-        PackedInstructions.from_instructions(instructions), arrival_cycles,
-        reorder_window)
+    arrivals = [int(cycle) for cycle in arrival_cycles]
+    assert len(arrivals) == len(instructions)
+    assert all(a <= b for a, b in zip(arrivals, arrivals[1:])), arrivals
+    if not instructions:
+        return int(state.current[0])
+    packed = PackedInstructions.from_instructions(instructions)
+    columns, segments, _ = channel._prepare(
+        [packed], np.zeros(len(packed), np.int64))
+    columns[4] = np.array(arrivals, np.int64) if state.takes_arrays \
+        else arrivals
+    return execute_segments(state, columns, segments[0], 0, reorder_window)
 
 
-def run_instruction(rank, instruction, arrival_cycle=0):
-    """Execute one record on one rank-NMP; returns its completion."""
-    return run_instructions(rank, [instruction], [arrival_cycle],
+def run_instruction(channel, instruction, arrival_cycle=0):
+    """Execute one record on rank 0 of ``channel``; returns its
+    completion."""
+    return run_instructions(channel, [instruction], [arrival_cycle],
                             reorder_window=1)

@@ -16,12 +16,10 @@ oracle:
 It shares no code with :func:`repro.core.rank_nmp.execute_segments` or
 :meth:`repro.core.processing_unit.RecNMPChannel._prepare`: only the
 configuration, the RankCache and the statistics records.
-:func:`timing_state` reads either model's DDR4 state in one form, and
+:func:`timing_state` reads either model's DDR4 state in one form,
+:func:`rank_states` every rank of either model's channel, and
 :func:`reference_rank` loads a production rank's state into a ``Rank``.
 """
-
-import itertools
-import operator
 
 import numpy as np
 
@@ -122,8 +120,6 @@ class ReferenceRankNMP:
         cache_latency = self.config.cache_latency_cycles
         adder = self.config.adder_latency_cycles
         adder_multiplier = adder + self.config.multiplier_latency_cycles
-        arrivals_sorted = all(map(operator.le, arrival_cycles,
-                                  itertools.islice(arrival_cycles, 1, None)))
         hits = misses = bypasses = evictions = 0
         activations = dram_reads = busy = dram_vsizes = cache_vsizes = 0
         last_completion = current
@@ -139,9 +135,8 @@ class ReferenceRankNMP:
                 arrival = arrival_cycles[index]
                 start = arrival if arrival > current else current
                 if start >= best_estimate:
-                    if arrivals_sorted:
-                        break
-                    continue
+                    # Arrivals never decrease: no later member can win.
+                    break
                 if entries is not None and localities[index] and \
                         daddrs[index] in entries:
                     estimate = start
@@ -388,26 +383,27 @@ def reference_dispatch(channel, packets, reorder_window=16, reorder=True):
     return current, per_packet
 
 
-def timing_state(rank_nmp):
+def timing_state(model, rank=0):
     """A rank-NMP's DDR4 state, either model's, as plain values.
 
-    ``(current_cycle, last four ACT cycles oldest first, last ACT cycle,
-    its bank group, last column cycle, its bank group, data-bus free
-    cycle, banks)`` with None for "none yet" and one ``(open row or
-    None, next ACT, next RD, next PRE, activations, reads, precharges)``
-    tuple per bank.
+    ``model`` is a :class:`ReferenceRankNMP`, or a
+    :class:`~repro.core.rank_nmp.RankState` with ``rank`` the index of
+    the rank to read.  ``(current_cycle, last four ACT cycles oldest
+    first, last ACT cycle, its bank group, last column cycle, its bank
+    group, data-bus free cycle, banks)`` with None for "none yet" and one
+    ``(open row or None, next ACT, next RD, next PRE, activations, reads,
+    precharges)`` tuple per bank.
     """
-    if isinstance(rank_nmp, ReferenceRankNMP):
-        rank = rank_nmp.dram_rank
-        return (rank_nmp.current_cycle, tuple(rank._act_history),
-                rank._last_act_cycle, rank._last_act_bank_group,
-                rank._last_col_cycle, rank._last_col_bank_group,
-                rank.next_data_bus_free,
+    if isinstance(model, ReferenceRankNMP):
+        dram_rank = model.dram_rank
+        return (model.current_cycle, tuple(dram_rank._act_history),
+                dram_rank._last_act_cycle, dram_rank._last_act_bank_group,
+                dram_rank._last_col_cycle, dram_rank._last_col_bank_group,
+                dram_rank.next_data_bus_free,
                 [(bank.open_row, bank.next_act, bank.next_read,
                   bank.next_pre, bank.activations, bank.reads,
-                  bank.precharges) for bank in rank.banks])
-    state = rank_nmp._state
-    slot = rank_nmp._slot
+                  bank.precharges) for bank in dram_rank.banks])
+    state = model
 
     def value(values, index):
         return int(values[index])
@@ -416,10 +412,10 @@ def timing_state(rank_nmp):
         found = value(values, index)
         return None if found == _NEVER else found
 
-    first = value(state.faw_slot, slot)
-    ring = [cycle(state.faw_ring, 4 * slot + (first + i) % 4)
+    first = value(state.faw_slot, rank)
+    ring = [cycle(state.faw_ring, 4 * rank + (first + i) % 4)
             for i in range(4)]
-    low = slot * state.banks_per_rank
+    low = rank * state.banks_per_rank
     banks = []
     for flat in range(low, low + state.banks_per_rank):
         open_row = value(state.open_row, flat)
@@ -430,32 +426,50 @@ def timing_state(rank_nmp):
                       value(state.activations, flat),
                       value(state.reads, flat),
                       value(state.precharges, flat)))
-    last_act = cycle(state.last_act, slot)
-    last_col = cycle(state.last_col, slot)
-    return (rank_nmp.current_cycle,
+    last_act = cycle(state.last_act, rank)
+    last_col = cycle(state.last_col, rank)
+    return (value(state.current, rank),
             tuple(found for found in ring if found is not None),
             last_act, None if last_act is None
-            else value(state.last_act_group, slot),
+            else value(state.last_act_group, rank),
             last_col, None if last_col is None
-            else value(state.last_col_group, slot),
-            value(state.bus_free, slot), banks)
+            else value(state.last_col_group, rank),
+            value(state.bus_free, rank), banks)
 
 
-def reference_rank(rank_nmp):
-    """A ``Rank`` holding a production rank-NMP's current DDR4 state."""
+def rank_states(channel):
+    """Per rank of either model's channel: its statistics, its DDR4
+    state (:func:`timing_state`) and, with a RankCache, the cache's
+    statistics and LRU order."""
+    if isinstance(channel, ReferenceChannel):
+        ranks = [(rank.stats, timing_state(rank), rank.cache)
+                 for rank in channel.rank_nmps]
+    else:
+        state = channel._state
+        ranks = [(state.stats[rank], timing_state(state, rank),
+                  state.caches[rank]) for rank in range(state.num_ranks)]
+    return [(stats.as_dict(), timing,
+             None if cache is None
+             else (cache.stats.as_dict(), list(cache._entries)))
+            for stats, timing, cache in ranks]
+
+
+def reference_rank(state, rank=0):
+    """A ``Rank`` holding rank ``rank`` of a
+    :class:`~repro.core.rank_nmp.RankState` in its current DDR4 state."""
     (_, history, last_act, last_act_group, last_col, last_col_group,
-     bus_free, banks) = timing_state(rank_nmp)
-    config = rank_nmp.config
-    rank = Rank(config.timing, num_bank_groups=config.num_bank_groups,
-                banks_per_group=config.banks_per_group,
-                rank_index=rank_nmp.rank_index)
-    rank._act_history.extend(history)
-    rank._last_act_cycle = last_act
-    rank._last_act_bank_group = last_act_group
-    rank._last_col_cycle = last_col
-    rank._last_col_bank_group = last_col_group
-    rank.next_data_bus_free = bus_free
-    for bank, values in zip(rank.banks, banks):
+     bus_free, banks) = timing_state(state, rank)
+    config = state.config
+    dram_rank = Rank(config.timing, num_bank_groups=config.num_bank_groups,
+                     banks_per_group=config.banks_per_group,
+                     rank_index=rank)
+    dram_rank._act_history.extend(history)
+    dram_rank._last_act_cycle = last_act
+    dram_rank._last_act_bank_group = last_act_group
+    dram_rank._last_col_cycle = last_col
+    dram_rank._last_col_bank_group = last_col_group
+    dram_rank.next_data_bus_free = bus_free
+    for bank, values in zip(dram_rank.banks, banks):
         (bank.open_row, bank.next_act, bank.next_read, bank.next_pre,
          bank.activations, bank.reads, bank.precharges) = values
-    return rank
+    return dram_rank

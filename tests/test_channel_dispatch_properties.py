@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from rank_nmp_reference import (
     ReferenceChannel,
+    rank_states,
     reference_dispatch,
-    timing_state,
 )
 from repro.core import kernels
 from repro.core.instruction import (
@@ -90,16 +90,9 @@ def scenarios(draw):
             window, reorder)
 
 
-def _observed(channel, rank_nmps, completions):
+def _observed(channel, completions):
     """Everything the two models must agree on."""
-    return {
-        "completions": completions,
-        "ranks": [(rank.stats.as_dict(), timing_state(rank),
-                   None if rank.cache is None
-                   else (rank.cache.stats.as_dict(),
-                         list(rank.cache._entries)))
-                  for rank in rank_nmps],
-    }
+    return {"completions": completions, "ranks": rank_states(channel)}
 
 
 def _run_channel(scenario, flavor):
@@ -124,7 +117,7 @@ def _run_channel(scenario, flavor):
                     else:
                         completions.append(channel.execute_packet(
                             packet, start_cycle=start, order=order))
-    return _observed(channel, channel.all_rank_nmps(), completions)
+    return _observed(channel, completions)
 
 
 def _run_reference(scenario):
@@ -137,7 +130,7 @@ def _run_reference(scenario):
                                                   order=order))
     completions.append(reference_dispatch(channel, second, window,
                                           reorder))
-    return _observed(channel, channel.rank_nmps, completions)
+    return _observed(channel, completions)
 
 
 @settings(max_examples=80, deadline=None)

@@ -103,13 +103,13 @@ class TestNMPPacket:
                         for i in range(12)]
         packet = packet_of(instructions, table_id=2)
         assert len(packet) == 12
-        assert packet.instructions.num_poolings == 4
+        assert len(set(packet.instructions.psum_tags.tolist())) == 4
         assert instructions_of(packet) == instructions
 
     def test_empty_packet(self):
         packet = packet_of([])
         assert len(packet) == 0
-        assert packet.instructions.num_poolings == 0
+        assert len(packet.instructions.psum_tags) == 0
 
     def test_too_many_poolings_rejected(self):
         # PsumTag is 4 bits -> max 16 poolings; NMPInstruction rejects larger

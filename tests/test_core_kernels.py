@@ -3,11 +3,12 @@
 The contract of :mod:`repro.core.kernels` is that every flavour --
 ``numba`` (jitted flat arrays), ``flat-python`` (the same flat-array
 source, un-jitted), and ``python`` (the column window loop of
-:class:`~repro.core.rank_nmp.RankNMP`, the readable spec) --
+:func:`~repro.core.rank_nmp.execute_segments`, the readable spec) --
 produces *identical* cycles, statistics, cache contents and bank state.
 These tests pin that contract at two levels: randomized instruction
-streams on a single rank-NMP (down to the per-bank timing state), and
-full-system runs over the RecNMP variant matrix of the paper.
+streams on a one-rank channel's rank-NMP (down to the per-bank timing
+state), and full-system runs over the RecNMP variant matrix of the
+paper.
 """
 
 import contextlib
@@ -30,13 +31,13 @@ from repro.core.instruction import (
     PackedInstructions,
 )
 from repro.core.processing_unit import RecNMPChannel
-from repro.core.rank_nmp import RankNMP, RankNMPConfig
+from repro.core.rank_nmp import RankNMPConfig
 from repro.dlrm.operators import SLSRequest
 from repro.systems import build_system
 from repro.traces import make_production_table_traces, random_trace
 
-from nmp_packets import run_instruction, run_instructions
-from rank_nmp_reference import timing_state
+from nmp_packets import run_instruction, run_instructions, single_rank
+from rank_nmp_reference import rank_states
 
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 
@@ -63,16 +64,6 @@ def _random_instructions(rng, count, with_cache_traffic=True):
             psum_tag=int(rng.integers(0, 8)),
         ))
     return instructions
-
-
-def _rank_snapshot(rank):
-    """Everything observable about a rank-NMP after a run."""
-    return {
-        "current_cycle": rank.current_cycle,
-        "stats": rank.stats.as_dict(),
-        "cache_order": list(rank.cache._entries) if rank.cache else None,
-        "timing": timing_state(rank),
-    }
 
 
 class TestFlavorSelection:
@@ -128,18 +119,16 @@ class TestFlavorSelection:
 
 
 def _run_split(flavor, config, instructions, arrivals, window, split):
-    """Run ``instructions`` on a fresh rank-NMP of ``flavor`` in two
-    calls (split at ``split``, so state carries across a call boundary);
-    returns ``(last, snapshot)``."""
+    """Run ``instructions`` on a fresh one-rank channel of ``flavor`` in
+    two calls (split at ``split``, so state carries across a call
+    boundary); returns ``(last, snapshot)``."""
     with kernels.force_flavor(flavor):
-        rank = RankNMP(config)
+        rank = single_rank(config)
     last = None
     for part in (slice(0, split), slice(split, None)):
-        last = rank.execute_packed(
-            PackedInstructions.from_instructions(instructions[part]),
-            np.asarray(arrivals[part], dtype=np.int64),
-            reorder_window=window)
-    return last, _rank_snapshot(rank)
+        last = run_instructions(rank, instructions[part], arrivals[part],
+                                reorder_window=window)
+    return last, rank_states(rank)
 
 
 class TestRankTriParity:
@@ -175,8 +164,7 @@ class TestRankTriParity:
                                         rank_config=config)
             completions = [channel.execute_packed(packed, start_cycle=start)
                            for start in (0, 500)]
-            observed[flavor] = (completions, [
-                _rank_snapshot(rank) for rank in channel.all_rank_nmps()])
+            observed[flavor] = (completions, rank_states(channel))
         assert observed["flat-python"] == observed["python"]
 
     @settings(max_examples=60, deadline=None)
@@ -192,8 +180,11 @@ class TestRankTriParity:
                            locality_bit=data.draw(st.booleans()),
                            psum_tag=data.draw(st.integers(0, 15)))
             for _ in range(count)]
-        arrivals = data.draw(st.lists(st.integers(0, 400), min_size=count,
-                                      max_size=count), label="arrivals")
+        # Sorted: the C/A interface delivers a rank's instructions in
+        # issue order.
+        arrivals = sorted(data.draw(
+            st.lists(st.integers(0, 400), min_size=count, max_size=count),
+            label="arrivals"))
         window = data.draw(st.integers(1, 20), label="window")
         config = RankNMPConfig(use_cache=data.draw(st.booleans()),
                                cache_capacity_bytes=1024)
@@ -209,22 +200,22 @@ class TestRankTriParity:
         results = {}
         for flavor in PORTABLE_FLAVORS:
             with kernels.force_flavor(flavor):
-                rank = RankNMP(RankNMPConfig())
+                rank = single_rank(RankNMPConfig())
                 completion = run_instruction(rank, inst)
                 completion2 = run_instruction(rank, inst)
             results[flavor] = (completion, completion2,
-                               _rank_snapshot(rank))
+                               rank_states(rank))
         assert results["flat-python"] == results["python"]
 
     def test_reset_clears_kernel_state(self):
         rng = np.random.default_rng(7)
         instructions = _random_instructions(rng, 40)
-        rank = RankNMP(RankNMPConfig(use_cache=True))
+        rank = single_rank(RankNMPConfig(use_cache=True))
         run_instructions(rank, instructions)
-        first = _rank_snapshot(rank)
+        first = rank_states(rank)
         rank.reset()
         run_instructions(rank, instructions)
-        assert _rank_snapshot(rank) == first
+        assert rank_states(rank) == first
 
 
 def _requests_for(trace_kind, num_tables=3, batch=3, pooling=14, seed=0):

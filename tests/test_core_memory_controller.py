@@ -61,7 +61,7 @@ class TestSubmissionAndDispatch:
                                          scheduling_policy="table-aware")
         controller.submit([_packet(0, 0, 0), _packet(0, 0, 1)])
         controller.submit([_packet(1, 0, 2), _packet(1, 0, 3)])
-        order = controller.scheduler.schedule()
+        order = controller._take_schedule()
         assert [p.table_id for p in order] == [0, 0, 1, 1]
 
     def test_fcfs_policy_interleaves(self):
@@ -69,7 +69,7 @@ class TestSubmissionAndDispatch:
                                          scheduling_policy="fcfs")
         controller.submit([_packet(0, 0, 0), _packet(0, 0, 1)])
         controller.submit([_packet(1, 0, 2), _packet(1, 0, 3)])
-        order = controller.scheduler.schedule()
+        order = controller._take_schedule()
         assert [p.table_id for p in order] == [0, 1, 0, 1]
 
     def test_validation(self):
@@ -77,6 +77,27 @@ class TestSubmissionAndDispatch:
             NMPMemoryController(num_ranks=0)
         with pytest.raises(ValueError):
             NMPMemoryController(reorder_window=0)
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            NMPMemoryController(scheduling_policy="random")
+
+    @pytest.mark.parametrize("policy", ["fcfs", "table-aware"])
+    def test_dispatch_consumes_its_packets(self, policy):
+        # A reused controller runs each submitted packet once: the second
+        # dispatch runs only what was submitted after the first.  It used
+        # to run all five again (packets_issued 8 against 5 received).
+        controller = NMPMemoryController(num_ranks=4,
+                                         scheduling_policy=policy)
+        channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
+        controller.submit([_packet(0, 0, i) for i in range(3)])
+        _, first = controller.dispatch(channel)
+        controller.submit([_packet(1, 0, 10 + i) for i in range(2)])
+        _, second = controller.dispatch(channel)
+        assert (len(first), len(second)) == (3, 2)
+        assert controller.stats.packets_issued == \
+            controller.stats.packets_received == 5
+        assert controller.stats.instructions_issued == 5 * 8
+        assert channel.aggregate_stats()["instructions"] == 5 * 8
+        assert controller.dispatch(channel) == (0, [])
 
 
 class TestReordering:
@@ -151,8 +172,7 @@ class TestReordering:
         assert controller.stats.instructions_issued == 0
         assert controller.stats.per_rank_instructions == {}
         assert channel.aggregate_stats()["instructions"] == 0
-        assert all(rank.current_cycle == 0
-                   for rank in channel.all_rank_nmps())
+        assert list(channel._state.current) == [0, 0, 0, 0]
 
     def test_dispatch_without_reorder(self):
         controller = NMPMemoryController(num_ranks=2)

@@ -69,7 +69,7 @@ class TestPacketGeneration:
         packets = generator.packets_for_requests(
             [_request(batch=8, pooling=5)])
         for packet in packets:
-            assert packet.instructions.num_poolings == 4
+            assert len(set(packet.instructions.psum_tags.tolist())) == 4
             assert all(inst.psum_tag < 4
                        for inst in instructions_of(packet))
 

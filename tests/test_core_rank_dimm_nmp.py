@@ -12,11 +12,16 @@ from repro.core.instruction import (
     PackedInstructions,
 )
 from repro.core.processing_unit import RecNMPChannel
-from repro.core.rank_nmp import RankNMP, RankNMPConfig
-from repro.dram.commands import CommandType
+from repro.core.rank_nmp import RankNMPConfig
 from repro.dram.timing import DDR4_2400
 
-from nmp_packets import packet_of, run_instruction, run_instructions
+from ddr4_reference import CommandType
+from nmp_packets import (
+    packet_of,
+    run_instruction,
+    run_instructions,
+    single_rank,
+)
 from rank_nmp_reference import reference_rank, timing_state
 
 FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
@@ -44,39 +49,42 @@ class TestRankNMPConfig:
     def test_zero_latencies_accepted(self):
         config = RankNMPConfig(adder_latency_cycles=0,
                                multiplier_latency_cycles=0)
-        assert run_instruction(RankNMP(config), _instructions(1)[0]) > 0
+        assert run_instruction(single_rank(config), _instructions(1)[0]) > 0
 
 
 class TestRankNMP:
+    """One rank-NMP: rank 0 of a one-rank channel, fed the channel's own
+    columns by ``nmp_packets.run_instructions``."""
+
     def test_single_miss_latency(self):
-        rank = RankNMP(RankNMPConfig(use_cache=False))
+        rank = single_rank(RankNMPConfig(use_cache=False))
         completion = run_instruction(rank, _instructions(1)[0])
         minimum = DDR4_2400.tRCD + DDR4_2400.tCL + DDR4_2400.tBL
         assert completion >= minimum
 
     def test_cache_hit_is_fast(self):
         config = RankNMPConfig(use_cache=True, cache_capacity_bytes=4096)
-        rank = RankNMP(config)
+        rank = single_rank(config)
         inst = _instructions(1)[0]
         run_instruction(rank, inst)
-        start = rank.current_cycle
+        start = _current(rank)
         completion = run_instruction(rank, inst)
-        assert rank.stats.cache_hits == 1
+        assert _stats(rank).cache_hits == 1
         assert completion - start <= (config.cache_latency_cycles
                                       + config.adder_latency_cycles)
 
     def test_bypass_skips_cache(self):
-        rank = RankNMP(RankNMPConfig(use_cache=True))
+        rank = single_rank(RankNMPConfig(use_cache=True))
         inst = NMPInstruction(ddr_cmd=FULL_CMD, daddr=10, locality_bit=False)
         run_instruction(rank, inst)
         run_instruction(rank, inst)
-        assert rank.stats.cache_hits == 0
-        assert rank.stats.cache_bypasses == 2
+        assert _stats(rank).cache_hits == 0
+        assert _stats(rank).cache_bypasses == 2
 
     def test_throughput_pipelines_row_misses(self):
         # 64 random-row lookups must take far less than 64 serialized
         # PRE+ACT+RD latency chains thanks to bank-level pipelining.
-        rank = RankNMP(RankNMPConfig(use_cache=False))
+        rank = single_rank(RankNMPConfig(use_cache=False))
         instructions = _instructions(64, stride_blocks=997)
         last = run_instructions(rank, instructions)
         serialized = 64 * (DDR4_2400.tRP + DDR4_2400.tRCD + DDR4_2400.tCL)
@@ -84,46 +92,40 @@ class TestRankNMP:
 
     def test_weighted_instruction_uses_multiplier(self):
         config = RankNMPConfig(use_cache=False)
-        rank = RankNMP(config)
+        rank = single_rank(config)
         unweighted = run_instruction(
             rank, NMPInstruction(ddr_cmd=FULL_CMD, daddr=1, weight=1.0))
-        rank2 = RankNMP(config)
+        rank2 = single_rank(config)
         weighted = run_instruction(
             rank2, NMPInstruction(ddr_cmd=FULL_CMD, daddr=1, weight=0.5))
         assert weighted == unweighted + config.multiplier_latency_cycles
 
     def test_stats_bytes(self):
-        rank = RankNMP(RankNMPConfig(use_cache=False, vector_size_bytes=256))
+        rank = single_rank(RankNMPConfig(use_cache=False,
+                                         vector_size_bytes=256))
         run_instructions(rank, _instructions(4, vsize=4))
-        assert rank.stats.bytes_from_dram == 4 * 256
+        assert _stats(rank).bytes_from_dram == 4 * 256
 
     def test_reset(self):
-        rank = RankNMP()
+        rank = single_rank()
         run_instructions(rank, _instructions(4))
         rank.reset()
-        assert rank.current_cycle == 0
-        assert rank.stats.instructions == 0
-        assert rank.cache.occupancy == 0
+        assert _current(rank) == 0
+        assert _stats(rank).instructions == 0
+        assert rank._state.caches[0].occupancy == 0
 
     def test_arrival_cycles_respected(self):
-        rank = RankNMP(RankNMPConfig(use_cache=False))
+        rank = single_rank(RankNMPConfig(use_cache=False))
         completion = run_instruction(rank, _instructions(1)[0],
                                      arrival_cycle=500)
         assert completion > 500
-
-    def test_arrival_cycles_must_match_stream(self):
-        rank = RankNMP()
-        packed = PackedInstructions.from_instructions(_instructions(3))
-        with pytest.raises(ValueError, match="arrival_cycles"):
-            rank.execute_packed(packed, [0, 0])
-        assert rank.stats.instructions == 0
 
     @pytest.mark.parametrize("flavor", ["python", "flat-python"])
     def test_negative_daddr_rejected_before_any_state_changes(self, flavor):
         # The stream is validated before its first instruction runs, so
         # the valid Daddrs ahead of the bad one leave no trace either.
         with kernels.force_flavor(flavor):
-            rank = RankNMP()
+            rank = single_rank()
         run_instructions(rank, _instructions(3))
         before = _state(rank)
         packed = PackedInstructions(
@@ -131,17 +133,18 @@ class TestRankNMP:
             np.ones(3, dtype=np.int64), np.zeros(3, dtype=bool),
             np.ones(3, dtype=bool), np.arange(3, dtype=np.int64))
         with pytest.raises(ValueError, match="non-negative"):
-            rank.execute_packed(packed, [0, 0, 0])
+            rank.execute_packed(packed)
         assert _state(rank) == before
 
     @pytest.mark.parametrize("flavor", ["python", "flat-python"])
     def test_negative_daddr_rejected_without_cache(self, flavor):
         # Row -1 marks a closed bank in the flat state, and a negative
         # Daddr decodes to a negative row: it is refused with or without
-        # a RankCache, by a rank and by a channel, before anything runs.
+        # a RankCache, by a one-rank and a two-rank channel, before
+        # anything runs.
         config = RankNMPConfig(use_cache=False)
         with kernels.force_flavor(flavor):
-            rank = RankNMP(config)
+            rank = single_rank(config)
             channel = RecNMPChannel(num_dimms=1, ranks_per_dimm=2,
                                     rank_config=config)
         packed = PackedInstructions(
@@ -149,17 +152,29 @@ class TestRankNMP:
             np.zeros(2, dtype=bool), np.ones(2, dtype=bool),
             np.arange(2, dtype=np.int64))
         with pytest.raises(ValueError, match="non-negative, got -3"):
-            rank.execute_packed(packed, [0, 0])
+            rank.execute_packed(packed)
         with pytest.raises(ValueError, match="non-negative, got -3"):
             channel.execute_packed(packed, ranks=[0, 1])
-        assert rank.stats.instructions == 0
+        assert _stats(rank).instructions == 0
         assert channel.aggregate_stats()["instructions"] == 0
+
+
+def _stats(rank):
+    """The ``RankNMPStats`` of a :func:`single_rank`'s rank-NMP."""
+    return rank._state.stats[0]
+
+
+def _current(rank):
+    """The cycle from which a :func:`single_rank`'s next instruction can
+    issue."""
+    return int(rank._state.current[0])
 
 
 def _state(rank):
     """Rank-NMP, bank, rank and cache state, for before/after checks."""
-    return (rank.stats.as_dict(), list(rank.cache._entries),
-            rank.cache.stats.as_dict(), timing_state(rank))
+    cache = rank._state.caches[0]
+    return (_stats(rank).as_dict(), list(cache._entries),
+            cache.stats.as_dict(), timing_state(rank._state))
 
 
 def _estimated_start(rank, instruction, arrival_cycle):
@@ -169,13 +184,14 @@ def _estimated_start(rank, instruction, arrival_cycle):
     instruction whose bank is still serving tRAS/tRC from an earlier
     access can be deferred in favour of one whose bank is ready.
     """
-    start = max(rank.current_cycle, arrival_cycle)
-    if rank.cache is not None and instruction.locality_bit and \
-            rank.cache.contains(instruction.daddr):
+    start = max(_current(rank), arrival_cycle)
+    cache = rank._state.caches[0]
+    if cache is not None and instruction.locality_bit and \
+            cache.contains(instruction.daddr):
         return start
     bank_group, bank_index, row = kernels.pack_decoded(
-        rank.config, int(instruction.daddr))
-    dram_rank = reference_rank(rank)
+        rank.rank_config, int(instruction.daddr))
+    dram_rank = reference_rank(rank._state)
     bank = dram_rank.bank(bank_group, bank_index)
     if bank.is_row_hit(row):
         command = CommandType.RD
@@ -192,13 +208,13 @@ def _reference_execute_instructions(rank, instructions, arrival_cycles,
     """The pre-optimisation windowed scheduler, verbatim.
 
     ``_estimated_start`` is the readable specification of what the
-    fast path in ``RankNMP.execute_packed`` must compute; this
+    window scan of ``execute_segments`` must compute; this
     reference loop re-evaluates it for every window member on every
     iteration exactly like the original code, so the randomized
     equivalence test below keeps the two from silently diverging.
     """
     pending = list(zip(instructions, arrival_cycles))
-    last_completion = rank.current_cycle
+    last_completion = _current(rank)
     while pending:
         window = pending[:max(1, reorder_window)]
         best_index = 0
@@ -238,30 +254,32 @@ class TestSchedulerEquivalence:
         arrivals = np.sort(rng.integers(0, 40, size=count)).tolist()
         window = int(rng.choice([1, 4, 16]))
 
-        fast = RankNMP(config)
+        fast = single_rank(config)
         fast_last = run_instructions(
             fast, list(instructions), arrival_cycles=list(arrivals),
             reorder_window=window)
-        reference = RankNMP(config)
+        reference = single_rank(config)
         reference_last = _reference_execute_instructions(
             reference, list(instructions), list(arrivals),
             reorder_window=window)
 
         assert fast_last == reference_last
-        assert fast.current_cycle == reference.current_cycle
-        assert fast.stats.as_dict() == reference.stats.as_dict()
+        assert _current(fast) == _current(reference)
+        assert _stats(fast).as_dict() == _stats(reference).as_dict()
         if use_cache:
-            assert list(fast.cache._entries) == \
-                list(reference.cache._entries)
+            assert list(fast._state.caches[0]._entries) == \
+                list(reference._state.caches[0]._entries)
 
 
 class TestRecNMPChannel:
     def test_rank_indexing(self):
         channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
         assert channel.num_ranks == 4
-        assert len(channel.all_rank_nmps()) == 4
-        assert channel.rank_nmp(3) is channel.all_rank_nmps()[3]
-        assert len({id(rank) for rank in channel.all_rank_nmps()}) == 4
+        state = channel._state
+        assert state.num_ranks == 4
+        assert len(state.stats) == len(state.caches) == 4
+        assert len({id(cache) for cache in state.caches}) == 4
+        assert len(state.open_row) == 4 * state.banks_per_rank
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -276,11 +294,9 @@ class TestRecNMPChannel:
                                 rank_config=RankNMPConfig(use_cache=False))
         packet = packet_of(_instructions(16, stride_blocks=1))
         completion = channel.execute_packet(packet)
-        loads = [rank.stats.instructions
-                 for rank in channel.all_rank_nmps()]
+        loads = [stats.instructions for stats in channel._state.stats]
         assert loads == [4, 4, 4, 4]
-        assert completion >= max(rank.current_cycle
-                                 for rank in channel.all_rank_nmps())
+        assert completion >= max(channel._state.current)
 
     def test_more_ranks_is_faster(self):
         def run(ranks_per_dimm):
@@ -312,8 +328,8 @@ class TestRecNMPChannel:
         channel.execute_packet(packet, ranks=[1] * 8)
         stats = channel.aggregate_stats()
         assert stats["instructions"] == 8
-        assert channel.rank_nmp(0).stats.instructions == 0
-        assert channel.rank_nmp(1).stats.instructions == 8
+        assert channel._state.stats[0].instructions == 0
+        assert channel._state.stats[1].instructions == 8
 
     @pytest.mark.parametrize("num_ranks_given", [2, 9])
     def test_rank_count_must_match_packet(self, num_ranks_given):
@@ -364,20 +380,25 @@ class TestRecNMPChannel:
     @pytest.mark.parametrize("flavor", ["python", "flat-python"])
     def test_rank_reset_refills_only_its_slice(self, flavor):
         # The ranks of a channel share one flat state: resetting one
-        # rank-NMP refills its banks and scalars and leaves the others.
+        # rank refills its banks and scalars and leaves the others.
         with kernels.force_flavor(flavor):
             channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
-            fresh = RecNMPChannel(num_dimms=2, ranks_per_dimm=2).rank_nmp(2)
+            fresh = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)._state
         channel.execute_packet(packet_of(_instructions(32, stride_blocks=5)))
-        before = [(timing_state(rank), rank.stats.as_dict(),
-                   list(rank.cache._entries))
-                  for rank in channel.all_rank_nmps()]
-        assert all(state[0][0] > 0 for state in before)
-        channel.rank_nmp(2).reset()
-        after = [(timing_state(rank), rank.stats.as_dict(),
-                  list(rank.cache._entries))
-                 for rank in channel.all_rank_nmps()]
-        assert after[2] == (timing_state(fresh), fresh.stats.as_dict(), [])
+        state = channel._state
+
+        def snapshot():
+            return [(timing_state(state, rank),
+                     state.stats[rank].as_dict(),
+                     list(state.caches[rank]._entries))
+                    for rank in range(4)]
+
+        before = snapshot()
+        assert all(ranks[0][0] > 0 for ranks in before)
+        state.reset(2)
+        after = snapshot()
+        assert after[2] == (timing_state(fresh, 2),
+                            fresh.stats[2].as_dict(), [])
         assert after[:2] + after[3:] == before[:2] + before[3:]
 
     def test_reset(self):
@@ -386,6 +407,5 @@ class TestRecNMPChannel:
         first = channel.execute_packet(packet)
         channel.reset()
         assert channel.aggregate_stats()["instructions"] == 0
-        assert all(rank.current_cycle == 0
-                   for rank in channel.all_rank_nmps())
+        assert list(channel._state.current) == [0, 0]
         assert channel.execute_packet(packet) == first

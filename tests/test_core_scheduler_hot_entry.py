@@ -1,4 +1,5 @@
-"""Tests for repro.core.scheduler and repro.core.hot_entry."""
+"""Tests for repro.core.scheduler, the memory controller's packet queue
+and repro.core.hot_entry."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.hot_entry import HotEntryProfiler
 from repro.core.instruction import NMPInstruction
-from repro.core.scheduler import (
-    PacketScheduler,
-    fcfs_interleaved_order,
-    table_aware_order,
-)
+from repro.core.memory_controller import NMPMemoryController
+from repro.core.scheduler import fcfs_interleaved_order, table_aware_order
 from repro.dlrm.operators import SLSRequest
 
 from nmp_packets import packet_of
@@ -48,19 +46,27 @@ class TestOrderings:
         assert [p.packet_id for p in order] == [0, 2, 1]
 
 
+POLICIES = ("fcfs", "table-aware")
+
+
 class TestPacketScheduler:
+    """The packet queue of ``NMPMemoryController``: ``submit`` adds one
+    source, ``_take_schedule`` (the start of every dispatch) orders and
+    empties the queue."""
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            PacketScheduler(policy="random")
+            NMPMemoryController(scheduling_policy="random")
 
     def test_schedule_preserves_packet_count(self):
-        scheduler = PacketScheduler(policy="table-aware")
-        scheduler.add_source([_packet(0, 0, i) for i in range(4)])
-        scheduler.add_source([_packet(1, 0, 10 + i) for i in range(4)])
-        assert len(scheduler.schedule()) == 8
+        scheduler = NMPMemoryController(scheduling_policy="table-aware")
+        scheduler.submit([_packet(0, 0, i) for i in range(4)])
+        scheduler.submit([_packet(1, 0, 10 + i) for i in range(4)])
+        assert len(scheduler._take_schedule()) == 8
+        assert scheduler._take_schedule() == []
 
     def test_empty_schedule(self):
-        assert PacketScheduler().schedule() == []
+        assert NMPMemoryController()._take_schedule() == []
 
     @pytest.mark.parametrize("policy, order", [
         ("fcfs", fcfs_interleaved_order),
@@ -70,18 +76,18 @@ class TestPacketScheduler:
         sources = [[_packet(0, 0, 0), _packet(0, 1, 1)],
                    [_packet(1, 0, 2)],
                    [_packet(0, 0, 3), _packet(2, 0, 4), _packet(0, 1, 5)]]
-        scheduler = PacketScheduler(policy=policy)
+        scheduler = NMPMemoryController(scheduling_policy=policy)
         for packets in sources:
-            scheduler.add_source(packets)
-        assert [p.packet_id for p in scheduler.schedule()] == \
+            scheduler.submit(packets)
+        assert [p.packet_id for p in scheduler._take_schedule()] == \
             [p.packet_id for p in order(sources)]
 
     def test_add_source_copies_the_list(self):
         packets = [_packet(0, 0, 0)]
-        scheduler = PacketScheduler()
-        scheduler.add_source(packets)
+        scheduler = NMPMemoryController()
+        scheduler.submit(packets)
         packets.append(_packet(0, 0, 1))
-        assert scheduler.schedule() == packets[:1]
+        assert scheduler._take_schedule() == packets[:1]
 
     def test_table_aware_keeps_models_apart(self):
         a = [_packet(0, 0, 0, model_id=0), _packet(0, 0, 1, model_id=1)]
@@ -93,7 +99,7 @@ class TestPacketScheduler:
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
                            st.integers(0, 1)), max_size=6),
         max_size=5),
-        policy=st.sampled_from(PacketScheduler.POLICIES))
+        policy=st.sampled_from(POLICIES))
     @settings(max_examples=60, deadline=None)
     def test_schedule_is_a_permutation(self, sources, policy):
         """Both policies reorder packets and never drop or repeat one."""
@@ -102,10 +108,10 @@ class TestPacketScheduler:
                                  model_id=model)
                          for table, batch, model in source]
                         for source in sources]
-        scheduler = PacketScheduler(policy=policy)
+        scheduler = NMPMemoryController(scheduling_policy=policy)
         for packets in packet_lists:
-            scheduler.add_source(packets)
-        issued = [p.packet_id for p in scheduler.schedule()]
+            scheduler.submit(packets)
+        issued = [p.packet_id for p in scheduler._take_schedule()]
         assert sorted(issued) == list(range(sum(map(len, packet_lists))))
         position = {pid: i for i, pid in enumerate(issued)}
         for packets in packet_lists:

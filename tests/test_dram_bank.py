@@ -2,8 +2,7 @@
 
 import pytest
 
-from ddr4_reference import Bank
-from repro.dram.commands import CommandType
+from ddr4_reference import Bank, CommandType
 from repro.dram.timing import DDR4_2400
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from ddr4_reference import Channel
-from repro.dram.commands import CommandType
+from ddr4_reference import Channel, CommandType
 from repro.dram.timing import DDR4_2400
 
 

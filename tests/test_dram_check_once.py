@@ -17,8 +17,7 @@ command at a random cycle:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddr4_reference import Channel
-from repro.dram.commands import CommandType
+from ddr4_reference import Channel, CommandType
 from repro.dram.timing import DDR4_2400
 
 NUM_DIMMS = 2

@@ -2,9 +2,8 @@
 
 import pytest
 
-from ddr4_reference import PerCycleController
+from ddr4_reference import PerCycleController, skylake_decode
 from repro.dram import controller as controller_module
-from repro.dram.commands import MemoryRequest, RequestType
 from repro.dram.controller import MemoryController
 from repro.dram.system import DramSystem, DramSystemConfig
 from repro.dram.timing import DDR4_2400
@@ -13,60 +12,42 @@ from repro.dram.timing import DDR4_2400
 class TestControllerBasics:
     def test_single_read_latency(self):
         controller = MemoryController()
-        request = MemoryRequest(physical_address=0)
-        controller.enqueue(request)
-        stats = controller.run_until_drained()
+        stats = controller.process_trace([0])
         assert stats.requests_completed == 1
         # Closed bank: ACT + RD -> at least tRCD + tCL + tBL cycles.
         minimum = DDR4_2400.tRCD + DDR4_2400.tCL + DDR4_2400.tBL
-        assert request.latency_cycles >= minimum
+        assert controller.completion_cycles[0] >= minimum
+        assert stats.latencies == controller.completion_cycles
 
     def test_row_hit_faster_than_miss(self):
         controller = MemoryController()
-        first = MemoryRequest(physical_address=0)
-        second = MemoryRequest(physical_address=64 * 4)  # same row, same bank
-        controller.enqueue(first)
-        controller.enqueue(second)
-        controller.run_until_drained()
-        assert second.completion_cycle > first.completion_cycle
+        controller.process_trace([0, 64 * 4])  # same row, same bank
+        first, second = controller.completion_cycles
+        assert second > first
         assert controller.stats.row_hits >= 1
-
-    def test_writes_not_supported(self):
-        controller = MemoryController()
-        with pytest.raises(NotImplementedError):
-            controller.enqueue(MemoryRequest(physical_address=0,
-                                             request_type=RequestType.WRITE))
 
     def test_queue_depth_validation(self):
         with pytest.raises(ValueError):
             MemoryController(queue_depth=0)
 
-    def test_pending_counts_waiting_requests(self):
+    def test_shallow_queue_drains_every_request(self):
         controller = MemoryController(queue_depth=2)
-        for i in range(5):
-            controller.enqueue(MemoryRequest(physical_address=i * 1 << 20))
-        assert controller.pending_requests == 5
-        controller.run_until_drained()
-        assert controller.pending_requests == 0
+        controller.process_trace([i * 1 << 20 for i in range(5)])
         assert controller.stats.requests_completed == 5
+        assert min(controller.completion_cycles) > 0
 
 
 class TestFRFCFS:
     def test_prioritises_row_hits(self):
         controller = MemoryController()
-        # Request A opens row X.  Then enqueue B (different row, same bank)
-        # and C (row X, same bank).  FR-FCFS should serve C before B.
+        # Request A opens row X.  Then B (different row, same bank) and
+        # C (row X, same bank) arrive.  FR-FCFS should serve C before B.
         row_bytes = 4 * 128 * 64 * 4  # stride that lands on same bank/diff row
-        a = MemoryRequest(physical_address=0)
-        controller.enqueue(a)
-        controller.run_until_drained()
-        b = MemoryRequest(physical_address=row_bytes)
-        c = MemoryRequest(physical_address=64 * 4)
-        controller.enqueue(b)
-        controller.enqueue(c)
-        controller.run_until_drained()
+        controller.process_trace([0])
+        controller.process_trace([row_bytes, 64 * 4])
+        b, c = controller.completion_cycles
         if controller.stats.row_hits >= 2:
-            assert c.completion_cycle < b.completion_cycle
+            assert c < b
 
     def test_throughput_of_random_trace(self):
         controller = MemoryController()
@@ -120,8 +101,10 @@ class TestFRFCFS:
         controller = MemoryController()
         addresses = [i * 64 for i in range(32)]
         stats = controller.process_trace(addresses)
-        assert 0.9 <= stats.row_hit_rate <= 1.0 or stats.row_hits >= 28
-        assert stats.average_latency_cycles > 0
+        outcomes = stats.row_hits + stats.row_misses + stats.row_conflicts
+        assert outcomes == 32
+        assert stats.row_hits / outcomes >= 0.9 or stats.row_hits >= 28
+        assert stats.total_latency_cycles / stats.requests_completed > 0
 
 
 def _controller_run(addresses, limit):
@@ -143,12 +126,12 @@ def _system_run(addresses, limit):
 def test_outstanding_limit_below_one_is_rejected(entry_point, parameter,
                                                  limit):
     """Such a cap admits nothing, so the throttled loop would never drain:
-    the call raises before it enqueues or steps anything."""
+    the call raises before it admits or steps anything."""
     controller, run = entry_point([i * 4096 for i in range(8)], limit)
     with pytest.raises(ValueError, match=parameter):
         run()
     assert controller.cycle == 0
-    assert controller.pending_requests == 0
+    assert controller.completion_cycles == []
 
 
 def test_throttled_run_has_the_drain_cycle_budget(monkeypatch):
@@ -181,41 +164,16 @@ def test_drain_budget_bounds_the_issue_cycle(monkeypatch, budget,
     assert controller.cycle - 1 <= budget
 
 
-def test_a_drain_over_budget_leaves_its_unfinished_requests_pending():
-    """Requests a drain completed before it ran out of cycles have their
-    completion cycle; the others stay pending for the next drain."""
+def test_a_drain_over_budget_marks_its_unfinished_bursts(monkeypatch):
+    """Bursts a drain completed before it ran out of cycles have their
+    completion cycle; the others read -1."""
+    monkeypatch.setattr(controller_module, "_MAX_DRAIN_CYCLES", 100)
     controller = MemoryController()
-    requests = [MemoryRequest(physical_address=index * (8 << 20))
-                for index in range(8)]
-    for request in requests:
-        controller.enqueue(request)
     with pytest.raises(RuntimeError, match="did not drain within 100"):
-        controller.run_until_drained(max_cycles=100)
-    finished = [request for request in requests
-                if request.completion_cycle >= 0]
+        controller.process_trace([index * (8 << 20) for index in range(8)])
+    finished = [done for done in controller.completion_cycles if done >= 0]
     assert 0 < len(finished) == controller.stats.requests_completed < 8
-    assert controller.pending_requests == 8 - len(finished)
-    controller.run_until_drained()
-    assert controller.pending_requests == 0
-    assert all(request.completion_cycle >= 0 for request in requests)
-    assert controller.stats.requests_completed == 8
-
-
-def test_enqueued_requests_arrive_before_a_trace():
-    """Requests enqueued before ``process_trace`` arrived already: they
-    are first in line and count against the trace's outstanding cap."""
-    addresses = [index * (8 << 20) + 64 * (index % 3) for index in range(9)]
-    controller = MemoryController(queue_depth=2)
-    early = [MemoryRequest(physical_address=address)
-             for address in addresses[:2]]
-    for request in early:
-        controller.enqueue(request)
-    stats = controller.process_trace(addresses[2:], batch_size=3)
-    whole = MemoryController(queue_depth=2)
-    assert stats == whole.process_trace(addresses, batch_size=3)
-    assert controller.completion_cycles == whole.completion_cycles
-    assert [request.completion_cycle for request in early] == \
-        whole.completion_cycles[:2]
+    assert controller.completion_cycles.count(-1) == 8 - len(finished)
 
 
 def test_address_outside_the_channel_population_is_rejected():
@@ -225,14 +183,11 @@ def test_address_outside_the_channel_population_is_rejected():
     mapping = SkylakeAddressMapping(MemoryGeometry(num_channels=1,
                                                    dimms_per_channel=2))
     address = next(address for address in range(0, 1 << 30, 1 << 12)
-                   if mapping.map(address).dimm == 1)
+                   if skylake_decode(mapping.geometry, address).dimm == 1)
     controller = MemoryController(num_dimms=1, address_mapping=mapping)
-    controller.enqueue(MemoryRequest(physical_address=0))
     with pytest.raises(IndexError, match="1 DIMM"):
-        controller.process_trace([address])
+        controller.process_trace([0, address])
     assert controller.cycle == 0
-    # The rejected trace leaves the enqueued request pending.
-    assert controller.pending_requests == 1
-    controller.run_until_drained()
-    assert controller.pending_requests == 0
-    assert controller.stats.requests_completed == 1
+    assert controller.stats.requests_completed == 0
+    # The rejected trace leaves the controller as it was.
+    assert controller.process_trace([0]).requests_completed == 1

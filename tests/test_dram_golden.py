@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dram.address_mapping import SkylakeAddressMapping
+from ddr4_reference import skylake_decode
 from repro.dram.system import DramSystem, DramSystemConfig
 from repro.traces import make_production_table_traces
 
@@ -57,15 +57,14 @@ def _sequential_trace(geometry):
 
 def _conflict_trace(geometry):
     """64 distinct rows of the bank address 0 maps to, in turn."""
-    mapping = SkylakeAddressMapping(geometry)
-    target = mapping.map(0)
+    target = skylake_decode(geometry, 0)
     bank_of = lambda a: (a.channel, a.dimm, a.rank,  # noqa: E731
                          a.bank_group, a.bank)
     stride = geometry.num_channels * geometry.columns_per_row * 64
     rows = {}
     address = 0
     while len(rows) < 64:
-        decoded = mapping.map(address)
+        decoded = skylake_decode(geometry, address)
         if bank_of(decoded) == bank_of(target):
             rows.setdefault(decoded.row, address)
         address += stride

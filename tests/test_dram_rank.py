@@ -2,8 +2,7 @@
 
 import pytest
 
-from ddr4_reference import Rank
-from repro.dram.commands import CommandType
+from ddr4_reference import CommandType, Rank
 from repro.dram.timing import DDR4_2400
 
 

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
+from ddr4_reference import skylake_decode
 from repro.dram.address_mapping import SkylakeAddressMapping
-from repro.dram.commands import MemoryRequest
 from repro.dram.controller import MemoryController
 from repro.dram.energy import DramEnergyModel, DramEnergyParameters
 from repro.dram.system import DramSystem, DramSystemConfig
@@ -136,11 +136,10 @@ class TestDecodeOnce:
 
     @pytest.mark.parametrize("outstanding", [None, 4])
     @pytest.mark.parametrize("config", sorted(DECODE_CONFIGS))
-    def test_decoded_handoff_matches_the_enqueue_path(self, config,
-                                                      outstanding):
+    def test_decoded_handoff_matches_per_channel_traces(self, config,
+                                                        outstanding):
         """Results are those of each channel's controller decoding its
-        own bursts with its own mapping: ``enqueue`` then a drain without
-        a cap, ``process_trace`` with one."""
+        own bursts with its own mapping in ``process_trace``."""
         config = DECODE_CONFIGS[config]
         system = DramSystem(config)
         result = system.run_trace(_decode_trace(), request_bytes=128,
@@ -149,24 +148,16 @@ class TestDecodeOnce:
         per_channel = [[] for _ in range(config.num_channels)]
         for address in _decode_trace():
             for burst_address in (address, address + 64):
-                per_channel[mapping.map(burst_address).channel].append(
-                    burst_address)
+                channel = skylake_decode(mapping.geometry,
+                                         burst_address).channel
+                per_channel[channel].append(burst_address)
         expected = []
         for bursts in per_channel:
             controller = MemoryController(
                 timing=config.timing, num_dimms=config.dimms_per_channel,
                 ranks_per_dimm=config.ranks_per_dimm,
                 address_mapping=mapping, queue_depth=config.queue_depth)
-            if outstanding is None:
-                requests = [MemoryRequest(physical_address=address)
-                            for address in bursts]
-                for request in requests:
-                    controller.enqueue(request)
-                stats = controller.run_until_drained()
-                assert [request.completion_cycle for request in requests] \
-                    == controller.completion_cycles
-            else:
-                stats = controller.process_trace(bursts, outstanding)
+            stats = controller.process_trace(bursts, outstanding)
             expected.append(dataclasses.asdict(stats))
         assert [dataclasses.asdict(stats)
                 for stats in result.per_channel_stats] == expected

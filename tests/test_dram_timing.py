@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.timing import DDR4_2400, ChannelSpec, DDR4Timing
+from repro.dram.timing import DDR4_2400, DDR4Timing
 
 
 class TestDDR4Timing:
@@ -26,12 +26,6 @@ class TestDDR4Timing:
     def test_cycle_time(self):
         assert DDR4_2400.cycle_time_ns == pytest.approx(1000.0 / 1200.0)
 
-    def test_read_latency(self):
-        assert DDR4_2400.read_latency_cycles() == 16 + 16 + 4
-
-    def test_row_miss_penalty(self):
-        assert DDR4_2400.row_miss_penalty_cycles() == 16 + 16
-
     def test_frozen(self):
         with pytest.raises(Exception):
             DDR4_2400.tRC = 10
@@ -51,13 +45,3 @@ class TestDDR4Timing:
         assert slow.data_rate_mts == pytest.approx(1600.0)
         assert slow.cycle_time_ns > DDR4_2400.cycle_time_ns
 
-
-class TestChannelSpec:
-    def test_peak_bandwidth(self):
-        spec = ChannelSpec()
-        # DDR4-2400 x 64-bit bus = 19.2 GB/s per channel.
-        assert spec.peak_bandwidth_gbps == pytest.approx(19.2)
-
-    def test_four_channels_match_paper_peak(self):
-        spec = ChannelSpec()
-        assert 4 * spec.peak_bandwidth_gbps == pytest.approx(76.8)
