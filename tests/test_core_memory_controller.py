@@ -99,6 +99,38 @@ class TestSubmissionAndDispatch:
         assert channel.aggregate_stats()["instructions"] == 5 * 8
         assert controller.dispatch(channel) == (0, [])
 
+    @pytest.mark.parametrize("policy", ["fcfs", "table-aware"])
+    def test_dispatch_without_reorder_consumes_its_packets(self, policy):
+        controller = NMPMemoryController(num_ranks=4,
+                                         scheduling_policy=policy)
+        channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
+        controller.submit([_packet(0, 0, i) for i in range(3)])
+        _, first = controller.dispatch(channel, reorder=False)
+        controller.submit([_packet(1, 0, 10)])
+        _, second = controller.dispatch(channel, reorder=False)
+        assert (len(first), len(second)) == (3, 1)
+        assert controller.stats.packets_issued == 4
+        assert channel.aggregate_stats()["instructions"] == 4 * 8
+
+    def test_rejected_dispatch_consumes_its_packets(self):
+        # The packets of a dispatch that raised are not run again by the
+        # next one, which runs only what was submitted after it.
+        controller = NMPMemoryController(
+            num_ranks=4,
+            ranks_of_addresses=lambda addresses: np.where(
+                addresses == 0, 9, 1))
+        channel = RecNMPChannel(num_dimms=2, ranks_per_dimm=2)
+        controller.submit([_packet(0, 0, 1), _packet(0, 0, 0)])
+        with pytest.raises(ValueError, match="invalid rank 9"):
+            controller.dispatch(channel)
+        assert controller.dispatch(channel) == (0, [])
+        controller.submit([_packet(0, 0, 2)])
+        _, per_packet = controller.dispatch(channel)
+        assert len(per_packet) == 1
+        assert controller.stats.packets_received == 3
+        assert controller.stats.packets_issued == 1
+        assert channel.aggregate_stats()["instructions"] == 8
+
 
 class TestReordering:
     def test_reorder_groups_same_row(self):

@@ -11,6 +11,7 @@ from repro.core.instruction import (
     NMPInstruction,
     PackedInstructions,
 )
+from repro.core.memory_controller import NMPMemoryController
 from repro.core.processing_unit import RecNMPChannel
 from repro.core.rank_nmp import RankNMPConfig
 from repro.dram.timing import DDR4_2400
@@ -409,3 +410,31 @@ class TestRecNMPChannel:
         assert channel.aggregate_stats()["instructions"] == 0
         assert list(channel._state.current) == [0, 0]
         assert channel.execute_packet(packet) == first
+
+    @pytest.mark.parametrize("num_dimms,ranks_per_dimm",
+                             [(1, 2), (1, 4), (2, 2), (2, 4), (4, 2)])
+    def test_prepared_arrivals_never_decrease_per_rank(self, num_dimms,
+                                                       ranks_per_dimm):
+        # execute_segments ends each window scan at the first member
+        # that cannot win, which holds because a rank's instructions
+        # reach it in issue order: the controller's FR-FCFS issue order
+        # must leave every segment's arrival offsets non-decreasing.
+        channel = RecNMPChannel(num_dimms=num_dimms,
+                                ranks_per_dimm=ranks_per_dimm)
+        controller = NMPMemoryController(num_ranks=channel.num_ranks)
+        rng = np.random.default_rng(num_dimms * 10 + ranks_per_dimm)
+        packed_list = [packet_of([
+            NMPInstruction(ddr_cmd=FULL_CMD,
+                           daddr=int(rng.integers(0, 1 << 12)),
+                           psum_tag=i % 4)
+            for i in range(int(rng.integers(1, 60)))]).instructions
+            for _ in range(5)]
+        ranks, issue = controller._issue_orders(packed_list)
+        assert issue is not None
+        assert not np.array_equal(issue, np.arange(len(issue)))
+        columns, segments, _ = channel._prepare(packed_list, ranks, issue)
+        offsets = np.asarray(columns[4])
+        spans = [span for packet in segments for span in packet]
+        assert sum(end - begin for _, begin, end in spans) == len(ranks)
+        for _, begin, end in spans:
+            assert np.all(np.diff(offsets[begin:end]) >= 0)

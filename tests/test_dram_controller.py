@@ -6,7 +6,11 @@ from ddr4_reference import PerCycleController, skylake_decode
 from repro.dram import controller as controller_module
 from repro.dram.controller import MemoryController
 from repro.dram.system import DramSystem, DramSystemConfig
-from repro.dram.timing import DDR4_2400
+from repro.dram.timing import DDR4_2400, DDR4Timing
+
+#: A DDR4-1600 speed bin (11-11-11), next to Table I's DDR4-2400.
+DDR4_1600 = DDR4Timing(clock_mhz=800.0, tRC=39, tRCD=11, tCL=11, tRP=11,
+                       tRAS=28, tRTP=6, tCCD_L=5, tRRD_L=5, tFAW=20)
 
 
 class TestControllerBasics:
@@ -35,6 +39,48 @@ class TestControllerBasics:
         controller.process_trace([i * 1 << 20 for i in range(5)])
         assert controller.stats.requests_completed == 5
         assert min(controller.completion_cycles) > 0
+
+
+@pytest.mark.parametrize("timing", [DDR4_2400, DDR4_1600],
+                         ids=["ddr4-2400", "ddr4-1600"])
+class TestCommandTiming:
+    """A lone request's completion, from the first command at cycle 0,
+    is the sum of the timing constraints on its command sequence."""
+
+    def test_closed_bank_read_takes_trcd_tcl_tbl(self, timing):
+        controller = MemoryController(timing=timing)
+        controller.process_trace([0])
+        assert controller.completion_cycles == [
+            timing.tRCD + timing.tCL + timing.tBL]
+        assert controller.stats.row_misses == 1
+
+    def test_row_hit_reads_tccd_l_after_the_first(self, timing):
+        controller = MemoryController(timing=timing)
+        controller.process_trace([0, 64 * 4])  # same row, same bank
+        first, second = controller.completion_cycles
+        assert second == first + timing.tCCD_L
+        assert controller.stats.row_hits == 1
+
+    def test_row_conflict_precharges_and_activates_again(self, timing):
+        controller = MemoryController(timing=timing)
+        geometry = controller.address_mapping.geometry
+        opened = skylake_decode(geometry, 0)
+
+        def same_bank_other_row(address):
+            decoded = skylake_decode(geometry, address)
+            # channel, DIMM, rank, bank group and bank
+            return decoded[:5] == opened[:5] and decoded.row != opened.row
+
+        conflict = next(address for address in range(64, 1 << 30, 64)
+                        if same_bank_other_row(address))
+        controller.process_trace([0, conflict])
+        # PRE waits for tRAS after the ACT and tRTP after the RD; the
+        # second ACT for tRP after the PRE and tRC after the first ACT.
+        precharge = max(timing.tRAS, timing.tRCD + timing.tRTP)
+        activate = max(precharge + timing.tRP, timing.tRC)
+        assert controller.completion_cycles[1] == \
+            activate + timing.tRCD + timing.tCL + timing.tBL
+        assert controller.stats.row_conflicts == 1
 
 
 class TestFRFCFS:

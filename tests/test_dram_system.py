@@ -21,6 +21,17 @@ class TestDramSystemConfig:
         assert config.queue_depth == 32
         assert config.peak_bandwidth_gbps == pytest.approx(76.8)
 
+    @pytest.mark.parametrize("num_channels,clock_mhz,expected", [
+        (1, 1200.0, 19.2),  # DDR4-2400 x 64-bit bus
+        (2, 1200.0, 38.4),
+        (1, 800.0, 12.8),   # DDR4-1600
+    ])
+    def test_peak_bandwidth_per_channel(self, num_channels, clock_mhz,
+                                        expected):
+        timing = dataclasses.replace(DDR4_2400, clock_mhz=clock_mhz)
+        config = DramSystemConfig(num_channels=num_channels, timing=timing)
+        assert config.peak_bandwidth_gbps == pytest.approx(expected)
+
     def test_total_ranks(self):
         assert DramSystemConfig().total_ranks == 8
 

@@ -11,6 +11,7 @@ loop and the flat-python kernel are both compared with the
 per-iteration ``estimated_start`` reference loop.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +83,20 @@ def test_drawn_streams_and_small_cache_match_reference(stream):
     for flavor in FLAVORS:
         assert observed[flavor] == observed["reference"], flavor
 
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_burst_arrivals_evict_and_match_reference(seed):
+    # Instructions arrive five at a time, so each window holds several
+    # members that arrived together and the scan ends on estimates, not
+    # arrivals; a two-entry cache evicts.
+    instructions = [
+        NMPInstruction(ddr_cmd=FULL_CMD, daddr=(i * 7 + seed) % 11 * 4099,
+                       vsize=1 + i % 2, locality_bit=i % 3 != 0,
+                       psum_tag=i % 4)
+        for i in range(40)]
+    arrivals = [9 * (i // 5) for i in range(40)]
+    observed = _run_all(instructions, arrivals, 8, 128)
+    assert observed["reference"]["cache_stats"]["evictions"] > 0
+    for flavor in FLAVORS:
+        assert observed[flavor] == observed["reference"], flavor
