@@ -77,8 +77,8 @@ def _require_finite(**values):
 class _CumulativeGapStream:
     """Resumable arrival stream over per-chunk gap vectors.
 
-    Subclasses supply the next ``count`` inter-arrival gaps; this base
-    turns them into absolute times with a carried last-arrival clock.
+    Subclasses define ``_next_gaps(count)``, the next inter-arrival
+    gaps; this base turns them into absolute times with a carried clock.
     The carry is summed *inside* the ``cumsum`` (as a leading element),
     so the sequential association matches one global ``cumsum`` over the
     whole gap stream -- ``take(a)`` then ``take(b)`` is bit-identical to
@@ -87,9 +87,6 @@ class _CumulativeGapStream:
 
     def __init__(self):
         self._now_us = 0.0
-
-    def _next_gaps(self, count):
-        raise NotImplementedError
 
     def take(self, count):
         """The next ``count`` arrival times (us), continuing the stream."""

@@ -12,7 +12,7 @@ only the exact service path resolves a batch's SLS requests:
 
 * :class:`QueryColumns` -- the per-query arrays (ids, arrivals,
   deadlines, per-query lookup/pooling counts) plus a *request provider*
-  that lazily resolves each query's SLS requests and content
+  that resolves each query's SLS requests (cut on first use) and
   fingerprint.  Slicing, sorting and concatenation are array ops.
 * :func:`form_batch_columns` -- the two-trigger batcher
   (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as one
@@ -39,10 +39,16 @@ and the object-pipeline goldens of ``tests/test_serving_golden.py``).
 
 import hashlib
 import math
+import numbers
 
 import numpy as np
 
-from repro.traces.synthetic import batched_requests_from_trace
+from repro.dlrm.operators import SLSRequest
+from repro.traces.synthetic import (
+    batched_requests_from_trace,
+    trace_request,
+    trace_request_count,
+)
 
 #: Residue-pattern periods above this fall back to a per-pattern dict;
 #: below it, one digest per ``row % period`` covers every query.
@@ -50,14 +56,15 @@ _MAX_DIGEST_PERIOD = 1 << 16
 
 
 def _per_table(value, num_tables, name):
-    """Broadcast a scalar (or validate a sequence of) per-table values."""
-    if np.ndim(value) == 0:
-        return [int(value)] * num_tables
-    values = [int(v) for v in value]
+    """Per-table integers from a scalar or a per-trace sequence."""
+    values = [value] * num_tables if np.ndim(value) == 0 else list(value)
     if len(values) != num_tables:
         raise ValueError("need one %s per trace (%d traces, %d values)"
-                         % (name, num_tables, len(values)))
-    return values
+                         % (name.replace("_", " "), num_tables, len(values)))
+    if not all(isinstance(entry, numbers.Integral) for entry in values):
+        raise ValueError("%s must be an integer or one per trace, got %r"
+                         % (name, value))
+    return [int(entry) for entry in values]
 
 
 class _CycledRequests:
@@ -65,100 +72,100 @@ class _CycledRequests:
 
     The provider behind :func:`query_columns_from_traces` and
     :class:`QueryStream` (and so of
-    :func:`repro.serving.arrival.queries_from_traces`): row ``r``
-    carries request ``candidates[r % len(candidates)]`` from every
-    table.  Fingerprints are
-    memoised per *residue pattern*: the request content of row ``r``
-    repeats with period lcm(candidate counts), so a million-query stream
-    usually needs only a handful of distinct digests.
+    :func:`repro.serving.arrival.queries_from_traces`): each trace is
+    cut, in order, into ``batch_size`` x ``pooling_factor`` candidates,
+    and row ``r`` carries candidate ``r % count`` of every table.  A
+    candidate is cut when first asked for, then memoised.  All
+    candidates of a table share its shape, so per-query counts are
+    constants.  The content of row ``r`` repeats with period
+    lcm(candidate counts), so a million-query stream usually needs only
+    a handful of distinct digests.
     """
 
-    def __init__(self, per_table_requests):
-        if not per_table_requests:
+    def __init__(self, traces, batch_size, pooling_factor):
+        self.traces = list(traces)
+        num_tables = len(self.traces)
+        self.shapes = list(zip(
+            _per_table(batch_size, num_tables, "batch_size"),
+            _per_table(pooling_factor, num_tables, "pooling_factor")))
+        if not num_tables:
             raise ValueError("need at least one table of requests")
-        self.per_table = [list(requests) for requests in per_table_requests]
-        if any(not requests for requests in self.per_table):
-            raise ValueError("every table needs at least one request")
-        self._counts = [len(requests) for requests in self.per_table]
-        period = 1
-        for count in self._counts:
-            period = math.lcm(period, count)
-        #: Row-content period; 0 disables the periodic digest cache.
-        self.period = period if period <= _MAX_DIGEST_PERIOD else 0
-        self._content = [[None] * count for count in self._counts]
-        self._digests = {}
-
-    @classmethod
-    def from_traces(cls, traces, batch_size, pooling_factor):
-        """Cut each trace into ``batch_size`` x ``pooling_factor``
-        requests, in order; both accept a per-trace sequence."""
-        batch_sizes = _per_table(batch_size, len(traces), "batch size")
-        pooling_factors = _per_table(pooling_factor, len(traces),
-                                     "pooling factor")
-        per_table_requests = []
-        for trace, table_batch, table_pooling in zip(traces, batch_sizes,
-                                                     pooling_factors):
-            requests = batched_requests_from_trace(trace, table_batch,
-                                                   table_pooling)
-            if not requests:
+        self._counts = []
+        for trace, (table_batch, table_pooling) in zip(self.traces,
+                                                       self.shapes):
+            count = trace_request_count(trace, table_batch, table_pooling)
+            if not count:
                 raise ValueError(
                     "trace %r too short for one %dx%d request"
                     % (trace.name, table_batch, table_pooling))
-            per_table_requests.append(requests)
-        return cls(per_table_requests)
+            # One request over every candidate's lookups checks them in
+            # one pass; if it fails, cutting in order raises the first
+            # failing candidate's own error.
+            try:
+                SLSRequest(trace.table_id,
+                           trace.indices[:count * table_batch
+                                         * table_pooling],
+                           np.full(count * table_batch, table_pooling))
+            except ValueError:
+                batched_requests_from_trace(trace, table_batch,
+                                            table_pooling)
+                raise
+            self._counts.append(count)
+        #: Per-query totals: every row carries one request per table.
+        self.lookups = sum(b * f for b, f in self.shapes)
+        self.poolings = sum(b for b, _ in self.shapes)
+        period = math.lcm(*self._counts)
+        #: Row-content period; 0 disables the periodic digest cache.
+        self.period = period if period <= _MAX_DIGEST_PERIOD else 0
+        self._requests = [[None] * count for count in self._counts]
+        self._content = [[None] * count for count in self._counts]
+        self._digests = {}
+
+    def _candidate(self, table, candidate):
+        """Candidate request ``candidate`` of ``table`` (cut once)."""
+        request = self._requests[table][candidate]
+        if request is None:
+            request = trace_request(self.traces[table],
+                                    *self.shapes[table], candidate)
+            self._requests[table][candidate] = request
+        return request
 
     def row_requests(self, row):
         """The SLS requests of row ``row`` (shared candidate objects)."""
-        return [requests[row % count] for requests, count
-                in zip(self.per_table, self._counts)]
+        return [self._candidate(table, row % count)
+                for table, count in enumerate(self._counts)]
 
     def _candidate_content(self, table, candidate):
         """Fingerprint bytes of one candidate request (memoised)."""
         content = self._content[table][candidate]
         if content is None:
-            request = self.per_table[table][candidate]
+            request = self._candidate(table, candidate)
             content = (str(request.table_id).encode()
                        + np.ascontiguousarray(request.indices).tobytes()
                        + np.ascontiguousarray(request.lengths).tobytes())
             self._content[table][candidate] = content
         return content
 
-    def _pattern_digest(self, key, residues):
-        digest = hashlib.sha1()
-        for table, residue in enumerate(residues):
-            digest.update(self._candidate_content(table, residue))
-        hexdigest = digest.hexdigest()
-        self._digests[key] = hexdigest
-        return hexdigest
-
-    def row_fingerprint(self, row):
-        """Content digest of row ``row`` -- equal to the digest a
-        ``ServingQuery`` with the same requests would report."""
-        if self.period:
-            key = row % self.period
-            cached = self._digests.get(key)
-            if cached is not None:
-                return cached
-            residues = [key % count for count in self._counts]
-        else:
-            residues = tuple(row % count for count in self._counts)
-            key = residues
-            cached = self._digests.get(key)
-            if cached is not None:
-                return cached
-        return self._pattern_digest(key, residues)
-
     def fingerprints_for(self, rows):
-        """Digest list for an array of row ids (vectorised memo lookup)."""
+        """Per-row content digests of an array of row ids -- equal to the
+        digests ``ServingQuery`` objects with the same requests report;
+        memoised per residue pattern."""
+        rows = np.asarray(rows, dtype=np.int64)
         if self.period:
-            keys = np.asarray(rows, dtype=np.int64) % self.period
-            for key in np.unique(keys):
-                key = int(key)
-                if key not in self._digests:
-                    self._pattern_digest(
-                        key, [key % count for count in self._counts])
-            return [self._digests[int(key)] for key in keys]
-        return [self.row_fingerprint(int(row)) for row in rows]
+            keys = (rows % self.period).tolist()
+        else:
+            keys = list(zip(*[(rows % count).tolist()
+                              for count in self._counts]))
+        digests = self._digests
+        for key in keys:
+            if key not in digests:
+                residues = [key % count for count in self._counts] \
+                    if self.period else key
+                digest = hashlib.sha1()
+                for table, residue in enumerate(residues):
+                    digest.update(self._candidate_content(table, residue))
+                digests[key] = digest.hexdigest()
+        return [digests[key] for key in keys]
 
 
 class _ExplicitRequests:
@@ -174,9 +181,6 @@ class _ExplicitRequests:
 
     def row_requests(self, row):
         return self.queries[row].requests
-
-    def row_fingerprint(self, row):
-        return self.queries[row].fingerprint()
 
     def fingerprints_for(self, rows):
         return [self.queries[int(row)].fingerprint() for row in rows]
@@ -298,8 +302,8 @@ def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
     every table's requests (see
     :func:`repro.serving.arrival.queries_from_traces`, which builds its
     ``ServingQuery`` objects from these columns).  Per-query
-    lookup/pooling counts come from a vectorised pass over the candidate
-    statistics.
+    lookup/pooling counts come from the per-table request shapes, and
+    candidate requests are cut on first use.
     """
     if num_queries <= 0:
         raise ValueError("num_queries must be positive")
@@ -309,8 +313,7 @@ def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
         arrival_times = np.asarray(arrivals, dtype=np.float64)
         if arrival_times.size != num_queries:
             raise ValueError("need one arrival time per query")
-    provider = _CycledRequests.from_traces(traces, batch_size,
-                                           pooling_factor)
+    provider = _CycledRequests(traces, batch_size, pooling_factor)
     rows = np.arange(num_queries, dtype=np.int64)
     return _columns_for_rows(provider, rows, arrival_times,
                              start_id + rows)
@@ -319,24 +322,14 @@ def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
 def _columns_for_rows(provider, rows, arrival_times, query_ids):
     """Build :class:`QueryColumns` for cycled rows of ``provider``."""
     size = rows.shape[0]
-    lookups = np.zeros(size, dtype=np.int64)
-    poolings = np.zeros(size, dtype=np.int64)
-    for requests, count in zip(provider.per_table, provider._counts):
-        candidate_lookups = np.asarray(
-            [request.total_lookups for request in requests],
-            dtype=np.int64)
-        candidate_poolings = np.asarray(
-            [len(request.lengths) for request in requests],
-            dtype=np.int64)
-        residues = rows % count
-        lookups += candidate_lookups[residues]
-        poolings += candidate_poolings[residues]
-    num_requests = np.full(size, len(provider.per_table), dtype=np.int64)
     return QueryColumns(
         np.asarray(query_ids, dtype=np.int64),
         np.asarray(arrival_times, dtype=np.float64),
         np.full(size, np.nan, dtype=np.float64),
-        lookups, poolings, num_requests, rows, provider)
+        np.full(size, provider.lookups, dtype=np.int64),
+        np.full(size, provider.poolings, dtype=np.int64),
+        np.full(size, len(provider.traces), dtype=np.int64),
+        rows, provider)
 
 
 class QueryStream:
@@ -347,7 +340,8 @@ class QueryStream:
     cycle, so ``take(a); take(b)`` concatenated equals one
     ``take(a + b)`` (and equals :func:`query_columns_from_traces` over
     the same total).  ``num_queries`` bounds the stream (``None`` for
-    unbounded).  The chunked path of
+    unbounded).  Per-query counts come from the per-table shapes and
+    requests are cut on first use, so the chunked path of
     :meth:`ShardedServingCluster.simulate` drains one of these with
     O(chunk) memory.
     """
@@ -356,8 +350,7 @@ class QueryStream:
                  pooling_factor=20, start_id=0):
         if num_queries is not None and num_queries <= 0:
             raise ValueError("num_queries must be positive (or None)")
-        self.provider = _CycledRequests.from_traces(traces, batch_size,
-                                                    pooling_factor)
+        self.provider = _CycledRequests(traces, batch_size, pooling_factor)
         if hasattr(arrivals, "stream"):
             self._arrivals = arrivals.stream()
         elif hasattr(arrivals, "take"):

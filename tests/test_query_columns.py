@@ -21,12 +21,14 @@ from repro.serving import (
     FixedSLOPolicy,
     PoissonArrivalProcess,
     QueryColumns,
+    QueryStream,
+    ServingQuery,
     ShardedServingCluster,
     form_batch_columns,
     queries_from_traces,
     query_columns_from_traces,
 )
-from repro.traces import make_production_table_traces
+from repro.traces import EmbeddingTrace, make_production_table_traces
 
 NUM_QUERIES = 600
 RATE_QPS = 120_000.0
@@ -195,3 +197,114 @@ class TestClusterEquivalence:
             from_columns = cluster.estimate_query_service_us(
                 query_columns_from_traces(traces, 64, _arrivals()))
         assert from_columns == from_objects
+
+
+class _RawTrace:
+    """A trace-shaped object without :class:`EmbeddingTrace`'s checks."""
+
+    def __init__(self, indices, table_id=0, name="raw"):
+        self.indices = np.asarray(indices)
+        self.table_id = table_id
+        self.name = name
+
+    def __len__(self):
+        return len(self.indices)
+
+
+def _stream_columns(traces, **shape):
+    return QueryStream(traces, _arrivals(), num_queries=8, **shape)
+
+
+def _oneshot_columns(traces, **shape):
+    return query_columns_from_traces(traces, 8, _arrivals(), **shape)
+
+
+BUILDERS = pytest.mark.parametrize(
+    "build", [_stream_columns, _oneshot_columns], ids=["stream", "oneshot"])
+
+
+class TestTraceProvider:
+    @BUILDERS
+    @pytest.mark.parametrize("shape,name", [
+        ({"batch_size": 2.7, "pooling_factor": 3.9}, "batch_size"),
+        ({"batch_size": 4.0}, "batch_size"),
+        ({"pooling_factor": 3.9}, "pooling_factor"),
+        ({"batch_size": [4, 4, 2.5, 4]}, "batch_size"),
+        ({"pooling_factor": [20, 20, 20, np.float64(20)]},
+         "pooling_factor"),
+    ])
+    def test_non_integer_shape_rejected(self, traces, build, shape, name):
+        with pytest.raises(ValueError,
+                           match="^%s must be an integer or one per "
+                                 "trace, got " % name):
+            build(traces, **shape)
+
+    @BUILDERS
+    def test_numpy_integer_shapes_accepted(self, traces, build):
+        plain = build(traces, batch_size=2, pooling_factor=[5, 5, 3, 5])
+        numpy_ints = build(traces, batch_size=np.int64(2),
+                           pooling_factor=np.array([5, 5, 3, 5]))
+        if isinstance(plain, QueryStream):
+            plain, numpy_ints = plain.take(8), numpy_ints.take(8)
+        assert plain.lookups.tolist() == numpy_ints.lookups.tolist() \
+            == [36] * 8
+        assert plain.poolings.tolist() == [8] * 8
+        assert plain.provider.fingerprints_for(plain.rows) == \
+            numpy_ints.provider.fingerprints_for(numpy_ints.rows)
+
+    @BUILDERS
+    def test_trace_too_short_raises_at_construction(self, traces, build):
+        short = _RawTrace(np.arange(79), name="short")
+        with pytest.raises(ValueError) as error:
+            build([traces[0], short], batch_size=4, pooling_factor=20)
+        assert str(error.value) == \
+            "trace 'short' too short for one 4x20 request"
+
+    @BUILDERS
+    @pytest.mark.parametrize("shape", [{"batch_size": 0},
+                                       {"pooling_factor": -1},
+                                       {"pooling_factor": [20, 20, 0, 20]}])
+    def test_non_positive_shape_raises_at_construction(self, traces, build,
+                                                       shape):
+        with pytest.raises(ValueError) as error:
+            build(traces, **shape)
+        assert str(error.value) == \
+            "batch_size and pooling_factor must be positive"
+
+    @BUILDERS
+    @pytest.mark.parametrize("bad,message", [
+        (-5, "indices must be non-negative integers, got indices[1]=-5"),
+        (2.5, "indices must be non-negative integers, got indices[1]=2.5"),
+    ])
+    def test_rejected_index_raises_at_construction(self, build, bad,
+                                                   message):
+        # Lookup 5 is the second lookup of the trace's second 2x2
+        # candidate; the error is that candidate's own.  The tail
+        # lookup past the last whole candidate is never used.
+        indices = [0, 1, 2, 3, 4, bad, 6, 7, -1]
+        with pytest.raises(ValueError) as error:
+            build([_RawTrace(indices)], batch_size=2, pooling_factor=2)
+        assert str(error.value) == message
+        build([_RawTrace(indices[:4] + [4, 5, 6, 7, -1])], batch_size=2,
+              pooling_factor=2)
+
+    def test_fingerprints_beyond_the_digest_period(self):
+        # Candidate counts 257 and 263 repeat with period 67,591, above
+        # the 65,536 cap, so digests are keyed by residue pattern.
+        rng = np.random.default_rng(3)
+        traces = [EmbeddingTrace(table_id=table, num_rows=1000,
+                                 indices=rng.integers(0, 1000, size=count),
+                                 name="T%d" % table)
+                  for table, count in enumerate((257, 263))]
+        columns = query_columns_from_traces(traces, 8, _arrivals(),
+                                            batch_size=1, pooling_factor=1)
+        provider = columns.provider
+        assert provider.period == 0
+        rows = np.array([0, 1, 256, 257, 263, 67_590, 67_591, 67_848, 0])
+        digests = provider.fingerprints_for(rows)
+        assert digests == [
+            ServingQuery(query_id=0, arrival_us=0.0,
+                         requests=provider.row_requests(int(row)))
+            .fingerprint() for row in rows]
+        assert digests[6] == digests[0] and digests[7] == digests[3]
+        assert len(set(digests)) == 6

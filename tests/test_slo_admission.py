@@ -232,6 +232,13 @@ class TestAdmissionControllers:
         assert mask.sum() == 16
         assert (~mask).sum() == 34
 
+    def test_queue_depth_describe_names_its_depth(self):
+        # The label the cluster's admission errors name the controller by.
+        assert QueueDepthAdmission(max_depth=16).describe() == \
+            "queue-depth (max 16 queries)"
+        assert QueueDepthAdmission(max_depth=8.0).describe() == \
+            "queue-depth (max 8 queries)"
+
     def test_deadline_sheds_doomed_queries_only(self):
         # est 10 us, 1 server, margin 1, batch estimate 10 us: a query
         # with slack s admits while predicted wait + 10 <= s.
