@@ -83,9 +83,6 @@ import math
 import pstats
 import sys
 
-import numpy as np
-
-from repro.dlrm.operators import SLSRequest
 from repro.perf.baseline_cache import baseline_cache_stats
 from repro.perf.service_model import InterpolatingServiceModel
 from repro.serving import (
@@ -105,6 +102,7 @@ from repro.systems import (
     system_description,
 )
 from repro.traces import make_production_table_traces, random_trace
+from repro.traces.synthetic import trace_request
 
 
 def _build_traces(kind, num_tables, num_rows, lookups_per_table, seed):
@@ -118,16 +116,11 @@ def _build_traces(kind, num_tables, num_rows, lookups_per_table, seed):
 
 
 def _build_requests(traces, batch, pooling):
-    requests = []
-    for trace in traces:
-        per_request = batch * pooling
-        indices = trace.indices[:per_request]
-        if indices.size < per_request:
-            raise SystemExit("trace too short: need %d lookups per table"
-                             % per_request)
-        requests.append(SLSRequest(table_id=trace.table_id, indices=indices,
-                                   lengths=np.full(batch, pooling)))
-    return requests
+    per_request = batch * pooling
+    if any(len(trace) < per_request for trace in traces):
+        raise SystemExit("trace too short: need %d lookups per table"
+                         % per_request)
+    return [trace_request(trace, batch, pooling, 0) for trace in traces]
 
 
 def _backend_overrides(args):

@@ -24,11 +24,6 @@ class RankCacheStats:
     evictions: int = 0
 
     @property
-    def accesses(self):
-        """All lookups that consulted the cache (hits + allocating misses)."""
-        return self.hits + self.misses
-
-    @property
     def lookups(self):
         """All lookups including bypassed ones."""
         return self.hits + self.misses + self.bypasses

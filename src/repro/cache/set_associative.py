@@ -27,15 +27,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    def as_dict(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "accesses": self.accesses,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class SetAssociativeCache:
     """N-way set-associative cache with true-LRU replacement.

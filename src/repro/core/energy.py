@@ -47,17 +47,6 @@ class EnergyReport:
         return (self.activate_nj + self.dram_read_nj + self.offchip_io_nj
                 + self.rankcache_nj + self.compute_nj + self.background_nj)
 
-    def as_dict(self):
-        return {
-            "activate_nj": self.activate_nj,
-            "dram_read_nj": self.dram_read_nj,
-            "offchip_io_nj": self.offchip_io_nj,
-            "rankcache_nj": self.rankcache_nj,
-            "compute_nj": self.compute_nj,
-            "background_nj": self.background_nj,
-            "total_nj": self.total_nj,
-        }
-
 
 class RecNMPEnergyModel:
     """Compute baseline-vs-RecNMP memory energy for an SLS workload."""

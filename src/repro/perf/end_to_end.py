@@ -25,16 +25,6 @@ class ModelSpeedup:
     non_sls_speedup: float
     end_to_end_speedup: float
 
-    def as_dict(self):
-        return {
-            "model": self.model_name,
-            "batch_size": self.batch_size,
-            "sls_fraction": self.sls_fraction,
-            "sls_speedup": self.sls_speedup,
-            "non_sls_speedup": self.non_sls_speedup,
-            "end_to_end_speedup": self.end_to_end_speedup,
-        }
-
 
 class EndToEndModel:
     """Compose operator-level speedups into model-level speedups."""

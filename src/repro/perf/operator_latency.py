@@ -49,18 +49,6 @@ class OperatorBreakdown:
             return 0.0
         return self.fc_us / self.total_us
 
-    def as_dict(self):
-        return {
-            "model": self.model_name,
-            "batch_size": self.batch_size,
-            "sls_us": self.sls_us,
-            "fc_us": self.fc_us,
-            "other_us": self.other_us,
-            "total_us": self.total_us,
-            "sls_fraction": self.sls_fraction,
-            "fc_fraction": self.fc_fraction,
-        }
-
 
 @dataclass
 class OperatorLatencyModel:

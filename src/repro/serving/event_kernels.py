@@ -2,11 +2,10 @@
 
 Three loops dominate long event-engine runs once service times come from
 the interpolating model: the multi-server FIFO dispatch queue and the
-EDF dispatch queue of :func:`repro.serving.events.simulate_batch_queue`
-(both ``heapq`` loops in their reference form), and the admission
-layer's fluid-backlog filter, which every built-in
+EDF dispatch queue of :func:`repro.serving.events.simulate_batch_queue`,
+and the admission layer's fluid-backlog filter, which every built-in
 :class:`~repro.serving.admission.AdmissionController` runs as one mode
-of :func:`admission_mask`.  This module holds each loop once, as a
+of :func:`admission_mask`.  This module holds each loop as a
 ``_*_flat`` struct-of-arrays kernel written in the numba-compilable
 subset of Python, and runs it three ways:
 
@@ -14,9 +13,11 @@ subset of Python, and runs it three ways:
 * ``"flat-python"`` -- the un-jitted source over preallocated
   ``float64`` / ``int64`` arrays, so the jitted semantics are pinned by
   tests on hosts without numba;
-* ``"python"`` -- the same un-jitted source over the inputs converted
-  to plain lists (``.tolist()``), which the interpreter indexes faster
-  than numpy arrays; every statement is valid over both.
+* ``"python"`` -- the interpreter's fastest form over the inputs
+  converted to plain lists (``.tolist()``): the admission filter runs
+  the same un-jitted source, and the two queues run as ``heapq`` loops
+  (:func:`_fifo_events_heapq`, :func:`_edf_events_heapq`), whose C
+  sifts beat the flat kernels' hand-rolled ones in CPython.
 
 Flavor selection and ``force_flavor`` are shared with
 :mod:`repro.core.kernels` -- one switch governs every compiled kernel in
@@ -29,17 +30,20 @@ Bit-identity argument
 ---------------------
 The FIFO free-server heap holds plain ``float64`` next-free times; the
 simulated starts/completes depend only on the *minimum value* of that
-multiset at each step, never on heap layout, so a replace-root binary
-heap reproduces ``heapq``'s pop/push sequence exactly -- including ties,
-which are ties between equal floats.  The EDF pending heap orders
-``(priority, ready, index)`` lexicographically; the index is unique, so
-the order is total and the popped element is layout-independent there
-too.  The admission kernel performs the same float arithmetic in the
-same order as the per-query oracle.  Randomized equivalence tests
-(``tests/test_event_kernels.py``) and a hypothesis property
-(``tests/test_admission_properties.py``) pin all three against the
-reference loops.
+multiset at each step, never on heap layout, so the flat kernels'
+replace-root binary heap and ``heapq.heapreplace`` reproduce the same
+pop/push sequence exactly -- including ties, which are ties between
+equal floats.  The EDF pending heap orders ``(priority, ready, index)``
+lexicographically; the index is unique, so the order is total and the
+popped element is layout-independent there too, whether the heap is
+three flat arrays or a ``heapq`` list of tuples.  The admission kernel
+performs the same float arithmetic in the same order as the per-query
+oracle.  Randomized equivalence tests (``tests/test_event_kernels.py``)
+and a hypothesis property (``tests/test_admission_properties.py``) pin
+all three against the reference loops.
 """
+
+import heapq
 
 import numpy as np
 
@@ -211,6 +215,54 @@ def _edf_events_flat(order, ready, services, priority, free_heap,
 
 
 # --------------------------------------------------------------------- #
+# heapq forms of the queues (the "python" flavor)                       #
+# --------------------------------------------------------------------- #
+def _fifo_events_heapq(order, ready, services, starts, completes,
+                       num_servers):
+    heapreplace = heapq.heapreplace
+    free_heap = [ready[order[0]]] * num_servers
+    for index in order:
+        now = free_heap[0]
+        start = ready[index]
+        if start < now:
+            start = now
+        complete = start + services[index]
+        starts[index] = start
+        completes[index] = complete
+        heapreplace(free_heap, complete)
+
+
+def _edf_events_heapq(order, ready, services, priority, starts, completes,
+                      num_servers):
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    num_batches = len(order)
+    free_heap = [ready[order[0]]] * num_servers
+    pending = []
+    next_arrival = 0
+    for _ in range(num_batches):
+        now = free_heap[0]
+        if not pending:
+            arrival = ready[order[next_arrival]]
+            if arrival > now:
+                now = arrival
+        while next_arrival < num_batches:
+            index = order[next_arrival]
+            if ready[index] > now:
+                break
+            heappush(pending, (priority[index], ready[index], index))
+            next_arrival += 1
+        _, start, index = heappop(pending)
+        if start < now:
+            start = now
+        complete = start + services[index]
+        starts[index] = start
+        completes[index] = complete
+        heapreplace(free_heap, complete)
+
+
+# --------------------------------------------------------------------- #
 # Admission fluid-backlog filter                                        #
 # --------------------------------------------------------------------- #
 #: Kernel mode codes of the built-in admission controllers.
@@ -277,8 +329,9 @@ def _admission_events_flat(arrivals, slacks, admitted, state, num_servers,
 # --------------------------------------------------------------------- #
 # Jit application (the core-kernels plumbing)                           #
 # --------------------------------------------------------------------- #
-#: Un-jitted sources: the "python" and "flat-python" flavors, pinned by
-#: parity tests so the compiled flavor can never silently diverge.
+#: Un-jitted sources: the "flat-python" flavor (and the admission
+#: filter's "python" one), pinned by parity tests so the compiled
+#: flavor can never silently diverge.
 _fifo_events_flat_py = _fifo_events_flat
 _edf_events_flat_py = _edf_events_flat
 _admission_events_flat_py = _admission_events_flat
@@ -315,9 +368,9 @@ def fifo_queue_times(ready, services, arrival_order, num_servers,
     if flavor == "python":
         starts = [0.0] * size
         completes = [0.0] * size
-        _fifo_events_flat_py(arrival_order.tolist(), ready.tolist(),
-                             services.tolist(), [0.0] * num_servers,
-                             starts, completes, num_servers)
+        _fifo_events_heapq(arrival_order.tolist(), ready.tolist(),
+                           services.tolist(), starts, completes,
+                           num_servers)
         return (np.asarray(starts, dtype=np.float64),
                 np.asarray(completes, dtype=np.float64))
     kernel = _flat_kernel(_fifo_events_flat, _fifo_events_flat_py, flavor)
@@ -343,11 +396,9 @@ def edf_queue_times(ready, services, priorities, arrival_order, num_servers,
     if flavor == "python":
         starts = [0.0] * size
         completes = [0.0] * size
-        _edf_events_flat_py(arrival_order.tolist(), ready.tolist(),
-                            services.tolist(), priorities.tolist(),
-                            [0.0] * num_servers, [0.0] * size,
-                            [0.0] * size, [0] * size, starts, completes,
-                            num_servers)
+        _edf_events_heapq(arrival_order.tolist(), ready.tolist(),
+                          services.tolist(), priorities.tolist(), starts,
+                          completes, num_servers)
         return (np.asarray(starts, dtype=np.float64),
                 np.asarray(completes, dtype=np.float64))
     kernel = _flat_kernel(_edf_events_flat, _edf_events_flat_py, flavor)

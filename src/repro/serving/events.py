@@ -200,6 +200,7 @@ class EventEngine(ServingEngine):
         run_extras.setdefault("max_queue_depth", int(max_depth))
         run_extras.setdefault("p99_wait_us", percentile(waits, 99.0))
         self._attach_slo(run_extras, batches, latencies, slo_info)
+        p50, p95, p99 = percentile(latencies, (50.0, 95.0, 99.0))
         return ServingReport(
             system=system_name,
             num_queries=num_queries,
@@ -210,9 +211,9 @@ class EventEngine(ServingEngine):
             mean_batch_delay_us=float(np.mean(delays)),
             mean_wait_us=float(waits.mean()),
             mean_latency_us=float(np.mean(latencies)),
-            p50_us=percentile(latencies, 50.0),
-            p95_us=percentile(latencies, 95.0),
-            p99_us=percentile(latencies, 99.0),
+            p50_us=p50,
+            p95_us=p95,
+            p99_us=p99,
             sustainable_qps=sustainable_qps,
             num_servers=num_servers,
             trigger_counts=dict(trigger_counts or {}),

@@ -15,10 +15,12 @@ only the exact service path resolves a batch's SLS requests:
   that resolves each query's SLS requests (cut on first use) and
   fingerprint.  Slicing, sorting and concatenation are array ops.
 * :func:`form_batch_columns` -- the two-trigger batcher
-  (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as one
-  whole-chunk ``searchsorted`` plus a walk over per-position batch
-  lengths instead of a per-query loop, with a carry-out open batch so
-  chunked streaming reproduces the one-shot batching byte for byte.
+  (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as
+  whole-chunk array passes instead of a per-query loop: a shifted
+  comparison finds the full batches, and a walk picks the batch
+  starts, at high load once per partial batch with the runs of full
+  ones emitted whole.  A carry-out open batch lets chunked streaming
+  reproduce the one-shot batching byte for byte.
 * :class:`BatchColumns` / :class:`ColumnBatch` -- the formed batches as
   arrays (formation times, sizes, triggers, per-batch deadline minima
   and request/pooling/lookup totals) plus per-batch views for the
@@ -521,16 +523,103 @@ class BatchColumns:
                    np.concatenate([part.triggers for part in parts]))
 
 
+def _window_lengths(arrivals, cutoffs, max_queries):
+    """Per-position batch lengths, exact at every partial position.
+
+    A partial batch opened at ``i`` holds the queries of ``i ..
+    i + max_queries - 2`` that arrive before ``cutoffs[i]`` -- a prefix,
+    as arrivals are sorted -- and always its opening query, even when
+    ``max_delay_us`` is 0.  Up to 16 shifted comparisons cost less than
+    a binary search per position; past that, each position is searched.
+    """
+    size = arrivals.shape[0]
+    if max_queries > 18:
+        limits = np.searchsorted(arrivals, cutoffs, side="left")
+        return np.maximum(limits - np.arange(size), 1)
+    lengths = np.ones(size, dtype=np.int64)
+    for shift in range(1, min(max_queries - 1, size)):
+        lengths[:size - shift] += arrivals[shift:] < cutoffs[:size - shift]
+    return lengths
+
+
+def _position_walk(steps):
+    """Batch starts by one list step per batch over per-position steps."""
+    steps = steps.tolist()
+    size = len(steps)
+    starts = []
+    append = starts.append
+    position = 0
+    while position < size:
+        append(position)
+        position += steps[position]
+    return np.asarray(starts, dtype=np.int64)
+
+
+def _run_walk(size, max_queries, partial, lengths):
+    """Batch starts by one walk step per partial batch.
+
+    The walk for chunks where nearly every position opens a full batch
+    (high load).  A batch that starts at a full position ``s`` is
+    followed by one at ``s + max_queries``, so from each landing point
+    (position 0 and the end of every partial batch) the batches run as
+    one arithmetic progression up to the next partial position on that
+    progression.  That position is found for every landing point at
+    once by a search over the partial positions sorted by ``(position %
+    max_queries, position)``; the walk then only hops from partial
+    batch to partial batch, and each visited landing expands to its
+    progression in one array pass.
+    """
+    count = partial.shape[0]
+    landings = np.empty(count + 1, dtype=np.int64)
+    landings[0] = 0
+    np.add(partial, lengths, out=landings[1:])
+    stride = size + 1
+    residues = partial % max_queries
+    order = np.argsort(residues, kind="stable")
+    # The sentinel key is past every residue class: a landing without a
+    # partial position on its progression finds it, or another class.
+    keys = np.append((residues * stride + partial)[order],
+                     max_queries * stride)
+    order = np.append(order, count)
+    landing_keys = landings % max_queries * stride + landings
+    found = np.searchsorted(keys, landing_keys)
+    same_class = keys[found] - landing_keys < stride - landings
+    targets = np.where(same_class, order[found], count)
+    after = (targets + 1).tolist()
+    visited = []
+    append = visited.append
+    landing = 0
+    while landing <= count:
+        append(landing)
+        landing = after[landing]
+    visited = np.asarray(visited, dtype=np.int64)
+    # Each visited landing's progression ends at its partial position,
+    # or at the last position when it has none (no batch when the
+    # landing is already past the end).
+    bases = landings[visited]
+    ends = np.append(partial, size - 1)[targets[visited]]
+    counts = (ends - bases) // max_queries + 1
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(bases - offsets * max_queries, counts) \
+        + np.arange(int(counts.sum())) * max_queries
+
+
 def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     """Two-trigger batch formation over sorted query columns.
 
     Reproduces the per-query two-trigger loop (the batching
     specification kept in ``tests/queue_oracles.py``) exactly -- same
     batch boundaries, formation times and trigger labels -- from whole-
-    chunk array passes: one ``searchsorted`` gives every position's
-    deadline window, hence the batch length a batch opened there would
-    have, and a walk over those lengths picks the batch starts.
-    ``columns`` must already be in ``(arrival_us, query_id)`` order.
+    chunk array passes.  Arrivals are sorted, so the batch a position
+    ``i`` would open is full exactly when ``arrivals[i + max_queries -
+    1] < arrivals[i] + max_delay_us``: one shifted comparison classes
+    every position.  Only partial batches need their length from the
+    deadline window.  When one position in ten or more is partial (low
+    load), :func:`_window_lengths` sizes them all and a walk takes one
+    list step per batch.  Otherwise only the partial positions are
+    searched, and :func:`_run_walk` emits each run of full batches
+    between them as one arithmetic progression.  ``columns`` must
+    already be in ``(arrival_us, query_id)`` order.
 
     Returns ``(batch_columns, carry)``: with ``final=False`` a trailing
     open batch whose deadline has not passed within ``columns`` (and
@@ -542,29 +631,36 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     arrivals = columns.arrival_us
     size = arrivals.shape[0]
     cutoffs = arrivals + max_delay_us
-    limits = np.searchsorted(arrivals, cutoffs, side="left")
-    # The opening query always belongs to its own batch even when
-    # max_delay_us is 0 (it is appended before any deadline check).
-    counts = np.maximum(limits - np.arange(size), 1)
-    full = counts >= max_queries
-    steps = np.where(full, max_queries, counts).tolist()
-    starts = []
-    position = 0
-    while position < size:
-        starts.append(position)
-        position += steps[position]
-    starts = np.asarray(starts, dtype=np.int64)
+    # A one-query batch is full with its opening query, deadline or not.
+    full = np.full(size, max_queries == 1)
+    if 1 < max_queries <= size:
+        head = size - max_queries + 1
+        np.less(arrivals[max_queries - 1:], cutoffs[:head], out=full[:head])
+    num_partial = size - int(np.count_nonzero(full))
+    if 10 * num_partial >= size:
+        # Partial batches are common (low load): step batch by batch.
+        lengths = _window_lengths(arrivals, cutoffs, max_queries)
+        starts = _position_walk(np.where(full, max_queries, lengths))
+    else:
+        # Nearly every batch is full: search only the partial positions
+        # (a batch holds at least its opening query) and emit the runs
+        # of full batches between them whole.
+        partial = np.flatnonzero(~full)
+        limits = np.searchsorted(arrivals, cutoffs[partial], side="left")
+        starts = _run_walk(size, max_queries, partial,
+                           np.maximum(limits - partial, 1))
+    is_full = full[starts]
     stop = size
     carry = None
-    if not final and len(starts) and not full[starts[-1]] \
-            and limits[starts[-1]] >= size:
+    if not final and len(starts) and not is_full[-1] \
+            and arrivals[-1] < cutoffs[starts[-1]]:
         # Every remaining arrival is inside the open batch's window and
         # the batch is not full: its fate depends on queries beyond
         # this chunk, so it carries over.
         stop = int(starts[-1])
         carry = columns.slice(stop, size)
         starts = starts[:-1]
-    is_full = full[starts]
+        is_full = is_full[:-1]
     formed = cutoffs[starts]
     formed[is_full] = arrivals[starts[is_full] + max_queries - 1]
     return BatchColumns(columns.slice(0, stop), starts, formed,

@@ -24,13 +24,20 @@ import numpy as np
 
 
 def percentile(samples, p):
-    """The ``p``-th percentile with linear interpolation (0 <= p <= 100)."""
-    if not 0 <= p <= 100:
+    """The ``p``-th percentile with linear interpolation (0 <= p <= 100).
+
+    A sequence of ``p`` returns a tuple of floats, one per ``p``, from
+    one partition of ``samples`` (each equal to its single-``p`` call).
+    """
+    points = np.asarray(p, dtype=np.float64)
+    if not np.all((points >= 0) & (points <= 100)):
         raise ValueError("p must be in [0, 100]")
     array = np.asarray(samples, dtype=np.float64)
     if array.size == 0:
         raise ValueError("need at least one sample")
-    return float(np.percentile(array, p))
+    if points.ndim == 0:
+        return float(np.percentile(array, p))
+    return tuple(np.percentile(array, points).tolist())
 
 
 def mgc_utilization(arrival_rate_per_us, service_times_us, num_servers):

@@ -116,13 +116,10 @@ class _AnalyticalNMPSystem(HostSystem):
 
     TensorDIMM and Chameleon are modelled as memory-latency speedups over
     the host DDR4 system: ``run`` simulates the host trace (memoised) and
-    divides its cycle count by :meth:`speedup`.  Neither design has a
+    divides its cycle count by the subclass's ``speedup()``, the
+    memory-latency speedup over the host baseline.  Neither design has a
     memory-side cache, so trace locality does not change the speedup.
     """
-
-    def speedup(self):
-        """Memory-latency speedup over the host baseline."""
-        raise NotImplementedError
 
     def run(self, requests):
         baseline = self._run_baseline(requests)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    Finding,
     LintUsageError,
     RULES,
     available_rules,
@@ -495,6 +496,13 @@ class TestLintPathsAPI:
         findings = lint_paths([str(path), str(path)],
                               rules=["determinism"])
         assert [f.line for f in findings] == [2, 3]
+
+    def test_finding_repr_shows_every_field(self):
+        # What pytest prints when an assertion over findings fails.
+        finding = Finding("determinism", Path("pkg/mod.py"), "7",
+                          "unseeded RNG")
+        assert repr(finding) \
+            == "Finding('determinism', 'pkg/mod.py', 7, 'unseeded RNG')"
 
 
 # --------------------------------------------------------------------- #

@@ -63,7 +63,9 @@ arrival_lists = st.lists(st.integers(0, 80), min_size=1, max_size=80).map(
     lambda ticks: [12.5 * tick for tick in sorted(ticks)])
 max_delays = st.one_of(st.sampled_from([0.0, 12.5, 37.5, 100.0, 1e9]),
                        st.floats(0.0, 300.0))
-max_queries = st.integers(1, 9)
+# Past 18 queries per batch the batcher searches each position's
+# deadline window instead of comparing shifted arrivals.
+max_queries = st.one_of(st.integers(1, 9), st.integers(19, 40))
 
 
 def _object_batches(arrivals, max_queries, max_delay_us):
@@ -81,6 +83,28 @@ def _column_batches(batch_columns, offset=0):
     return ((batch_columns.starts + offset).tolist(),
             batch_columns.formed_us.tolist(),
             batch_columns.triggers.tolist())
+
+
+def _chunked_batches(columns, bounds, max_queries, max_delay_us):
+    """(starts, formed_us, triggers) of a run cut at ``bounds``, each
+    chunk batched with the previous chunk's carry prepended."""
+    starts, formed_us, triggers = [], [], []
+    carry = None
+    for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        piece = columns.slice(start, stop)
+        offset = start
+        if carry is not None:
+            offset -= len(carry)
+            piece = QueryColumns.concat([carry, piece])
+        formed, carry = form_batch_columns(
+            piece, max_queries, max_delay_us,
+            final=index == len(bounds) - 2)
+        part = _column_batches(formed, offset)
+        starts += part[0]
+        formed_us += part[1]
+        triggers += part[2]
+    assert carry is None
+    return starts, formed_us, triggers
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,24 +133,51 @@ def test_chunked_batching_with_carry_matches_oneshot(chunks, max_queries,
                                                      max_delay_us):
     arrivals, bounds = chunks
     columns = _columns(arrivals)
-    starts, formed_us, triggers = [], [], []
-    carry = None
-    for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        piece = columns.slice(start, stop)
-        offset = start
-        if carry is not None:
-            offset -= len(carry)
-            piece = QueryColumns.concat([carry, piece])
-        formed, carry = form_batch_columns(
-            piece, max_queries, max_delay_us,
-            final=index == len(bounds) - 2)
-        part = _column_batches(formed, offset)
-        starts += part[0]
-        formed_us += part[1]
-        triggers += part[2]
-    assert carry is None
     oneshot, _ = form_batch_columns(columns, max_queries, max_delay_us)
-    assert (starts, formed_us, triggers) == _column_batches(oneshot)
+    assert _chunked_batches(columns, bounds, max_queries, max_delay_us) \
+        == _column_batches(oneshot)
+
+
+@st.composite
+def long_full_runs(draw):
+    """Dense arrivals broken by a few large gaps, then a short tail.
+
+    Steps of 0, 0.5 or 1 us fill most batches long before a 12.5 us or
+    longer deadline, so the batcher meets long runs of full batches.  A
+    large gap makes the positions just before it partial, and a run
+    coming from an earlier landing meets one of them partway along its
+    progression.  Gaps of half or exactly one deadline keep deadline
+    ties in play; a zero delay makes every batch partial.  The tail
+    after the last gap is shorter than ``max_queries``.
+    """
+    max_queries = draw(st.integers(1, 9))
+    max_delay_us = draw(st.sampled_from([0.0, 12.5, 37.5, 100.0]))
+    size = draw(st.integers(200, 3000))
+    tail = draw(st.integers(0, max_queries - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = 0.5 * rng.integers(0, 3, size + tail)
+    steps[0] = 0.0
+    long_gaps = st.sampled_from([0.5 * max_delay_us, max_delay_us, 300.0])
+    for position in draw(st.lists(st.integers(1, size - 1), max_size=8)):
+        steps[position] += draw(long_gaps)
+    if tail:
+        steps[size] += 300.0
+    cuts = draw(st.lists(st.integers(1, size + tail - 1), max_size=4))
+    bounds = [0] + sorted(set(cuts)) + [size + tail]
+    return np.cumsum(steps).tolist(), bounds, max_queries, max_delay_us
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_full_runs())
+def test_long_full_runs_match_object_frontend(drawn):
+    arrivals, bounds, max_queries, max_delay_us = drawn
+    expected = _object_batches(arrivals, max_queries, max_delay_us)
+    columns = _columns(arrivals)
+    oneshot, carry = form_batch_columns(columns, max_queries, max_delay_us)
+    assert carry is None
+    assert _column_batches(oneshot) == expected
+    assert _chunked_batches(columns, bounds, max_queries,
+                            max_delay_us) == expected
 
 
 # --------------------------------------------------------------------- #
