@@ -492,7 +492,7 @@ class ShardedServingCluster:
         for no admission stage, a registered name such as
         ``"token-bucket"`` or ``"deadline"``, or an
         :class:`~repro.serving.admission.AdmissionController`).  Both
-        decide over columns: the policy writes each chunk's deadline
+        decide over columns: the policy sets each chunk's deadline
         column, and the controller answers one ``admit_mask`` call per
         chunk from a state it started with ``new_state``.  Shed
         queries never enter a batch, and the report's percentiles are
@@ -509,7 +509,7 @@ class ShardedServingCluster:
         run one array pipeline (a list is converted once by
         ``QueryColumns.from_queries``) and give the same report for the
         same queries.  ``simulate`` never mutates its input: a policy's
-        deadlines go into the run's own deadline column, so a later run
+        deadlines replace each chunk's own deadline column, so a later run
         without ``slo_policy`` reports no SLO accounting.  Deadlines
         already on the input (``ServingQuery.deadline_us`` set by hand,
         or the ``deadline_us`` column) are honoured when no policy
@@ -822,7 +822,11 @@ def _check_has_requests(columns):
     Such a query gives its batch no work: alone it fails deep in
     dispatch, and batched with real queries it is served and counted.
     """
-    empty = columns.num_requests == 0
+    from repro.serving.query_columns import stored_rows
+
+    # A zero-stride count column stores its first row only, so its first
+    # bad row is row 0.
+    empty = stored_rows(columns.num_requests) == 0
     if empty.any():
         raise ValueError("query_id %d has no SLS requests"
                          % int(columns.query_id[np.argmax(empty)]))
@@ -858,9 +862,9 @@ def _column_chunks(queries, stream_chunk):
     generates monotone times -- because carried batching state is only
     meaningful over a globally sorted stream.  Non-finite arrival times
     and queries without SLS requests are rejected in both forms, a
-    stream's chunk by chunk.  Materialised input gets a private
-    deadline column, so deadline assignment never writes into the
-    caller's queries.
+    stream's chunk by chunk.  Deadline assignment replaces a chunk's
+    deadline column instead of writing into it, so the caller's queries
+    are never changed.
     """
     from repro.serving.query_columns import QueryColumns, QueryStream
 
@@ -878,8 +882,10 @@ def _column_chunks(queries, stream_chunk):
             _check_finite_arrivals(arrivals, taken)
             _check_has_requests(chunk)
             taken += len(chunk)
+            # Arrivals are finite here, so this equals np.diff(...) < 0
+            # without a chunk-sized float temporary.
             if arrivals[0] < last_arrival \
-                    or np.any(np.diff(arrivals) < 0.0):
+                    or np.any(arrivals[1:] < arrivals[:-1]):
                 raise ValueError(
                     "streamed arrivals must be non-decreasing")
             last_arrival = float(arrivals[-1])
@@ -889,8 +895,9 @@ def _column_chunks(queries, stream_chunk):
                 break
         return
     if isinstance(queries, QueryColumns):
+        # A fresh object over the caller's arrays: deadline assignment
+        # replaces its chunks' deadline attribute, never writes into it.
         columns = queries.slice(0, len(queries))
-        columns.deadline_us = queries.deadline_us.copy()
     else:
         columns = QueryColumns.from_queries(list(queries))
     _check_finite_arrivals(columns.arrival_us, 0)

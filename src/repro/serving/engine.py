@@ -88,9 +88,8 @@ class ServingEngine(abc.ABC):
         from repro.serving.slo import maybe_summarize_slo_arrays
 
         columns = batch_columns.columns
-        slack = columns.deadline_us - columns.arrival_us
-        record = maybe_summarize_slo_arrays(columns.arrival_us, slack,
-                                            latencies_us, slo_info)
+        record = maybe_summarize_slo_arrays(
+            columns.arrival_us, columns.deadline_us, latencies_us, slo_info)
         if record is not None:
             extras.setdefault("slo", record)
 

@@ -165,11 +165,14 @@ class EventEngine(ServingEngine):
         waits = starts - ready
 
         # Batch order equals query order within the columns, so np.repeat
-        # broadcasts every batch time onto its queries.
+        # broadcasts every batch time onto its queries (arrivals are
+        # subtracted in place: no second run-sized array each).
         sizes = batches.sizes
         arrivals = batches.columns.arrival_us
-        latencies = np.repeat(completes, sizes) - arrivals
-        delays = np.repeat(ready, sizes) - arrivals
+        latencies = np.repeat(completes, sizes)
+        latencies -= arrivals
+        delays = np.repeat(ready, sizes)
+        delays -= arrivals
         num_queries = batches.num_queries
         offered_qps, batch_rate_per_us = traffic_rates(batches)
 

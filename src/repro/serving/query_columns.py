@@ -13,7 +13,9 @@ only the exact service path resolves a batch's SLS requests:
 * :class:`QueryColumns` -- the per-query arrays (ids, arrivals,
   deadlines, per-query lookup/pooling counts) plus a *request provider*
   that resolves each query's SLS requests (cut on first use) and
-  fingerprint.  Slicing, sorting and concatenation are array ops.
+  fingerprint.  Slicing, sorting and concatenation are array ops.  A
+  column holding one value in every row may be a read-only zero-stride
+  view (:func:`constant_column`), which they keep zero-stride.
 * :func:`form_batch_columns` -- the two-trigger batcher
   (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as
   whole-chunk array passes instead of a per-query loop: a shifted
@@ -55,6 +57,11 @@ from repro.traces.synthetic import (
 #: Residue-pattern periods above this fall back to a per-pattern dict;
 #: below it, one digest per ``row % period`` covers every query.
 _MAX_DIGEST_PERIOD = 1 << 16
+
+#: Chunks of at most this many queries take the per-batch walk whatever
+#: their partial share: there the run walk's fixed array passes cost
+#: more (44 against 18 us at 256 queries, 79 against 48 us at 1,024).
+_LIST_WALK_MAX_QUERIES = 1024
 
 
 def _per_table(value, num_tables, name):
@@ -188,6 +195,51 @@ class _ExplicitRequests:
         return [self.queries[int(row)].fingerprint() for row in rows]
 
 
+def constant_column(value, size, dtype):
+    """A read-only zero-stride column holding ``value`` in all ``size``
+    rows: one stored element instead of ``size``."""
+    return np.broadcast_to(np.array(value, dtype=dtype), (size,))
+
+
+def _is_constant(column):
+    """True for a zero-stride column (one stored value for every row)."""
+    return column.strides[0] == 0
+
+
+def stored_rows(column):
+    """The rows ``column`` actually stores: its first row when it is a
+    zero-stride constant, else the whole column.  Any row-wise test over
+    them answers for every row."""
+    return column[:1] if _is_constant(column) else column
+
+
+def _column(values, dtype):
+    """``values`` as a contiguous column; a zero-stride one of the right
+    dtype is kept as the view it is."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 \
+            and values.dtype == dtype and _is_constant(values):
+        return values
+    return np.ascontiguousarray(values, dtype=dtype)
+
+
+def _take(column, indices, size):
+    """``column[indices]``, as a zero-stride view for a constant."""
+    if _is_constant(column):
+        return np.broadcast_to(column[:1], (size,))
+    return column[indices]
+
+
+def _concat(columns):
+    """Concatenated non-empty columns; zero-stride when every part is a
+    constant with the same value (bit for bit), materialised otherwise."""
+    head = columns[0][:1].tobytes()
+    if all(_is_constant(column) and column[:1].tobytes() == head
+           for column in columns):
+        return np.broadcast_to(columns[0][:1],
+                               (sum(column.shape[0] for column in columns),))
+    return np.concatenate(columns)
+
+
 class QueryColumns:
     """A query stream as flat per-query arrays plus a request provider.
 
@@ -196,20 +248,26 @@ class QueryColumns:
     ``provider``, which owns request materialisation and fingerprints;
     slices and takes reuse the provider, so digests are memoised once
     per stream however it is chunked.
+
+    Columns are contiguous arrays, except that a column passed in as a
+    zero-stride view (:func:`constant_column`) stays one: the per-row
+    constants of a :class:`QueryStream` chunk are held that way.  Such a
+    column is read-only; :meth:`take`, :meth:`slice` and :meth:`concat`
+    keep it zero-stride (``concat`` materialises it only when the parts
+    hold different values), and a new value is set by replacing the
+    attribute, as :meth:`~repro.serving.slo.SLOPolicy.assign_deadlines_columns`
+    does.
     """
 
     def __init__(self, query_id, arrival_us, deadline_us, lookups,
                  poolings, num_requests, rows, provider):
-        self.query_id = np.ascontiguousarray(query_id, dtype=np.int64)
-        self.arrival_us = np.ascontiguousarray(arrival_us,
-                                               dtype=np.float64)
-        self.deadline_us = np.ascontiguousarray(deadline_us,
-                                                dtype=np.float64)
-        self.lookups = np.ascontiguousarray(lookups, dtype=np.int64)
-        self.poolings = np.ascontiguousarray(poolings, dtype=np.int64)
-        self.num_requests = np.ascontiguousarray(num_requests,
-                                                 dtype=np.int64)
-        self.rows = np.ascontiguousarray(rows, dtype=np.int64)
+        self.query_id = _column(query_id, np.int64)
+        self.arrival_us = _column(arrival_us, np.float64)
+        self.deadline_us = _column(deadline_us, np.float64)
+        self.lookups = _column(lookups, np.int64)
+        self.poolings = _column(poolings, np.int64)
+        self.num_requests = _column(num_requests, np.int64)
+        self.rows = _column(rows, np.int64)
         self.provider = provider
         size = self.query_id.shape[0]
         for array in (self.arrival_us, self.deadline_us, self.lookups,
@@ -251,22 +309,25 @@ class QueryColumns:
     def __len__(self):
         return self.query_id.shape[0]
 
+    def _columns(self):
+        return (self.query_id, self.arrival_us, self.deadline_us,
+                self.lookups, self.poolings, self.num_requests, self.rows)
+
     def take(self, indices):
         """Row subset by index array (shares the provider)."""
         indices = np.asarray(indices)
+        query_id = self.query_id[indices]
+        size = query_id.shape[0]
         return QueryColumns(
-            self.query_id[indices], self.arrival_us[indices],
-            self.deadline_us[indices], self.lookups[indices],
-            self.poolings[indices], self.num_requests[indices],
-            self.rows[indices], self.provider)
+            query_id, *(_take(column, indices, size)
+                        for column in self._columns()[1:]),
+            self.provider)
 
     def slice(self, start, stop):
         """Contiguous row range as zero-copy array views."""
         return QueryColumns(
-            self.query_id[start:stop], self.arrival_us[start:stop],
-            self.deadline_us[start:stop], self.lookups[start:stop],
-            self.poolings[start:stop], self.num_requests[start:stop],
-            self.rows[start:stop], self.provider)
+            *(column[start:stop] for column in self._columns()),
+            self.provider)
 
     def sorted_by_arrival(self):
         """Rows in ``(arrival_us, query_id)`` order (the serving order)."""
@@ -285,15 +346,9 @@ class QueryColumns:
         if any(part.provider is not provider for part in parts):
             raise ValueError("cannot concatenate columns with different "
                              "request providers")
-        return cls(
-            np.concatenate([part.query_id for part in parts]),
-            np.concatenate([part.arrival_us for part in parts]),
-            np.concatenate([part.deadline_us for part in parts]),
-            np.concatenate([part.lookups for part in parts]),
-            np.concatenate([part.poolings for part in parts]),
-            np.concatenate([part.num_requests for part in parts]),
-            np.concatenate([part.rows for part in parts]),
-            provider)
+        return cls(*(_concat(columns) for columns in
+                     zip(*(part._columns() for part in parts))),
+                   provider)
 
 
 def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
@@ -322,15 +377,15 @@ def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
 
 
 def _columns_for_rows(provider, rows, arrival_times, query_ids):
-    """Build :class:`QueryColumns` for cycled rows of ``provider``."""
+    """Build :class:`QueryColumns` for cycled rows of ``provider``: the
+    deadline and per-query count columns are zero-stride constants."""
     size = rows.shape[0]
     return QueryColumns(
-        np.asarray(query_ids, dtype=np.int64),
-        np.asarray(arrival_times, dtype=np.float64),
-        np.full(size, np.nan, dtype=np.float64),
-        np.full(size, provider.lookups, dtype=np.int64),
-        np.full(size, provider.poolings, dtype=np.int64),
-        np.full(size, len(provider.traces), dtype=np.int64),
+        query_ids, arrival_times,
+        constant_column(np.nan, size, np.float64),
+        constant_column(provider.lookups, size, np.int64),
+        constant_column(provider.poolings, size, np.int64),
+        constant_column(len(provider.traces), size, np.int64),
         rows, provider)
 
 
@@ -345,7 +400,10 @@ class QueryStream:
     unbounded).  Per-query counts come from the per-table shapes and
     requests are cut on first use, so the chunked path of
     :meth:`ShardedServingCluster.simulate` drains one of these with
-    O(chunk) memory.
+    O(chunk) memory.  A chunk's ``lookups``, ``poolings`` and
+    ``num_requests`` (one value per stream) and its all-NaN
+    ``deadline_us`` are read-only zero-stride views; only ids, arrivals
+    and rows are stored per query.
     """
 
     def __init__(self, traces, arrivals, num_queries=None, batch_size=4,
@@ -474,9 +532,13 @@ class BatchColumns:
 
     def totals(self):
         """Per-batch ``(num_requests, total_poolings, total_lookups)``
-        sums (int64 arrays) over the batches' queries."""
+        sums (int64 arrays) over the batches' queries.  A zero-stride
+        constant column sums as ``sizes * value``: the same integers
+        without a pass over the rows."""
         columns = self.columns
-        return tuple(np.add.reduceat(column, self.starts)
+        return tuple(self.sizes * column[0]
+                     if len(column) and _is_constant(column)
+                     else np.add.reduceat(column, self.starts)
                      for column in (columns.num_requests, columns.poolings,
                                     columns.lookups))
 
@@ -597,15 +659,16 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     every position.  Only partial batches need their length from the
     deadline window.  When one position in ten or more is partial (low
     load, or a chunk whose ``max_queries - 1`` tail positions alone are
-    a tenth of it), one ``searchsorted`` sizes every position and
-    :func:`_position_walk` takes one list step per batch.  Otherwise
-    only the partial positions are searched, and :func:`_run_walk`
-    emits each run of full batches between them as one arithmetic
-    progression.  Its fixed array passes lose to the list walk above
-    11-37% partial positions (measured on chunks of 2,048 and 65,536
-    queries, ``max_queries`` 2-32), so the tenth stays below every
-    measured crossover.  ``columns`` must already be in ``(arrival_us,
-    query_id)`` order.
+    a tenth of it), or the chunk holds at most 1,024 queries
+    (``_LIST_WALK_MAX_QUERIES``), one ``searchsorted`` sizes every
+    position and :func:`_position_walk` takes one list step per batch.
+    Otherwise only the partial positions are searched, and
+    :func:`_run_walk` emits each run of full batches between them as one
+    arithmetic progression.  Its fixed array passes lose to the list
+    walk above 11-37% partial positions (measured on chunks of 2,048 and
+    65,536 queries, ``max_queries`` 2-32), so the tenth stays below
+    every measured crossover.  ``columns`` must already be in
+    ``(arrival_us, query_id)`` order.
 
     Returns ``(batch_columns, carry)``: with ``final=False`` a trailing
     open batch whose deadline has not passed within ``columns`` (and
@@ -623,12 +686,13 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
         head = size - max_queries + 1
         np.less(arrivals[max_queries - 1:], cutoffs[:head], out=full[:head])
     num_partial = size - int(np.count_nonzero(full))
-    if 10 * num_partial >= size:
-        # Partial batches are common (low load, or a chunk short enough
-        # that its tail is a tenth of it): one ``searchsorted`` sizes
-        # every position's window and the walk steps batch by batch.
-        # The opening query always belongs to its own batch even when
-        # max_delay_us is 0, and a full batch steps ``max_queries``.
+    if size <= _LIST_WALK_MAX_QUERIES or 10 * num_partial >= size:
+        # A short chunk, or partial batches are common (low load, or a
+        # chunk short enough that its tail is a tenth of it): one
+        # ``searchsorted`` sizes every position's window and the walk
+        # steps batch by batch.  The opening query always belongs to its
+        # own batch even when max_delay_us is 0, and a full batch steps
+        # ``max_queries``.
         steps = np.searchsorted(arrivals, cutoffs, side="left")
         steps -= np.arange(size)
         starts = _position_walk(np.clip(steps, 1, max_queries, out=steps))

@@ -281,7 +281,7 @@ def summarize_serving(system_name, batches, service_times_us,
 
     extras = dict(extras or {})
     slo_record = maybe_summarize_slo_arrays(
-        arrivals, batches.columns.deadline_us - arrivals, samples, slo_info)
+        arrivals, batches.columns.deadline_us, samples, slo_info)
     if slo_record is not None:
         extras.setdefault("slo", slo_record)
     return ServingReport(

@@ -31,6 +31,7 @@ import abc
 import numpy as np
 
 from repro.serving.arrival import _require_finite
+from repro.serving.query_columns import stored_rows
 from repro.serving.queueing import percentile
 
 
@@ -38,7 +39,7 @@ class SLOPolicy(abc.ABC):
     """Strategy interface: assign a completion deadline to each query.
 
     A policy implements :meth:`slack_column`; deadlines are the arrival
-    column plus that slack, written for a whole chunk at once.
+    column plus that slack, computed for a whole chunk at once.
     """
 
     #: Registry name of the policy (also recorded in report extras).
@@ -51,10 +52,12 @@ class SLOPolicy(abc.ABC):
         vector, or one scalar shared by every row."""
 
     def assign_deadlines_columns(self, columns):
-        """Write ``deadline_us = arrival_us + slack`` into the columns'
-        deadline column (the step ``ShardedServingCluster.simulate``
-        runs on each chunk) and return the columns."""
-        columns.deadline_us[:] = columns.arrival_us \
+        """Replace the columns' deadline column with ``arrival_us +
+        slack`` (the step ``ShardedServingCluster.simulate`` runs on each
+        chunk) and return the columns.  The old column is not written:
+        it may be a read-only zero-stride view, or shared with the
+        caller's input."""
+        columns.deadline_us = columns.arrival_us \
             + self.slack_column(columns)
         return columns
 
@@ -178,7 +181,7 @@ def resolve_slo_policy(policy):
         % ", ".join(available_slo_policies()))
 
 
-def maybe_summarize_slo_arrays(arrival_us, slack_us, latencies_us,
+def maybe_summarize_slo_arrays(arrival_us, deadline_us, latencies_us,
                                slo_info=None):
     """:func:`summarize_slo_arrays` when the run carries SLO context,
     else None.
@@ -186,18 +189,17 @@ def maybe_summarize_slo_arrays(arrival_us, slack_us, latencies_us,
     The shared trigger both serving engines use: accounting is attached
     when the cluster passed admission context (``slo_info``) *or* any
     query carries a deadline (assigned by a policy or by hand).
-    ``slack_us`` is the per-admitted-query slack vector with NaN for
-    deadline-free queries.
+    ``deadline_us`` is the admitted queries' deadline column (NaN = no
+    deadline); a run without either context returns before any
+    run-sized slack is built, reading one row of a zero-stride column.
     """
-    has_deadline = ~np.isnan(slack_us)
-    if slo_info is None and not has_deadline.any():
+    if slo_info is None and np.isnan(stored_rows(deadline_us)).all():
         return None
-    return summarize_slo_arrays(arrival_us, slack_us, latencies_us,
-                                slo_info, has_deadline)
+    return summarize_slo_arrays(arrival_us, deadline_us - arrival_us,
+                                latencies_us, slo_info)
 
 
-def summarize_slo_arrays(arrival_us, slack_us, latencies_us, slo_info=None,
-                         has_deadline=None):
+def summarize_slo_arrays(arrival_us, slack_us, latencies_us, slo_info=None):
     """Deadline bookkeeping for one serving run over per-query arrays.
 
     ``arrival_us`` / ``slack_us`` / ``latencies_us`` describe the
@@ -222,8 +224,7 @@ def summarize_slo_arrays(arrival_us, slack_us, latencies_us, slo_info=None,
     slack = np.asarray(slack_us, dtype=np.float64)
     if slack.shape[0] != latencies.shape[0]:
         raise ValueError("need one latency per admitted query")
-    if has_deadline is None:
-        has_deadline = ~np.isnan(slack)
+    has_deadline = ~np.isnan(slack)
     info = dict(slo_info or {})
     num_admitted = latencies.shape[0]
     num_shed = int(info.get("num_shed", 0))

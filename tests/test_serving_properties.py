@@ -146,11 +146,13 @@ def long_full_runs(draw):
     coming from an earlier landing meets one of them partway along its
     progression.  Gaps of half or exactly one deadline keep deadline
     ties in play; a zero delay makes every batch partial.  The tail
-    after the last gap is shorter than ``max_queries``.
+    after the last gap is shorter than ``max_queries``.  Runs hold more
+    than 1,024 queries and are cut at most twice, so the one-shot run
+    and most chunks are long enough for the run walk.
     """
     max_queries = draw(st.integers(1, 9))
     max_delay_us = draw(st.sampled_from([0.0, 12.5, 37.5, 100.0]))
-    size = draw(st.integers(200, 3000))
+    size = draw(st.integers(1_100, 4_000))
     tail = draw(st.integers(0, max_queries - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     steps = 0.5 * rng.integers(0, 3, size + tail)
@@ -160,12 +162,12 @@ def long_full_runs(draw):
         steps[position] += draw(long_gaps)
     if tail:
         steps[size] += 300.0
-    cuts = draw(st.lists(st.integers(1, size + tail - 1), max_size=4))
+    cuts = draw(st.lists(st.integers(1, size + tail - 1), max_size=2))
     bounds = [0] + sorted(set(cuts)) + [size + tail]
     return np.cumsum(steps).tolist(), bounds, max_queries, max_delay_us
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(long_full_runs())
 def test_long_full_runs_match_object_frontend(drawn):
     arrivals, bounds, max_queries, max_delay_us = drawn

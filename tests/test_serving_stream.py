@@ -195,6 +195,33 @@ class TestValidation:
             with pytest.raises(ValueError, match="non-decreasing"):
                 cluster.simulate(stream, stream_chunk=64)
 
+    @pytest.mark.parametrize("position", [21, 24],
+                             ids=["inside-chunk", "chunk-boundary"])
+    def test_decreasing_pair_in_later_chunk_rejected(self, traces,
+                                                     position):
+        """One arrival 1 us before its predecessor, in the third chunk of
+        eight or as the first arrival of the fourth, fails the run after
+        the sorted chunks before it were served."""
+        times = np.arange(32, dtype=np.float64) * 10.0
+        times[position] = times[position - 1] - 1.0
+
+        class Replay:
+            def __init__(self):
+                self._taken = 0
+
+            def take(self, count):
+                chunk = times[self._taken:self._taken + count]
+                self._taken += count
+                return chunk
+
+        stream = QueryStream(traces, Replay(), num_queries=32)
+        with ShardedServingCluster(num_nodes=2,
+                                   node_system="recnmp-opt") as cluster:
+            with pytest.raises(ValueError,
+                               match="^streamed arrivals must be "
+                                     "non-decreasing$"):
+                cluster.simulate(stream, stream_chunk=8)
+
     @pytest.mark.parametrize("form", ["list", "columns", "stream"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                              ids=["nan", "+inf", "-inf"])

@@ -22,25 +22,29 @@ from repro.serving import QueryColumns, form_batch_columns, resolve_engine
 SCALES = (0.5, 2.0, 4.0)
 
 
+def _times(max_us):
+    """0 or a time far above the smallest normal float: halved, and
+    averaged over up to 60 queries, it stays normal (a subnormal loses
+    bits, so scaling it is not exact)."""
+    return st.one_of(st.just(0.0), st.floats(1e-290, max_us))
+
+
 @st.composite
 def runs(draw):
     """Arrivals on a 12.5 us lattice (ties and exact deadline hits),
     absolute deadlines with NaN for none, batcher triggers and one
-    service time per query (enough for any batching).  Times are normal
-    floats: a mean of subnormal times loses bits, so scaling it is not
-    exact."""
+    service time per query (enough for any batching).  Drawn slacks and
+    delays come from :func:`_times`."""
     ticks = sorted(draw(st.lists(st.integers(0, 400), min_size=1,
                                  max_size=60)))
     arrivals = 12.5 * np.array(ticks, dtype=np.float64)
     size = arrivals.size
     slacks = draw(st.lists(
-        st.one_of(st.just(math.nan),
-                  st.floats(0.0, 2_000.0, allow_subnormal=False)),
+        st.one_of(st.just(math.nan), _times(2_000.0)),
         min_size=size, max_size=size))
     max_queries = draw(st.integers(1, 8))
-    max_delay_us = draw(st.one_of(
-        st.sampled_from([0.0, 12.5, 50.0]),
-        st.floats(0.0, 500.0, allow_subnormal=False)))
+    max_delay_us = draw(st.one_of(st.sampled_from([0.0, 12.5, 50.0]),
+                                  _times(500.0)))
     services = draw(st.lists(st.floats(0.5, 400.0), min_size=size,
                              max_size=size))
     return (arrivals, arrivals + np.array(slacks), max_queries,
