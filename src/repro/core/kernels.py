@@ -3,7 +3,7 @@
 The DDR command-issue inner loop (windowed FR-FCFS selection fused with
 the bank/rank DDR4 state machine) dominates exact simulation time.  It
 exists in two bit-identical implementations over one flat state layout
-(:class:`~repro.core.rank_nmp.RankState`):
+(:class:`~repro.core.rank_nmp.RankState`, see State layout below):
 
 * :func:`~repro.core.rank_nmp.execute_segments` -- the readable loop,
   CPython over plain lists: per-instruction columns (Daddr, burst
@@ -27,16 +27,14 @@ Flavor selection happens once at import: numba is tried and
 
 State layout
 ------------
-Per bank, indexed ``rank * banks_per_rank + bank_group *
-banks_per_group + bank``: the open row (-1 when closed), the earliest
-ACT / RD / PRE cycles and the activation / read / precharge counters.
-Per rank: a four-slot ring of the last ACT cycles with the slot of the
-oldest (the tFAW reference), the last ACT and column cycle (far in the
-past before the first) with their bank groups, the data-bus free cycle
-and the rank-NMP's current cycle.  Timing parameters arrive as an int64
-array in the order of :meth:`DDR4Timing.kernel_params` and statistics
-deltas leave the kernel through an ``ST_SIZE`` vector (``ST_*``
-indices).
+The DDR4 bank and rank columns are those of
+:class:`~repro.dram.timing.DDR4State`, which describes them; a
+:class:`~repro.core.rank_nmp.RankState` adds the per-bank activation /
+read / precharge counters and the rank-NMP's per-rank current cycle,
+all held as int64 arrays under the flat flavors.  Timing parameters
+arrive as an int64 array in the order of
+:meth:`DDR4Timing.kernel_params` and statistics deltas leave the kernel
+through an ``ST_SIZE`` vector (``ST_*`` indices).
 
 The kernel mutates the state arrays in place and returns the last
 completion cycle.  :class:`FlatRankKernel` keeps, per rank, a flat LRU
@@ -92,8 +90,8 @@ _KNOWN_FLAVORS = ("numba", "python", "flat-python")
 
 
 def active_flavor():
-    """The kernel flavor a :class:`~repro.core.rank_nmp.RankState`
-    constructed now binds to."""
+    """The kernel flavor in force now: the :func:`force_flavor`
+    override, else the import-time selection."""
     if _FORCED_FLAVOR is not None:
         return _FORCED_FLAVOR
     return KERNEL_FLAVOR
@@ -142,11 +140,14 @@ def packed_dispatch_min_instructions(flavor=None):
 class force_flavor:
     """Context manager overriding the kernel flavor (for tests).
 
-    Only affects the :class:`~repro.core.rank_nmp.RankState` (and so
-    the :class:`~repro.core.processing_unit.RecNMPChannel`) *constructed
-    inside* the context: the kernel binding happens when the
-    ``RankState`` is constructed.
-    ``force_flavor("numba")`` raises on hosts without numba.
+    A :class:`~repro.core.rank_nmp.RankState` (so a ``RecNMPChannel``)
+    binds its kernels and column form when built, so only one built
+    inside the context runs the forced flavor, and keeps it.
+    :func:`reorder_packets`, :func:`packed_dispatch_min_instructions`
+    (0 under any override), the ``describe`` helpers and the event
+    kernels' ``fifo_queue_times``, ``edf_queue_times`` and
+    ``admission_mask`` read the flavor on every call instead.
+    ``force_flavor("numba")`` raises ``RuntimeError`` without numba.
 
     Exception-safe: the previous flavor is restored even when the body
     raises, one instance may be entered reentrantly (each exit pops one

@@ -20,8 +20,9 @@ The stream arrives as columns, never as instruction objects.  PsumTag
 accumulation is modelled by its latency only; the pooled values are the
 functional operators' (:mod:`repro.dlrm.operators`).
 
-The rank-NMPs are not objects: a :class:`RankState` keeps the bank and
-rank timing state, RankCache and counters of every rank of a channel (a
+The rank-NMPs are not objects: a :class:`RankState` keeps the DDR4 bank
+and rank state (:class:`~repro.dram.timing.DDR4State`), RankCache and
+counters of every rank of a channel (a
 :class:`~repro.core.processing_unit.RecNMPChannel`) as flat lists, and
 :func:`execute_segments` runs any number of rank streams over it in one
 loop.
@@ -34,24 +35,7 @@ import numpy as np
 from repro.cache.rank_cache import RankCache
 from repro.core import kernels as _kernels
 from repro.core.instruction import check_vector_size_bytes
-from repro.dram.timing import DDR4_2400
-
-#: Stand-in for a rank's "no ACT / column command yet": far enough back
-#: that the tRRD / tCCD / tFAW constraint derived from it never binds.
-_NEVER = -(1 << 62)
-
-#: Initial best estimate of a window scan, beyond any reachable cycle.
-_UNREACHED = 1 << 62
-
-#: The per-bank and per-rank lists of a :class:`RankState`, with the
-#: value each starts and resets to (besides ``faw_ring``, four entries
-#: per rank, all ``_NEVER``).
-_BANK_STATE = (("open_row", -1), ("next_act", 0), ("next_read", 0),
-               ("next_pre", 0), ("activations", 0), ("reads", 0),
-               ("precharges", 0))
-_RANK_STATE = (("faw_slot", 0), ("last_act", _NEVER),
-               ("last_act_group", -1), ("last_col", _NEVER),
-               ("last_col_group", -1), ("bus_free", 0), ("current", 0))
+from repro.dram.timing import DDR4_2400, NEVER, DDR4State
 
 
 @dataclass
@@ -124,31 +108,24 @@ class RankNMPStats:
         }
 
 
-class RankState:
+class RankState(DDR4State):
     """DDR4 timing state, caches and counters of ``num_ranks`` rank-NMPs.
 
-    The lists are the state; nothing mirrors them.  Per bank, indexed
-    ``rank * banks_per_rank + bank_group * banks_per_group + bank``:
-    ``open_row`` (-1 when closed), the earliest ``next_act`` /
-    ``next_read`` / ``next_pre`` cycles and the ``activations`` /
-    ``reads`` / ``precharges`` counters.  Per rank: a ring of its last
-    four ACT cycles (``faw_ring[4 * rank:4 * rank + 4]``) with the slot
-    of the oldest (``faw_slot``), the last ACT and column cycle with
-    their bank groups (``last_act`` / ``last_act_group``, ``last_col`` /
-    ``last_col_group``), the data-bus free cycle (``bus_free``) and the
-    rank-NMP's ``current`` cycle.  A rank that has issued no ACT or
-    column command holds ``_NEVER`` in those cycles, which no tRRD /
-    tCCD / tFAW window reaches.  Also
-    per rank: the RankCache (None without one), the
-    :class:`RankNMPStats` and, under the flat kernel flavors, the kernel
-    binding (:class:`~repro.core.kernels.FlatRankKernel`), in which case
-    the per-bank and per-rank state are int64 arrays instead of lists.
+    A :class:`~repro.dram.timing.DDR4State` whose ``banks_per_rank`` is
+    the configured bank groups times banks per group, plus per bank the
+    ``activations`` / ``reads`` / ``precharges`` counters and per rank
+    the ``current`` cycle, the RankCache (None without one), the
+    :class:`RankNMPStats` and, under the flat kernel flavors, the
+    :class:`~repro.core.kernels.FlatRankKernel`, with every column an
+    int64 array.
     """
+
+    BANK_FIELDS = DDR4State.BANK_FIELDS + (
+        ("activations", 0), ("reads", 0), ("precharges", 0))
+    RANK_FIELDS = DDR4State.RANK_FIELDS + (("current", 0),)
 
     def __init__(self, config, num_ranks):
         self.config = config
-        self.num_ranks = num_ranks
-        self.banks_per_rank = config.num_bank_groups * config.banks_per_group
         self.timing_params = config.timing.kernel_params()
         self.cache_latency = config.cache_latency_cycles
         self.caches = [
@@ -164,15 +141,13 @@ class RankState:
         kernels = [_kernels.make_rank_kernel(cache)
                    for cache in self.caches]
         self.kernels = kernels if kernels[0] is not None else None
-        make = list if self.kernels is None \
-            else (lambda values: np.array(values, dtype=np.int64))
         self.timing_array = np.array(self.timing_params, dtype=np.int64)
-        for name, fill in _BANK_STATE:
-            setattr(self, name,
-                    make([fill] * (num_ranks * self.banks_per_rank)))
-        for name, fill in _RANK_STATE:
-            setattr(self, name, make([fill] * num_ranks))
-        self.faw_ring = make([_NEVER] * (4 * num_ranks))
+        super().__init__(num_ranks,
+                         config.num_bank_groups * config.banks_per_group)
+
+    def _column(self, values):
+        return values if self.kernels is None \
+            else np.array(values, dtype=np.int64)
 
     @property
     def takes_arrays(self):
@@ -183,13 +158,7 @@ class RankState:
     def reset(self, rank):
         """Refill rank ``rank``'s timing state, empty its cache and zero
         its statistics."""
-        low = rank * self.banks_per_rank
-        for name, fill in _BANK_STATE:
-            getattr(self, name)[low:low + self.banks_per_rank] = \
-                [fill] * self.banks_per_rank
-        for name, fill in _RANK_STATE:
-            getattr(self, name)[rank] = fill
-        self.faw_ring[4 * rank:4 * rank + 4] = [_NEVER] * 4
+        super().reset(rank)
         cache = self.caches[rank]
         if cache is not None:
             cache.flush()
@@ -321,7 +290,7 @@ def execute_segments(state, columns, segments, base, reorder_window=16):
                     rd_other = bus
                 stale = False
             best_index = window[0]
-            best_estimate = _UNREACHED
+            best_estimate = NEVER
             for index in window:
                 arrival = base + offsets[index]
                 start = arrival if arrival > current else current

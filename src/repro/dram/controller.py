@@ -5,15 +5,10 @@ the First-Ready, First-Come-First-Served policy: among queued requests whose
 next DDR command is ready to issue, row-buffer hits win, ties broken by
 age.  An open-page policy keeps rows open after a read.
 
-The channel's DDR4 state is flat lists and scalars, not objects:
-
-* per bank, its open row (``-1`` when closed) and the earliest cycle an
-  ACT, a RD and a PRE may issue to it;
-* per rank, its last four ACT cycles (the tFAW ring), the cycle and bank
-  group of its last ACT and of its last column command, and the cycle its
-  data bus frees;
-* per channel, the C/A slot (the controller's clock), the data bus and
-  the rank that sent the last burst.
+The channel's DDR4 state is flat lists, not objects: the bank and rank
+columns of a :class:`~repro.dram.timing.DDR4State` (the layout the
+rank-NMPs share), plus, per channel, the C/A slot (the controller's
+clock), the data bus and the rank that sent the last burst.
 
 :meth:`MemoryController._drain` runs a whole schedule as one loop with
 that state loaded into locals and written back at the end, so it persists
@@ -32,16 +27,11 @@ state changes.
 from dataclasses import dataclass, field
 
 from repro.dram.address_mapping import SkylakeAddressMapping
-from repro.dram.timing import DDR4_2400, DDR4Timing
+from repro.dram.timing import DDR4_2400, NEVER, DDR4State, DDR4Timing
 
 #: Cycle budget of one drain: a command that would issue more than this
 #: many cycles after the drain started raises ``RuntimeError`` instead.
 _MAX_DRAIN_CYCLES = 10_000_000
-#: Larger than any readiness cycle: the empty minimum of a scheduler pass.
-_NEVER = 1 << 62
-#: The cycle of a command that never issued: so far back that the tRRD,
-#: tCCD and tFAW constraints it yields never bind.
-_LONG_AGO = -(1 << 62)
 #: Extra cycles a burst waits for the data bus after another rank's burst.
 _RANK_SWITCH_PENALTY = 1
 
@@ -99,23 +89,9 @@ class MemoryController:
         self.num_ranks = num_dimms * ranks_per_dimm
         self.channel_index = channel_index
         geometry = self.address_mapping.geometry
-        banks = self.num_ranks * geometry.bank_groups \
-            * geometry.banks_per_group
-        # Per bank: open row (-1 = closed), earliest ACT / RD / PRE cycle.
-        self._open_row = [-1] * banks
-        self._next_act = [0] * banks
-        self._next_read = [0] * banks
-        self._next_pre = [0] * banks
-        # Per rank: the last four ACT cycles, oldest at ``_faw_slot``; the
-        # last ACT and column command and their bank groups; the data bus.
-        ranks = self.num_ranks
-        self._faw_ring = [_LONG_AGO] * (4 * ranks)
-        self._faw_slot = [0] * ranks
-        self._last_act = [_LONG_AGO] * ranks
-        self._last_act_group = [-1] * ranks
-        self._last_col = [_LONG_AGO] * ranks
-        self._last_col_group = [-1] * ranks
-        self._rank_bus = [0] * ranks
+        #: The bank and rank state of the channel's ranks.
+        self.state = DDR4State(
+            self.num_ranks, geometry.bank_groups * geometry.banks_per_group)
         # Per channel: the clock is the next free C/A slot; the data bus
         # and the rank of its last burst (-1 = none yet).
         self.cycle = 0
@@ -185,17 +161,18 @@ class MemoryController:
         (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
          tRC, tRTP) = self.timing.kernel_params()
         depth = self.queue_depth
-        open_row = self._open_row
-        next_act = self._next_act
-        next_read = self._next_read
-        next_pre = self._next_pre
-        faw_ring = self._faw_ring
-        faw_slot = self._faw_slot
-        last_act = self._last_act
-        last_act_group = self._last_act_group
-        last_col = self._last_col
-        last_col_group = self._last_col_group
-        rank_bus = self._rank_bus
+        state = self.state
+        open_row = state.open_row
+        next_act = state.next_act
+        next_read = state.next_read
+        next_pre = state.next_pre
+        faw_ring = state.faw_ring
+        faw_slot = state.faw_slot
+        last_act = state.last_act
+        last_act_group = state.last_act_group
+        last_col = state.last_col
+        last_col_group = state.last_col_group
+        bus_free = state.bus_free
         cycle = self.cycle
         data_bus = self._data_bus
         last_data_rank = self._last_data_rank
@@ -210,8 +187,8 @@ class MemoryController:
         recorded = [False] * total
         ranks = range(self.num_ranks)
         members = [[] for _ in ranks]
-        hit_min = [_NEVER] * len(ranks)
-        other_min = [_NEVER] * len(ranks)
+        hit_min = [NEVER] * len(ranks)
+        other_min = [NEVER] * len(ranks)
         stale = set()
         latencies = self.stats.latencies
         hits = misses = conflicts = commands = latency_sum = 0
@@ -244,7 +221,7 @@ class MemoryController:
                     act_same = faw
                 if faw > act_other:
                     act_other = faw
-                bus = rank_bus[rank] - tCL
+                bus = bus_free[rank] - tCL
                 col_group = last_col_group[rank]
                 col_same = last_col[rank] + tCCD_L
                 col_other = last_col[rank] + tCCD_S
@@ -252,7 +229,7 @@ class MemoryController:
                     col_same = bus
                 if bus > col_other:
                     col_other = bus
-                first_hit = first_other = _NEVER
+                first_hit = first_other = NEVER
                 for index in members[rank]:
                     bank = bank_of[index]
                     row = open_row[bank]
@@ -294,7 +271,7 @@ class MemoryController:
                 other_rank = cycle
             if last_data_rank >= 0:
                 own = hit_min[last_data_rank]
-                hit_min[last_data_rank] = _NEVER
+                hit_min[last_data_rank] = NEVER
                 earliest_hit = min(hit_min)
                 hit_min[last_data_rank] = own
                 if other_rank > earliest_hit:
@@ -313,7 +290,7 @@ class MemoryController:
             # The pick: the first row hit in arrival order ready at the
             # earliest cycle, else the first other request ready then.
             # Each rank's members are in arrival order.
-            index = _NEVER
+            index = NEVER
             if earliest_hit <= earliest:
                 earliest = earliest_hit
                 for rank in ranks:
@@ -355,7 +332,7 @@ class MemoryController:
                     tCCD_L if group == last_col_group[rank] else tCCD_S)
                 if value > legal:
                     legal = value
-                value = rank_bus[rank] - tCL
+                value = bus_free[rank] - tCL
                 if value > legal:
                     legal = value
                 value = data_bus - tCL
@@ -400,8 +377,8 @@ class MemoryController:
                 last_col[rank] = at
                 last_col_group[rank] = group
                 finish = at + tCL + tBL
-                if finish > rank_bus[rank]:
-                    rank_bus[rank] = finish
+                if finish > bus_free[rank]:
+                    bus_free[rank] = finish
                 if finish > data_bus:
                     data_bus = finish
                 last_data_rank = rank

@@ -1,4 +1,4 @@
-"""DDR4 timing parameters.
+"""DDR4 timing parameters and the DDR4 state they constrain.
 
 All values are expressed in DRAM clock cycles of the memory clock (for
 DDR4-2400 the memory clock is 1200 MHz; data is transferred on both edges so
@@ -7,6 +7,13 @@ RecNMP paper, which in turn follows a Micron 8 Gb DDR4 datasheet.
 """
 
 from dataclasses import dataclass
+
+#: The cycle of a command that never issued: so far back that the tRRD,
+#: tCCD and tFAW constraints it yields never bind.
+LONG_AGO = -(1 << 62)
+#: Later than any reachable cycle: the empty minimum of a scan over
+#: readiness cycles.
+NEVER = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -101,3 +108,56 @@ class DDR4Timing:
 #: The DDR4-2400 configuration used throughout the paper (Table I).
 DDR4_2400 = DDR4Timing()
 
+
+
+class DDR4State:
+    """The DDR4 bank and rank state of ``num_ranks`` ranks as flat
+    columns, in the one layout the host FR-FCFS controller and the
+    rank-NMPs share; the loops that drive it update it in place.
+
+    Per bank, indexed ``rank * banks_per_rank + bank_group *
+    banks_per_group + bank``: ``open_row`` (-1 when closed) and the
+    earliest ``next_act`` / ``next_read`` / ``next_pre`` cycles.  Per
+    rank: its last four ACT cycles (``faw_ring[4 * rank:4 * rank + 4]``)
+    with the slot of the oldest (``faw_slot``), the cycle and bank group
+    of its last ACT (``last_act`` / ``last_act_group``) and column
+    command (``last_col`` / ``last_col_group``), :data:`LONG_AGO` and -1
+    before the first, and the cycle its data bus frees (``bus_free``).
+    Each column is a plain list, or whatever a subclass's
+    :meth:`_column` makes of it (the rank-NMPs' int64 arrays for the
+    flat kernels of :mod:`repro.core.kernels`).
+    """
+
+    #: Per-bank and per-rank columns with the value each starts and
+    #: resets to (besides ``faw_ring``, four entries per rank, all
+    #: :data:`LONG_AGO`).  A subclass extends them with its own columns.
+    BANK_FIELDS = (("open_row", -1), ("next_act", 0), ("next_read", 0),
+                   ("next_pre", 0))
+    RANK_FIELDS = (("faw_slot", 0), ("last_act", LONG_AGO),
+                   ("last_act_group", -1), ("last_col", LONG_AGO),
+                   ("last_col_group", -1), ("bus_free", 0))
+
+    def __init__(self, num_ranks, banks_per_rank):
+        self.num_ranks = num_ranks
+        self.banks_per_rank = banks_per_rank
+        column = self._column
+        for name, fill in self.BANK_FIELDS:
+            setattr(self, name,
+                    column([fill] * (num_ranks * banks_per_rank)))
+        for name, fill in self.RANK_FIELDS:
+            setattr(self, name, column([fill] * num_ranks))
+        self.faw_ring = column([LONG_AGO] * (4 * num_ranks))
+
+    def _column(self, values):
+        """The column holding the list ``values``."""
+        return values
+
+    def reset(self, rank):
+        """Refill rank ``rank``'s columns with their start values."""
+        low = rank * self.banks_per_rank
+        for name, fill in self.BANK_FIELDS:
+            getattr(self, name)[low:low + self.banks_per_rank] = \
+                [fill] * self.banks_per_rank
+        for name, fill in self.RANK_FIELDS:
+            getattr(self, name)[rank] = fill
+        self.faw_ring[4 * rank:4 * rank + 4] = [LONG_AGO] * 4

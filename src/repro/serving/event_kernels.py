@@ -341,29 +341,18 @@ _edf_events_flat = maybe_jit(_edf_events_flat)
 _admission_events_flat = maybe_jit(_admission_events_flat)
 
 
-def _flat_kernel(jitted, unjitted, flavor):
-    if flavor == "numba":
-        if jitted is unjitted:
-            raise RuntimeError("numba is not importable on this host")
-        return jitted
-    return unjitted
-
-
 # --------------------------------------------------------------------- #
 # Dispatchers                                                           #
 # --------------------------------------------------------------------- #
-def fifo_queue_times(ready, services, arrival_order, num_servers,
-                     flavor=None):
+def fifo_queue_times(ready, services, arrival_order, num_servers):
     """Multi-server FIFO starts/completes via the active kernel flavor.
 
     ``ready`` / ``services`` are ``float64`` arrays, ``arrival_order``
     the stable arrival permutation.  Returns ``(starts, completes)``
     ``float64`` arrays indexed like the inputs, bit-identical to the
-    reference ``heapq`` loop.  ``flavor`` overrides the ambient
-    selection.
+    reference ``heapq`` loop.
     """
-    if flavor is None:
-        flavor = active_flavor()
+    flavor = active_flavor()
     size = ready.shape[0]
     if flavor == "python":
         starts = [0.0] * size
@@ -373,7 +362,8 @@ def fifo_queue_times(ready, services, arrival_order, num_servers,
                            num_servers)
         return (np.asarray(starts, dtype=np.float64),
                 np.asarray(completes, dtype=np.float64))
-    kernel = _flat_kernel(_fifo_events_flat, _fifo_events_flat_py, flavor)
+    kernel = _fifo_events_flat if flavor == "numba" \
+        else _fifo_events_flat_py
     starts = np.empty(size, dtype=np.float64)
     completes = np.empty(size, dtype=np.float64)
     kernel(arrival_order, ready, services,
@@ -382,16 +372,15 @@ def fifo_queue_times(ready, services, arrival_order, num_servers,
     return starts, completes
 
 
-def edf_queue_times(ready, services, priorities, arrival_order, num_servers,
-                    flavor=None):
+def edf_queue_times(ready, services, priorities, arrival_order,
+                    num_servers):
     """Earliest-deadline-first starts/completes via the active flavor.
 
     Like :func:`fifo_queue_times` with a per-batch ``priorities`` vector
     (smaller serves first; ties fall back to ready time, then batch
     index -- exactly ``heapq``'s tuple order in the reference loop).
     """
-    if flavor is None:
-        flavor = active_flavor()
+    flavor = active_flavor()
     size = ready.shape[0]
     if flavor == "python":
         starts = [0.0] * size
@@ -401,7 +390,7 @@ def edf_queue_times(ready, services, priorities, arrival_order, num_servers,
                           completes, num_servers)
         return (np.asarray(starts, dtype=np.float64),
                 np.asarray(completes, dtype=np.float64))
-    kernel = _flat_kernel(_edf_events_flat, _edf_events_flat_py, flavor)
+    kernel = _edf_events_flat if flavor == "numba" else _edf_events_flat_py
     starts = np.empty(size, dtype=np.float64)
     completes = np.empty(size, dtype=np.float64)
     kernel(arrival_order, ready, services, priorities,
@@ -427,7 +416,7 @@ def new_admission_state(first_arrival_us, initial_tokens=0.0):
 
 
 def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
-                   est_batch_us, mode, param0=0.0, param1=0.0, flavor=None):
+                   est_batch_us, mode, param0=0.0, param1=0.0):
     """Vectorised admission pass over one (chunk of a) query stream.
 
     ``arrivals`` are the sorted arrival times, ``slacks`` the per-query
@@ -439,8 +428,7 @@ def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
     queue-depth bound, or the deadline margin.  Returns a boolean admit
     mask, bit-identical to the per-query oracle.
     """
-    if flavor is None:
-        flavor = active_flavor()
+    flavor = active_flavor()
     size = arrivals.shape[0]
     if flavor == "python":
         admitted = [0] * size
@@ -451,8 +439,8 @@ def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
                                   param1)
         state[:] = state_list
         return np.asarray(admitted, dtype=np.uint8) != 0
-    kernel = _flat_kernel(_admission_events_flat,
-                          _admission_events_flat_py, flavor)
+    kernel = _admission_events_flat if flavor == "numba" \
+        else _admission_events_flat_py
     admitted = np.empty(size, dtype=np.uint8)
     kernel(arrivals, slacks, admitted, state, num_servers, est_query_us,
            est_batch_us, mode, param0, param1)

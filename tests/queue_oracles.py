@@ -163,8 +163,7 @@ def fluid_admission(arrivals, state, num_servers, est_query_us, decide):
 
 
 def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
-                   est_batch_us, mode, param0=0.0, param1=0.0,
-                   flavor=None):
+                   est_batch_us, mode, param0=0.0, param1=0.0):
     """The built-in admission rules, one query at a time.
 
     ``mode`` and the parameters mean what they mean to the kernel: the
@@ -173,7 +172,6 @@ def admission_mask(arrivals, slacks, state, num_servers, est_query_us,
     first arrival); queue-depth sheds at ``param0`` queued queries;
     deadline sheds a query whose predicted wait plus ``param0`` batch
     services exceeds its slack (NaN: no deadline, always admitted).
-    ``flavor`` is accepted for signature parity and ignored.
     """
     def token_bucket(position, now_us, wait_us):
         tokens = float(state[event_kernels.ADM_TOKENS])

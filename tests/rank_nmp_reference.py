@@ -16,8 +16,10 @@ oracle:
 It shares no code with :func:`repro.core.rank_nmp.execute_segments` or
 :meth:`repro.core.processing_unit.RecNMPChannel._prepare`: only the
 configuration, the RankCache and the statistics records.
-:func:`timing_state` reads either model's DDR4 state in one form,
-:func:`rank_states` every rank of either model's channel, and
+:func:`ddr4_state` reads the DDR4 state of a reference ``Rank`` or of
+one rank of a :class:`~repro.dram.timing.DDR4State` in one form,
+:func:`timing_state` adds a rank-NMP's counters and current cycle,
+:func:`rank_states` reads every rank of either model's channel, and
 :func:`reference_rank` loads a production rank's state into a ``Rank``.
 """
 
@@ -32,12 +34,7 @@ from repro.core.processing_unit import (
     SUM_TRANSFER_CYCLES,
 )
 from repro.core.rank_nmp import RankNMPConfig, RankNMPStats
-
-#: Stand-in for a rank's "no ACT / column command yet".
-_NEVER = -(1 << 62)
-
-#: Initial best estimate of a window scan, beyond any reachable cycle.
-_UNREACHED = 1 << 62
+from repro.dram.timing import LONG_AGO, NEVER
 
 
 def _decode(config, daddr):
@@ -103,11 +100,11 @@ class ReferenceRankNMP:
         faw_ready = history[-4] + tFAW if len(history) >= 4 else 0
         last_act = rank._last_act_cycle
         if last_act is None:
-            last_act = _NEVER
+            last_act = LONG_AGO
         last_act_group = rank._last_act_bank_group
         last_col = rank._last_col_cycle
         if last_col is None:
-            last_col = _NEVER
+            last_col = LONG_AGO
         last_col_group = rank._last_col_bank_group
         bus_free = rank.next_data_bus_free
         if cache is not None:
@@ -130,7 +127,7 @@ class ReferenceRankNMP:
         rd_part = {}
         while window:
             best_index = window[0]
-            best_estimate = _UNREACHED
+            best_estimate = NEVER
             for index in window:
                 arrival = arrival_cycles[index]
                 start = arrival if arrival > current else current
@@ -294,9 +291,9 @@ class ReferenceRankNMP:
             if next_free > start:
                 busy += next_free - start
             current = next_free
-        rank._last_act_cycle = None if last_act == _NEVER else last_act
+        rank._last_act_cycle = None if last_act == LONG_AGO else last_act
         rank._last_act_bank_group = last_act_group
-        rank._last_col_cycle = None if last_col == _NEVER else last_col
+        rank._last_col_cycle = None if last_col == LONG_AGO else last_col
         rank._last_col_bank_group = last_col_group
         rank.next_data_bus_free = bus_free
         self.current_cycle = current
@@ -383,26 +380,22 @@ def reference_dispatch(channel, packets, reorder_window=16, reorder=True):
     return current, per_packet
 
 
-def timing_state(model, rank=0):
-    """A rank-NMP's DDR4 state, either model's, as plain values.
+def ddr4_state(model, rank=0):
+    """One rank's DDR4 state, either model's, as plain values.
 
-    ``model`` is a :class:`ReferenceRankNMP`, or a
-    :class:`~repro.core.rank_nmp.RankState` with ``rank`` the index of
-    the rank to read.  ``(current_cycle, last four ACT cycles oldest
-    first, last ACT cycle, its bank group, last column cycle, its bank
-    group, data-bus free cycle, banks)`` with None for "none yet" and one
-    ``(open row or None, next ACT, next RD, next PRE, activations, reads,
-    precharges)`` tuple per bank.
+    ``model`` is a reference ``Rank``, or a
+    :class:`~repro.dram.timing.DDR4State` with ``rank`` the index of the
+    rank to read.  ``(last four ACT cycles oldest first, last ACT cycle,
+    its bank group, last column cycle, its bank group, data-bus free
+    cycle, banks)`` with None for "none yet" and one ``(open row or
+    None, next ACT, next RD, next PRE)`` tuple per bank.
     """
-    if isinstance(model, ReferenceRankNMP):
-        dram_rank = model.dram_rank
-        return (model.current_cycle, tuple(dram_rank._act_history),
-                dram_rank._last_act_cycle, dram_rank._last_act_bank_group,
-                dram_rank._last_col_cycle, dram_rank._last_col_bank_group,
-                dram_rank.next_data_bus_free,
+    if isinstance(model, Rank):
+        return (tuple(model._act_history), model._last_act_cycle,
+                model._last_act_bank_group, model._last_col_cycle,
+                model._last_col_bank_group, model.next_data_bus_free,
                 [(bank.open_row, bank.next_act, bank.next_read,
-                  bank.next_pre, bank.activations, bank.reads,
-                  bank.precharges) for bank in dram_rank.banks])
+                  bank.next_pre) for bank in model.banks])
     state = model
 
     def value(values, index):
@@ -410,7 +403,7 @@ def timing_state(model, rank=0):
 
     def cycle(values, index):
         found = value(values, index)
-        return None if found == _NEVER else found
+        return None if found == LONG_AGO else found
 
     first = value(state.faw_slot, rank)
     ring = [cycle(state.faw_ring, 4 * rank + (first + i) % 4)
@@ -422,19 +415,37 @@ def timing_state(model, rank=0):
         banks.append((None if open_row < 0 else open_row,
                       value(state.next_act, flat),
                       value(state.next_read, flat),
-                      value(state.next_pre, flat),
-                      value(state.activations, flat),
-                      value(state.reads, flat),
-                      value(state.precharges, flat)))
+                      value(state.next_pre, flat)))
     last_act = cycle(state.last_act, rank)
     last_col = cycle(state.last_col, rank)
-    return (value(state.current, rank),
-            tuple(found for found in ring if found is not None),
+    return (tuple(found for found in ring if found is not None),
             last_act, None if last_act is None
             else value(state.last_act_group, rank),
             last_col, None if last_col is None
             else value(state.last_col_group, rank),
             value(state.bus_free, rank), banks)
+
+
+def timing_state(model, rank=0):
+    """A rank-NMP's state, either model's, as plain values.
+
+    ``model`` is a :class:`ReferenceRankNMP`, or a
+    :class:`~repro.core.rank_nmp.RankState` with ``rank`` the index of
+    the rank to read.  ``(current_cycle, DDR4 state, counters)``: the
+    DDR4 state as :func:`ddr4_state` reads it and one ``(activations,
+    reads, precharges)`` tuple per bank.
+    """
+    if isinstance(model, ReferenceRankNMP):
+        dram_rank = model.dram_rank
+        return (model.current_cycle, ddr4_state(dram_rank),
+                [(bank.activations, bank.reads, bank.precharges)
+                 for bank in dram_rank.banks])
+    state = model
+    low = rank * state.banks_per_rank
+    return (int(state.current[rank]), ddr4_state(state, rank),
+            [(int(state.activations[flat]), int(state.reads[flat]),
+              int(state.precharges[flat]))
+             for flat in range(low, low + state.banks_per_rank)])
 
 
 def rank_states(channel):
@@ -457,8 +468,9 @@ def rank_states(channel):
 def reference_rank(state, rank=0):
     """A ``Rank`` holding rank ``rank`` of a
     :class:`~repro.core.rank_nmp.RankState` in its current DDR4 state."""
-    (_, history, last_act, last_act_group, last_col, last_col_group,
-     bus_free, banks) = timing_state(state, rank)
+    _, ddr4, counters = timing_state(state, rank)
+    (history, last_act, last_act_group, last_col, last_col_group, bus_free,
+     banks) = ddr4
     config = state.config
     dram_rank = Rank(config.timing, num_bank_groups=config.num_bank_groups,
                      banks_per_group=config.banks_per_group,
@@ -469,7 +481,8 @@ def reference_rank(state, rank=0):
     dram_rank._last_col_cycle = last_col
     dram_rank._last_col_bank_group = last_col_group
     dram_rank.next_data_bus_free = bus_free
-    for bank, values in zip(dram_rank.banks, banks):
-        (bank.open_row, bank.next_act, bank.next_read, bank.next_pre,
-         bank.activations, bank.reads, bank.precharges) = values
+    for bank, values, counts in zip(dram_rank.banks, banks, counters):
+        (bank.open_row, bank.next_act, bank.next_read,
+         bank.next_pre) = values
+        bank.activations, bank.reads, bank.precharges = counts
     return dram_rank

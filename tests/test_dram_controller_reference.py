@@ -19,6 +19,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ddr4_reference import PerCycleController, skylake_decode
+from rank_nmp_reference import ddr4_state
 from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
 from repro.dram.controller import MemoryController
 from repro.dram.system import DramSystem, DramSystemConfig
@@ -41,10 +42,27 @@ def build(num_dimms, ranks_per_dimm, queue_depth):
                                geometry=shape, queue_depth=queue_depth))
 
 
+def channel_state(controller):
+    """Either controller's channel state: the DDR4 state of each rank
+    (:func:`~rank_nmp_reference.ddr4_state`), the C/A clock, the data
+    bus and the rank of the last burst (None before the first)."""
+    if isinstance(controller, PerCycleController):
+        channel = controller.channel
+        return ([ddr4_state(rank) for rank in channel.ranks],
+                channel.next_ca_free, channel.next_data_free,
+                channel._last_data_rank)
+    last_data_rank = controller._last_data_rank
+    return ([ddr4_state(controller.state, rank)
+             for rank in range(controller.num_ranks)],
+            controller.cycle, controller._data_bus,
+            None if last_data_rank < 0 else last_data_rank)
+
+
 def observed(controller, stats):
     """What the two controllers must agree on after a drain."""
     return (controller.completion_cycles, dataclasses.asdict(stats),
-            stats.cycles_elapsed, controller.cycle)
+            stats.cycles_elapsed, controller.cycle,
+            channel_state(controller))
 
 
 def run_both(traces, num_dimms, ranks_per_dimm, queue_depth):
@@ -61,8 +79,9 @@ def run_both(traces, num_dimms, ranks_per_dimm, queue_depth):
 def reference_run_trace(config, addresses, request_bytes, outstanding):
     """``DramSystem.run_trace`` from the reference: each burst decoded on
     its own, every channel's bursts through its own per-cycle
-    controller.  Returns the per-channel stats and the completion cycles
-    in channel order."""
+    controller.  Returns the per-channel stats, the completion cycles in
+    channel order and each controller's end state (:func:`channel_state`),
+    for the channels that had bursts."""
     shape = config.geometry()
     per_channel = [[] for _ in range(config.num_channels)]
     for address in addresses:
@@ -70,7 +89,7 @@ def reference_run_trace(config, addresses, request_bytes, outstanding):
             burst_address = address + 64 * burst
             per_channel[skylake_decode(shape, burst_address).channel].append(
                 burst_address)
-    stats, done = [], []
+    stats, done, states = [], [], []
     for bursts in per_channel:
         if not bursts:
             continue
@@ -81,7 +100,8 @@ def reference_run_trace(config, addresses, request_bytes, outstanding):
         stats.append(dataclasses.asdict(
             controller.process_trace(bursts, outstanding)))
         done.extend(controller.completion_cycles)
-    return stats, done
+        states.append(channel_state(controller))
+    return stats, done, states
 
 
 #: Block addresses anywhere in 1 GiB; a few rows' worth of blocks at
@@ -130,12 +150,14 @@ def test_drain_matches_reference_across_channels_and_drains(
     system = DramSystem(config)
     result = system.run_trace(addresses, request_bytes=request_bytes,
                               outstanding_per_channel=outstanding)
-    stats, done = reference_run_trace(config, addresses, request_bytes,
-                                      outstanding)
+    stats, done, states = reference_run_trace(config, addresses,
+                                              request_bytes, outstanding)
     assert [dataclasses.asdict(channel)
             for channel in result.per_channel_stats] == stats
     assert [cycle for controller in system.controllers
             for cycle in controller.completion_cycles] == done
+    assert [channel_state(controller) for controller in system.controllers
+            if controller.completion_cycles] == states
     assert result.cycles == max(channel["cycles_elapsed"]
                                 for channel in stats)
 

@@ -72,8 +72,9 @@ class TestFifoKernels:
         starts, completes = queue_oracles.fifo_queue_times(
             ready, services, arrival_order, num_servers)
         for flavor in FLAVORS:
-            got_starts, got_completes = fifo_queue_times(
-                ready, services, arrival_order, num_servers, flavor=flavor)
+            with force_flavor(flavor):
+                got_starts, got_completes = fifo_queue_times(
+                    ready, services, arrival_order, num_servers)
             assert np.array_equal(got_starts, starts), flavor
             assert np.array_equal(got_completes, completes), flavor
 
@@ -95,8 +96,9 @@ class TestFifoKernels:
         services = np.array([3.0])
         order = np.array([0], dtype=np.int64)
         for flavor in FLAVORS:
-            starts, completes = fifo_queue_times(ready, services, order, 4,
-                                                 flavor=flavor)
+            with force_flavor(flavor):
+                starts, completes = fifo_queue_times(ready, services, order,
+                                                     4)
             assert starts[0] == 5.0 and completes[0] == 8.0
 
 
@@ -134,8 +136,9 @@ class TestEdfKernels:
         priorities = np.array([np.inf, 100.0, 20.0])
         order = np.argsort(ready, kind="stable")
         for flavor in FLAVORS:
-            starts, _ = edf_queue_times(ready, services, priorities, order,
-                                        1, flavor=flavor)
+            with force_flavor(flavor):
+                starts, _ = edf_queue_times(ready, services, priorities,
+                                            order, 1)
             assert starts[2] < starts[1]
 
 
@@ -172,11 +175,8 @@ class TestFlavorPlumbing:
     def test_force_numba_without_numba_raises(self):
         if event_kernels.active_flavor() == "numba":
             pytest.skip("numba installed: forcing it is legitimate")
-        ready = np.array([0.0, 1.0])
-        services = np.array([1.0, 1.0])
-        order = np.array([0, 1], dtype=np.int64)
         with pytest.raises(RuntimeError, match="numba"):
-            fifo_queue_times(ready, services, order, 2, flavor="numba")
+            force_flavor("numba")
 
 
 class TestForcedFallback:
