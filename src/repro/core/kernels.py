@@ -120,19 +120,18 @@ _NUMBA_PACKED_MIN_INSTRUCTIONS = 24
 _CPYTHON_PACKED_MIN_INSTRUCTIONS = 256
 
 
-def packed_dispatch_min_instructions(flavor=None):
+def packed_dispatch_min_instructions():
     """Smallest packet the memory controller sends to ``execute_packed``.
 
     Smaller packets go to ``execute_packet``; 0 means always
-    ``execute_packed``.  Inside a :class:`force_flavor` context the
-    cutover is 0 -- forcing a flavor exercises its ``execute_packed``
-    entry unconditionally.
+    ``execute_packed``.  The import-time flavor picks the cutover
+    (numba or CPython).  Inside a :class:`force_flavor` context it is 0
+    -- forcing a flavor exercises its ``execute_packed`` entry
+    unconditionally.
     """
-    if flavor is None:
-        if _FORCED_FLAVOR is not None:
-            return 0
-        flavor = KERNEL_FLAVOR
-    if flavor == "numba":
+    if _FORCED_FLAVOR is not None:
+        return 0
+    if KERNEL_FLAVOR == "numba":
         return _NUMBA_PACKED_MIN_INSTRUCTIONS
     return _CPYTHON_PACKED_MIN_INSTRUCTIONS
 
@@ -143,10 +142,10 @@ class force_flavor:
     A :class:`~repro.core.rank_nmp.RankState` (so a ``RecNMPChannel``)
     binds its kernels and column form when built, so only one built
     inside the context runs the forced flavor, and keeps it.
-    :func:`reorder_packets`, :func:`packed_dispatch_min_instructions`
-    (0 under any override), the ``describe`` helpers and the event
+    :func:`reorder_packets`, the ``describe`` helpers and the event
     kernels' ``fifo_queue_times``, ``edf_queue_times`` and
-    ``admission_mask`` read the flavor on every call instead.
+    ``admission_mask`` read the flavor on every call instead, and
+    :func:`packed_dispatch_min_instructions` is 0 under any override.
     ``force_flavor("numba")`` raises ``RuntimeError`` without numba.
 
     Exception-safe: the previous flavor is restored even when the body

@@ -12,10 +12,15 @@ clock), the data bus and the rank that sent the last burst.
 
 :meth:`MemoryController._drain` runs a whole schedule as one loop with
 that state loaded into locals and written back at the end, so it persists
-from one drain to the next.  Each queued request caches the readiness its
-bank and rank impose, and each rank the earliest of its row hits and of
-its other requests, refreshed after every command to that rank; the
-scheduler picks from that cache.  Every command it issues is then checked
+from one drain to the next.  The scheduler picks from a readiness cache
+kept per bank: all queued bursts of one bank wait for the same RD if they
+hit its open row and for the same ACT or PRE if not, so each bank holds
+those two cycles with its counts of queued bursts and row hits, each rank
+the earliest of each kind over its banks, and the channel the earliest
+over its ranks.  A command refreshes only what it moved: its rank's
+banks of the kind whose floors it changed, plus its own bank.  An
+admitted burst changes no DDR4 state, so it only lowers its bank's,
+rank's and channel's entries.  Every command the scheduler issues is then checked
 once more against a fresh computation from the flat state -- the bank's
 timing, tRRD, tFAW, tCCD, the rank's data bus, the channel's data bus with
 the rank-switch penalty and the C/A slot.  With an exact cache the fresh
@@ -58,7 +63,10 @@ class MemoryController:
     command can issue and the FR-FCFS pick at that cycle, jumps the clock
     there and issues it.  Between two issues no queue, admission or timing
     state changes, so that is exactly the cycle and the command a
-    one-cycle-at-a-time loop would have issued.
+    one-cycle-at-a-time loop would have issued.  The earliest cycle comes
+    from per-bank readiness (see the module docstring) with no scan over
+    the queue; the pick walks only the ranks with a command ready then,
+    each in arrival order.
 
     Parameters
     ----------
@@ -179,17 +187,27 @@ class MemoryController:
         last_cycle = cycle + _MAX_DRAIN_CYCLES
         arrival = [cycle] * total
         self.completion_cycles = done = [-1] * total
-        # The readiness cache: the bank+rank part of each queued burst's
-        # next command and whether it is a row-hit RD, plus each rank's
-        # earliest such cycle over its row hits and over its other bursts.
-        ready = [0] * total
+        geometry = self.address_mapping.geometry
+        bank_group = [bank // geometry.banks_per_group % geometry.bank_groups
+                      for bank in range(len(open_row))]
+        # The readiness cache.  All queued bursts of one bank wait for the
+        # same RD if they hit its open row, and for the same ACT or PRE if
+        # not, so the cache is per bank: those two cycles (each valid while
+        # the bank has such a burst), the bank's queued bursts and row hits;
+        # then each rank's earliest RD and earliest other command, and the
+        # channel's (``first_hit``, ``first_other``), re-scanned over the
+        # ranks only when the rank that held one moves it later.
+        hit_ready = [NEVER] * len(open_row)
+        other_ready = [NEVER] * len(open_row)
+        hits_in = [0] * len(open_row)
         is_hit = [False] * total
         recorded = [False] * total
         ranks = range(self.num_ranks)
         members = [[] for _ in ranks]
+        queued_in = [{} for _ in ranks]
         hit_min = [NEVER] * len(ranks)
         other_min = [NEVER] * len(ranks)
-        stale = set()
+        first_hit = first_other = NEVER
         latencies = self.stats.latencies
         hits = misses = conflicts = commands = latency_sum = 0
         arrived = 0
@@ -201,64 +219,59 @@ class MemoryController:
                 while arrived < total and arrived - completed < cap:
                     arrival[arrived] = cycle
                     arrived += 1
+                # Admission changes no DDR4 state, so the cache stays
+                # exact: only the burst's bank's value for its command and
+                # its rank's and the channel's minima can move, and only
+                # down.
                 while admitted < arrived and queued < depth:
                     rank = rank_of[admitted]
+                    bank = bank_of[admitted]
                     members[rank].append(admitted)
-                    stale.add(rank)
+                    in_bank = queued_in[rank]
+                    in_bank[bank] = in_bank.get(bank, 0) + 1
+                    row = open_row[bank]
+                    group = group_of[admitted]
+                    if row == row_of[admitted]:
+                        is_hit[admitted] = True
+                        hits_in[bank] += 1
+                        value = next_read[bank]
+                        floor = last_col[rank] + (
+                            tCCD_L if group == last_col_group[rank]
+                            else tCCD_S)
+                        if floor > value:
+                            value = floor
+                        floor = bus_free[rank] - tCL
+                        if floor > value:
+                            value = floor
+                        hit_ready[bank] = value
+                        if value < hit_min[rank]:
+                            hit_min[rank] = value
+                            if value < first_hit:
+                                first_hit = value
+                    else:
+                        if row < 0:
+                            value = next_act[bank]
+                            floor = last_act[rank] + (
+                                tRRD_L if group == last_act_group[rank]
+                                else tRRD_S)
+                            if floor > value:
+                                value = floor
+                            floor = faw_ring[4 * rank + faw_slot[rank]] \
+                                + tFAW
+                            if floor > value:
+                                value = floor
+                        else:
+                            value = next_pre[bank]
+                        other_ready[bank] = value
+                        if value < other_min[rank]:
+                            other_min[rank] = value
+                            if value < first_other:
+                                first_other = value
                     admitted += 1
                     queued += 1
                 if not queued:
                     break
                 refill = False
-            # Refresh the cache of every rank a command went to or a
-            # request joined: a command changes the state of one rank.
-            for rank in stale:
-                faw = faw_ring[4 * rank + faw_slot[rank]] + tFAW
-                act_group = last_act_group[rank]
-                act_same = last_act[rank] + tRRD_L
-                act_other = last_act[rank] + tRRD_S
-                if faw > act_same:
-                    act_same = faw
-                if faw > act_other:
-                    act_other = faw
-                bus = bus_free[rank] - tCL
-                col_group = last_col_group[rank]
-                col_same = last_col[rank] + tCCD_L
-                col_other = last_col[rank] + tCCD_S
-                if bus > col_same:
-                    col_same = bus
-                if bus > col_other:
-                    col_other = bus
-                first_hit = first_other = NEVER
-                for index in members[rank]:
-                    bank = bank_of[index]
-                    row = open_row[bank]
-                    if row == row_of[index]:
-                        value = next_read[bank]
-                        floor = col_same if group_of[index] == col_group \
-                            else col_other
-                        if floor > value:
-                            value = floor
-                        ready[index] = value
-                        is_hit[index] = True
-                        if value < first_hit:
-                            first_hit = value
-                        continue
-                    if row < 0:
-                        value = next_act[bank]
-                        floor = act_same if group_of[index] == act_group \
-                            else act_other
-                        if floor > value:
-                            value = floor
-                    else:
-                        value = next_pre[bank]
-                    ready[index] = value
-                    is_hit[index] = False
-                    if value < first_other:
-                        first_other = value
-                hit_min[rank] = first_hit
-                other_min[rank] = first_other
-            stale.clear()
             # The scheduler pass.  Every command waits for the C/A slot,
             # ``cycle``; a RD also waits for the channel's data bus, plus
             # the switch penalty after another rank's burst.
@@ -269,22 +282,21 @@ class MemoryController:
                 same_rank = cycle
             if cycle > other_rank:
                 other_rank = cycle
-            if last_data_rank >= 0:
-                own = hit_min[last_data_rank]
-                hit_min[last_data_rank] = NEVER
-                earliest_hit = min(hit_min)
-                hit_min[last_data_rank] = own
-                if other_rank > earliest_hit:
+            # The earliest RD: the earliest row hit if no rank's data-bus
+            # floor delays it, else the last data rank's own (its floor
+            # ``same_rank``) or any other rank's at ``other_rank``.
+            earliest_hit = first_hit
+            if earliest_hit < other_rank:
+                own = hit_min[last_data_rank] if last_data_rank >= 0 \
+                    else NEVER
+                if own >= other_rank:
                     earliest_hit = other_rank
-                if same_rank > own:
-                    own = same_rank
-                if own < earliest_hit:
+                elif own > same_rank:
                     earliest_hit = own
-            else:
-                earliest_hit = min(hit_min)
-                if other_rank > earliest_hit:
-                    earliest_hit = other_rank
-            earliest = min(other_min)
+                else:
+                    earliest_hit = same_rank
+            # The earliest other command; a RD ready no later wins.
+            earliest = first_other
             if cycle > earliest:
                 earliest = cycle
             # The pick: the first row hit in arrival order ready at the
@@ -293,15 +305,16 @@ class MemoryController:
             index = NEVER
             if earliest_hit <= earliest:
                 earliest = earliest_hit
-                for rank in ranks:
-                    if hit_min[rank] > earliest or (
-                            same_rank if rank == last_data_rank
-                            else other_rank) > earliest:
+                # Before ``other_rank`` only the last data rank can read.
+                for rank in ((last_data_rank,) if earliest < other_rank
+                             else ranks):
+                    if hit_min[rank] > earliest:
                         continue
                     for member in members[rank]:
                         if member > index:
                             break
-                        if is_hit[member] and ready[member] <= earliest:
+                        if is_hit[member] \
+                                and hit_ready[bank_of[member]] <= earliest:
                             index = member
                             break
             else:
@@ -311,7 +324,8 @@ class MemoryController:
                     for member in members[rank]:
                         if member > index:
                             break
-                        if not is_hit[member] and ready[member] <= earliest:
+                        if not is_hit[member] \
+                                and other_ready[bank_of[member]] <= earliest:
                             index = member
                             break
             if earliest > last_cycle:
@@ -364,7 +378,10 @@ class MemoryController:
                     % (command, at, self.channel_index, rank, legal)
                 break
             # Issue.  The row outcome counts once, at a request's first
-            # command.
+            # command.  Then refresh the cache of what the command moved:
+            # a RD moves the rank's RD floors and its bank's PRE, an ACT
+            # the rank's ACT floors and its bank, a PRE its bank alone.
+            in_bank = queued_in[rank]
             if command == "RD":
                 if not recorded[index]:
                     hits += 1
@@ -389,7 +406,15 @@ class MemoryController:
                 completed += 1
                 queued -= 1
                 members[rank].remove(index)
+                hits_in[bank] -= 1
+                count = in_bank[bank] - 1
+                if count:
+                    in_bank[bank] = count
+                else:
+                    del in_bank[bank]
                 refill = True
+                refresh_hits = True
+                refresh_others = count > hits_in[bank]
             elif command == "ACT":
                 if not recorded[index]:
                     misses += 1
@@ -409,6 +434,28 @@ class MemoryController:
                 faw_slot[rank] = (slot + 1) & 3
                 last_act[rank] = at
                 last_act_group[rank] = group
+                # The bank's bursts for the opened row turn into hits.
+                count = 0
+                for member in members[rank]:
+                    if bank_of[member] == bank and row_of[member] == row:
+                        is_hit[member] = True
+                        count += 1
+                hits_in[bank] = count
+                value = next_read[bank]
+                floor = last_col[rank] + (
+                    tCCD_L if group == last_col_group[rank] else tCCD_S)
+                if floor > value:
+                    value = floor
+                floor = bus_free[rank] - tCL
+                if floor > value:
+                    value = floor
+                hit_ready[bank] = value
+                if value < hit_min[rank]:
+                    hit_min[rank] = value
+                    if value < first_hit:
+                        first_hit = value
+                refresh_hits = False
+                refresh_others = True
             else:
                 if not recorded[index]:
                     conflicts += 1
@@ -417,9 +464,71 @@ class MemoryController:
                 value = at + tRP
                 if value > next_act[bank]:
                     next_act[bank] = value
+                refresh_hits = hits_in[bank] > 0
+                if refresh_hits:
+                    for member in members[rank]:
+                        if bank_of[member] == bank:
+                            is_hit[member] = False
+                    hits_in[bank] = 0
+                refresh_others = True
             commands += 1
-            stale.add(rank)
             cycle = at + 1
+            if refresh_hits:
+                bus = bus_free[rank] - tCL
+                col_group = last_col_group[rank]
+                col_same = last_col[rank] + tCCD_L
+                col_other = last_col[rank] + tCCD_S
+                if bus > col_same:
+                    col_same = bus
+                if bus > col_other:
+                    col_other = bus
+                first = NEVER
+                for bank in in_bank:
+                    if hits_in[bank]:
+                        value = next_read[bank]
+                        floor = col_same if bank_group[bank] == col_group \
+                            else col_other
+                        if floor > value:
+                            value = floor
+                        hit_ready[bank] = value
+                        if value < first:
+                            first = value
+                value = hit_min[rank]
+                hit_min[rank] = first
+                if first < first_hit:
+                    first_hit = first
+                elif first > value == first_hit:
+                    first_hit = min(hit_min)
+            if refresh_others:
+                faw = faw_ring[4 * rank + faw_slot[rank]] + tFAW
+                act_group = last_act_group[rank]
+                act_same = last_act[rank] + tRRD_L
+                act_other = last_act[rank] + tRRD_S
+                if faw > act_same:
+                    act_same = faw
+                if faw > act_other:
+                    act_other = faw
+                first = NEVER
+                for bank, count in in_bank.items():
+                    if hits_in[bank] == count:
+                        continue
+                    if open_row[bank] < 0:
+                        value = next_act[bank]
+                        floor = act_same if bank_group[bank] == act_group \
+                            else act_other
+                        if floor > value:
+                            value = floor
+                    else:
+                        value = next_pre[bank]
+                    other_ready[bank] = value
+                    if value < first:
+                        first = value
+                value = other_min[rank]
+                other_min[rank] = first
+                if first < first_other:
+                    first_other = first
+                elif first > value == first_other:
+                    first_other = min(other_min)
         self.cycle = cycle
         self._data_bus = data_bus
         self._last_data_rank = last_data_rank

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddr4_reference import Channel, CommandType
+from rank_nmp_reference import ddr4_state
 from repro.dram.timing import DDR4_2400
 
 NUM_DIMMS = 2
@@ -58,15 +59,13 @@ def build(prefix):
 
 
 def snapshot(channel):
-    """Every piece of channel, rank and bank state, statistics included."""
+    """Every piece of channel, rank and bank state, statistics included:
+    each rank's DDR4 state (:func:`~rank_nmp_reference.ddr4_state`) and
+    its banks' statistics."""
     return (channel.next_ca_free, channel.next_data_free,
             channel._last_data_rank, channel.commands_issued,
-            [(tuple(rank._act_history), rank._last_act_cycle,
-              rank._last_act_bank_group, rank._last_col_cycle,
-              rank._last_col_bank_group, rank.next_data_bus_free,
-              [(bank.open_row, bank.next_act, bank.next_read,
-                bank.next_pre) + tuple(bank.stats().values())
-               for bank in rank.banks])
+            [(ddr4_state(rank),
+              [tuple(bank.stats().values()) for bank in rank.banks])
              for rank in channel.ranks])
 
 

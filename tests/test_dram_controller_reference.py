@@ -5,17 +5,21 @@ original loop: every memory cycle it rescans the read queue and asks the
 layered ``Channel.can_issue`` -> ``Rank`` -> ``Bank`` checks whether each
 request's next command may issue, then issues the FR-FCFS pick.  The
 production controller runs one drain over flat state, jumps idle cycles
-and reads readiness from a per-rank cache.  Both must produce identical
+and reads readiness from a per-bank cache.  Both must produce identical
 completion cycles, ``ControllerStats`` and elapsed cycles on any trace:
 one channel or several, any population and queue depth, any outstanding
 cap (above the queue depth too, where arrivals wait for admission), and
 over two drains in a row, where the open rows and timing state of the
-first carry into the second.
+first carry into the second; under any drawn ``DDR4Timing`` with
+``tRCD <= tRAS``, on traces crowded into a few banks so each bank holds
+several queued bursts; and at full size on Fig. 16's and the headline
+run's burst traces.
 """
 
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddr4_reference import PerCycleController, skylake_decode
@@ -23,6 +27,8 @@ from rank_nmp_reference import ddr4_state
 from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
 from repro.dram.controller import MemoryController
 from repro.dram.system import DramSystem, DramSystemConfig
+from repro.dram.timing import DDR4Timing
+from repro.traces import make_production_table_traces
 
 
 def geometry(num_dimms, ranks_per_dimm):
@@ -30,16 +36,18 @@ def geometry(num_dimms, ranks_per_dimm):
                           ranks_per_dimm=ranks_per_dimm)
 
 
-def build(num_dimms, ranks_per_dimm, queue_depth):
+def build(num_dimms, ranks_per_dimm, queue_depth, timing=None):
     """A production and a reference controller for one channel."""
     shape = geometry(num_dimms, ranks_per_dimm)
-    return (MemoryController(num_dimms=num_dimms,
+    timing = timing or DDR4Timing()
+    return (MemoryController(timing=timing, num_dimms=num_dimms,
                              ranks_per_dimm=ranks_per_dimm,
                              address_mapping=SkylakeAddressMapping(shape),
                              queue_depth=queue_depth),
             PerCycleController(num_dimms=num_dimms,
                                ranks_per_dimm=ranks_per_dimm,
-                               geometry=shape, queue_depth=queue_depth))
+                               geometry=shape, queue_depth=queue_depth,
+                               timing=timing))
 
 
 def channel_state(controller):
@@ -65,10 +73,10 @@ def observed(controller, stats):
             channel_state(controller))
 
 
-def run_both(traces, num_dimms, ranks_per_dimm, queue_depth):
+def run_both(traces, num_dimms, ranks_per_dimm, queue_depth, timing=None):
     """Drain each ``(addresses, cap)`` of ``traces`` in turn on one
     production and one reference controller; returns both controllers."""
-    fast, ref = build(num_dimms, ranks_per_dimm, queue_depth)
+    fast, ref = build(num_dimms, ranks_per_dimm, queue_depth, timing)
     for addresses, cap in traces:
         assert observed(fast, fast.process_trace(addresses, cap)) == \
             observed(ref, ref.process_trace(addresses, cap))
@@ -114,6 +122,93 @@ ADDRESSES = st.one_of(
         lambda pair: pair[0] * (8 << 20) + pair[1] * 64),
     st.integers(0, (1 << 18) // 64 - 1).map(lambda block: block * 64))
 TRACES = st.lists(ADDRESSES, min_size=1, max_size=48)
+
+
+#: Up to 16 blocks of one row, on rows a multiple of 16 apart (so the
+#: Skylake XOR hash leaves the bank alone), in three banks (two of one
+#: bank group) of two ranks: several queued bursts per bank, with hits,
+#: misses and conflicts.
+CROWDED = st.tuples(st.integers(0, 1), st.sampled_from([0, 1, 4]),
+                    st.integers(0, 2), st.integers(0, 15))
+
+
+def crowded_address(num_dimms, ranks_per_dimm, target):
+    """The byte address of a :data:`CROWDED` ``(rank, bank, row, column)``
+    on a one-channel Skylake mapping of that population."""
+    rank, bank, row, column = target
+    ranks = num_dimms * ranks_per_dimm
+    block = ((16 * row * ranks + rank % ranks) * 16 + bank) \
+        * MemoryGeometry().columns_per_row + column
+    return 64 * block
+
+
+@st.composite
+def timings(draw):
+    """A ``DDR4Timing`` short enough for the per-cycle reference: every
+    constraint positive, ``tRAS + tRP <= tRC + 1`` (as ``DDR4Timing``
+    requires) and ``tRCD <= tRAS``.  With ``tRAS < tRCD`` a row
+    conflict's PRE is always ready before the RD of the row just opened
+    for an older burst of its bank, and FR-FCFS livelocks: neither loop
+    ever finishes the trace."""
+    small = st.integers(1, 24)
+    tRAS = draw(st.integers(1, 48))
+    tRP = draw(small)
+    return DDR4Timing(
+        tRC=draw(st.integers(max(1, tRAS + tRP - 1), tRAS + tRP + 24)),
+        tRCD=draw(st.integers(1, min(24, tRAS))), tCL=draw(small), tRP=tRP,
+        tBL=draw(st.integers(1, 8)), tCCD_S=draw(small),
+        tCCD_L=draw(small), tRRD_S=draw(small), tRRD_L=draw(small),
+        tFAW=draw(st.integers(1, 48)), tRAS=tRAS, tRTP=draw(small))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       timing=timings(),
+       num_dimms=st.integers(1, 4),
+       ranks_per_dimm=st.integers(1, 2),
+       queue_depth=st.sampled_from([1, 4, 32]),
+       batch_size=st.one_of(st.none(), st.integers(1, 40)))
+def test_drain_matches_reference_under_any_timing(
+        data, timing, num_dimms, ranks_per_dimm, queue_depth, batch_size):
+    """Any timing, two drains in a row, on traces crowded into a few banks
+    (or drawn like the other properties'): completion cycles, stats and
+    the end state agree."""
+    crowded = st.lists(CROWDED, min_size=1, max_size=96).map(
+        lambda targets: [crowded_address(num_dimms, ranks_per_dimm, target)
+                         for target in targets])
+    traces = [(data.draw(st.one_of(crowded, TRACES), label="addresses"),
+               batch_size) for _ in range(2)]
+    run_both(traces, num_dimms, ranks_per_dimm, queue_depth, timing)
+
+
+def production_trace(num_tables):
+    """Fig. 16's lookup addresses on its first ``num_tables`` tables:
+    8 x 40 production lookups per table, 128-byte vectors in 20,000-row
+    tables, table after table."""
+    traces = make_production_table_traces(
+        num_lookups_per_table=8 * 40, num_rows=20_000,
+        num_tables=num_tables, seed=0)
+    return [(trace.table_id * 20_000 + int(row)) * 128
+            for trace in traces for row in trace.indices]
+
+
+@pytest.mark.parametrize("num_tables", [2, 8], ids=["fig16", "headline"])
+def test_drain_matches_reference_on_production_traces(num_tables):
+    """Fig. 16's DDR4 baseline (two tables, 640 lookups) and the headline
+    run's (eight tables), at full size: 128-byte lookups on one channel of
+    4 DIMMs x 2 ranks, at most 32 outstanding."""
+    config = DramSystemConfig(num_channels=1, dimms_per_channel=4,
+                              ranks_per_dimm=2)
+    addresses = production_trace(num_tables)
+    system = DramSystem(config)
+    result = system.run_trace(addresses, request_bytes=128,
+                              outstanding_per_channel=32)
+    stats, done, states = reference_run_trace(config, addresses, 128, 32)
+    assert [dataclasses.asdict(channel)
+            for channel in result.per_channel_stats] == stats
+    assert system.controllers[0].completion_cycles == done
+    assert [channel_state(system.controllers[0])] == states
+    assert stats[0]["requests_completed"] == 2 * len(addresses)
 
 
 @settings(max_examples=60, deadline=None)
